@@ -104,9 +104,9 @@
 // # Scheduling
 //
 // The kernel offers two APIs over one deterministic (time, seq) FIFO
-// queue. Kernel.At/After allocate a single-use event per call and suit
-// setup code and tests. Hot paths — instruction issue, link pumps,
-// channel-end wakes, ADC ticks — use sim.Timer: allocated once with the
+// queue. Kernel.At/After allocate a single-use event per call and are
+// used by tests only. Everything else — instruction issue, link pumps,
+// channel-end wakes, ADC ticks — uses sim.Timer: allocated once with the
 // callback bound at construction, then armed, re-armed and disarmed
 // forever without allocating; components embedding their timers bind
 // the callback through a preallocated sim.Waker instead of a closure.
@@ -128,6 +128,21 @@
 // foreign-event boundary. On by default; -turbo=false on both drivers
 // falls back to one instruction per kernel event, byte-identical
 // output either way. BENCH_turbo.json holds the committed baseline.
+//
+// The communication path — kernel events and tokens rather than
+// instructions — follows the same rules. Nothing on it allocates in
+// steady state: a blocked IN/OUT reuses one wake callback per (thread,
+// channel end) pair, port and channel-end FIFOs live on fixed backing
+// arrays, waiter lists keep their capacity, and each link caches its
+// wire time per token. Absorbing a sibling's issue firing is O(1): the
+// kernel reports the queue head's Waker (Kernel.NextForeign), the
+// batching group recognises its own issue timer by type, and every
+// head primitive shares one walk that answers in place when the last
+// pop left the next head in view. None of it changes Seq, Fired or any
+// timestamp (core.TestCommRunZeroAllocs, the 2x2 shape of
+// TestTurboRandomizedDifferential, noc.TestRestoreWithSlidFIFOs).
+// Machine.Run names the blocked threads and their channel ends when
+// the kernel runs dry before every core is done.
 //
 // # Observability
 //

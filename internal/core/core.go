@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"swallow/internal/bridge"
 	"swallow/internal/noc"
@@ -346,7 +347,11 @@ func (m *Machine) LoadAll(p *xs1.Program) error {
 }
 
 // Run advances simulation until every loaded core halts or the horizon
-// passes, returning an error on traps or timeout.
+// passes, returning an error on traps or timeout. A machine whose
+// kernel runs dry while threads are still live can never finish — no
+// event is left to wake them — so Run stops polling there, moves the
+// clock to the deadline exactly as the exhausted poll loop would, and
+// names the stuck threads in the error.
 func (m *Machine) Run(horizon sim.Time) error {
 	deadline := m.K.Now() + horizon
 	step := horizon / 1000
@@ -368,8 +373,50 @@ func (m *Machine) Run(horizon sim.Time) error {
 		if done {
 			return nil
 		}
+		if m.K.Pending() == 0 {
+			if m.K.Now() < deadline {
+				m.RunFor(deadline - m.K.Now())
+			}
+			return fmt.Errorf("core: machine did not finish within %v: deadlock, no event pending: %s",
+				horizon, m.stuckThreads())
+		}
 	}
 	return fmt.Errorf("core: machine did not finish within %v", horizon)
+}
+
+// stuckThreads lists the live threads of a machine that can make no
+// further progress, in node order: which (node, thread) is blocked on
+// which channel end, or its state otherwise. The list is cut after a
+// few entries; the count is always complete.
+func (m *Machine) stuckThreads() string {
+	const show = 8
+	var b strings.Builder
+	n := 0
+	for _, node := range m.nodes {
+		c := m.cores[node]
+		for id := 0; id < xs1.MaxThreads; id++ {
+			th := c.Thread(id)
+			switch th.State {
+			case xs1.TFree, xs1.TDone, xs1.TTrapped:
+				continue
+			}
+			if n++; n > show {
+				continue
+			}
+			if n > 1 {
+				b.WriteString(", ")
+			}
+			if th.State == xs1.TBlockedChan {
+				fmt.Fprintf(&b, "%v thread %d on chanend %v", node, id, th.BlockedOn())
+			} else {
+				fmt.Fprintf(&b, "%v thread %d %v", node, id, th.State)
+			}
+		}
+	}
+	if n > show {
+		fmt.Fprintf(&b, " and %d more", n-show)
+	}
+	return fmt.Sprintf("%d stuck (%s)", n, b.String())
 }
 
 // RunFor advances simulation by d without completion checks.

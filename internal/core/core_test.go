@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"swallow/internal/noc"
 	"swallow/internal/sim"
 	"swallow/internal/topo"
 	"swallow/internal/workload"
@@ -235,5 +237,79 @@ func TestCoreAtAccessor(t *testing.T) {
 	c := m.CoreAt(1, 3, topo.LayerH)
 	if c == nil || c.Node() != topo.MakeNodeID(1, 3, topo.LayerH) {
 		t.Error("CoreAt wrong")
+	}
+}
+
+// TestRunNamesDeadlock pins the diagnosis Run gives when the kernel
+// runs dry with threads still live: it stops polling, lands the clock
+// on the deadline as the exhausted poll loop did, keeps the "did not
+// finish" text and says which thread waits on which channel end.
+func TestRunNamesDeadlock(t *testing.T) {
+	m := MustNew(1, 1, Options{})
+	rx := topo.MakeNodeID(1, 2, topo.LayerH)
+	if err := m.Load(rx, workload.StreamRx(4)); err != nil {
+		t.Fatal(err)
+	}
+	err := m.Run(5 * sim.Millisecond)
+	if err == nil {
+		t.Fatal("a receiver with no sender finished")
+	}
+	want := fmt.Sprintf("core: machine did not finish within %v: deadlock, no event pending: 1 stuck (%v thread 0 on chanend %v)",
+		5*sim.Millisecond, rx, noc.MakeChanEndID(uint16(rx), 0))
+	if err.Error() != want {
+		t.Errorf("error\n got %q\nwant %q", err, want)
+	}
+	if m.K.Now() != 5*sim.Millisecond {
+		t.Errorf("clock at %v after a deadlocked Run, want the deadline", m.K.Now())
+	}
+	// Polling would have fired nothing more; the jump must not either.
+	if m.K.Pending() != 0 {
+		t.Errorf("%d events pending after the jump to the deadline", m.K.Pending())
+	}
+}
+
+// TestRunNamesRoutingDeadlock replays the hang bench/README.md
+// records (seed 17, op 69, before the benchmark restricted stream
+// directions): sixteen long-lived streams between random nodes of a
+// 2x2-slice machine whose held routes wait on each other in a ring.
+// Run used to poll a thousand empty steps and say only "did not
+// finish"; it must now name the threads that wait.
+func TestRunNamesRoutingDeadlock(t *testing.T) {
+	n := func(x, y, l int) topo.NodeID { return topo.MakeNodeID(x, y, topo.Layer(l)) }
+	streams := [][2]topo.NodeID{
+		{n(3, 7, 0), n(3, 7, 1)}, {n(0, 4, 1), n(0, 4, 0)}, {n(2, 1, 1), n(2, 1, 0)}, {n(0, 6, 1), n(0, 6, 0)},
+		{n(3, 1, 0), n(2, 3, 0)}, {n(2, 5, 0), n(3, 6, 1)}, {n(0, 3, 1), n(0, 2, 1)}, {n(2, 0, 1), n(3, 3, 0)},
+		{n(1, 5, 1), n(1, 7, 1)}, {n(3, 4, 1), n(2, 4, 1)}, {n(1, 5, 0), n(3, 0, 1)}, {n(3, 3, 1), n(1, 0, 0)},
+		{n(3, 2, 0), n(3, 6, 0)}, {n(0, 0, 1), n(3, 4, 0)}, {n(2, 4, 0), n(1, 3, 0)}, {n(1, 0, 1), n(3, 2, 1)},
+	}
+	m := MustNew(2, 2, Options{})
+	for _, s := range streams {
+		loadOn(t, m, s[1], workload.StreamRx(400))
+		loadOn(t, m, s[0], workload.StreamTx(noc.MakeChanEndID(uint16(s[1]), 0), 400))
+	}
+	err := m.Run(20 * sim.Millisecond)
+	if err == nil {
+		t.Fatal("the ring of held routes resolved; pick another placement")
+	}
+	msg := err.Error()
+	for _, want := range []string{"did not finish within", "deadlock, no event pending", " stuck (", " thread 0 on chanend "} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error %q lacks %q", msg, want)
+		}
+	}
+	stuck := 0
+	for _, c := range m.Cores() {
+		if !c.Done() {
+			stuck++
+		}
+	}
+	if stuck < 4 {
+		t.Errorf("%d cores stuck; a ring needs at least two streams", stuck)
+	}
+	if !strings.Contains(msg, fmt.Sprintf("%d stuck", stuck)) {
+		t.Errorf("error %q does not count the %d stuck threads", msg, stuck)
+	}
+	if m.K.Now() != 20*sim.Millisecond {
+		t.Errorf("clock at %v, want the deadline", m.K.Now())
 	}
 }

@@ -3,10 +3,13 @@ package core
 import (
 	"testing"
 
+	"swallow/internal/energy"
+	"swallow/internal/noc"
 	"swallow/internal/sim"
 	"swallow/internal/topo"
 	"swallow/internal/trace"
 	"swallow/internal/workload"
+	"swallow/internal/xs1"
 )
 
 // TestTracedCheckoutRecords verifies the attachment seam end to end:
@@ -102,5 +105,77 @@ func TestUntracedRunZeroAlloc(t *testing.T) {
 	}
 	if avg > 0 {
 		t.Fatalf("untraced RunFor allocates %.2f times per run, want 0", avg)
+	}
+}
+
+// TestCommRunZeroAllocs pins the communication path: word streams
+// crossing a package-internal link, a board link and an inter-board
+// cable run to completion on a warm machine without allocating. Every
+// piece the per-token path touches is preallocated — channel wake
+// callbacks, port and channel-end FIFOs, waiter lists, the kernel's
+// buckets — so a comm-bound Run costs the heap nothing.
+func TestCommRunZeroAllocs(t *testing.T) {
+	if r := trace.Attach(); r != nil {
+		t.Fatal("a trace session is active; this test needs the untraced path")
+	}
+	m, err := New(2, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const words = 200
+	streams := [][2]topo.NodeID{
+		{topo.MakeNodeID(0, 0, topo.LayerV), topo.MakeNodeID(0, 0, topo.LayerH)}, // package
+		{topo.MakeNodeID(0, 1, topo.LayerV), topo.MakeNodeID(0, 3, topo.LayerV)}, // board
+		{topo.MakeNodeID(1, 2, topo.LayerH), topo.MakeNodeID(2, 2, topo.LayerH)}, // cable
+	}
+	if m.Sys.SameSlice(streams[2][0], streams[2][1]) || !m.Sys.SameSlice(streams[1][0], streams[1][1]) {
+		t.Fatal("stream placement does not cover a board link and a cable")
+	}
+	type placed struct {
+		node topo.NodeID
+		prog *xs1.Program
+	}
+	var progs []placed
+	for _, s := range streams {
+		progs = append(progs,
+			placed{s[1], workload.StreamRx(words)},
+			placed{s[0], workload.StreamTx(noc.MakeChanEndID(uint16(s[1]), 0), words)})
+	}
+	var runErr error
+	op := func() {
+		m.Reset()
+		for _, p := range progs {
+			if err := m.Load(p.node, p.prog); err != nil {
+				runErr = err
+				return
+			}
+		}
+		if err := m.Run(20 * sim.Millisecond); err != nil {
+			runErr = err
+		}
+	}
+	// Warm-up sizes every queue; bucket capacities migrate around the
+	// kernel's wheel, so it takes a few identical runs to settle.
+	for i := 0; i < 8; i++ {
+		op()
+	}
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	avg := testing.AllocsPerRun(5, op)
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	want := uint32(words * (words - 1) / 2)
+	for _, s := range streams {
+		if got := m.Core(s[1]).DebugTrace; len(got) != 1 || got[0] != want {
+			t.Fatalf("receiver %v: trace %v, want [%d]", s[1], got, want)
+		}
+	}
+	if tok := m.Net.StatsByClass()[energy.LinkOffBoard].Tokens; tok == 0 {
+		t.Fatal("no token crossed the cable")
+	}
+	if avg > 0 {
+		t.Fatalf("Reset + Load + comm-bound Run allocates %.2f times per op, want 0", avg)
 	}
 }

@@ -26,8 +26,7 @@ type ChanEnd struct {
 	src *inPort
 
 	// in is the receive buffer.
-	in    []Token
-	inCap int
+	in tokenFIFO
 
 	// owner is the packet stream currently delivering to this channel
 	// end; concurrent senders interleave at packet granularity.
@@ -70,7 +69,7 @@ func (f *chanWakeFirer) Fire() {
 }
 
 func newChanEnd(sw *Switch, idx uint8) *ChanEnd {
-	ce := &ChanEnd{sw: sw, idx: idx, inCap: sw.net.Cfg.ChanEndBuffer}
+	ce := &ChanEnd{sw: sw, idx: idx, in: newTokenFIFO(sw.net.Cfg.ChanEndBuffer)}
 	// The output FIFO must hold a full header plus a word so a single
 	// OUT instruction never deadlocks half-injected.
 	ce.src = newChanInPort(ce, sw.net.Cfg.ChanEndBuffer+HeaderTokens+1)
@@ -91,7 +90,7 @@ func (ce *ChanEnd) reset() {
 	ce.dest = 0
 	ce.destSet = false
 	ce.routeOpen = false
-	ce.in = ce.in[:0]
+	ce.in.reset()
 	ce.owner = nil
 	clear(ce.waiters)
 	ce.waiters = ce.waiters[:0]
@@ -203,31 +202,31 @@ func (ce *ChanEnd) OutWord(v uint32) bool {
 func (ce *ChanEnd) outSpaceFreed() { ce.scheduleWake() }
 
 // InAvailable reports buffered input tokens.
-func (ce *ChanEnd) InAvailable() int { return len(ce.in) }
+func (ce *ChanEnd) InAvailable() int { return ce.in.len() }
 
 // PeekIn returns the head input token without consuming it.
 func (ce *ChanEnd) PeekIn() (Token, bool) {
-	if len(ce.in) == 0 {
+	if ce.in.len() == 0 {
 		return Token{}, false
 	}
-	return ce.in[0], true
+	return ce.in.live[0], true
 }
 
 // TryIn consumes one input token, reporting false when none is
 // buffered.
 func (ce *ChanEnd) TryIn() (Token, bool) {
-	if len(ce.in) == 0 {
+	if ce.in.len() == 0 {
 		return Token{}, false
 	}
-	tok := ce.in[0]
-	ce.in = ce.in[1:]
+	tok := ce.in.pop()
 	ce.TokensIn++
-	// Space freed: nudge any stalled deliverers.
-	ws := ce.spaceWaiters
-	ce.spaceWaiters = nil
-	for _, p := range ws {
+	// Space freed: nudge any stalled deliverers. A nudge only arms the
+	// port's timer, so the list is never appended to mid-walk and can be
+	// truncated in place afterwards.
+	for _, p := range ce.spaceWaiters {
 		p.nudge()
 	}
+	ce.spaceWaiters = ce.spaceWaiters[:0]
 	return tok, true
 }
 
@@ -235,15 +234,15 @@ func (ce *ChanEnd) TryIn() (Token, bool) {
 // false without consuming anything when fewer than four data tokens are
 // buffered (a control token mid-word is a protocol error and panics).
 func (ce *ChanEnd) InWord() (uint32, bool) {
-	if len(ce.in) < WordTokens {
+	if ce.in.len() < WordTokens {
 		return 0, false
 	}
 	var v uint32
-	for i := 0; i < WordTokens; i++ {
-		if ce.in[i].Ctrl {
+	for _, tok := range ce.in.live[:WordTokens] {
+		if tok.Ctrl {
 			panic(fmt.Sprintf("noc: %v control token mid-word", ce))
 		}
-		v = v<<8 | uint32(ce.in[i].Val)
+		v = v<<8 | uint32(tok.Val)
 	}
 	for i := 0; i < WordTokens; i++ {
 		ce.TryIn()
@@ -253,11 +252,11 @@ func (ce *ChanEnd) InWord() (uint32, bool) {
 
 // deliver is called by the switch's local delivery path.
 func (ce *ChanEnd) deliver(tok Token, from *inPort) bool {
-	if len(ce.in) >= ce.inCap {
+	if ce.in.space() == 0 {
 		ce.spaceWaiters = append(ce.spaceWaiters, from)
 		return false
 	}
-	ce.in = append(ce.in, tok)
+	ce.in.push(tok)
 	ce.scheduleWakeAfter(ce.sw.net.Cfg.LocalLatency)
 	return true
 }
@@ -277,7 +276,8 @@ func (ce *ChanEnd) releaseLocal() {
 	ce.owner = nil
 	if len(ce.waiters) > 0 {
 		next := ce.waiters[0]
-		ce.waiters = ce.waiters[1:]
+		// Shift rather than re-slice, so the list keeps its capacity.
+		ce.waiters = ce.waiters[:copy(ce.waiters, ce.waiters[1:])]
 		ce.owner = next
 		next.localGranted(ce)
 	}

@@ -16,8 +16,7 @@ type inPort struct {
 	sw   *Switch
 	name string
 
-	fifo []Token
-	cap  int
+	fifo tokenFIFO
 
 	// upstream is the link feeding this port (credit return), nil when
 	// the port is fed by a local channel end.
@@ -54,7 +53,7 @@ type inPort struct {
 func (p *inPort) Fire() { p.process() }
 
 func newLinkInPort(sw *Switch, name string, capacity int) *inPort {
-	p := &inPort{sw: sw, name: name, cap: capacity, hdrNeed: HeaderTokens}
+	p := &inPort{sw: sw, name: name, fifo: newTokenFIFO(capacity), hdrNeed: HeaderTokens}
 	p.nudgeTimer.Init(sw.net.K, p)
 	return p
 }
@@ -63,7 +62,7 @@ func newChanInPort(ce *ChanEnd, capacity int) *inPort {
 	p := &inPort{
 		sw:      ce.sw,
 		name:    ce.ID().String() + "-tx",
-		cap:     capacity,
+		fifo:    newTokenFIFO(capacity),
 		srcChan: ce,
 		hdrNeed: HeaderTokens,
 	}
@@ -75,7 +74,7 @@ func newChanInPort(ce *ChanEnd, capacity int) *inPort {
 // kept), mid-packet wormhole state included.
 func (p *inPort) reset() {
 	p.nudgeTimer.Disarm()
-	p.fifo = p.fifo[:0]
+	p.fifo.reset()
 	p.hdrNeed = HeaderTokens
 	p.hdr = [3]byte{}
 	p.hdrSend = 0
@@ -89,31 +88,30 @@ func (p *inPort) reset() {
 func (p *inPort) String() string { return fmt.Sprintf("inport %s", p.name) }
 
 // space reports free buffer slots (used by channel-end sources).
-func (p *inPort) space() int { return p.cap - len(p.fifo) }
+func (p *inPort) space() int { return p.fifo.space() }
 
 // receive accepts a token from the upstream link. Credit flow control
 // guarantees buffer space; overflow is an invariant violation.
 func (p *inPort) receive(tok Token, from *Link) {
-	if len(p.fifo) >= p.cap {
+	if p.fifo.space() == 0 {
 		panic(fmt.Sprintf("noc: %s overflow (credit protocol violated)", p.name))
 	}
-	p.fifo = append(p.fifo, tok)
+	p.fifo.push(tok)
 	p.process()
 }
 
 // push enqueues a token from a local channel-end source.
 func (p *inPort) push(tok Token) {
-	if len(p.fifo) >= p.cap {
+	if p.fifo.space() == 0 {
 		panic(fmt.Sprintf("noc: %s overflow from channel end", p.name))
 	}
-	p.fifo = append(p.fifo, tok)
+	p.fifo.push(tok)
 }
 
 // consume pops the head token and returns flow-control resources to the
 // feeder.
 func (p *inPort) consume() Token {
-	tok := p.fifo[0]
-	p.fifo = p.fifo[1:]
+	tok := p.fifo.pop()
 	if p.upstream != nil {
 		p.upstream.returnCredit()
 	}
@@ -159,7 +157,7 @@ func (p *inPort) collectHeaderAndRoute() bool {
 		return false
 	}
 	for p.hdrNeed > 0 {
-		if len(p.fifo) == 0 {
+		if p.fifo.len() == 0 {
 			return false
 		}
 		tok := p.consume()
@@ -239,10 +237,10 @@ func (p *inPort) peekForOutput() (Token, bool) {
 	if p.hdrSend > 0 {
 		return DataToken(p.hdr[HeaderTokens-p.hdrSend]), true
 	}
-	if len(p.fifo) == 0 {
+	if p.fifo.len() == 0 {
 		return Token{}, false
 	}
-	return p.fifo[0], true
+	return p.fifo.live[0], true
 }
 
 // consumeForOutput commits the token peekForOutput exposed.
@@ -257,8 +255,8 @@ func (p *inPort) consumeForOutput() {
 // deliverLocal moves buffered tokens into the destination channel end.
 // It reports false when it must wait (buffer full or more tokens needed).
 func (p *inPort) deliverLocal() bool {
-	for len(p.fifo) > 0 {
-		tok := p.fifo[0]
+	for p.fifo.len() > 0 {
+		tok := p.fifo.live[0]
 		if tok.IsPause() {
 			// PAUSE frees the route but is not delivered.
 			p.consume()

@@ -112,10 +112,13 @@ func (s LinkStats) Utilization(d sim.Time) float64 {
 // buffer capacity, so a stalled receiver backpressures the sender
 // losslessly.
 type Link struct {
-	name   string
-	class  energy.LinkClass
-	timing LinkTiming
-	k      *sim.Kernel
+	name  string
+	class energy.LinkClass
+	// timing is the configured link mode and tokenTime its wire time per
+	// token, derived once per setTiming rather than per token.
+	timing    LinkTiming
+	tokenTime sim.Time
+	k         *sim.Kernel
 
 	// dst is the input port the link feeds.
 	dst *inPort
@@ -181,12 +184,12 @@ func newLink(k *sim.Kernel, name string, class energy.LinkClass, timing LinkTimi
 	l := &Link{
 		name:        name,
 		class:       class,
-		timing:      timing,
 		k:           k,
 		credits:     credits,
 		initCredits: credits,
 		energyPerBt: energy.LinkEnergyPerBit(class),
 	}
+	l.setTiming(timing)
 	l.pumpFire.l, l.delivFire.l, l.creditFire.l = l, l, l
 	l.pumpTimer.Init(k, &l.pumpFire)
 	l.delivTimer.Init(k, &l.delivFire)
@@ -217,6 +220,14 @@ func (l *Link) Class() energy.LinkClass { return l.class }
 
 // Timing reports the link's configured timing.
 func (l *Link) Timing() LinkTiming { return l.timing }
+
+// setTiming installs a link mode and its derived token time; every
+// path that changes the timing (construction, Network.Retune, snapshot
+// restore) goes through here.
+func (l *Link) setTiming(t LinkTiming) {
+	l.timing = t
+	l.tokenTime = t.TokenTime()
+}
 
 // Name identifies the link in diagnostics.
 func (l *Link) Name() string { return l.name }
@@ -258,7 +269,7 @@ func (l *Link) pump() {
 	// Transmit.
 	l.owner.consumeForOutput()
 	l.credits--
-	tt := l.timing.TokenTime()
+	tt := l.tokenTime
 	l.busyUntil = now + tt
 	l.Stats.Tokens++
 	l.Stats.Bits += Bits
@@ -336,7 +347,7 @@ func (l *Link) deliverDue() {
 // returnCredit is called by the receiving port when a buffered token is
 // consumed; the credit lands after the reverse-wire propagation delay.
 func (l *Link) returnCredit() {
-	at := l.k.Now() + l.timing.TokenTime()
+	at := l.k.Now() + l.tokenTime
 	l.creditQ = append(l.creditQ, at)
 	if !l.creditTimer.Armed() {
 		l.creditTimer.ArmAt(at)

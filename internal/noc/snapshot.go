@@ -73,7 +73,7 @@ type linkSnap struct {
 
 func (p *inPort) snapshot() inPortSnap {
 	return inPortSnap{
-		fifo:         append([]Token(nil), p.fifo...),
+		fifo:         append([]Token(nil), p.fifo.live...),
 		hdrNeed:      p.hdrNeed,
 		hdr:          p.hdr,
 		hdrSend:      p.hdrSend,
@@ -86,7 +86,7 @@ func (p *inPort) snapshot() inPortSnap {
 }
 
 func (p *inPort) restore(s *inPortSnap) {
-	p.fifo = append(p.fifo[:0], s.fifo...)
+	p.fifo.set(s.fifo)
 	p.hdrNeed = s.hdrNeed
 	p.hdr = s.hdr
 	p.hdrSend = s.hdrSend
@@ -103,7 +103,7 @@ func (ce *ChanEnd) snapshot() chanEndSnap {
 		destSet:      ce.destSet,
 		routeOpen:    ce.routeOpen,
 		dest:         ce.dest,
-		in:           append([]Token(nil), ce.in...),
+		in:           append([]Token(nil), ce.in.live...),
 		owner:        ce.owner,
 		waiters:      append([]*inPort(nil), ce.waiters...),
 		spaceWaiters: append([]*inPort(nil), ce.spaceWaiters...),
@@ -119,7 +119,7 @@ func (ce *ChanEnd) restore(s *chanEndSnap) {
 	ce.destSet = s.destSet
 	ce.routeOpen = s.routeOpen
 	ce.dest = s.dest
-	ce.in = append(ce.in[:0], s.in...)
+	ce.in.set(s.in)
 	ce.owner = s.owner
 	ce.waiters = append(ce.waiters[:0], s.waiters...)
 	ce.spaceWaiters = append(ce.spaceWaiters[:0], s.spaceWaiters...)
@@ -143,7 +143,7 @@ func (l *Link) snapshot() linkSnap {
 }
 
 func (l *Link) restore(s *linkSnap) {
-	l.timing = s.timing
+	l.setTiming(s.timing)
 	l.owner = s.owner
 	l.credits = s.credits
 	l.busyUntil = s.busyUntil

@@ -176,7 +176,7 @@ func (n *Network) Reset() {
 func (n *Network) Retune(internal, external, offBoard LinkTiming) {
 	n.Cfg.Internal, n.Cfg.External, n.Cfg.OffBoard = internal, external, offBoard
 	for _, l := range n.links {
-		l.timing = n.Cfg.timingFor(l.class)
+		l.setTiming(n.Cfg.timingFor(l.class))
 	}
 }
 
@@ -292,7 +292,7 @@ func (op *outPort) released(l *Link) {
 		return
 	}
 	p := op.waiters[0]
-	op.waiters = op.waiters[1:]
+	op.waiters = op.waiters[:copy(op.waiters, op.waiters[1:])]
 	l.claim(p)
 	p.outputGranted(l)
 }

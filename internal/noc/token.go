@@ -111,3 +111,44 @@ const HeaderTokens = 3
 
 // WordTokens is the number of data tokens in a 32-bit word transfer.
 const WordTokens = 4
+
+// tokenFIFO is a bounded token queue on a fixed backing array, sized
+// from its capacity at construction so that no enqueue ever grows a
+// slice. Pops advance the live window along the backing; a push that
+// finds the window at the end slides it back to the front. Callers
+// check for room first — they own the overflow diagnostics.
+type tokenFIFO struct {
+	buf  []Token // backing array; len(buf) is the capacity
+	live []Token // queued tokens, a window into buf
+}
+
+func newTokenFIFO(capacity int) tokenFIFO {
+	buf := make([]Token, capacity)
+	return tokenFIFO{buf: buf, live: buf[:0]}
+}
+
+func (q *tokenFIFO) len() int   { return len(q.live) }
+func (q *tokenFIFO) space() int { return len(q.buf) - len(q.live) }
+
+// push enqueues tok; the queue must have space.
+func (q *tokenFIFO) push(tok Token) {
+	if len(q.live) == cap(q.live) {
+		q.live = q.buf[:copy(q.buf, q.live)]
+	}
+	q.live = append(q.live, tok)
+}
+
+// pop dequeues the head token; the queue must be non-empty.
+func (q *tokenFIFO) pop() Token {
+	tok := q.live[0]
+	q.live = q.live[1:]
+	return tok
+}
+
+// reset empties the queue, rewinding the window onto the front of the
+// same backing.
+func (q *tokenFIFO) reset() { q.live = q.buf[:0] }
+
+// set replaces the contents with toks, rewound likewise (snapshot
+// restore).
+func (q *tokenFIFO) set(toks []Token) { q.live = q.buf[:copy(q.buf, toks)] }

@@ -119,12 +119,6 @@ type Kernel struct {
 	// the point the driver will observe. Valid only while hasDeadline.
 	deadline    Time
 	hasDeadline bool
-	// nextHint caches the earliest pending timestamp across both tiers,
-	// computed for free while firing an event (the pop already
-	// positioned curHead). Valid only during the fire, and only when
-	// hasNextHint; NextForeign falls back to a full peek otherwise.
-	nextHint    Time
-	hasNextHint bool
 
 	// quantumShift/quantum/wheelSpan fix the near-tier geometry for the
 	// kernel's lifetime (set once in NewKernel).
@@ -326,64 +320,54 @@ func (k *Kernel) rebase() {
 	}
 }
 
-// popNext removes and returns the earliest live registration, merging
-// the two tiers by (time, seq). The registration is marked consumed.
-func (k *Kernel) popNext() (slot, bool) {
+// head positions both tiers on their earliest live registration and
+// returns the queue head under the (time, seq) merge without consuming
+// it; far says which tier holds it. Every head primitive — Step,
+// RunUntil, NextForeign, AbsorbNext, StepTo's check — shares this walk.
+// A pop leaves curHead on the next slot of the current bucket, so the
+// walk that follows one usually finds the head in view — a live slot
+// there, a live or absent heap top — and answers without stepping the
+// wheel.
+func (k *Kernel) head() (s slot, far, ok bool) {
 	for {
-		near := k.advanceNear()
-		k.pruneOverflow()
-		far := len(k.overflow) > 0
-		if near {
-			if far && k.overflow[0].before(k.cur[k.curHead]) {
-				s := k.heapPop()
-				s.ev.armed = false
-				k.liveFar--
-				return s, true
-			}
-			s := k.cur[k.curHead]
-			k.cur[k.curHead] = slot{}
-			k.curHead++
-			s.ev.armed = false
-			k.liveNear--
-			return s, true
+		near := k.curHead < len(k.cur) && k.cur[k.curHead].live() || k.advanceNear()
+		if len(k.overflow) > 0 && !k.overflow[0].live() {
+			k.pruneOverflow()
 		}
-		if !far {
-			return slot{}, false
+		hasFar := len(k.overflow) > 0
+		if near {
+			s = k.cur[k.curHead]
+			if hasFar && k.overflow[0].before(s) {
+				return k.overflow[0], true, true
+			}
+			return s, false, true
+		}
+		if !hasFar {
+			return slot{}, false, false
 		}
 		k.rebase()
 	}
 }
 
-// peekWhen reports the timestamp of the earliest pending event.
-func (k *Kernel) peekWhen() (Time, bool) {
-	for {
-		near := k.advanceNear()
-		k.pruneOverflow()
-		far := len(k.overflow) > 0
-		if near {
-			t := k.cur[k.curHead].when
-			if far && k.overflow[0].when < t {
-				t = k.overflow[0].when
-			}
-			return t, true
-		}
-		if far {
-			k.rebase()
-			continue
-		}
-		return 0, false
+// pop consumes the registration head just returned from the given tier.
+func (k *Kernel) pop(s slot, far bool) {
+	if far {
+		k.heapPop()
+		k.liveFar--
+	} else {
+		// The slot stays behind curHead until advanceNear clears the
+		// drained bucket wholesale.
+		k.curHead++
+		k.liveNear--
 	}
+	s.ev.armed = false
 }
 
 // Halt stops the current Run/RunUntil call after the in-flight event
 // completes. Pending events remain queued.
 func (k *Kernel) Halt() { k.halted = true }
 
-// fireSlot advances the clock to s and runs its callback. Before the
-// callback it publishes the next pending timestamp as a hint when the
-// pop left it in view (live head of the current bucket, live heap
-// top), which lets NextForeign answer in O(1) from inside the firing
-// event instead of re-scanning the wheel.
+// fireSlot advances the clock to s and runs its callback.
 func (k *Kernel) fireSlot(s slot) {
 	k.now = s.when
 	k.fired++
@@ -394,87 +378,54 @@ func (k *Kernel) fireSlot(s slot) {
 		}
 		r.Emit(int64(s.when), trace.KindKernelEvent, trace.SrcMachine, int64(s.seq), waker)
 	}
-	if k.curHead < len(k.cur) && k.cur[k.curHead].live() {
-		t := k.cur[k.curHead].when
-		known := true
-		if len(k.overflow) > 0 {
-			if f := &k.overflow[0]; f.live() {
-				if f.when < t {
-					t = f.when
-				}
-			} else {
-				// A stale heap top hides the far tier's true minimum.
-				known = false
-			}
-		}
-		if known {
-			k.nextHint, k.hasNextHint = t, true
-		}
-	}
 	s.ev.fire()
-	k.hasNextHint = false
 }
 
 // Step executes the single next event, advancing the clock to its
 // timestamp. It reports false when the queue is empty.
 func (k *Kernel) Step() bool {
-	s, ok := k.popNext()
+	s, far, ok := k.head()
 	if !ok {
 		return false
 	}
+	k.pop(s, far)
 	k.fireSlot(s)
 	return true
 }
 
 // stepDue pops and fires the earliest event if it is due at or before
-// deadline, in one pass over the queue heads (RunUntil formerly peeked
-// and then popped, scanning the wheel twice per event). It reports
-// false when nothing is due.
+// deadline, in one pass over the queue heads. It reports false when
+// nothing is due. An empty near tier is not rebased onto a far event
+// beyond the deadline: the wheel stays where the clock is.
 func (k *Kernel) stepDue(deadline Time) bool {
-	for {
-		near := k.advanceNear()
+	if k.liveNear == 0 {
 		k.pruneOverflow()
-		far := len(k.overflow) > 0
-		if near {
-			s := k.cur[k.curHead]
-			if far && k.overflow[0].before(s) {
-				if k.overflow[0].when > deadline {
-					return false
-				}
-				s = k.heapPop()
-				s.ev.armed = false
-				k.liveFar--
-			} else {
-				if s.when > deadline {
-					return false
-				}
-				k.cur[k.curHead] = slot{}
-				k.curHead++
-				s.ev.armed = false
-				k.liveNear--
-			}
-			k.fireSlot(s)
-			return true
-		}
-		if !far || k.overflow[0].when > deadline {
+		if len(k.overflow) == 0 || k.overflow[0].when > deadline {
 			return false
 		}
-		k.rebase()
 	}
+	s, far, ok := k.head()
+	if !ok || s.when > deadline {
+		return false
+	}
+	k.pop(s, far)
+	k.fireSlot(s)
+	return true
 }
 
-// NextForeign reports the timestamp of the earliest pending event —
-// the horizon up to which a batched executor may run without the
-// kernel needing to intervene. From inside a firing event the answer
-// is usually the hint fireSlot computed during the pop; otherwise it
-// is a full peek. "Foreign" is the caller's perspective: its own
-// registration was consumed by the pop that fired it, so everything
-// still queued belongs to someone else.
-func (k *Kernel) NextForeign() (Time, bool) {
-	if k.hasNextHint {
-		return k.nextHint, true
+// NextForeign reports the earliest pending registration without
+// consuming it: its timestamp — the horizon up to which a batched
+// executor may run without the kernel needing to intervene — and its
+// Waker (nil for closure events), by which the executor recognises a
+// registration it may absorb. "Foreign" is the caller's perspective:
+// its own registration was consumed by the pop that fired it, so
+// everything still queued belongs to someone else.
+func (k *Kernel) NextForeign() (Time, Waker, bool) {
+	s, _, ok := k.head()
+	if !ok {
+		return 0, nil, false
 	}
-	return k.peekWhen()
+	return s.when, s.ev.w, true
 }
 
 // Deadline reports the bound of the RunUntil call currently executing
@@ -497,40 +448,14 @@ func (k *Kernel) AbsorbNext(t *Timer) bool {
 	if !t.ev.armed {
 		return false
 	}
-	for {
-		near := k.advanceNear()
-		k.pruneOverflow()
-		far := len(k.overflow) > 0
-		if near {
-			s := k.cur[k.curHead]
-			if far && k.overflow[0].before(s) {
-				if k.overflow[0].ev != &t.ev {
-					return false
-				}
-				s = k.heapPop()
-				s.ev.armed = false
-				k.liveFar--
-			} else {
-				if s.ev != &t.ev {
-					return false
-				}
-				k.cur[k.curHead] = slot{}
-				k.curHead++
-				s.ev.armed = false
-				k.liveNear--
-			}
-			k.now = s.when
-			k.fired++
-			// The pop changed the queue head; any hint published for
-			// the firing that opened the batch no longer holds.
-			k.hasNextHint = false
-			return true
-		}
-		if !far {
-			return false
-		}
-		k.rebase()
+	s, far, ok := k.head()
+	if !ok || s.ev != &t.ev {
+		return false
 	}
+	k.pop(s, far)
+	k.now = s.when
+	k.fired++
+	return true
 }
 
 // StepTo advances the clock to t from inside a firing event, consuming
@@ -550,8 +475,8 @@ func (k *Kernel) StepTo(t Time) {
 		panic(fmt.Sprintf("sim: StepTo(%v) behind now %v", t, k.now))
 	}
 	if k.liveNear+k.liveFar > 0 {
-		if w, ok := k.peekWhen(); ok && w <= t {
-			panic(fmt.Sprintf("sim: StepTo(%v) would pass pending event at %v", t, w))
+		if s, _, ok := k.head(); ok && s.when <= t {
+			panic(fmt.Sprintf("sim: StepTo(%v) would pass pending event at %v", t, s.when))
 		}
 	}
 	if k.hasDeadline && t > k.deadline {
@@ -576,7 +501,7 @@ func (k *Kernel) Reset() {
 	k.halted = false
 	k.wheelPos, k.wheelTime = 0, 0
 	k.liveNear, k.liveFar = 0, 0
-	k.hasDeadline, k.hasNextHint = false, false
+	k.hasDeadline = false
 }
 
 // Run executes events until the queue drains or Halt is called.

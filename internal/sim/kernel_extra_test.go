@@ -234,3 +234,73 @@ func TestKernelQuantumOption(t *testing.T) {
 	}()
 	WithQuantumShift(41)
 }
+
+// testWaker is a Waker with an identity to compare and an optional
+// body.
+type testWaker struct{ fn func() }
+
+func (w *testWaker) Fire() {
+	if w.fn != nil {
+		w.fn()
+	}
+}
+
+// TestAbsorbNextAndHeadPeek drives the batched executor's primitives
+// from inside a firing event: NextForeign names the queue head's time
+// and Waker without popping, AbsorbNext consumes it only for the timer
+// that owns it, across both tiers.
+func TestAbsorbNextAndHeadPeek(t *testing.T) {
+	k := NewKernel()
+	var a, b, c, far Timer
+	absorbed := func() { t.Error("an absorbed timer fired") }
+	wa, wb, wc, wfar := &testWaker{}, &testWaker{fn: absorbed}, &testWaker{fn: absorbed}, &testWaker{}
+	peek := func(wantT Time, wantW Waker) {
+		t.Helper()
+		if gotT, gotW, ok := k.NextForeign(); !ok || gotT != wantT || gotW != wantW {
+			t.Fatalf("NextForeign = (%v, %p, %v), want (%v, %p, true)", gotT, gotW, ok, wantT, wantW)
+		}
+	}
+	wa.fn = func() {
+		seq := k.Seq()
+		peek(10, wb)
+		if k.AbsorbNext(&c) {
+			t.Fatal("AbsorbNext took a timer that is not the head")
+		}
+		if !k.AbsorbNext(&b) || k.Now() != 10 || b.Armed() {
+			t.Fatal("AbsorbNext(b) did not consume the head")
+		}
+		peek(15, nil) // the closure event
+		if k.AbsorbNext(&c) {
+			t.Fatal("AbsorbNext jumped a closure event")
+		}
+		if k.Seq() != seq || k.Fired() != 2 || k.Pending() != 3 {
+			t.Errorf("after one absorb: seq %d (was %d), fired %d, pending %d", k.Seq(), seq, k.Fired(), k.Pending())
+		}
+	}
+	a.Init(k, wa)
+	b.Init(k, wb)
+	c.Init(k, wc)
+	far.Init(k, wfar)
+	a.ArmAt(10)
+	b.ArmAt(10)
+	k.At(15, func() {
+		peek(20, wc)
+		if !k.AbsorbNext(&c) || k.Now() != 20 {
+			t.Fatal("AbsorbNext(c) did not consume the head")
+		}
+		// Only the far tier is left: the peek walks and rebases.
+		peek(3*defaultWheelSpan, wfar)
+		if k.AbsorbNext(&c) {
+			t.Fatal("AbsorbNext consumed a disarmed timer")
+		}
+	})
+	c.ArmAt(20)
+	far.ArmAt(3 * defaultWheelSpan)
+	k.Run()
+	if k.Fired() != 5 || k.Pending() != 0 || k.Now() != 3*defaultWheelSpan {
+		t.Fatalf("fired=%d pending=%d now=%v", k.Fired(), k.Pending(), k.Now())
+	}
+	if _, _, ok := k.NextForeign(); ok {
+		t.Error("NextForeign reports a head on an empty queue")
+	}
+}

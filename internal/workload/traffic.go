@@ -30,7 +30,24 @@ type Flow struct {
 	FirstArrival, LastArrival sim.Time
 	started                   sim.Time
 	k                         *sim.Kernel
+
+	// pumpKick and drainKick give pump and drain their first run from
+	// inside the event loop. They are value timers firing through the
+	// embedded wakers, so starting a flow allocates no event.
+	pumpKick, drainKick sim.Timer
+	pumpFire            flowPumpFirer
+	drainFire           flowDrainFirer
 }
+
+// flowPumpFirer and flowDrainFirer bind the flow's two kick timers to
+// its methods without closures (sim.Waker).
+type flowPumpFirer struct{ f *Flow }
+
+func (w *flowPumpFirer) Fire() { w.f.pump() }
+
+type flowDrainFirer struct{ f *Flow }
+
+func (w *flowDrainFirer) Fire() { w.f.drain() }
 
 // Done reports whether every token arrived.
 func (f *Flow) Done() bool { return f.done }
@@ -96,15 +113,20 @@ func (f *Flow) drain() {
 	}
 }
 
-// Start arms the flow on kernel k.
+// Start arms the flow on kernel k. A flow starts once: its kick timers
+// bind to k for good.
 func (f *Flow) Start(k *sim.Kernel) {
 	f.k = k
+	f.pumpFire.f, f.drainFire.f = f, f
+	f.pumpKick.Init(k, &f.pumpFire)
+	f.drainKick.Init(k, &f.drainFire)
 	f.started = k.Now()
 	f.Src.SetDest(f.Dst.ID())
 	f.Src.SetWake(f.pump)
 	f.Dst.SetWake(f.drain)
-	k.After(0, f.pump)
-	k.After(0, f.drain)
+	// Pump first, drain second: registration order is firing order.
+	f.pumpKick.ArmAt(k.Now())
+	f.drainKick.ArmAt(k.Now())
 }
 
 // RunFlows starts every flow and advances the kernel until all

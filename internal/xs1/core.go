@@ -64,6 +64,10 @@ type Thread struct {
 // Trap reports the trap reason of a TTrapped thread.
 func (t *Thread) Trap() error { return t.trap }
 
+// BlockedOn reports the channel end a TBlockedChan thread waits for;
+// meaningful only in that state.
+func (t *Thread) BlockedOn() *noc.ChanEnd { return t.blockedOn }
+
 // Config parameterises one core.
 type Config struct {
 	// FreqMHz is the core clock (71-500 MHz on Swallow).
@@ -126,6 +130,11 @@ type Core struct {
 	twaitTimers [MaxThreads]sim.Timer
 	twaitFires  [MaxThreads]twaitFirer
 
+	// chanWakes[thread][channel-end index] holds the wake callback a
+	// thread blocked on one of this core's channel ends registers
+	// (exec.go chanWake), filled in on first use.
+	chanWakes [MaxThreads][]func()
+
 	// timerAlloc tracks GETR'd timers.
 	timerAlloc [MaxThreads]bool
 
@@ -156,6 +165,8 @@ type Core struct {
 	LastIssue sim.Time
 
 	// DebugTrace collects OpDBG values; Console collects OpDBGC bytes.
+	// Reset, Load and Restore rewind them onto the same backing, so copy
+	// what must outlive the run.
 	DebugTrace []uint32
 	Console    []byte
 
@@ -196,7 +207,7 @@ func NewCore(k *sim.Kernel, sw *noc.Switch, cfg Config) (*Core, error) {
 	}
 	c.issueFire.c = c
 	c.issueTimer.Init(k, &c.issueFire)
-	c.turbo = &turboGroup{k: k, members: []*Core{c}}
+	c.turbo = &turboGroup{k: k}
 	for i := range c.threads {
 		c.threads[i].ID = i
 		c.twaitFires[i] = twaitFirer{c: c, id: i}
@@ -223,7 +234,7 @@ func (c *Core) Reset() {
 	c.ClassCounts = [energy.NumInstrClasses]uint64{}
 	c.IdleSlots = 0
 	c.LastIssue = 0
-	c.DebugTrace, c.Console = nil, nil
+	c.DebugTrace, c.Console = c.DebugTrace[:0], c.Console[:0]
 	c.halted = false
 }
 
@@ -296,8 +307,7 @@ func (c *Core) Load(p *Program) error {
 	}
 	c.touchAll()
 	c.resetThreads()
-	c.DebugTrace = nil
-	c.Console = nil
+	c.DebugTrace, c.Console = c.DebugTrace[:0], c.Console[:0]
 	c.halted = false
 	t0 := &c.threads[0]
 	t0.State = TReady

@@ -41,11 +41,29 @@ func (c *Core) blockOnChan(th *Thread, ce *noc.ChanEnd) {
 	th.State = TBlockedChan
 	th.blockedOn = ce
 	c.traceEmit(trace.KindChanBlock, int64(th.ID), int64(ce.ID()))
-	ce.SetWake(func() {
-		if th.State == TBlockedChan && th.blockedOn == ce {
-			c.kickThread(th)
+	ce.SetWake(c.chanWake(th, ce))
+}
+
+// chanWake returns the wake callback of a (thread, channel end) pair:
+// built the first time the pair blocks and reused ever after, so a
+// blocking IN/OUT allocates nothing in steady state. Both captures are
+// stable for the core's lifetime (threads live in the core, channel
+// ends in its switch), so the table survives Reset and Restore.
+func (c *Core) chanWake(th *Thread, ce *noc.ChanEnd) func() {
+	row := c.chanWakes[th.ID]
+	if row == nil {
+		row = make([]func(), c.sw.ChanEndCount())
+		c.chanWakes[th.ID] = row
+	}
+	wake := &row[ce.ID().Index()]
+	if *wake == nil {
+		*wake = func() {
+			if th.State == TBlockedChan && th.blockedOn == ce {
+				c.kickThread(th)
+			}
 		}
-	})
+	}
+	return *wake
 }
 
 // execute runs one instruction of thread th. Blocking instructions

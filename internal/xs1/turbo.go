@@ -251,8 +251,7 @@ func (c *Core) earliestReadyTime() sim.Time {
 // instruction; the group instead absorbs sibling firings and runs the
 // whole machine's issue stream in one loop.
 type turboGroup struct {
-	k       *sim.Kernel
-	members []*Core
+	k *sim.Kernel
 	// q[head:] holds each entered member's next pending issue slot,
 	// sorted by time with insertion order breaking ties — exactly the
 	// order the slow path would have armed the same registrations,
@@ -280,7 +279,7 @@ func GroupTurbo(cores []*Core) {
 	if len(cores) < 2 {
 		return
 	}
-	g := &turboGroup{k: cores[0].k, members: append([]*Core(nil), cores...)}
+	g := &turboGroup{k: cores[0].k}
 	for _, c := range cores {
 		c.turbo = g
 	}
@@ -325,16 +324,18 @@ func (g *turboGroup) armPending() {
 }
 
 // absorb consumes the kernel's next event if it is a member's issue
-// timer registered at time kt, returning that member — or nil when the
-// event belongs to no member (the batch's horizon).
-func (g *turboGroup) absorb(kt sim.Time) *Core {
-	for _, m := range g.members {
-		t := &m.issueTimer
-		if t.Armed() && t.When() == kt && g.k.AbsorbNext(t) {
-			return m
-		}
+// timer, returning that member — or nil when the event belongs to no
+// member (the batch's horizon). Only one registration can be the queue
+// head, so the group asks the kernel whose it is, recognises its own by
+// type and membership, and absorbs that one timer (AbsorbNext re-checks
+// head identity).
+func (g *turboGroup) absorb() *Core {
+	_, head, _ := g.k.NextForeign()
+	f, ok := head.(*issueFirer)
+	if !ok || f.c.turbo != g || !g.k.AbsorbNext(&f.c.issueTimer) {
+		return nil
 	}
-	return nil
+	return f.c
 }
 
 // run executes issue slots in a tight loop from the firing that
@@ -363,7 +364,7 @@ func (g *turboGroup) run(first *Core) {
 	// it (below) is the only thing that pops it — so it is recomputed
 	// only after an absorb. Registrations beyond the deadline are left
 	// for a later RunUntil.
-	kt, kok := k.NextForeign()
+	kt, _, kok := k.NextForeign()
 	if kok && hasDeadline && kt > deadline {
 		kok = false
 	}
@@ -457,13 +458,13 @@ func (g *turboGroup) run(first *Core) {
 		}
 		// Select the next slot in global order.
 		if kok && (g.head == len(g.q) || kt <= g.q[g.head].when) {
-			m := g.absorb(kt)
+			m := g.absorb()
 			if m == nil {
 				break // foreign event next: horizon reached
 			}
 			now = kt
 			cur = m
-			kt, kok = k.NextForeign()
+			kt, _, kok = k.NextForeign()
 			if kok && hasDeadline && kt > deadline {
 				kok = false
 			}
