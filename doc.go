@@ -119,15 +119,25 @@
 // internal/xs1/turbo.go removes the steady-state per-instruction cost:
 // a predecoded instruction cache (per-page side tables validated by
 // the same per-4KiB-page generation stamps that drive snapshot dirty
-// tracking, so stores and restores invalidate for free) and a batched
+// tracking, so stores and restores invalidate for free), a batched
 // run-to-horizon issue loop (all cores on a kernel co-batch, stepping
 // kernel time per instruction and absorbing sibling issue events,
-// until the next foreign event, communication instruction, ready-set
-// change, deadline or batch cap). The contract: turbo is
-// step-by-step — batching never changes architectural state at any
-// foreign-event boundary. On by default; -turbo=false on both drivers
-// falls back to one instruction per kernel event, byte-identical
-// output either way. BENCH_turbo.json holds the committed baseline.
+// until the next foreign event, communication instruction, trap,
+// deadline or batch cap — xs1.TurboStats counts batches by why they
+// ended), and pre-execution of compute slots: cores share no memory,
+// so a core on a streak of compute instructions runs its own next
+// slots alone on a local clock and logs one (at, next) pair per slot,
+// and the group loop — still the single owner of global order and
+// kernel accounting — replays the timing when it reaches them. The
+// contract: turbo is step-by-step — batching never changes
+// architectural state at any foreign-event boundary, and a core's
+// private state leads the kernel clock only inside one RunUntil, never
+// past the next foreign event or the deadline, never while an outside
+// event could wake one of its threads, never with a recorder attached;
+// anything reaching into a core that still holds unreplayed slots
+// panics. On by default; -turbo=false on both drivers falls back to
+// one instruction per kernel event, byte-identical output either way.
+// BENCH_turbo.json holds the committed baseline.
 //
 // The communication path — kernel events and tokens rather than
 // instructions — follows the same rules. Nothing on it allocates in

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -16,12 +17,13 @@ import (
 // Fired and Pending catch any batching scheme that reorders or
 // swallows events even when the visible counters happen to agree.
 type turboCut struct {
-	fp                  string
+	fp, threads         string
 	now                 sim.Time
 	seq, fired          uint64
 	pending             int
 	batches, instrs     uint64
 	decodeHits, decodeM uint64
+	preexec, replayed   uint64
 }
 
 // turboShape is one machine and workload the differential runs: build
@@ -29,12 +31,15 @@ type turboCut struct {
 type turboShape struct {
 	name  string
 	build func(t *testing.T) *Machine
+	// ahead marks a shape whose cores must get to pre-execute, or the
+	// differential has not tested what it is there for.
+	ahead bool
 }
 
 var turboShapes = []turboShape{
 	// One slice: a three-stage comm pipeline plus a four-thread
 	// compute-heavy core.
-	{"1x1-pipeline", func(t *testing.T) *Machine {
+	{name: "1x1-pipeline", build: func(t *testing.T) *Machine {
 		m := MustNew(1, 1, Options{})
 		loadPipeline(t, m, 64)
 		loadOn(t, m, topo.MakeNodeID(1, 1, topo.LayerV), workload.HeavyLoad(4, 40))
@@ -45,12 +50,121 @@ var turboShapes = []turboShape{
 	// has 64 members, most of them asleep on a channel end, and the
 	// queue head is as often a link or channel-end timer as an issue
 	// timer — the shape the communication path's absorb runs in.
-	{"2x2-streams", func(t *testing.T) *Machine {
+	{name: "2x2-streams", build: func(t *testing.T) *Machine {
 		m := MustNew(2, 2, Options{})
 		loadStreams(t, m, 24)
 		loadOn(t, m, topo.MakeNodeID(2, 1, topo.LayerV), workload.HeavyLoad(4, 40))
 		return m
 	}},
+	// One slice of mostly compute, the shape cores pre-execute in:
+	// one to eight heavy-load threads (idle slots, irregular re-arms,
+	// cores finishing at different times), divider stalls beside ALU
+	// threads, a thread that traps while its siblings carry on, a core
+	// that can never run ahead (one thread parked in IN, one in TWAIT,
+	// two computing), a core whose napping thread keeps waking it, and
+	// a word stream crossing a package.
+	{name: "1x1-compute", ahead: true, build: func(t *testing.T) *Machine {
+		m := MustNew(1, 1, Options{})
+		n, v, h := topo.MakeNodeID, topo.LayerV, topo.LayerH
+		for i, threads := range []int{1, 2, 3, 5, 8, 4} {
+			loadOn(t, m, n(i%2, i/2, v), workload.HeavyLoad(threads, 80))
+		}
+		loadOn(t, m, n(0, 0, h), xs1.MustAssemble(spawn("alu", "alu")+`
+			ldc r0, 100000
+			ldc r3, 7
+		divloop:
+			divu r4, r0, r3
+			add  r5, r5, r4
+			remu r6, r0, r3
+			subi r0, r0, 1
+			brt  r0, divloop
+			tend`+aluWorker))
+		loadOn(t, m, n(1, 0, h), xs1.MustAssemble(spawn("bad", "alu")+mainLoop+`
+		bad:
+			ldc r0, 200
+		badloop:
+			add  r1, r1, r0
+			subi r0, r0, 1
+			brt  r0, badloop
+			ldc  r3, 2
+			ldw  r4, r3, r0   ; byte address 2: traps
+			tend`+aluWorker))
+		loadOn(t, m, n(0, 1, h), xs1.MustAssemble(spawn("waiter", "sleeper", "alu")+mainLoop+`
+		waiter:
+			getr r0, 2
+			in   r0, r1       ; never fed
+			tend
+		sleeper:
+			time r1
+			ldc  r2, 10000000
+			add  r1, r1, r2
+			twait r1
+			tend`+aluWorker))
+		loadOn(t, m, n(1, 1, h), xs1.MustAssemble(spawn("napper", "alu")+mainLoop+`
+		napper:
+			ldc  r3, 60
+		nap:
+			time r1
+			addi r1, r1, 90   ; 0.9 us
+			twait r1
+			subi r3, r3, 1
+			brt  r3, nap
+			tend`+aluWorker))
+		loadOn(t, m, n(1, 3, h), workload.StreamRx(64))
+		loadOn(t, m, n(1, 3, v), workload.StreamTx(noc.MakeChanEndID(uint16(n(1, 3, h)), 0), 64))
+		return m
+	}},
+}
+
+// spawn emits assembly starting one worker thread at each label, each
+// with its own stack.
+func spawn(labels ...string) string {
+	src := ""
+	for i, l := range labels {
+		src += fmt.Sprintf("\ngetst r1, %s\nldc r2, %d\ntsetr r1, 12, r2\ntstart r1\n", l, 0xF000-(i+1)*0x800)
+	}
+	return src
+}
+
+// mainLoop keeps thread 0 computing for longer than any schedule runs;
+// aluWorker is the same for a spawned thread.
+const (
+	mainLoop = `
+			ldc r0, 1000000
+		mainloop:
+			add  r1, r1, r0
+			xor  r2, r2, r1
+			subi r0, r0, 1
+			brt  r0, mainloop
+			tend`
+	aluWorker = `
+		alu:
+			ldc r0, 1000000
+		aluloop:
+			add  r1, r1, r0
+			xor  r2, r2, r1
+			subi r0, r0, 1
+			brt  r0, aluloop
+			tend
+`
+)
+
+// threadStates renders what the fingerprint leaves out: every core's
+// idle-slot and per-class counts and every thread's state, PC,
+// registers and instruction count — where a thread rotation or a
+// pipeline-spacing slip would show first.
+func threadStates(m *Machine) string {
+	s := ""
+	for i, c := range m.Cores() {
+		s += fmt.Sprintf(" c%d{idle=%d classes=%v", i, c.IdleSlots, c.ClassCounts)
+		for id := 0; id < xs1.MaxThreads; id++ {
+			if th := c.Thread(id); th.State != xs1.TFree {
+				s += fmt.Sprintf(" t%d:%v@%d#%d%v", id, th.State, th.PC, th.Instrs, th.Regs)
+			}
+		}
+		s += "}"
+	}
+	return s
 }
 
 func loadOn(t *testing.T, m *Machine, node topo.NodeID, p *xs1.Program) {
@@ -109,6 +223,7 @@ func runSchedule(t *testing.T, shape turboShape, schedule []sim.Time) []turboCut
 		ts := xs1.ReadTurboStats()
 		cuts = append(cuts, turboCut{
 			fp:         fingerprint(m),
+			threads:    threadStates(m),
 			now:        m.K.Now(),
 			seq:        m.K.Seq(),
 			fired:      m.K.Fired(),
@@ -117,6 +232,8 @@ func runSchedule(t *testing.T, shape turboShape, schedule []sim.Time) []turboCut
 			instrs:     ts.BatchedInstrs,
 			decodeHits: ts.DecodeHits,
 			decodeM:    ts.DecodeMisses,
+			preexec:    ts.PreexecSlots,
+			replayed:   ts.ReplayedSlots,
 		})
 	}
 	return cuts
@@ -134,12 +251,16 @@ func runSchedule(t *testing.T, shape turboShape, schedule []sim.Time) []turboCut
 func TestTurboRandomizedDifferential(t *testing.T) {
 	defer xs1.SetTurbo(true)
 	for _, shape := range turboShapes {
-		t.Run(shape.name, func(t *testing.T) { turboDifferential(t, shape) })
+		t.Run(shape.name, func(t *testing.T) {
+			for seed := int64(0x5eed70b0); seed < 0x5eed70b0+3; seed++ {
+				turboDifferential(t, shape, seed)
+			}
+		})
 	}
 }
 
-func turboDifferential(t *testing.T, shape turboShape) {
-	rng := rand.New(rand.NewSource(0x5eed70b0))
+func turboDifferential(t *testing.T, shape turboShape, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
 	const segments = 40
 	schedule := make([]sim.Time, segments)
 	for i := range schedule {
@@ -168,7 +289,23 @@ func turboDifferential(t *testing.T, shape turboShape) {
 			t.Fatalf("cut %d (after RunFor(%d), now=%d): fingerprint diverged\n slow %s\nturbo %s",
 				i, schedule[i], s.now, s.fp, f.fp)
 		}
+		if s.threads != f.threads {
+			t.Fatalf("cut %d (after RunFor(%d), now=%d): thread state diverged\n slow %s\nturbo %s",
+				i, schedule[i], s.now, s.threads, f.threads)
+		}
+		// A core's private state may lead the clock only inside one
+		// RunUntil: at every cut each pre-executed slot has been
+		// replayed. (fingerprint's EnergyJ would have panicked on a
+		// core that still held one.)
+		if f.preexec != f.replayed {
+			t.Fatalf("cut %d: %d slots pre-executed, %d replayed", i, f.preexec, f.replayed)
+		}
 	}
+	ahead := fast[len(fast)-1].preexec - slow[len(slow)-1].preexec
+	if shape.ahead && ahead == 0 {
+		t.Error("no core pre-executed a slot; the shape is there to exercise that")
+	}
+	t.Logf("%d batches, %d slots pre-executed, simulated %v", turboBatches, ahead, fast[len(fast)-1].now)
 }
 
 // TestTurboToggle pins the wiring: SetTurbo flips TurboEnabled and

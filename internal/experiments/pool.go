@@ -37,7 +37,8 @@ func SetWarmStart(on bool) { core.SetWarmStart(on) }
 func WarmStart() bool { return core.WarmStartEnabled() }
 
 // SetTurbo toggles the execution fast path (predecoded instruction
-// cache plus batched run-to-horizon issue). Output is identical either
+// cache, batched run-to-horizon issue, cores pre-executing their own
+// compute slots ahead of the kernel). Output is identical either
 // way; off executes one instruction per kernel event, the pre-turbo
 // loop (held by TestTurboMatchesSlowPathGolden).
 func SetTurbo(on bool) { xs1.SetTurbo(on) }

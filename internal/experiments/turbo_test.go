@@ -60,7 +60,21 @@ func TestTurboMatchesSlowPathGolden(t *testing.T) {
 			}
 		}
 	}
-	if got := TurboStats().Batches; got == batches {
-		t.Errorf("turbo passes recorded no batches (stats %+v)", TurboStats())
+	ts := TurboStats()
+	if ts.Batches == batches {
+		t.Errorf("turbo passes recorded no batches (stats %+v)", ts)
+	}
+	// The ledger adds up: every batch ended for exactly one reason, the
+	// registry's loaded slices ran ahead of the clock, and no slot run
+	// ahead was left unaccounted for.
+	var exits uint64
+	for _, n := range ts.Exits {
+		exits += n
+	}
+	if exits != ts.Batches {
+		t.Errorf("batch exit reasons sum to %d, batches to %d (stats %+v)", exits, ts.Batches, ts)
+	}
+	if ts.PreexecSlots == 0 || ts.PreexecSlots != ts.ReplayedSlots {
+		t.Errorf("pre-executed %d slots, replayed %d; want equal and non-zero", ts.PreexecSlots, ts.ReplayedSlots)
 	}
 }

@@ -436,6 +436,10 @@ func TestHealthAndMetrics(t *testing.T) {
 		"swallow_snapshot_dirty_bytes_total",
 		"swallow_turbo_batches_total",
 		"swallow_turbo_batched_instrs_total",
+		`swallow_turbo_batch_exits_total{reason="comm_instr"}`,
+		`swallow_turbo_batch_exits_total{reason="asleep"}`,
+		"swallow_turbo_preexec_slots_total",
+		"swallow_turbo_replayed_slots_total",
 		"swallow_turbo_decode_hits_total",
 		"swallow_turbo_decode_misses_total",
 		"swallow_turbo_decode_invalidated_total",

@@ -190,6 +190,11 @@ func (m *metrics) write(w io.Writer, cs cache.Stats, ss store.Stats, queueDepth,
 	ts := xs1.ReadTurboStats()
 	fmt.Fprintf(w, "swallow_turbo_batches_total %d\n", ts.Batches)
 	fmt.Fprintf(w, "swallow_turbo_batched_instrs_total %d\n", ts.BatchedInstrs)
+	for reason, n := range ts.Exits {
+		fmt.Fprintf(w, "swallow_turbo_batch_exits_total{reason=%q} %d\n", xs1.BatchExit(reason), n)
+	}
+	fmt.Fprintf(w, "swallow_turbo_preexec_slots_total %d\n", ts.PreexecSlots)
+	fmt.Fprintf(w, "swallow_turbo_replayed_slots_total %d\n", ts.ReplayedSlots)
 	fmt.Fprintf(w, "swallow_turbo_decode_hits_total %d\n", ts.DecodeHits)
 	fmt.Fprintf(w, "swallow_turbo_decode_misses_total %d\n", ts.DecodeMisses)
 	fmt.Fprintf(w, "swallow_turbo_decode_invalidated_total %d\n", ts.DecodeStale)

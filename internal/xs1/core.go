@@ -146,15 +146,22 @@ type Core struct {
 	// fast path is on — shared by all cores of a machine (GroupTurbo),
 	// a singleton for standalone cores.
 	turbo *turboGroup
-	// Fast-path counters, accumulated plain and folded into the
-	// process-wide totals by FlushTurboStats.
-	tBatches, tInstrs, tHits, tMisses, tStale uint64
+	// t holds the fast-path counters, accumulated plain and folded into
+	// the process-wide totals by FlushTurboStats.
+	t TurboStats
+	// commMark is InstrCount as of the last communication instruction
+	// this core reached; the distance to InstrCount is the streak of
+	// compute instructions that makes pre-execution worth trying.
+	commMark uint64
 
 	// Energy accounting: background (static + idle dynamic) accrues
 	// with time; instructions add incremental switching energy.
 	accrualStart sim.Time
 	accruedJ     float64
 	dynamicJ     float64
+	// instrJ is energy.InstrEnergy at the core's supply voltage, per
+	// class: what chargeInstr adds. Refilled wherever VDD changes.
+	instrJ [energy.NumInstrClasses]float64
 
 	// Counters.
 	InstrCount  uint64
@@ -171,6 +178,15 @@ type Core struct {
 	Console    []byte
 
 	halted bool
+
+	// log holds the (at, next) pair of every issue slot the core has
+	// pre-executed ahead of the kernel clock and the group loop has not
+	// yet replayed (turbo.go): entries log[logHead:logTail], filled from
+	// zero only when empty, so logTail != 0 says the core's private
+	// state leads the clock. Fixed backing, never snapshotted: it is
+	// empty whenever RunUntil is not executing.
+	logHead, logTail int
+	log              [preexecWindow]preSlot
 }
 
 // issueFirer and twaitFirer bind the core's timer roles to methods
@@ -207,14 +223,45 @@ func NewCore(k *sim.Kernel, sw *noc.Switch, cfg Config) (*Core, error) {
 	}
 	c.issueFire.c = c
 	c.issueTimer.Init(k, &c.issueFire)
-	c.turbo = &turboGroup{k: k}
+	c.turbo = newTurboGroup(k, 1)
 	for i := range c.threads {
 		c.threads[i].ID = i
 		c.twaitFires[i] = twaitFirer{c: c, id: i}
 		c.twaitTimers[i].Init(k, &c.twaitFires[i])
 	}
 	c.accrualStart = k.Now()
+	c.fillInstrEnergy()
 	return c, nil
+}
+
+// fillInstrEnergy recomputes the per-class instruction energies for the
+// current supply voltage — the same expression chargeInstr used to
+// evaluate per instruction, so dynamicJ accrues bit-identically.
+func (c *Core) fillInstrEnergy() {
+	for class := range c.instrJ {
+		c.instrJ[class] = energy.InstrEnergy(energy.InstrClass(class), c.cfg.VDD)
+	}
+}
+
+// settled panics when the core holds pre-executed slots the group loop
+// has not replayed: its registers, SRAM and counters are then ahead of
+// the kernel clock, and entry — anything reaching into the core from
+// outside its own issue step — would observe or disturb a state that
+// does not exist at this time. Pre-execution is bounded so that this
+// never happens (turbo.go); a violated bound must not pass silently.
+func (c *Core) settled(entry string) {
+	if c.logTail != 0 {
+		c.unsettled(entry)
+	}
+}
+
+// unsettled is settled's panic, out of line so that the check itself
+// inlines into kickThread and the energy readers.
+//
+//go:noinline
+func (c *Core) unsettled(entry string) {
+	panic(fmt.Sprintf("xs1: %s on core %v with %d pre-executed slots not replayed (kernel at %v)",
+		entry, c.node, c.logTail-c.logHead, c.k.Now()))
 }
 
 // Reset returns the core to its just-built state — threads free, SRAM
@@ -230,7 +277,7 @@ func (c *Core) Reset() {
 	c.timerAlloc = [MaxThreads]bool{}
 	c.accrualStart = c.k.Now()
 	c.accruedJ, c.dynamicJ = 0, 0
-	c.InstrCount = 0
+	c.InstrCount, c.commMark = 0, 0
 	c.ClassCounts = [energy.NumInstrClasses]uint64{}
 	c.IdleSlots = 0
 	c.LastIssue = 0
@@ -247,9 +294,11 @@ func (c *Core) Retune(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	c.settled("Retune")
 	c.bankEnergy()
 	c.cfg = cfg
 	c.clk = sim.NewClock(cfg.FreqMHz)
+	c.fillInstrEnergy()
 	c.tracePowerState()
 	return nil
 }
@@ -348,8 +397,10 @@ func (c *Core) LoadAt(p *Program, byteBase uint32) error {
 }
 
 // resetThreads returns every hardware thread to its power-on state,
-// disarming any pending time waits from a previous program.
+// disarming any pending time waits from a previous program and
+// discarding any pre-executed slots of it.
 func (c *Core) resetThreads() {
+	c.logHead, c.logTail = 0, 0
 	for i := range c.threads {
 		c.threads[i] = Thread{ID: i}
 		c.twaitTimers[i].Disarm()
@@ -401,6 +452,7 @@ func (c *Core) issueStep() {
 // issueOne is the unbatched pipeline: pick the next ready thread in
 // round-robin order and execute one instruction.
 func (c *Core) issueOne() {
+	c.settled("issueOne")
 	now := c.k.Now()
 	th := c.pickReady(now)
 	if th == nil {
@@ -411,7 +463,7 @@ func (c *Core) issueOne() {
 		}
 		return
 	}
-	c.execute(th)
+	c.execute(th, now)
 	if th.State == TReady {
 		th.nextReady = max(th.nextReady, now+c.clk.Cycles(PipelineDepth))
 	}
@@ -440,6 +492,7 @@ func (c *Core) tracePowerState() {
 }
 
 func (c *Core) kickThread(th *Thread) {
+	c.settled("kickThread")
 	th.State = TReady
 	th.blockedOn = nil
 	c.traceThread(th)
@@ -449,13 +502,13 @@ func (c *Core) kickThread(th *Thread) {
 	c.scheduleIssue(c.alignUp(max(c.k.Now(), th.nextReady)))
 }
 
-// chargeInstr bills one issued instruction.
-func (c *Core) chargeInstr(th *Thread, class energy.InstrClass) {
+// chargeInstr bills one instruction issued in the slot at time now.
+func (c *Core) chargeInstr(th *Thread, class energy.InstrClass, now sim.Time) {
 	c.InstrCount++
 	c.ClassCounts[class]++
 	th.Instrs++
-	c.LastIssue = c.k.Now()
-	c.dynamicJ += energy.InstrEnergy(class, c.cfg.VDD)
+	c.LastIssue = now
+	c.dynamicJ += c.instrJ[class]
 }
 
 // BackgroundPowerW is the always-on power at the core's operating point
@@ -472,12 +525,16 @@ func (c *Core) BackgroundPowerW() float64 {
 // background power integrated over elapsed time plus the incremental
 // energy of every issued instruction.
 func (c *Core) EnergyJ() float64 {
+	c.settled("EnergyJ")
 	elapsed := (c.k.Now() - c.accrualStart).Seconds()
 	return c.accruedJ + c.dynamicJ + c.BackgroundPowerW()*elapsed
 }
 
 // DynamicEnergyJ reports only the instruction-switching energy.
-func (c *Core) DynamicEnergyJ() float64 { return c.dynamicJ }
+func (c *Core) DynamicEnergyJ() float64 {
+	c.settled("DynamicEnergyJ")
+	return c.dynamicJ
+}
 
 // SetFrequency rescales the core clock (dynamic frequency scaling,
 // Section III-B). Energy accrued so far is banked at the old operating
@@ -486,6 +543,7 @@ func (c *Core) SetFrequency(fMHz float64) error {
 	if fMHz < 1 || fMHz > energy.MaxCoreFreqMHz {
 		return fmt.Errorf("xs1: frequency %v MHz outside 1-500", fMHz)
 	}
+	c.settled("SetFrequency")
 	c.bankEnergy()
 	c.cfg.FreqMHz = fMHz
 	c.clk = sim.NewClock(fMHz)
@@ -504,8 +562,10 @@ func (c *Core) SetVoltage(v float64) error {
 	if vmin := energy.VMin(c.cfg.FreqMHz); v < vmin-1e-9 {
 		return fmt.Errorf("xs1: VDD %.3f below VMin(%v MHz) = %.3f", v, c.cfg.FreqMHz, vmin)
 	}
+	c.settled("SetVoltage")
 	c.bankEnergy()
 	c.cfg.VDD = v
+	c.fillInstrEnergy()
 	c.tracePowerState()
 	return nil
 }
@@ -522,6 +582,7 @@ func (c *Core) bankEnergy() {
 
 // Halt freezes the core (used by machine teardown).
 func (c *Core) Halt() {
+	c.settled("Halt")
 	c.halted = true
 	c.issueTimer.Disarm()
 }

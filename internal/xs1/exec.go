@@ -68,12 +68,12 @@ func (c *Core) chanWake(th *Thread, ce *noc.ChanEnd) func() {
 
 // execute runs one instruction of thread th. Blocking instructions
 // leave PC unchanged and park the thread; they re-execute when woken.
-func (c *Core) execute(th *Thread) {
+func (c *Core) execute(th *Thread, now sim.Time) {
 	in, class, words, ok := c.fetchSlow(th)
 	if !ok {
 		return
 	}
-	c.run(th, &in, class, words)
+	c.run(th, &in, class, words, now)
 }
 
 // fetchSlow reads and decodes the instruction at th.PC straight from
@@ -99,49 +99,53 @@ func (c *Core) fetchSlow(th *Thread) (in Instr, class energy.InstrClass, words u
 	return in, classOf(in.Op), uint32(in.Words()), true
 }
 
-// run executes one already-decoded instruction of thread th. class and
-// words are the instruction's precomputed energy class and encoded
-// size (the predecode cache carries both, so the fast path never
-// re-derives them).
-func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32) {
+// run executes one already-decoded instruction of thread th in the
+// issue slot at time now. class and words are the instruction's
+// precomputed energy class and encoded size (the predecode cache
+// carries both, so the fast path never re-derives them). Everything a
+// non-communication instruction dates — LastIssue, the divider stall —
+// takes now rather than the kernel clock, which is what lets a core
+// pre-execute such slots ahead of the kernel (turbo.go); communication
+// instructions only ever run with now equal to the kernel clock.
+func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32, now sim.Time) {
 	r := &th.Regs
 	next := th.PC + words
 	imm := uint32(in.Imm)
 
 	switch in.Op {
 	case OpNOP:
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpADD:
 		r[in.A] = r[in.B] + r[in.C]
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpSUB:
 		r[in.A] = r[in.B] - r[in.C]
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpAND:
 		r[in.A] = r[in.B] & r[in.C]
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpOR:
 		r[in.A] = r[in.B] | r[in.C]
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpXOR:
 		r[in.A] = r[in.B] ^ r[in.C]
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpSHL:
 		r[in.A] = shiftL(r[in.B], r[in.C])
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpSHR:
 		r[in.A] = shiftR(r[in.B], r[in.C])
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpASHR:
 		if r[in.C] >= 32 {
 			r[in.A] = uint32(int32(r[in.B]) >> 31)
 		} else {
 			r[in.A] = uint32(int32(r[in.B]) >> r[in.C])
 		}
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpMUL:
 		r[in.A] = r[in.B] * r[in.C]
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpDIVU, OpREMU:
 		if r[in.C] == 0 {
 			c.trapThread(th, "divide by zero at %#x", th.PC)
@@ -152,53 +156,53 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 		} else {
 			r[in.A] = r[in.B] % r[in.C]
 		}
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 		// The iterative divider stalls only the issuing thread.
-		th.nextReady = c.k.Now() + c.clk.Cycles(DividerCycles)
+		th.nextReady = now + c.clk.Cycles(DividerCycles)
 	case OpEQ:
 		r[in.A] = b2u(r[in.B] == r[in.C])
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpLSS:
 		r[in.A] = b2u(int32(r[in.B]) < int32(r[in.C]))
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpLSU:
 		r[in.A] = b2u(r[in.B] < r[in.C])
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpNOT:
 		r[in.A] = ^r[in.B]
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpNEG:
 		r[in.A] = -r[in.B]
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 
 	case OpLDC:
 		r[in.A] = imm
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpADDI:
 		r[in.A] = r[in.B] + imm
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpSUBI:
 		r[in.A] = r[in.B] - imm
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpSHLI:
 		r[in.A] = shiftL(r[in.B], imm)
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpSHRI:
 		r[in.A] = shiftR(r[in.B], imm)
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpANDI:
 		r[in.A] = r[in.B] & imm
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpORI:
 		r[in.A] = r[in.B] | imm
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpMKMSK:
 		if imm >= 32 {
 			r[in.A] = ^uint32(0)
 		} else {
 			r[in.A] = (1 << imm) - 1
 		}
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 
 	case OpLDW, OpLDWI:
 		addr := r[in.B]
@@ -213,7 +217,7 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 			return
 		}
 		r[in.A] = v
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpSTW, OpSTWI:
 		addr := r[in.B]
 		if in.Op == OpSTW {
@@ -225,7 +229,7 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 			c.trapThread(th, "%v at pc %#x", err, th.PC)
 			return
 		}
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpLD8:
 		addr := r[in.B] + r[in.C]
 		if int(addr) >= MemSize {
@@ -233,7 +237,7 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 			return
 		}
 		r[in.A] = uint32(c.mem[addr])
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpST8:
 		addr := r[in.B] + r[in.C]
 		if int(addr) >= MemSize {
@@ -242,7 +246,7 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 		}
 		c.mem[addr] = byte(r[in.A])
 		c.touch(addr)
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpLD16S:
 		addr := r[in.B] + r[in.C]*2
 		if addr&1 != 0 || int(addr)+2 > MemSize {
@@ -251,7 +255,7 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 		}
 		v := uint32(c.mem[addr]) | uint32(c.mem[addr+1])<<8
 		r[in.A] = uint32(int32(v<<16) >> 16)
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpST16:
 		addr := r[in.B] + r[in.C]*2
 		if addr&1 != 0 || int(addr)+2 > MemSize {
@@ -261,31 +265,31 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 		c.mem[addr] = byte(r[in.A])
 		c.mem[addr+1] = byte(r[in.A] >> 8)
 		c.touch(addr)
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 
 	case OpBRU:
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 		th.PC = imm
 		return
 	case OpBRT:
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 		if r[in.A] != 0 {
 			th.PC = imm
 			return
 		}
 	case OpBRF:
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 		if r[in.A] == 0 {
 			th.PC = imm
 			return
 		}
 	case OpBL:
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 		r[RegLR] = next
 		th.PC = imm
 		return
 	case OpBAU:
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 		// BAU takes a byte address, as labels materialised via '@' are.
 		if r[in.A]&3 != 0 {
 			c.trapThread(th, "misaligned branch target %#x", r[in.A])
@@ -294,7 +298,7 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 		th.PC = r[in.A] >> 2
 		return
 	case OpRET:
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 		th.PC = r[RegLR]
 		return
 
@@ -305,7 +309,7 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 			return
 		}
 		r[in.A] = uint32(id)
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpTSETR:
 		tid := int(r[in.A])
 		if tid < 0 || tid >= MaxThreads || c.threads[tid].State != TPaused {
@@ -317,7 +321,7 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 			return
 		}
 		c.threads[tid].Regs[imm] = r[in.B]
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpTSTART:
 		tid := int(r[in.A])
 		if tid < 0 || tid >= MaxThreads || c.threads[tid].State != TPaused {
@@ -325,11 +329,11 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 			return
 		}
 		c.threads[tid].State = TReady
-		c.threads[tid].nextReady = c.k.Now()
+		c.threads[tid].nextReady = now
 		c.traceThread(&c.threads[tid])
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpTEND:
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 		th.State = TDone
 		c.traceThread(th)
 		c.wakeJoiners(th.ID)
@@ -342,9 +346,9 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 		}
 		switch c.threads[tid].State {
 		case TDone, TFree:
-			c.chargeInstr(th, class)
+			c.chargeInstr(th, class, now)
 		default:
-			c.chargeInstr(th, class)
+			c.chargeInstr(th, class, now)
 			th.State = TBlockedJoin
 			th.joinTarget = tid
 			c.traceThread(th)
@@ -360,7 +364,7 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 				return
 			}
 			r[in.A] = uint32(ce.ID())
-			c.chargeInstr(th, class)
+			c.chargeInstr(th, class, now)
 		case ResTypeTimer:
 			idx := -1
 			for i, used := range c.timerAlloc {
@@ -375,7 +379,7 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 			}
 			c.timerAlloc[idx] = true
 			r[in.A] = uint32(timerResourceTag | idx)
-			c.chargeInstr(th, class)
+			c.chargeInstr(th, class, now)
 		default:
 			c.trapThread(th, "getr of unknown resource type %d", imm)
 			return
@@ -387,7 +391,7 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 			if idx < MaxThreads {
 				c.timerAlloc[idx] = false
 			}
-			c.chargeInstr(th, class)
+			c.chargeInstr(th, class, now)
 			break
 		}
 		ce, ok := c.resolveChanEnd(th, rid)
@@ -395,14 +399,14 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 			return
 		}
 		ce.Free()
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpSETD:
 		ce, ok := c.resolveChanEnd(th, r[in.A])
 		if !ok {
 			return
 		}
 		ce.SetDest(noc.ChanEndID(r[in.B]))
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpOUT:
 		ce, ok := c.resolveChanEnd(th, r[in.A])
 		if !ok {
@@ -412,7 +416,7 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 			c.blockOnChan(th, ce)
 			return
 		}
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpIN:
 		ce, ok := c.resolveChanEnd(th, r[in.A])
 		if !ok {
@@ -424,7 +428,7 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 			return
 		}
 		r[in.B] = v
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpOUTT:
 		ce, ok := c.resolveChanEnd(th, r[in.A])
 		if !ok {
@@ -434,7 +438,7 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 			c.blockOnChan(th, ce)
 			return
 		}
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpINT:
 		ce, ok := c.resolveChanEnd(th, r[in.A])
 		if !ok {
@@ -450,7 +454,7 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 			return
 		}
 		r[in.B] = uint32(tok.Val)
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpOUTCT:
 		ce, ok := c.resolveChanEnd(th, r[in.A])
 		if !ok {
@@ -460,7 +464,7 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 			c.blockOnChan(th, ce)
 			return
 		}
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpCHKCT:
 		ce, ok := c.resolveChanEnd(th, r[in.A])
 		if !ok {
@@ -476,15 +480,15 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 			return
 		}
 		ce.TryIn()
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 
 	case OpTIME:
 		r[in.A] = c.refNow()
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpTWAIT:
 		deadline := r[in.A]
 		if int32(deadline-c.refNow()) > 0 {
-			c.chargeInstr(th, class)
+			c.chargeInstr(th, class, now)
 			th.State = TBlockedTime
 			c.traceThread(th)
 			when := c.k.Now() + sim.Time(int32(deadline-c.refNow()))*10*sim.Nanosecond
@@ -494,20 +498,20 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32)
 			th.PC = next
 			return
 		}
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpGETID:
 		r[in.A] = uint32(c.node)
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpGETTID:
 		r[in.A] = uint32(th.ID)
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 
 	case OpDBG:
 		c.DebugTrace = append(c.DebugTrace, r[in.A])
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 	case OpDBGC:
 		c.Console = append(c.Console, byte(r[in.A]))
-		c.chargeInstr(th, class)
+		c.chargeInstr(th, class, now)
 
 	default:
 		c.trapThread(th, "unimplemented opcode %v", in.Op)

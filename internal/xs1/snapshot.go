@@ -79,6 +79,7 @@ type CoreSnapshot struct {
 // copy (snapshots are taken once per shared prefix; restores are the
 // hot path).
 func (c *Core) Snapshot() *CoreSnapshot {
+	c.settled("Snapshot")
 	c.rrNormalize()
 	s := &CoreSnapshot{
 		gen:          c.memGen,
@@ -109,6 +110,7 @@ func (c *Core) Snapshot() *CoreSnapshot {
 // the core's existing slice capacity, so restoring allocates nothing
 // beyond (at most) first-time slice growth.
 func (c *Core) Restore(s *CoreSnapshot) int {
+	c.settled("Restore")
 	// Bump the generation before stamping: the copied-back pages get a
 	// stamp no earlier write (and no predecode-cache entry made under
 	// one) could share.
@@ -124,6 +126,7 @@ func (c *Core) Restore(s *CoreSnapshot) int {
 	}
 	c.cfg = s.cfg
 	c.clk = sim.NewClock(s.cfg.FreqMHz)
+	c.fillInstrEnergy()
 	c.threads = s.threads
 	c.rr = append(c.rr[:0], s.rr...)
 	c.rrOff = 0
@@ -131,7 +134,7 @@ func (c *Core) Restore(s *CoreSnapshot) int {
 	c.accrualStart = s.accrualStart
 	c.accruedJ = s.accruedJ
 	c.dynamicJ = s.dynamicJ
-	c.InstrCount = s.instrCount
+	c.InstrCount, c.commMark = s.instrCount, s.instrCount
 	c.ClassCounts = s.classCounts
 	c.IdleSlots = s.idleSlots
 	c.LastIssue = s.lastIssue

@@ -1,6 +1,9 @@
 package xs1
 
 import (
+	"fmt"
+	"math"
+	"sync"
 	"sync/atomic"
 
 	"swallow/internal/energy"
@@ -8,7 +11,7 @@ import (
 	"swallow/internal/trace"
 )
 
-// Turbo is the core's execution fast path, two mechanisms deep:
+// Turbo is the core's execution fast path, three mechanisms deep:
 //
 //  1. A predecoded instruction cache: each SRAM word executed as an
 //     instruction is decoded once into a dense per-page side table and
@@ -37,6 +40,28 @@ import (
 //     is bit-identical to the unbatched loop — including the kernel's
 //     own clock, firing and sequence counters.
 //
+//  3. Pre-execution of compute slots: cores share no memory, so between
+//     two communication instructions a core's registers, SRAM, thread
+//     rotation and counters are nobody else's business. What a slot
+//     does is therefore split from when the kernel accounts for it: a
+//     core on a streak of compute instructions runs its own next slots
+//     alone on a local clock (Core.preexec — no kernel call, no group
+//     queue) and logs one (at, next) pair per slot; the group loop
+//     stays the single owner of global order and kernel accounting, and
+//     when it reaches a slot of a core with a non-empty log the slot is
+//     a log pop instead of an instruction. Push, pop, AbsorbNext,
+//     StepTo, the exit re-arm, the batch cap and every batch boundary
+//     are untouched, so kernel Now/Seq/Fired and arm order are the
+//     unbatched loop's by construction; there is no rollback and
+//     nothing to undo — work is only done earlier. It is sound because
+//     it is bounded: only inside RunUntil, only slots strictly before
+//     the kernel's earliest pending registration and no later than the
+//     deadline, only while the core has no thread an outside event
+//     could wake, never with a recorder attached, and never across a
+//     communication instruction — the run stops before the pick. Every
+//     entry into a core from outside its own issue step panics on a
+//     non-empty log (Core.settled).
+//
 // Round-robin order, pipeline spacing, idle-slot accounting and energy
 // accrual run through the same code as the slow path (pickReady,
 // earliestReadyTime, run, chargeInstr), so "turbo ≡ step-by-step" is a
@@ -54,13 +79,48 @@ func SetTurbo(on bool) { turboOff.Store(!on) }
 // TurboEnabled reports whether the fast path is in effect.
 func TurboEnabled() bool { return !turboOff.Load() }
 
+// BatchExit names why a turbo batch handed control back to the kernel.
+type BatchExit int
+
+const (
+	// ExitForeign: the kernel's next event belongs to no group member.
+	ExitForeign BatchExit = iota
+	// ExitComm: a communication instruction, which may arm timers or
+	// wake threads, ran as the batch's last slot.
+	ExitComm
+	// ExitTrap: a thread trapped.
+	ExitTrap
+	// ExitDeadline: the next slot lies beyond the RunUntil deadline.
+	ExitDeadline
+	// ExitCap: the batch reached turboBatchCap slots.
+	ExitCap
+	// ExitAsleep: no member has a slot left to run.
+	ExitAsleep
+	// NumBatchExits is the number of exit reasons.
+	NumBatchExits
+)
+
+// String names the reason as /metrics labels it.
+func (e BatchExit) String() string {
+	return [...]string{"foreign_event", "comm_instr", "trap", "deadline", "cap", "asleep"}[e]
+}
+
 // TurboStats are cumulative process-wide fast-path counters.
 type TurboStats struct {
-	// Batches counts issueBatch invocations (one per issue-timer
+	// Batches counts turboGroup.run invocations (one per issue-timer
 	// firing while turbo is on); BatchedInstrs counts instructions they
-	// executed. Their ratio is the realised batch length.
+	// executed, pre-executed ones included. Their ratio is the realised
+	// batch length.
 	Batches       uint64
 	BatchedInstrs uint64
+	// Exits splits Batches by why each one ended.
+	Exits [NumBatchExits]uint64
+	// PreexecSlots counts issue slots (instructions and idle probes)
+	// cores ran ahead of the kernel clock; ReplayedSlots counts those
+	// the group loop has since accounted for. They are equal whenever
+	// no RunUntil is executing.
+	PreexecSlots  uint64
+	ReplayedSlots uint64
 	// DecodeHits/DecodeMisses/DecodeStale count predecode-cache
 	// lookups: hits served an entry, misses decoded a virgin slot,
 	// stale entries were invalidated by a newer page generation and
@@ -70,37 +130,46 @@ type TurboStats struct {
 	DecodeStale  uint64
 }
 
-// turboStats aggregates across all cores; cores accumulate in plain
-// per-core counters on the hot path and fold them in here via
+// add accumulates o into s.
+func (s *TurboStats) add(o *TurboStats) {
+	s.Batches += o.Batches
+	s.BatchedInstrs += o.BatchedInstrs
+	for i, n := range o.Exits {
+		s.Exits[i] += n
+	}
+	s.PreexecSlots += o.PreexecSlots
+	s.ReplayedSlots += o.ReplayedSlots
+	s.DecodeHits += o.DecodeHits
+	s.DecodeMisses += o.DecodeMisses
+	s.DecodeStale += o.DecodeStale
+}
+
+// turboStats aggregates across all cores; cores accumulate in their own
+// plain TurboStats on the hot path and fold it in here via
 // FlushTurboStats at machine-run boundaries.
 var turboStats struct {
-	batches, batchedInstrs, decodeHits, decodeMisses, decodeStale atomic.Uint64
+	sync.Mutex
+	total TurboStats
 }
 
 // ReadTurboStats snapshots the process-wide fast-path counters.
 func ReadTurboStats() TurboStats {
-	return TurboStats{
-		Batches:       turboStats.batches.Load(),
-		BatchedInstrs: turboStats.batchedInstrs.Load(),
-		DecodeHits:    turboStats.decodeHits.Load(),
-		DecodeMisses:  turboStats.decodeMisses.Load(),
-		DecodeStale:   turboStats.decodeStale.Load(),
-	}
+	turboStats.Lock()
+	defer turboStats.Unlock()
+	return turboStats.total
 }
 
 // FlushTurboStats folds the core's accumulated fast-path counters into
 // the process-wide totals. Machine run loops call it once per poll
-// step, keeping atomics off the per-instruction path.
+// step, keeping shared state off the per-instruction path.
 func (c *Core) FlushTurboStats() {
-	if c.tBatches|c.tHits|c.tMisses|c.tStale == 0 {
+	if c.t == (TurboStats{}) {
 		return
 	}
-	turboStats.batches.Add(c.tBatches)
-	turboStats.batchedInstrs.Add(c.tInstrs)
-	turboStats.decodeHits.Add(c.tHits)
-	turboStats.decodeMisses.Add(c.tMisses)
-	turboStats.decodeStale.Add(c.tStale)
-	c.tBatches, c.tInstrs, c.tHits, c.tMisses, c.tStale = 0, 0, 0, 0, 0
+	turboStats.Lock()
+	turboStats.total.add(&c.t)
+	turboStats.Unlock()
+	c.t = TurboStats{}
 }
 
 const (
@@ -114,7 +183,34 @@ const (
 	// a compute-bound core cannot stall the surrounding event loop's
 	// liveness indefinitely between kernel-visible boundaries.
 	turboBatchCap = 4096
+
+	// preexecStreak is how many instructions a core must have issued
+	// since it last reached a communication instruction before it
+	// tries to pre-execute: communication-bound code, whose compute
+	// runs are a few instructions long, never pays for a window it
+	// would abandon at once. A core asks at every preexecStreak-th
+	// instruction it issues (a power of two), so the question itself
+	// costs the exact path one test of a counter it has just updated.
+	preexecStreak = 32
+	// preexecWindow is the capacity of a core's slot log: how far, in
+	// issue slots, its private state may lead the kernel clock.
+	preexecWindow = 128
+
+	// slotTrapped is the logged next time of a pre-executed slot whose
+	// thread trapped: the replay ends the batch there, as the trap
+	// itself would have.
+	slotTrapped sim.Time = -2
+
+	// timeMax stands for no bound on simulated time.
+	timeMax sim.Time = math.MaxInt64
 )
+
+// preSlot is one pre-executed issue slot: the time it occupies and the
+// time of the core's next slot (-1 when the core then sleeps,
+// slotTrapped when the slot trapped).
+type preSlot struct {
+	at, next sim.Time
+}
 
 // ientry is one predecoded instruction. gen pins the page generation
 // the entry was decoded under; class and words cache the per-issue
@@ -149,7 +245,7 @@ func (c *Core) ifetch(th *Thread) *ientry {
 	}
 	e := &ip[pc&(pageWords-1)]
 	if e.valid && e.gen == c.pageGen[page] {
-		c.tHits++
+		c.t.DecodeHits++
 		return e
 	}
 	return nil
@@ -171,9 +267,9 @@ func (c *Core) fetchMiss(th *Thread) (Instr, energy.InstrClass, uint32, bool) {
 	}
 	e := &ip[pc&(pageWords-1)]
 	if e.valid {
-		c.tStale++
+		c.t.DecodeStale++
 	} else {
-		c.tMisses++
+		c.t.DecodeMisses++
 	}
 	in, class, words, ok := c.fetchSlow(th)
 	if !ok {
@@ -252,22 +348,45 @@ func (c *Core) earliestReadyTime() sim.Time {
 // whole machine's issue stream in one loop.
 type turboGroup struct {
 	k *sim.Kernel
-	// q[head:] holds each entered member's next pending issue slot,
-	// sorted by time with insertion order breaking ties — exactly the
-	// order the slow path would have armed the same registrations,
-	// which the exit re-arm replays so every surviving registration
-	// keeps its relative sequence order against all others. It is a
-	// ring in spirit: pops advance head, pushes append (lockstep
-	// members always re-arm at or after the tail), and the slice
-	// rewinds whenever it empties.
-	q    []turboSlot
-	head int
+	// q is a ring holding each entered member's next pending issue
+	// slot at q[head:tail] (indices taken modulo len(q), a power of
+	// two no smaller than the membership: a member has at most one
+	// slot pending), sorted by time with insertion order breaking
+	// ties — exactly the order the slow path would have armed the same
+	// registrations, which the exit re-arm replays so every surviving
+	// registration keeps its relative sequence order against all
+	// others.
+	q          []turboSlot
+	head, tail uint
+
+	// State of the batch in progress that run consults rarely, kept
+	// here rather than in run's frame: every value live in the issue
+	// loop is spilled and reloaded around the calls each slot makes.
+	// start is the batch's first slot time and end the last time it
+	// may run a slot at (the deadline of the RunUntil executing it, if
+	// there is one); mayPreexec says cores may run ahead in this batch
+	// — only inside RunUntil, since under Step and Run every return is
+	// a point where the host may look, and only untraced, since trace
+	// events carry the kernel's time; kw is the Waker of the kernel's
+	// earliest registration as horizon last saw it.
+	start, end sim.Time
+	mayPreexec bool
+	kw         sim.Waker
 }
 
 // turboSlot is one deferred issue arm.
 type turboSlot struct {
 	when sim.Time
 	c    *Core
+}
+
+// newTurboGroup sizes a group's ring for the given membership.
+func newTurboGroup(k *sim.Kernel, members int) *turboGroup {
+	n := 1
+	for n < members {
+		n <<= 1
+	}
+	return &turboGroup{k: k, q: make([]turboSlot, n)}
 }
 
 // GroupTurbo joins cores sharing one kernel into a single batching
@@ -279,63 +398,226 @@ func GroupTurbo(cores []*Core) {
 	if len(cores) < 2 {
 		return
 	}
-	g := &turboGroup{k: cores[0].k}
+	g := newTurboGroup(cores[0].k, len(cores))
 	for _, c := range cores {
 		c.turbo = g
 	}
 }
 
-// push inserts a deferred arm keeping q[head:] time-sorted; equal
+// push inserts a deferred arm keeping the ring time-sorted; equal
 // times keep insertion order (the slow path's arm order). The common
 // case — the new arm is latest — is a plain append.
 func (g *turboGroup) push(c *Core, when sim.Time) {
-	n := len(g.q)
-	if n == g.head || g.q[n-1].when <= when {
-		g.q = append(g.q, turboSlot{when: when, c: c})
-		return
+	mask := uint(len(g.q) - 1)
+	if g.tail-g.head > mask {
+		panic("xs1: turbo group queue holds more slots than members")
 	}
-	i := n
-	for i > g.head && g.q[i-1].when > when {
+	i := g.tail
+	for i != g.head && g.q[(i-1)&mask].when > when {
+		g.q[i&mask] = g.q[(i-1)&mask]
 		i--
 	}
-	g.q = append(g.q, turboSlot{})
-	copy(g.q[i+1:], g.q[i:])
-	g.q[i] = turboSlot{when: when, c: c}
+	g.q[i&mask] = turboSlot{when: when, c: c}
+	g.tail++
+}
+
+// headWhen is the time of the earliest deferred arm; the ring must not
+// be empty.
+func (g *turboGroup) headWhen() sim.Time { return g.q[g.head&uint(len(g.q)-1)].when }
+
+// leads reports whether a core's next slot, at time next, is strictly
+// the earliest thing left to run: within limit — before the kernel's
+// registration, which wins ties because it predates the batch — and
+// before every deferred arm, which win ties because they were armed at
+// earlier slots. Such a slot runs next with no queue traffic at all.
+func (g *turboGroup) leads(next, limit sim.Time) bool {
+	return next >= 0 && next <= limit && (g.head == g.tail || next < g.headWhen())
 }
 
 // popHead removes and returns the earliest deferred arm.
 func (g *turboGroup) popHead() turboSlot {
-	s := g.q[g.head]
+	s := g.q[g.head&uint(len(g.q)-1)]
 	g.head++
-	if g.head == len(g.q) {
-		g.q = g.q[:0]
-		g.head = 0
-	}
 	return s
 }
 
 // armPending hands every deferred arm back to the kernel, in order.
+// Batches a communication instruction cuts short mostly have none, so
+// the test inlines and the loop stays out of line.
 func (g *turboGroup) armPending() {
-	for _, s := range g.q[g.head:] {
+	if g.head != g.tail {
+		g.armAll()
+	}
+}
+
+// armAll is armPending's loop.
+func (g *turboGroup) armAll() {
+	for ; g.head != g.tail; g.head++ {
+		s := g.q[g.head&uint(len(g.q)-1)]
 		s.c.scheduleIssue(s.when)
 	}
-	g.q = g.q[:0]
-	g.head = 0
 }
 
 // absorb consumes the kernel's next event if it is a member's issue
 // timer, returning that member — or nil when the event belongs to no
-// member (the batch's horizon). Only one registration can be the queue
-// head, so the group asks the kernel whose it is, recognises its own by
-// type and membership, and absorbs that one timer (AbsorbNext re-checks
-// head identity).
-func (g *turboGroup) absorb() *Core {
-	_, head, _ := g.k.NextForeign()
+// member (the batch's horizon). head is that event's Waker as horizon
+// last reported it: only one registration can be the queue head, so the
+// group recognises its own by type and membership and absorbs that one
+// timer (AbsorbNext re-checks head identity).
+func (g *turboGroup) absorb(head sim.Waker) *Core {
 	f, ok := head.(*issueFirer)
 	if !ok || f.c.turbo != g || !g.k.AbsorbNext(&f.c.issueTimer) {
 		return nil
 	}
 	return f.c
+}
+
+// quiet reports whether nothing outside the core can re-time it: it is
+// not halted and has no thread blocked on a channel end or on the
+// reference clock — the only states a foreign event wakes (kickThread).
+// A thread blocked in TJOIN is woken by this core's own TEND, which is
+// a communication instruction and so never pre-executed.
+func (c *Core) quiet() bool {
+	if c.halted {
+		return false
+	}
+	for i := range c.threads {
+		if s := c.threads[i].State; s == TBlockedChan || s == TBlockedTime {
+			return false
+		}
+	}
+	return true
+}
+
+// preexec runs the core's own next issue slots alone on a local clock,
+// starting with the slot at time at, and logs one (at, next) pair per
+// slot for the group loop to replay. It is the group loop's slot step —
+// pickReady, ifetch, run, the pipeline spacing, the idle probe — with
+// the kernel left out, and it stops at the first slot later than limit
+// (the caller's bound: before every pending registration, within the
+// deadline), before the first communication instruction (the pick is
+// undone, so the rotation is as the group loop expects to find it),
+// after a trap, when the core goes to sleep, or when the log is full.
+// A core something outside could wake does not pre-execute at all.
+// The log is empty on entry: run and replay call it only then.
+func (c *Core) preexec(at, limit sim.Time) {
+	if !c.quiet() {
+		return
+	}
+	period := c.clk.Period()
+	depth := c.clk.Cycles(PipelineDepth)
+	n := 0
+	for n < preexecWindow && at <= limit {
+		off := c.rrOff
+		th := c.pickReady(at)
+		var next sim.Time = -1
+		if th == nil {
+			c.IdleSlots++
+			if t := c.earliestReadyTime(); t >= 0 {
+				next = c.alignUp(t)
+			}
+		} else {
+			var in *Instr
+			var class energy.InstrClass
+			var words uint32
+			ok := true
+			e := c.ifetch(th)
+			if e != nil {
+				in, class, words = &e.in, energy.InstrClass(e.class), uint32(e.words)
+			} else {
+				var iv Instr
+				iv, class, words, ok = c.fetchMiss(th)
+				in = &iv
+			}
+			if ok && class == energy.ClassComm {
+				// The group loop picks and fetches this slot again.
+				c.rrOff = off
+				if e != nil {
+					c.t.DecodeHits--
+				}
+				break
+			}
+			if ok {
+				c.run(th, in, class, words, at)
+				c.t.BatchedInstrs++
+			}
+			if th.State == TReady {
+				th.nextReady = max(th.nextReady, at+depth)
+			}
+			next = at + period
+			if !ok || th.State == TTrapped {
+				next = slotTrapped
+			}
+		}
+		c.log[n] = preSlot{at: at, next: next}
+		n++
+		if next < 0 {
+			break
+		}
+		at = next
+	}
+	c.logTail = n
+	c.t.PreexecSlots += uint64(n)
+}
+
+// horizon reports the kernel's earliest registration — its time and its
+// Waker — if this batch has to respect it (one beyond end is left for a
+// later RunUntil), and the latest time at which a slot may run without
+// the kernel intervening: strictly before that registration, else end.
+func (g *turboGroup) horizon() (kt sim.Time, kok bool, limit sim.Time) {
+	kt, g.kw, kok = g.k.NextForeign()
+	if kok && kt <= g.end {
+		return kt, true, kt - 1
+	}
+	return 0, false, g.end
+}
+
+// replay accounts for the slot in hand, which its core ran ahead of the
+// clock: it retires the head of the core's log — necessarily this slot,
+// logged for exactly this time — and returns the core's next slot time
+// for run to place, as if run had just executed the instruction. When
+// what follows is the plain round trip — the core's next slot goes into
+// the ring behind the ring's head, and that head, within limit, is the
+// next slot in global order and pre-executed too — replay makes the
+// trip itself and carries on, so cores running ahead in step spend
+// their time in this loop: a log pop, a push, a pop and a StepTo per
+// slot, and a fresh window pre-executed on the spot whenever a log
+// drains. Everything else (the batch cap, a sleeping or trapped core,
+// a core that keeps the lead, the horizon, a core with nothing logged)
+// goes back to run. ok is false when the slot in hand was not
+// pre-executed and run has to execute it.
+func (g *turboGroup) replay(cur *Core, now sim.Time, slots int, limit sim.Time) (_ *Core, _ sim.Time, _ int, next sim.Time, ok bool) {
+	if !g.mayPreexec && cur.logTail != 0 {
+		// Slots are logged within the deadline of the RunUntil that
+		// pre-executed them and replayed before it returns.
+		panic(fmt.Sprintf("xs1: core %v holds pre-executed slots outside the untraced RunUntil that logged them", cur.node))
+	}
+	for cur.logTail != 0 {
+		e := cur.log[cur.logHead&(preexecWindow-1)]
+		if e.at != now {
+			panic(fmt.Sprintf("xs1: core %v reached its issue slot at %v but pre-executed it for %v",
+				cur.node, now, e.at))
+		}
+		if cur.logHead++; cur.logHead == cur.logTail {
+			cur.t.ReplayedSlots += uint64(cur.logTail)
+			cur.logHead, cur.logTail = 0, 0
+		}
+		if slots+1 >= turboBatchCap || g.head == g.tail {
+			return cur, now, slots, e.next, true
+		}
+		if hw := g.headWhen(); e.next < hw || hw > limit {
+			return cur, now, slots, e.next, true
+		}
+		if cur.logTail == 0 {
+			cur.preexec(e.next, limit)
+		}
+		slots++
+		g.push(cur, e.next)
+		s := g.popHead()
+		g.k.StepTo(s.when)
+		cur, now = s.c, s.when
+	}
+	return cur, now, slots, -1, false
 }
 
 // run executes issue slots in a tight loop from the firing that
@@ -349,131 +631,146 @@ func (g *turboGroup) absorb() *Core {
 // firing and a sequence number standing in for the deferred arm), and
 // the exit re-arms consume the remaining sequence numbers in arm
 // order, so kernel counters and all registration order match the slow
-// path at every boundary.
+// path at every boundary. A slot its core has pre-executed goes through
+// all of that unchanged; only the instruction is replaced by the
+// logged outcome.
 func (g *turboGroup) run(first *Core) {
 	k := g.k
 	now := k.Now()
-	// rec is sampled once: recorders attach/detach only between runs,
-	// never mid-batch. batchStart/binstrs feed the TurboBatch span.
-	rec := k.Recorder()
-	batchStart := now
+	g.start = now
 	binstrs := int64(0)
+	g.end = timeMax
 	deadline, hasDeadline := k.Deadline()
-	// The kernel's earliest registration is the batch horizon. It stays
-	// put for the whole batch — nothing arms mid-batch, and absorbing
-	// it (below) is the only thing that pops it — so it is recomputed
-	// only after an absorb. Registrations beyond the deadline are left
-	// for a later RunUntil.
-	kt, _, kok := k.NextForeign()
-	if kok && hasDeadline && kt > deadline {
-		kok = false
+	if hasDeadline {
+		g.end = deadline
 	}
+	g.mayPreexec = hasDeadline && k.Recorder() == nil
+	kt, kok, limit := g.horizon()
 	cur := first
 	slots := 0
+	why := ExitForeign
+batch:
 	for {
-		th := cur.pickReady(now)
 		var next sim.Time = -1
-		if th == nil {
-			cur.IdleSlots++
-			if t := cur.earliestReadyTime(); t >= 0 {
-				next = cur.alignUp(t)
+		replayed := false
+		if cur.logTail != 0 {
+			cur, now, slots, next, replayed = g.replay(cur, now, slots, limit)
+		}
+		if replayed {
+			if next == slotTrapped {
+				why = ExitTrap
+				slots++
+				break
 			}
-			// next < 0: the member sleeps until something kicks it —
-			// no arm, exactly the slow path.
+			slots++
+			if g.leads(next, limit) && slots < turboBatchCap {
+				k.StepTo(next)
+				now = next
+				continue
+			}
 		} else {
-			var in *Instr
-			var class energy.InstrClass
-			var words uint32
-			ok := true
-			if e := cur.ifetch(th); e != nil {
-				in, class, words = &e.in, energy.InstrClass(e.class), uint32(e.words)
-			} else {
-				var iv Instr
-				iv, class, words, ok = cur.fetchMiss(th)
-				in = &iv
-			}
-			if ok && class == energy.ClassComm {
-				// The instruction may arm timers or wake threads as it
-				// runs; hand the other members' arms back first so
-				// everything it registers lands after them, preserving
-				// the slow path's arm order (it armed those at their
-				// own earlier slots).
-				g.armPending()
-				cur.run(th, in, class, words)
-				cur.tInstrs++
-				binstrs++
-				if th.State == TReady {
-					th.nextReady = max(th.nextReady, now+cur.clk.Cycles(PipelineDepth))
+			// Execute cur's slot, and its following slots for as long
+			// as they lead — which is all a lone awake core ever does,
+			// in this inner loop with nothing of the replay machinery
+			// live across it.
+			for {
+				th := cur.pickReady(now)
+				if th == nil {
+					cur.IdleSlots++
+					next = -1
+					if t := cur.earliestReadyTime(); t >= 0 {
+						next = cur.alignUp(t)
+					}
+					// next < 0: the member sleeps until something kicks
+					// it — no arm, exactly the slow path.
+				} else {
+					var in *Instr
+					var class energy.InstrClass
+					var words uint32
+					ok := true
+					if e := cur.ifetch(th); e != nil {
+						in, class, words = &e.in, energy.InstrClass(e.class), uint32(e.words)
+					} else {
+						var iv Instr
+						iv, class, words, ok = cur.fetchMiss(th)
+						in = &iv
+					}
+					if ok && class == energy.ClassComm {
+						// The instruction may arm timers or wake threads
+						// as it runs; hand the other members' arms back
+						// first so everything it registers lands after
+						// them, preserving the slow path's arm order (it
+						// armed those at their own earlier slots).
+						g.armPending()
+						cur.run(th, in, class, words, now)
+						cur.commMark = cur.InstrCount
+						binstrs++
+						if th.State == TReady {
+							th.nextReady = max(th.nextReady, now+cur.clk.Cycles(PipelineDepth))
+						}
+						why = ExitComm
+						slots++
+						break batch
+					}
+					if ok {
+						cur.run(th, in, class, words, now)
+						binstrs++
+					}
+					if th.State == TReady {
+						th.nextReady = max(th.nextReady, now+cur.clk.Cycles(PipelineDepth))
+					}
+					if !ok || th.State == TTrapped {
+						// Trap boundary: fall back to the event loop.
+						why = ExitTrap
+						slots++
+						break batch
+					}
+					next = now + cur.clk.Period()
+					// If cur has been computing for a while and its slots
+					// interleave with other members', let it run its own
+					// slots ahead — strictly before the earliest thing
+					// the kernel holds, within the deadline — and replay
+					// them as the loop comes round. (A lone awake core
+					// finds the ring empty.)
+					if n := cur.InstrCount; n&(preexecStreak-1) == 0 && n-cur.commMark >= preexecStreak &&
+						g.mayPreexec && g.head != g.tail {
+						cur.preexec(next, limit)
+						slots++
+						break
+					}
 				}
-				cur.scheduleIssue(now + cur.clk.Period())
-				first.tBatches++
-				if rec != nil {
-					rec.EmitSpan(int64(batchStart), int64(now), trace.KindTurboBatch,
-						int32(first.node), binstrs, int64(slots+1))
+				slots++
+				if !g.leads(next, limit) || slots >= turboBatchCap {
+					break
 				}
-				return
+				k.StepTo(next)
+				now = next
 			}
-			if ok {
-				cur.run(th, in, class, words)
-				cur.tInstrs++
-				binstrs++
-			}
-			if th.State == TReady {
-				th.nextReady = max(th.nextReady, now+cur.clk.Cycles(PipelineDepth))
-			}
-			if !ok || th.State == TTrapped {
-				// Trap boundary: fall back to the event loop.
-				g.armPending()
-				cur.scheduleIssue(now + cur.clk.Period())
-				first.tBatches++
-				if rec != nil {
-					rec.EmitSpan(int64(batchStart), int64(now), trace.KindTurboBatch,
-						int32(first.node), binstrs, int64(slots+1))
-				}
-				return
-			}
-			next = now + cur.clk.Period()
-		}
-		slots++
-		if slots >= turboBatchCap {
-			if next >= 0 {
-				g.push(cur, next)
-			}
-			break
-		}
-		// Fast path: cur's own next slot is strictly earliest — before
-		// the kernel's registration (which wins ties, it predates the
-		// batch) and before every deferred arm (which wins ties, they
-		// were armed at earlier slots) — so it runs next with no queue
-		// traffic at all.
-		if next >= 0 && (!kok || next < kt) &&
-			(g.head == len(g.q) || next < g.q[g.head].when) &&
-			(!hasDeadline || next <= deadline) {
-			k.StepTo(next)
-			now = next
-			continue
 		}
 		if next >= 0 {
 			g.push(cur, next)
 		}
+		if slots >= turboBatchCap {
+			why = ExitCap
+			break
+		}
 		// Select the next slot in global order.
-		if kok && (g.head == len(g.q) || kt <= g.q[g.head].when) {
-			m := g.absorb()
+		if kok && (g.head == g.tail || kt <= g.headWhen()) {
+			m := g.absorb(g.kw)
 			if m == nil {
 				break // foreign event next: horizon reached
 			}
 			now = kt
 			cur = m
-			kt, _, kok = k.NextForeign()
-			if kok && hasDeadline && kt > deadline {
-				kok = false
-			}
+			kt, kok, limit = g.horizon()
 			continue
 		}
-		if g.head == len(g.q) {
-			break // every member asleep; nothing left to arm
+		if g.head == g.tail {
+			why = ExitAsleep // nothing left to arm
+			break
 		}
-		if hasDeadline && g.q[g.head].when > deadline {
+		if g.headWhen() > g.end {
+			why = ExitDeadline
 			break
 		}
 		s := g.popHead()
@@ -482,9 +779,17 @@ func (g *turboGroup) run(first *Core) {
 		cur = s.c
 	}
 	g.armPending()
-	first.tBatches++
-	if rec != nil {
-		rec.EmitSpan(int64(batchStart), int64(now), trace.KindTurboBatch,
+	if why == ExitComm || why == ExitTrap {
+		// The slot that ended the batch re-arms its core after every
+		// other member, as the slow path armed it: at its own slot,
+		// the latest.
+		cur.scheduleIssue(now + cur.clk.Period())
+	}
+	first.t.Batches++
+	first.t.BatchedInstrs += uint64(binstrs)
+	first.t.Exits[why]++
+	if rec := k.Recorder(); rec != nil {
+		rec.EmitSpan(int64(g.start), int64(now), trace.KindTurboBatch,
 			int32(first.node), binstrs, int64(slots))
 	}
 }

@@ -1,7 +1,15 @@
 package xs1
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
+
+	"swallow/internal/energy"
+	"swallow/internal/sim"
+	"swallow/internal/topo"
+	"swallow/internal/trace"
 )
 
 // turboLoop is a small always-ready compute loop: every instruction
@@ -17,34 +25,77 @@ loop:
 	bru loop
 `
 
+// group builds one core per node of the rig's slice, all running src,
+// joined into one batching group as a machine would.
+func (r *rig) group(t *testing.T, src string) []*Core {
+	t.Helper()
+	var cores []*Core
+	for _, node := range topo.MustSystem(1, 1).Nodes() {
+		cores = append(cores, r.core(t, node, src))
+	}
+	GroupTurbo(cores)
+	return cores
+}
+
+// preexecSlots sums the slots the cores have run ahead of the clock
+// since their counters were last flushed.
+func preexecSlots(cores []*Core) (n uint64) {
+	for _, c := range cores {
+		n += c.t.PreexecSlots
+	}
+	return n
+}
+
 // TestTurboZeroAllocs pins the steady-state fast path at zero
 // allocations: once the decode cache pages exist and the kernel and
 // batch queues have reached capacity, batched execution — pick,
 // cached fetch, execute, StepTo, re-arm — must not touch the heap.
 // Cache population itself may allocate (one page per generation);
-// the prewarm run pays that before measurement starts.
+// the prewarm run pays that before measurement starts. A lone core runs
+// the no-queue fast path; sixteen in lockstep pre-execute and replay,
+// through logs NewCore allocated.
 func TestTurboZeroAllocs(t *testing.T) {
 	defer SetTurbo(true)
 	SetTurbo(true)
-	r := newRig(t)
-	c := r.core(t, v00(), turboLoop)
+	for _, tc := range []struct {
+		name  string
+		build func(r *rig) []*Core
+		ahead bool
+	}{
+		{"solo", func(r *rig) []*Core { return []*Core{r.core(t, v00(), turboLoop)} }, false},
+		{"slice", func(r *rig) []*Core { return r.group(t, turboLoop) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t)
+			cores := tc.build(r)
+			c := cores[0]
 
-	// Prewarm: populate the decode cache page and let every queue
-	// (kernel wheel, batch ring) grow to steady capacity.
-	r.k.RunFor(100_000)
-	if c.tHits == 0 {
-		t.Fatal("prewarm recorded no decode-cache hits; fast path not engaged")
-	}
+			// Prewarm: populate the decode cache page and let every
+			// queue grow to steady capacity — the kernel's bucket
+			// capacities migrate around the wheel as bursts rotate
+			// through it, so that takes hundreds of same-sized bursts.
+			const burst = 2 * sim.Microsecond
+			for i := 0; i < 300; i++ {
+				r.k.RunFor(burst)
+			}
+			if c.t.DecodeHits == 0 {
+				t.Fatal("prewarm recorded no decode-cache hits; fast path not engaged")
+			}
 
-	before := c.InstrCount
-	allocs := testing.AllocsPerRun(20, func() {
-		r.k.RunFor(50_000)
-	})
-	if c.InstrCount == before {
-		t.Fatal("measurement runs executed no instructions")
-	}
-	if allocs != 0 {
-		t.Errorf("batched issue loop allocates: %.1f allocs per RunFor(50µs) burst, want 0", allocs)
+			before := c.InstrCount
+			allocs := testing.AllocsPerRun(20, func() {
+				r.k.RunFor(burst)
+			})
+			if c.InstrCount == before {
+				t.Fatal("measurement runs executed no instructions")
+			}
+			if allocs != 0 {
+				t.Errorf("batched issue loop allocates: %.1f allocs per RunFor(%v) burst, want 0", allocs, burst)
+			}
+			if got := preexecSlots(cores) > 0; got != tc.ahead {
+				t.Errorf("cores pre-executed: %v, want %v", got, tc.ahead)
+			}
+		})
 	}
 }
 
@@ -90,7 +141,7 @@ func TestTurboDecodeInvalidation(t *testing.T) {
 	if err := c.WriteWord(uint32(patch*4), progB.Words[patch]); err != nil {
 		t.Fatal(err)
 	}
-	stale := c.tStale
+	stale := c.t.DecodeStale
 	if err := c.LoadAt(&Program{}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +149,396 @@ func TestTurboDecodeInvalidation(t *testing.T) {
 	if got := c.threads[0].Regs[2]; got != 2 {
 		t.Fatalf("after patch: r2 = %d, want 2 (sub); decode cache served a stale entry", got)
 	}
-	if c.tStale == stale {
+	if c.t.DecodeStale == stale {
 		t.Errorf("patched word re-decoded without counting a stale entry (stale=%d)", stale)
+	}
+}
+
+// TestInstrEnergyTable walks every path that sets the supply voltage —
+// construction, Retune, SetVoltage, Restore — and requires the table
+// chargeInstr adds from to equal energy.InstrEnergy for every class:
+// the table is the same expression evaluated once, so dynamicJ accrues
+// bit-identically.
+func TestInstrEnergyTable(t *testing.T) {
+	r := newRig(t)
+	c, err := NewCore(r.k, r.net.Switch(v00()), Config{FreqMHz: 71, VDD: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(path string) {
+		t.Helper()
+		for class := 0; class < energy.NumInstrClasses; class++ {
+			want := energy.InstrEnergy(energy.InstrClass(class), c.Config().VDD)
+			if got := c.instrJ[class]; got != want {
+				t.Errorf("after %s at %v V: instrJ[%v] = %g, want %g",
+					path, c.Config().VDD, energy.InstrClass(class), got, want)
+			}
+		}
+	}
+	check("NewCore")
+	snap := c.Snapshot()
+	if err := c.Retune(Config{FreqMHz: 71, VDD: 0.8}); err != nil {
+		t.Fatal(err)
+	}
+	check("Retune")
+	if err := c.SetVoltage(0.65); err != nil {
+		t.Fatal(err)
+	}
+	check("SetVoltage")
+	c.Restore(snap)
+	if c.Config().VDD != 1.0 {
+		t.Fatalf("Restore left VDD at %v", c.Config().VDD)
+	}
+	check("Restore")
+}
+
+// mustPanic runs f and requires a panic whose message contains want.
+func mustPanic(t *testing.T, name, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, want) {
+			t.Errorf("%s: recovered %q, want a panic containing %q", name, msg, want)
+		}
+	}()
+	f()
+}
+
+// TestUnsettledCorePanics pins the guard on every entry into a core
+// from outside its own issue step: while the core holds pre-executed
+// slots the group loop has not replayed, its state is ahead of the
+// kernel clock and must not be observed or disturbed. Reset, Load and
+// LoadAt discard the log instead.
+func TestUnsettledCorePanics(t *testing.T) {
+	r := newRig(t)
+	c := r.core(t, v00(), turboLoop)
+	snap := c.Snapshot()
+	ahead := func() {
+		t.Helper()
+		c.preexec(c.alignUp(r.k.Now()), sim.Millisecond)
+		if c.logTail == 0 {
+			t.Fatal("preexec logged nothing")
+		}
+	}
+	ahead()
+	for name, f := range map[string]func(){
+		"EnergyJ":        func() { c.EnergyJ() },
+		"DynamicEnergyJ": func() { c.DynamicEnergyJ() },
+		"Snapshot":       func() { c.Snapshot() },
+		"Restore":        func() { c.Restore(snap) },
+		"Retune":         func() { _ = c.Retune(DefaultConfig()) },
+		"SetFrequency":   func() { _ = c.SetFrequency(100) },
+		"SetVoltage":     func() { _ = c.SetVoltage(1.0) },
+		"Halt":           func() { c.Halt() },
+		"kickThread":     func() { c.kickThread(&c.threads[0]) },
+		"issueOne":       func() { c.issueOne() },
+	} {
+		mustPanic(t, name, name+" on core", f)
+	}
+	for name, f := range map[string]func(){
+		"Reset":  func() { c.Reset() },
+		"Load":   func() { _ = c.Load(MustAssemble(turboLoop)) },
+		"LoadAt": func() { _ = c.LoadAt(MustAssemble(turboLoop), 0x1000) },
+	} {
+		f()
+		if c.logTail != 0 {
+			t.Errorf("%s left %d pre-executed slots behind", name, c.logTail-c.logHead)
+		}
+		c.EnergyJ() // settled again: must not panic
+		ahead()
+	}
+}
+
+// TestReplayMismatchPanics pins the replay assertion: a pre-executed
+// slot reached at any time but the one it was logged for means the core
+// was re-timed behind its back, and the batch must not go on.
+func TestReplayMismatchPanics(t *testing.T) {
+	r := newRig(t)
+	c := r.core(t, v00(), turboLoop)
+	c.preexec(c.alignUp(r.k.Now())+c.clk.Period(), sim.Millisecond)
+	mustPanic(t, "replay", "pre-executed it for", func() { r.k.RunFor(sim.Microsecond) })
+}
+
+// TestPreexecOnlyInsideUntracedRunUntil pins where cores may run ahead
+// of the clock: never under Step or Run, where every return hands the
+// host a kernel whose cores it may inspect, and never with a recorder
+// attached, whose events carry kernel time. The same slice does
+// pre-execute under RunFor, so the zeros mean something.
+func TestPreexecOnlyInsideUntracedRunUntil(t *testing.T) {
+	defer SetTurbo(true)
+	SetTurbo(true)
+	const finite = `
+	ldc r0, 400
+loop:
+	add r1, r0, r0
+	sub r2, r1, r0
+	subi r0, r0, 1
+	brt r0, loop
+	tend
+`
+	t.Run("Step", func(t *testing.T) {
+		r := newRig(t)
+		cores := r.group(t, turboLoop)
+		for i := 0; i < 2000; i++ {
+			if !r.k.Step() {
+				t.Fatal("kernel ran dry")
+			}
+		}
+		if n := preexecSlots(cores); n != 0 {
+			t.Errorf("cores pre-executed %d slots under Step", n)
+		}
+	})
+	t.Run("Run", func(t *testing.T) {
+		r := newRig(t)
+		cores := r.group(t, finite)
+		r.k.Run()
+		if cores[0].InstrCount < 1600 || !cores[0].Done() {
+			t.Fatalf("program did not finish under Run (%d instructions)", cores[0].InstrCount)
+		}
+		if n := preexecSlots(cores); n != 0 {
+			t.Errorf("cores pre-executed %d slots under Run", n)
+		}
+	})
+	t.Run("recorder", func(t *testing.T) {
+		r := newRig(t)
+		r.k.SetRecorder(trace.NewRecorder(1 << 10))
+		cores := r.group(t, turboLoop)
+		r.k.RunFor(20 * sim.Microsecond)
+		if n := preexecSlots(cores); n != 0 {
+			t.Errorf("cores pre-executed %d slots with a recorder attached", n)
+		}
+	})
+	t.Run("RunFor", func(t *testing.T) {
+		r := newRig(t)
+		cores := r.group(t, turboLoop)
+		r.k.RunFor(20 * sim.Microsecond)
+		if preexecSlots(cores) == 0 {
+			t.Error("a slice of compute loops never pre-executed under RunFor")
+		}
+		for _, c := range cores {
+			if c.logTail != 0 {
+				t.Errorf("core %v returned from RunFor with %d slots not replayed", c.node, c.logTail-c.logHead)
+			}
+		}
+	})
+}
+
+// TestWakeableCoreNeverPreexecs pins the second soundness condition: a
+// core with a thread parked on a channel end or on the reference clock
+// can be re-timed by an outside event at any moment, so however long
+// its other threads compute it never runs ahead — while its siblings in
+// the same group do.
+func TestWakeableCoreNeverPreexecs(t *testing.T) {
+	defer SetTurbo(true)
+	SetTurbo(true)
+	const parked = `
+	getst r1, waiter
+	ldc   r2, 0xE800
+	tsetr r1, 12, r2
+	tstart r1
+	getst r1, sleeper
+	ldc   r2, 0xE000
+	tsetr r1, 12, r2
+	tstart r1
+	ldc r0, 7
+loop:
+	add r1, r0, r0
+	sub r2, r1, r0
+	bru loop
+waiter:
+	getr r0, 2
+	in   r0, r1       ; never fed
+	tend
+sleeper:
+	time r1
+	ldc  r2, 10000000
+	add  r1, r1, r2
+	twait r1
+	tend
+`
+	r := newRig(t)
+	cores := r.group(t, turboLoop)
+	if err := cores[0].Load(MustAssemble(parked)); err != nil {
+		t.Fatal(err)
+	}
+	r.k.RunFor(20 * sim.Microsecond)
+	c := cores[0]
+	if c.threads[1].State != TBlockedChan || c.threads[2].State != TBlockedTime || c.InstrCount < 1000 {
+		t.Fatalf("setup: thread states %v/%v after %d instructions, want blocked-chan/blocked-time beside a computing thread",
+			c.threads[1].State, c.threads[2].State, c.InstrCount)
+	}
+	if c.t.PreexecSlots != 0 {
+		t.Errorf("core with parked threads pre-executed %d slots", c.t.PreexecSlots)
+	}
+	if preexecSlots(cores[1:]) == 0 {
+		t.Error("its compute-only siblings never pre-executed")
+	}
+}
+
+// TestTrapInsidePreexecutedWindow runs a slice in which one core's only
+// thread traps after a few hundred compute instructions — deep inside a
+// window it pre-executed — while fifteen siblings carry on, and holds
+// the result to the slow path's: the trap slot must end its batch and
+// re-arm the core exactly as the trap itself would have.
+func TestTrapInsidePreexecutedWindow(t *testing.T) {
+	defer SetTurbo(true)
+	const trapping = `
+	ldc r0, 150
+loop:
+	add  r1, r1, r0
+	xor  r2, r2, r1
+	subi r0, r0, 1
+	brt  r0, loop
+	ldc  r3, 2
+	ldw  r4, r3, r0   ; byte address 2: traps
+	tend
+`
+	type outcome struct {
+		now        sim.Time
+		seq, fired uint64
+		pending    int
+		instrs     []uint64
+		idle       []uint64
+		trap       string
+	}
+	run := func(turbo bool) (outcome, []*Core) {
+		SetTurbo(turbo)
+		r := newRig(t)
+		cores := r.group(t, turboLoop)
+		if err := cores[5].Load(MustAssemble(trapping)); err != nil {
+			t.Fatal(err)
+		}
+		r.k.RunFor(5 * sim.Microsecond)
+		o := outcome{now: r.k.Now(), seq: r.k.Seq(), fired: r.k.Fired(), pending: r.k.Pending()}
+		for _, c := range cores {
+			o.instrs = append(o.instrs, c.InstrCount)
+			o.idle = append(o.idle, c.IdleSlots)
+		}
+		if err := cores[5].Trapped(); err != nil {
+			o.trap = err.Error()
+		}
+		return o, cores
+	}
+	slow, _ := run(false)
+	fast, cores := run(true)
+	if slow.trap == "" {
+		t.Fatal("the trapping core did not trap")
+	}
+	if fmt.Sprint(slow) != fmt.Sprint(fast) {
+		t.Errorf("turbo diverges from the slow path\n slow %+v\nturbo %+v", slow, fast)
+	}
+	// The trap has to have happened ahead of the clock for this test to
+	// mean anything: the core pre-executed right up to it (603
+	// instructions, each followed by an idle probe).
+	if got := cores[5].t.PreexecSlots; got < 1000 {
+		t.Errorf("trapping core pre-executed %d slots; the trap was not inside a pre-executed window", got)
+	}
+}
+
+// TestPreexecutedSlotsCannotOutliveRunUntil pins the other half of the
+// first soundness condition: slots are logged within the deadline of
+// the RunUntil that pre-executed them, so a batch that may not run
+// ahead itself — here one driven by Step — never finds any.
+func TestPreexecutedSlotsCannotOutliveRunUntil(t *testing.T) {
+	r := newRig(t)
+	c := r.core(t, v00(), turboLoop)
+	c.preexec(c.alignUp(r.k.Now()), sim.Millisecond)
+	mustPanic(t, "Step", "outside the untraced RunUntil", func() { r.k.Step() })
+}
+
+// TestPreexecStopsBeforeCommunicationPick runs six threads per core,
+// each reaching a (non-blocking) communication instruction every three
+// hundred compute instructions, so that pre-executed runs keep ending
+// at a communication pick with other threads ready in the same slot —
+// and the pick has to be undone exactly, or the thread rotation slips
+// for one round. The slice is cut every few cycles, at every phase, and
+// every thread's PC, registers and instruction count held to the slow
+// path's.
+func TestPreexecStopsBeforeCommunicationPick(t *testing.T) {
+	defer SetTurbo(true)
+	var src strings.Builder
+	for i := 1; i <= 5; i++ {
+		fmt.Fprintf(&src, "getst r1, work\nldc r2, %d\ntsetr r1, 12, r2\ntstart r1\n", 0xF000-i*0x800)
+	}
+	src.WriteString("work:\n\tgettid r6\n\taddi r6, r6, 3\nloop:\n")
+	for i := 0; i < 150; i++ {
+		src.WriteString("\tadd r1, r1, r6\n\txor r2, r2, r1\n")
+	}
+	src.WriteString("\tgettid r5\n\tbru loop\n")
+
+	state := func(cores []*Core) string {
+		var b strings.Builder
+		for _, c := range cores[:2] {
+			for i := range c.threads {
+				th := &c.threads[i]
+				fmt.Fprintf(&b, "%v:%d@%d#%d%v ", c.node, i, th.PC, th.Instrs, th.Regs[:7])
+			}
+		}
+		return b.String()
+	}
+	run := func(turbo bool) ([]string, uint64) {
+		SetTurbo(turbo)
+		r := newRig(t)
+		cores := r.group(t, src.String())
+		var cuts []string
+		for i := 0; i < 1500; i++ {
+			r.k.RunFor(cores[0].clk.Cycles(int64(1 + i*7%41)))
+			cuts = append(cuts, fmt.Sprintf("seq=%d fired=%d %s", r.k.Seq(), r.k.Fired(), state(cores)))
+		}
+		return cuts, preexecSlots(cores)
+	}
+	slow, _ := run(false)
+	fast, ahead := run(true)
+	for i := range slow {
+		if slow[i] != fast[i] {
+			t.Fatalf("cut %d: turbo diverges from the slow path\n slow %s\nturbo %s", i, slow[i], fast[i])
+		}
+	}
+	if ahead == 0 {
+		t.Error("no core pre-executed; the cuts tested nothing")
+	}
+}
+
+// TestForeignEventSeesSettledCores arms a periodic foreign timer that
+// reads every core's energy and instruction count — on the cores' slot
+// grid, so it ties with issue slots, and off it — while the slice
+// pre-executes. Every logged slot must have been replayed before the
+// timer fires (EnergyJ panics otherwise), none at or past its time may
+// have been run, and the readings must be the slow path's.
+func TestForeignEventSeesSettledCores(t *testing.T) {
+	defer SetTurbo(true)
+	run := func(turbo bool, every sim.Time) ([]string, uint64) {
+		SetTurbo(turbo)
+		r := newRig(t)
+		cores := r.group(t, turboLoop)
+		var seen []string
+		var tick *sim.Timer
+		tick = r.k.NewTimer(func() {
+			s := fmt.Sprintf("t=%d seq=%d", r.k.Now(), r.k.Seq())
+			for _, c := range cores {
+				s += fmt.Sprintf(" %d/%x/%d", c.InstrCount, math.Float64bits(c.EnergyJ()), c.LastIssue)
+			}
+			seen = append(seen, s)
+			tick.ArmAfter(every)
+		})
+		tick.ArmAfter(every)
+		r.k.RunFor(40 * sim.Microsecond)
+		return seen, preexecSlots(cores)
+	}
+	for _, every := range []sim.Time{150 * 2000, 150*2000 + 777} {
+		slow, _ := run(false, every)
+		fast, ahead := run(true, every)
+		if len(slow) != len(fast) {
+			t.Fatalf("timer fired %d times on the slow path, %d with turbo", len(slow), len(fast))
+		}
+		for i := range slow {
+			if slow[i] != fast[i] {
+				t.Fatalf("firing %d (every %v): turbo diverges\n slow %s\nturbo %s", i, every, slow[i], fast[i])
+			}
+		}
+		if ahead == 0 {
+			t.Errorf("every %v: no core pre-executed", every)
+		}
 	}
 }
