@@ -128,9 +128,14 @@
 // so a core on a streak of compute instructions runs its own next
 // slots alone on a local clock and logs one (at, next) pair per slot,
 // and the group loop — still the single owner of global order and
-// kernel accounting — replays the timing when it reaches them. The
-// contract: turbo is step-by-step — batching never changes
-// architectural state at any foreign-event boundary, and a core's
+// kernel accounting — replays the timing when it reaches them: slot by
+// slot in general, and by whole turns of the group queue — each log
+// head moved on by r, each queued time by r periods, one counted
+// kernel step (sim.Kernel.StepN) — where every queued core keeps to one
+// clock's grid and the queue would provably only rotate, which is how
+// the paper's loaded slices run. The contract: turbo is step-by-step —
+// batching never changes architectural state at any foreign-event
+// boundary, and a core's
 // private state leads the kernel clock only inside one RunUntil, never
 // past the next foreign event or the deadline, never while an outside
 // event could wake one of its threads, never with a recorder attached;

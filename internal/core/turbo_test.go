@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -24,6 +25,9 @@ type turboCut struct {
 	batches, instrs     uint64
 	decodeHits, decodeM uint64
 	preexec, replayed   uint64
+	roundSlots          uint64
+	// seen is what the shape's foreign observer has recorded so far.
+	seen string
 }
 
 // turboShape is one machine and workload the differential runs: build
@@ -34,6 +38,85 @@ type turboShape struct {
 	// ahead marks a shape whose cores must get to pre-execute, or the
 	// differential has not tested what it is there for.
 	ahead bool
+	// cuts draws the RunFor schedule; nil takes randomCuts.
+	cuts func(rng *rand.Rand) []sim.Time
+	// watch arms a foreign observer on the built machine and returns
+	// what it has seen so far, for the cuts to compare.
+	watch func(m *Machine) func() string
+	// rounds says whether the replay has to retire slots by whole turns
+	// of the group ring (roundsMust), must refuse to (roundsNever), or
+	// may do either.
+	rounds int
+	// capped marks a shape that is nothing but issue slots once it is
+	// under way, so that every batch of a segment but its last has to
+	// end at the batch cap — on the very slot, whether or not a round
+	// step carried it there.
+	capped bool
+}
+
+const (
+	roundsMust  = 1
+	roundsNever = -1
+)
+
+// batchCap is xs1's turboBatchCap, which the capped shapes pin.
+const batchCap = 4096
+
+// cycle is one core cycle at the default 500 MHz.
+const cycle = 2 * sim.Nanosecond
+
+// randomCuts is the default schedule: 1 ps to ~8 µs, log-ish spread so
+// some cuts land mid-batch after a handful of picoseconds and others
+// span thousands of instructions.
+func randomCuts(rng *rand.Rand) []sim.Time {
+	schedule := make([]sim.Time, 40)
+	for i := range schedule {
+		schedule[i] = sim.Time(1 + rng.Int63n(1<<uint(3+rng.Intn(21))))
+	}
+	return schedule
+}
+
+// cycleCuts cuts every 1 to 41 cycles, so that deadlines fall inside
+// pre-executed windows and inside the rounds that replay them.
+func cycleCuts(rng *rand.Rand) []sim.Time {
+	schedule := make([]sim.Time, 600)
+	for i := range schedule {
+		schedule[i] = sim.Time(1+rng.Intn(41)) * cycle
+	}
+	return schedule
+}
+
+// cappedCores is how many cores the capped shape keeps busy. With m
+// members in step the replay first asks for rounds m-1 slots into a
+// batch, and the cap bounds the answer to (batchCap-1-(m-1))/m whole
+// turns; seventeen divides 4097, so there a bound one slot too generous
+// is one whole turn too many, where sixteen would hide it in the
+// remainder.
+const cappedCores = 17
+
+// capCuts runs cappedCores dense cores for a little over k cap-fulls of
+// slots, with k large enough that batches one slot too long or too short
+// would come out one fewer or one more, between short segments that move
+// the phase.
+func capCuts(rng *rand.Rand) []sim.Time {
+	var schedule []sim.Time
+	for i := 0; i < 8; i++ {
+		k := 20 + rng.Intn(8)
+		schedule = append(schedule,
+			sim.Time(1+rng.Intn(300))*cycle,
+			sim.Time((batchCap*k+cappedCores-1)/cappedCores)*cycle)
+	}
+	return schedule
+}
+
+// loadLockstep loads every core of a slice with the heavy compute mix,
+// four threads on even cores and eight on odd ones: sixteen cores with
+// an instruction in every slot, on one clock.
+func loadLockstep(t *testing.T, m *Machine) {
+	t.Helper()
+	for i, c := range m.Cores() {
+		loadOn(t, m, c.Node(), workload.HeavyLoad(4+4*(i%2), 1<<20))
+	}
 }
 
 var turboShapes = []turboShape{
@@ -112,6 +195,89 @@ var turboShapes = []turboShape{
 			tend`+aluWorker))
 		loadOn(t, m, n(1, 3, h), workload.StreamRx(64))
 		loadOn(t, m, n(1, 3, v), workload.StreamTx(noc.MakeChanEndID(uint16(n(1, 3, h)), 0), 64))
+		return m
+	}},
+	// The shape the paper measures in and round steps are for: all
+	// sixteen cores of a slice under heavy load on one clock, so the
+	// group ring only rotates. Cut every few cycles.
+	{name: "1x1-lockstep", ahead: true, rounds: roundsMust, cuts: cycleCuts, build: func(t *testing.T) *Machine {
+		m := MustNew(1, 1, Options{})
+		loadLockstep(t, m)
+		return m
+	}},
+	// The same with one member on another clock: its slots drift through
+	// the others' grid, the ring does not merely rotate, and every round
+	// step has to be refused.
+	{name: "1x1-lockstep-retuned", ahead: true, rounds: roundsNever, cuts: cycleCuts, build: func(t *testing.T) *Machine {
+		m := MustNew(1, 1, Options{})
+		loadLockstep(t, m)
+		if err := m.Cores()[5].SetFrequency(400); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}},
+	// Staggered members. Cores are loaded a few cycles apart; three of
+	// them spend those cycles on another clock before joining the common
+	// one, so their slots sit between the others' for good; and two run
+	// one and two threads for a while, whose idle probes skip ahead —
+	// such a core sits in the ring more than a period out with a fresh
+	// window that begins on its grid, which only the test of the ring's
+	// tail against now + period keeps out of a round.
+	{name: "1x1-staggered", ahead: true, rounds: roundsMust, cuts: cycleCuts, build: func(t *testing.T) *Machine {
+		m := MustNew(1, 1, Options{})
+		for i, c := range m.Cores() {
+			prog := workload.HeavyLoad(4+4*(i%2), 1<<20)
+			switch i {
+			case 3:
+				prog = workload.HeavyLoad(1, 100)
+			case 12:
+				prog = workload.HeavyLoad(2, 100)
+			}
+			loadOn(t, m, c.Node(), prog)
+			if i%5 == 2 {
+				if err := c.SetFrequency(437); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.RunFor(sim.Time(1+i%4) * cycle)
+		}
+		for _, c := range m.Cores() {
+			if err := c.SetFrequency(500); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}},
+	// A periodic foreign timer, as the power-trace tick is one, reading
+	// every core: 150.5 cycles apart, so it lands on the slot grid and
+	// between slots by turns, inside windows and inside rounds, and has
+	// to find every core settled at exactly its own time.
+	{name: "1x1-lockstep-ticked", ahead: true, rounds: roundsMust,
+		build: func(t *testing.T) *Machine {
+			m := MustNew(1, 1, Options{})
+			loadLockstep(t, m)
+			return m
+		},
+		watch: func(m *Machine) func() string {
+			var seen []string
+			var tick *sim.Timer
+			tick = m.K.NewTimer(func() {
+				seen = append(seen, fmt.Sprintf("t=%d seq=%d instrs=%d e=%x", m.K.Now(), m.K.Seq(),
+					m.TotalInstrCount(), math.Float64bits(m.TotalCoreEnergyJ())))
+				tick.ArmAfter(301 * cycle / 2)
+			})
+			tick.ArmAfter(301 * cycle / 2)
+			return func() string { return fmt.Sprint(seen) }
+		}},
+	// Long runs of seventeen dense cores on two slices: the batch cap
+	// falls inside a round step's reach — on a turn's last slot, if the
+	// step is not careful — and has to cut at the slot it always did.
+	{name: "1x2-capped", ahead: true, rounds: roundsMust, capped: true, cuts: capCuts, build: func(t *testing.T) *Machine {
+		m := MustNew(1, 2, Options{})
+		for i, c := range m.Cores()[:cappedCores] {
+			loadOn(t, m, c.Node(), workload.HeavyLoad(4+4*(i%2), 1<<20))
+		}
+		m.RunFor(sim.Microsecond) // past the thread spawns, which end batches early
 		return m
 	}},
 }
@@ -217,11 +383,17 @@ func loadStreams(t *testing.T, m *Machine, words int) {
 func runSchedule(t *testing.T, shape turboShape, schedule []sim.Time) []turboCut {
 	t.Helper()
 	m := shape.build(t)
+	seen := func() string { return "" }
+	if shape.watch != nil {
+		seen = shape.watch(m)
+	}
 	cuts := make([]turboCut, 0, len(schedule))
 	for _, d := range schedule {
 		m.RunFor(d)
 		ts := xs1.ReadTurboStats()
 		cuts = append(cuts, turboCut{
+			seen:       seen(),
+			roundSlots: ts.RoundSlots,
 			fp:         fingerprint(m),
 			threads:    threadStates(m),
 			now:        m.K.Now(),
@@ -261,14 +433,11 @@ func TestTurboRandomizedDifferential(t *testing.T) {
 
 func turboDifferential(t *testing.T, shape turboShape, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	const segments = 40
-	schedule := make([]sim.Time, segments)
-	for i := range schedule {
-		// 1ps .. ~8µs, log-ish spread so some cuts land mid-batch
-		// after a handful of picoseconds and others span thousands
-		// of instructions.
-		schedule[i] = sim.Time(1 + rng.Int63n(1<<uint(3+rng.Intn(21))))
+	draw := shape.cuts
+	if draw == nil {
+		draw = randomCuts
 	}
+	schedule := draw(rng)
 
 	xs1.SetTurbo(false)
 	slow := runSchedule(t, shape, schedule)
@@ -300,12 +469,37 @@ func turboDifferential(t *testing.T, shape turboShape, seed int64) {
 		if f.preexec != f.replayed {
 			t.Fatalf("cut %d: %d slots pre-executed, %d replayed", i, f.preexec, f.replayed)
 		}
+		if s.seen != f.seen {
+			t.Fatalf("cut %d (after RunFor(%d), now=%d): the foreign observer saw different things\n slow %s\nturbo %s",
+				i, schedule[i], s.now, s.seen, f.seen)
+		}
+		if shape.capped && i > 0 {
+			// Nothing fires but issue slots and nothing ends a batch but
+			// the cap and the segment's deadline.
+			slots, batches := f.fired-fast[i-1].fired, f.batches-fast[i-1].batches
+			if want := (slots + batchCap - 1) / batchCap; batches != want {
+				t.Fatalf("cut %d: %d slots ran in %d batches, want %d: the cap of %d did not cut where it should",
+					i, slots, batches, want, batchCap)
+			}
+		}
 	}
-	ahead := fast[len(fast)-1].preexec - slow[len(slow)-1].preexec
+	last, base := fast[len(fast)-1], slow[len(slow)-1]
+	ahead := last.preexec - base.preexec
 	if shape.ahead && ahead == 0 {
 		t.Error("no core pre-executed a slot; the shape is there to exercise that")
 	}
-	t.Logf("%d batches, %d slots pre-executed, simulated %v", turboBatches, ahead, fast[len(fast)-1].now)
+	inRounds := last.roundSlots - base.roundSlots
+	if inRounds > ahead {
+		t.Errorf("%d slots retired by rounds, more than the %d pre-executed", inRounds, ahead)
+	}
+	if shape.rounds == roundsMust && inRounds == 0 {
+		t.Error("no slot was retired by a round step; the shape is there to exercise that")
+	}
+	if shape.rounds == roundsNever && inRounds != 0 {
+		t.Errorf("%d slots retired by round steps in a ring that does not merely rotate", inRounds)
+	}
+	t.Logf("%d batches, %d slots pre-executed, %d of them retired by rounds, simulated %v",
+		turboBatches, ahead, inRounds, last.now)
 }
 
 // TestTurboToggle pins the wiring: SetTurbo flips TurboEnabled and

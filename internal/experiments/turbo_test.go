@@ -77,4 +77,29 @@ func TestTurboMatchesSlowPathGolden(t *testing.T) {
 	if ts.PreexecSlots == 0 || ts.PreexecSlots != ts.ReplayedSlots {
 		t.Errorf("pre-executed %d slots, replayed %d; want equal and non-zero", ts.PreexecSlots, ts.ReplayedSlots)
 	}
+	// Loaded slices keep one clock, so most of that replay is whole
+	// turns of the group ring.
+	if ts.RoundSlots == 0 || ts.RoundSlots > ts.ReplayedSlots {
+		t.Errorf("%d slots retired by rounds of %d replayed; want above 0 and no more", ts.RoundSlots, ts.ReplayedSlots)
+	}
+}
+
+// TestSingleCoreRenderNeverRunsAhead pins the other side of the ledger:
+// a lone awake core has nobody to interleave with, runs the exact inner
+// loop, and neither pre-executes nor replays a slot.
+func TestSingleCoreRenderNeverRunsAhead(t *testing.T) {
+	before := TurboStats()
+	for _, name := range []string{"eq2", "fig4"} {
+		if _, err := harness.Lookup(name).Table(harness.QuickConfig()); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	after := TurboStats()
+	if after.Batches == before.Batches {
+		t.Fatal("the renders recorded no turbo batches")
+	}
+	if after.PreexecSlots != before.PreexecSlots || after.ReplayedSlots != before.ReplayedSlots || after.RoundSlots != before.RoundSlots {
+		t.Errorf("single-core renders ran ahead of the clock: pre-executed %d, replayed %d, by rounds %d; want 0, 0, 0",
+			after.PreexecSlots-before.PreexecSlots, after.ReplayedSlots-before.ReplayedSlots, after.RoundSlots-before.RoundSlots)
+	}
 }

@@ -440,6 +440,7 @@ func TestHealthAndMetrics(t *testing.T) {
 		`swallow_turbo_batch_exits_total{reason="asleep"}`,
 		"swallow_turbo_preexec_slots_total",
 		"swallow_turbo_replayed_slots_total",
+		"swallow_turbo_round_slots_total",
 		"swallow_turbo_decode_hits_total",
 		"swallow_turbo_decode_misses_total",
 		"swallow_turbo_decode_invalidated_total",

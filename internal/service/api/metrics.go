@@ -195,6 +195,7 @@ func (m *metrics) write(w io.Writer, cs cache.Stats, ss store.Stats, queueDepth,
 	}
 	fmt.Fprintf(w, "swallow_turbo_preexec_slots_total %d\n", ts.PreexecSlots)
 	fmt.Fprintf(w, "swallow_turbo_replayed_slots_total %d\n", ts.ReplayedSlots)
+	fmt.Fprintf(w, "swallow_turbo_round_slots_total %d\n", ts.RoundSlots)
 	fmt.Fprintf(w, "swallow_turbo_decode_hits_total %d\n", ts.DecodeHits)
 	fmt.Fprintf(w, "swallow_turbo_decode_misses_total %d\n", ts.DecodeMisses)
 	fmt.Fprintf(w, "swallow_turbo_decode_invalidated_total %d\n", ts.DecodeStale)

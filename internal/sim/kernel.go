@@ -167,15 +167,16 @@ func (k *Kernel) WheelSpan() Time { return k.wheelSpan }
 // Now reports the current simulation time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Fired reports the number of events executed so far. StepTo's
-// synthetic firings count, so a batched run reports the same total as
-// the equivalent event-by-event run.
+// Fired reports the number of events executed so far. The synthetic
+// firings of StepTo and StepN count, one per slot stepped, so a batched
+// run reports the same total as the equivalent event-by-event run.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
 // Seq reports the number of registrations consumed so far (the next
 // registration's sequence number). Like Fired it is held in lockstep
 // between batched and event-by-event execution: StepTo consumes one
-// seq per synthetic slot, exactly as the arm it replaces would have.
+// seq per synthetic slot and StepN one for each of the slots it covers,
+// exactly as the arms they replace would have.
 func (k *Kernel) Seq() uint64 { return k.seq }
 
 // SetRecorder attaches (or, with nil, detaches) the flight recorder.
@@ -323,7 +324,8 @@ func (k *Kernel) rebase() {
 // head positions both tiers on their earliest live registration and
 // returns the queue head under the (time, seq) merge without consuming
 // it; far says which tier holds it. Every head primitive — Step,
-// RunUntil, NextForeign, AbsorbNext, StepTo's check — shares this walk.
+// RunUntil, NextForeign, AbsorbNext, the pending-event check of StepTo
+// and StepN — shares this walk.
 // A pop leaves curHead on the next slot of the current bucket, so the
 // walk that follows one usually finds the head in view — a live slot
 // there, a live or absent heap top — and answers without stepping the
@@ -485,6 +487,26 @@ func (k *Kernel) StepTo(t Time) {
 	k.seq++
 	k.fired++
 	k.now = t
+}
+
+// StepN is n StepTo calls in one: n arm/fire pairs at times that never
+// decrease, the last of them at t. It consumes n sequence numbers and n
+// firings and leaves the clock at t. Every intermediate time lies
+// between now and t, so StepTo's three checks made once, against t,
+// cover all n steps — it is one StepTo(t) and n-1 more counts; keeping
+// the intermediate times monotone is the caller's to guarantee. n == 0
+// takes no step at all — the clock stays where it is, whatever t says —
+// and a negative n panics.
+func (k *Kernel) StepN(t Time, n int) {
+	if n <= 0 {
+		if n < 0 {
+			panic(fmt.Sprintf("sim: StepN(%v, %d) with a negative count", t, n))
+		}
+		return
+	}
+	k.StepTo(t)
+	k.seq += uint64(n - 1)
+	k.fired += uint64(n - 1)
 }
 
 // Reset drains every pending registration and rewinds the kernel to

@@ -1,0 +1,180 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// kernelState is everything a stepping primitive may move, plus the
+// queue head the next primitive would find.
+func kernelState(k *Kernel) string {
+	s, far, ok := k.head()
+	return fmt.Sprintf("now=%d seq=%d fired=%d pending=%d head=(%d,%d,far=%v,%v)",
+		k.Now(), k.Seq(), k.Fired(), k.Pending(), s.when, s.seq, far, ok)
+}
+
+// TestStepNMatchesStepTo holds one counted step against the StepTo
+// calls it stands for: twin kernels with the same randomized queue —
+// registrations in both tiers, stale slots left by cancels and re-arms,
+// sometimes nothing pending at all — step from inside a firing event to
+// the same final time, one slot at a time and all at once, under Run
+// and under a RunUntil whose deadline is the final time itself. Clock,
+// counters, the head the next primitive finds and everything that fires
+// afterwards must agree.
+func TestStepNMatchesStepTo(t *testing.T) {
+	for _, shift := range []int{4, defaultQuantumShift} {
+		for seed := int64(1); seed <= 200; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			span := Time(numBuckets) << uint(shift)
+			start := Time(1 + rng.Int63n(int64(span)))
+			// The steps: n monotone times (ties allowed) after start.
+			n := 1 + rng.Intn(40)
+			times := make([]Time, n)
+			at := start
+			for i := range times {
+				at += Time(rng.Int63n(int64(span) / 8))
+				times[i] = at
+			}
+			last := times[n-1]
+			// The queue: everything strictly after the final time.
+			type reg struct {
+				when   Time
+				cancel bool
+				rearm  Time
+			}
+			regs := make([]reg, rng.Intn(12))
+			for i := range regs {
+				r := reg{when: last + 1 + Time(rng.Int63n(int64(span)*3))}
+				switch rng.Intn(4) {
+				case 0:
+					r.cancel = true
+				case 1:
+					r.rearm = last + 1 + Time(rng.Int63n(int64(span)*3))
+				}
+				regs[i] = r
+			}
+			bounded := rng.Intn(2) == 0
+
+			run := func(counted bool) (mid string, fired []string) {
+				k := NewKernel(WithQuantumShift(shift))
+				timers := make([]*Timer, len(regs))
+				for i := range regs {
+					i := i
+					timers[i] = k.NewTimer(func() { fired = append(fired, fmt.Sprintf("%d@%d/%d", i, k.Now(), k.Seq())) })
+				}
+				k.At(start, func() {
+					for i, r := range regs {
+						timers[i].ArmAt(r.when)
+						if r.cancel {
+							timers[i].Disarm()
+						} else if r.rearm != 0 {
+							timers[i].ArmAt(r.rearm)
+						}
+					}
+					if counted {
+						k.StepN(last, n)
+					} else {
+						for _, when := range times {
+							k.StepTo(when)
+						}
+					}
+					mid = kernelState(k)
+				})
+				if bounded {
+					k.RunUntil(last)
+				}
+				k.Run()
+				return mid, append(fired, kernelState(k))
+			}
+			slotMid, slotFired := run(false)
+			nMid, nFired := run(true)
+			if slotMid != nMid {
+				t.Fatalf("shift %d seed %d: after %d steps to %v\n StepTo x n: %s\n StepN:      %s", shift, seed, n, last, slotMid, nMid)
+			}
+			if fmt.Sprint(slotFired) != fmt.Sprint(nFired) {
+				t.Fatalf("shift %d seed %d: the runs diverge after the steps\n StepTo x n: %v\n StepN:      %v", shift, seed, slotFired, nFired)
+			}
+		}
+	}
+}
+
+// TestStepNPanics pins the counted step to StepTo's three contract
+// checks, made against the final time — backwards, onto or past a
+// pending registration in either tier, beyond the active RunUntil
+// deadline — and to StepTo sharing them; a negative count is a fourth.
+func TestStepNPanics(t *testing.T) {
+	const deadline = 8 * defaultWheelSpan
+	// step runs f from inside an event at time 100, under
+	// RunUntil(deadline), with timers pending at the given times, and
+	// requires a panic containing want — or none when want is empty.
+	step := func(name, want string, pending []Time, f func(k *Kernel)) {
+		t.Helper()
+		k := NewKernel()
+		k.At(100, func() {
+			defer func() {
+				t.Helper()
+				msg, _ := recover().(string)
+				if msg == "" && want != "" || !strings.Contains(msg, want) {
+					t.Errorf("%s: recovered %q, want a panic containing %q", name, msg, want)
+				}
+			}()
+			f(k)
+		})
+		for _, when := range pending {
+			k.NewTimer(func() {}).ArmAt(when)
+		}
+		k.RunUntil(deadline)
+	}
+	both := []Time{200, 4 * defaultWheelSpan} // one registration per tier
+	farOnly := both[1:]
+	step("backwards", "behind now", both, func(k *Kernel) { k.StepN(99, 3) })
+	step("StepTo backwards", "behind now", both, func(k *Kernel) { k.StepTo(99) })
+	step("onto pending", "would pass pending event at", both, func(k *Kernel) { k.StepN(200, 3) })
+	step("past pending", "would pass pending event at", both, func(k *Kernel) { k.StepN(201, 3) })
+	step("StepTo onto pending", "would pass pending event at", both, func(k *Kernel) { k.StepTo(200) })
+	step("onto far pending", "would pass pending event at", farOnly, func(k *Kernel) { k.StepN(farOnly[0], 3) })
+	step("short of far pending", "", farOnly, func(k *Kernel) { k.StepN(farOnly[0]-1, 3) })
+	step("past deadline", "beyond deadline", nil, func(k *Kernel) { k.StepN(deadline+1, 3) })
+	step("StepTo past deadline", "beyond deadline", nil, func(k *Kernel) { k.StepTo(deadline + 1) })
+	step("onto deadline", "", nil, func(k *Kernel) { k.StepN(deadline, 3) })
+	step("negative count", "negative count", both, func(k *Kernel) { k.StepN(150, -1) })
+}
+
+// TestStepNZeroIsNoOp: a count of zero takes no step, whatever time it
+// names — replay flushes unconditionally on its way out.
+func TestStepNZeroIsNoOp(t *testing.T) {
+	k := NewKernel()
+	k.NewTimer(func() {}).ArmAt(200)
+	k.At(100, func() {
+		before := kernelState(k)
+		for _, when := range []Time{0, 100, 150, 200, 1 << 40} {
+			k.StepN(when, 0)
+		}
+		if after := kernelState(k); after != before {
+			t.Errorf("StepN(_, 0) moved the kernel\n before %s\n after  %s", before, after)
+		}
+	})
+	k.RunUntil(300)
+}
+
+// TestStepNZeroAllocs: the counted step allocates nothing, with
+// registrations pending in both tiers for its check to walk.
+func TestStepNZeroAllocs(t *testing.T) {
+	k := NewKernel()
+	k.NewTimer(func() {}).ArmAt(defaultWheelSpan / 2)
+	k.NewTimer(func() {}).ArmAt(4 * defaultWheelSpan)
+	at := Time(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		at += 16
+		k.StepN(at, 16)
+		k.StepTo(at)
+	})
+	if allocs != 0 {
+		t.Errorf("StepN allocates: %.1f per call, want 0", allocs)
+	}
+	if k.Seq() == 0 || k.Now() != at {
+		t.Fatalf("the steps did not land: now=%v seq=%d", k.Now(), k.Seq())
+	}
+}

@@ -184,9 +184,13 @@ type Core struct {
 	// yet replayed (turbo.go): entries log[logHead:logTail], filled from
 	// zero only when empty, so logTail != 0 says the core's private
 	// state leads the clock. Fixed backing, never snapshotted: it is
-	// empty whenever RunUntil is not executing.
-	logHead, logTail int
-	log              [preexecWindow]preSlot
+	// empty whenever RunUntil is not executing. logRun counts the leading
+	// entries whose core re-arms exactly one period later (next == at +
+	// period), so logRun - logHead is how many more slots the core is
+	// known to keep to its grid — what a round step (turboGroup.rounds)
+	// may retire at once.
+	logHead, logTail, logRun int
+	log                      [preexecWindow]preSlot
 }
 
 // issueFirer and twaitFirer bind the core's timer roles to methods
@@ -400,7 +404,7 @@ func (c *Core) LoadAt(p *Program, byteBase uint32) error {
 // disarming any pending time waits from a previous program and
 // discarding any pre-executed slots of it.
 func (c *Core) resetThreads() {
-	c.logHead, c.logTail = 0, 0
+	c.logHead, c.logTail, c.logRun = 0, 0, 0
 	for i := range c.threads {
 		c.threads[i] = Thread{ID: i}
 		c.twaitTimers[i].Disarm()

@@ -62,6 +62,23 @@ import (
 //     entry into a core from outside its own issue step panics on a
 //     non-empty log (Core.settled).
 //
+//     Replaying has a closed form where it matters most. Cores of a
+//     loaded slice keep one clock, so their slots fall on one grid and
+//     the group queue does nothing but rotate: when the core in hand
+//     and every queued member hold logged slots that each re-arm one
+//     period later, on the same period, and the queue's last slot is no
+//     later than a period from now, every push lands at the tail and
+//     every pop takes the head, and one turn later it is the same queue
+//     one period on. turboGroup.rounds retires r such turns at once —
+//     each log head moved on by r, each queued time by r periods, the
+//     slot count by r per member — and replay steps the kernel for all
+//     of it with one counted step (Kernel.StepN) on its way out: by
+//     induction what the slot-by-slot loop leaves behind, bounded by
+//     the horizon, the deadline and the batch cap exactly as the slots
+//     themselves would be. Anything else — an empty log, another
+//     period, an idle probe that skips ahead, a staggered tail — is
+//     refused, not guessed at, and goes slot by slot.
+//
 // Round-robin order, pipeline spacing, idle-slot accounting and energy
 // accrual run through the same code as the slow path (pickReady,
 // earliestReadyTime, run, chargeInstr), so "turbo ≡ step-by-step" is a
@@ -121,6 +138,9 @@ type TurboStats struct {
 	// no RunUntil is executing.
 	PreexecSlots  uint64
 	ReplayedSlots uint64
+	// RoundSlots counts the replayed slots that were retired by whole
+	// turns of the group ring (turboGroup.rounds) rather than one by one.
+	RoundSlots uint64
 	// DecodeHits/DecodeMisses/DecodeStale count predecode-cache
 	// lookups: hits served an entry, misses decoded a virgin slot,
 	// stale entries were invalidated by a newer page generation and
@@ -139,6 +159,7 @@ func (s *TurboStats) add(o *TurboStats) {
 	}
 	s.PreexecSlots += o.PreexecSlots
 	s.ReplayedSlots += o.ReplayedSlots
+	s.RoundSlots += o.RoundSlots
 	s.DecodeHits += o.DecodeHits
 	s.DecodeMisses += o.DecodeMisses
 	s.DecodeStale += o.DecodeStale
@@ -506,7 +527,7 @@ func (c *Core) preexec(at, limit sim.Time) {
 	}
 	period := c.clk.Period()
 	depth := c.clk.Cycles(PipelineDepth)
-	n := 0
+	n, run := 0, 0
 	for n < preexecWindow && at <= limit {
 		off := c.rrOff
 		th := c.pickReady(at)
@@ -550,13 +571,16 @@ func (c *Core) preexec(at, limit sim.Time) {
 			}
 		}
 		c.log[n] = preSlot{at: at, next: next}
+		if run == n && next == at+period {
+			run++
+		}
 		n++
 		if next < 0 {
 			break
 		}
 		at = next
 	}
-	c.logTail = n
+	c.logTail, c.logRun = n, run
 	c.t.PreexecSlots += uint64(n)
 }
 
@@ -580,33 +604,55 @@ func (g *turboGroup) horizon() (kt sim.Time, kok bool, limit sim.Time) {
 // the ring behind the ring's head, and that head, within limit, is the
 // next slot in global order and pre-executed too — replay makes the
 // trip itself and carries on, so cores running ahead in step spend
-// their time in this loop: a log pop, a push, a pop and a StepTo per
-// slot, and a fresh window pre-executed on the spot whenever a log
-// drains. Everything else (the batch cap, a sleeping or trapped core,
-// a core that keeps the lead, the horizon, a core with nothing logged)
-// goes back to run. ok is false when the slot in hand was not
+// their time here: whole turns of the ring retired at once where the
+// ring provably only rotates (rounds), otherwise a log pop, a push and
+// a pop per slot, and a fresh window pre-executed on the spot whenever
+// a log drains. Everything else (the batch cap, a sleeping or trapped
+// core, a core that keeps the lead, the horizon, a core with nothing
+// logged) goes back to run. ok is false when the slot in hand was not
 // pre-executed and run has to execute it.
+//
+// Nothing in here reads the kernel, so its clock is stepped once, on
+// the way out, for every slot the call went through: slots counts
+// them, their times never decrease (a popped slot earlier than the one
+// before it panics), and the last of them is now.
 func (g *turboGroup) replay(cur *Core, now sim.Time, slots int, limit sim.Time) (_ *Core, _ sim.Time, _ int, next sim.Time, ok bool) {
 	if !g.mayPreexec && cur.logTail != 0 {
 		// Slots are logged within the deadline of the RunUntil that
 		// pre-executed them and replayed before it returns.
 		panic(fmt.Sprintf("xs1: core %v holds pre-executed slots outside the untraced RunUntil that logged them", cur.node))
 	}
+	entered := slots
+	next = -1
+	// refused counts down the slots to go one by one after the ring
+	// refused a round step: one turn, until the refused core is in hand
+	// again, so a ring that cannot step in rounds is not asked per slot.
+	refused := 0
 	for cur.logTail != 0 {
-		e := cur.log[cur.logHead&(preexecWindow-1)]
+		e := cur.log[cur.logHead]
 		if e.at != now {
 			panic(fmt.Sprintf("xs1: core %v reached its issue slot at %v but pre-executed it for %v",
 				cur.node, now, e.at))
 		}
+		if refused > 0 {
+			refused--
+		} else if cur.logRun-cur.logHead >= 2 {
+			if t, n := g.rounds(cur, now, slots, limit); n > 0 {
+				now, slots = t, slots+n
+				continue
+			}
+			refused = int(g.tail - g.head)
+		}
 		if cur.logHead++; cur.logHead == cur.logTail {
-			cur.t.ReplayedSlots += uint64(cur.logTail)
-			cur.logHead, cur.logTail = 0, 0
+			cur.drained()
 		}
 		if slots+1 >= turboBatchCap || g.head == g.tail {
-			return cur, now, slots, e.next, true
+			next, ok = e.next, true
+			break
 		}
 		if hw := g.headWhen(); e.next < hw || hw > limit {
-			return cur, now, slots, e.next, true
+			next, ok = e.next, true
+			break
 		}
 		if cur.logTail == 0 {
 			cur.preexec(e.next, limit)
@@ -614,10 +660,95 @@ func (g *turboGroup) replay(cur *Core, now sim.Time, slots int, limit sim.Time) 
 		slots++
 		g.push(cur, e.next)
 		s := g.popHead()
-		g.k.StepTo(s.when)
+		if s.when < now {
+			panic(fmt.Sprintf("xs1: turbo group queue handed out core %v's slot at %v after one at %v",
+				s.c.node, s.when, now))
+		}
 		cur, now = s.c, s.when
 	}
-	return cur, now, slots, -1, false
+	g.k.StepN(now, slots-entered)
+	return cur, now, slots, next, ok
+}
+
+// drained accounts for a log replayed to its end and empties it.
+func (c *Core) drained() {
+	c.t.ReplayedSlots += uint64(c.logTail)
+	c.logHead, c.logTail, c.logRun = 0, 0, 0
+}
+
+// rounds retires whole turns of the ring at once. cur holds the slot in
+// hand, at now, and q[head:tail] the other members' next slots. If cur
+// and every ring member have pre-executed slots that each re-arm exactly
+// one period later, all on one period, and the ring's tail is no later
+// than now + period, then every replayed slot's push lands at the
+// ring's tail (push keeps equal times in insertion order) and every pop
+// takes its head: the ring only rotates, and after one turn — one slot
+// per member, m in all — it is the same ring one period later, with cur
+// in hand again. By induction r turns are r·m trips through replay's
+// slot loop whose whole effect is each member's log head moved on by r,
+// every ring time and now by r periods, and r·m slots for replay to
+// count (and step the kernel for). r is the shortest run of such slots
+// left in any member's log, bounded so that no slot popped lies beyond
+// limit — the latest is cur's, at now + r·period — and that the batch
+// cap still falls on the very slot it would have: every one of the r·m
+// trips has to pass replay's slots+1 < turboBatchCap. A log that drains
+// does so on the last turn and is refilled on the spot from the time
+// the ring now holds for it, as the slot loop does before its push.
+//
+// It reports the time of the slot then in hand and the number of slots
+// retired, 0 when the ring may do anything but rotate — a member with
+// nothing logged, another period, a slot off its grid next, a tail
+// beyond now + period, no room under limit or the cap — having changed
+// nothing. A member whose log does not begin at its ring time was
+// re-timed behind the group's back: that panics, as it does in replay.
+func (g *turboGroup) rounds(cur *Core, now sim.Time, slots int, limit sim.Time) (sim.Time, int) {
+	if g.head == g.tail {
+		return now, 0
+	}
+	mask := uint(len(g.q) - 1)
+	period := cur.clk.Period()
+	m := int(g.tail-g.head) + 1
+	if g.q[g.head&mask].when < now || g.q[(g.tail-1)&mask].when > now+period {
+		return now, 0
+	}
+	r := min(cur.logRun-cur.logHead, (turboBatchCap-1-slots)/m)
+	if room := (limit - now) / period; room < sim.Time(r) {
+		r = int(room)
+	}
+	for i := g.head; i != g.tail && r > 0; i++ {
+		s := &g.q[i&mask]
+		c := s.c
+		if c.logTail == 0 || c.clk.Period() != period {
+			return now, 0
+		}
+		if at := c.log[c.logHead].at; at != s.when {
+			panic(fmt.Sprintf("xs1: core %v is due its issue slot at %v but pre-executed it for %v",
+				c.node, s.when, at))
+		}
+		r = min(r, c.logRun-c.logHead)
+	}
+	if r <= 0 {
+		return now, 0
+	}
+	span := sim.Time(r) * period
+	for i := g.head; i != g.tail; i++ {
+		s := &g.q[i&mask]
+		s.when += span
+		s.c.retire(r, s.when, limit)
+	}
+	now += span
+	cur.retire(r, now, limit)
+	cur.t.RoundSlots += uint64(r * m)
+	return now, r * m
+}
+
+// retire moves the log head past r slots a round step replayed; a log
+// that drains is refilled from the core's next slot, at time at.
+func (c *Core) retire(r int, at, limit sim.Time) {
+	if c.logHead += r; c.logHead == c.logTail {
+		c.drained()
+		c.preexec(at, limit)
+	}
 }
 
 // run executes issue slots in a tight loop from the firing that

@@ -25,6 +25,30 @@ loop:
 	bru loop
 `
 
+// turboLoop4 runs turboLoop's body on four threads, which between them
+// fill every issue slot of the core: the load a slice steps in rounds
+// under.
+const turboLoop4 = `
+	getst r1, loop
+	ldc   r2, 0xE800
+	tsetr r1, 12, r2
+	tstart r1
+	getst r1, loop
+	ldc   r2, 0xE000
+	tsetr r1, 12, r2
+	tstart r1
+	getst r1, loop
+	ldc   r2, 0xD800
+	tsetr r1, 12, r2
+	tstart r1
+loop:
+	add r1, r0, r0
+	sub r2, r1, r0
+	or r3, r2, r1
+	and r4, r3, r2
+	bru loop
+`
+
 // group builds one core per node of the rig's slice, all running src,
 // joined into one batching group as a machine would.
 func (r *rig) group(t *testing.T, src string) []*Core {
@@ -46,24 +70,36 @@ func preexecSlots(cores []*Core) (n uint64) {
 	return n
 }
 
+// roundSlots sums the slots replayed by whole turns of the group ring
+// since the cores' counters were last flushed.
+func roundSlots(cores []*Core) (n uint64) {
+	for _, c := range cores {
+		n += c.t.RoundSlots
+	}
+	return n
+}
+
 // TestTurboZeroAllocs pins the steady-state fast path at zero
 // allocations: once the decode cache pages exist and the kernel and
 // batch queues have reached capacity, batched execution — pick,
 // cached fetch, execute, StepTo, re-arm — must not touch the heap.
 // Cache population itself may allocate (one page per generation);
 // the prewarm run pays that before measurement starts. A lone core runs
-// the no-queue fast path; sixteen in lockstep pre-execute and replay,
-// through logs NewCore allocated.
+// the no-queue fast path; sixteen pre-execute and replay, through logs
+// NewCore allocated — slot by slot when each runs one thread and every
+// other slot is an idle probe that skips ahead, by whole turns of the
+// ring when four threads fill every slot.
 func TestTurboZeroAllocs(t *testing.T) {
 	defer SetTurbo(true)
 	SetTurbo(true)
 	for _, tc := range []struct {
-		name  string
-		build func(r *rig) []*Core
-		ahead bool
+		name          string
+		build         func(r *rig) []*Core
+		ahead, rounds bool
 	}{
-		{"solo", func(r *rig) []*Core { return []*Core{r.core(t, v00(), turboLoop)} }, false},
-		{"slice", func(r *rig) []*Core { return r.group(t, turboLoop) }, true},
+		{"solo", func(r *rig) []*Core { return []*Core{r.core(t, v00(), turboLoop)} }, false, false},
+		{"slice", func(r *rig) []*Core { return r.group(t, turboLoop) }, true, false},
+		{"lockstep", func(r *rig) []*Core { return r.group(t, turboLoop4) }, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t)
@@ -94,6 +130,9 @@ func TestTurboZeroAllocs(t *testing.T) {
 			}
 			if got := preexecSlots(cores) > 0; got != tc.ahead {
 				t.Errorf("cores pre-executed: %v, want %v", got, tc.ahead)
+			}
+			if got := roundSlots(cores) > 0; got != tc.rounds {
+				t.Errorf("slots retired by rounds: %v, want %v", got, tc.rounds)
 			}
 		})
 	}
@@ -252,12 +291,161 @@ func TestUnsettledCorePanics(t *testing.T) {
 
 // TestReplayMismatchPanics pins the replay assertion: a pre-executed
 // slot reached at any time but the one it was logged for means the core
-// was re-timed behind its back, and the batch must not go on.
+// was re-timed behind its back, and the batch must not go on. A round
+// step asks it of every member of the ring at once, and names the one.
 func TestReplayMismatchPanics(t *testing.T) {
 	r := newRig(t)
 	c := r.core(t, v00(), turboLoop)
 	c.preexec(c.alignUp(r.k.Now())+c.clk.Period(), sim.Millisecond)
 	mustPanic(t, "replay", "pre-executed it for", func() { r.k.RunFor(sim.Microsecond) })
+
+	s := stageRing(t, 1000, 1)
+	late := s.cores[len(s.cores)-1]
+	s.g.q[(s.g.tail-1)&uint(len(s.g.q)-1)].when = s.now
+	mustPanic(t, "rounds", fmt.Sprintf("core %v is due its issue slot at %v but pre-executed it for %v", late.node, s.now, s.now+s.period),
+		func() { s.g.rounds(s.cores[0], s.now, len(s.cores)-1, s.limit) })
+}
+
+// stagedRing is a slice's turbo group arranged by hand as replay finds
+// it mid-batch with sixteen dense cores in step: cores[0]'s slot in
+// hand at now, the other fifteen in the ring at the same time, every
+// core with a window pre-executed from now up to limit.
+type stagedRing struct {
+	g          *turboGroup
+	cores      []*Core
+	now, limit sim.Time
+	period     sim.Time
+}
+
+// stageRing builds a stagedRing whose limit lies room periods and a bit
+// after now; the last core's window and ring time begin lag periods
+// after the others'.
+func stageRing(t *testing.T, room, lag int64) stagedRing {
+	t.Helper()
+	r := newRig(t)
+	cores := r.group(t, turboLoop4)
+	r.k.RunFor(2 * sim.Microsecond) // past the spawns; logs are empty again
+	c := cores[0]
+	s := stagedRing{g: c.turbo, cores: cores, period: c.clk.Period()}
+	s.now = c.alignUp(r.k.Now()) + c.clk.Cycles(8)
+	s.limit = s.now + c.clk.Cycles(room) + 17
+	for i, c := range cores {
+		at := s.now
+		if i == len(cores)-1 {
+			at += c.clk.Cycles(lag)
+		}
+		c.t = TurboStats{}
+		c.preexec(at, s.limit)
+		if i > 0 {
+			s.g.push(c, at)
+		}
+	}
+	return s
+}
+
+// state renders what a round step may move: the ring and every log.
+func (s stagedRing) state() string {
+	var b strings.Builder
+	for i := s.g.head; i != s.g.tail; i++ {
+		e := s.g.q[i&uint(len(s.g.q)-1)]
+		fmt.Fprintf(&b, "%v@%d ", e.c.node, e.when)
+	}
+	for _, c := range s.cores {
+		fmt.Fprintf(&b, "| %d:%d:%d %d/%d/%d ", c.logHead, c.logTail, c.logRun, c.t.PreexecSlots, c.t.ReplayedSlots, c.t.RoundSlots)
+	}
+	return b.String()
+}
+
+// TestRoundStep drives turboGroup.rounds on a hand-built ring: what a
+// step retires is bounded by the shortest uniform run, by limit and by
+// the batch cap, drained logs are accounted and refilled from the time
+// the ring holds for them, and every condition under which the ring
+// might do anything but rotate refuses the step and leaves all as it
+// was.
+func TestRoundStep(t *testing.T) {
+	const m = 16
+	t.Run("tail at now + period", func(t *testing.T) {
+		// One period out the last member is still the tail every push
+		// lands behind (a tie keeps insertion order): the step goes.
+		s := stageRing(t, 1000, 1)
+		if now, n := s.g.rounds(s.cores[0], s.now, m-1, s.limit); now != s.now+preexecWindow*s.period || n != preexecWindow*m {
+			t.Errorf("rounds = (%v, %d), want a window's worth of turns", now, n)
+		}
+	})
+	for _, tc := range []struct {
+		name  string
+		room  int64 // periods from now to limit
+		slots int   // the batch's slot count at the step
+		turns int   // whole turns the step must retire
+	}{
+		{"window", 1000, m - 1, preexecWindow},                     // every log drains and is refilled
+		{"limit", 5, m - 1, 5},                                     // logs hold six slots; the sixth would end beyond limit
+		{"cap", 1000, turboBatchCap - 1 - 3*m, 3},                  // the cap's slot is the 16th of a fourth turn
+		{"cap, one slot on", 1000, turboBatchCap - 1 - 3*m + 1, 2}, // ... and now of the third
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := stageRing(t, tc.room, 0)
+			held := int(min(tc.room+1, preexecWindow))
+			now, n := s.g.rounds(s.cores[0], s.now, tc.slots, s.limit)
+			span := sim.Time(tc.turns) * s.period
+			if now != s.now+span || n != tc.turns*m {
+				t.Fatalf("rounds = (%v, %d), want (%v, %d): %d turns", now, n, s.now+span, tc.turns*m, tc.turns)
+			}
+			if got := roundSlots(s.cores); got != uint64(n) || s.cores[0].t.RoundSlots != uint64(n) {
+				t.Errorf("RoundSlots = %d, all of it on the core in hand: %v; want %d", got, s.cores[0].t.RoundSlots == got, n)
+			}
+			for i, c := range s.cores {
+				if i > 0 {
+					if e := s.g.q[(s.g.head+uint(i-1))&uint(len(s.g.q)-1)]; e.c != c || e.when != now {
+						t.Errorf("ring slot %d holds core %v at %v, want core %v at %v", i-1, e.c.node, e.when, c.node, now)
+					}
+				}
+				if tc.turns < held {
+					if c.logHead != tc.turns || c.logTail != held || c.t.ReplayedSlots != 0 {
+						t.Errorf("core %v: log [%d:%d], %d replayed; want [%d:%d], 0", c.node, c.logHead, c.logTail, c.t.ReplayedSlots, tc.turns, held)
+					}
+				} else if c.logHead != 0 || c.logTail == 0 || c.t.ReplayedSlots != uint64(held) {
+					t.Errorf("core %v: log [%d:%d], %d replayed; want a fresh window and %d", c.node, c.logHead, c.logTail, c.t.ReplayedSlots, held)
+				}
+				if at := c.log[c.logHead].at; at != now {
+					t.Errorf("core %v: log resumes at %v, want %v", c.node, at, now)
+				}
+			}
+		})
+	}
+
+	for _, tc := range []struct {
+		name      string
+		room, lag int64
+		slots     int
+		upset     func(s *stagedRing)
+	}{
+		{"nothing under limit", 0, 0, m - 1, func(s *stagedRing) {}},
+		{"limit behind now", 3, 0, m - 1, func(s *stagedRing) { s.limit = s.now - 1 }},
+		{"nothing under the cap", 1000, 0, turboBatchCap - m, func(s *stagedRing) {}},
+		{"empty ring", 1000, 0, m - 1, func(s *stagedRing) { s.g.tail = s.g.head }},
+		{"member with nothing logged", 1000, 0, m - 1, func(s *stagedRing) { s.cores[7].logHead, s.cores[7].logTail, s.cores[7].logRun = 0, 0, 0 }},
+		{"member on another clock", 1000, 0, m - 1, func(s *stagedRing) { s.cores[7].clk = sim.NewClock(400) }},
+		{"member off its grid next", 1000, 0, m - 1, func(s *stagedRing) { s.cores[7].logRun = 0 }},
+		{"core in hand off its grid next", 1000, 0, m - 1, func(s *stagedRing) { s.cores[0].logRun = 0 }},
+		// The last member sits two periods out, with a window that begins
+		// there: the push of the slot in hand would land ahead of it, not
+		// at the tail. One period out it is the tail, and the step goes.
+		{"tail beyond now + period", 1000, 2, m - 1, func(s *stagedRing) {}},
+		{"head behind now", 1000, 0, m - 1, func(s *stagedRing) { s.now += s.period }},
+	} {
+		t.Run("refuses: "+tc.name, func(t *testing.T) {
+			s := stageRing(t, tc.room, tc.lag)
+			tc.upset(&s)
+			before := s.state()
+			if now, n := s.g.rounds(s.cores[0], s.now, tc.slots, s.limit); now != s.now || n != 0 {
+				t.Errorf("rounds = (%v, %d), want a refusal (%v, 0)", now, n, s.now)
+			}
+			if after := s.state(); after != before {
+				t.Errorf("a refused step changed something\nbefore %s\n after %s", before, after)
+			}
+		})
+	}
 }
 
 // TestPreexecOnlyInsideUntracedRunUntil pins where cores may run ahead
