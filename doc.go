@@ -126,14 +126,23 @@
 // deadline or batch cap — xs1.TurboStats counts batches by why they
 // ended), and pre-execution of compute slots: cores share no memory,
 // so a core on a streak of compute instructions runs its own next
-// slots alone on a local clock and logs one (at, next) pair per slot,
-// and the group loop — still the single owner of global order and
-// kernel accounting — replays the timing when it reaches them: slot by
-// slot in general, and by whole turns of the group queue — each log
-// head moved on by r, each queued time by r periods, one counted
-// kernel step (sim.Kernel.StepN) — where every queued core keeps to one
-// clock's grid and the queue would provably only rotate, which is how
-// the paper's loaded slices run. The contract: turbo is step-by-step —
+// slots alone on a local clock, up to the next foreign event or the
+// deadline, and logs them in runs of slots one period apart, and the
+// group loop — still the single owner of global order and kernel
+// accounting — replays the timing when it reaches them: slot by slot in
+// general, and by whole turns of the group queue — each log moved on by
+// r slots, each queued time by r periods, one counted kernel step
+// (sim.Kernel.StepN) — where every queued core keeps to one clock's
+// grid and the queue would provably only rotate, which is how the
+// paper's loaded slices run. Such a window reads and writes nothing but
+// its own core, so windows of different cores are computed on different
+// host processors: wherever one member is given a window every member
+// that could take one is collected, the simulation goroutine and a
+// process-wide pool of parked helpers (GOMAXPROCS - 1 of them) claim
+// the cores one at a time, and the simulation goroutine joins before it
+// replays a slot — no rollback, no speculation, the same bytes at every
+// GOMAXPROCS; xs1.TurboStats counts the fan-outs and the windows
+// helpers ran. The contract: turbo is step-by-step —
 // batching never changes architectural state at any foreign-event
 // boundary, and a core's
 // private state leads the kernel clock only inside one RunUntil, never

@@ -359,7 +359,8 @@ func (m *Machine) Run(horizon sim.Time) error {
 		step = sim.Microsecond
 	}
 	for m.K.Now() < deadline {
-		m.RunFor(step)
+		// The last step stops at the deadline, not a step past it.
+		m.RunFor(min(step, deadline-m.K.Now()))
 		done := true
 		for _, node := range m.nodes {
 			c := m.cores[node]
@@ -374,9 +375,7 @@ func (m *Machine) Run(horizon sim.Time) error {
 			return nil
 		}
 		if m.K.Pending() == 0 {
-			if m.K.Now() < deadline {
-				m.RunFor(deadline - m.K.Now())
-			}
+			m.RunFor(deadline - m.K.Now())
 			return fmt.Errorf("core: machine did not finish within %v: deadlock, no event pending: %s",
 				horizon, m.stuckThreads())
 		}

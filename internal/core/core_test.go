@@ -268,6 +268,25 @@ func TestRunNamesDeadlock(t *testing.T) {
 	}
 }
 
+// TestRunStopsAtTheDeadline pins the last poll step: with a horizon that
+// is no multiple of the step, a machine that does not finish is left
+// with its clock on the deadline — where the deadlock path's jump lands
+// it too — not a step past it.
+func TestRunStopsAtTheDeadline(t *testing.T) {
+	m := MustNew(1, 1, Options{})
+	if err := m.Load(topo.MakeNodeID(0, 0, topo.LayerV), workload.HeavyLoad(4, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	const horizon = 2*sim.Microsecond + 500*sim.Nanosecond
+	err := m.Run(horizon)
+	if want := fmt.Sprintf("core: machine did not finish within %v", horizon); err == nil || err.Error() != want {
+		t.Fatalf("Run = %v, want %q", err, want)
+	}
+	if m.K.Now() != horizon {
+		t.Errorf("clock at %v after the horizon passed, want the deadline %v", m.K.Now(), horizon)
+	}
+}
+
 // TestRunNamesRoutingDeadlock replays the hang bench/README.md
 // records (seed 17, op 69, before the benchmark restricted stream
 // directions): sixteen long-lived streams between random nodes of a

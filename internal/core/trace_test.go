@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"swallow/internal/energy"
@@ -112,6 +114,34 @@ func TestUntracedRunZeroAlloc(t *testing.T) {
 	}
 	if avg > 0 {
 		t.Fatalf("untraced RunFor allocates %.2f times per run, want 0", avg)
+	}
+
+	// AllocsPerRun measures on one host thread, where the simulation
+	// goroutine pre-executes every window itself. On four the sixteen
+	// windows of each run are offered to the helper pool, and handing
+	// them out must cost the heap nothing either. The count is the whole
+	// process's, and the runtime now and then allocates a record for a
+	// goroutine to park on or a thread to wake a helper on; so it is
+	// taken as AllocsPerRun takes it — whole allocations per run, which
+	// anything allocated for every fan-out reaches and a stray one does
+	// not — and as the least of three measurements.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	warm = xs1.ReadTurboStats()
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 20; i++ {
+			m.RunFor(20 * sim.Microsecond)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.Mallocs-before.Mallocs)/20)
+	}
+	if ts := xs1.ReadTurboStats(); xs1.TurboEnabled() && ts.Fanouts == warm.Fanouts {
+		t.Error("no window was offered to the helper pool on four host threads")
+	}
+	if least > 0 {
+		t.Fatalf("untraced RunFor on four host threads allocates %d times per run, want 0", least)
 	}
 }
 

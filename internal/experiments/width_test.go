@@ -1,0 +1,110 @@
+package experiments
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"runtime"
+	"testing"
+
+	"swallow/internal/core"
+	"swallow/internal/energy"
+	"swallow/internal/harness"
+	"swallow/internal/sim"
+	"swallow/internal/workload"
+)
+
+// readBenchGolden loads one of the benchmark's committed reference files.
+func readBenchGolden(t *testing.T, name string, into any) {
+	t.Helper()
+	blob, err := os.ReadFile("../../bench/golden/" + name)
+	if err == nil {
+		err = json.Unmarshal(blob, into)
+	}
+	if err != nil {
+		t.Fatalf("bench/golden/%s: %v", name, err)
+	}
+}
+
+// simComputeDigest runs one op of the benchmark's sim-compute workload —
+// every core of a slice under the heavy load mix, threads threads each,
+// for 200 us — and renders its simulated statistics as bench/sim.go's
+// digest does.
+func simComputeDigest(t *testing.T, threads int) string {
+	t.Helper()
+	m, release, err := core.Checkout(1, 1, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	m.Reset()
+	if err := m.LoadAll(workload.HeavyLoad(threads, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	m.RunFor(200 * sim.Microsecond)
+	rep := m.Report()
+	var tokens [energy.NumLinkClasses]uint64
+	for class, ls := range m.Net.StatsByClass() {
+		tokens[class] = ls.Tokens
+	}
+	return fmt.Sprintf("instrs=%d events=%d end_ps=%d core_j=%016x link_j=%016x tokens=%v",
+		m.TotalInstrCount(), m.K.Fired(), int64(m.K.Now()),
+		math.Float64bits(rep.ComputationJ+rep.BackgroundJ), math.Float64bits(rep.LinkJ), tokens)
+}
+
+// TestHostThreadsNeverChangeAByte is the width half of the turbo
+// contract: who pre-executes a window — the simulation goroutine or a
+// helper on another host thread — changes nothing it contains, so the
+// benchmark's committed digests of sim-compute and the committed hashes
+// of three artifacts that load whole slices hold at GOMAXPROCS 1, 2 and
+// 4 alike. Windows are offered to the pool at the wider settings and
+// never at 1, or the three settings would have tested one thing.
+func TestHostThreadsNeverChangeAByte(t *testing.T) {
+	var sims map[string][]string
+	readBenchGolden(t, "sim.seed1.json", &sims)
+	golden := make(map[string]bool)
+	for _, d := range sims["sim-compute"] {
+		golden[d] = true
+	}
+	var tables map[string]string
+	readBenchGolden(t, "tables.json", &tables)
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, width := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(width)
+		before := TurboStats()
+		seen := make(map[string]bool)
+		for _, threads := range []int{1, 2, 4, 8} {
+			d := simComputeDigest(t, threads)
+			if !golden[d] {
+				t.Errorf("GOMAXPROCS=%d: sim-compute with %d threads a core is not in bench/golden/sim.seed1.json:\n  %s", width, threads, d)
+			}
+			seen[d] = true
+		}
+		if len(seen) != len(golden) {
+			t.Errorf("GOMAXPROCS=%d: the four thread counts gave %d distinct digests, the golden file holds %d", width, len(seen), len(golden))
+		}
+		for _, name := range []string{"fig2", "fig3", "adc"} {
+			tbl, err := harness.Lookup(name).Table(harness.DefaultConfig())
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d: %s: %v", width, name, err)
+			}
+			sum := sha256.Sum256([]byte(tbl.String()))
+			if got := hex.EncodeToString(sum[:]); got != tables[name] {
+				t.Errorf("GOMAXPROCS=%d: %s renders to %s, bench/golden/tables.json has %s", width, name, got, tables[name])
+			}
+		}
+		after := TurboStats()
+		fanouts, helped := after.Fanouts-before.Fanouts, after.HelpedWindows-before.HelpedWindows
+		if (width > 1) != (fanouts > 0) {
+			t.Errorf("GOMAXPROCS=%d: windows were offered to the helper pool %d times", width, fanouts)
+		}
+		if width == 1 && helped != 0 {
+			t.Errorf("GOMAXPROCS=1: helpers pre-executed %d windows", helped)
+		}
+		t.Logf("GOMAXPROCS=%d: %d fan-outs, %d windows pre-executed by helpers", width, fanouts, helped)
+	}
+}

@@ -441,6 +441,12 @@ func TestHealthAndMetrics(t *testing.T) {
 		"swallow_turbo_preexec_slots_total",
 		"swallow_turbo_replayed_slots_total",
 		"swallow_turbo_round_slots_total",
+		"swallow_turbo_fanouts_total",
+		"swallow_turbo_helped_windows_total",
+		`swallow_turbo_batch_len_bucket{le="1"}`,
+		`swallow_turbo_batch_len_bucket{le="4096"}`,
+		`swallow_turbo_batch_len_bucket{le="+Inf"}`,
+		"swallow_turbo_batch_len_count",
 		"swallow_turbo_decode_hits_total",
 		"swallow_turbo_decode_misses_total",
 		"swallow_turbo_decode_invalidated_total",

@@ -196,6 +196,17 @@ func (m *metrics) write(w io.Writer, cs cache.Stats, ss store.Stats, queueDepth,
 	fmt.Fprintf(w, "swallow_turbo_preexec_slots_total %d\n", ts.PreexecSlots)
 	fmt.Fprintf(w, "swallow_turbo_replayed_slots_total %d\n", ts.ReplayedSlots)
 	fmt.Fprintf(w, "swallow_turbo_round_slots_total %d\n", ts.RoundSlots)
+	fmt.Fprintf(w, "swallow_turbo_fanouts_total %d\n", ts.Fanouts)
+	fmt.Fprintf(w, "swallow_turbo_helped_windows_total %d\n", ts.HelpedWindows)
+	fmt.Fprintf(w, "# HELP swallow_turbo_batch_len Turbo batch length in issue slots.\n")
+	fmt.Fprintf(w, "# TYPE swallow_turbo_batch_len histogram\n")
+	atMost := uint64(0)
+	for i, n := range ts.BatchLen {
+		atMost += n
+		fmt.Fprintf(w, "swallow_turbo_batch_len_bucket{le=\"%d\"} %d\n", 1<<i, atMost)
+	}
+	fmt.Fprintf(w, "swallow_turbo_batch_len_bucket{le=\"+Inf\"} %d\n", atMost)
+	fmt.Fprintf(w, "swallow_turbo_batch_len_count %d\n", atMost)
 	fmt.Fprintf(w, "swallow_turbo_decode_hits_total %d\n", ts.DecodeHits)
 	fmt.Fprintf(w, "swallow_turbo_decode_misses_total %d\n", ts.DecodeMisses)
 	fmt.Fprintf(w, "swallow_turbo_decode_invalidated_total %d\n", ts.DecodeStale)

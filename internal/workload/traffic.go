@@ -130,18 +130,24 @@ func (f *Flow) Start(k *sim.Kernel) {
 }
 
 // RunFlows starts every flow and advances the kernel until all
-// complete or the horizon passes.
+// complete or the horizon passes. A kernel that runs dry while a flow is
+// incomplete can never finish it — nothing is left to move a token — so
+// RunFlows stops polling there, moves the clock to the deadline exactly
+// as the exhausted poll loop would, and names the first stuck flow's
+// channel ends in the error.
 func RunFlows(k *sim.Kernel, flows []*Flow, horizon sim.Time) error {
 	for _, f := range flows {
 		f.Start(k)
 	}
 	deadline := k.Now() + horizon
+	step := horizon / 1000
+	if step < sim.Microsecond {
+		step = sim.Microsecond
+	}
+	stuck := ""
 	for k.Now() < deadline {
-		step := horizon / 1000
-		if step < sim.Microsecond {
-			step = sim.Microsecond
-		}
-		k.RunFor(step)
+		// The last step stops at the deadline, not a step past it.
+		k.RunFor(min(step, deadline-k.Now()))
 		all := true
 		for _, f := range flows {
 			if !f.Done() {
@@ -151,6 +157,10 @@ func RunFlows(k *sim.Kernel, flows []*Flow, horizon sim.Time) error {
 		}
 		if all {
 			return nil
+		}
+		if k.Pending() == 0 {
+			k.RunFor(deadline - k.Now())
+			stuck = ": no event pending, the flows can never finish"
 		}
 	}
 	incomplete := 0
@@ -163,8 +173,8 @@ func RunFlows(k *sim.Kernel, flows []*Flow, horizon sim.Time) error {
 			}
 		}
 	}
-	return fmt.Errorf("workload: %d/%d flows incomplete after %v (first: %d/%d tokens)",
-		incomplete, len(flows), horizon, sample.Received(), sample.Tokens)
+	return fmt.Errorf("workload: %d/%d flows incomplete after %v%s (first: %v -> %v, %d/%d tokens)",
+		incomplete, len(flows), horizon, stuck, sample.Src.ID(), sample.Dst.ID(), sample.Received(), sample.Tokens)
 }
 
 // AggregateGoodput sums flow goodputs in bits per second.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -254,8 +255,52 @@ func TestRunFlowsTimeout(t *testing.T) {
 		Dst:    net.Switch(node(0, 1, topo.LayerV)).ChanEnd(0),
 		Tokens: 1 << 30, // cannot finish
 	}
-	if err := RunFlows(k, []*Flow{f}, 100*sim.Microsecond); err == nil {
+	// A horizon that is no multiple of the poll step: the last step must
+	// stop at the deadline, not run a step past it.
+	const horizon = 100*sim.Microsecond + 300*sim.Nanosecond
+	if err := RunFlows(k, []*Flow{f}, horizon); err == nil {
 		t.Error("unfinishable flow reported success")
+	}
+	if k.Now() != horizon {
+		t.Errorf("clock at %v after the horizon passed, want the deadline %v", k.Now(), horizon)
+	}
+}
+
+// TestRunFlowsNamesStuckFlow pins what RunFlows does when the kernel
+// runs dry with a flow incomplete: the consumer of one flow's
+// destination end goes away just after the start, arrivals fill the
+// end's buffer, the source runs out of credit and nothing is left to
+// fire. RunFlows used to poll the empty kernel a thousand times; it must
+// stop, land the clock on the deadline as the exhausted loop did, and
+// name the stuck flow's ends.
+func TestRunFlowsNamesStuckFlow(t *testing.T) {
+	k := sim.NewKernel()
+	net, err := noc.NewNetwork(k, topo.MustSystem(1, 1), noc.OperatingConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := []*Flow{
+		{Src: net.Switch(node(1, 0, topo.LayerV)).ChanEnd(0), Dst: net.Switch(node(1, 1, topo.LayerV)).ChanEnd(0), Tokens: 64, PacketTokens: 8},
+		{Src: net.Switch(node(0, 0, topo.LayerV)).ChanEnd(0), Dst: net.Switch(node(0, 1, topo.LayerV)).ChanEnd(0), Tokens: 4096},
+	}
+	// Registered before the flows start, so it fires first; Start has
+	// installed the flow's own wake-up by then.
+	k.At(0, func() { fs[1].Dst.SetWake(func() {}) })
+	const horizon = 10*sim.Millisecond + 7*sim.Nanosecond
+	err = RunFlows(k, fs, horizon)
+	if err == nil {
+		t.Fatal("a flow nobody drains finished")
+	}
+	if !fs[0].Done() || fs[1].Done() {
+		t.Fatalf("flows done = %v, %v; want the first complete and the second stuck", fs[0].Done(), fs[1].Done())
+	}
+	want := fmt.Sprintf("workload: 1/2 flows incomplete after %v: no event pending, the flows can never finish (first: %v -> %v, 0/4096 tokens)",
+		horizon, fs[1].Src.ID(), fs[1].Dst.ID())
+	if err.Error() != want {
+		t.Errorf("error\n got %q\nwant %q", err, want)
+	}
+	if k.Now() != horizon || k.Pending() != 0 {
+		t.Errorf("clock at %v with %d events pending, want the deadline %v and none", k.Now(), k.Pending(), horizon)
 	}
 }
 

@@ -179,18 +179,15 @@ type Core struct {
 
 	halted bool
 
-	// log holds the (at, next) pair of every issue slot the core has
-	// pre-executed ahead of the kernel clock and the group loop has not
-	// yet replayed (turbo.go): entries log[logHead:logTail], filled from
-	// zero only when empty, so logTail != 0 says the core's private
-	// state leads the clock. Fixed backing, never snapshotted: it is
-	// empty whenever RunUntil is not executing. logRun counts the leading
-	// entries whose core re-arms exactly one period later (next == at +
-	// period), so logRun - logHead is how many more slots the core is
-	// known to keep to its grid — what a round step (turboGroup.rounds)
-	// may retire at once.
-	logHead, logTail, logRun int
-	log                      [preexecWindow]preSlot
+	// log holds the issue slots the core has pre-executed ahead of the
+	// kernel clock and the group loop has not yet replayed (turbo.go), in
+	// runs of slots one period apart: runs log[logHead:logTail], filled
+	// from zero only when empty, so logTail != 0 says the core's private
+	// state leads the clock; the head run shrinks from the front as its
+	// slots are replayed. Fixed backing, never snapshotted: it is empty
+	// whenever RunUntil is not executing.
+	logHead, logTail int
+	log              [preexecRuns]preRun
 }
 
 // issueFirer and twaitFirer bind the core's timer roles to methods
@@ -265,7 +262,7 @@ func (c *Core) settled(entry string) {
 //go:noinline
 func (c *Core) unsettled(entry string) {
 	panic(fmt.Sprintf("xs1: %s on core %v with %d pre-executed slots not replayed (kernel at %v)",
-		entry, c.node, c.logTail-c.logHead, c.k.Now()))
+		entry, c.node, c.logged(), c.k.Now()))
 }
 
 // Reset returns the core to its just-built state — threads free, SRAM
@@ -404,7 +401,7 @@ func (c *Core) LoadAt(p *Program, byteBase uint32) error {
 // disarming any pending time waits from a previous program and
 // discarding any pre-executed slots of it.
 func (c *Core) resetThreads() {
-	c.logHead, c.logTail, c.logRun = 0, 0, 0
+	c.logHead, c.logTail = 0, 0
 	for i := range c.threads {
 		c.threads[i] = Thread{ID: i}
 		c.twaitTimers[i].Disarm()

@@ -3,6 +3,8 @@ package xs1
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -11,7 +13,7 @@ import (
 	"swallow/internal/trace"
 )
 
-// Turbo is the core's execution fast path, three mechanisms deep:
+// Turbo is the core's execution fast path, four mechanisms deep:
 //
 //  1. A predecoded instruction cache: each SRAM word executed as an
 //     instruction is decoded once into a dense per-page side table and
@@ -46,13 +48,13 @@ import (
 //     does is therefore split from when the kernel accounts for it: a
 //     core on a streak of compute instructions runs its own next slots
 //     alone on a local clock (Core.preexec — no kernel call, no group
-//     queue) and logs one (at, next) pair per slot; the group loop
-//     stays the single owner of global order and kernel accounting, and
-//     when it reaches a slot of a core with a non-empty log the slot is
-//     a log pop instead of an instruction. Push, pop, AbsorbNext,
-//     StepTo, the exit re-arm, the batch cap and every batch boundary
-//     are untouched, so kernel Now/Seq/Fired and arm order are the
-//     unbatched loop's by construction; there is no rollback and
+//     queue) and logs when each fell and when the core is due next; the
+//     group loop stays the single owner of global order and kernel
+//     accounting, and when it reaches a slot of a core with a non-empty
+//     log the slot is a log pop instead of an instruction. Push, pop,
+//     AbsorbNext, StepTo, the exit re-arm, the batch cap and every batch
+//     boundary are untouched, so kernel Now/Seq/Fired and arm order are
+//     the unbatched loop's by construction; there is no rollback and
 //     nothing to undo — work is only done earlier. It is sound because
 //     it is bounded: only inside RunUntil, only slots strictly before
 //     the kernel's earliest pending registration and no later than the
@@ -78,6 +80,38 @@ import (
 //     themselves would be. Anything else — an empty log, another
 //     period, an idle probe that skips ahead, a staggered tail — is
 //     refused, not guessed at, and goes slot by slot.
+//
+//  4. Windows on every host processor. A window — one call of
+//     Core.preexec — is a function of its core's own state, the time of
+//     its first slot and the limit it may run to; it makes no kernel
+//     call and touches no ring and no other core. So which goroutine
+//     computes it is nobody's business either. Wherever a member is
+//     given a window (run's streak entry, replay's refill, a round step
+//     that emptied logs), turboGroup.refill collects every member that
+//     could take one at that moment, and the simulation goroutine and
+//     a process-wide pool of parked helpers, one per spare host
+//     processor, claim those cores one at a time and pre-execute them
+//     side by side. The simulation goroutine always takes part, never
+//     waits to be helped, and joins before it replays a slot, arms a
+//     timer or steps the kernel, so the group loop is as sequential as
+//     it ever was: Now/Seq/Fired, arm order, batch boundaries and every
+//     rendered byte are the same at every GOMAXPROCS by construction —
+//     there is still no rollback and no speculation, and every bound of
+//     mechanism 3 stands. What the handoff costs decides how long a
+//     window is. Waking a parked goroutine takes tens of microseconds,
+//     thousands of slots; so a window runs to the horizon — limit, or
+//     the communication instruction, trap or sleep that ends it — which
+//     wastes nothing, since every slot logged within limit is replayed
+//     inside the RunUntil that logged it. The log can afford that
+//     because it is run-length: one entry per run of slots a period
+//     apart (first slot, count, where the core goes next), so a loaded
+//     core's whole window is one entry, a round step subtracts from a
+//     count, and the log is smaller than the per-slot one it replaced.
+//     Windows are shared only when they hold enough work to pay for
+//     the wake (fanoutMinSlots); under that, on a lone processor or
+//     with one eligible core, refill is the same call with nobody else
+//     claiming. Not parallel: the replay, which is a few per cent of a
+//     loaded slice and owns the global order.
 //
 // Round-robin order, pipeline spacing, idle-slot accounting and energy
 // accrual run through the same code as the slow path (pickReady,
@@ -141,6 +175,18 @@ type TurboStats struct {
 	// RoundSlots counts the replayed slots that were retired by whole
 	// turns of the group ring (turboGroup.rounds) rather than one by one.
 	RoundSlots uint64
+	// Fanouts counts the times windows were offered to the helper pool
+	// (turboGroup.refill with enough work to share and a spare host
+	// processor); HelpedWindows counts the windows a helper, not the
+	// simulation goroutine, then pre-executed. Neither says anything about
+	// the simulation — they depend on GOMAXPROCS and on who was quicker —
+	// only about who computed it.
+	Fanouts       uint64
+	HelpedWindows uint64
+	// BatchLen is the histogram of batch lengths in issue slots,
+	// pre-executed ones included: BatchLen[i] counts the batches of at
+	// most 1<<i slots and more than 1<<(i-1).
+	BatchLen [BatchLenBuckets]uint64
 	// DecodeHits/DecodeMisses/DecodeStale count predecode-cache
 	// lookups: hits served an entry, misses decoded a virgin slot,
 	// stale entries were invalidated by a newer page generation and
@@ -160,6 +206,11 @@ func (s *TurboStats) add(o *TurboStats) {
 	s.PreexecSlots += o.PreexecSlots
 	s.ReplayedSlots += o.ReplayedSlots
 	s.RoundSlots += o.RoundSlots
+	s.Fanouts += o.Fanouts
+	s.HelpedWindows += o.HelpedWindows
+	for i, n := range o.BatchLen {
+		s.BatchLen[i] += n
+	}
 	s.DecodeHits += o.DecodeHits
 	s.DecodeMisses += o.DecodeMisses
 	s.DecodeStale += o.DecodeStale
@@ -203,7 +254,11 @@ const (
 	// turboBatchCap bounds one batch (instructions plus idle probes) so
 	// a compute-bound core cannot stall the surrounding event loop's
 	// liveness indefinitely between kernel-visible boundaries.
-	turboBatchCap = 4096
+	turboBatchCapLog2 = 12
+	turboBatchCap     = 1 << turboBatchCapLog2
+	// BatchLenBuckets is the number of TurboStats.BatchLen buckets: upper
+	// bounds 1, 2, 4, ... up to the batch cap.
+	BatchLenBuckets = turboBatchCapLog2 + 1
 
 	// preexecStreak is how many instructions a core must have issued
 	// since it last reached a communication instruction before it
@@ -213,9 +268,32 @@ const (
 	// instruction it issues (a power of two), so the question itself
 	// costs the exact path one test of a counter it has just updated.
 	preexecStreak = 32
-	// preexecWindow is the capacity of a core's slot log: how far, in
-	// issue slots, its private state may lead the kernel clock.
-	preexecWindow = 128
+	// preexecJoin is how many instructions since its last communication
+	// instruction a member with an empty log must have issued to be given
+	// a window because another member's streak opened one. It is half a
+	// streak, not a whole one: cores in step reach preexecStreak a slot
+	// apart, and the ones a slot behind would otherwise each open a
+	// window alone, one after the other, with nobody to share it with.
+	preexecJoin = preexecStreak / 2
+	// preexecRuns is the capacity of a core's slot log, in runs. A core
+	// with an instruction in every slot logs its whole window as one run;
+	// a core whose idle probes skip ahead logs one run per skip, and its
+	// window ends when the log is full.
+	preexecRuns = 64
+
+	// fanoutMinSlots is how many issue slots the windows handed out at one
+	// moment must be able to run, between them, before the pool is offered
+	// a share (turboGroup.refill). Handing off is not free: on the 2-vCPU
+	// reference VM a goroutine parked on a channel starts 11 us (median; 55
+	// us at the 99th percentile, 70 us on a busier day) after the send that
+	// wakes it, and the send itself costs the sender 10 us of futex wake —
+	// a thousand slots at 10 ns each, 1000 sends 2 ms apart, measured with
+	// a channel and a WaitGroup as here. Under 7 k slots the helper arrives
+	// after the work is done; the constant is several times that, so a
+	// fan-out always has more to share than it costs, and the ADC
+	// artifact's 500-slot sample horizons (8 k slots a slice) refill in
+	// line.
+	fanoutMinSlots = 1 << 15
 
 	// slotTrapped is the logged next time of a pre-executed slot whose
 	// thread trapped: the replay ends the batch there, as the trap
@@ -226,11 +304,16 @@ const (
 	timeMax sim.Time = math.MaxInt64
 )
 
-// preSlot is one pre-executed issue slot: the time it occupies and the
-// time of the core's next slot (-1 when the core then sleeps,
-// slotTrapped when the slot trapped).
-type preSlot struct {
+// preRun is one run of pre-executed issue slots, one period apart: n of
+// them, the first at time at. Every slot but the last re-arms its core
+// one period later; next is the time of the core's next slot after the
+// last — at + n periods when limit, a communication instruction or the
+// end of the log cut the run, later when the last slot was an idle probe
+// that skipped ahead, -1 when the core then sleeps, slotTrapped when the
+// slot trapped.
+type preRun struct {
 	at, next sim.Time
+	n        int
 }
 
 // ientry is one predecoded instruction. gen pins the page generation
@@ -393,6 +476,9 @@ type turboGroup struct {
 	start, end sim.Time
 	mayPreexec bool
 	kw         sim.Waker
+
+	// fan is the record of the windows being handed out (refill).
+	fan fanout
 }
 
 // turboSlot is one deferred issue arm.
@@ -407,7 +493,7 @@ func newTurboGroup(k *sim.Kernel, members int) *turboGroup {
 	for n < members {
 		n <<= 1
 	}
-	return &turboGroup{k: k, q: make([]turboSlot, n)}
+	return &turboGroup{k: k, q: make([]turboSlot, n), fan: fanout{wins: make([]window, 0, n)}}
 }
 
 // GroupTurbo joins cores sharing one kernel into a single batching
@@ -511,24 +597,32 @@ func (c *Core) quiet() bool {
 }
 
 // preexec runs the core's own next issue slots alone on a local clock,
-// starting with the slot at time at, and logs one (at, next) pair per
-// slot for the group loop to replay. It is the group loop's slot step —
-// pickReady, ifetch, run, the pipeline spacing, the idle probe — with
-// the kernel left out, and it stops at the first slot later than limit
-// (the caller's bound: before every pending registration, within the
-// deadline), before the first communication instruction (the pick is
-// undone, so the rotation is as the group loop expects to find it),
-// after a trap, when the core goes to sleep, or when the log is full.
-// A core something outside could wake does not pre-execute at all.
-// The log is empty on entry: run and replay call it only then.
+// starting with the slot at time at, and logs them in runs for the group
+// loop to replay. It is the group loop's slot step — pickReady, ifetch,
+// run, the pipeline spacing, the idle probe — with the kernel left out,
+// and it stops at the first slot later than limit (the caller's bound:
+// before every pending registration, within the deadline), before the
+// first communication instruction (the pick is undone, so the rotation
+// is as the group loop expects to find it), after a trap, when the core
+// goes to sleep, or when the log is full. It reads and writes nothing
+// but its own core — no kernel, no group, no other core — which is what
+// lets windows of different cores run on different host threads
+// (turboGroup.refill). The core must be quiet and its log empty: refill
+// gives windows only to such cores, and a window begun over slots not
+// yet replayed would lose them, so that panics.
 func (c *Core) preexec(at, limit sim.Time) {
-	if !c.quiet() {
-		return
+	if c.logTail != 0 {
+		panic(fmt.Sprintf("xs1: core %v given a window at %v with %d pre-executed slots not replayed",
+			c.node, at, c.logged()))
 	}
 	period := c.clk.Period()
-	depth := c.clk.Cycles(PipelineDepth)
-	n, run := 0, 0
-	for n < preexecWindow && at <= limit {
+	// The run being logged is log[logTail], which becomes part of the log
+	// when it ends; n counts its slots so far. Nothing else is carried
+	// from slot to slot: every value live across the call to run is
+	// spilled around it.
+	c.log[0].at = at
+	n := 0
+	for at <= limit {
 		off := c.rrOff
 		th := c.pickReady(at)
 		var next sim.Time = -1
@@ -551,11 +645,15 @@ func (c *Core) preexec(at, limit sim.Time) {
 				in = &iv
 			}
 			if ok && class == energy.ClassComm {
-				// The group loop picks and fetches this slot again.
+				// The group loop picks and fetches this slot again. The
+				// streak is over: until the instruction has issued, no
+				// refill on another member's behalf need ask this core
+				// again, to be turned away at the same pick.
 				c.rrOff = off
 				if e != nil {
 					c.t.DecodeHits--
 				}
+				c.commMark = c.InstrCount
 				break
 			}
 			if ok {
@@ -563,25 +661,280 @@ func (c *Core) preexec(at, limit sim.Time) {
 				c.t.BatchedInstrs++
 			}
 			if th.State == TReady {
-				th.nextReady = max(th.nextReady, at+depth)
+				th.nextReady = max(th.nextReady, at+PipelineDepth*period)
 			}
 			next = at + period
 			if !ok || th.State == TTrapped {
 				next = slotTrapped
 			}
 		}
-		c.log[n] = preSlot{at: at, next: next}
-		if run == n && next == at+period {
-			run++
-		}
 		n++
-		if next < 0 {
-			break
+		if next != at+period {
+			// The slot leaves the grid, and its run ends with it.
+			e := &c.log[c.logTail]
+			e.next, e.n = next, n
+			c.logTail++
+			c.t.PreexecSlots += uint64(n)
+			n = 0
+			if next < 0 || c.logTail == len(c.log) {
+				break
+			}
+			c.log[c.logTail].at = next
 		}
 		at = next
 	}
-	c.logTail, c.logRun = n, run
-	c.t.PreexecSlots += uint64(n)
+	if n > 0 {
+		// limit or a communication instruction cut the run short: the
+		// core's next slot is the one after its last.
+		e := &c.log[c.logTail]
+		e.next, e.n = e.at+sim.Time(n)*period, n
+		c.logTail++
+		c.t.PreexecSlots += uint64(n)
+	}
+}
+
+// logged counts the pre-executed slots the group loop has yet to replay.
+func (c *Core) logged() int {
+	n := 0
+	for _, e := range c.log[c.logHead:c.logTail] {
+		n += e.n
+	}
+	return n
+}
+
+// slotAt is the time of the next slot to replay; the log must not be
+// empty.
+func (c *Core) slotAt() sim.Time { return c.log[c.logHead].at }
+
+// gridRun counts how many of the core's next logged slots are known to
+// re-arm it exactly one period later — what a round step may retire at
+// once: what is left of the head run, less its last slot if that one
+// leaves the grid. The log must not be empty.
+func (c *Core) gridRun() int {
+	e := &c.log[c.logHead]
+	r := e.n
+	if e.next != e.at+sim.Time(r)*c.clk.Period() {
+		r--
+	}
+	return r
+}
+
+// pop replays the next slot: it moves the log past it and reports the
+// time of the core's slot after it — a period later, unless the slot is
+// the last of its run. It is retire(1) with the answer, small enough to
+// inline into replay's slot loop.
+func (c *Core) pop() sim.Time {
+	e := &c.log[c.logHead]
+	if e.n > 1 {
+		e.n--
+		e.at += c.clk.Period()
+		return e.at
+	}
+	if c.logHead++; c.logHead == c.logTail {
+		c.logHead, c.logTail = 0, 0
+	}
+	return e.next
+}
+
+// retire moves the log past r slots of its head run, which shrinks in
+// place — what is left of it is again a run, r periods later — and
+// reports whether that emptied the log.
+func (c *Core) retire(r int) bool {
+	e := &c.log[c.logHead]
+	if e.n -= r; e.n > 0 {
+		e.at += sim.Time(r) * c.clk.Period()
+		return false
+	}
+	if c.logHead++; c.logHead < c.logTail {
+		return false
+	}
+	c.logHead, c.logTail = 0, 0
+	return true
+}
+
+// window is one core's share of a fan-out: pre-execute c from its next
+// slot, at time at.
+type window struct {
+	c  *Core
+	at sim.Time
+}
+
+// fanout is a group's record of the windows being handed out: wins, on
+// backing sized for the whole membership when the group is built, each
+// to be pre-executed up to limit by whoever claims it. word holds
+// the record's generation in its high half and the count of windows not
+// yet claimed in its low half; a claim is a compare-and-swap that takes
+// the count down by one while the generation is the claimant's own. The
+// simulation goroutine rewrites the record only after the join (wg), so
+// only between fan-outs, and opens each under a new generation: a helper
+// that took an offer and arrives after its fan-out is over finds another
+// generation in word and touches nothing else — it neither claims a
+// window of a fan-out it was not offered nor reads a field that is being
+// rewritten. The record is part of the group, so handing out windows
+// allocates nothing.
+type fanout struct {
+	wins  []window
+	limit sim.Time
+	gen   uint32
+	word  atomic.Uint64
+	wg    sync.WaitGroup
+	// fault holds what the first window to panic panicked with, for the
+	// simulation goroutine to raise again after the join.
+	fault atomic.Pointer[any]
+}
+
+// add puts c's window, from time at, on the record if c can take one —
+// nothing outside the core can re-time it and the slot lies within limit
+// — and reports how many slots the window can run: one per period up to
+// limit.
+func (f *fanout) add(c *Core, at, limit sim.Time) int64 {
+	if at > limit || !c.quiet() {
+		return 0
+	}
+	f.wins = append(f.wins, window{c: c, at: at})
+	return int64((limit-at)/c.clk.Period()) + 1
+}
+
+// claim takes one unclaimed window of generation gen and returns its
+// index, or -1 when there is none left or the record has moved on.
+func (f *fanout) claim(gen uint32) int {
+	for {
+		v := f.word.Load()
+		if uint32(v>>32) != gen || uint32(v) == 0 {
+			return -1
+		}
+		if f.word.CompareAndSwap(v, v-1) {
+			return int(uint32(v)) - 1
+		}
+	}
+}
+
+// work claims windows of generation gen one at a time and pre-executes
+// them until none is left. The simulation goroutine and every helper
+// that took an offer run it side by side; helped says which it is.
+func (f *fanout) work(gen uint32, helped bool) {
+	for i := f.claim(gen); i >= 0; i = f.claim(gen) {
+		f.window(i, helped)
+	}
+}
+
+// window pre-executes window i. A panic under it is kept for refill to
+// raise on the simulation goroutine once every window is accounted for:
+// raised here it would unwind a helper, or the simulation goroutine
+// with helpers still writing to cores.
+func (f *fanout) window(i int, helped bool) {
+	defer f.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			fault := r // the copy escapes, on this path only
+			f.fault.CompareAndSwap(nil, &fault)
+		}
+	}()
+	w := f.wins[i]
+	w.c.preexec(w.at, f.limit)
+	if helped {
+		w.c.t.HelpedWindows++
+	}
+}
+
+// offer is what a parked helper receives: the record to work on and the
+// generation it may claim under.
+type offer struct {
+	f   *fanout
+	gen uint32
+}
+
+// helperPool is goroutines parked on offers, each pre-executing the
+// windows of one fan-out at a time.
+type helperPool struct {
+	// offers is unbuffered, and sends to it never block: an offer goes to
+	// a helper parked in receive at that instant or to nobody.
+	offers chan offer
+	// started counts the helpers.
+	started atomic.Int32
+}
+
+// helpers is the process-wide pool every group's fan-outs are offered
+// to: one helper per host processor beyond the offering goroutine's own,
+// started on first use and never stopped — they hold nothing while
+// parked, and there is no point at which a process that simulates is
+// done simulating. Nested callers (sweep.Map workers, concurrent
+// renders) share it.
+var helpers = helperPool{offers: make(chan offer)}
+
+// helperWidth reports how many helpers a fan-out may be offered to —
+// GOMAXPROCS less the simulation goroutine's own processor, so none on a
+// lone processor — and parks that many if fewer have been started.
+func helperWidth() int {
+	w := runtime.GOMAXPROCS(0) - 1
+	for n := helpers.started.Load(); int(n) < w; n = helpers.started.Load() {
+		if helpers.started.CompareAndSwap(n, n+1) {
+			go func() {
+				for o := range helpers.offers {
+					o.f.work(o.gen, true)
+				}
+			}()
+		}
+	}
+	return w
+}
+
+// refill hands out windows: to cur from its next slot, at time at, if
+// its log is empty, and to every ring member that could take one at this
+// moment — log empty, on a compute streak, from the time the ring holds
+// for it. Who computes a window changes nothing it contains: preexec is
+// a function of the core's own state, at and limit, and touches nothing
+// else, so the windows are independent of one another and of the order
+// and the goroutines they run on. When between them they can run at
+// least fanoutMinSlots slots, helpers parked in the pool are offered a
+// share — one offer per window beyond the first, at most one per spare
+// host processor, never blocking: a busy pool costs the failed sends and
+// nothing more. The simulation goroutine then claims windows itself
+// until none is left (help-first), and joins: it returns only when every
+// window has been computed, which is the happens-before edge for every
+// field of the cores the helpers wrote. Nothing replays, arms, steps the
+// kernel or returns to it while a fan-out is open. One eligible core,
+// too little work or a lone host processor is the same call with nobody
+// else claiming.
+func (g *turboGroup) refill(cur *Core, at, limit sim.Time) {
+	f := &g.fan
+	f.wins = f.wins[:0]
+	var slots int64
+	if cur.logTail == 0 {
+		slots = f.add(cur, at, limit)
+	}
+	mask := uint(len(g.q) - 1)
+	for i := g.head; i != g.tail; i++ {
+		s := &g.q[i&mask]
+		if c := s.c; c.logTail == 0 && c.InstrCount-c.commMark >= preexecJoin {
+			slots += f.add(c, s.when, limit)
+		}
+	}
+	n := len(f.wins)
+	if n == 0 {
+		return
+	}
+	f.limit = limit
+	f.gen++
+	f.wg.Add(n)
+	f.word.Store(uint64(f.gen)<<32 | uint64(n))
+	if n > 1 && slots >= fanoutMinSlots {
+		if w := helperWidth(); w > 0 {
+			cur.t.Fanouts++
+			for i := min(w, n-1); i > 0; i-- {
+				select {
+				case helpers.offers <- offer{f: f, gen: f.gen}:
+				default:
+				}
+			}
+		}
+	}
+	f.work(f.gen, false)
+	f.wg.Wait()
+	if r := f.fault.Load(); r != nil {
+		f.fault.Store(nil)
+		panic(*r)
+	}
 }
 
 // horizon reports the kernel's earliest registration — its time and its
@@ -629,36 +982,37 @@ func (g *turboGroup) replay(cur *Core, now sim.Time, slots int, limit sim.Time) 
 	// again, so a ring that cannot step in rounds is not asked per slot.
 	refused := 0
 	for cur.logTail != 0 {
-		e := cur.log[cur.logHead]
-		if e.at != now {
+		if at := cur.slotAt(); at != now {
 			panic(fmt.Sprintf("xs1: core %v reached its issue slot at %v but pre-executed it for %v",
-				cur.node, now, e.at))
+				cur.node, now, at))
 		}
 		if refused > 0 {
 			refused--
-		} else if cur.logRun-cur.logHead >= 2 {
+		} else if cur.log[cur.logHead].n > 2 {
+			// At least two slots of the run stay on the grid — a run's
+			// last may not — and whole turns pay for the asking from two
+			// up. (A run of exactly two that does stay on it is the tail
+			// of a window, and goes slot by slot.)
 			if t, n := g.rounds(cur, now, slots, limit); n > 0 {
 				now, slots = t, slots+n
 				continue
 			}
 			refused = int(g.tail - g.head)
 		}
-		if cur.logHead++; cur.logHead == cur.logTail {
-			cur.drained()
-		}
+		after := cur.pop()
 		if slots+1 >= turboBatchCap || g.head == g.tail {
-			next, ok = e.next, true
+			next, ok = after, true
 			break
 		}
-		if hw := g.headWhen(); e.next < hw || hw > limit {
-			next, ok = e.next, true
+		if hw := g.headWhen(); after < hw || hw > limit {
+			next, ok = after, true
 			break
 		}
 		if cur.logTail == 0 {
-			cur.preexec(e.next, limit)
+			g.refill(cur, after, limit)
 		}
 		slots++
-		g.push(cur, e.next)
+		g.push(cur, after)
 		s := g.popHead()
 		if s.when < now {
 			panic(fmt.Sprintf("xs1: turbo group queue handed out core %v's slot at %v after one at %v",
@@ -667,13 +1021,14 @@ func (g *turboGroup) replay(cur *Core, now sim.Time, slots int, limit sim.Time) 
 		cur, now = s.c, s.when
 	}
 	g.k.StepN(now, slots-entered)
+	// Every slot the call went through was replayed, and so was the one
+	// it hands back to run; the count goes to the core in hand, as
+	// RoundSlots does — the counters are only ever summed.
+	cur.t.ReplayedSlots += uint64(slots - entered)
+	if ok {
+		cur.t.ReplayedSlots++
+	}
 	return cur, now, slots, next, ok
-}
-
-// drained accounts for a log replayed to its end and empties it.
-func (c *Core) drained() {
-	c.t.ReplayedSlots += uint64(c.logTail)
-	c.logHead, c.logTail, c.logRun = 0, 0, 0
 }
 
 // rounds retires whole turns of the ring at once. cur holds the slot in
@@ -685,15 +1040,16 @@ func (c *Core) drained() {
 // takes its head: the ring only rotates, and after one turn — one slot
 // per member, m in all — it is the same ring one period later, with cur
 // in hand again. By induction r turns are r·m trips through replay's
-// slot loop whose whole effect is each member's log head moved on by r,
-// every ring time and now by r periods, and r·m slots for replay to
-// count (and step the kernel for). r is the shortest run of such slots
-// left in any member's log, bounded so that no slot popped lies beyond
-// limit — the latest is cur's, at now + r·period — and that the batch
-// cap still falls on the very slot it would have: every one of the r·m
-// trips has to pass replay's slots+1 < turboBatchCap. A log that drains
-// does so on the last turn and is refilled on the spot from the time
-// the ring now holds for it, as the slot loop does before its push.
+// slot loop whose whole effect is each member's place in its log moved
+// on by r, every ring time and now by r periods, and r·m slots for
+// replay to count (and step the kernel for). r is the shortest run of
+// such slots at the head of any member's log (Core.gridRun), bounded so
+// that no slot popped lies beyond limit — the latest is cur's, at now +
+// r·period — and that the batch cap still falls on the very slot it
+// would have: every one of the r·m trips has to pass replay's slots+1 <
+// turboBatchCap. A log that empties does so on the last turn, and every
+// one that did is given a fresh window from the time the ring now holds
+// for it, as the slot loop does before its push.
 //
 // It reports the time of the slot then in hand and the number of slots
 // retired, 0 when the ring may do anything but rotate — a member with
@@ -711,7 +1067,7 @@ func (g *turboGroup) rounds(cur *Core, now sim.Time, slots int, limit sim.Time) 
 	if g.q[g.head&mask].when < now || g.q[(g.tail-1)&mask].when > now+period {
 		return now, 0
 	}
-	r := min(cur.logRun-cur.logHead, (turboBatchCap-1-slots)/m)
+	r := min(cur.gridRun(), (turboBatchCap-1-slots)/m)
 	if room := (limit - now) / period; room < sim.Time(r) {
 		r = int(room)
 	}
@@ -721,34 +1077,33 @@ func (g *turboGroup) rounds(cur *Core, now sim.Time, slots int, limit sim.Time) 
 		if c.logTail == 0 || c.clk.Period() != period {
 			return now, 0
 		}
-		if at := c.log[c.logHead].at; at != s.when {
+		if at := c.slotAt(); at != s.when {
 			panic(fmt.Sprintf("xs1: core %v is due its issue slot at %v but pre-executed it for %v",
 				c.node, s.when, at))
 		}
-		r = min(r, c.logRun-c.logHead)
+		r = min(r, c.gridRun())
 	}
 	if r <= 0 {
 		return now, 0
 	}
 	span := sim.Time(r) * period
+	emptied := false
 	for i := g.head; i != g.tail; i++ {
 		s := &g.q[i&mask]
 		s.when += span
-		s.c.retire(r, s.when, limit)
+		if s.c.retire(r) {
+			emptied = true
+		}
 	}
 	now += span
-	cur.retire(r, now, limit)
-	cur.t.RoundSlots += uint64(r * m)
-	return now, r * m
-}
-
-// retire moves the log head past r slots a round step replayed; a log
-// that drains is refilled from the core's next slot, at time at.
-func (c *Core) retire(r int, at, limit sim.Time) {
-	if c.logHead += r; c.logHead == c.logTail {
-		c.drained()
-		c.preexec(at, limit)
+	if cur.retire(r) {
+		emptied = true
 	}
+	cur.t.RoundSlots += uint64(r * m)
+	if emptied {
+		g.refill(cur, now, limit)
+	}
+	return now, r * m
 }
 
 // run executes issue slots in a tight loop from the firing that
@@ -865,7 +1220,7 @@ batch:
 					// finds the ring empty.)
 					if n := cur.InstrCount; n&(preexecStreak-1) == 0 && n-cur.commMark >= preexecStreak &&
 						g.mayPreexec && g.head != g.tail {
-						cur.preexec(next, limit)
+						g.refill(cur, next, limit)
 						slots++
 						break
 					}
@@ -919,6 +1274,7 @@ batch:
 	first.t.Batches++
 	first.t.BatchedInstrs += uint64(binstrs)
 	first.t.Exits[why]++
+	first.t.BatchLen[bits.Len(uint(slots-1))]++ // a batch is 1 to turboBatchCap slots
 	if rec := k.Recorder(); rec != nil {
 		rec.EmitSpan(int64(g.start), int64(now), trace.KindTurboBatch,
 			int32(first.node), binstrs, int64(slots))

@@ -299,7 +299,7 @@ func TestReplayMismatchPanics(t *testing.T) {
 	c.preexec(c.alignUp(r.k.Now())+c.clk.Period(), sim.Millisecond)
 	mustPanic(t, "replay", "pre-executed it for", func() { r.k.RunFor(sim.Microsecond) })
 
-	s := stageRing(t, 1000, 1)
+	s := stageRing(t, 1000, 1000, 1)
 	late := s.cores[len(s.cores)-1]
 	s.g.q[(s.g.tail-1)&uint(len(s.g.q)-1)].when = s.now
 	mustPanic(t, "rounds", fmt.Sprintf("core %v is due its issue slot at %v but pre-executed it for %v", late.node, s.now, s.now+s.period),
@@ -309,7 +309,7 @@ func TestReplayMismatchPanics(t *testing.T) {
 // stagedRing is a slice's turbo group arranged by hand as replay finds
 // it mid-batch with sixteen dense cores in step: cores[0]'s slot in
 // hand at now, the other fifteen in the ring at the same time, every
-// core with a window pre-executed from now up to limit.
+// core holding a pre-executed window that begins at its slot.
 type stagedRing struct {
 	g          *turboGroup
 	cores      []*Core
@@ -317,10 +317,11 @@ type stagedRing struct {
 	period     sim.Time
 }
 
-// stageRing builds a stagedRing whose limit lies room periods and a bit
-// after now; the last core's window and ring time begin lag periods
-// after the others'.
-func stageRing(t *testing.T, room, lag int64) stagedRing {
+// stageRing builds a stagedRing whose cores each hold a window of held
+// slots — as if the limit it was pre-executed under lay that far out —
+// and whose limit now lies room periods and a bit after now; the last
+// core's window and ring time begin lag periods after the others'.
+func stageRing(t *testing.T, held, room, lag int64) stagedRing {
 	t.Helper()
 	r := newRig(t)
 	cores := r.group(t, turboLoop4)
@@ -335,7 +336,10 @@ func stageRing(t *testing.T, room, lag int64) stagedRing {
 			at += c.clk.Cycles(lag)
 		}
 		c.t = TurboStats{}
-		c.preexec(at, s.limit)
+		c.preexec(at, at+c.clk.Cycles(held-1)+17)
+		if got := c.logged(); got != int(held) || c.logTail != 1 {
+			t.Fatalf("core %v: a dense window of %d slots logged %d slots in %d runs, want one run", c.node, held, got, c.logTail)
+		}
 		if i > 0 {
 			s.g.push(c, at)
 		}
@@ -351,45 +355,63 @@ func (s stagedRing) state() string {
 		fmt.Fprintf(&b, "%v@%d ", e.c.node, e.when)
 	}
 	for _, c := range s.cores {
-		fmt.Fprintf(&b, "| %d:%d:%d %d/%d/%d ", c.logHead, c.logTail, c.logRun, c.t.PreexecSlots, c.t.ReplayedSlots, c.t.RoundSlots)
+		fmt.Fprintf(&b, "| %d:%d %v %d/%d/%d ", c.logHead, c.logTail, c.log[0], c.t.PreexecSlots, c.t.ReplayedSlots, c.t.RoundSlots)
 	}
 	return b.String()
 }
 
-// TestRoundStep drives turboGroup.rounds on a hand-built ring: what a
-// step retires is bounded by the shortest uniform run, by limit and by
-// the batch cap, drained logs are accounted and refilled from the time
-// the ring holds for them, and every condition under which the ring
-// might do anything but rotate refuses the step and leaves all as it
-// was.
+// TestRoundStep drives turboGroup.rounds on a hand-built ring: a step
+// retires min(run left in the shortest log, room under limit, room under
+// the batch cap) whole turns, logs that empty are accounted and given a
+// fresh window from the time the ring holds for them, and every
+// condition under which the ring might do anything but rotate refuses
+// the step and leaves all as it was.
 func TestRoundStep(t *testing.T) {
 	const m = 16
+	// capTurns is how many whole turns fit under the batch cap from a
+	// batch slots slots long: each of their m·turns trips through
+	// replay's slot loop has to pass slots+1 < turboBatchCap.
+	capTurns := func(slots int) int64 { return int64((turboBatchCap - 1 - slots) / m) }
+	// far is more periods than any other bound in a case leaves room for.
+	far := 2 * capTurns(0)
+
 	t.Run("tail at now + period", func(t *testing.T) {
 		// One period out the last member is still the tail every push
 		// lands behind (a tie keeps insertion order): the step goes.
-		s := stageRing(t, 1000, 1)
-		if now, n := s.g.rounds(s.cores[0], s.now, m-1, s.limit); now != s.now+preexecWindow*s.period || n != preexecWindow*m {
-			t.Errorf("rounds = (%v, %d), want a window's worth of turns", now, n)
+		s := stageRing(t, far, far, 1)
+		want := capTurns(m - 1)
+		if now, n := s.g.rounds(s.cores[0], s.now, m-1, s.limit); now != s.now+sim.Time(want)*s.period || n != int(want)*m {
+			t.Errorf("rounds = (%v, %d), want every turn the cap leaves room for: (%v, %d)", now, n, s.now+sim.Time(want)*s.period, int(want)*m)
 		}
 	})
 	for _, tc := range []struct {
 		name  string
-		room  int64 // periods from now to limit
-		slots int   // the batch's slot count at the step
-		turns int   // whole turns the step must retire
+		held  int64  // slots in each member's log
+		room  int64  // periods from now to limit
+		slots int    // the batch's slot count at the step
+		binds string // which bound the step has to stop at
 	}{
-		{"window", 1000, m - 1, preexecWindow},                     // every log drains and is refilled
-		{"limit", 5, m - 1, 5},                                     // logs hold six slots; the sixth would end beyond limit
-		{"cap", 1000, turboBatchCap - 1 - 3*m, 3},                  // the cap's slot is the 16th of a fourth turn
-		{"cap, one slot on", 1000, turboBatchCap - 1 - 3*m + 1, 2}, // ... and now of the third
+		// A whole window: every log empties on the last turn and is
+		// refilled up to limit.
+		{"window", 40, far, m - 1, "run"},
+		// Logs hold six slots; the sixth's successor would lie beyond limit.
+		{"limit", 6, 5, m - 1, "limit"},
+		{"limit with longer logs", 40, 5, m - 1, "limit"},
+		// The cap's slot is the 16th of a fourth turn ...
+		{"cap", far, far, turboBatchCap - 1 - 3*m, "cap"},
+		// ... and now of the third.
+		{"cap, one slot on", far, far, turboBatchCap - 1 - 3*m + 1, "cap"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := stageRing(t, tc.room, 0)
-			held := int(min(tc.room+1, preexecWindow))
+			s := stageRing(t, tc.held, tc.room, 0)
+			turns := min(tc.held, tc.room, capTurns(tc.slots))
+			if bound := map[string]int64{"run": tc.held, "limit": tc.room, "cap": capTurns(tc.slots)}[tc.binds]; bound != turns {
+				t.Fatalf("the case is meant to stop at its %s bound of %d turns, but the least bound is %d", tc.binds, bound, turns)
+			}
 			now, n := s.g.rounds(s.cores[0], s.now, tc.slots, s.limit)
-			span := sim.Time(tc.turns) * s.period
-			if now != s.now+span || n != tc.turns*m {
-				t.Fatalf("rounds = (%v, %d), want (%v, %d): %d turns", now, n, s.now+span, tc.turns*m, tc.turns)
+			span := sim.Time(turns) * s.period
+			if now != s.now+span || n != int(turns)*m {
+				t.Fatalf("rounds = (%v, %d), want (%v, %d): %d turns", now, n, s.now+span, int(turns)*m, turns)
 			}
 			if got := roundSlots(s.cores); got != uint64(n) || s.cores[0].t.RoundSlots != uint64(n) {
 				t.Errorf("RoundSlots = %d, all of it on the core in hand: %v; want %d", got, s.cores[0].t.RoundSlots == got, n)
@@ -400,14 +422,18 @@ func TestRoundStep(t *testing.T) {
 						t.Errorf("ring slot %d holds core %v at %v, want core %v at %v", i-1, e.c.node, e.when, c.node, now)
 					}
 				}
-				if tc.turns < held {
-					if c.logHead != tc.turns || c.logTail != held || c.t.ReplayedSlots != 0 {
-						t.Errorf("core %v: log [%d:%d], %d replayed; want [%d:%d], 0", c.node, c.logHead, c.logTail, c.t.ReplayedSlots, tc.turns, held)
+				// (ReplayedSlots is replay's to count, for every slot it goes
+				// through, these included.)
+				if turns < tc.held {
+					if c.logTail != 1 || c.logged() != int(tc.held-turns) {
+						t.Errorf("core %v: %d slots left in %d runs; want %d left of its one run",
+							c.node, c.logged(), c.logTail-c.logHead, tc.held-turns)
 					}
-				} else if c.logHead != 0 || c.logTail == 0 || c.t.ReplayedSlots != uint64(held) {
-					t.Errorf("core %v: log [%d:%d], %d replayed; want a fresh window and %d", c.node, c.logHead, c.logTail, c.t.ReplayedSlots, held)
+				} else if fresh := int(tc.room - turns + 1); c.logTail != 1 || c.logged() != fresh || c.t.PreexecSlots != uint64(int(tc.held)+fresh) {
+					t.Errorf("core %v: %d slots logged in %d runs, %d pre-executed in all; want a fresh window of %d slots up to limit after the %d replayed",
+						c.node, c.logged(), c.logTail-c.logHead, c.t.PreexecSlots, fresh, tc.held)
 				}
-				if at := c.log[c.logHead].at; at != now {
+				if at := c.slotAt(); at != now {
 					t.Errorf("core %v: log resumes at %v, want %v", c.node, at, now)
 				}
 			}
@@ -422,20 +448,20 @@ func TestRoundStep(t *testing.T) {
 	}{
 		{"nothing under limit", 0, 0, m - 1, func(s *stagedRing) {}},
 		{"limit behind now", 3, 0, m - 1, func(s *stagedRing) { s.limit = s.now - 1 }},
-		{"nothing under the cap", 1000, 0, turboBatchCap - m, func(s *stagedRing) {}},
-		{"empty ring", 1000, 0, m - 1, func(s *stagedRing) { s.g.tail = s.g.head }},
-		{"member with nothing logged", 1000, 0, m - 1, func(s *stagedRing) { s.cores[7].logHead, s.cores[7].logTail, s.cores[7].logRun = 0, 0, 0 }},
-		{"member on another clock", 1000, 0, m - 1, func(s *stagedRing) { s.cores[7].clk = sim.NewClock(400) }},
-		{"member off its grid next", 1000, 0, m - 1, func(s *stagedRing) { s.cores[7].logRun = 0 }},
-		{"core in hand off its grid next", 1000, 0, m - 1, func(s *stagedRing) { s.cores[0].logRun = 0 }},
+		{"nothing under the cap", far, 0, turboBatchCap - m, func(s *stagedRing) {}},
+		{"empty ring", far, 0, m - 1, func(s *stagedRing) { s.g.tail = s.g.head }},
+		{"member with nothing logged", far, 0, m - 1, func(s *stagedRing) { s.cores[7].logHead, s.cores[7].logTail = 0, 0 }},
+		{"member on another clock", far, 0, m - 1, func(s *stagedRing) { s.cores[7].clk = sim.NewClock(400) }},
+		{"member off its grid next", far, 0, m - 1, func(s *stagedRing) { s.cores[7].log[0].n = 1; s.cores[7].log[0].next += s.period }},
+		{"core in hand off its grid next", far, 0, m - 1, func(s *stagedRing) { s.cores[0].log[0].n = 1; s.cores[0].log[0].next += s.period }},
 		// The last member sits two periods out, with a window that begins
 		// there: the push of the slot in hand would land ahead of it, not
 		// at the tail. One period out it is the tail, and the step goes.
-		{"tail beyond now + period", 1000, 2, m - 1, func(s *stagedRing) {}},
-		{"head behind now", 1000, 0, m - 1, func(s *stagedRing) { s.now += s.period }},
+		{"tail beyond now + period", far, 2, m - 1, func(s *stagedRing) {}},
+		{"head behind now", far, 0, m - 1, func(s *stagedRing) { s.now += s.period }},
 	} {
 		t.Run("refuses: "+tc.name, func(t *testing.T) {
-			s := stageRing(t, tc.room, tc.lag)
+			s := stageRing(t, tc.room+1, tc.room, tc.lag)
 			tc.upset(&s)
 			before := s.state()
 			if now, n := s.g.rounds(s.cores[0], s.now, tc.slots, s.limit); now != s.now || n != 0 {
