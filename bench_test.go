@@ -202,8 +202,8 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 // running the paper's heavy-load mix, timed with the predecoded
 // instruction cache + batched issue loop on and with the
 // one-instruction-per-event slow path. ns/instr is the headline
-// number BENCH_turbo.json tracks; the on/off ratio is the fast
-// path's gain with output held bit-identical.
+// number; the on/off ratio is the fast path's gain with output held
+// bit-identical.
 func BenchmarkTurbo(b *testing.B) {
 	prevTurbo := experiments.Turbo()
 	defer experiments.SetTurbo(prevTurbo)

@@ -127,15 +127,16 @@
 // ended), and pre-execution of compute slots: cores share no memory,
 // so a core on a streak of compute instructions runs its own next
 // slots alone on a local clock, up to the next foreign event or the
-// deadline, and logs them in runs of slots one period apart, and the
-// group loop — still the single owner of global order and kernel
-// accounting — replays the timing when it reaches them: slot by slot in
-// general, and by whole turns of the group queue — each log moved on by
-// r slots, each queued time by r periods, one counted kernel step
-// (sim.Kernel.StepN) — where every queued core keeps to one clock's
-// grid and the queue would provably only rotate, which is how the
-// paper's loaded slices run. Such a window reads and writes nothing but
-// its own core, so windows of different cores are computed on different
+// deadline, and logs them in strided runs (n slots a period apart, a
+// gap, repeated), and the group loop — still the single owner of global
+// order and kernel accounting — replays the timing when it reaches
+// them: slot by slot in general, and by whole blocks of the group queue
+// — each log's repeat count down by r, each queued time on by r strides,
+// one counted kernel step (sim.Kernel.StepN) — where every queued core
+// holds the same block and the queue would provably only rotate, which
+// is how the paper's slices run, loaded or thin. Such a window reads and
+// writes nothing but its own core, so windows of different cores are
+// computed on different
 // host processors: wherever one member is given a window every member
 // that could take one is collected, the simulation goroutine and a
 // process-wide pool of parked helpers (GOMAXPROCS - 1 of them) claim
@@ -151,7 +152,6 @@
 // anything reaching into a core that still holds unreplayed slots
 // panics. On by default; -turbo=false on both drivers falls back to
 // one instruction per kernel event, byte-identical output either way.
-// BENCH_turbo.json holds the committed baseline.
 //
 // The communication path — kernel events and tokens rather than
 // instructions — follows the same rules. Nothing on it allocates in

@@ -34,6 +34,12 @@ func readBenchGolden(t *testing.T, name string, into any) {
 // for 200 us — and renders its simulated statistics as bench/sim.go's
 // digest does.
 func simComputeDigest(t *testing.T, threads int) string {
+	return sliceDigest(t, 0, func(int) int { return threads })
+}
+
+// sliceDigest is simComputeDigest with threads(i) threads on core i and,
+// if retune is not zero, core 5 on a clock of that many MHz.
+func sliceDigest(t *testing.T, retune float64, threads func(i int) int) string {
 	t.Helper()
 	m, release, err := core.Checkout(1, 1, core.Options{})
 	if err != nil {
@@ -41,8 +47,16 @@ func simComputeDigest(t *testing.T, threads int) string {
 	}
 	defer release()
 	m.Reset()
-	if err := m.LoadAll(workload.HeavyLoad(threads, 1<<20)); err != nil {
-		t.Fatal(err)
+	for i, c := range m.Cores() {
+		if err := m.Load(c.Node(), workload.HeavyLoad(threads(i), 1<<20)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if retune != 0 {
+		// The pool retunes every machine it hands out.
+		if err := m.Cores()[5].SetFrequency(retune); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m.RunFor(200 * sim.Microsecond)
 	rep := m.Report()
@@ -61,7 +75,9 @@ func simComputeDigest(t *testing.T, threads int) string {
 // benchmark's committed digests of sim-compute and the committed hashes
 // of three artifacts that load whole slices hold at GOMAXPROCS 1, 2 and
 // 4 alike. Windows are offered to the pool at the wider settings and
-// never at 1, or the three settings would have tested one thing.
+// never at 1, or the three settings would have tested one thing. Slices
+// the benchmark does not run — thread counts mixed, thin cores with one
+// on another clock — are held to what one host thread makes of them.
 func TestHostThreadsNeverChangeAByte(t *testing.T) {
 	var sims map[string][]string
 	readBenchGolden(t, "sim.seed1.json", &sims)
@@ -72,10 +88,25 @@ func TestHostThreadsNeverChangeAByte(t *testing.T) {
 	var tables map[string]string
 	readBenchGolden(t, "tables.json", &tables)
 
+	offGolden := map[string]func() string{
+		"one, two, four and eight threads": func() string { return sliceDigest(t, 0, func(i int) int { return 1 << (i % 4) }) },
+		"one thread, a core at 400 MHz":    func() string { return sliceDigest(t, 400, func(int) int { return 1 }) },
+		"two threads, a core at 400 MHz":   func() string { return sliceDigest(t, 400, func(int) int { return 2 }) },
+	}
+	alone := make(map[string]string)
+
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, width := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(width)
 		before := TurboStats()
+		for name, digest := range offGolden {
+			d := digest()
+			if width == 1 {
+				alone[name] = d
+			} else if d != alone[name] {
+				t.Errorf("GOMAXPROCS=%d: %s:\n  %s\non one host thread:\n  %s", width, name, d, alone[name])
+			}
+		}
 		seen := make(map[string]bool)
 		for _, threads := range []int{1, 2, 4, 8} {
 			d := simComputeDigest(t, threads)

@@ -181,12 +181,13 @@ type Core struct {
 
 	// log holds the issue slots the core has pre-executed ahead of the
 	// kernel clock and the group loop has not yet replayed (turbo.go), in
-	// runs of slots one period apart: runs log[logHead:logTail], filled
-	// from zero only when empty, so logTail != 0 says the core's private
-	// state leads the clock; the head run shrinks from the front as its
-	// slots are replayed. Fixed backing, never snapshotted: it is empty
-	// whenever RunUntil is not executing.
+	// strided runs: runs log[logHead:logTail], filled from zero only when
+	// empty, so logTail != 0 says the core's private state leads the
+	// clock; the head run shrinks from the front as its slots are
+	// replayed, and logAt is the time of the next one. Fixed backing,
+	// never snapshotted: it is empty whenever RunUntil is not executing.
 	logHead, logTail int
+	logAt            sim.Time
 	log              [preexecRuns]preRun
 }
 

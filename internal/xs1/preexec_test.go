@@ -135,76 +135,106 @@ loop:
 `
 	for _, tc := range []struct {
 		name, src string
-		// warm is how long the core runs before the window, and limit how
-		// far past its first slot the window may go.
+		// warm is how long the core runs before the window — a picosecond
+		// short of a slot, for the window to begin at that slot — and limit
+		// how far past its first slot the window may go.
 		warm, limit sim.Time
+		// mhz retunes the core before it runs, if not zero.
+		mhz float64
 		// check looks at the shape of the log the window left.
 		check func(t *testing.T, c *Core, period sim.Time)
 	}{
-		{"one thread: instruction, idle probe, three periods skipped", turboLoop, 2 * sim.Microsecond, sim.Millisecond,
+		{"one thread: instruction, idle probe, three periods skipped", turboLoop, 2*sim.Microsecond - 1, sim.Millisecond, 0,
 			func(t *testing.T, c *Core, period sim.Time) {
-				if c.logTail != preexecRuns {
-					t.Errorf("%d runs logged, want the log filled: %d", c.logTail, preexecRuns)
-				}
-				// The window may begin mid-pattern, on the probe.
-				for i, e := range c.log[1:c.logTail] {
-					if e.n != 2 || e.next != e.at+4*period {
-						t.Errorf("run %d = %+v, want an instruction and a probe that skips to %v", i, e, e.at+4*period)
-					}
+				// 125 000 blocks of two slots, four periods from one to the
+				// next, in one run, and the instruction that falls on limit.
+				body, tail := preRun{gap: 3 * period, left: 2, n: 2, reps: 125_000}, preRun{gap: period, left: 1, n: 1, reps: 1}
+				if c.logTail != 2 || c.log[0] != body || c.log[1] != tail {
+					t.Errorf("log = %+v, want %+v and %+v", c.log[:c.logTail], body, tail)
 				}
 			}},
-		{"four threads: one run to limit", turboLoop4, 2 * sim.Microsecond, 999*2*sim.Nanosecond + 17,
+		{"one thread, from the probe: the part block folds into the run", turboLoop, 2*sim.Microsecond + 1, 99 * 2 * sim.Nanosecond, 0,
 			func(t *testing.T, c *Core, period sim.Time) {
-				if e := c.log[0]; c.logTail != 1 || e.n != 1000 || e.next != e.at+1000*period {
-					t.Errorf("log = %+v in %d runs, want one run of 1000 slots that stays on its grid", e, c.logTail)
+				// The probe, 24 whole blocks, and the instruction at limit.
+				body, tail := preRun{gap: 3 * period, left: 1, n: 2, reps: 25}, preRun{gap: period, left: 1, n: 1, reps: 1}
+				if c.logTail != 2 || c.log[0] != body || c.log[1] != tail {
+					t.Errorf("log = %+v, want %+v and %+v", c.log[:c.logTail], body, tail)
 				}
 			}},
-		{"limit on the grid: its slot runs", turboLoop4, 2 * sim.Microsecond, 40 * 2 * sim.Nanosecond,
+		{"two threads: two instructions, idle probe, two periods skipped", turboLoop2, 2*sim.Microsecond - 1, 100 * 2 * sim.Nanosecond, 0,
 			func(t *testing.T, c *Core, period sim.Time) {
-				if e := c.log[0]; c.logTail != 1 || e.n != 41 || e.next != e.at+41*period {
-					t.Errorf("log = %+v in %d runs, want one run of 41 slots", e, c.logTail)
+				if e := c.log[0]; c.logTail > 2 || e.n != 3 || e.gap != 2*period || e.reps < 24 {
+					t.Errorf("log = %+v, want blocks of three slots and a two-period gap in one run, and a tail", c.log[:c.logTail])
 				}
 			}},
-		{"limit one short of the grid: its slot does not", turboLoop4, 2 * sim.Microsecond, 40*2*sim.Nanosecond - 1,
+		{"three threads: the probe's slot stays on the grid", turboLoopOn(3), 2*sim.Microsecond - 1, 999 * 2 * sim.Nanosecond, 0,
 			func(t *testing.T, c *Core, period sim.Time) {
-				if e := c.log[0]; c.logTail != 1 || e.n != 40 || e.next != e.at+40*period {
-					t.Errorf("log = %+v in %d runs, want one run of 40 slots", e, c.logTail)
+				if want := (preRun{gap: period, left: 1, n: 1, reps: 1000}); c.logTail != 1 || c.log[0] != want || c.IdleSlots == 0 {
+					t.Errorf("log = %+v in %d runs after %d idle probes, want 1000 slots a period apart, probes among them: %+v", c.log[0], c.logTail, c.IdleSlots, want)
 				}
 			}},
-		{"limit inside a run of a one-thread core", turboLoop, 2 * sim.Microsecond, 8 * 2 * sim.Nanosecond,
+		{"one thread at 400 MHz", turboLoop, 2*sim.Microsecond - 1, 20 * sim.Microsecond, 400,
 			func(t *testing.T, c *Core, period sim.Time) {
-				// Slots at 0 and 1, 4 and 5, and 8: the last run is cut
-				// after its instruction and stays on the grid.
-				if e := c.log[c.logTail-1]; c.logTail != 3 || e.n != 1 || e.next != e.at+period {
-					t.Errorf("last of %d runs = %+v, want a third run of one slot re-arming a period later", c.logTail, e)
+				if e := c.log[0]; period != 2500 || c.logTail > 2 || e.n != 2 || e.gap != 3*period || e.reps != 2000 {
+					t.Errorf("log = %+v on a period of %v, want 2000 blocks of two slots and three periods' gap in one run", c.log[:c.logTail], period)
 				}
 			}},
-		{"divider stall beside an ALU thread", divider, 2 * sim.Microsecond, 600 * 2 * sim.Nanosecond,
+		{"four threads: one run to limit", turboLoop4, 2 * sim.Microsecond, 999*2*sim.Nanosecond + 17, 0,
 			func(t *testing.T, c *Core, period sim.Time) {
-				long := 0
+				if want := (preRun{gap: period, left: 1, n: 1, reps: 1000}); c.logTail != 1 || c.log[0] != want {
+					t.Errorf("log = %+v in %d runs, want 1000 slots a period apart: %+v", c.log[0], c.logTail, want)
+				}
+			}},
+		{"limit on the grid: its slot runs", turboLoop4, 2 * sim.Microsecond, 40 * 2 * sim.Nanosecond, 0,
+			func(t *testing.T, c *Core, period sim.Time) {
+				if c.logTail != 1 || c.logged() != 41 {
+					t.Errorf("log = %+v in %d runs, want one run of 41 slots", c.log[0], c.logTail)
+				}
+			}},
+		{"limit one short of the grid: its slot does not", turboLoop4, 2 * sim.Microsecond, 40*2*sim.Nanosecond - 1, 0,
+			func(t *testing.T, c *Core, period sim.Time) {
+				if c.logTail != 1 || c.logged() != 40 {
+					t.Errorf("log = %+v in %d runs, want one run of 40 slots", c.log[0], c.logTail)
+				}
+			}},
+		{"limit inside a run of a one-thread core", turboLoop, 2*sim.Microsecond - 1, 8 * 2 * sim.Nanosecond, 0,
+			func(t *testing.T, c *Core, period sim.Time) {
+				// Slots at 0 and 1, 4 and 5, and 8: two blocks, and the
+				// instruction of a third, which stays on the grid.
+				body, tail := preRun{gap: 3 * period, left: 2, n: 2, reps: 2}, preRun{gap: period, left: 1, n: 1, reps: 1}
+				if c.logTail != 2 || c.log[0] != body || c.log[1] != tail {
+					t.Errorf("log = %+v, want %+v and %+v", c.log[:c.logTail], body, tail)
+				}
+			}},
+		{"divider stall beside an ALU thread", divider, 2 * sim.Microsecond, 600 * 2 * sim.Nanosecond, 0,
+			func(t *testing.T, c *Core, period sim.Time) {
+				long, folded := 0, 0
 				for _, e := range c.log[:c.logTail] {
 					if e.n > 2 {
 						long++
 					}
+					if e.reps > 1 {
+						folded++
+					}
 				}
-				if c.logTail < 2 || long == 0 {
-					t.Errorf("%d runs, %d longer than two slots; want several runs of mixed length", c.logTail, long)
+				if c.logTail < 2 || long == 0 || folded == 0 {
+					t.Errorf("%d runs, %d of blocks longer than two slots, %d of more than one block; want several runs of mixed shape", c.logTail, long, folded)
 				}
 			}},
-		{"trap mid-window", trapping, 0, sim.Millisecond,
+		{"trap mid-window", trapping, 0, sim.Millisecond, 0,
 			func(t *testing.T, c *Core, period sim.Time) {
-				if e := c.log[c.logTail-1]; e.next != slotTrapped {
-					t.Errorf("last run = %+v, want it to end in the trap sentinel", e)
+				if e := c.log[c.logTail-1]; e.gap != slotTrapped || e.reps != 1 {
+					t.Errorf("last run = %+v, want one block that ends in the trap sentinel", e)
 				}
 				if c.Trapped() == nil {
 					t.Error("the core did not trap inside the window")
 				}
 			}},
-		{"communication instruction ends the window", talking, 0, sim.Millisecond,
+		{"communication instruction ends the window", talking, 0, sim.Millisecond, 0,
 			func(t *testing.T, c *Core, period sim.Time) {
 				// The last slot before gettid is an idle probe that skips to
 				// the slot gettid will issue in.
-				if e := c.log[c.logTail-1]; e.next < 0 || c.InstrCount > 40 {
+				if e := c.log[c.logTail-1]; e.gap < 0 || c.InstrCount > 40 {
 					t.Errorf("last run = %+v after %d instructions, want the window to stop at gettid with the core awake", e, c.InstrCount)
 				}
 			}},
@@ -213,6 +243,11 @@ loop:
 			build := func() (*rig, *Core) {
 				r := newRig(t)
 				c := r.core(t, v00(), tc.src)
+				if tc.mhz != 0 {
+					if err := c.SetFrequency(tc.mhz); err != nil {
+						t.Fatal(err)
+					}
+				}
 				r.k.RunFor(tc.warm)
 				c.t = TurboStats{}
 				return r, c
@@ -239,7 +274,8 @@ loop:
 				if c.logTail == 0 {
 					t.Fatalf("the log emptied after %d slots, the per-slot log holds %d", i, len(want))
 				}
-				at, next := c.slotAt(), c.pop()
+				at := c.logAt
+				next := c.pop()
 				if at != w.at || next != w.next {
 					t.Fatalf("slot %d pops as (at %v, next %v), the per-slot log has (%v, %v)", i, at, next, w.at, w.next)
 				}
@@ -647,5 +683,48 @@ func TestCommunicationPickEndsTheStreak(t *testing.T) {
 	// One fan-out in the prelude, one after the spawns.
 	if ts.Fanouts == 0 || ts.Fanouts > 2 {
 		t.Errorf("%d fan-outs, want one for the prelude and one for the loop", ts.Fanouts)
+	}
+}
+
+// TestFastPathCounters pins the fast path by what it counts, not by a
+// stopwatch: sixteen cores in step for 200 µs, at every thread count with
+// a slot pattern of its own — one and two threads leave slots empty and
+// skip ahead, three probe a slot that stays on the grid, four and eight
+// fill every slot. At each, nineteen replayed slots in twenty are retired
+// by round steps, the windows are offered to the helper pool, and a core's
+// window to that horizon is no more than a run and its tail. A change that
+// falls off rounds, folding or the fan-out fails here.
+func TestFastPathCounters(t *testing.T) {
+	defer SetTurbo(true)
+	SetTurbo(true)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const span = 200 * sim.Microsecond
+	for _, threads := range []int{1, 2, 3, 4, 8} {
+		t.Run(fmt.Sprint(threads, " threads"), func(t *testing.T) {
+			r := newRig(t)
+			cores := r.group(t, turboLoopOn(threads))
+			r.k.RunFor(span)
+			var ts TurboStats
+			for _, c := range cores {
+				ts.add(&c.t)
+			}
+			if ts.PreexecSlots != ts.ReplayedSlots || ts.ReplayedSlots == 0 {
+				t.Fatalf("%d slots pre-executed, %d replayed", ts.PreexecSlots, ts.ReplayedSlots)
+			}
+			if ts.RoundSlots*20 < ts.ReplayedSlots*19 {
+				t.Errorf("%d of %d replayed slots retired by round steps, want at least 95%%", ts.RoundSlots, ts.ReplayedSlots)
+			}
+			if ts.Fanouts == 0 {
+				t.Error("no window was offered to the helper pool on two host threads")
+			}
+			for _, c := range cores {
+				c.preexec(c.issueTimer.When(), r.k.Now()+span)
+				if c.logTail > 2 || c.logged() < int(span/c.clk.Period())/2 {
+					t.Fatalf("core %v: a window of %d slots to a horizon 200 µs out took %d runs, want at most 2: %+v",
+						c.node, c.logged(), c.logTail, c.log[:min(c.logTail, 4)])
+				}
+			}
+			t.Logf("%d slots replayed, %d in rounds, %d fan-outs, %d helped windows", ts.ReplayedSlots, ts.RoundSlots, ts.Fanouts, ts.HelpedWindows)
+		})
 	}
 }

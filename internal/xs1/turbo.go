@@ -42,76 +42,62 @@ import (
 //     is bit-identical to the unbatched loop — including the kernel's
 //     own clock, firing and sequence counters.
 //
-//  3. Pre-execution of compute slots: cores share no memory, so between
-//     two communication instructions a core's registers, SRAM, thread
-//     rotation and counters are nobody else's business. What a slot
-//     does is therefore split from when the kernel accounts for it: a
-//     core on a streak of compute instructions runs its own next slots
-//     alone on a local clock (Core.preexec — no kernel call, no group
-//     queue) and logs when each fell and when the core is due next; the
-//     group loop stays the single owner of global order and kernel
-//     accounting, and when it reaches a slot of a core with a non-empty
-//     log the slot is a log pop instead of an instruction. Push, pop,
-//     AbsorbNext, StepTo, the exit re-arm, the batch cap and every batch
-//     boundary are untouched, so kernel Now/Seq/Fired and arm order are
-//     the unbatched loop's by construction; there is no rollback and
-//     nothing to undo — work is only done earlier. It is sound because
-//     it is bounded: only inside RunUntil, only slots strictly before
-//     the kernel's earliest pending registration and no later than the
-//     deadline, only while the core has no thread an outside event
-//     could wake, never with a recorder attached, and never across a
-//     communication instruction — the run stops before the pick. Every
+//  3. Pre-execution and replay. Cores share no memory, so between two
+//     communication instructions a core's registers, SRAM, thread
+//     rotation and counters are nobody else's business, and what a slot
+//     does is split from when the kernel accounts for it. A core on a
+//     streak of compute instructions runs its own next slots alone on a
+//     local clock (Core.preexec: a window — no kernel call, no group
+//     queue) and logs when they fell; the group loop stays the single
+//     owner of global order and kernel accounting, and a slot of a core
+//     with a non-empty log is a log pop instead of an instruction. Push,
+//     pop, AbsorbNext, StepTo, the exit re-arm, the batch cap and every
+//     batch boundary are untouched, so kernel Now/Seq/Fired and arm order
+//     are the unbatched loop's by construction; there is no rollback and
+//     nothing to undo — work is only done earlier. It is sound because it
+//     is bounded: only inside RunUntil, only slots strictly before the
+//     kernel's earliest pending registration and no later than the
+//     deadline (limit), only while the core has no thread an outside
+//     event could wake, never with a recorder attached, never across a
+//     communication instruction — the window stops before the pick. Every
 //     entry into a core from outside its own issue step panics on a
 //     non-empty log (Core.settled).
 //
-//     Replaying has a closed form where it matters most. Cores of a
-//     loaded slice keep one clock, so their slots fall on one grid and
-//     the group queue does nothing but rotate: when the core in hand
-//     and every queued member hold logged slots that each re-arm one
-//     period later, on the same period, and the queue's last slot is no
-//     later than a period from now, every push lands at the tail and
-//     every pop takes the head, and one turn later it is the same queue
-//     one period on. turboGroup.rounds retires r such turns at once —
-//     each log head moved on by r, each queued time by r periods, the
-//     slot count by r per member — and replay steps the kernel for all
-//     of it with one counted step (Kernel.StepN) on its way out: by
-//     induction what the slot-by-slot loop leaves behind, bounded by
-//     the horizon, the deadline and the batch cap exactly as the slots
-//     themselves would be. Anything else — an empty log, another
-//     period, an idle probe that skips ahead, a staggered tail — is
-//     refused, not guessed at, and goes slot by slot.
+//     The log has one shape: a run is n slots a period apart, then a gap,
+//     repeated (preRun). A core with an instruction in every slot logs
+//     one slot and one period, over and over; a one-thread core logs an
+//     instruction, an idle probe and the three periods the probe skips;
+//     either way a steady window is one entry up to limit and one more
+//     for what limit cut off. A round is r blocks of a ring that only
+//     rotates: when the core in hand and every ring member hold the same
+//     block, each at the same slot of it or — having had its turn — one
+//     slot on, every push lands at the ring's tail and every pop takes
+//     its head, and r blocks later it is the same ring r strides on.
+//     turboGroup.rounds retires them at once — each log's repeat count
+//     down by r, each ring time on by r strides — and replay steps the
+//     kernel for all of it with one counted step (Kernel.StepN), bounded
+//     by the horizon, the deadline and the batch cap exactly as the slots
+//     would be. Anything else — an empty log, another block, period or
+//     phase, a member whose slot is still the kernel's — is refused, not
+//     guessed at, and goes slot by slot.
 //
-//  4. Windows on every host processor. A window — one call of
-//     Core.preexec — is a function of its core's own state, the time of
-//     its first slot and the limit it may run to; it makes no kernel
-//     call and touches no ring and no other core. So which goroutine
-//     computes it is nobody's business either. Wherever a member is
-//     given a window (run's streak entry, replay's refill, a round step
-//     that emptied logs), turboGroup.refill collects every member that
-//     could take one at that moment, and the simulation goroutine and
-//     a process-wide pool of parked helpers, one per spare host
-//     processor, claim those cores one at a time and pre-execute them
-//     side by side. The simulation goroutine always takes part, never
-//     waits to be helped, and joins before it replays a slot, arms a
-//     timer or steps the kernel, so the group loop is as sequential as
-//     it ever was: Now/Seq/Fired, arm order, batch boundaries and every
-//     rendered byte are the same at every GOMAXPROCS by construction —
-//     there is still no rollback and no speculation, and every bound of
-//     mechanism 3 stands. What the handoff costs decides how long a
-//     window is. Waking a parked goroutine takes tens of microseconds,
-//     thousands of slots; so a window runs to the horizon — limit, or
-//     the communication instruction, trap or sleep that ends it — which
-//     wastes nothing, since every slot logged within limit is replayed
-//     inside the RunUntil that logged it. The log can afford that
-//     because it is run-length: one entry per run of slots a period
-//     apart (first slot, count, where the core goes next), so a loaded
-//     core's whole window is one entry, a round step subtracts from a
-//     count, and the log is smaller than the per-slot one it replaced.
-//     Windows are shared only when they hold enough work to pay for
-//     the wake (fanoutMinSlots); under that, on a lone processor or
-//     with one eligible core, refill is the same call with nobody else
-//     claiming. Not parallel: the replay, which is a few per cent of a
-//     loaded slice and owns the global order.
+//  4. Windows on every host processor. A window is a function of its
+//     core's own state, the time of its first slot and limit, and touches
+//     nothing else, so which goroutine computes it is nobody's business
+//     either. Wherever a member is given a window (run's streak entry,
+//     replay's refill, a round step that emptied logs) turboGroup.refill
+//     collects every member that could take one, and the simulation
+//     goroutine and a process-wide pool of parked helpers, one per spare
+//     host processor, claim them one at a time. The simulation goroutine
+//     always takes part, never waits to be helped, and joins before it
+//     replays a slot, arms a timer or steps the kernel, so Now/Seq/Fired,
+//     arm order, batch boundaries and every rendered byte are the same at
+//     every GOMAXPROCS. Waking a parked goroutine costs thousands of
+//     slots, so a window runs to the horizon — which wastes nothing, for
+//     every slot logged within limit is replayed inside the RunUntil that
+//     logged it — and windows are shared only when they hold enough work
+//     to pay for the wake (fanoutMinSlots). Not parallel: the replay,
+//     which owns the global order.
 //
 // Round-robin order, pipeline spacing, idle-slot accounting and energy
 // accrual run through the same code as the slow path (pickReady,
@@ -173,7 +159,7 @@ type TurboStats struct {
 	PreexecSlots  uint64
 	ReplayedSlots uint64
 	// RoundSlots counts the replayed slots that were retired by whole
-	// turns of the group ring (turboGroup.rounds) rather than one by one.
+	// blocks of the group ring (turboGroup.rounds) rather than one by one.
 	RoundSlots uint64
 	// Fanouts counts the times windows were offered to the helper pool
 	// (turboGroup.refill with enough work to share and a spare host
@@ -276,9 +262,9 @@ const (
 	// window alone, one after the other, with nobody to share it with.
 	preexecJoin = preexecStreak / 2
 	// preexecRuns is the capacity of a core's slot log, in runs. A core
-	// with an instruction in every slot logs its whole window as one run;
-	// a core whose idle probes skip ahead logs one run per skip, and its
-	// window ends when the log is full.
+	// whose slots repeat one block logs its whole window as one run and a
+	// tail; a core whose idle probes skip ahead by no pattern logs one run
+	// per skip, and its window ends when the log is full.
 	preexecRuns = 64
 
 	// fanoutMinSlots is how many issue slots the windows handed out at one
@@ -304,16 +290,19 @@ const (
 	timeMax sim.Time = math.MaxInt64
 )
 
-// preRun is one run of pre-executed issue slots, one period apart: n of
-// them, the first at time at. Every slot but the last re-arms its core
-// one period later; next is the time of the core's next slot after the
-// last — at + n periods when limit, a communication instruction or the
-// end of the log cut the run, later when the last slot was an idle probe
-// that skipped ahead, -1 when the core then sleeps, slotTrapped when the
-// slot trapped.
+// preRun is one strided run of pre-executed issue slots: a block of n
+// slots a period apart, then gap from the block's last slot to the core's
+// next, reps times over. The first block may be short: left counts the
+// slots of it yet to replay, and falls as they are. A core with an
+// instruction in every slot logs blocks of one slot and a period's gap —
+// the period-only run — and one whose idle probes skip ahead logs the
+// slots up to the probe and the skip. A negative gap ends the log, and
+// its one block: -1 when the core sleeps after the last slot, slotTrapped
+// when that slot trapped. The time of the next slot to replay is the
+// core's (Core.logAt); a run begins where the one before it ends.
 type preRun struct {
-	at, next sim.Time
-	n        int
+	gap           sim.Time
+	left, n, reps int
 }
 
 // ientry is one predecoded instruction. gen pins the page generation
@@ -616,11 +605,10 @@ func (c *Core) preexec(at, limit sim.Time) {
 			c.node, at, c.logged()))
 	}
 	period := c.clk.Period()
-	// The run being logged is log[logTail], which becomes part of the log
-	// when it ends; n counts its slots so far. Nothing else is carried
-	// from slot to slot: every value live across the call to run is
-	// spilled around it.
-	c.log[0].at = at
+	// n counts the slots of the block being logged so far, a period apart.
+	// Nothing else is carried from slot to slot: every value live across
+	// the call to run is spilled around it.
+	c.logAt = at
 	n := 0
 	for at <= limit {
 		off := c.rrOff
@@ -670,79 +658,94 @@ func (c *Core) preexec(at, limit sim.Time) {
 		}
 		n++
 		if next != at+period {
-			// The slot leaves the grid, and its run ends with it.
-			e := &c.log[c.logTail]
-			e.next, e.n = next, n
-			c.logTail++
-			c.t.PreexecSlots += uint64(n)
+			// The slot leaves the grid, and its block ends with it.
+			gap := next
+			if next >= 0 {
+				gap -= at
+			}
+			c.logBlock(n, gap)
 			n = 0
 			if next < 0 || c.logTail == len(c.log) {
 				break
 			}
-			c.log[c.logTail].at = next
 		}
 		at = next
 	}
 	if n > 0 {
-		// limit or a communication instruction cut the run short: the
-		// core's next slot is the one after its last.
-		e := &c.log[c.logTail]
-		e.next, e.n = e.at+sim.Time(n)*period, n
+		// limit or a communication instruction cut the window short of a
+		// block's end: n slots, each a period before the core's next.
+		c.log[c.logTail] = preRun{gap: period, left: 1, n: 1, reps: n}
 		c.logTail++
-		c.t.PreexecSlots += uint64(n)
 	}
+	c.t.PreexecSlots += uint64(c.logged())
+}
+
+// logBlock logs a block of n slots and the gap after it: one more of the
+// run before it, if it is that run's block again — or the whole of a block
+// that run opened with the end of — else the first of a new run.
+func (c *Core) logBlock(n int, gap sim.Time) {
+	if c.logTail > 0 {
+		if p := &c.log[c.logTail-1]; p.gap == gap && (p.n == n || p.reps == 1 && p.n < n) {
+			p.n = n
+			p.reps++
+			return
+		}
+	}
+	c.log[c.logTail] = preRun{gap: gap, left: n, n: n, reps: 1}
+	c.logTail++
 }
 
 // logged counts the pre-executed slots the group loop has yet to replay.
 func (c *Core) logged() int {
 	n := 0
 	for _, e := range c.log[c.logHead:c.logTail] {
-		n += e.n
+		n += e.left + (e.reps-1)*e.n
 	}
 	return n
 }
 
-// slotAt is the time of the next slot to replay; the log must not be
-// empty.
-func (c *Core) slotAt() sim.Time { return c.log[c.logHead].at }
-
-// gridRun counts how many of the core's next logged slots are known to
-// re-arm it exactly one period later — what a round step may retire at
-// once: what is left of the head run, less its last slot if that one
-// leaves the grid. The log must not be empty.
-func (c *Core) gridRun() int {
+// wholeBlocks counts the blocks of the head run a round step may retire
+// at once, the core ending at the slot of a block it began at: all of them
+// from a block's first slot, one fewer from inside one, and never a block
+// that ends the log asleep or trapped. The log must not be empty.
+func (c *Core) wholeBlocks() int {
 	e := &c.log[c.logHead]
-	r := e.n
-	if e.next != e.at+sim.Time(r)*c.clk.Period() {
-		r--
+	if e.left == e.n && e.gap >= 0 {
+		return e.reps
 	}
-	return r
+	return e.reps - 1
 }
 
 // pop replays the next slot: it moves the log past it and reports the
-// time of the core's slot after it — a period later, unless the slot is
-// the last of its run. It is retire(1) with the answer, small enough to
-// inline into replay's slot loop.
+// time of the core's slot after it — a period later inside a block, the
+// gap later after its last slot, the run's negative gap itself when that
+// ends the log.
 func (c *Core) pop() sim.Time {
 	e := &c.log[c.logHead]
-	if e.n > 1 {
-		e.n--
-		e.at += c.clk.Period()
-		return e.at
+	if e.left > 1 {
+		e.left--
+		c.logAt += c.clk.Period()
+		return c.logAt
 	}
-	if c.logHead++; c.logHead == c.logTail {
+	if e.reps > 1 {
+		e.reps--
+		e.left = e.n
+	} else if c.logHead++; c.logHead == c.logTail {
 		c.logHead, c.logTail = 0, 0
 	}
-	return e.next
+	if e.gap < 0 {
+		return e.gap
+	}
+	c.logAt += e.gap
+	return c.logAt
 }
 
-// retire moves the log past r slots of its head run, which shrinks in
-// place — what is left of it is again a run, r periods later — and
-// reports whether that emptied the log.
-func (c *Core) retire(r int) bool {
+// retire moves the log past r whole blocks of its head run (no more than
+// wholeBlocks), span later, and reports whether that emptied the log.
+func (c *Core) retire(r int, span sim.Time) bool {
+	c.logAt += span
 	e := &c.log[c.logHead]
-	if e.n -= r; e.n > 0 {
-		e.at += sim.Time(r) * c.clk.Period()
+	if e.reps -= r; e.reps > 0 {
 		return false
 	}
 	if c.logHead++; c.logHead < c.logTail {
@@ -957,7 +960,7 @@ func (g *turboGroup) horizon() (kt sim.Time, kok bool, limit sim.Time) {
 // the ring behind the ring's head, and that head, within limit, is the
 // next slot in global order and pre-executed too — replay makes the
 // trip itself and carries on, so cores running ahead in step spend
-// their time here: whole turns of the ring retired at once where the
+// their time here: whole blocks of the ring retired at once where the
 // ring provably only rotates (rounds), otherwise a log pop, a push and
 // a pop per slot, and a fresh window pre-executed on the spot whenever
 // a log drains. Everything else (the batch cap, a sleeping or trapped
@@ -982,21 +985,16 @@ func (g *turboGroup) replay(cur *Core, now sim.Time, slots int, limit sim.Time) 
 	// again, so a ring that cannot step in rounds is not asked per slot.
 	refused := 0
 	for cur.logTail != 0 {
-		if at := cur.slotAt(); at != now {
+		if cur.logAt != now {
 			panic(fmt.Sprintf("xs1: core %v reached its issue slot at %v but pre-executed it for %v",
-				cur.node, now, at))
+				cur.node, now, cur.logAt))
 		}
 		if refused > 0 {
 			refused--
-		} else if cur.log[cur.logHead].n > 2 {
-			// At least two slots of the run stay on the grid — a run's
-			// last may not — and whole turns pay for the asking from two
-			// up. (A run of exactly two that does stay on it is the tail
-			// of a window, and goes slot by slot.)
-			if t, n := g.rounds(cur, now, slots, limit); n > 0 {
-				now, slots = t, slots+n
-				continue
-			}
+		} else if t, n := g.rounds(cur, now, slots, limit); n > 0 {
+			now, slots = t, slots+n
+			continue
+		} else {
 			refused = int(g.tail - g.head)
 		}
 		after := cur.pop()
@@ -1031,44 +1029,55 @@ func (g *turboGroup) replay(cur *Core, now sim.Time, slots int, limit sim.Time) 
 	return cur, now, slots, next, ok
 }
 
-// rounds retires whole turns of the ring at once. cur holds the slot in
-// hand, at now, and q[head:tail] the other members' next slots. If cur
-// and every ring member have pre-executed slots that each re-arm exactly
-// one period later, all on one period, and the ring's tail is no later
-// than now + period, then every replayed slot's push lands at the
-// ring's tail (push keeps equal times in insertion order) and every pop
-// takes its head: the ring only rotates, and after one turn — one slot
-// per member, m in all — it is the same ring one period later, with cur
-// in hand again. By induction r turns are r·m trips through replay's
-// slot loop whose whole effect is each member's place in its log moved
-// on by r, every ring time and now by r periods, and r·m slots for
-// replay to count (and step the kernel for). r is the shortest run of
-// such slots at the head of any member's log (Core.gridRun), bounded so
-// that no slot popped lies beyond limit — the latest is cur's, at now +
-// r·period — and that the batch cap still falls on the very slot it
-// would have: every one of the r·m trips has to pass replay's slots+1 <
-// turboBatchCap. A log that empties does so on the last turn, and every
-// one that did is given a fresh window from the time the ring now holds
-// for it, as the slot loop does before its push.
+// rounds retires whole blocks of the ring at once. cur holds the slot in
+// hand, at now, and q[head:tail] the other members' next slots. If every
+// ring member's head run has the block of cur's — as many slots, the same
+// gap, on the same period — and stands at cur's slot of it, at now, or,
+// having had its turn, one slot on, then all of them share one series of
+// slot times and stand at most one place apart in it, in ring order: every
+// replayed slot's push lands at the ring's tail (push keeps equal times in
+// insertion order) and every pop takes its head. The ring only rotates,
+// and after one block of every member — n slots each, m·n in all — it is
+// the same ring one stride later, with cur in hand again. By induction r
+// blocks are r·m·n trips through replay's slot loop whose whole effect is
+// each member's repeat count down by r, every ring time and now on by r
+// strides, and r·m·n slots for replay to count (and step the kernel for).
+// r is the fewest whole blocks any member's head run holds
+// (Core.wholeBlocks), bounded so that no slot popped lies beyond limit —
+// the latest is cur's, at now + r strides — and that the batch cap still
+// falls on the very slot it would have: every one of the trips has to pass
+// replay's slots+1 < turboBatchCap. A log that empties does so on the last
+// block, and every one that did is given a fresh window from the time the
+// ring now holds for it, as the slot loop does before its push.
 //
 // It reports the time of the slot then in hand and the number of slots
 // retired, 0 when the ring may do anything but rotate — a member with
-// nothing logged, another period, a slot off its grid next, a tail
-// beyond now + period, no room under limit or the cap — having changed
-// nothing. A member whose log does not begin at its ring time was
-// re-timed behind the group's back: that panics, as it does in replay.
+// nothing logged, another block, period or place, no room under limit or
+// the cap — having changed nothing. It also refuses while the kernel's
+// earliest registration is a member's issue slot: that member is part of
+// the rotation and not yet in the ring, and the ring steps only whole. A
+// member whose log does not begin at its ring time was re-timed behind the
+// group's back: that panics, as it does in replay.
 func (g *turboGroup) rounds(cur *Core, now sim.Time, slots int, limit sim.Time) (sim.Time, int) {
-	if g.head == g.tail {
+	r := cur.wholeBlocks()
+	if r <= 0 || g.head == g.tail {
+		return now, 0
+	}
+	if f, ok := g.kw.(*issueFirer); ok && f.c.turbo == g {
 		return now, 0
 	}
 	mask := uint(len(g.q) - 1)
 	period := cur.clk.Period()
-	m := int(g.tail-g.head) + 1
-	if g.q[g.head&mask].when < now || g.q[(g.tail-1)&mask].when > now+period {
-		return now, 0
+	e := cur.log[cur.logHead]
+	// on is where a member that has had its turn stands: cur's next slot.
+	onAt, onLeft := now+period, e.left-1
+	if e.left == 1 {
+		onAt, onLeft = now+e.gap, e.n
 	}
-	r := min(cur.gridRun(), (turboBatchCap-1-slots)/m)
-	if room := (limit - now) / period; room < sim.Time(r) {
+	stride := sim.Time(e.n-1)*period + e.gap
+	each := (int(g.tail-g.head) + 1) * e.n
+	r = min(r, (turboBatchCap-1-slots)/each)
+	if room := (limit - now) / stride; room < sim.Time(r) {
 		r = int(room)
 	}
 	for i := g.head; i != g.tail && r > 0; i++ {
@@ -1077,33 +1086,37 @@ func (g *turboGroup) rounds(cur *Core, now sim.Time, slots int, limit sim.Time) 
 		if c.logTail == 0 || c.clk.Period() != period {
 			return now, 0
 		}
-		if at := c.slotAt(); at != s.when {
+		if c.logAt != s.when {
 			panic(fmt.Sprintf("xs1: core %v is due its issue slot at %v but pre-executed it for %v",
-				c.node, s.when, at))
+				c.node, s.when, c.logAt))
 		}
-		r = min(r, c.gridRun())
+		h := &c.log[c.logHead]
+		if h.n != e.n || h.gap != e.gap || !(s.when == now && h.left == e.left || s.when == onAt && h.left == onLeft) {
+			return now, 0
+		}
+		r = min(r, c.wholeBlocks())
 	}
 	if r <= 0 {
 		return now, 0
 	}
-	span := sim.Time(r) * period
+	span := sim.Time(r) * stride
 	emptied := false
 	for i := g.head; i != g.tail; i++ {
 		s := &g.q[i&mask]
 		s.when += span
-		if s.c.retire(r) {
+		if s.c.retire(r, span) {
 			emptied = true
 		}
 	}
 	now += span
-	if cur.retire(r) {
+	if cur.retire(r, span) {
 		emptied = true
 	}
-	cur.t.RoundSlots += uint64(r * m)
+	cur.t.RoundSlots += uint64(r * each)
 	if emptied {
 		g.refill(cur, now, limit)
 	}
-	return now, r * m
+	return now, r * each
 }
 
 // run executes issue slots in a tight loop from the firing that

@@ -25,29 +25,22 @@ loop:
 	bru loop
 `
 
-// turboLoop4 runs turboLoop's body on four threads, which between them
-// fill every issue slot of the core: the load a slice steps in rounds
+// turboLoopOn runs turboLoop's body on so many threads, each spawned
+// thread on a stack of its own.
+func turboLoopOn(threads int) string {
+	var b strings.Builder
+	for i := 1; i < threads; i++ {
+		fmt.Fprintf(&b, "\tgetst r1, loop\n\tldc   r2, %#x\n\ttsetr r1, 12, r2\n\ttstart r1\n", 0xF000-i*0x800)
+	}
+	b.WriteString("loop:\n\tadd r1, r0, r0\n\tsub r2, r1, r0\n\tor r3, r2, r1\n\tand r4, r3, r2\n\tbru loop\n")
+	return b.String()
+}
+
+// turboLoop2 leaves two slots in four empty: two instructions, an idle
+// probe and two periods skipped, over and over. turboLoop4 fills every
+// issue slot of the core: the load a slice steps in rounds of one slot
 // under.
-const turboLoop4 = `
-	getst r1, loop
-	ldc   r2, 0xE800
-	tsetr r1, 12, r2
-	tstart r1
-	getst r1, loop
-	ldc   r2, 0xE000
-	tsetr r1, 12, r2
-	tstart r1
-	getst r1, loop
-	ldc   r2, 0xD800
-	tsetr r1, 12, r2
-	tstart r1
-loop:
-	add r1, r0, r0
-	sub r2, r1, r0
-	or r3, r2, r1
-	and r4, r3, r2
-	bru loop
-`
+var turboLoop2, turboLoop4 = turboLoopOn(2), turboLoopOn(4)
 
 // group builds one core per node of the rig's slice, all running src,
 // joined into one batching group as a machine would.
@@ -86,9 +79,10 @@ func roundSlots(cores []*Core) (n uint64) {
 // Cache population itself may allocate (one page per generation);
 // the prewarm run pays that before measurement starts. A lone core runs
 // the no-queue fast path; sixteen pre-execute and replay, through logs
-// NewCore allocated — slot by slot when each runs one thread and every
-// other slot is an idle probe that skips ahead, by whole turns of the
-// ring when four threads fill every slot.
+// NewCore allocated, by whole blocks of the ring — an instruction, an idle
+// probe and the periods it skips when each runs one thread, two
+// instructions and a probe when two, a slot and a period when four threads
+// fill every slot.
 func TestTurboZeroAllocs(t *testing.T) {
 	defer SetTurbo(true)
 	SetTurbo(true)
@@ -98,7 +92,8 @@ func TestTurboZeroAllocs(t *testing.T) {
 		ahead, rounds bool
 	}{
 		{"solo", func(r *rig) []*Core { return []*Core{r.core(t, v00(), turboLoop)} }, false, false},
-		{"slice", func(r *rig) []*Core { return r.group(t, turboLoop) }, true, false},
+		{"slice", func(r *rig) []*Core { return r.group(t, turboLoop) }, true, true},
+		{"slice of two threads", func(r *rig) []*Core { return r.group(t, turboLoop2) }, true, true},
 		{"lockstep", func(r *rig) []*Core { return r.group(t, turboLoop4) }, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -355,7 +350,7 @@ func (s stagedRing) state() string {
 		fmt.Fprintf(&b, "%v@%d ", e.c.node, e.when)
 	}
 	for _, c := range s.cores {
-		fmt.Fprintf(&b, "| %d:%d %v %d/%d/%d ", c.logHead, c.logTail, c.log[0], c.t.PreexecSlots, c.t.ReplayedSlots, c.t.RoundSlots)
+		fmt.Fprintf(&b, "| %d:%d@%d %v %d/%d/%d ", c.logHead, c.logTail, c.logAt, c.log[0], c.t.PreexecSlots, c.t.ReplayedSlots, c.t.RoundSlots)
 	}
 	return b.String()
 }
@@ -433,7 +428,7 @@ func TestRoundStep(t *testing.T) {
 					t.Errorf("core %v: %d slots logged in %d runs, %d pre-executed in all; want a fresh window of %d slots up to limit after the %d replayed",
 						c.node, c.logged(), c.logTail-c.logHead, c.t.PreexecSlots, fresh, tc.held)
 				}
-				if at := c.slotAt(); at != now {
+				if at := c.logAt; at != now {
 					t.Errorf("core %v: log resumes at %v, want %v", c.node, at, now)
 				}
 			}
@@ -452,8 +447,11 @@ func TestRoundStep(t *testing.T) {
 		{"empty ring", far, 0, m - 1, func(s *stagedRing) { s.g.tail = s.g.head }},
 		{"member with nothing logged", far, 0, m - 1, func(s *stagedRing) { s.cores[7].logHead, s.cores[7].logTail = 0, 0 }},
 		{"member on another clock", far, 0, m - 1, func(s *stagedRing) { s.cores[7].clk = sim.NewClock(400) }},
-		{"member off its grid next", far, 0, m - 1, func(s *stagedRing) { s.cores[7].log[0].n = 1; s.cores[7].log[0].next += s.period }},
-		{"core in hand off its grid next", far, 0, m - 1, func(s *stagedRing) { s.cores[0].log[0].n = 1; s.cores[0].log[0].next += s.period }},
+		{"member off its grid next", far, 0, m - 1, func(s *stagedRing) { s.cores[7].log[0].gap += s.period }},
+		{"core in hand off its grid next", far, 0, m - 1, func(s *stagedRing) { s.cores[0].log[0].gap += s.period }},
+		{"member with another block", far, 0, m - 1, func(s *stagedRing) { s.cores[7].log[0].left, s.cores[7].log[0].n = 2, 2 }},
+		{"core in hand asleep after its block", far, 0, m - 1, func(s *stagedRing) { s.cores[0].log[0] = preRun{gap: -1, left: 1, n: 1, reps: 1} }},
+		{"a member's slot still the kernel's", far, 0, m - 1, func(s *stagedRing) { s.g.kw = &s.cores[15].issueFire }},
 		// The last member sits two periods out, with a window that begins
 		// there: the push of the slot in hand would land ahead of it, not
 		// at the tail. One period out it is the tail, and the step goes.
@@ -465,6 +463,129 @@ func TestRoundStep(t *testing.T) {
 			tc.upset(&s)
 			before := s.state()
 			if now, n := s.g.rounds(s.cores[0], s.now, tc.slots, s.limit); now != s.now || n != 0 {
+				t.Errorf("rounds = (%v, %d), want a refusal (%v, 0)", now, n, s.now)
+			}
+			if after := s.state(); after != before {
+				t.Errorf("a refused step changed something\nbefore %s\n after %s", before, after)
+			}
+		})
+	}
+}
+
+// stageThinRing is stageRing with sixteen one-thread cores: each holds a
+// window of blocks blocks — an instruction at now, an idle probe a period
+// later, the next block four periods on — the first gone of them have had
+// their turn at now and stand at the probe, and limit lies room periods
+// and a bit after now.
+func stageThinRing(t *testing.T, blocks, room int64, gone int) stagedRing {
+	t.Helper()
+	r := newRig(t)
+	cores := r.group(t, turboLoop)
+	r.k.RunFor(2 * sim.Microsecond)
+	c := cores[0]
+	s := stagedRing{g: c.turbo, cores: cores, period: c.clk.Period()}
+	s.now = c.alignUp(r.k.Now()) + c.clk.Cycles(8)
+	s.limit = s.now + c.clk.Cycles(room) + 17
+	for _, c := range cores {
+		c.t = TurboStats{}
+		c.preexec(s.now, s.now+c.clk.Cycles(4*blocks-1))
+		if want := (preRun{gap: 3 * s.period, left: 2, n: 2, reps: int(blocks)}); c.logTail != 1 || c.log[0] != want {
+			t.Fatalf("core %v: log = %+v, want the one run %+v", c.node, c.log[:c.logTail], want)
+		}
+	}
+	// The ring holds the members that have not had their turn, then those
+	// that have: the order the slot loop leaves them in.
+	for i, c := range cores[1:] {
+		if i >= gone {
+			s.g.push(c, s.now)
+		}
+	}
+	for _, c := range cores[1 : 1+gone] {
+		s.g.push(c, c.pop())
+	}
+	return s
+}
+
+// TestRoundStepBlocks drives turboGroup.rounds on a ring of one-thread
+// cores, whose slots fall two to a block of four periods: a step retires
+// whole blocks — as many as the member with the fewest holds, limit and
+// the cap leave room for — from wherever in the block the slot in hand
+// stands, members a slot on included, and a member at any other place is
+// refused.
+func TestRoundStepBlocks(t *testing.T) {
+	const m, n, stride = 16, 2, 4
+	for _, tc := range []struct {
+		name         string
+		blocks, room int64
+		gone, slots  int
+		// ahead pops the core in hand's instruction first: the step is
+		// asked for from the probe, and now is a period later.
+		ahead bool
+		want  int64 // blocks retired
+	}{
+		{"every log whole: the window", 10, 1000, 0, m - 1, false, 10},
+		{"members that have had their turn keep a block's end", 10, 1000, 3, m - 1, false, 9},
+		{"from the probe, the others a slot on in the next block", 10, 1000, m - 1, m - 1, true, 9},
+		{"limit", 10, 2*stride + 3, 0, m - 1, false, 2},
+		{"limit on a block's first slot", 10, 3 * stride, 0, m - 1, false, 3},
+		{"cap", 1000, 100_000, 0, turboBatchCap - 1 - 3*m*n, false, 3},
+		{"cap, one slot on", 1000, 100_000, 0, turboBatchCap - 3*m*n, false, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := stageThinRing(t, tc.blocks, tc.room, tc.gone)
+			cur, now := s.cores[0], s.now
+			if tc.ahead {
+				now = cur.pop()
+				mask := uint(len(s.g.q) - 1)
+				for i := s.g.head; i != s.g.tail; i++ {
+					// Every member has had this turn and the next.
+					e := &s.g.q[i&mask]
+					e.when = e.c.pop()
+				}
+			}
+			span := sim.Time(tc.want*stride) * s.period
+			got, slots := s.g.rounds(cur, now, tc.slots, s.limit)
+			if got != now+span || slots != int(tc.want)*m*n {
+				t.Fatalf("rounds = (%v, %d), want %d blocks: (%v, %d)", got, slots, tc.want, now+span, int(tc.want)*m*n)
+			}
+			if rs := roundSlots(s.cores); rs != uint64(slots) {
+				t.Errorf("RoundSlots = %d, want %d", rs, slots)
+			}
+			// Every log resumes where the ring, or the slot in hand, says:
+			// in the window it held, if blocks of it are left, else in a
+			// fresh one.
+			if cur.logTail == 0 || cur.logAt != got {
+				t.Errorf("the slot in hand is at %v, its core's log resumes at %v (%d runs)", got, cur.logAt, cur.logTail)
+			}
+			if left := int64(cur.log[0].reps); tc.want < tc.blocks && left != tc.blocks-tc.want {
+				t.Errorf("the core in hand holds %d blocks of its run after %d of %d were retired", left, tc.want, tc.blocks)
+			}
+			for i := s.g.head; i != s.g.tail; i++ {
+				if e := s.g.q[i&uint(len(s.g.q)-1)]; e.c.logTail == 0 || e.when != e.c.logAt {
+					t.Errorf("the ring holds core %v at %v, its log resumes at %v (%d runs)", e.c.node, e.when, e.c.logAt, e.c.logTail)
+				}
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name  string
+		upset func(s *stagedRing)
+	}{
+		{"member at another slot of the block", func(s *stagedRing) { s.cores[7].log[0].left = 1 }},
+		{"member a block on", func(s *stagedRing) {
+			c := s.cores[15]
+			c.pop()
+			s.g.q[(s.g.tail-1)&uint(len(s.g.q)-1)].when = c.pop()
+		}},
+		{"member with blocks of three", func(s *stagedRing) { s.cores[7].log[0].left, s.cores[7].log[0].n = 3, 3 }},
+		{"nothing under limit", func(s *stagedRing) { s.limit = s.now + stride*s.period - 1 }},
+		{"the core in hand at its last block's probe", func(s *stagedRing) { s.cores[0].log[0].left, s.cores[0].log[0].reps = 1, 1 }},
+	} {
+		t.Run("refuses: "+tc.name, func(t *testing.T) {
+			s := stageThinRing(t, 10, 1000, 0)
+			tc.upset(&s)
+			before := s.state()
+			if now, n := s.g.rounds(s.cores[0], s.now, m-1, s.limit); now != s.now || n != 0 {
 				t.Errorf("rounds = (%v, %d), want a refusal (%v, 0)", now, n, s.now)
 			}
 			if after := s.state(); after != before {
