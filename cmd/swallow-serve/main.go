@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	swallow-serve [-addr :8080] [-quick] [-par N] [-pool=false]
+//	swallow-serve [-addr :8080] [-quick] [-par N]
 //	              [-pool-max-mb N] [-workers N] [-queue N]
 //	              [-cache-mb N] [-cache-entries N] [-cache-ttl D]
 //	              [-store-dir DIR] [-store-mb N]
@@ -44,7 +44,8 @@
 // net/http/pprof handlers under /debug/pprof/ for live CPU, heap and
 // goroutine profiles. GET /artifacts/{name}?trace=1 renders with the
 // flight recorder attached and returns table + Chrome trace JSON as a
-// multipart body (never cached).
+// multipart body (never cached; it runs beside plain requests, on a
+// machine pool of its own).
 //
 // Cluster mode: -join http://router:9090 registers this worker with a
 // swallow-router at startup (retrying until the router answers), and
@@ -75,9 +76,8 @@ import (
 	"time"
 
 	"swallow/internal/core"
-	"swallow/internal/experiments" // registers the artifacts; pooling toggle
+	_ "swallow/internal/experiments" // registers the artifacts
 	"swallow/internal/harness"
-	"swallow/internal/harness/sweep"
 	"swallow/internal/service/api"
 	"swallow/internal/service/cluster"
 	"swallow/internal/service/store"
@@ -110,9 +110,6 @@ func main() {
 	cacheTTL := flag.Duration("cache-ttl", 0, "result cache entry lifetime (0 = never expire); memory tier only — the disk store never expires by time")
 	storeDir := flag.String("store-dir", "", "persistent artifact store directory (empty: memory-only)")
 	storeMB := flag.Int64("store-mb", 1024, "persistent store size bound, MiB (LRU eviction)")
-	pool := flag.Bool("pool", true, "reuse machines across sweep points (output is identical either way)")
-	warm := flag.Bool("warm-start", true, "restore pooled machines and boot prefixes from snapshots (output is identical either way)")
-	turbo := flag.Bool("turbo", true, "predecoded-instruction-cache + batched-issue fast path (output is identical either way)")
 	poolMaxMB := flag.Int64("pool-max-mb", 256, "idle machine pool byte budget, MiB (0 = unbounded); submitted scenarios on big grids cannot park memory past it")
 	drain := flag.Duration("drain", time.Minute, "graceful shutdown budget for in-flight requests")
 	accessLog := flag.Bool("access-log", true, "write one structured JSON access-log line per request to stdout")
@@ -125,10 +122,6 @@ func main() {
 	if *par < 1 {
 		log.Fatalf("-par must be >= 1, got %d", *par)
 	}
-	sweep.SetConcurrency(*par)
-	experiments.SetPooling(*pool)
-	experiments.SetWarmStart(*warm)
-	experiments.SetTurbo(*turbo)
 	core.SharedPool().SetLimit(0, *poolMaxMB<<20)
 
 	st, err := store.Open(store.Options{
@@ -153,6 +146,7 @@ func main() {
 		Workers:       *workers,
 		QueueCapacity: *queueCap,
 		Store:         st,
+		Env:           &core.Env{Pool: core.SharedPool(), Width: *par},
 	}
 	if *quick {
 		opts.DefaultConfig = harness.QuickConfig()

@@ -4,12 +4,9 @@
 // internal/harness artifact registry: -list enumerates the registered
 // artifacts (name and description), -only filters them, -json emits a
 // machine-readable record per artifact (render, wall time, headline
-// metrics) for CI perf trajectories, -par/-seq choose how many
-// goroutines the inner sweeps fan out across, and -pool toggles the
-// machine pool that recycles builds across sweep points. Sweep points
-// own their simulations and pooled checkouts are observationally
-// identical to fresh builds, so every combination of flags renders
-// byte-identical output; only wall clock changes.
+// metrics), and -par/-seq choose how many goroutines the inner sweeps
+// fan out across. Sweep points own their simulations, so every width
+// renders byte-identical output; only wall clock changes.
 //
 // -scenario compiles one or more declarative scenario spec files
 // (comma-separated JSON, see internal/scenario) and renders them
@@ -20,8 +17,7 @@
 // Usage:
 //
 //	swallow-tables [-quick] [-only regexp] [-list] [-json]
-//	               [-par N | -seq] [-pool=false] [-warm-start=false]
-//	               [-turbo=false] [-cpuprofile f] [-memprofile f]
+//	               [-par N | -seq] [-cpuprofile f] [-memprofile f]
 //	               [-trace out.json] [-trace-events N]
 //	               [-scenario spec.json[,spec2.json...]]
 //
@@ -31,7 +27,8 @@
 // samples and lifecycle events. A .json path gets Chrome trace-event
 // JSON (open in Perfetto / chrome://tracing); any other extension gets
 // the deterministic text timeline. Tracing never changes rendered
-// output — it forces -seq so the recording order is stable.
+// output; a traced run is serial and on a machine pool of its own
+// (core.TracedEnv), so the recording is the same every time.
 package main
 
 import (
@@ -46,15 +43,14 @@ import (
 	"strings"
 	"time"
 
-	"swallow/internal/experiments" // registers the artifacts; pooling toggle
+	"swallow/internal/core"
+	_ "swallow/internal/experiments" // registers the artifacts
 	"swallow/internal/harness"
-	"swallow/internal/harness/sweep"
 	"swallow/internal/scenario"
 	"swallow/internal/trace"
 )
 
-// jsonRecord is the -json per-artifact output schema, the shape CI
-// stores as BENCH_*.json artifacts to track the perf trajectory.
+// jsonRecord is the -json per-artifact output schema.
 type jsonRecord struct {
 	Name        string             `json:"name"`
 	Description string             `json:"description,omitempty"`
@@ -72,18 +68,12 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit one machine-readable JSON array (render, wall time, metrics)")
 	par := flag.Int("par", runtime.GOMAXPROCS(0), "max goroutines per sweep (output is identical at any setting)")
 	seq := flag.Bool("seq", false, "run sweeps serially (same as -par 1)")
-	pool := flag.Bool("pool", true, "reuse machines across sweep points (output is identical either way)")
-	warm := flag.Bool("warm-start", true, "restore pooled machines and boot prefixes from snapshots (output is identical either way)")
-	turbo := flag.Bool("turbo", true, "predecoded-instruction-cache + batched-issue fast path (output is identical either way)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	scenarios := flag.String("scenario", "", "comma-separated scenario spec files to compile and render instead of the registry")
-	traceOut := flag.String("trace", "", "record a flight-recorder trace of every rendered artifact to this file (.json: Chrome trace-event for Perfetto; otherwise text timeline); forces -seq")
+	traceOut := flag.String("trace", "", "record a flight-recorder trace of every rendered artifact to this file (.json: Chrome trace-event for Perfetto; otherwise text timeline); the run is serial")
 	traceEvents := flag.Int("trace-events", 0, "per-machine trace ring capacity in events (0: default)")
 	flag.Parse()
-	experiments.SetPooling(*pool)
-	experiments.SetWarmStart(*warm)
-	experiments.SetTurbo(*turbo)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -136,12 +126,14 @@ func main() {
 	if *par < 1 {
 		log.Fatalf("-par must be >= 1, got %d", *par)
 	}
+	// The run's one Env, built here and carried by cfg.
+	var sess *trace.Session
 	if *traceOut != "" {
-		// Tracing forces serial sweeps so machines check out in a
-		// deterministic order and the recording sequence is stable.
-		*par = 1
+		sess = trace.NewSession(*traceEvents)
+		cfg.Env = core.TracedEnv(sess)
+	} else {
+		cfg.Env = &core.Env{Pool: core.SharedPool(), Width: *par}
 	}
-	sweep.SetConcurrency(*par)
 
 	var filter *regexp.Regexp
 	if *only != "" {
@@ -170,14 +162,6 @@ func main() {
 				log.Fatalf("%s: %v", path, err)
 			}
 			arts = append(arts, c.Artifact)
-		}
-	}
-
-	var sess *trace.Session
-	if *traceOut != "" {
-		var err error
-		if sess, err = trace.Start(*traceEvents); err != nil {
-			log.Fatal(err)
 		}
 	}
 
@@ -215,7 +199,6 @@ func main() {
 		log.Fatalf("no artifact matches -only %q (try -list)", *only)
 	}
 	if sess != nil {
-		sess.Stop()
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			log.Fatal(err)

@@ -23,15 +23,17 @@
 //	internal/service      serving layer: result cache, job queue, HTTP API
 //	internal/service/store    disk-backed artifact store: warm restarts,
 //	                      peer cache fills, named scenario pins
-//	internal/service/cluster  pluggable execution Backend, consistent hash
-//	                      ring, cache-affinity router over worker fleets
+//	internal/service/cluster  in-process renderer, consistent hash ring,
+//	                      cache-affinity router over worker fleets
 //
 // Each experiment registers once with the harness registry (a name, a
-// description, a Run, a Render); the benchmarks in bench_test.go and
-// the cmd/ tools are thin loops over harness.Artifacts(). Sweep inner
-// loops run through harness/sweep.Map, which fans independent points
-// (each with its own kernel and machine) across goroutines without
-// changing a byte of output.
+// description, a Run, a Render); bench/ and the cmd/ tools are thin
+// loops over harness.Artifacts(). Sweep inner loops run through
+// harness/sweep.Map, which fans independent points (each with its own
+// kernel and machine) across goroutines without changing a byte of
+// output. How a run executes — machine pool, sweep width, reference
+// paths, flight recorder — is one value, core.Env, carried by
+// harness.Config; nil is production and nothing is process state.
 //
 // # Scenarios
 //
@@ -56,8 +58,8 @@
 // determinism makes cache hits byte-identical to cold runs — and
 // service/queue is a bounded job queue with worker pool, per-class
 // round-robin fairness, 429 backpressure and graceful drain;
-// service/api ties both behind the JSON endpoints, rendering through
-// the pluggable service/cluster.Backend (in-process by default).
+// service/api ties both behind the JSON endpoints, rendering in
+// process through service/cluster.Local.
 // cmd/swallow-load is the matching open/closed-loop load generator
 // reporting throughput and p50/p95/p99 latency, able to mix scenario
 // POSTs into the load and split results per responding worker.
@@ -98,8 +100,8 @@
 // to a fresh build, so core.Pool recycles machines keyed on structural
 // shape: frequency/DVFS sweeps, the experiment inner loops and the
 // HTTP service all check machines out, run, and return them instead of
-// rebuilding per point (drivers expose -pool=false to force fresh
-// builds; output is byte-identical either way).
+// rebuilding per point (an Env with no Pool forces fresh builds;
+// output is byte-identical either way).
 //
 // # Scheduling
 //
@@ -150,8 +152,8 @@
 // past the next foreign event or the deadline, never while an outside
 // event could wake one of its threads, never with a recorder attached;
 // anything reaching into a core that still holds unreplayed slots
-// panics. On by default; -turbo=false on both drivers falls back to
-// one instruction per kernel event, byte-identical output either way.
+// panics. An exact Env (a test oracle; no flag) falls back to one
+// instruction per kernel event, byte-identical output either way.
 //
 // The communication path — kernel events and tokens rather than
 // instructions — follows the same rules. Nothing on it allocates in
@@ -174,7 +176,8 @@
 // ring of fixed-size typed events (kernel dispatches, turbo batches,
 // thread states, NoC token and credit traffic, power samples, energy
 // accruals, lifecycle marks) that attaches to a kernel only inside
-// core.Checkout while a trace.Session is active. With no recorder
+// Env.Checkout, under an Env that carries a trace.Session — any number
+// at once, each on a machine pool of its own. With no recorder
 // attached every hook is one pointer load and one branch, pinned at
 // zero allocations; with one attached the same run renders
 // byte-identical output (TestTracingNeutralGolden). Exporters write
@@ -182,6 +185,5 @@
 // GET /artifacts/{name}?trace=1) or a deterministic text timeline for
 // goldens. The service side adds X-Request-ID propagation, structured
 // JSON access logs, render-latency histograms in /metrics, and
-// optional net/http/pprof handlers (-pprof). BENCH_trace.json commits
-// the recorder's measured price on the turbo hot path.
+// optional net/http/pprof handlers (-pprof).
 package swallow

@@ -145,9 +145,11 @@ type Machine struct {
 	epoch sim.Time
 	// shape is the structural key the Pool files this machine under.
 	shape shape
-	// pristine is the post-Reset snapshot a warm pool Put rewinds to
-	// instead of Reset, taken lazily on first warm Put.
+	// pristine is the post-Reset snapshot a warm rewind restores
+	// instead of Reset, taken lazily on the first one.
 	pristine *Snapshot
+	// exact is the pipeline Env.Checkout last stamped on the cores.
+	exact bool
 }
 
 // bridgeSlot is one Machine.Bridge attachment: the built bridge and

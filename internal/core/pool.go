@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"swallow/internal/trace"
-)
+import "sync"
 
 // Pool reuses built machines across runs. Machine construction —
 // cores, SRAM, fabric, power tree, thousands of allocations — is the
@@ -107,34 +103,34 @@ func (p *Pool) Get(slicesX, slicesY int, opts Options) (*Machine, error) {
 
 // Put parks a machine for reuse. The machine is rewound immediately
 // so idle machines hold no run state (programs, traces, wake
-// callbacks) and a later Get only retunes. With warm start enabled
-// the rewind restores a pristine post-Reset snapshot — copying only
-// the SRAM pages the run dirtied instead of clearing every bank —
-// taken once on the machine's first return.
+// callbacks) and a later Get only retunes.
 func (p *Pool) Put(m *Machine) {
 	if m == nil {
 		return
 	}
-	if WarmStartEnabled() {
-		if m.pristine == nil {
-			m.Reset()
-			m.pristine = m.Snapshot()
-		} else {
-			m.Restore(m.pristine)
-		}
-	} else {
+	m.rewind(false)
+	m.K.SetRecorder(nil)
+	p.park(m)
+}
+
+// rewind returns a machine to its just-built state on its way back to
+// a pool. Warm, it restores a pristine post-Reset snapshot — copying
+// only the SRAM pages the run dirtied instead of clearing every bank —
+// taken once on the machine's first return; cold, it is Reset.
+func (m *Machine) rewind(cold bool) {
+	switch {
+	case cold:
 		m.Reset()
+	case m.pristine == nil:
+		m.Reset()
+		m.pristine = m.Snapshot()
+	default:
+		m.Restore(m.pristine)
 	}
-	// Detach any flight recorder now that the park-time Reset/Restore
-	// events above are in the recording, and strictly before the
-	// machine is published for reuse: once it is on the idle list a
-	// concurrent Get may hand it to another worker, whose own
-	// SetRecorder would race with a detach left to the releasing
-	// goroutine.
-	if rec := m.K.Recorder(); rec != nil {
-		m.K.SetRecorder(nil)
-		trace.Collect(rec)
-	}
+}
+
+// park publishes a rewound machine on the idle list.
+func (p *Pool) park(m *Machine) {
 	p.mu.Lock()
 	p.idle[m.shape] = append(p.idle[m.shape], m)
 	p.fifo = append(p.fifo, m)

@@ -15,22 +15,31 @@ import (
 )
 
 // TestTracedCheckoutRecords verifies the attachment seam end to end:
-// a checkout under an active session gets a recorder, the run emits
-// events through every hooked layer it touches, and release files the
-// recording with the session in checkout order.
+// a checkout under a traced Env gets a recorder, the run emits events
+// through every hooked layer it touches, and release files the
+// recording with the Env's session — and no other.
 func TestTracedCheckoutRecords(t *testing.T) {
-	sess, err := trace.Start(0)
+	sess, bystander := trace.NewSession(0), trace.NewSession(0)
+	other, releaseOther, err := TracedEnv(bystander).Checkout(1, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Stop()
+	defer func() {
+		releaseOther()
+		if n := len(bystander.Recordings()); n != 1 {
+			t.Errorf("the second live session collected %d recordings, want its own 1", n)
+		}
+	}()
 
-	m, release, err := Checkout(1, 1, Options{})
+	m, release, err := TracedEnv(sess).Checkout(1, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.K.Recorder() == nil {
-		t.Fatal("checkout under an active session left no recorder on the kernel")
+		t.Fatal("checkout under a traced Env left no recorder on the kernel")
+	}
+	if m.K.Recorder() == other.K.Recorder() {
+		t.Fatal("two live sessions share a recorder")
 	}
 	node := topo.MakeNodeID(0, 0, topo.LayerV)
 	if err := m.Load(node, workload.BusyLoop(2, 200)); err != nil {
@@ -76,13 +85,10 @@ func TestTracedCheckoutRecords(t *testing.T) {
 }
 
 // TestUntracedRunZeroAlloc pins the trace-disabled hot path: with no
-// session active the recorder pointer is nil and a warm run must stay
+// recorder attached the kernel's pointer is nil and a warm run must stay
 // allocation-free — the observability layer costs one pointer load and
 // one branch, never an allocation.
 func TestUntracedRunZeroAlloc(t *testing.T) {
-	if r := trace.Attach(); r != nil {
-		t.Fatal("a trace session is active; this test needs the untraced path")
-	}
 	m, err := New(1, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +114,7 @@ func TestUntracedRunZeroAlloc(t *testing.T) {
 	// Sixteen loaded cores in lockstep run ahead of the clock and are
 	// replayed, by whole turns of the group ring; the slot logs that
 	// takes are part of each core.
-	if ts := xs1.ReadTurboStats(); xs1.TurboEnabled() && (ts.PreexecSlots == warm.PreexecSlots || ts.RoundSlots == warm.RoundSlots) {
+	if ts := xs1.ReadTurboStats(); ts.PreexecSlots == warm.PreexecSlots || ts.RoundSlots == warm.RoundSlots {
 		t.Errorf("measurement runs pre-executed %d slots and retired %d of them by rounds, want both above 0",
 			ts.PreexecSlots-warm.PreexecSlots, ts.RoundSlots-warm.RoundSlots)
 	}
@@ -137,7 +143,7 @@ func TestUntracedRunZeroAlloc(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		least = min(least, (after.Mallocs-before.Mallocs)/20)
 	}
-	if ts := xs1.ReadTurboStats(); xs1.TurboEnabled() && ts.Fanouts == warm.Fanouts {
+	if ts := xs1.ReadTurboStats(); ts.Fanouts == warm.Fanouts {
 		t.Error("no window was offered to the helper pool on four host threads")
 	}
 	if least > 0 {
@@ -152,9 +158,6 @@ func TestUntracedRunZeroAlloc(t *testing.T) {
 // callbacks, port and channel-end FIFOs, waiter lists, the kernel's
 // buckets — so a comm-bound Run costs the heap nothing.
 func TestCommRunZeroAllocs(t *testing.T) {
-	if r := trace.Attach(); r != nil {
-		t.Fatal("a trace session is active; this test needs the untraced path")
-	}
 	m, err := New(2, 1, Options{})
 	if err != nil {
 		t.Fatal(err)

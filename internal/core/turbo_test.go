@@ -447,9 +447,10 @@ func loadStreams(t *testing.T, m *Machine, words int) {
 
 // runSchedule builds the shape's machine and runs the given RunFor
 // schedule, recording a cut after every segment.
-func runSchedule(t *testing.T, shape turboShape, schedule []sim.Time) []turboCut {
+func runSchedule(t *testing.T, shape turboShape, schedule []sim.Time, exact bool) []turboCut {
 	t.Helper()
 	m := shape.build(t)
+	m.setExact(exact)
 	seen := func() string { return "" }
 	if shape.watch != nil {
 		seen = shape.watch(m)
@@ -489,7 +490,6 @@ func runSchedule(t *testing.T, shape turboShape, schedule []sim.Time) []turboCut
 // ties, comm instructions, thread sleeps and RunFor deadlines all
 // get exercised as batch exits.
 func TestTurboRandomizedDifferential(t *testing.T) {
-	defer xs1.SetTurbo(true)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(hostThreads))
 	for _, shape := range turboShapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -508,10 +508,8 @@ func turboDifferential(t *testing.T, shape turboShape, seed int64) {
 	}
 	schedule := draw(rng)
 
-	xs1.SetTurbo(false)
-	slow := runSchedule(t, shape, schedule)
-	xs1.SetTurbo(true)
-	fast := runSchedule(t, shape, schedule)
+	slow := runSchedule(t, shape, schedule, true)
+	fast := runSchedule(t, shape, schedule, false)
 
 	turboBatches := fast[len(fast)-1].batches - slow[len(slow)-1].batches
 	if turboBatches == 0 {
@@ -578,19 +576,35 @@ func turboDifferential(t *testing.T, shape turboShape, seed int64) {
 		turboBatches, ahead, inRounds, fanouts, last.now)
 }
 
-// TestTurboToggle pins the wiring: SetTurbo flips TurboEnabled and
-// the default is on.
+// TestTurboToggle pins the wiring: the nil Env checks machines out on
+// the turbo path, an exact Env on the reference pipeline, and a pooled
+// machine takes whichever its next checkout asks for.
 func TestTurboToggle(t *testing.T) {
-	defer xs1.SetTurbo(true)
-	if !xs1.TurboEnabled() {
-		t.Fatal("turbo must default on")
+	pool := NewPool()
+	batches := func(env *Env) uint64 {
+		m, release, err := env.Checkout(1, 1, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		loadOn(t, m, topo.MakeNodeID(0, 0, topo.LayerV), workload.HeavyLoad(2, 40))
+		before := xs1.ReadTurboStats().Batches
+		m.RunFor(10 * sim.Microsecond)
+		if m.TotalInstrCount() == 0 {
+			t.Fatal("the run executed no instructions")
+		}
+		return xs1.ReadTurboStats().Batches - before
 	}
-	xs1.SetTurbo(false)
-	if xs1.TurboEnabled() {
-		t.Fatal("SetTurbo(false) did not disable")
+	if batches(&Env{Pool: pool}) == 0 {
+		t.Error("a turbo checkout ran no batches")
 	}
-	xs1.SetTurbo(true)
-	if !xs1.TurboEnabled() {
-		t.Fatal("SetTurbo(true) did not re-enable")
+	if n := batches(&Env{Pool: pool, Exact: true}); n != 0 {
+		t.Errorf("an exact checkout of the same machine ran %d batches", n)
+	}
+	if batches(&Env{Pool: pool}) == 0 {
+		t.Error("the machine stayed exact after an exact checkout")
+	}
+	if st := pool.Stats(); st.Builds != 1 || st.Reuses != 2 {
+		t.Errorf("pool stats %+v, want one build reused twice", st)
 	}
 }

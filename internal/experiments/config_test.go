@@ -15,7 +15,7 @@ func TestLatencyPlacementOverride(t *testing.T) {
 	if len(names) != 4 || names[0] != "core-local word" {
 		t.Fatalf("canonical placements = %v", names)
 	}
-	if _, err := LatenciesFor([]string{"no-such placement"}); err == nil {
+	if _, err := LatenciesFor(nil, []string{"no-such placement"}); err == nil {
 		t.Fatal("unknown placement accepted")
 	}
 	a := harness.Lookup("latency")

@@ -32,8 +32,8 @@ type TableIRow struct {
 
 // TableI saturates one link of each physical class and measures
 // energy-per-bit and link power.
-func TableI() ([]TableIRow, error) {
-	m, release, err := checkout(2, 1, core.Options{})
+func TableI(env *core.Env) ([]TableIRow, error) {
+	m, release, err := env.Checkout(2, 1, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -114,10 +114,10 @@ var Fig3Frequencies = []float64{71, 125, 200, 275, 350, 425, 500}
 // Fig3 measures power-vs-frequency for a four-core group (one supply
 // rail), loaded and idle. Each frequency point builds its own machines
 // and runs independently under sweep.Map.
-func Fig3(iters int) ([]Fig3Point, error) {
-	return sweep.Map(Fig3Frequencies, func(_ int, f float64) (Fig3Point, error) {
+func Fig3(env *core.Env, iters int) ([]Fig3Point, error) {
+	return sweep.Map(env.SweepWidth(), Fig3Frequencies, func(_ int, f float64) (Fig3Point, error) {
 		cfg := coreCfg(f)
-		m, release, err := checkout(1, 1, core.Options{Core: &cfg})
+		m, release, err := env.Checkout(1, 1, core.Options{Core: &cfg})
 		if err != nil {
 			return Fig3Point{}, err
 		}
@@ -137,7 +137,7 @@ func Fig3(iters int) ([]Fig3Point, error) {
 		active := smp.OutputW[0]
 
 		// Idle machine at the same frequency.
-		mi, releaseIdle, err := checkout(1, 1, core.Options{Core: &cfg})
+		mi, releaseIdle, err := env.Checkout(1, 1, core.Options{Core: &cfg})
 		if err != nil {
 			return Fig3Point{}, err
 		}
@@ -202,8 +202,8 @@ type Fig4Point struct {
 
 // measureLoadedCorePower runs a four-thread heavy load on one core at
 // the given operating point and returns its steady-state power.
-func measureLoadedCorePower(cfg xs1.Config, iters int) (float64, error) {
-	m, release, err := checkout(1, 1, core.Options{Core: &cfg})
+func measureLoadedCorePower(env *core.Env, cfg xs1.Config, iters int) (float64, error) {
+	m, release, err := env.Checkout(1, 1, core.Options{Core: &cfg})
 	if err != nil {
 		return 0, err
 	}
@@ -223,13 +223,13 @@ func measureLoadedCorePower(cfg xs1.Config, iters int) (float64, error) {
 // Fig4 sweeps the DVFS comparison for one core with four active
 // threads: at 1 V, and re-run at VDD = VMin(f). Frequencies run
 // independently under sweep.Map.
-func Fig4(iters int) ([]Fig4Point, error) {
-	return sweep.Map(Fig3Frequencies, func(_ int, f float64) (Fig4Point, error) {
-		at1v, err := measureLoadedCorePower(xs1.Config{FreqMHz: f, VDD: 1.0}, iters)
+func Fig4(env *core.Env, iters int) ([]Fig4Point, error) {
+	return sweep.Map(env.SweepWidth(), Fig3Frequencies, func(_ int, f float64) (Fig4Point, error) {
+		at1v, err := measureLoadedCorePower(env, xs1.Config{FreqMHz: f, VDD: 1.0}, iters)
 		if err != nil {
 			return Fig4Point{}, err
 		}
-		scaled, err := measureLoadedCorePower(xs1.Config{FreqMHz: f, VDD: energy.VMin(f)}, iters)
+		scaled, err := measureLoadedCorePower(env, xs1.Config{FreqMHz: f, VDD: energy.VMin(f)}, iters)
 		if err != nil {
 			return Fig4Point{}, err
 		}
@@ -269,10 +269,10 @@ type Fig2Result struct {
 }
 
 // Fig2 loads a full slice and decomposes its wall power per node.
-func Fig2(iters int) (Fig2Result, error) {
+func Fig2(env *core.Env, iters int) (Fig2Result, error) {
 	var res Fig2Result
 	res.Published = energy.PaperNodeBudget
-	m, release, err := checkout(1, 1, core.Options{})
+	m, release, err := env.Checkout(1, 1, core.Options{})
 	if err != nil {
 		return res, err
 	}

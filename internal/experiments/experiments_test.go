@@ -10,7 +10,7 @@ import (
 )
 
 func TestTableIReproduces(t *testing.T) {
-	rows, err := TableI()
+	rows, err := TableI(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSurveyECRender(t *testing.T) {
 }
 
 func TestFig3ReproducesEq1(t *testing.T) {
-	points, err := Fig3(12000)
+	points, err := Fig3(nil, 12000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestFig3ReproducesEq1(t *testing.T) {
 }
 
 func TestFig4DVFSSavings(t *testing.T) {
-	points, err := Fig4(12000)
+	points, err := Fig4(nil, 12000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFig4DVFSSavings(t *testing.T) {
 }
 
 func TestFig2Budget(t *testing.T) {
-	r, err := Fig2(20000)
+	r, err := Fig2(nil, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFig2Budget(t *testing.T) {
 }
 
 func TestEq2Reproduces(t *testing.T) {
-	points, err := Eq2(15000)
+	points, err := Eq2(nil, 15000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestEq2Reproduces(t *testing.T) {
 }
 
 func TestLatenciesShape(t *testing.T) {
-	rows, err := Latencies()
+	rows, err := Latencies(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestLatenciesShape(t *testing.T) {
 }
 
 func TestGoodputSweep87Percent(t *testing.T) {
-	points, err := GoodputSweep([]int{4, 12, 28, 60})
+	points, err := GoodputSweep(nil, []int{4, 12, 28, 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestGoodputSweep87Percent(t *testing.T) {
 }
 
 func TestECRatiosReproduce(t *testing.T) {
-	rows, err := ECRatios()
+	rows, err := ECRatios(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestAblationRouting(t *testing.T) {
 }
 
 func TestAblationLinks(t *testing.T) {
-	res, err := AblationLinks()
+	res, err := AblationLinks(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestScaleHeadline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("480-core assembly in -short mode")
 	}
-	s, err := Scale(20000)
+	s, err := Scale(nil, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestScaleHeadline(t *testing.T) {
 }
 
 func TestPipelinePlacementEnergy(t *testing.T) {
-	rows, err := PipelinePlacement(150)
+	rows, err := PipelinePlacement(nil, 150)
 	if err != nil {
 		t.Fatal(err)
 	}

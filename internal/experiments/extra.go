@@ -49,8 +49,8 @@ func RenderEnergyCompare(e EnergyCompare) *report.Table {
 // limits: 2 MS/s on a single supply, 1 MS/s across all five, and
 // verifies the reconstructed power against the machine's energy
 // accounting.
-func MeasurementRates() error {
-	m, release, err := checkout(1, 1, core.Options{})
+func MeasurementRates(env *core.Env) error {
+	m, release, err := env.Checkout(1, 1, core.Options{})
 	if err != nil {
 		return err
 	}
@@ -96,8 +96,8 @@ func MeasurementRates() error {
 
 // BridgeRate measures the Ethernet bridge's achieved ingress rate
 // against its 80 Mbit/s cap.
-func BridgeRate() (float64, error) {
-	m, release, err := checkout(1, 1, core.Options{})
+func BridgeRate(env *core.Env) (float64, error) {
+	m, release, err := env.Checkout(1, 1, core.Options{})
 	if err != nil {
 		return 0, err
 	}
@@ -138,9 +138,9 @@ func BridgeRate() (float64, error) {
 // core-locally, in-package, on-board and off-board, reporting the
 // achieved rates that motivate the Section V-D placement
 // recommendations.
-func AblationPlacement() (map[string]float64, error) {
-	rates, err := sweep.Map(streamPlacements, func(_ int, p streamPlacement) (float64, error) {
-		m, release, err := checkout(2, 1, core.Options{})
+func AblationPlacement(env *core.Env) (map[string]float64, error) {
+	rates, err := sweep.Map(env.SweepWidth(), streamPlacements, func(_ int, p streamPlacement) (float64, error) {
+		m, release, err := env.Checkout(2, 1, core.Options{})
 		if err != nil {
 			return 0, err
 		}
@@ -224,8 +224,8 @@ func RenderMeasurementRates() *report.Table {
 
 // BootCost boots a four-core job over the network through the bridge
 // and reports the nOS loading cost.
-func BootCost() (nos.BootStats, error) {
-	m, release, err := checkout(1, 1, core.Options{})
+func BootCost(env *core.Env) (nos.BootStats, error) {
+	m, release, err := env.Checkout(1, 1, core.Options{})
 	if err != nil {
 		return nos.BootStats{}, err
 	}

@@ -38,9 +38,9 @@ const instrTimeNS = 8.0
 // returns the one-way word latency (half the measured round trip,
 // which includes both ends' instruction overhead as the paper's
 // software-measured figures do).
-func wordLatency(a, b topo.NodeID) (sim.Time, error) {
+func wordLatency(env *core.Env, a, b topo.NodeID) (sim.Time, error) {
 	cfg := noc.MaxRateConfig()
-	m, release, err := checkout(2, 1, core.Options{Noc: &cfg})
+	m, release, err := env.Checkout(2, 1, core.Options{Noc: &cfg})
 	if err != nil {
 		return 0, err
 	}
@@ -100,13 +100,13 @@ func LatencyPlacementNames() []string {
 }
 
 // Latencies reproduces the full Section V-C latency table.
-func Latencies() ([]LatencyRow, error) { return LatenciesFor(nil) }
+func Latencies(env *core.Env) ([]LatencyRow, error) { return LatenciesFor(env, nil) }
 
 // LatenciesFor measures the named subset of the Section V-C
 // placements, in canonical table order regardless of the order names
 // are given in. Nil or empty means every placement; an unknown name is
 // an error.
-func LatenciesFor(names []string) ([]LatencyRow, error) {
+func LatenciesFor(env *core.Env, names []string) ([]LatencyRow, error) {
 	all := latencyPlacements()
 	placements := all
 	if len(names) > 0 {
@@ -132,13 +132,13 @@ func LatenciesFor(names []string) ([]LatencyRow, error) {
 			}
 		}
 	}
-	return sweep.Map(placements, func(_ int, p latencyPlacement) (LatencyRow, error) {
+	return sweep.Map(env.SweepWidth(), placements, func(_ int, p latencyPlacement) (LatencyRow, error) {
 		var lat sim.Time
 		var err error
 		if p.a == p.b {
-			lat, err = coreLocalWordLatency()
+			lat, err = coreLocalWordLatency(env)
 		} else {
-			lat, err = wordLatency(p.a, p.b)
+			lat, err = wordLatency(env, p.a, p.b)
 		}
 		if err != nil {
 			return LatencyRow{}, fmt.Errorf("%s: %w", p.name, err)
@@ -155,9 +155,9 @@ func LatenciesFor(names []string) ([]LatencyRow, error) {
 }
 
 // coreLocalWordLatency ping-pongs between two threads of one core.
-func coreLocalWordLatency() (sim.Time, error) {
+func coreLocalWordLatency(env *core.Env) (sim.Time, error) {
 	cfg := noc.MaxRateConfig()
-	m, release, err := checkout(1, 1, core.Options{Noc: &cfg})
+	m, release, err := env.Checkout(1, 1, core.Options{Noc: &cfg})
 	if err != nil {
 		return 0, err
 	}
@@ -218,9 +218,9 @@ type GoodputPoint struct {
 // GoodputSweep measures packetised goodput across payload sizes, one
 // independent machine per point under sweep.Map (flows are
 // host-driven, so the cores stay idle and schedule nothing).
-func GoodputSweep(payloads []int) ([]GoodputPoint, error) {
-	return sweep.Map(payloads, func(_ int, n int) (GoodputPoint, error) {
-		m, release, err := checkout(1, 1, core.Options{})
+func GoodputSweep(env *core.Env, payloads []int) ([]GoodputPoint, error) {
+	return sweep.Map(env.SweepWidth(), payloads, func(_ int, n int) (GoodputPoint, error) {
+		m, release, err := env.Checkout(1, 1, core.Options{})
 		if err != nil {
 			return GoodputPoint{}, err
 		}
@@ -365,12 +365,12 @@ func ecRegimes() []ecRegime {
 // ECRatios measures each Section V-D communication regime and forms
 // the EC ratios with Eq. 2's execution rates. Regimes saturate
 // independent networks, so they run under sweep.Map.
-func ECRatios() ([]ECRow, error) {
+func ECRatios(env *core.Env) ([]ECRow, error) {
 	e := metrics.ExecutionBitRate(metrics.IPSCore(500e6, 4)) // 16 Gbit/s
-	return sweep.Map(ecRegimes(), func(_ int, r ecRegime) (ECRow, error) {
+	return sweep.Map(env.SweepWidth(), ecRegimes(), func(_ int, r ecRegime) (ECRow, error) {
 		c := r.eMult * e // issue-limited regimes: C = E
 		if r.build != nil {
-			m, release, err := checkout(1, 1, core.Options{})
+			m, release, err := env.Checkout(1, 1, core.Options{})
 			if err != nil {
 				return ECRow{}, err
 			}
@@ -413,9 +413,9 @@ type Eq2Point struct {
 
 // Eq2 measures aggregate instruction rate against thread count, one
 // independent machine per count under sweep.Map.
-func Eq2(iters int) ([]Eq2Point, error) {
-	return sweep.Map([]int{1, 2, 3, 4, 5, 6, 7, 8}, func(_ int, nt int) (Eq2Point, error) {
-		m, release, err := checkout(1, 1, core.Options{})
+func Eq2(env *core.Env, iters int) ([]Eq2Point, error) {
+	return sweep.Map(env.SweepWidth(), []int{1, 2, 3, 4, 5, 6, 7, 8}, func(_ int, nt int) (Eq2Point, error) {
+		m, release, err := env.Checkout(1, 1, core.Options{})
 		if err != nil {
 			return Eq2Point{}, err
 		}
@@ -496,13 +496,13 @@ func AblationRouting() ([]AblationRoutingResult, error) {
 // AblationLinks measures aggregate package-internal throughput as the
 // enabled internal link count varies (Section V-B link aggregation).
 // Each link count saturates its own network under sweep.Map.
-func AblationLinks() (map[int]float64, error) {
-	rates, err := sweep.Map([]int{1, 2, 3, 4}, func(_ int, links int) (float64, error) {
+func AblationLinks(env *core.Env) (map[int]float64, error) {
+	rates, err := sweep.Map(env.SweepWidth(), []int{1, 2, 3, 4}, func(_ int, links int) (float64, error) {
 		cfg := noc.OperatingConfig()
 		cfg.InternalLinks = links
 		// The enabled-link count is structural, so each count is its own
 		// pool shape.
-		m, release, err := checkout(1, 1, core.Options{Noc: &cfg})
+		m, release, err := env.Checkout(1, 1, core.Options{Noc: &cfg})
 		if err != nil {
 			return 0, err
 		}
@@ -574,9 +574,9 @@ type SystemScale struct {
 // its power envelope (loading one slice and extrapolating, to keep the
 // experiment fast; the slice measurement itself is simulated end to
 // end).
-func Scale(iters int) (SystemScale, error) {
+func Scale(env *core.Env, iters int) (SystemScale, error) {
 	var s SystemScale
-	m, release, err := checkout(5, 6, core.Options{})
+	m, release, err := env.Checkout(5, 6, core.Options{})
 	if err != nil {
 		return s, err
 	}
@@ -594,7 +594,7 @@ func Scale(iters int) (SystemScale, error) {
 	s.IdleWallW = idle
 
 	// Load slice 0 fully and measure its wall power.
-	lm, releaseLoaded, err := checkout(1, 1, core.Options{})
+	lm, releaseLoaded, err := env.Checkout(1, 1, core.Options{})
 	if err != nil {
 		return s, err
 	}

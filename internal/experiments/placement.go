@@ -30,7 +30,7 @@ type PlacementEnergyResult struct {
 // and scattered (stages in opposite corners of a 2x2-slice machine,
 // every hop crossing boards) - and measures the energy and time cost
 // of ignoring the paper's locality recommendations (Section V-D).
-func PipelinePlacement(items int) ([]PlacementEnergyResult, error) {
+func PipelinePlacement(env *core.Env, items int) ([]PlacementEnergyResult, error) {
 	local := []topo.NodeID{
 		topo.MakeNodeID(0, 0, topo.LayerV),
 		topo.MakeNodeID(0, 0, topo.LayerH),
@@ -50,16 +50,16 @@ func PipelinePlacement(items int) ([]PlacementEnergyResult, error) {
 		nodes []topo.NodeID
 	}
 	variants := []pipelineVariant{{"chip-local", local}, {"scattered", scattered}}
-	return sweep.Map(variants, func(_ int, pl pipelineVariant) (PlacementEnergyResult, error) {
-		return runPipeline(pl.name, pl.nodes, items)
+	return sweep.Map(env.SweepWidth(), variants, func(_ int, pl pipelineVariant) (PlacementEnergyResult, error) {
+		return runPipeline(env, pl.name, pl.nodes, items)
 	})
 }
 
-func runPipeline(name string, nodes []topo.NodeID, items int) (PlacementEnergyResult, error) {
+func runPipeline(env *core.Env, name string, nodes []topo.NodeID, items int) (PlacementEnergyResult, error) {
 	var res PlacementEnergyResult
 	res.Name = name
 	res.Items = items
-	m, release, err := checkout(2, 2, core.Options{})
+	m, release, err := env.Checkout(2, 2, core.Options{})
 	if err != nil {
 		return res, err
 	}

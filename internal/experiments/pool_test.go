@@ -3,68 +3,30 @@ package experiments
 import (
 	"testing"
 
-	"swallow/internal/harness"
-	"swallow/internal/harness/sweep"
+	"swallow/internal/core"
 )
 
 // TestPooledMatchesFreshGolden is the machine-lifecycle determinism
 // contract: for every registered artifact, a run whose sweep points
-// check machines out of the pool (reset + retune) must render
+// check machines out of a pool (reset + retune) must render
 // byte-identical to a run that builds every machine fresh — on a cold
 // pool (first use builds) and on a warm one (pure reuse, including
 // reuse across artifacts that share a shape).
 func TestPooledMatchesFreshGolden(t *testing.T) {
-	cfg := harness.QuickConfig()
-	prev := sweep.Concurrency()
-	defer sweep.SetConcurrency(prev)
-	defer SetPooling(true)
 	// Parallel sweeps so concurrent checkouts exercise the pool's
-	// locking alongside the determinism contract.
-	sweep.SetConcurrency(8)
-
-	type rendered struct{ fresh, cold, warm string }
-	out := make(map[string]rendered)
-	for _, a := range harness.Artifacts() {
-		var r rendered
-		SetPooling(false)
-		tbl, err := a.Table(cfg)
-		if err != nil {
-			t.Fatalf("%s (fresh): %v", a.Name, err)
-		}
-		r.fresh = tbl.String()
-		SetPooling(true)
-		out[a.Name] = r
-	}
-	// Two pooled passes over the whole registry: the first populates
-	// the pool (and already reuses across artifacts sharing a shape),
-	// the second runs entirely on recycled machines.
-	for pass, label := range []string{"cold", "warm"} {
-		for _, a := range harness.Artifacts() {
-			tbl, err := a.Table(cfg)
-			if err != nil {
-				t.Fatalf("%s (%s pool): %v", a.Name, label, err)
-			}
-			r := out[a.Name]
-			if pass == 0 {
-				r.cold = tbl.String()
-			} else {
-				r.warm = tbl.String()
-			}
-			out[a.Name] = r
-		}
-	}
-	for _, a := range harness.Artifacts() {
-		r := out[a.Name]
-		if r.cold != r.fresh {
-			t.Errorf("%s: cold-pool output diverges from fresh builds.\n--- fresh ---\n%s\n--- pooled ---\n%s",
-				a.Name, r.fresh, r.cold)
-		}
-		if r.warm != r.fresh {
-			t.Errorf("%s: warm-pool output diverges from fresh builds.\n--- fresh ---\n%s\n--- pooled ---\n%s",
-				a.Name, r.fresh, r.warm)
-		}
-	}
-	if st := PoolStats(); st.Reuses == 0 {
+	// locking alongside the determinism contract; a pool of the test's
+	// own so that cold means cold and the reuse counted is this test's.
+	pool := core.NewPool()
+	pooled := core.Env{Pool: pool, Width: 8}
+	// The first pooled pass populates the pool (and already reuses
+	// across artifacts sharing a shape) while the fresh one runs beside
+	// it; the second runs entirely on recycled machines.
+	var out [2]map[string]string
+	eachMode(t, []mode{{"fresh", core.Env{Width: 8}}, {"cold-pool", pooled}},
+		func(t *testing.T, i int, env core.Env) { out[i] = renderRegistry(t, env) })
+	sameRegistry(t, "fresh builds", out[0], "cold pool", out[1])
+	sameRegistry(t, "fresh builds", out[0], "warm pool", renderRegistry(t, pooled))
+	if st := pool.Stats(); st.Reuses == 0 {
 		t.Errorf("pool recorded no reuse across two full registry passes: %+v", st)
 	}
 }

@@ -32,7 +32,7 @@ func init() {
 	harness.Register(harness.Spec[[]TableIRow]{
 		Name:        "table1",
 		Description: "Table I: measured communication energy per bit by link class",
-		Run:         func(harness.Config) ([]TableIRow, error) { return TableI() },
+		Run:         func(cfg harness.Config) ([]TableIRow, error) { return TableI(cfg.Env) },
 		Render:      RenderTableI,
 		Metrics: func(rows []TableIRow) map[string]float64 {
 			m := make(map[string]float64)
@@ -47,7 +47,7 @@ func init() {
 		Name:        "fig1",
 		Description: "Fig. 1 / Sec. III-A: assembled system scale, throughput and wall power",
 		Uses:        harness.UsesIters,
-		Run:         func(cfg harness.Config) (SystemScale, error) { return Scale(cfg.Iters) },
+		Run:         func(cfg harness.Config) (SystemScale, error) { return Scale(cfg.Env, cfg.Iters) },
 		Render:      RenderScale,
 		Metrics: func(s SystemScale) map[string]float64 {
 			return map[string]float64{"GIPS": s.PeakGIPS, "loaded_W": s.LoadedWallW}
@@ -57,7 +57,7 @@ func init() {
 		Name:        "fig2",
 		Description: "Fig. 2: node power split between computation and overheads",
 		Uses:        harness.UsesIters,
-		Run:         func(cfg harness.Config) (Fig2Result, error) { return Fig2(cfg.Iters) },
+		Run:         func(cfg harness.Config) (Fig2Result, error) { return Fig2(cfg.Env, cfg.Iters) },
 		Render:      RenderFig2,
 		Metrics: func(r Fig2Result) map[string]float64 {
 			return map[string]float64{"node_mW": r.NodeTotalW * 1e3, "compute_mW": r.ComputationW * 1e3}
@@ -68,7 +68,7 @@ func init() {
 		Description: "Fig. 3: core power vs frequency sweep with the Eq. 1 linear fit",
 		Uses:        harness.UsesIters,
 		Run: func(cfg harness.Config) (Fig3WithFit, error) {
-			points, err := Fig3(cfg.Iters)
+			points, err := Fig3(cfg.Env, cfg.Iters)
 			if err != nil {
 				return Fig3WithFit{}, err
 			}
@@ -94,7 +94,7 @@ func init() {
 		Name:        "fig4",
 		Description: "Fig. 4: DVFS power saving against fixed-voltage scaling",
 		Uses:        harness.UsesIters,
-		Run:         func(cfg harness.Config) ([]Fig4Point, error) { return Fig4(cfg.Iters) },
+		Run:         func(cfg harness.Config) ([]Fig4Point, error) { return Fig4(cfg.Env, cfg.Iters) },
 		Render:      RenderFig4,
 		Metrics: func(points []Fig4Point) map[string]float64 {
 			last := points[len(points)-1]
@@ -105,7 +105,7 @@ func init() {
 		Name:        "eq2",
 		Description: "Eq. 2: aggregate instruction rate vs active thread count",
 		Uses:        harness.UsesIters,
-		Run:         func(cfg harness.Config) ([]Eq2Point, error) { return Eq2(cfg.Iters) },
+		Run:         func(cfg harness.Config) ([]Eq2Point, error) { return Eq2(cfg.Env, cfg.Iters) },
 		Render:      RenderEq2,
 		Metrics: func(points []Eq2Point) map[string]float64 {
 			m := make(map[string]float64)
@@ -128,8 +128,10 @@ func init() {
 	harness.Register(harness.Spec[[]PlacementEnergyResult]{
 		Name:        "placement",
 		Description: "Pipeline placement: energy and elapsed time per mapping",
-		Run:         func(harness.Config) ([]PlacementEnergyResult, error) { return PipelinePlacement(placementItems) },
-		Render:      RenderPlacement,
+		Run: func(cfg harness.Config) ([]PlacementEnergyResult, error) {
+			return PipelinePlacement(cfg.Env, placementItems)
+		},
+		Render: RenderPlacement,
 		Metrics: func(rows []PlacementEnergyResult) map[string]float64 {
 			m := make(map[string]float64)
 			for _, r := range rows {
@@ -159,7 +161,7 @@ func init() {
 	harness.Register(harness.Spec[float64]{
 		Name:        "bridge",
 		Description: "Ethernet bridge: sustained off-system transfer rate",
-		Run:         func(harness.Config) (float64, error) { return BridgeRate() },
+		Run:         func(cfg harness.Config) (float64, error) { return BridgeRate(cfg.Env) },
 		Render:      RenderBridgeRate,
 		Metrics: func(rate float64) map[string]float64 {
 			return map[string]float64{"bridge_Mbit/s": rate / 1e6}
@@ -168,7 +170,7 @@ func init() {
 	harness.Register(harness.Spec[nos.BootStats]{
 		Name:        "boot",
 		Description: "Network boot: image size and end-to-end boot time",
-		Run:         func(harness.Config) (nos.BootStats, error) { return BootCost() },
+		Run:         func(cfg harness.Config) (nos.BootStats, error) { return BootCost(cfg.Env) },
 		Render:      RenderBootCost,
 		Metrics: func(st nos.BootStats) map[string]float64 {
 			return map[string]float64{
@@ -196,8 +198,8 @@ func init() {
 	harness.Register(harness.Spec[struct{}]{
 		Name:        "adc",
 		Description: "ADC measurement chain: sample rates and bandwidth checks",
-		Run: func(harness.Config) (struct{}, error) {
-			return struct{}{}, MeasurementRates()
+		Run: func(cfg harness.Config) (struct{}, error) {
+			return struct{}{}, MeasurementRates(cfg.Env)
 		},
 		Render: func(struct{}) *report.Table { return RenderMeasurementRates() },
 	})

@@ -4,8 +4,8 @@ import (
 	"os"
 	"testing"
 
+	"swallow/internal/core"
 	"swallow/internal/harness"
-	"swallow/internal/harness/sweep"
 	"swallow/internal/scenario"
 )
 
@@ -19,48 +19,41 @@ import (
 func TestScenarioMatchesHandWritten(t *testing.T) {
 	references := map[string]func() (string, error){
 		"latency": func() (string, error) {
-			rows, err := LatenciesFor(nil)
+			rows, err := LatenciesFor(nil, nil)
 			if err != nil {
 				return "", err
 			}
 			return RenderLatencies(rows).String(), nil
 		},
 		"goodput": func() (string, error) {
-			points, err := GoodputSweep(goodputPayloads)
+			points, err := GoodputSweep(nil, goodputPayloads)
 			if err != nil {
 				return "", err
 			}
 			return RenderGoodput(points).String(), nil
 		},
 		"ec": func() (string, error) {
-			rows, err := ECRatios()
+			rows, err := ECRatios(nil)
 			if err != nil {
 				return "", err
 			}
 			return RenderEC(rows).String(), nil
 		},
 		"ablation-links": func() (string, error) {
-			res, err := AblationLinks()
+			res, err := AblationLinks(nil)
 			if err != nil {
 				return "", err
 			}
 			return RenderAblationLinks(res).String(), nil
 		},
 		"ablation-placement": func() (string, error) {
-			res, err := AblationPlacement()
+			res, err := AblationPlacement(nil)
 			if err != nil {
 				return "", err
 			}
 			return RenderAblationPlacement(res).String(), nil
 		},
 	}
-
-	prevConc := sweep.Concurrency()
-	prevPool := Pooling()
-	defer func() {
-		sweep.SetConcurrency(prevConc)
-		SetPooling(prevPool)
-	}()
 
 	for _, spec := range CanonicalScenarios() {
 		refFn, ok := references[spec.Name]
@@ -75,19 +68,15 @@ func TestScenarioMatchesHandWritten(t *testing.T) {
 		if a == nil {
 			t.Fatalf("scenario %q not registered", spec.Name)
 		}
-		for _, mode := range []struct {
-			name    string
-			workers int
-			pooled  bool
-		}{
-			{"seq-pooled", 1, true},
-			{"par-pooled", 16, true},
-			{"seq-fresh", 1, false},
-			{"par-fresh", 16, false},
+		for _, mode := range []mode{
+			{"seq-pooled", core.Env{Pool: core.SharedPool(), Width: 1}},
+			{"par-pooled", core.Env{Pool: core.SharedPool(), Width: 16}},
+			{"seq-fresh", core.Env{Width: 1}},
+			{"par-fresh", core.Env{Width: 16}},
 		} {
-			sweep.SetConcurrency(mode.workers)
-			SetPooling(mode.pooled)
-			table, err := a.Table(harness.QuickConfig())
+			cfg := harness.QuickConfig()
+			cfg.Env = &mode.env
+			table, err := a.Table(cfg)
 			if err != nil {
 				t.Fatalf("%s (%s): %v", spec.Name, mode.name, err)
 			}

@@ -2,106 +2,58 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
+	"swallow/internal/core"
 	"swallow/internal/harness"
-	"swallow/internal/harness/sweep"
 	"swallow/internal/trace"
 )
 
 // TestTracingNeutralGolden is the observability contract at the
 // artifact level: attaching the flight recorder must never change what
-// the simulator computes. Every registered artifact is rendered with a
-// trace session active and without one, across the lifecycle modes
-// that change how machines are built and scheduled — pooled and fresh,
-// serial and parallel sweeps, turbo on and off — and each pair must be
-// byte-identical.
+// the simulator computes. Every registered artifact is rendered under
+// a traced Env and an untraced one, across the lifecycle modes that
+// change how machines are built and scheduled — pooled and fresh,
+// serial and parallel sweeps, turbo and exact — and each pair must be
+// byte-identical. Every traced mode holds a live session of its own
+// while the others run.
 func TestTracingNeutralGolden(t *testing.T) {
-	cfg := harness.QuickConfig()
-	prevConc := sweep.Concurrency()
-	defer sweep.SetConcurrency(prevConc)
-	defer SetPooling(true)
-	defer SetTurbo(true)
-
-	runRegistry := func(label string) map[string]string {
-		out := make(map[string]string)
-		for _, a := range harness.Artifacts() {
-			tbl, err := a.Table(cfg)
-			if err != nil {
-				t.Fatalf("%s (%s): %v", a.Name, label, err)
-			}
-			out[a.Name] = tbl.String()
-		}
-		return out
-	}
-
 	// One untraced baseline suffices for every mode: the lifecycle
 	// contracts already hold the registry byte-identical across
-	// pooled/fresh, seq/par and turbo on/off, so each traced pass
-	// below must match this single reference.
-	SetPooling(true)
-	sweep.SetConcurrency(1)
-	SetTurbo(true)
-	plain := runRegistry("trace off, baseline")
+	// pooled/fresh, seq/par and turbo/exact, so each traced pass below
+	// must match this single reference.
+	plain := renderRegistry(t, core.Env{Pool: core.SharedPool(), Width: 1})
 
-	for _, pooled := range []bool{true, false} {
-		for _, conc := range []int{1, 8} {
-			for _, turbo := range []bool{true, false} {
-				SetPooling(pooled)
-				sweep.SetConcurrency(conc)
-				SetTurbo(turbo)
-				mode := fmt.Sprintf("pooled=%v conc=%d turbo=%v", pooled, conc, turbo)
-
-				sess, err := trace.Start(0)
-				if err != nil {
-					t.Fatalf("trace.Start (%s): %v", mode, err)
-				}
-				traced := runRegistry("trace on, " + mode)
-				events := sess.TotalEvents()
-				sess.Stop()
-
-				if events == 0 {
-					t.Errorf("traced registry pass recorded no events (%s)", mode)
-				}
-				for _, a := range harness.Artifacts() {
-					if traced[a.Name] != plain[a.Name] {
-						t.Errorf("%s (%s): tracing changed rendered output.\n--- trace off ---\n%s\n--- trace on ---\n%s",
-							a.Name, mode, plain[a.Name], traced[a.Name])
-					}
-				}
-			}
-		}
+	var modes []mode
+	for _, m := range lifecycles(false) {
+		modes = append(modes, m)
+		m.name, m.env.Exact = m.name+",exact", true
+		modes = append(modes, m)
 	}
+	eachMode(t, modes, func(t *testing.T, _ int, env core.Env) {
+		env.Trace = trace.NewSession(0)
+		traced := renderRegistry(t, env)
+		if env.Trace.TotalEvents() == 0 {
+			t.Error("traced registry pass recorded no events")
+		}
+		sameRegistry(t, "trace off", plain, "trace on", traced)
+	})
 }
 
 // TestTraceDeterministicGolden pins the recording itself: tracing the
-// same artifact twice under serial sweeps must produce byte-identical
-// text timelines — same machines, same checkout order, same event
-// sequence with the same timestamps.
+// same artifact twice must produce byte-identical text timelines — same
+// machines, same checkout order, same event sequence with the same
+// timestamps — whatever ran before or runs beside it, because a traced
+// Env draws on nothing the rest of the process has touched.
 func TestTraceDeterministicGolden(t *testing.T) {
 	cfg := harness.QuickConfig()
-	prevConc := sweep.Concurrency()
-	sweep.SetConcurrency(1)
-	defer sweep.SetConcurrency(prevConc)
-
-	var fig3 *harness.Artifact
-	for _, a := range harness.Artifacts() {
-		if a.Name == "fig3" {
-			fig3 = a
-			break
-		}
-	}
+	fig3 := harness.Lookup("fig3")
 	if fig3 == nil {
 		t.Fatal("fig3 artifact not registered")
 	}
-
 	record := func() []byte {
-		sess, err := trace.Start(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sess.Stop()
+		sess := trace.NewSession(0)
+		cfg.Env = core.TracedEnv(sess)
 		if _, err := fig3.Table(cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -113,6 +65,10 @@ func TestTraceDeterministicGolden(t *testing.T) {
 	}
 
 	first := record()
+	// In between, leave the shared pool's fig3 machines with a history.
+	if _, err := fig3.Table(harness.QuickConfig()); err != nil {
+		t.Fatal(err)
+	}
 	second := record()
 	if len(first) == 0 || !bytes.Contains(first, []byte("checkout")) {
 		t.Fatalf("trace capture looks empty:\n%s", first)

@@ -1,67 +1,29 @@
 package experiments
 
 import (
-	"fmt"
 	"testing"
 
+	"swallow/internal/core"
 	"swallow/internal/harness"
-	"swallow/internal/harness/sweep"
+	"swallow/internal/xs1"
 )
 
 // TestTurboMatchesSlowPathGolden is the fast-path determinism contract
-// at the artifact level: for every registered artifact, a run with
-// turbo enabled (predecoded instruction cache plus batched
-// run-to-horizon issue) must render byte-identical to a run with turbo
-// off — the one-instruction-per-event loop — across every lifecycle
-// mode that changes how machines are built and scheduled: pooled and
-// fresh builds, serial and parallel sweeps, warm starts on and off.
+// at the artifact level: for every registered artifact, a turbo run
+// (predecoded instruction cache plus batched run-to-horizon issue) must
+// render byte-identical to an exact Env's — the
+// one-instruction-per-event loop — across every lifecycle mode that
+// changes how machines are built and scheduled: pooled and fresh
+// builds, serial and parallel sweeps, warm starts on and off.
 func TestTurboMatchesSlowPathGolden(t *testing.T) {
-	cfg := harness.QuickConfig()
-	prevConc := sweep.Concurrency()
-	defer sweep.SetConcurrency(prevConc)
-	defer SetPooling(true)
-	defer SetWarmStart(true)
-	defer SetTurbo(true)
-
-	runRegistry := func(label string) map[string]string {
-		out := make(map[string]string)
-		for _, a := range harness.Artifacts() {
-			tbl, err := a.Table(cfg)
-			if err != nil {
-				t.Fatalf("%s (%s): %v", a.Name, label, err)
-			}
-			out[a.Name] = tbl.String()
-		}
-		return out
-	}
-
-	// One slow-path reference per lifecycle mode, diffed against the
-	// turbo run of the same mode.
-	batches := TurboStats().Batches
-	for _, pooled := range []bool{true, false} {
-		for _, conc := range []int{1, 8} {
-			for _, warm := range []bool{true, false} {
-				SetPooling(pooled)
-				sweep.SetConcurrency(conc)
-				SetWarmStart(warm)
-				mode := fmt.Sprintf("pooled=%v conc=%d warm=%v", pooled, conc, warm)
-
-				SetTurbo(false)
-				slow := runRegistry("turbo off, " + mode)
-				SetTurbo(true)
-				fast := runRegistry("turbo on, " + mode)
-
-				for _, a := range harness.Artifacts() {
-					if fast[a.Name] != slow[a.Name] {
-						t.Errorf("%s (%s): turbo output diverges.\n--- turbo off ---\n%s\n--- turbo on ---\n%s",
-							a.Name, mode, slow[a.Name], fast[a.Name])
-					}
-				}
-			}
-		}
-	}
-	ts := TurboStats()
-	if ts.Batches == batches {
+	before := xs1.ReadTurboStats()
+	eachMode(t, lifecycles(false, true), func(t *testing.T, _ int, env core.Env) {
+		fast := renderRegistry(t, env)
+		env.Exact = true
+		sameRegistry(t, "exact", renderRegistry(t, env), "turbo", fast)
+	})
+	ts := xs1.ReadTurboStats()
+	if ts.Batches == before.Batches {
 		t.Errorf("turbo passes recorded no batches (stats %+v)", ts)
 	}
 	// The ledger adds up: every batch ended for exactly one reason, the
@@ -86,15 +48,16 @@ func TestTurboMatchesSlowPathGolden(t *testing.T) {
 
 // TestSingleCoreRenderNeverRunsAhead pins the other side of the ledger:
 // a lone awake core has nobody to interleave with, runs the exact inner
-// loop, and neither pre-executes nor replays a slot.
+// loop, and neither pre-executes nor replays a slot. It reads a delta
+// of the process-wide counters, so it runs beside no other test.
 func TestSingleCoreRenderNeverRunsAhead(t *testing.T) {
-	before := TurboStats()
+	before := xs1.ReadTurboStats()
 	for _, name := range []string{"eq2", "fig4"} {
 		if _, err := harness.Lookup(name).Table(harness.QuickConfig()); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	after := TurboStats()
+	after := xs1.ReadTurboStats()
 	if after.Batches == before.Batches {
 		t.Fatal("the renders recorded no turbo batches")
 	}

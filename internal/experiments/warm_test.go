@@ -1,60 +1,25 @@
 package experiments
 
 import (
-	"fmt"
 	"testing"
 
-	"swallow/internal/harness"
-	"swallow/internal/harness/sweep"
+	"swallow/internal/core"
 )
 
 // TestWarmStartMatchesColdGolden is the snapshot/restore determinism
-// contract at the artifact level: for every registered artifact, a run
-// with warm starts enabled (pooled machines rewind from a pristine
-// snapshot; boot-mode scenarios restore a snapshotted boot prefix per
-// sweep point) must render byte-identical to a run with warm starts
-// off, in all four lifecycle modes — pooled and fresh builds, serial
-// and parallel sweeps.
+// contract at the artifact level: for every registered artifact, a warm
+// run (pooled machines rewind from a pristine snapshot; boot-mode
+// scenarios restore a snapshotted boot prefix per sweep point) must
+// render byte-identical to a cold Env's, in all four lifecycle modes —
+// pooled and fresh builds, serial and parallel sweeps.
 func TestWarmStartMatchesColdGolden(t *testing.T) {
-	cfg := harness.QuickConfig()
-	prevConc := sweep.Concurrency()
-	defer sweep.SetConcurrency(prevConc)
-	defer SetPooling(true)
-	defer SetWarmStart(true)
-
-	runRegistry := func(label string) map[string]string {
-		out := make(map[string]string)
-		for _, a := range harness.Artifacts() {
-			tbl, err := a.Table(cfg)
-			if err != nil {
-				t.Fatalf("%s (%s): %v", a.Name, label, err)
-			}
-			out[a.Name] = tbl.String()
-		}
-		return out
-	}
-
-	restores := SnapshotStats().Restores
-	for _, pooled := range []bool{true, false} {
-		for _, conc := range []int{1, 8} {
-			SetPooling(pooled)
-			sweep.SetConcurrency(conc)
-			mode := fmt.Sprintf("pooled=%v conc=%d", pooled, conc)
-
-			SetWarmStart(false)
-			cold := runRegistry("warm off, " + mode)
-			SetWarmStart(true)
-			warm := runRegistry("warm on, " + mode)
-
-			for _, a := range harness.Artifacts() {
-				if warm[a.Name] != cold[a.Name] {
-					t.Errorf("%s (%s): warm-start output diverges.\n--- warm off ---\n%s\n--- warm on ---\n%s",
-						a.Name, mode, cold[a.Name], warm[a.Name])
-				}
-			}
-		}
-	}
-	if got := SnapshotStats().Restores; got == restores {
-		t.Errorf("warm passes recorded no snapshot restores (stats %+v)", SnapshotStats())
+	restores := core.ReadSnapshotStats().Restores
+	eachMode(t, lifecycles(false), func(t *testing.T, _ int, env core.Env) {
+		warm := renderRegistry(t, env)
+		env.Cold = true
+		sameRegistry(t, "cold", renderRegistry(t, env), "warm", warm)
+	})
+	if st := core.ReadSnapshotStats(); st.Restores == restores {
+		t.Errorf("warm passes recorded no snapshot restores (stats %+v)", st)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"swallow/internal/harness"
 	"swallow/internal/sim"
 	"swallow/internal/workload"
+	"swallow/internal/xs1"
 )
 
 // readBenchGolden loads one of the benchmark's committed reference files.
@@ -78,6 +79,8 @@ func sliceDigest(t *testing.T, retune float64, threads func(i int) int) string {
 // never at 1, or the three settings would have tested one thing. Slices
 // the benchmark does not run — thread counts mixed, thin cores with one
 // on another clock — are held to what one host thread makes of them.
+// GOMAXPROCS is the one process-wide knob left, and the test turns it:
+// it runs beside no other.
 func TestHostThreadsNeverChangeAByte(t *testing.T) {
 	var sims map[string][]string
 	readBenchGolden(t, "sim.seed1.json", &sims)
@@ -98,7 +101,7 @@ func TestHostThreadsNeverChangeAByte(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, width := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(width)
-		before := TurboStats()
+		before := xs1.ReadTurboStats()
 		for name, digest := range offGolden {
 			d := digest()
 			if width == 1 {
@@ -128,7 +131,7 @@ func TestHostThreadsNeverChangeAByte(t *testing.T) {
 				t.Errorf("GOMAXPROCS=%d: %s renders to %s, bench/golden/tables.json has %s", width, name, got, tables[name])
 			}
 		}
-		after := TurboStats()
+		after := xs1.ReadTurboStats()
 		fanouts, helped := after.Fanouts-before.Fanouts, after.HelpedWindows-before.HelpedWindows
 		if (width > 1) != (fanouts > 0) {
 			t.Errorf("GOMAXPROCS=%d: windows were offered to the helper pool %d times", width, fanouts)

@@ -8,9 +8,9 @@
 // Runs take a Config (workload-length knob today) and return a typed
 // result; Register erases the type so heterogeneous artifacts share
 // one registry, while the generic Spec keeps each registration
-// type-checked. Inner sweep loops run through sweep.Map, so a driver
-// that raises sweep.SetConcurrency fans points across goroutines
-// without changing a byte of output.
+// type-checked. How a run executes — which machine pool, how wide the
+// inner sweep.Map loops fan out, whether a flight recorder rides along
+// — is Config.Env, which never changes a byte of output.
 package harness
 
 import (
@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 
+	"swallow/internal/core"
 	"swallow/internal/report"
 )
 
@@ -54,6 +55,10 @@ type Config struct {
 	// latency artifact by placement name. Nil or empty means all
 	// canonical placements; an unknown name is a run error.
 	LatencyPlacements []string `json:"latency_placements,omitempty"`
+	// Env is how the run executes (core.Env); nil is production. It is
+	// no part of what the run computes, so it is invisible to JSON and
+	// with it to every cache key, store key and scenario hash.
+	Env *core.Env `json:"-"`
 }
 
 // Canonical returns cfg with empty override slices normalised to nil,

@@ -8,37 +8,26 @@ import (
 	"testing"
 )
 
-// withConcurrency runs fn with the process-wide cap pinned to n.
-func withConcurrency(t *testing.T, n int, fn func()) {
-	t.Helper()
-	prev := Concurrency()
-	SetConcurrency(n)
-	defer SetConcurrency(prev)
-	fn()
-}
-
 func TestMapPreservesOrder(t *testing.T) {
 	points := make([]int, 100)
 	for i := range points {
 		points[i] = i
 	}
 	for _, workers := range []int{1, 2, 8, 64} {
-		withConcurrency(t, workers, func() {
-			got, err := Map(points, func(i, p int) (int, error) {
-				if i != p {
-					t.Errorf("worker index %d got point %d", i, p)
-				}
-				return p * p, nil
-			})
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
+		got, err := Map(workers, points, func(i, p int) (int, error) {
+			if i != p {
+				t.Errorf("worker index %d got point %d", i, p)
 			}
-			for i, r := range got {
-				if r != i*i {
-					t.Fatalf("workers=%d: result[%d] = %d, want %d", workers, i, r, i*i)
-				}
-			}
+			return p * p, nil
 		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, r := range got {
+			if r != i*i {
+				t.Fatalf("workers=%d: result[%d] = %d, want %d", workers, i, r, i*i)
+			}
+		}
 	}
 }
 
@@ -46,63 +35,74 @@ func TestMapReturnsLowestIndexedError(t *testing.T) {
 	points := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	boom3 := errors.New("boom at 3")
 	for _, workers := range []int{1, 4} {
-		withConcurrency(t, workers, func() {
-			_, err := Map(points, func(i, p int) (int, error) {
-				if i >= 3 {
-					return 0, fmt.Errorf("boom at %d", i)
-				}
-				return p, nil
-			})
-			if err == nil || err.Error() != boom3.Error() {
-				t.Fatalf("workers=%d: err = %v, want %v", workers, err, boom3)
+		_, err := Map(workers, points, func(i, p int) (int, error) {
+			if i >= 3 {
+				return 0, fmt.Errorf("boom at %d", i)
 			}
+			return p, nil
 		})
+		if err == nil || err.Error() != boom3.Error() {
+			t.Fatalf("workers=%d: err = %v, want %v", workers, err, boom3)
+		}
 	}
 }
 
 func TestMapEmptyAndSingle(t *testing.T) {
-	got, err := Map(nil, func(i int, p string) (int, error) { return 0, nil })
+	got, err := Map(0, nil, func(i int, p string) (int, error) { return 0, nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty: got %v, %v", got, err)
 	}
-	one, err := Map([]string{"x"}, func(i int, p string) (string, error) { return p + "!", nil })
+	one, err := Map(0, []string{"x"}, func(i int, p string) (string, error) { return p + "!", nil })
 	if err != nil || len(one) != 1 || one[0] != "x!" {
 		t.Fatalf("single: got %v, %v", one, err)
 	}
 }
 
-func TestMapActuallyFansOut(t *testing.T) {
-	if runtime.GOMAXPROCS(0) == 1 {
-		// Goroutines still interleave on one proc, but concurrent
-		// residency is what this test asserts; gate on parallel hardware.
-		t.Skip("needs GOMAXPROCS > 1")
-	}
-	withConcurrency(t, 4, func() {
-		var inFlight, peak atomic.Int64
-		var closed atomic.Bool
-		gate := make(chan struct{})
-		_, err := Map(make([]int, 8), func(i, _ int) (int, error) {
-			n := inFlight.Add(1)
-			for {
-				old := peak.Load()
-				if n <= old || peak.CompareAndSwap(old, n) {
-					break
-				}
+// peakResidency runs eight points at the given width, holding each
+// until want of them are in flight at once, and returns the most that
+// ever were. A width that fans out to fewer than want never returns.
+func peakResidency(t *testing.T, width, want int) int64 {
+	t.Helper()
+	var inFlight, peak atomic.Int64
+	var closed atomic.Bool
+	gate := make(chan struct{})
+	_, err := Map(width, make([]int, 8), func(i, _ int) (int, error) {
+		n := inFlight.Add(1)
+		for {
+			old := peak.Load()
+			if n <= old || peak.CompareAndSwap(old, n) {
+				break
 			}
-			if n == 4 && closed.CompareAndSwap(false, true) {
-				close(gate) // all four workers resident at once
-			}
-			<-gate
-			inFlight.Add(-1)
-			return 0, nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		if peak.Load() != 4 {
-			t.Fatalf("peak concurrent workers = %d, want 4", peak.Load())
+		if n == int64(want) && closed.CompareAndSwap(false, true) {
+			close(gate) // every worker resident at once
 		}
+		<-gate
+		inFlight.Add(-1)
+		return 0, nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return peak.Load()
+}
+
+func TestMapActuallyFansOut(t *testing.T) {
+	if peak := peakResidency(t, 4, 4); peak != 4 {
+		t.Fatalf("peak concurrent workers = %d, want 4", peak)
+	}
+}
+
+// TestWidthBelowOneIsGOMAXPROCS pins the default: a width nobody chose
+// fans out across the host's processors. (It sets GOMAXPROCS, so it
+// does not run beside other tests.)
+func TestWidthBelowOneIsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	for _, width := range []int{0, -1} {
+		if peak := peakResidency(t, width, 3); peak != 3 {
+			t.Fatalf("width %d on three processors: peak concurrent workers = %d, want 3", width, peak)
+		}
+	}
 }
 
 func TestMapSkipsDoomedPointsAfterFailure(t *testing.T) {
@@ -110,33 +110,18 @@ func TestMapSkipsDoomedPointsAfterFailure(t *testing.T) {
 	// fetching another index — so with two workers at most points 0
 	// and 1 ever run, the rest are skipped as doomed, and the error
 	// surfaced is still the lowest-indexed one.
-	withConcurrency(t, 2, func() {
-		var calls atomic.Int64
-		_, err := Map(make([]int, 8), func(i, _ int) (int, error) {
-			calls.Add(1)
-			if i >= 2 {
-				t.Errorf("point %d ran after earlier points failed", i)
-			}
-			return 0, fmt.Errorf("boom at %d", i)
-		})
-		if err == nil || err.Error() != "boom at 0" {
-			t.Fatalf("err = %v", err)
+	var calls atomic.Int64
+	_, err := Map(2, make([]int, 8), func(i, _ int) (int, error) {
+		calls.Add(1)
+		if i >= 2 {
+			t.Errorf("point %d ran after earlier points failed", i)
 		}
-		if n := calls.Load(); n < 1 || n > 2 {
-			t.Fatalf("worker ran %d points, want 1 or 2", n)
-		}
+		return 0, fmt.Errorf("boom at %d", i)
 	})
-}
-
-func TestSetConcurrencyResets(t *testing.T) {
-	prev := Concurrency()
-	defer SetConcurrency(prev)
-	SetConcurrency(3)
-	if Concurrency() != 3 {
-		t.Fatalf("Concurrency = %d, want 3", Concurrency())
+	if err == nil || err.Error() != "boom at 0" {
+		t.Fatalf("err = %v", err)
 	}
-	SetConcurrency(0)
-	if Concurrency() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Concurrency = %d, want GOMAXPROCS", Concurrency())
+	if n := calls.Load(); n < 1 || n > 2 {
+		t.Fatalf("worker ran %d points, want 1 or 2", n)
 	}
 }

@@ -7,11 +7,9 @@ import (
 )
 
 func TestMapWarmSerial(t *testing.T) {
-	SetConcurrency(1)
-	defer SetConcurrency(0)
 	var opens, closes atomic.Int64
 	points := []int{1, 2, 3, 4, 5}
-	got, err := MapWarm(points,
+	got, err := MapWarm(1, points,
 		func() (*atomic.Int64, error) { opens.Add(1); return &atomic.Int64{}, nil },
 		func(s *atomic.Int64) { closes.Add(1) },
 		func(i int, p int, s *atomic.Int64) (int, error) {
@@ -31,14 +29,12 @@ func TestMapWarmSerial(t *testing.T) {
 }
 
 func TestMapWarmParallelReusesState(t *testing.T) {
-	SetConcurrency(4)
-	defer SetConcurrency(0)
 	var opens, closes atomic.Int64
 	points := make([]int, 64)
 	for i := range points {
 		points[i] = i
 	}
-	got, err := MapWarm(points,
+	got, err := MapWarm(4, points,
 		func() (*atomic.Int64, error) { opens.Add(1); return &atomic.Int64{}, nil },
 		func(s *atomic.Int64) { closes.Add(1) },
 		func(i int, p int, s *atomic.Int64) (int, error) {
@@ -63,10 +59,9 @@ func TestMapWarmParallelReusesState(t *testing.T) {
 
 func TestMapWarmLowestError(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		SetConcurrency(workers)
 		boom := errors.New("boom")
 		points := make([]int, 32)
-		_, err := MapWarm(points,
+		_, err := MapWarm(workers, points,
 			func() (struct{}, error) { return struct{}{}, nil },
 			func(struct{}) {},
 			func(i int, p int, s struct{}) (int, error) {
@@ -79,15 +74,12 @@ func TestMapWarmLowestError(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v", workers, err)
 		}
 	}
-	SetConcurrency(0)
 }
 
 func TestMapWarmOpenErrorFails(t *testing.T) {
-	SetConcurrency(3)
-	defer SetConcurrency(0)
 	boom := errors.New("no machine")
 	var closes atomic.Int64
-	_, err := MapWarm([]int{1, 2, 3},
+	_, err := MapWarm(3, []int{1, 2, 3},
 		func() (struct{}, error) { return struct{}{}, boom },
 		func(struct{}) { closes.Add(1) },
 		func(i int, p int, s struct{}) (int, error) { return p, nil })

@@ -58,7 +58,7 @@ type Point struct {
 
 // Compiled is a lowered Spec: the canonical spec, its content hash,
 // and the harness.Artifact whose Run sweeps the points through
-// sweep.Map and the shared machine pool.
+// sweep.MapWarm under the run's core.Env.
 type Compiled struct {
 	Spec     Spec
 	Hash     string
@@ -66,10 +66,9 @@ type Compiled struct {
 }
 
 // Compile validates a spec and lowers it. The returned artifact obeys
-// the parallel-sweep contract — every point checks its own machine
-// out of the shared pool, touches the spec read-only, and returns a
-// value — so runs render byte-identically at any sweep concurrency
-// with pooling on or off.
+// the parallel-sweep contract — every point checks out its own
+// machine, touches the spec read-only, and returns a value — so runs
+// render byte-identically under every core.Env.
 func Compile(s Spec) (*Compiled, error) {
 	s = s.Canonical()
 	if err := s.Validate(); err != nil {
@@ -277,42 +276,38 @@ type warmState struct {
 	snap    *core.Snapshot
 }
 
-// drop returns the cached machine to the pool.
+// drop returns the cached machine, if any, to the pool. A nil
+// warmState is the cold sweep's and holds none.
 func (ws *warmState) drop() {
-	if ws.m != nil {
+	if ws != nil && ws.m != nil {
 		ws.release()
 		ws.key, ws.m, ws.release, ws.snap = "", nil, nil, nil
 	}
 }
 
-func (ws *warmState) close() { ws.drop() }
-
-// Run sweeps every point, one pooled machine per point, and collects
-// the measurements in point order. Boot scenarios run through
-// sweep.MapWarm when warm starts are enabled, so each worker
-// simulates the boot prefix once and restores a snapshot per point;
-// results are byte-identical to the cold path either way.
+// Run sweeps every point, one checked-out machine per point, under
+// cfg.Env and collects the measurements in point order. In a boot
+// scenario each sweep worker carries a warmState, so it simulates the
+// boot prefix once and restores a snapshot per point — unless the Env
+// is cold, when every point boots for itself; results are
+// byte-identical either way.
 func (c *Compiled) Run(cfg harness.Config) (*Result, error) {
 	axes, err := c.axesFor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	pts := enumerate(axes)
-	if c.Spec.Workload.Boot && core.WarmStartEnabled() {
-		points, err := sweep.MapWarm(pts,
-			func() (*warmState, error) { return &warmState{}, nil },
-			(*warmState).close,
-			func(_ int, p point, ws *warmState) (Point, error) {
-				return c.runPoint(p, ws)
-			})
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Points: points}, nil
-	}
-	points, err := sweep.Map(pts, func(_ int, p point) (Point, error) {
-		return c.runPoint(p, nil)
-	})
+	env := cfg.Env
+	points, err := sweep.MapWarm(env.SweepWidth(), enumerate(axes),
+		func() (*warmState, error) {
+			if c.Spec.Workload.Boot && env.WarmStart() {
+				return &warmState{}, nil
+			}
+			return nil, nil
+		},
+		(*warmState).drop,
+		func(_ int, p point, ws *warmState) (Point, error) {
+			return c.runPoint(env, p, ws)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +316,7 @@ func (c *Compiled) Run(cfg harness.Config) (*Result, error) {
 
 // runPoint resolves the point's workload (base plus variant
 // overrides) and dispatches on the structure.
-func (c *Compiled) runPoint(p point, ws *warmState) (Point, error) {
+func (c *Compiled) runPoint(env *core.Env, p point, ws *warmState) (Point, error) {
 	w := c.Spec.Workload
 	flows := w.Flows
 	a, b := w.A, w.B
@@ -349,18 +344,18 @@ func (c *Compiled) runPoint(p point, ws *warmState) (Point, error) {
 	}
 	switch w.Structure {
 	case "traffic":
-		return c.runTraffic(p, flows)
+		return c.runTraffic(env, p, flows)
 	case "ping":
 		if a == nil || b == nil {
 			return Point{}, badf("%s: ping point has no endpoints", p.label)
 		}
-		return c.runPing(p, *a, *b, rounds)
+		return c.runPing(env, p, *a, *b, rounds)
 	default:
 		ids, err := c.programNodes(nodes)
 		if err != nil {
 			return Point{}, err
 		}
-		return c.runProgram(p, ids, items, rounds, ws)
+		return c.runProgram(env, p, ids, items, rounds, ws)
 	}
 }
 
@@ -386,7 +381,7 @@ func (c *Compiled) programNodes(variantNodes []NodeRef) ([]topo.NodeID, error) {
 
 // runTraffic drives host-level flows and reduces them under the
 // traffic measures.
-func (c *Compiled) runTraffic(p point, flows []FlowSpec) (Point, error) {
+func (c *Compiled) runTraffic(env *core.Env, p point, flows []FlowSpec) (Point, error) {
 	pt := Point{Label: p.label, IntValue: p.intVal, Payload: p.payload}
 	if c.Spec.Measure == "ec" {
 		// E at the point's actual clock, fully threaded (Eq. 2).
@@ -406,7 +401,7 @@ func (c *Compiled) runTraffic(p point, flows []FlowSpec) (Point, error) {
 		}
 	}
 	opts := c.options(p)
-	m, release, err := core.Checkout(c.Spec.Grid.SlicesX, c.Spec.Grid.SlicesY, opts)
+	m, release, err := env.Checkout(c.Spec.Grid.SlicesX, c.Spec.Grid.SlicesY, opts)
 	if err != nil {
 		return pt, err
 	}
@@ -451,13 +446,13 @@ func (c *Compiled) runTraffic(p point, flows []FlowSpec) (Point, error) {
 // trace in 10 ns reference ticks; the first round (route opening) is
 // discarded and the rest averaged to a one-way latency, exactly the
 // paper's software-measured methodology.
-func (c *Compiled) runPing(p point, aRef, bRef NodeRef, rounds int) (Point, error) {
+func (c *Compiled) runPing(env *core.Env, p point, aRef, bRef NodeRef, rounds int) (Point, error) {
 	pt := Point{Label: p.label, IntValue: p.intVal}
 	if p.variant != nil {
 		pt.PaperNS = p.variant.PaperNS
 		pt.PaperInstrs = p.variant.PaperInstrs
 	}
-	m, release, err := core.Checkout(c.Spec.Grid.SlicesX, c.Spec.Grid.SlicesY, c.options(p))
+	m, release, err := env.Checkout(c.Spec.Grid.SlicesX, c.Spec.Grid.SlicesY, c.options(p))
 	if err != nil {
 		return pt, err
 	}
@@ -590,7 +585,7 @@ func (c *Compiled) bridgeNode() topo.NodeID {
 // place of re-simulating the boot; on a miss the boot runs cold and
 // (when ws is non-nil) the machine and a fresh snapshot are cached.
 // The caller retunes to the point's operating point afterwards.
-func (c *Compiled) bootedMachine(p point, progs []progAt, nodes []topo.NodeID, items, rounds int, ws *warmState) (*core.Machine, func(), error) {
+func (c *Compiled) bootedMachine(env *core.Env, p point, progs []progAt, nodes []topo.NodeID, items, rounds int, ws *warmState) (*core.Machine, func(), error) {
 	// Everything the post-boot state depends on except the operating
 	// point, which the caller retunes: structural links plus the values
 	// the task images derive from.
@@ -601,7 +596,7 @@ func (c *Compiled) bootedMachine(p point, progs []progAt, nodes []topo.NodeID, i
 	}
 	base := p
 	base.freq = 0
-	m, release, err := core.Checkout(c.Spec.Grid.SlicesX, c.Spec.Grid.SlicesY, c.options(base))
+	m, release, err := env.Checkout(c.Spec.Grid.SlicesX, c.Spec.Grid.SlicesY, c.options(base))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -630,7 +625,7 @@ func (c *Compiled) bootedMachine(p point, progs []progAt, nodes []topo.NodeID, i
 // debug load, or nOS network boot for boot workloads — runs it to
 // completion, verifies its result, and accounts time and energy over
 // the placement's nodes.
-func (c *Compiled) runProgram(p point, nodes []topo.NodeID, items, rounds int, ws *warmState) (Point, error) {
+func (c *Compiled) runProgram(env *core.Env, p point, nodes []topo.NodeID, items, rounds int, ws *warmState) (Point, error) {
 	pt := Point{Label: p.label, IntValue: p.intVal}
 	if st := c.Spec.Workload.Structure; st == "pipeline" || st == "farm" {
 		pt.Items = items
@@ -642,7 +637,7 @@ func (c *Compiled) runProgram(p point, nodes []topo.NodeID, items, rounds int, w
 	var m *core.Machine
 	var release func()
 	if c.Spec.Workload.Boot {
-		m, release, err = c.bootedMachine(p, progs, nodes, items, rounds, ws)
+		m, release, err = c.bootedMachine(env, p, progs, nodes, items, rounds, ws)
 		if err != nil {
 			return pt, err
 		}
@@ -653,7 +648,7 @@ func (c *Compiled) runProgram(p point, nodes []topo.NodeID, items, rounds int, w
 			return pt, err
 		}
 	} else {
-		m, release, err = core.Checkout(c.Spec.Grid.SlicesX, c.Spec.Grid.SlicesY, c.options(p))
+		m, release, err = env.Checkout(c.Spec.Grid.SlicesX, c.Spec.Grid.SlicesY, c.options(p))
 		if err != nil {
 			return pt, err
 		}

@@ -5,10 +5,10 @@
 // nodes or an internal/topo policy), an operating point, and one or
 // more sweep axes with explicit grids. Compile validates a Spec and
 // lowers it into a harness.Artifact whose inner loop runs one machine
-// per sweep point through sweep.Map and the shared core machine pool —
+// per sweep point through sweep.MapWarm under the run's core.Env —
 // exactly the parallel-sweep and pooling contracts the hand-written
-// experiments obey, so compiled scenarios render byte-identically at
-// any concurrency with pooling on or off.
+// experiments obey, so compiled scenarios render byte-identically
+// under every Env.
 //
 // Specs are JSON-serialisable with a canonical normal form: Canonical
 // fills structural defaults and normalises empty slices, and Hash is

@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"swallow/internal/core"
 	"swallow/internal/harness"
-	"swallow/internal/harness/sweep"
 )
 
 // validTraffic is a minimal correct spec the bad-spec table mutates.
@@ -338,15 +338,14 @@ func TestCompiledParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := sweep.Concurrency()
-	defer sweep.SetConcurrency(prev)
-	sweep.SetConcurrency(1)
-	serial, err := c.Artifact.Table(harness.QuickConfig())
+	cfg := harness.QuickConfig()
+	cfg.Env = &core.Env{Pool: core.SharedPool(), Width: 1}
+	serial, err := c.Artifact.Table(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep.SetConcurrency(16)
-	parallel, err := c.Artifact.Table(harness.QuickConfig())
+	cfg.Env = &core.Env{Pool: core.SharedPool(), Width: 16}
+	parallel, err := c.Artifact.Table(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,16 +26,10 @@
 // 429 + Retry-After when the queue is full.
 //
 // The result path is tiered (see store_tier.go): memory LRU, then the
-// disk store, then a peer cache ask, then the backend render —
-// X-Cache reports HIT, HIT-DISK, HIT-PEER or MISS accordingly. With
-// no Store configured the disk and peer tiers are inert and the
-// original two-state HIT/MISS behavior is unchanged.
-//
-// Renders execute through a pluggable cluster.Backend: the default is
-// the in-process Local backend over the harness registry (the
-// single-process swallow-serve deployment); any other implementation
-// — a cluster.Remote, a fleet — slots in behind the same cache,
-// singleflight and HTTP surface.
+// disk store, then a peer cache ask, then the render itself, in
+// process (cluster.Local) — X-Cache reports HIT, HIT-DISK, HIT-PEER or
+// MISS accordingly. With no Store configured the disk and peer tiers
+// are inert and the original two-state HIT/MISS behavior is unchanged.
 //
 // POST /scenarios opens the experiment surface beyond the registry:
 // the body is a declarative internal/scenario spec (workload structure
@@ -98,12 +92,9 @@ type Options struct {
 	// AccessLog receives one structured JSON line per request (see
 	// accessRecord). Nil disables access logging.
 	AccessLog io.Writer
-	// Backend executes renders. Nil means the in-process
-	// cluster.Local over the harness registry — the single-process
-	// deployment. Plugging a cluster.Remote (or any other
-	// implementation) makes this server front remote execution with
-	// the same caching, singleflight and HTTP surface.
-	Backend cluster.Backend
+	// Env is how every plain render runs (pool, sweep width); nil is
+	// production. A ?trace=1 render runs under a traced Env of its own.
+	Env *core.Env
 	// Store is the disk tier under the memory cache. Nil means a
 	// memory-only store under RegistryVersion(): no disk persistence,
 	// but named scenarios still work for the process lifetime.
@@ -112,11 +103,13 @@ type Options struct {
 	PeerTimeout time.Duration
 }
 
-// Server wires the execution backend, cache and queue behind one
+// Server wires the in-process renderer, cache and queue behind one
 // http.Handler.
 type Server struct {
+	// def and quick carry Options.Env, and through them so does every
+	// config a request derives.
 	def, quick harness.Config
-	backend    cluster.Backend
+	local      *cluster.Local
 	cache      *cache.Cache
 	store      *store.Store
 	version    string // registry version the store validates against
@@ -155,9 +148,7 @@ func New(opts Options) *Server {
 	if opts.JobRetention <= 0 {
 		opts.JobRetention = 64
 	}
-	if opts.Backend == nil {
-		opts.Backend = cluster.NewLocal()
-	}
+	opts.DefaultConfig.Env, opts.QuickConfig.Env = opts.Env, opts.Env
 	if opts.Store == nil {
 		opts.Store = store.Memory(RegistryVersion())
 	}
@@ -167,7 +158,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		def:       opts.DefaultConfig,
 		quick:     opts.QuickConfig,
-		backend:   opts.Backend,
+		local:     cluster.NewLocal(),
 		cache:     cache.New(opts.CacheBytes, opts.CacheEntries, cache.WithTTL(opts.CacheTTL)),
 		store:     opts.Store,
 		version:   opts.Store.Version(),
@@ -265,19 +256,15 @@ type artifactInfo struct {
 	URL         string `json:"url"`
 }
 
-// handleArtifacts serves the backend's artifact index.
+// handleArtifacts serves the registry's artifact index.
 func (s *Server) handleArtifacts(w http.ResponseWriter, r *http.Request) {
-	infos, err := s.backend.List(r.Context())
-	if err != nil {
-		writeError(w, http.StatusBadGateway, "listing artifacts: %v", err)
-		return
-	}
-	out := make([]artifactInfo, len(infos))
-	for i, info := range infos {
+	arts := harness.Artifacts()
+	out := make([]artifactInfo, len(arts))
+	for i, a := range arts {
 		out[i] = artifactInfo{
-			Name:        info.Name,
-			Description: info.Description,
-			URL:         "/artifacts/" + url.PathEscape(info.Name),
+			Name:        a.Name,
+			Description: a.Description,
+			URL:         "/artifacts/" + url.PathEscape(a.Name),
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -291,7 +278,7 @@ func (s *Server) handleArtifacts(w http.ResponseWriter, r *http.Request) {
 // instead of re-running a byte-identical simulation.
 // The returned string is the X-Cache state (HIT, HIT-DISK, HIT-PEER
 // or MISS — see fillTiered); the duration is the cold render time,
-// zero unless the backend actually simulated. Handlers surface it as
+// zero unless this request actually simulated. Handlers surface it as
 // X-Render-Micros so clients (and the access log) can split server
 // time into queue wait vs simulation.
 func (s *Server) render(a *harness.Artifact, cfg harness.Config, peers []string) (cache.Entry, string, time.Duration, error) {
@@ -300,7 +287,7 @@ func (s *Server) render(a *harness.Artifact, cfg harness.Config, peers []string)
 	return s.fillTiered(key, a.Name, a.Name, nil, peers, func() (cluster.Result, error) {
 		// The fill is shared across requests by singleflight, so it
 		// runs under its own context, not any one caller's.
-		return s.backend.Render(context.Background(),
+		return s.local.Render(context.Background(),
 			cluster.Request{Artifact: a.Name, Config: cfg})
 	})
 }
@@ -380,7 +367,7 @@ func (s *Server) renderScenario(c *scenario.Compiled, cfg harness.Config, peers 
 	key := cache.Key("scenario:"+c.Hash, cfg)
 	canonical, _ := json.Marshal(c.Spec.Canonical())
 	return s.fillTiered(key, "scenario", "scenario:"+c.Hash, canonical, peers, func() (cluster.Result, error) {
-		return s.backend.Render(context.Background(),
+		return s.local.Render(context.Background(),
 			cluster.Request{Scenario: &c.Spec, Config: cfg})
 	})
 }

@@ -102,16 +102,11 @@ func newServer(t *testing.T, opts api.Options) (*api.Server, *httptest.Server) {
 
 func get(t *testing.T, url string) (*http.Response, string) {
 	t.Helper()
-	resp, err := http.Get(url)
+	resp, body, err := fetch(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, string(body)
+	return resp, body
 }
 
 func TestArtifactIndex(t *testing.T) {

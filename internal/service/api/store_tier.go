@@ -1,7 +1,7 @@
 package api
 
 // The tiered result path and its endpoints: memory LRU → disk store →
-// peer cache ask → backend render, plus the named-scenario registry
+// peer cache ask → render, plus the named-scenario registry
 // the store persists. With a memory-only store (no -store-dir) the
 // disk and peer tiers are inert and the pipeline degenerates to the
 // original two-state HIT/MISS cache.
@@ -31,7 +31,7 @@ const (
 	cacheMemory = "HIT"      // memory LRU (or a shared in-flight fill)
 	cacheDisk   = "HIT-DISK" // disk store — restart-warm, zero simulation
 	cachePeer   = "HIT-PEER" // a ring peer's cache — warm handoff, zero simulation
-	cacheMiss   = "MISS"     // backend rendered
+	cacheMiss   = "MISS"     // rendered here
 )
 
 // maxPeerBody bounds a peer-fill response body.
@@ -61,7 +61,7 @@ func RegistryVersion() string {
 
 // fillTiered is the shared render pipeline under the memory cache's
 // singleflight: the fill first consults the disk store, then asks the
-// listed peers, and only then renders through the backend (persisting
+// listed peers, and only then renders in process (persisting
 // the result). The returned state names the tier that produced the
 // body; singleflight followers and memory hits report HIT. Peer- and
 // disk-served bodies are verified (sha256) before use, so every state

@@ -3,9 +3,7 @@ package api_test
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"mime"
-	"mime/multipart"
 	"net/http"
 	"strings"
 	"sync"
@@ -135,33 +133,20 @@ func TestTraceEndpoint(t *testing.T) {
 	if got := resp.Header.Get("Cache-Control"); got != "no-store" {
 		t.Errorf("Cache-Control = %q, want no-store", got)
 	}
-	mt, params, err := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-	if err != nil || mt != "multipart/form-data" {
+	if mt, _, err := mime.ParseMediaType(resp.Header.Get("Content-Type")); err != nil || mt != "multipart/form-data" {
 		t.Fatalf("Content-Type = %q (%v)", resp.Header.Get("Content-Type"), err)
 	}
-	mr := multipart.NewReader(strings.NewReader(body), params["boundary"])
-	parts := map[string]string{}
-	for {
-		p, err := mr.NextPart()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := io.ReadAll(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[p.FormName()] = string(blob)
+	table, trace, err := traceParts(resp, body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if parts["table"] != plain {
-		t.Errorf("traced table differs from plain render:\n--- plain ---\n%s\n--- traced ---\n%s", plain, parts["table"])
+	if table != plain {
+		t.Errorf("traced table differs from plain render:\n--- plain ---\n%s\n--- traced ---\n%s", plain, table)
 	}
 	var doc struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`
 	}
-	if err := json.Unmarshal([]byte(parts["trace"]), &doc); err != nil {
+	if err := json.Unmarshal([]byte(trace), &doc); err != nil {
 		t.Fatalf("trace part is not valid Chrome trace JSON: %v", err)
 	}
 }

@@ -7,56 +7,36 @@ import (
 	"net/textproto"
 	"time"
 
+	"swallow/internal/core"
 	"swallow/internal/harness"
-	"swallow/internal/harness/sweep"
 	"swallow/internal/trace"
 )
 
 // handleArtifactTrace serves GET /artifacts/{name}?trace=1: the
-// artifact rendered cold with a flight-recorder session active, the
-// table and the Chrome trace-event JSON returned as two multipart
-// fields. Traced responses are never cached (the render is forced
-// serial and uncached so the event sequence is deterministic) and are
-// marked no-store.
+// artifact rendered under a traced Env of its own (core.TracedEnv:
+// serial sweeps, an empty machine pool, one flight-recorder session),
+// the table and the Chrome trace-event JSON returned as two multipart
+// fields. The request shares nothing with the renders beside it, so it
+// runs concurrently with them and its recording is a function of the
+// request alone. Traced responses are never cached and are marked
+// no-store.
 func (s *Server) handleArtifactTrace(w http.ResponseWriter, r *http.Request, a *harness.Artifact, cfg harness.Config) {
 	cfg = a.Project(cfg)
-	var (
-		body     []byte
-		traceBuf bytes.Buffer
-		rerr     error
-	)
+	sess := trace.NewSession(0)
+	cfg.Env = core.TracedEnv(sess)
 	start := time.Now()
-	var renderDur time.Duration
-	// Exclusive side of the trace gate: no plain render may check a
-	// machine out while the session is active, and concurrent traced
-	// requests serialize here so trace.Start never collides.
-	trace.Exclusive(func() {
-		sess, err := trace.Start(0)
-		if err != nil {
-			rerr = err
-			return
-		}
-		defer sess.Stop()
-		// Sweep points must run in checkout order for the recording
-		// sequence to be deterministic; restore the worker count after.
-		prev := sweep.Concurrency()
-		sweep.SetConcurrency(1)
-		defer sweep.SetConcurrency(prev)
-		renderStart := time.Now()
-		t, err := a.Table(cfg)
-		if err != nil {
-			rerr = err
-			return
-		}
-		renderDur = time.Since(renderStart)
+	t, err := a.Table(cfg)
+	renderDur := time.Since(start)
+	var traceBuf bytes.Buffer
+	if err == nil {
 		s.met.observe(a.Name, renderDur)
-		body = []byte(t.String())
-		rerr = sess.WriteChrome(&traceBuf)
-	})
-	if rerr != nil {
-		writeError(w, runStatus(rerr), "%s: %v", a.Name, rerr)
+		err = sess.WriteChrome(&traceBuf)
+	}
+	if err != nil {
+		writeError(w, runStatus(err), "%s: %v", a.Name, err)
 		return
 	}
+	body := []byte(t.String())
 	var out bytes.Buffer
 	mw := multipart.NewWriter(&out)
 	part, err := mw.CreatePart(textproto.MIMEHeader{

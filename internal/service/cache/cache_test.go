@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"swallow/internal/core"
 	"swallow/internal/harness"
 )
 
@@ -13,6 +14,9 @@ func TestKeyCanonicalisation(t *testing.T) {
 	base := harness.Config{Iters: 100}
 	if Key("fig3", base) != Key("fig3", harness.Config{Iters: 100, GoodputPayloads: []int{}}) {
 		t.Error("nil and empty override slices must key identically")
+	}
+	if Key("fig3", base) != Key("fig3", harness.Config{Iters: 100, Env: &core.Env{Exact: true, Width: 3}}) {
+		t.Error("how a render runs (Config.Env) must not reach its key")
 	}
 	if Key("fig3", base) == Key("fig4", base) {
 		t.Error("different artifacts must key differently")

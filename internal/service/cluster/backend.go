@@ -1,13 +1,11 @@
 // Package cluster turns the single-process serving layer into a
 // sharded fleet. It has three parts:
 //
-//   - Backend: one execution interface — render an artifact or a
-//     scenario under a harness.Config, list the registry, report
-//     health — with an in-process implementation (Local) wrapping the
-//     harness registry and an HTTP client implementation (Remote)
-//     speaking to a running swallow-serve. The API layer and drivers
-//     program against Backend, so one process and a fleet are the
-//     same code path (the ReqBench platform-adapter pattern).
+//   - Local and Remote: Local renders an artifact or a scenario under
+//     a harness.Config in this process, against the harness registry
+//     (the worker API's one way to run a render); Remote is the
+//     router's HTTP client to one running swallow-serve — forwarding
+//     with bounded retry, and health probes.
 //
 //   - Ring: a consistent hash ring with replicated virtual nodes over
 //     worker names. Requests are keyed by the same canonical content
@@ -46,7 +44,6 @@ import (
 	"swallow/internal/harness"
 	"swallow/internal/scenario"
 	"swallow/internal/service/cache"
-	"swallow/internal/trace"
 )
 
 // ErrUnknownArtifact marks render requests naming an artifact the
@@ -62,8 +59,8 @@ type Request struct {
 	// Scenario is a parsed scenario spec to compile and render;
 	// exclusive with Artifact.
 	Scenario *scenario.Spec
-	// Config is the render configuration. Implementations project it
-	// onto the knobs the artifact reads before running.
+	// Config is the render configuration; Render projects it onto the
+	// knobs the artifact reads before running, and runs under its Env.
 	Config harness.Config
 }
 
@@ -76,27 +73,12 @@ type Result struct {
 	// ScenarioHash is the spec's canonical content hash for scenario
 	// renders, empty for named artifacts.
 	ScenarioHash string
-	// RenderMicros is the simulation time; for remote renders it is
-	// the worker-reported X-Render-Micros (zero on a worker cache
-	// hit). QueueMicros is the worker-side wait (remote only).
+	// RenderMicros is the simulation time.
 	RenderMicros int64
-	QueueMicros  int64
-	// Cache is the remote worker's X-Cache verdict (HIT | HIT-DISK |
-	// HIT-PEER | MISS); empty for local renders, which do not cache.
-	Cache string
-	// Worker identifies who rendered: "local" or the remote worker
-	// name (host:port).
-	Worker string
 	// Metrics are the artifact's named headline quantities, when the
-	// artifact declares an extractor (local renders only) — the
-	// persistent store files them as provenance next to the body.
+	// artifact declares an extractor — the persistent store files them
+	// as provenance next to the body.
 	Metrics map[string]float64
-}
-
-// Info is one artifact registry row.
-type Info struct {
-	Name        string `json:"name"`
-	Description string `json:"description,omitempty"`
 }
 
 // Health states reported by Healthz.
@@ -105,9 +87,9 @@ const (
 	StateDraining = "draining"
 )
 
-// Health is a backend liveness snapshot.
+// Health is a worker liveness snapshot.
 type Health struct {
-	// State is StateOK for a serving backend, StateDraining while it
+	// State is StateOK for a serving worker, StateDraining while it
 	// is shutting down gracefully (routers must stop sending work).
 	State string `json:"state"`
 	// Artifacts is the registry size; QueueDepth the async jobs
@@ -116,26 +98,11 @@ type Health struct {
 	QueueDepth int `json:"queue_depth"`
 }
 
-// Backend is the pluggable execution surface: the serving layer and
-// the load driver program against it, whether the work runs in
-// process (Local), on one remote worker (Remote), or across a fleet
-// (Router fronts Remotes speaking the same HTTP API).
-type Backend interface {
-	// Render runs one artifact or scenario to its rendered bytes.
-	Render(ctx context.Context, req Request) (Result, error)
-	// List enumerates the registered artifacts.
-	List(ctx context.Context) ([]Info, error)
-	// Healthz reports backend liveness and drain state.
-	Healthz(ctx context.Context) (Health, error)
-}
-
-// Local is the in-process Backend: requests run directly against the
-// harness registry (and the scenario compiler) in this process,
-// under the shared side of the trace gate exactly like the original
-// api handlers it was extracted from.
+// Local runs renders in this process, directly against the harness
+// registry and the scenario compiler.
 type Local struct{}
 
-// NewLocal returns the in-process Backend.
+// NewLocal returns the in-process renderer.
 func NewLocal() *Local { return &Local{} }
 
 // Render runs the artifact or scenario synchronously in this process.
@@ -156,30 +123,16 @@ func (l *Local) Render(_ context.Context, req Request) (Result, error) {
 		}
 	}
 	cfg := a.Project(req.Config)
-	var (
-		body    []byte
-		metrics map[string]float64
-		dur     time.Duration
-		rerr    error
-	)
-	// Shared side of the trace gate: plain renders proceed
-	// concurrently but never overlap an Exclusive traced run, whose
-	// session would otherwise record their machines.
-	trace.Shared(func() {
-		start := time.Now()
-		res, err := a.Run(cfg)
-		if err != nil {
-			rerr = err
-			return
-		}
-		dur = time.Since(start)
-		body = []byte(a.Render(res).String())
-		if a.Metrics != nil {
-			metrics = a.Metrics(res)
-		}
-	})
-	if rerr != nil {
-		return Result{}, rerr
+	start := time.Now()
+	res, err := a.Run(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	dur := time.Since(start)
+	body := []byte(a.Render(res).String())
+	var metrics map[string]float64
+	if a.Metrics != nil {
+		metrics = a.Metrics(res)
 	}
 	sum := sha256.Sum256(body)
 	return Result{
@@ -187,25 +140,8 @@ func (l *Local) Render(_ context.Context, req Request) (Result, error) {
 		ContentHash:  hex.EncodeToString(sum[:]),
 		ScenarioHash: hash,
 		RenderMicros: dur.Microseconds(),
-		Worker:       "local",
 		Metrics:      metrics,
 	}, nil
-}
-
-// List enumerates the in-process registry.
-func (l *Local) List(context.Context) ([]Info, error) {
-	arts := harness.Artifacts()
-	out := make([]Info, len(arts))
-	for i, a := range arts {
-		out[i] = Info{Name: a.Name, Description: a.Description}
-	}
-	return out, nil
-}
-
-// Healthz reports the in-process registry state; a Local backend is
-// never draining (drain is a serving-process concern).
-func (l *Local) Healthz(context.Context) (Health, error) {
-	return Health{State: StateOK, Artifacts: len(harness.Artifacts())}, nil
 }
 
 // ConfigFromQuery derives a render config from URL query parameters:
@@ -256,28 +192,6 @@ func ConfigFromQuery(def, quick harness.Config, q url.Values) (harness.Config, e
 		cfg.LatencyPlacements = names
 	}
 	return cfg.Canonical(), nil
-}
-
-// configQuery is the inverse of ConfigFromQuery for projected
-// configs: only knobs the render actually uses survive projection, so
-// zero/nil fields are simply omitted and the worker's own projection
-// reconstructs an identical cache key.
-func configQuery(cfg harness.Config) url.Values {
-	q := url.Values{}
-	if cfg.Iters > 0 {
-		q.Set("iters", strconv.Itoa(cfg.Iters))
-	}
-	if len(cfg.GoodputPayloads) > 0 {
-		parts := make([]string, len(cfg.GoodputPayloads))
-		for i, p := range cfg.GoodputPayloads {
-			parts[i] = strconv.Itoa(p)
-		}
-		q.Set("payloads", strings.Join(parts, ","))
-	}
-	if len(cfg.LatencyPlacements) > 0 {
-		q.Set("placements", strings.Join(cfg.LatencyPlacements, ","))
-	}
-	return q
 }
 
 // ArtifactKey is the affinity key for rendering a named artifact: the

@@ -1,13 +1,14 @@
 // End-to-end cluster tests: real api.Server workers behind httptest
-// listeners, fronted by Remote backends and a Router. Like the api
+// listeners, fronted by Remotes and a Router. Like the api
 // tests, the artifacts are synthetic and registered only in this test
 // binary, so the suite exercises routing, affinity, failover and
 // drain without paying for real simulations.
 package cluster_test
 
 import (
-	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -117,69 +118,11 @@ func TestLocalBackendMatchesDirect(t *testing.T) {
 	if string(res.Body) != tbl.String() {
 		t.Fatalf("Local render differs from direct render:\n%s\nvs\n%s", res.Body, tbl.String())
 	}
-	if res.Worker != "local" || res.ContentHash == "" {
-		t.Fatalf("metadata: worker=%q hash=%q", res.Worker, res.ContentHash)
+	if sum := sha256.Sum256(res.Body); res.ContentHash != hex.EncodeToString(sum[:]) {
+		t.Fatalf("content hash %q is not the body's sha256", res.ContentHash)
 	}
 	if _, err := local.Render(context.Background(), cluster.Request{Artifact: "nope"}); !errors.Is(err, cluster.ErrUnknownArtifact) {
 		t.Fatalf("unknown artifact: got %v; want ErrUnknownArtifact", err)
-	}
-}
-
-// TestRemoteBackend: the HTTP backend returns byte-identical bodies to
-// the in-process one, reports the worker's cache verdicts, lists the
-// registry, and maps 404 to ErrUnknownArtifact.
-func TestRemoteBackend(t *testing.T) {
-	_, ts := newWorker(t, api.Options{})
-	remote, err := cluster.NewRemote(ts.URL, cluster.RemoteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	req := cluster.Request{Artifact: "echo", Config: harness.Config{Iters: 77}}
-
-	res, err := remote.Render(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := cluster.NewLocal().Render(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Body, want.Body) {
-		t.Fatalf("remote body differs from local:\n%s\nvs\n%s", res.Body, want.Body)
-	}
-	if res.ContentHash != want.ContentHash {
-		t.Fatalf("content hash: remote %q, local %q", res.ContentHash, want.ContentHash)
-	}
-	if res.Cache != "MISS" {
-		t.Fatalf("first render X-Cache = %q; want MISS", res.Cache)
-	}
-	if res2, err := remote.Render(ctx, req); err != nil || res2.Cache != "HIT" {
-		t.Fatalf("repeat render: cache=%q err=%v; want HIT", res2.Cache, err)
-	}
-
-	infos, err := remote.List(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := make(map[string]bool, len(infos))
-	for _, in := range infos {
-		names[in.Name] = true
-	}
-	if !names["echo"] || !names["const"] {
-		t.Fatalf("List missing registered artifacts: %v", infos)
-	}
-
-	h, err := remote.Healthz(ctx)
-	if err != nil || h.State != cluster.StateOK {
-		t.Fatalf("Healthz = %+v, %v; want ok", h, err)
-	}
-
-	if _, err := remote.Render(ctx, cluster.Request{Artifact: "nope"}); !errors.Is(err, cluster.ErrUnknownArtifact) {
-		t.Fatalf("unknown artifact over HTTP: got %v; want ErrUnknownArtifact", err)
-	}
-	if _, err := remote.Render(ctx, cluster.Request{Artifact: "fail"}); err == nil {
-		t.Fatal("failing artifact: want an error")
 	}
 }
 
@@ -246,12 +189,14 @@ func TestRemoteRetryOnConnectFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := remote.Render(context.Background(), cluster.Request{Artifact: "const"})
+	resp, err := remote.Do(context.Background(), http.MethodGet, "/artifacts/const", nil, nil, nil)
 	if err != nil {
 		t.Fatalf("render through flaky listener: %v (after %d accepts)", err, fl.tries.Load())
 	}
-	if !strings.Contains(string(res.Body), "7") {
-		t.Fatalf("unexpected body: %s", res.Body)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "7") {
+		t.Fatalf("unexpected response: %s, %v: %s", resp.Status, err, body)
 	}
 	if fl.tries.Load() < 3 {
 		t.Fatalf("expected >= 3 connection attempts, saw %d", fl.tries.Load())
@@ -458,6 +403,40 @@ func TestRouterJobs(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestRouterJobPollDuringProbe polls a recorded job while the health
+// probe rewrites worker states: under -race, a poll that reads its
+// worker's state outside the router's lock is a reported data race.
+func TestRouterJobPollDuringProbe(t *testing.T) {
+	_, w1 := newWorker(t, api.Options{})
+	rt, rts := newRouter(t, cluster.RouterOptions{}, w1.URL)
+	resp, err := http.Post(rts.URL+"/jobs", "application/json", strings.NewReader(`{"artifact": "const"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&view)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted || view.ID == "" {
+		t.Fatalf("submit: %s: %+v, %v", resp.Status, view, err)
+	}
+
+	probed := make(chan struct{})
+	go func() {
+		defer close(probed)
+		for i := 0; i < 20; i++ {
+			rt.ProbeAll()
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if resp, body := get(t, rts.URL+"/jobs/"+view.ID); resp.StatusCode != http.StatusOK {
+			t.Fatalf("poll %d: %s: %s", i, resp.Status, body)
+		}
+	}
+	<-probed
 }
 
 // TestRouterRequestIDAndTrace: X-Request-ID propagates client →

@@ -10,12 +10,10 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"strconv"
 	"time"
 )
 
-// RemoteOptions tunes a Remote backend. Zero fields take the stated
-// defaults.
+// RemoteOptions tunes a Remote. Zero fields take the stated defaults.
 type RemoteOptions struct {
 	// Timeout bounds one HTTP exchange end to end (default 2m —
 	// renders simulate).
@@ -30,9 +28,9 @@ type RemoteOptions struct {
 	Backoff time.Duration
 }
 
-// Remote is the HTTP Backend: it drives one swallow-serve worker over
-// its public API, with per-worker connection reuse (a dedicated
-// pooled transport), request timeouts, and bounded
+// Remote is the router's client to one swallow-serve worker: requests
+// forwarded over its public API with per-worker connection reuse (a
+// dedicated pooled transport), request timeouts, and bounded
 // retry-with-backoff on connect failure.
 type Remote struct {
 	base    *url.URL
@@ -151,77 +149,6 @@ func errorBody(resp *http.Response) string {
 		return e.Error
 	}
 	return string(bytes.TrimSpace(blob))
-}
-
-// Render renders one artifact (GET /artifacts/{name}) or scenario
-// (POST /scenarios) on the worker and returns the body plus the
-// worker's serving metadata.
-func (r *Remote) Render(ctx context.Context, req Request) (Result, error) {
-	var resp *http.Response
-	var err error
-	if req.Scenario != nil {
-		spec, merr := json.Marshal(req.Scenario.Canonical())
-		if merr != nil {
-			return Result{}, fmt.Errorf("cluster: marshal scenario: %v", merr)
-		}
-		hdr := http.Header{"Content-Type": {"application/json"}}
-		resp, err = r.Do(ctx, http.MethodPost, "/scenarios", configQuery(req.Config), hdr, spec)
-	} else {
-		resp, err = r.Do(ctx, http.MethodGet, "/artifacts/"+url.PathEscape(req.Artifact), configQuery(req.Config), nil, nil)
-	}
-	if err != nil {
-		return Result{}, fmt.Errorf("cluster: render on %s: %w", r.Name(), err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return Result{}, fmt.Errorf("%w: %q (worker %s)", ErrUnknownArtifact, req.Artifact, r.Name())
-	}
-	if resp.StatusCode != http.StatusOK {
-		return Result{}, fmt.Errorf("cluster: render on %s: %s: %s", r.Name(), resp.Status, errorBody(resp))
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return Result{}, fmt.Errorf("cluster: render on %s: reading body: %v", r.Name(), err)
-	}
-	res := Result{
-		Body:         body,
-		ContentHash:  trimETag(resp.Header.Get("ETag")),
-		ScenarioHash: resp.Header.Get("X-Scenario-Hash"),
-		Cache:        resp.Header.Get("X-Cache"),
-		Worker:       r.Name(),
-	}
-	if w := resp.Header.Get("X-Worker"); w != "" {
-		// A router in the path reports who actually rendered.
-		res.Worker = w
-	}
-	res.RenderMicros, _ = strconv.ParseInt(resp.Header.Get("X-Render-Micros"), 10, 64)
-	res.QueueMicros, _ = strconv.ParseInt(resp.Header.Get("X-Queue-Micros"), 10, 64)
-	return res, nil
-}
-
-// trimETag strips the strong-ETag quotes.
-func trimETag(s string) string {
-	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
-		return s[1 : len(s)-1]
-	}
-	return s
-}
-
-// List fetches the worker's artifact index.
-func (r *Remote) List(ctx context.Context) ([]Info, error) {
-	resp, err := r.Do(ctx, http.MethodGet, "/artifacts", nil, nil, nil)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: list on %s: %w", r.Name(), err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: list on %s: %s: %s", r.Name(), resp.Status, errorBody(resp))
-	}
-	var out []Info
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("cluster: list on %s: decode: %v", r.Name(), err)
-	}
-	return out, nil
 }
 
 // Healthz probes the worker. A 503 carrying state "draining" is a

@@ -587,13 +587,12 @@ func (rt *Router) recordJob(id, workerName string) {
 func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rt.mu.Lock()
-	name, ok := rt.jobs[id]
-	var wk *worker
-	if ok {
-		wk = rt.workers[name]
+	wk := rt.workers[rt.jobs[id]]
+	if wk != nil && wk.state == stateDown {
+		wk = nil
 	}
 	rt.mu.Unlock()
-	if wk != nil && wk.state != stateDown {
+	if wk != nil {
 		rt.proxy(w, r, nil, []*worker{wk}, "", true)
 		return
 	}

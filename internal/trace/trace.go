@@ -67,8 +67,8 @@ const (
 	KindSnapshot
 	// KindRestore is Machine.Restore. A = dirty SRAM bytes re-copied.
 	KindRestore
-	// KindCheckout is a machine leaving core.Checkout. A = 1 when the
-	// shared pool was eligible (pooled path), 0 for a fresh build.
+	// KindCheckout is a machine leaving Env.Checkout. A = 1 when it
+	// came through a pool, 0 for a fresh build.
 	KindCheckout
 	// KindRelease is the checkout's release func returning the
 	// machine (to the pool or to the collector).
@@ -247,74 +247,39 @@ type Recording struct {
 	Dropped uint64
 }
 
-// Session collects the recordings of every machine checked out while
-// it is active. One session is active at a time, process-wide;
-// attachment happens inside core.Checkout so pooled, fresh, scenario,
-// and warm-boot machines are all covered without the call sites
-// knowing about tracing.
+// Session collects the recordings of the machines one traced run
+// checks out. It is a plain value: the run's core.Env carries it,
+// checkout attaches a recorder from it and release files the recording
+// back, so any number of sessions are live at once and none sees
+// another's machines. A nil *Session is the untraced run.
 type Session struct {
 	mu   sync.Mutex
 	cap  int
 	recs []*Recording
 }
 
-var (
-	activeMu sync.Mutex
-	active   *Session
-
-	// gate serialises traced runs (writers) against plain renders
-	// (readers) so a session never records a stranger's machines.
-	gate sync.RWMutex
-)
-
-// Start activates a session recording up to eventCap events per
-// machine (0 means DefaultEventCap). It fails if one is already
-// active; the caller owns stopping it.
-func Start(eventCap int) (*Session, error) {
+// NewSession returns a session recording up to eventCap events per
+// machine (0 means DefaultEventCap).
+func NewSession(eventCap int) *Session {
 	if eventCap <= 0 {
 		eventCap = DefaultEventCap
 	}
-	activeMu.Lock()
-	defer activeMu.Unlock()
-	if active != nil {
-		return nil, fmt.Errorf("trace: session already active")
-	}
-	active = &Session{cap: eventCap}
-	return active, nil
+	return &Session{cap: eventCap}
 }
 
-// Stop deactivates the session. Recordings collected so far remain
-// readable on the Session value.
-func (s *Session) Stop() {
-	activeMu.Lock()
-	if active == s {
-		active = nil
-	}
-	activeMu.Unlock()
-}
-
-// Attach returns a fresh recorder when a session is active, nil
-// otherwise. Called by core.Checkout.
-func Attach() *Recorder {
-	activeMu.Lock()
-	s := active
-	activeMu.Unlock()
+// Attach returns a fresh recorder for one machine, or nil on a nil
+// session.
+func (s *Session) Attach() *Recorder {
 	if s == nil {
 		return nil
 	}
 	return NewRecorder(s.cap)
 }
 
-// Collect files a recorder's events into the active session. A nil
-// recorder, or collection after the session stopped, is a no-op.
-func Collect(r *Recorder) {
-	if r == nil {
-		return
-	}
-	activeMu.Lock()
-	s := active
-	activeMu.Unlock()
-	if s == nil {
+// Collect files a recorder's events into the session. A nil recorder
+// or a nil session is a no-op.
+func (s *Session) Collect(r *Recorder) {
+	if s == nil || r == nil {
 		return
 	}
 	s.mu.Lock()
@@ -342,21 +307,4 @@ func (s *Session) TotalEvents() int {
 		n += len(rec.Events)
 	}
 	return n
-}
-
-// Exclusive runs fn as the only simulation in the process: traced
-// runs take the write side so concurrent plain renders (which take
-// Shared) cannot check machines out mid-session and pollute it.
-func Exclusive(fn func()) {
-	gate.Lock()
-	defer gate.Unlock()
-	fn()
-}
-
-// Shared runs fn as an ordinary, untraced simulation. Many Shared
-// calls proceed concurrently; all of them exclude Exclusive.
-func Shared(fn func()) {
-	gate.RLock()
-	defer gate.RUnlock()
-	fn()
 }

@@ -66,45 +66,39 @@ func TestAttachedRecorderZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSessionSingleActive verifies the one-session-at-a-time rule and
-// that Attach tracks session lifetime.
-func TestSessionSingleActive(t *testing.T) {
-	if r := Attach(); r != nil {
-		t.Fatal("Attach with no session should return nil")
+// TestSessionsIndependent verifies that sessions are plain values: two
+// are live at once, each files only the recorders handed to it, and a
+// nil session is the untraced run.
+func TestSessionsIndependent(t *testing.T) {
+	var none *Session
+	if r := none.Attach(); r != nil {
+		t.Fatal("Attach on a nil session should return nil")
 	}
-	s, err := Start(0)
-	if err != nil {
-		t.Fatal(err)
+	none.Collect(NewRecorder(0))
+	a, b := NewSession(0), NewSession(0)
+	ra, rb := a.Attach(), b.Attach()
+	if ra == nil || rb == nil || ra == rb {
+		t.Fatalf("two live sessions attached %p and %p, want two recorders", ra, rb)
 	}
-	if _, err := Start(0); err == nil {
-		s.Stop()
-		t.Fatal("second Start should fail while a session is active")
+	ra.Emit(1, KindCheckout, SrcMachine, 1, 0)
+	rb.Emit(2, KindCheckout, SrcMachine, 0, 0)
+	rb.Emit(3, KindRelease, SrcMachine, 0, 0)
+	a.Collect(ra)
+	b.Collect(rb)
+	a.Collect(nil)
+	if len(a.Recordings()) != 1 || a.TotalEvents() != 1 {
+		t.Errorf("session a holds %d recordings / %d events, want 1 / 1", len(a.Recordings()), a.TotalEvents())
 	}
-	if r := Attach(); r == nil {
-		t.Error("Attach during an active session should return a recorder")
+	if len(b.Recordings()) != 1 || b.TotalEvents() != 2 {
+		t.Errorf("session b holds %d recordings / %d events, want 1 / 2", len(b.Recordings()), b.TotalEvents())
 	}
-	s.Stop()
-	if r := Attach(); r != nil {
-		t.Error("Attach after Stop should return nil")
-	}
-	// A stopped session releases the slot for the next Start.
-	s2, err := Start(0)
-	if err != nil {
-		t.Fatalf("Start after Stop: %v", err)
-	}
-	s2.Stop()
 }
 
 // fillSession builds a session with one synthetic recording covering
 // every track domain and both exporter event shapes.
-func fillSession(t *testing.T) *Session {
-	t.Helper()
-	s, err := Start(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Stop()
-	r := Attach()
+func fillSession() *Session {
+	s := NewSession(0)
+	r := s.Attach()
 	r.Emit(100, KindCheckout, SrcMachine, 1, 0)
 	r.Emit(200, KindKernelEvent, SrcMachine, 0, 0)
 	r.EmitSpan(300, 900, KindTurboBatch, 0x11, 42, 3)
@@ -113,7 +107,7 @@ func fillSession(t *testing.T) *Session {
 	r.Emit(600, KindPowerSample, 0, 4608308318706860032, 0) // Float64bits(1.25)
 	r.Emit(700, KindBridgeTx, 0x20, 17, 0)
 	r.Emit(800, KindRelease, SrcMachine, 0, 0)
-	Collect(r)
+	s.Collect(r)
 	return s
 }
 
@@ -121,7 +115,7 @@ func fillSession(t *testing.T) *Session {
 // parseable JSON, the expected top-level shape, per-track metadata,
 // and one row per recorded event.
 func TestWriteChromeWellFormed(t *testing.T) {
-	s := fillSession(t)
+	s := fillSession()
 	var buf bytes.Buffer
 	if err := s.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -203,7 +197,7 @@ func collectMetaNames(blob []byte) []string {
 // session must serialize to identical bytes every time, and the format
 // must carry the stable kind names and arg labels.
 func TestWriteTextDeterministic(t *testing.T) {
-	s := fillSession(t)
+	s := fillSession()
 	var a, b bytes.Buffer
 	if err := s.WriteText(&a); err != nil {
 		t.Fatal(err)

@@ -142,10 +142,14 @@ type Core struct {
 	// allocated table per SRAM page, entries validated against pageGen.
 	// Derived state — it never appears in snapshots.
 	icache [numPages]*ipage
-	// turbo is the batching group this core issues through when the
-	// fast path is on — shared by all cores of a machine (GroupTurbo),
-	// a singleton for standalone cores.
+	// turbo is the batching group this core issues through unless it
+	// is exact — shared by all cores of a machine (GroupTurbo), a
+	// singleton for standalone cores.
 	turbo *turboGroup
+	// exact routes issueStep to the unbatched reference pipeline
+	// (SetExact). Configuration, not state: Reset, Snapshot and Restore
+	// leave it alone.
+	exact bool
 	// t holds the fast-path counters, accumulated plain and folded into
 	// the process-wide totals by FlushTurboStats.
 	t TurboStats
@@ -444,11 +448,21 @@ func (c *Core) scheduleIssue(t sim.Time) {
 // the slow path executes exactly one. Both render bit-identical
 // machine state at every kernel-visible boundary.
 func (c *Core) issueStep() {
-	if turboOff.Load() {
+	if c.exact {
 		c.issueOne()
 		return
 	}
 	c.turbo.run(c)
+}
+
+// SetExact selects the reference pipeline for this core: one
+// instruction per kernel event and no predecode cache, the loop the
+// fast path is held byte-identical to. core.Env.Checkout stamps it on
+// every machine it hands out; it must not change while the core holds
+// unreplayed slots.
+func (c *Core) SetExact(on bool) {
+	c.settled("SetExact")
+	c.exact = on
 }
 
 // issueOne is the unbatched pipeline: pick the next ready thread in

@@ -16,6 +16,9 @@ import (
 type rig struct {
 	k   *sim.Kernel
 	net *noc.Network
+	// exact builds cores on the reference pipeline (Core.SetExact), the
+	// side the turbo differentials compare against.
+	exact bool
 }
 
 func newRig(t *testing.T) *rig {
@@ -34,6 +37,7 @@ func (r *rig) core(t *testing.T, node topo.NodeID, src string) *Core {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetExact(r.exact)
 	if err := c.Load(MustAssemble(src)); err != nil {
 		t.Fatal(err)
 	}

@@ -631,8 +631,6 @@ func mallocs(width, n int, f func()) uint64 {
 // an unbuffered channel, and the pool's goroutines were started by the
 // prewarm.
 func TestFanoutZeroAllocs(t *testing.T) {
-	defer SetTurbo(true)
-	SetTurbo(true)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	r := newRig(t)
 	cores := r.group(t, turboLoop4)
@@ -670,8 +668,6 @@ func TestFanoutZeroAllocs(t *testing.T) {
 // collect every member turned away before it — sixteen refills of one to
 // sixteen empty windows, most of them offered to the pool.
 func TestCommunicationPickEndsTheStreak(t *testing.T) {
-	defer SetTurbo(true)
-	SetTurbo(true)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	r := newRig(t)
 	cores := r.group(t, strings.Repeat("\tadd r5, r5, r5\n", 40)+turboLoop4)
@@ -695,8 +691,6 @@ func TestCommunicationPickEndsTheStreak(t *testing.T) {
 // window to that horizon is no more than a run and its tail. A change that
 // falls off rounds, folding or the fan-out fails here.
 func TestFastPathCounters(t *testing.T) {
-	defer SetTurbo(true)
-	SetTurbo(true)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const span = 200 * sim.Microsecond
 	for _, threads := range []int{1, 2, 3, 4, 8} {

@@ -104,18 +104,6 @@ import (
 // earliestReadyTime, run, chargeInstr), so "turbo ≡ step-by-step" is a
 // structural property, guarded by the differential tests.
 
-// turboOff inverts the enable so the zero value means on, matching the
-// -turbo flag default (the warmOff idiom in internal/core).
-var turboOff atomic.Bool
-
-// SetTurbo toggles the fast path process-wide. Output is identical
-// either way; off executes one instruction per kernel event with no
-// predecode cache, exactly the pre-turbo loop.
-func SetTurbo(on bool) { turboOff.Store(!on) }
-
-// TurboEnabled reports whether the fast path is in effect.
-func TurboEnabled() bool { return !turboOff.Load() }
-
 // BatchExit names why a turbo batch handed control back to the kernel.
 type BatchExit int
 

@@ -84,8 +84,6 @@ func roundSlots(cores []*Core) (n uint64) {
 // instructions and a probe when two, a slot and a period when four threads
 // fill every slot.
 func TestTurboZeroAllocs(t *testing.T) {
-	defer SetTurbo(true)
-	SetTurbo(true)
 	for _, tc := range []struct {
 		name          string
 		build         func(r *rig) []*Core
@@ -138,8 +136,6 @@ func TestTurboZeroAllocs(t *testing.T) {
 // fresh (generation-stamp mismatch), counted as a stale entry, and
 // executed with the new bytes — code patches cannot run stale.
 func TestTurboDecodeInvalidation(t *testing.T) {
-	defer SetTurbo(true)
-	SetTurbo(true)
 	progA := MustAssemble("ldc r0, 5\nldc r1, 3\nadd r2, r0, r1\ntend\n")
 	progB := MustAssemble("ldc r0, 5\nldc r1, 3\nsub r2, r0, r1\ntend\n")
 	patch := -1
@@ -601,8 +597,6 @@ func TestRoundStepBlocks(t *testing.T) {
 // attached, whose events carry kernel time. The same slice does
 // pre-execute under RunFor, so the zeros mean something.
 func TestPreexecOnlyInsideUntracedRunUntil(t *testing.T) {
-	defer SetTurbo(true)
-	SetTurbo(true)
 	const finite = `
 	ldc r0, 400
 loop:
@@ -665,8 +659,6 @@ loop:
 // its other threads compute it never runs ahead — while its siblings in
 // the same group do.
 func TestWakeableCoreNeverPreexecs(t *testing.T) {
-	defer SetTurbo(true)
-	SetTurbo(true)
 	const parked = `
 	getst r1, waiter
 	ldc   r2, 0xE800
@@ -717,7 +709,6 @@ sleeper:
 // the result to the slow path's: the trap slot must end its batch and
 // re-arm the core exactly as the trap itself would have.
 func TestTrapInsidePreexecutedWindow(t *testing.T) {
-	defer SetTurbo(true)
 	const trapping = `
 	ldc r0, 150
 loop:
@@ -738,8 +729,8 @@ loop:
 		trap       string
 	}
 	run := func(turbo bool) (outcome, []*Core) {
-		SetTurbo(turbo)
 		r := newRig(t)
+		r.exact = !turbo
 		cores := r.group(t, turboLoop)
 		if err := cores[5].Load(MustAssemble(trapping)); err != nil {
 			t.Fatal(err)
@@ -791,7 +782,6 @@ func TestPreexecutedSlotsCannotOutliveRunUntil(t *testing.T) {
 // every thread's PC, registers and instruction count held to the slow
 // path's.
 func TestPreexecStopsBeforeCommunicationPick(t *testing.T) {
-	defer SetTurbo(true)
 	var src strings.Builder
 	for i := 1; i <= 5; i++ {
 		fmt.Fprintf(&src, "getst r1, work\nldc r2, %d\ntsetr r1, 12, r2\ntstart r1\n", 0xF000-i*0x800)
@@ -813,8 +803,8 @@ func TestPreexecStopsBeforeCommunicationPick(t *testing.T) {
 		return b.String()
 	}
 	run := func(turbo bool) ([]string, uint64) {
-		SetTurbo(turbo)
 		r := newRig(t)
+		r.exact = !turbo
 		cores := r.group(t, src.String())
 		var cuts []string
 		for i := 0; i < 1500; i++ {
@@ -842,10 +832,9 @@ func TestPreexecStopsBeforeCommunicationPick(t *testing.T) {
 // timer fires (EnergyJ panics otherwise), none at or past its time may
 // have been run, and the readings must be the slow path's.
 func TestForeignEventSeesSettledCores(t *testing.T) {
-	defer SetTurbo(true)
 	run := func(turbo bool, every sim.Time) ([]string, uint64) {
-		SetTurbo(turbo)
 		r := newRig(t)
+		r.exact = !turbo
 		cores := r.group(t, turboLoop)
 		var seen []string
 		var tick *sim.Timer
