@@ -180,7 +180,7 @@ func main() {
 		go func() {
 			jctx, jcancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer jcancel()
-			if err := cluster.Join(jctx, *join, self, 0, 0); err != nil {
+			if err := cluster.Join(jctx, *join, self); err != nil {
 				log.Printf("join %s: %v (serving standalone)", *join, err)
 				return
 			}

@@ -23,7 +23,7 @@
 //	internal/service      serving layer: result cache, job queue, HTTP API
 //	internal/service/store    disk-backed artifact store: warm restarts,
 //	                      peer cache fills, named scenario pins
-//	internal/service/cluster  in-process renderer, consistent hash ring,
+//	internal/service/cluster  request resolver, consistent hash ring,
 //	                      cache-affinity router over worker fleets
 //
 // Each experiment registers once with the harness registry (a name, a
@@ -52,40 +52,38 @@
 //
 // # Serving
 //
-// internal/service exposes the registry over HTTP (cmd/swallow-serve):
-// service/cache is a content-addressed LRU result cache keyed by the
-// canonical (artifact, Config) hash with singleflight deduplication —
-// determinism makes cache hits byte-identical to cold runs — and
-// service/queue is a bounded job queue with worker pool, per-class
-// round-robin fairness, 429 backpressure and graceful drain;
-// service/api ties both behind the JSON endpoints, rendering in
-// process through service/cluster.Local.
+// internal/service exposes the registry over HTTP (cmd/swallow-serve)
+// as one pipeline: resolve → memory → disk → peer → run.
+// service/cluster.Resolver turns a request in any spelling (a name, a
+// spec, a job body, plus config overrides) into the artifact to run
+// and the one key — the canonical (artifact, projected Config) hash —
+// that every tier below, and the router's hash ring, files it under.
+// service/cache is the memory tier, an LRU with singleflight
+// deduplication; service/store the disk tier (swallow-serve
+// -store-dir): content-addressed, CRC-guarded, size-bounded, atomic
+// write-through, invalidated wholesale when the registry version
+// changes, so restarts answer their old keyspace as X-Cache HIT-DISK;
+// a worker that misses both asks the ring peers a router named in
+// X-Swallow-Peers (GET /cache/{key}, X-Cache HIT-PEER), so drains hand
+// off a warm keyspace as cheap HTTP copies; only then does the artifact
+// run, in process. Determinism makes every tier byte-identical to a
+// cold run. service/queue runs the same render asynchronously: a
+// bounded job queue with worker pool, per-class round-robin fairness,
+// 429 backpressure and graceful drain. The store also persists named
+// scenarios — PUT /scenarios/{name} pins a human name to a spec hash
+// with version history, GET /scenarios/{name} re-renders it by name.
 // cmd/swallow-load is the matching open/closed-loop load generator
 // reporting throughput and p50/p95/p99 latency, able to mix scenario
 // POSTs into the load and split results per responding worker.
 //
-// service/store adds a persistent tier beneath the memory cache:
-// swallow-serve -store-dir keeps every rendered result in a
-// content-addressed, CRC-guarded, size-bounded on-disk store (atomic
-// write-through, LRU eviction, wholesale invalidation when the
-// registry version changes), so restarts answer their old keyspace as
-// X-Cache HIT-DISK without re-simulating, and TTL expiry refills from
-// disk. The store also persists named scenarios — PUT
-// /scenarios/{name} pins a human name to a spec hash with version
-// history, and GET /scenarios/{name} re-renders it by name. In a
-// fleet, the router stamps renders with X-Swallow-Peers ring
-// successors and a worker that misses locally fills from a peer's
-// GET /cache/{key} (X-Cache HIT-PEER), so drains hand off a warm
-// keyspace as cheap HTTP copies rather than re-simulations.
-//
-// service/cluster scales the service horizontally: cmd/swallow-router
-// fronts N swallow-serve workers and routes each request by the
-// canonical content key over a consistent hash ring (replicated
-// virtual nodes, sticky membership), so every worker's cache and
-// machine pool specialize on a slice of the keyspace. Determinism
-// makes failover safe — any worker renders byte-identical bodies —
-// and workers drain gracefully: healthz flips to 503 draining, the
-// router re-routes, then the listener closes.
+// service/cluster also scales the service horizontally:
+// cmd/swallow-router fronts N swallow-serve workers, resolves each
+// request with the same Resolver and routes it by the key over a
+// consistent hash ring (replicated virtual nodes, sticky membership),
+// so every worker's cache and machine pool specialize on a slice of
+// the keyspace. Determinism makes failover safe — any worker renders
+// byte-identical bodies — and workers drain gracefully: healthz flips
+// to 503 draining, the router re-routes, then the listener closes.
 //
 // # Machine lifecycle
 //

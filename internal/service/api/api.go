@@ -18,39 +18,41 @@
 //	GET  /healthz           liveness probe
 //	GET  /metrics           text metrics (requests, cache, store, queue, latency)
 //
-// Renders are pure functions of (artifact, harness.Config), so a cache
-// hit is byte-identical to a cold run and the ETag doubles as a
-// content hash. Synchronous GETs run inline under singleflight (a
-// burst of identical requests costs one simulation); POST /jobs puts
-// the work on the worker pool instead and reports backpressure as
-// 429 + Retry-After when the queue is full.
+// Every render endpoint is one pipeline, entered in a different
+// spelling: resolve → memory → disk → peer → run.
 //
-// The result path is tiered (see store_tier.go): memory LRU, then the
-// disk store, then a peer cache ask, then the render itself, in
-// process (cluster.Local) — X-Cache reports HIT, HIT-DISK, HIT-PEER or
-// MISS accordingly. With no Store configured the disk and peer tiers
-// are inert and the original two-state HIT/MISS behavior is unchanged.
+// Resolve (cluster.Resolver, shared with the router) turns the request
+// — a registered name, a declarative internal/scenario spec, or a job
+// body carrying either, plus config overrides — into a cluster.Target:
+// the artifact to run, the config projected onto the knobs it reads,
+// and the one key everything below files it under. A request that
+// does not resolve is refused here with a field-level message: 400,
+// 404 or 413, never a 500.
 //
-// POST /scenarios opens the experiment surface beyond the registry:
-// the body is a declarative internal/scenario spec (workload structure
-// x placement x operating point x sweep axes), compiled and validated
-// server-side — malformed specs are 400s with a field-level message —
-// and cached under the spec's canonical content hash with the same
-// singleflight and ETag discipline as named artifacts, so resubmitting
-// an equivalent spec (however spelled) is a cache hit. POST /jobs
-// accepts a "scenario" field as the async variant; submitted scenarios
-// are their own job class, so the queue's per-class round-robin keeps
-// a heavy scenario from starving cheap artifact jobs.
+// Server.render then takes the first tier that holds the key: the
+// memory LRU, the disk store, a peer's GET /cache/{key} (peers named
+// by a fronting router's X-Swallow-Peers), and last the simulation,
+// whose result is persisted. X-Cache says which: HIT, HIT-DISK,
+// HIT-PEER or MISS; with no Store configured the disk and peer tiers
+// are inert. Renders are pure functions of the Target, so every tier
+// serves bytes identical to a cold run and the ETag doubles as a
+// content hash; equivalent spellings of one spec share an entry; a
+// burst of identical requests shares one simulation (singleflight); a
+// render that panics fails its own request and nothing else.
+//
+// Synchronous endpoints run that inline; POST /jobs runs it on the
+// worker pool, 429 + Retry-After when the queue is full, each scenario
+// its own job class so per-class round-robin keeps a heavy scenario
+// from starving cheap artifact jobs.
 package api
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/url"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -58,15 +60,11 @@ import (
 
 	"swallow/internal/core"
 	"swallow/internal/harness"
-	"swallow/internal/scenario"
 	"swallow/internal/service/cache"
 	"swallow/internal/service/cluster"
 	"swallow/internal/service/queue"
 	"swallow/internal/service/store"
 )
-
-// maxSpecBytes bounds a submitted scenario body.
-const maxSpecBytes = 1 << 20
 
 // Options configures a Server. Zero fields take the stated defaults.
 type Options struct {
@@ -106,41 +104,28 @@ type Options struct {
 // Server wires the in-process renderer, cache and queue behind one
 // http.Handler.
 type Server struct {
-	// def and quick carry Options.Env, and through them so does every
-	// config a request derives.
-	def, quick harness.Config
-	local      *cluster.Local
-	cache      *cache.Cache
-	store      *store.Store
-	version    string // registry version the store validates against
-	peers      *http.Client
-	queue      *queue.Queue
-	met        *metrics
-	mux        *http.ServeMux
-	accessLog  io.Writer
-	reqSeq     atomic.Uint64
-	draining   atomic.Bool
+	// resolver's base configs carry Options.Env, and through them so
+	// does every config a request derives.
+	resolver  cluster.Resolver
+	cache     *cache.Cache
+	store     *store.Store
+	peers     *http.Client
+	queue     *queue.Queue
+	met       *metrics
+	mux       *http.ServeMux
+	accessLog io.Writer
+	reqSeq    atomic.Uint64
+	draining  atomic.Bool
 }
 
 // New builds a Server and starts its worker pool. Callers must Close
 // it to drain the pool.
 func New(opts Options) *Server {
-	// Fill only the missing Iters so a caller config carrying just
-	// grid overrides keeps them.
-	if opts.DefaultConfig.Iters == 0 {
-		opts.DefaultConfig.Iters = harness.DefaultConfig().Iters
-	}
-	if opts.QuickConfig.Iters == 0 {
-		opts.QuickConfig.Iters = harness.QuickConfig().Iters
-	}
 	if opts.CacheBytes <= 0 {
 		opts.CacheBytes = 64 << 20
 	}
 	if opts.CacheEntries <= 0 {
 		opts.CacheEntries = 256
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 1
 	}
 	if opts.QueueCapacity <= 0 {
 		opts.QueueCapacity = 16
@@ -156,15 +141,12 @@ func New(opts Options) *Server {
 		opts.PeerTimeout = 3 * time.Second
 	}
 	s := &Server{
-		def:       opts.DefaultConfig,
-		quick:     opts.QuickConfig,
-		local:     cluster.NewLocal(),
+		resolver:  cluster.NewResolver(opts.DefaultConfig, opts.QuickConfig),
 		cache:     cache.New(opts.CacheBytes, opts.CacheEntries, cache.WithTTL(opts.CacheTTL)),
 		store:     opts.Store,
-		version:   opts.Store.Version(),
 		peers:     &http.Client{Timeout: opts.PeerTimeout},
 		queue:     queue.New(opts.Workers, opts.QueueCapacity, opts.JobRetention),
-		met:       newMetrics(),
+		met:       &metrics{renders: make(map[string]*latHist)},
 		mux:       http.NewServeMux(),
 		accessLog: opts.AccessLog,
 	}
@@ -188,9 +170,9 @@ func New(opts Options) *Server {
 // the route mux.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.met.request()
+		s.met.requests.Add(1)
 		start := time.Now()
-		id := s.requestID(r)
+		id := cluster.RequestID(r, "", &s.reqSeq)
 		w.Header().Set("X-Request-ID", id)
 		rw := &statusWriter{ResponseWriter: w}
 		s.mux.ServeHTTP(rw, r)
@@ -210,45 +192,6 @@ func (s *Server) Close() { s.queue.Close() }
 // still completes.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// Draining reports the drain state.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// writeJSON writes v as a JSON response.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// writeError writes a JSON error body.
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// configFromQuery derives the render config from URL query parameters
-// via the cluster package's shared dialect (the router uses the same
-// parse to compute matching affinity keys): quick=1 starts from the
-// quick config, iters / payloads / placements override the
-// corresponding Config fields.
-func (s *Server) configFromQuery(q url.Values) (harness.Config, error) {
-	return cluster.ConfigFromQuery(s.def, s.quick, q)
-}
-
-// runStatus maps a render error to its HTTP status: config errors are
-// the caller's fault (400), unknown artifacts are 404, anything else
-// is a server fault (500).
-func runStatus(err error) int {
-	if errors.Is(err, harness.ErrBadConfig) {
-		return http.StatusBadRequest
-	}
-	if errors.Is(err, cluster.ErrUnknownArtifact) {
-		return http.StatusNotFound
-	}
-	return http.StatusInternalServerError
-}
-
 // artifactInfo is one /artifacts index row.
 type artifactInfo struct {
 	Name        string `json:"name"`
@@ -267,80 +210,90 @@ func (s *Server) handleArtifacts(w http.ResponseWriter, r *http.Request) {
 			URL:         "/artifacts/" + url.PathEscape(a.Name),
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	cluster.WriteJSON(w, http.StatusOK, out)
 }
 
-// render runs one artifact under the config and returns its cached (or
-// freshly filled) entry, recording per-artifact latency for /metrics.
-// The config is projected to the knobs the artifact actually reads
-// before keying, so requests differing only in irrelevant parameters
-// (e.g. ?iters= on an iteration-free table) share one cache entry
-// instead of re-running a byte-identical simulation.
-// The returned string is the X-Cache state (HIT, HIT-DISK, HIT-PEER
-// or MISS — see fillTiered); the duration is the cold render time,
-// zero unless this request actually simulated. Handlers surface it as
-// X-Render-Micros so clients (and the access log) can split server
-// time into queue wait vs simulation.
-func (s *Server) render(a *harness.Artifact, cfg harness.Config, peers []string) (cache.Entry, string, time.Duration, error) {
-	cfg = a.Project(cfg)
-	key := cache.Key(a.Name, cfg)
-	return s.fillTiered(key, a.Name, a.Name, nil, peers, func() (cluster.Result, error) {
-		// The fill is shared across requests by singleflight, so it
-		// runs under its own context, not any one caller's.
-		return s.local.Render(context.Background(),
-			cluster.Request{Artifact: a.Name, Config: cfg})
-	})
-}
-
-// handleArtifact serves one artifact synchronously: cache-aware, with
-// the content hash as a strong ETag (byte-identical by determinism)
-// and X-Cache reporting HIT or MISS.
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	a := harness.Lookup(name)
-	if a == nil {
-		writeError(w, http.StatusNotFound, "unknown artifact %q (GET /artifacts lists them)", name)
-		return
-	}
-	cfg, err := s.configFromQuery(r.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if v := r.URL.Query().Get("trace"); v != "" {
-		if on, err := strconv.ParseBool(v); err == nil && on {
-			s.handleArtifactTrace(w, r, a, cfg)
-			return
+// render is the one place a resolved request gets its bytes, under the
+// memory cache's singleflight: the fill consults the disk store, then
+// asks the listed peers, and only then runs the target in process,
+// persisting the result. The returned state names the tier that
+// produced the body (singleflight followers and memory hits report
+// HIT); peer- and disk-served bodies are verified (sha256) before use,
+// so every state serves bytes identical to a cold render. renderDur is
+// the simulation time, zero unless this call actually simulated —
+// handlers surface it as X-Render-Micros so clients and the access log
+// can split server time into waiting and simulating. A panic below
+// here is contained: it becomes this request's error (followers of the
+// fill get cache.ErrFillPanicked), the stack goes to the log, and the
+// key stays retryable.
+func (s *Server) render(t cluster.Target, peers []string) (entry cache.Entry, state string, renderDur time.Duration, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("render %s (key %s) panicked: %v\n%s", t.Class, t.Key, p, debug.Stack())
+			err = fmt.Errorf("render panicked: %v", p)
 		}
+	}()
+	state = cacheMiss
+	meta := store.Meta{Artifact: t.Name, Spec: t.Spec}
+	entry, hit, err := s.cache.GetOrFill(t.Key, func() ([]byte, error) {
+		if ent, ok := s.store.Get(t.Key); ok {
+			state = cacheDisk
+			return ent.Body, nil
+		}
+		if body, ok := s.peerFill(t.Key, peers); ok {
+			state = cachePeer
+			// Adopt the peer's entry locally so the warm handoff
+			// persists across this worker's own restarts.
+			s.store.Put(t.Key, body, meta)
+			return body, nil
+		}
+		// The fill is shared across requests by singleflight, so it
+		// belongs to no one caller.
+		res, err := t.Run()
+		if err != nil {
+			return nil, err
+		}
+		renderDur = time.Duration(res.RenderMicros) * time.Microsecond
+		s.met.observe(t.Label, renderDur)
+		meta.Metrics, meta.RenderMicros = res.Metrics, res.RenderMicros
+		s.store.Put(t.Key, res.Body, meta)
+		return res.Body, nil
+	})
+	if hit {
+		state = cacheMemory
+	}
+	return entry, state, renderDur, err
+}
+
+// serve is the synchronous tail every render endpoint shares: render,
+// then the timing split — the cold render duration (zero on a hit) and
+// everything else (singleflight wait, cache and handler overhead) as
+// queue wait — X-Scenario-Hash for a scenario, and the entry itself.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, t cluster.Target) {
+	if t.Hash != "" {
+		s.met.scenarios.Add(1)
+		w.Header().Set("X-Scenario-Hash", t.Hash)
 	}
 	start := time.Now()
-	entry, state, renderDur, err := s.render(a, cfg, peerList(r))
+	entry, state, renderDur, err := s.render(t, peerList(r))
 	if err != nil {
-		writeError(w, runStatus(err), "%s: %v", name, err)
+		cluster.WriteError(w, cluster.Status(err), "%s: %v", t.Class, err)
 		return
 	}
 	setTimingHeaders(w, start, renderDur)
-	writeCachedEntry(w, r, entry, state)
+	writeEntry(w, r, entry, state)
 }
 
-// setTimingHeaders splits server-side time for the client: the cold
-// render duration (zero on a hit) and everything else — singleflight
-// wait, cache and handler overhead — as queue wait.
 func setTimingHeaders(w http.ResponseWriter, start time.Time, renderDur time.Duration) {
-	total := time.Since(start)
-	wait := total - renderDur
-	if wait < 0 {
-		wait = 0
-	}
+	wait := max(time.Since(start)-renderDur, 0)
 	w.Header().Set("X-Render-Micros", strconv.FormatInt(renderDur.Microseconds(), 10))
 	w.Header().Set("X-Queue-Micros", strconv.FormatInt(wait.Microseconds(), 10))
 }
 
-// writeCachedEntry is the shared epilogue of every cache-backed text
-// render: the content hash as a strong ETag, the tiered X-Cache state
-// (HIT | HIT-DISK | HIT-PEER | MISS), If-None-Match conditional
-// handling, then the body.
-func writeCachedEntry(w http.ResponseWriter, r *http.Request, entry cache.Entry, state string) {
+// writeEntry writes one cached or stored body: the content hash as a
+// strong ETag (byte-identical by determinism), the X-Cache state (HIT
+// | HIT-DISK | HIT-PEER | MISS), If-None-Match handling, then the body.
+func writeEntry(w http.ResponseWriter, r *http.Request, entry cache.Entry, state string) {
 	etag := `"` + entry.ContentHash + `"`
 	w.Header().Set("ETag", etag)
 	w.Header().Set("X-Cache", state)
@@ -352,87 +305,35 @@ func writeCachedEntry(w http.ResponseWriter, r *http.Request, entry cache.Entry,
 	w.Write(entry.Body)
 }
 
-// renderScenario runs a compiled scenario under the config and
-// returns its cached (or freshly filled) entry. The cache key is the
-// spec's canonical content hash (plus the projected config), so
-// equivalent spellings of one scenario share an entry and concurrent
-// identical submissions share one simulation, exactly like named
-// artifacts. Render latency aggregates under the fixed "scenario"
-// label to keep /metrics cardinality bounded however many distinct
-// specs clients invent; the disk store files the entry with the
-// canonical spec as provenance, so a stored scenario result remains
-// self-describing.
-func (s *Server) renderScenario(c *scenario.Compiled, cfg harness.Config, peers []string) (cache.Entry, string, time.Duration, error) {
-	cfg = c.Artifact.Project(cfg)
-	key := cache.Key("scenario:"+c.Hash, cfg)
-	canonical, _ := json.Marshal(c.Spec.Canonical())
-	return s.fillTiered(key, "scenario", "scenario:"+c.Hash, canonical, peers, func() (cluster.Result, error) {
-		return s.local.Render(context.Background(),
-			cluster.Request{Scenario: &c.Spec, Config: cfg})
-	})
+// handleArtifact serves one registered artifact; ?trace=1 takes the
+// uncached, traced route instead (trace_handler.go).
+func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
+	t, err := s.resolver.Artifact(r.PathValue("name"), r.URL.Query())
+	if err != nil {
+		cluster.WriteError(w, cluster.Status(err), "%v", err)
+		return
+	}
+	if on, _ := strconv.ParseBool(r.URL.Query().Get("trace")); on {
+		s.handleArtifactTrace(w, t)
+		return
+	}
+	s.serve(w, r, t)
 }
 
-// handleScenario compiles and runs a submitted spec synchronously.
-// Malformed specs (unknown structures, off-grid placements, empty
-// sweep axes, absurd grids...) fail validation with a field-level
-// message and map to 400; the run itself is cache-aware with the
-// body's content hash as a strong ETag and X-Scenario-Hash carrying
-// the spec identity the result is cached under.
+// handleScenario compiles and runs a submitted spec. A malformed one
+// is a 400 with a field-level message; an equivalent one, however
+// spelled, is a cache hit.
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	body, err := cluster.ReadBody(r)
+	var t cluster.Target
+	if err == nil {
+		t, err = s.resolver.Scenario(body, r.URL.Query())
+	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading spec: %v", err)
+		cluster.WriteError(w, cluster.Status(err), "%v", err)
 		return
 	}
-	if len(body) > maxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "spec exceeds %d bytes", maxSpecBytes)
-		return
-	}
-	spec, err := scenario.Parse(body)
-	if err != nil {
-		writeError(w, runStatus(err), "%v", err)
-		return
-	}
-	c, err := scenario.Compile(spec)
-	if err != nil {
-		writeError(w, runStatus(err), "%v", err)
-		return
-	}
-	cfg, err := s.configFromQuery(r.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.met.scenario()
-	start := time.Now()
-	entry, state, renderDur, err := s.renderScenario(c, cfg, peerList(r))
-	if err != nil {
-		writeError(w, runStatus(err), "scenario %s: %v", c.Spec.Name, err)
-		return
-	}
-	setTimingHeaders(w, start, renderDur)
-	w.Header().Set("X-Scenario-Hash", c.Hash)
-	writeCachedEntry(w, r, entry, state)
-}
-
-// jobRequest is the POST /jobs body: either a registered artifact
-// name or an inline scenario spec.
-type jobRequest struct {
-	Artifact string `json:"artifact,omitempty"`
-	// Scenario is the async variant of POST /scenarios; exclusive with
-	// Artifact. The job class is the spec hash, so distinct submitted
-	// scenarios round-robin against artifact jobs in the queue.
-	Scenario json.RawMessage `json:"scenario,omitempty"`
-	// Quick starts from the quick config before Config overrides.
-	Quick bool `json:"quick,omitempty"`
-	// Config optionally overrides render knobs; zero fields keep the
-	// base config's values.
-	Config *harness.Config `json:"config,omitempty"`
-}
-
-// jobResult is what a finished job stores in the queue.
-type jobResult struct {
-	entry cache.Entry
+	s.serve(w, r, t)
 }
 
 // jobView is the GET /jobs/{id} (and POST /jobs) response body.
@@ -450,116 +351,49 @@ type jobView struct {
 	RunMicros       int64 `json:"run_micros,omitempty"`
 }
 
-// handleSubmit accepts an async render job. A saturated queue is
+// handleSubmit accepts an async render job (see Resolver.Job for the
+// body): the same render, on the worker pool. A saturated queue is
 // backpressure: 429 with Retry-After; a draining server refuses new
 // jobs outright (503) since it cannot promise to retain the result.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server draining; resubmit elsewhere")
+		cluster.WriteError(w, http.StatusServiceUnavailable, "server draining; resubmit elsewhere")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	body, err := cluster.ReadBody(r)
+	var t cluster.Target
+	if err == nil {
+		t, err = s.resolver.Job(body)
+	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading job body: %v", err)
+		cluster.WriteError(w, cluster.Status(err), "%v", err)
 		return
 	}
-	if len(body) > maxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "job body exceeds %d bytes", maxSpecBytes)
-		return
-	}
-	var req jobRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job body: %v", err)
-		return
-	}
-	if req.Artifact != "" && len(req.Scenario) > 0 {
-		writeError(w, http.StatusBadRequest, "artifact and scenario are exclusive")
-		return
-	}
-	var a *harness.Artifact
-	var compiled *scenario.Compiled
-	label := req.Artifact
-	if len(req.Scenario) > 0 {
-		spec, err := scenario.Parse(req.Scenario)
-		if err != nil {
-			writeError(w, runStatus(err), "%v", err)
-			return
-		}
-		if compiled, err = scenario.Compile(spec); err != nil {
-			writeError(w, runStatus(err), "%v", err)
-			return
-		}
-		label = "scenario:" + compiled.Hash[:12]
-	} else {
-		if a = harness.Lookup(req.Artifact); a == nil {
-			writeError(w, http.StatusNotFound, "unknown artifact %q (GET /artifacts lists them)", req.Artifact)
-			return
-		}
-	}
-	cfg := s.def
-	if req.Quick {
-		cfg = s.quick
-	}
-	if req.Config != nil {
-		if req.Config.Iters < 0 {
-			writeError(w, http.StatusBadRequest, "bad config: iters must be positive")
-			return
-		}
-		if req.Config.Iters > 0 {
-			cfg.Iters = req.Config.Iters
-		}
-		if len(req.Config.GoodputPayloads) > 0 {
-			for _, p := range req.Config.GoodputPayloads {
-				if p <= 0 {
-					writeError(w, http.StatusBadRequest, "bad config: payloads must be positive")
-					return
-				}
-			}
-			cfg.GoodputPayloads = req.Config.GoodputPayloads
-		}
-		if len(req.Config.LatencyPlacements) > 0 {
-			cfg.LatencyPlacements = req.Config.LatencyPlacements
-		}
-	}
-	cfg = cfg.Canonical()
-	run := func() (any, error) {
-		var entry cache.Entry
-		var err error
+	id, err := s.queue.Submit(t.Class, func() (any, error) {
 		// Async jobs carry no peer hints (the router header belongs to
 		// the submitting request); the disk tier still applies.
-		if compiled != nil {
-			entry, _, _, err = s.renderScenario(compiled, cfg, nil)
-		} else {
-			entry, _, _, err = s.render(a, cfg, nil)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return jobResult{entry: entry}, nil
-	}
-	id, err := s.queue.Submit(label, run)
+		entry, _, _, err := s.render(t, nil)
+		return entry, err
+	})
 	switch err {
 	case nil:
 	case queue.ErrFull:
-		s.met.reject()
+		s.met.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "job queue full (capacity %d); retry later", s.queue.Capacity())
+		cluster.WriteError(w, http.StatusTooManyRequests, "job queue full (capacity %d); retry later", s.queue.Capacity())
 		return
 	case queue.ErrClosed:
-		writeError(w, http.StatusServiceUnavailable, "server shutting down")
-		return
-	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		cluster.WriteError(w, http.StatusServiceUnavailable, "server shutting down")
 		return
 	}
 	// Count the scenario only once the queue has accepted it, matching
 	// the sync path (which counts only submissions that reach a render).
-	if compiled != nil {
-		s.met.scenario()
+	if t.Hash != "" {
+		s.met.scenarios.Add(1)
 	}
-	writeJSON(w, http.StatusAccepted, jobView{
+	cluster.WriteJSON(w, http.StatusAccepted, jobView{
 		ID:       id,
-		Artifact: label,
+		Artifact: t.Class,
 		Status:   string(queue.StatusQueued),
 		URL:      "/jobs/" + id,
 	})
@@ -571,7 +405,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.queue.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q (results are retained for a bounded history)", id)
+		cluster.WriteError(w, http.StatusNotFound, "unknown job %q (results are retained for a bounded history)", id)
 		return
 	}
 	view := jobView{
@@ -587,11 +421,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			view.RunMicros = j.Finished.Sub(j.Started).Microseconds()
 		}
 	}
-	if res, ok := j.Result.(jobResult); ok {
-		view.ETag = `"` + res.entry.ContentHash + `"`
-		view.Result = string(res.entry.Body)
+	if entry, ok := j.Result.(cache.Entry); ok {
+		view.ETag = `"` + entry.ContentHash + `"`
+		view.Result = string(entry.Body)
 	}
-	writeJSON(w, http.StatusOK, view)
+	cluster.WriteJSON(w, http.StatusOK, view)
 }
 
 // handleHealth is the liveness probe. During graceful shutdown it
@@ -603,12 +437,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		state, code = cluster.StateDraining, http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
-		"status":      state,
-		"state":       state,
-		"artifacts":   len(harness.Artifacts()),
-		"queue_depth": s.queue.Depth(),
-	})
+	cluster.WriteJSON(w, code, cluster.Health{State: state, Artifacts: len(harness.Artifacts()), QueueDepth: s.queue.Depth()})
 }
 
 // handleMetrics serves the text metrics snapshot.

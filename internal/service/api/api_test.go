@@ -8,8 +8,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,6 +74,12 @@ func init() {
 			return 0, fmt.Errorf("%w: no such placement", harness.ErrBadConfig)
 		},
 		Render: func(int) *report.Table { return report.NewTable("never") },
+	})
+	harness.Register(harness.Spec[int]{
+		Name:        "panic",
+		Description: "test artifact whose Run panics",
+		Run:         func(harness.Config) (int, error) { panic("artifact blew up") },
+		Render:      func(int) *report.Table { return report.NewTable("never") },
 	})
 	harness.Register(harness.Spec[int]{
 		Name:        "block",
@@ -340,6 +348,48 @@ func TestJobRoundTripMatchesSyncRender(t *testing.T) {
 	if !strings.Contains(failed["error"].(string), "deliberate") {
 		t.Fatalf("failed job view = %v", failed)
 	}
+}
+
+// TestPanickingRenderIsContained: a render that panics is that
+// request's 500 (with its request id, the stack in the log), not a
+// wedged key — a second GET returns instead of waiting forever on the
+// dead fill — and as an async job it ends failed with the process, and
+// its worker pool, alive.
+func TestPanickingRenderIsContained(t *testing.T) {
+	var logged syncBuffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	_, ts := newServer(t, api.Options{})
+	client := &http.Client{Timeout: 5 * time.Second}
+	for i := 0; i < 2; i++ {
+		resp, err := client.Get(ts.URL + "/artifacts/panic")
+		if err != nil {
+			t.Fatalf("GET %d after a panicking render: %v", i, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "artifact blew up") {
+			t.Fatalf("GET %d: %d %s, want 500 naming the panic", i, resp.StatusCode, body)
+		}
+		if resp.Header.Get("X-Request-ID") == "" {
+			t.Fatalf("GET %d: 500 carries no request id", i)
+		}
+	}
+	if out := logged.String(); !strings.Contains(out, "artifact blew up") || !strings.Contains(out, "goroutine") {
+		t.Fatalf("panic stack not logged:\n%s", out)
+	}
+
+	resp, view := submitJob(t, ts.URL, `{"artifact":"panic"}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d", resp.StatusCode)
+	}
+	failed := waitJobStatus(t, ts.URL, view["id"].(string), "failed")
+	if !strings.Contains(failed["error"].(string), "artifact blew up") {
+		t.Fatalf("failed job view = %v", failed)
+	}
+	// The one queue worker survived: the next job runs.
+	_, view = submitJob(t, ts.URL, `{"artifact":"const"}`)
+	waitJobStatus(t, ts.URL, view["id"].(string), "done")
 }
 
 func TestQueueSaturationReturns429(t *testing.T) {

@@ -6,10 +6,12 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"swallow/internal/core"
 	"swallow/internal/service/cache"
+	"swallow/internal/service/cluster"
 	"swallow/internal/service/store"
 	"swallow/internal/xs1"
 )
@@ -18,9 +20,7 @@ import (
 // seconds (Prometheus `le` labels), spanning cached-adjacent quick
 // renders (~ms) through full-config sweeps (~10 s). A +Inf bucket is
 // implicit.
-var renderBuckets = [numRenderBuckets]float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-
-const numRenderBuckets = 11
+var renderBuckets = [...]float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 // latHist is a Prometheus-style cumulative histogram for one artifact.
 // All fields are monotonic for the life of the process: observations
@@ -28,12 +28,39 @@ const numRenderBuckets = 11
 // resets happen only at process restart, which scrapers detect by the
 // value decreasing (and swallow_uptime_seconds corroborates).
 type latHist struct {
-	counts [numRenderBuckets + 1]int64 // +1: the +Inf bucket
+	counts [len(renderBuckets) + 1]int64 // +1: the +Inf bucket
 	sum    float64
 	count  int64
 }
 
-func (h *latHist) observe(sec float64) {
+// metrics tracks the service counters /metrics reports. Cache and
+// queue figures are read live from their owners; only request and
+// latency counters live here. Every series this struct owns is
+// monotonic within a process lifetime (see latHist).
+type metrics struct {
+	requests     atomic.Int64 // HTTP requests
+	rejected     atomic.Int64 // 429 backpressure responses
+	scenarios    atomic.Int64 // well-formed scenario submissions, sync or async
+	scenarioPins atomic.Int64 // accepted PUT /scenarios/{name}
+	peerFills    atomic.Int64 // misses satisfied from a ring peer's cache
+	peerMisses   atomic.Int64 // misses where every listed peer came up empty
+
+	mu      sync.Mutex // guards renders
+	renders map[string]*latHist
+}
+
+// observe records one cold render of an artifact. The histogram entry
+// for an artifact, once created, is never removed or zeroed, so the
+// per-artifact series stays monotonic even as the artifact map grows.
+func (m *metrics) observe(artifact string, d time.Duration) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	h := m.renders[artifact]
+	if h == nil {
+		h = &latHist{}
+		m.renders[artifact] = h
+	}
+	sec := d.Seconds()
 	for i, ub := range renderBuckets {
 		if sec <= ub {
 			h.counts[i]++
@@ -42,83 +69,6 @@ func (h *latHist) observe(sec float64) {
 	h.counts[len(renderBuckets)]++
 	h.sum += sec
 	h.count++
-}
-
-// metrics tracks the service counters /metrics reports. Cache and
-// queue figures are read live from their owners; only request and
-// latency counters live here. Every series this struct owns is
-// monotonic within a process lifetime (see latHist).
-type metrics struct {
-	mu           sync.Mutex
-	requests     int64
-	rejected     int64
-	scenarios    int64
-	scenarioPins int64
-	peerFills    int64
-	peerMisses   int64
-	renders      map[string]*latHist
-}
-
-func newMetrics() *metrics {
-	return &metrics{renders: make(map[string]*latHist)}
-}
-
-// request counts one HTTP request.
-func (m *metrics) request() {
-	m.mu.Lock()
-	m.requests++
-	m.mu.Unlock()
-}
-
-// reject counts one 429 backpressure response.
-func (m *metrics) reject() {
-	m.mu.Lock()
-	m.rejected++
-	m.mu.Unlock()
-}
-
-// scenario counts one accepted (well-formed) scenario submission,
-// sync or async.
-func (m *metrics) scenario() {
-	m.mu.Lock()
-	m.scenarios++
-	m.mu.Unlock()
-}
-
-// scenarioPin counts one accepted PUT /scenarios/{name}.
-func (m *metrics) scenarioPin() {
-	m.mu.Lock()
-	m.scenarioPins++
-	m.mu.Unlock()
-}
-
-// peerFill counts one miss satisfied from a ring peer's cache;
-// peerFillMiss counts one miss where every listed peer came up empty
-// (the render proceeded locally).
-func (m *metrics) peerFill() {
-	m.mu.Lock()
-	m.peerFills++
-	m.mu.Unlock()
-}
-
-func (m *metrics) peerFillMiss() {
-	m.mu.Lock()
-	m.peerMisses++
-	m.mu.Unlock()
-}
-
-// observe records one cold render of an artifact. The histogram entry
-// for an artifact, once created, is never removed or zeroed, so the
-// per-artifact series stays monotonic even as the artifact map grows.
-func (m *metrics) observe(artifact string, d time.Duration) {
-	m.mu.Lock()
-	h := m.renders[artifact]
-	if h == nil {
-		h = &latHist{}
-		m.renders[artifact] = h
-	}
-	h.observe(d.Seconds())
-	m.mu.Unlock()
 }
 
 // buildVersion resolves the binary's module version once, for the
@@ -151,10 +101,10 @@ func (m *metrics) write(w io.Writer, cs cache.Stats, ss store.Stats, queueDepth,
 	fmt.Fprintf(w, "swallow_build_info{version=%q} 1\n", buildVersion)
 	fmt.Fprintf(w, "# HELP swallow_uptime_seconds Seconds since process start.\n")
 	fmt.Fprintf(w, "# TYPE swallow_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "swallow_uptime_seconds %.3f\n", time.Since(processStart).Seconds())
-	fmt.Fprintf(w, "swallow_requests_total %d\n", m.requests)
-	fmt.Fprintf(w, "swallow_requests_rejected_total %d\n", m.rejected)
-	fmt.Fprintf(w, "swallow_scenarios_total %d\n", m.scenarios)
+	fmt.Fprintf(w, "swallow_uptime_seconds %.3f\n", time.Since(cluster.ProcessStart).Seconds())
+	fmt.Fprintf(w, "swallow_requests_total %d\n", m.requests.Load())
+	fmt.Fprintf(w, "swallow_requests_rejected_total %d\n", m.rejected.Load())
+	fmt.Fprintf(w, "swallow_scenarios_total %d\n", m.scenarios.Load())
 	fmt.Fprintf(w, "swallow_cache_hits_total %d\n", cs.Hits)
 	fmt.Fprintf(w, "swallow_cache_misses_total %d\n", cs.Misses)
 	fmt.Fprintf(w, "swallow_cache_shared_fills_total %d\n", cs.Shared)
@@ -173,9 +123,9 @@ func (m *metrics) write(w io.Writer, cs cache.Stats, ss store.Stats, queueDepth,
 	fmt.Fprintf(w, "swallow_store_bytes %d\n", ss.Bytes)
 	fmt.Fprintf(w, "swallow_store_entries %d\n", ss.Entries)
 	fmt.Fprintf(w, "swallow_store_names %d\n", ss.Names)
-	fmt.Fprintf(w, "swallow_scenario_pins_total %d\n", m.scenarioPins)
-	fmt.Fprintf(w, "swallow_peer_fills_total %d\n", m.peerFills)
-	fmt.Fprintf(w, "swallow_peer_fill_misses_total %d\n", m.peerMisses)
+	fmt.Fprintf(w, "swallow_scenario_pins_total %d\n", m.scenarioPins.Load())
+	fmt.Fprintf(w, "swallow_peer_fills_total %d\n", m.peerFills.Load())
+	fmt.Fprintf(w, "swallow_peer_fill_misses_total %d\n", m.peerMisses.Load())
 	fmt.Fprintf(w, "swallow_queue_depth %d\n", queueDepth)
 	fmt.Fprintf(w, "swallow_queue_capacity %d\n", queueCap)
 	fmt.Fprintf(w, "swallow_pool_builds_total %d\n", ps.Builds)

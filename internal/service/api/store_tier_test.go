@@ -10,14 +10,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"testing"
 	"time"
 
 	"swallow/internal/harness"
 	"swallow/internal/service/api"
-	"swallow/internal/service/cache"
 	"swallow/internal/service/cluster"
 	"swallow/internal/service/store"
 )
@@ -33,22 +31,15 @@ func openStore(t *testing.T, dir string) *store.Store {
 	return st
 }
 
-// defaultKey mirrors the handler's own config resolution for a bare
-// GET /artifacts/{name} (no query overrides), so tests can address
-// the same cache key the server files the render under.
+// defaultKey is the key the server files a bare GET /artifacts/{name}
+// (no query overrides) under.
 func defaultKey(t *testing.T, name string) string {
 	t.Helper()
-	def := harness.Config{Iters: harness.DefaultConfig().Iters}
-	quick := harness.Config{Iters: harness.QuickConfig().Iters}
-	cfg, err := cluster.ConfigFromQuery(def, quick, url.Values{})
+	target, err := cluster.NewResolver(harness.Config{}, harness.Config{}).Artifact(name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := harness.Lookup(name)
-	if a == nil {
-		t.Fatalf("artifact %q not registered", name)
-	}
-	return cache.Key(name, a.Project(cfg))
+	return target.Key
 }
 
 // wantCache asserts one response's X-Cache verdict.

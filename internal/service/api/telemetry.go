@@ -2,9 +2,7 @@ package api
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -13,31 +11,6 @@ import (
 // Request-scoped telemetry: every request gets an X-Request-ID
 // (propagated from the client when present, generated otherwise) and,
 // when Options.AccessLog is set, one structured JSON log line.
-
-// processStart anchors request-ID generation and the uptime metric.
-var processStart = time.Now()
-
-// startPid goes into generated request IDs so lines from different
-// server processes on one box remain distinguishable when logs merge.
-var startPid = os.Getpid()
-
-// requestID returns the inbound X-Request-ID if it is usable (short,
-// printable) or mints a fresh one.
-func (s *Server) requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-ID"); id != "" && len(id) <= 64 && isPrintable(id) {
-		return id
-	}
-	return fmt.Sprintf("%x-%x-%x", startPid, processStart.UnixNano()&0xffffff, s.reqSeq.Add(1))
-}
-
-func isPrintable(sv string) bool {
-	for i := 0; i < len(sv); i++ {
-		if sv[i] <= ' ' || sv[i] > '~' {
-			return false
-		}
-	}
-	return true
-}
 
 // statusWriter captures status and body size for the access log.
 type statusWriter struct {

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"swallow/internal/core"
-	"swallow/internal/harness"
+	"swallow/internal/service/cluster"
 	"swallow/internal/trace"
 )
 
@@ -20,12 +20,12 @@ import (
 // runs concurrently with them and its recording is a function of the
 // request alone. Traced responses are never cached and are marked
 // no-store.
-func (s *Server) handleArtifactTrace(w http.ResponseWriter, r *http.Request, a *harness.Artifact, cfg harness.Config) {
-	cfg = a.Project(cfg)
+func (s *Server) handleArtifactTrace(w http.ResponseWriter, t cluster.Target) {
+	a, cfg := t.Artifact, t.Config
 	sess := trace.NewSession(0)
 	cfg.Env = core.TracedEnv(sess)
 	start := time.Now()
-	t, err := a.Table(cfg)
+	tbl, err := a.Table(cfg)
 	renderDur := time.Since(start)
 	var traceBuf bytes.Buffer
 	if err == nil {
@@ -33,35 +33,26 @@ func (s *Server) handleArtifactTrace(w http.ResponseWriter, r *http.Request, a *
 		err = sess.WriteChrome(&traceBuf)
 	}
 	if err != nil {
-		writeError(w, runStatus(err), "%s: %v", a.Name, err)
+		cluster.WriteError(w, cluster.Status(err), "%s: %v", a.Name, err)
 		return
 	}
-	body := []byte(t.String())
+	// The parts are written to a bytes.Buffer, which cannot fail.
 	var out bytes.Buffer
 	mw := multipart.NewWriter(&out)
-	part, err := mw.CreatePart(textproto.MIMEHeader{
-		"Content-Type":        {"text/plain; charset=utf-8"},
-		"Content-Disposition": {`form-data; name="table"`},
-	})
-	if err == nil {
-		_, err = part.Write(body)
-	}
-	if err == nil {
-		part, err = mw.CreatePart(textproto.MIMEHeader{
-			"Content-Type":        {"application/json"},
-			"Content-Disposition": {`form-data; name="trace"`},
+	for _, p := range []struct {
+		name, ctype string
+		data        []byte
+	}{
+		{"table", "text/plain; charset=utf-8", []byte(tbl.String())},
+		{"trace", "application/json", traceBuf.Bytes()},
+	} {
+		part, _ := mw.CreatePart(textproto.MIMEHeader{
+			"Content-Type":        {p.ctype},
+			"Content-Disposition": {`form-data; name="` + p.name + `"`},
 		})
+		part.Write(p.data)
 	}
-	if err == nil {
-		_, err = part.Write(traceBuf.Bytes())
-	}
-	if err == nil {
-		err = mw.Close()
-	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%s: assembling trace response: %v", a.Name, err)
-		return
-	}
+	mw.Close()
 	setTimingHeaders(w, start, renderDur)
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("X-Cache", "BYPASS")

@@ -17,6 +17,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -68,6 +69,9 @@ type entry struct {
 	// filled stamps the fill completion, for TTL expiry.
 	filled time.Time
 }
+
+// ErrFillPanicked is what the followers of a fill that panicked get.
+var ErrFillPanicked = errors.New("cache: fill panicked")
 
 // flight is one in-progress fill; followers wait on done.
 type flight struct {
@@ -184,7 +188,7 @@ func (c *Cache) Peek(key string) (Entry, bool) {
 // runs, the rest block and receive its result. hit reports whether the
 // caller was served without running fill itself (a cache hit or a
 // shared in-flight fill). Errors are not cached — a later caller
-// retries the fill.
+// retries the fill — and neither is a fill that panics.
 func (c *Cache) GetOrFill(key string, fill func() ([]byte, error)) (e Entry, hit bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -205,9 +209,22 @@ func (c *Cache) GetOrFill(key string, fill func() ([]byte, error)) (e Entry, hit
 		return f.val, true, f.err
 	}
 	c.stats.Misses++
-	f := &flight{done: make(chan struct{})}
+	// The flight carries ErrFillPanicked until fill returns, and
+	// completes in a defer: if fill panics, followers get that error
+	// instead of blocking forever and the key stays retryable, while the
+	// panic itself carries on up the leader's stack.
+	f := &flight{done: make(chan struct{}), err: ErrFillPanicked}
 	c.inflight[key] = f
 	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.inflight, key)
+		if f.err == nil {
+			c.add(key, f.val)
+		}
+		c.mu.Unlock()
+		close(f.done)
+	}()
 
 	body, err := fill()
 	if err == nil {
@@ -215,14 +232,6 @@ func (c *Cache) GetOrFill(key string, fill func() ([]byte, error)) (e Entry, hit
 		f.val = Entry{Body: body, ContentHash: hex.EncodeToString(sum[:])}
 	}
 	f.err = err
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if err == nil {
-		c.add(key, f.val)
-	}
-	c.mu.Unlock()
-	close(f.done)
 	return f.val, false, err
 }
 

@@ -1,10 +1,12 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"swallow/internal/core"
 	"swallow/internal/harness"
@@ -162,5 +164,49 @@ func TestOversizedEntryStillServable(t *testing.T) {
 	}
 	if _, ok := c.Get("big"); !ok {
 		t.Fatal("an oversized entry must still be kept (never evict the only entry)")
+	}
+}
+
+// TestPanickingFillCompletesItsFlight: a fill that panics takes its own
+// caller down the stack, but the follower waiting on it gets an error
+// instead of blocking forever, and the key is retryable afterwards.
+func TestPanickingFillCompletesItsFlight(t *testing.T) {
+	c := New(0, 0)
+	entered, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		c.GetOrFill("k", func() ([]byte, error) {
+			close(entered)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-entered
+	follower := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetOrFill("k", func() ([]byte, error) { return []byte("follower ran its own fill"), nil })
+		follower <- err
+	}()
+	// Let the follower reach the flight (it books a shared fill) before
+	// the leader blows up; a follower that arrives later simply refills.
+	for c.Stats().Shared == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if p := <-leader; p != "boom" {
+		t.Fatalf("leader recovered %v, want the fill's own panic", p)
+	}
+	select {
+	case err := <-follower:
+		if !errors.Is(err, ErrFillPanicked) {
+			t.Fatalf("follower got %v, want ErrFillPanicked", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower still blocked on the panicked fill")
+	}
+	e, hit, err := c.GetOrFill("k", func() ([]byte, error) { return []byte("retry"), nil })
+	if err != nil || hit || string(e.Body) != "retry" {
+		t.Fatalf("retry after panic: body=%q hit=%v err=%v", e.Body, hit, err)
 	}
 }

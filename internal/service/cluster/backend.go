@@ -1,28 +1,27 @@
-// Package cluster turns the single-process serving layer into a
-// sharded fleet. It has three parts:
+// Package cluster is the serving layer's request core and its fleet.
 //
-//   - Local and Remote: Local renders an artifact or a scenario under
-//     a harness.Config in this process, against the harness registry
-//     (the worker API's one way to run a render); Remote is the
-//     router's HTTP client to one running swallow-serve — forwarding
-//     with bounded retry, and health probes.
+//   - Resolver (resolve.go): a request in any spelling the API accepts
+//     — name + query string, spec bytes + query string, job JSON body —
+//     becomes one Target: the artifact to run, the projected config,
+//     and the one key the memory cache, the disk store, the peer ask
+//     and the hash ring all file it under. The worker API and the
+//     Router call the same Resolver, so the routing key is the cache
+//     key by construction. Local is resolve + run in this process.
 //
 //   - Ring: a consistent hash ring with replicated virtual nodes over
-//     worker names. Requests are keyed by the same canonical content
-//     hash the result cache uses — sha256 of (artifact, projected
-//     Config) or of a scenario spec — so each worker's LRU cache and
+//     worker names. Keys are Target.Key, so each worker's LRU cache and
 //     shape-keyed machine pool specialize on a stable slice of the
 //     keyspace, and membership changes move only ~K/N keys.
 //
-//   - Router: an http.Handler fronting N workers. It routes
-//     /artifacts, /scenarios (inline and named) and /jobs by ring
-//     lookup, fails over to the ring successor when the owner is down
-//     or draining, hands each worker an X-Swallow-Peers hint (the
-//     key's other ring members) so a failover target can fill its
-//     cache from the old owner's persistent store instead of
-//     re-simulating, probes worker health periodically, accepts
+//   - Router and Remote: an http.Handler fronting N workers, and its
+//     HTTP client to one of them. Every forwarded endpoint is a key
+//     extractor in front of one forward: ring lookup, failover to the
+//     ring successor when the owner is down or draining, an
+//     X-Swallow-Peers hint (the key's other ring members) so a failover
+//     target fills its cache from the old owner's store instead of
+//     re-simulating. The Router also probes worker health, accepts
 //     registrations (POST /join) and drains (POST /leave), forwards
-//     X-Request-ID, stamps X-Worker, and serves merged /metrics and
+//     X-Request-ID, stamps X-Worker, and serves its own /metrics and
 //     /healthz.
 //
 // Determinism makes routing purely a cache/pool-affinity
@@ -34,21 +33,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
-	"fmt"
-	"net/url"
-	"strconv"
-	"strings"
 	"time"
 
 	"swallow/internal/harness"
 	"swallow/internal/scenario"
-	"swallow/internal/service/cache"
 )
-
-// ErrUnknownArtifact marks render requests naming an artifact the
-// registry does not hold. Servers map it to 404.
-var ErrUnknownArtifact = errors.New("cluster: unknown artifact")
 
 // Request names one render: a registered artifact or an inline
 // scenario spec (exclusive), plus the harness config to render under.
@@ -60,7 +49,7 @@ type Request struct {
 	// exclusive with Artifact.
 	Scenario *scenario.Spec
 	// Config is the render configuration; Render projects it onto the
-	// knobs the artifact reads before running, and runs under its Env.
+	// knobs the artifact reads, and the run executes under its Env.
 	Config harness.Config
 }
 
@@ -70,9 +59,6 @@ type Result struct {
 	Body []byte
 	// ContentHash is the hex sha256 of Body (the HTTP ETag value).
 	ContentHash string
-	// ScenarioHash is the spec's canonical content hash for scenario
-	// renders, empty for named artifacts.
-	ScenarioHash string
 	// RenderMicros is the simulation time.
 	RenderMicros int64
 	// Metrics are the artifact's named headline quantities, when the
@@ -87,7 +73,8 @@ const (
 	StateDraining = "draining"
 )
 
-// Health is a worker liveness snapshot.
+// Health is a worker liveness snapshot: what GET /healthz writes and
+// Remote.Healthz reads.
 type Health struct {
 	// State is StateOK for a serving worker, StateDraining while it
 	// is shutting down gracefully (routers must stop sending work).
@@ -98,117 +85,47 @@ type Health struct {
 	QueueDepth int `json:"queue_depth"`
 }
 
-// Local runs renders in this process, directly against the harness
-// registry and the scenario compiler.
+// Local runs renders in this process: resolve, then run.
 type Local struct{}
 
 // NewLocal returns the in-process renderer.
 func NewLocal() *Local { return &Local{} }
 
-// Render runs the artifact or scenario synchronously in this process.
+// Render resolves the Request spelling — the thing named, under
+// req.Config as given — and runs it synchronously in this process.
 func (l *Local) Render(_ context.Context, req Request) (Result, error) {
-	var (
-		a    *harness.Artifact
-		hash string
-	)
+	var t Target
+	var err error
 	if req.Scenario != nil {
-		c, err := scenario.Compile(*req.Scenario)
-		if err != nil {
-			return Result{}, err
-		}
-		a, hash = c.Artifact, c.Hash
+		t, err = compile(*req.Scenario)
 	} else {
-		if a = harness.Lookup(req.Artifact); a == nil {
-			return Result{}, fmt.Errorf("%w: %q", ErrUnknownArtifact, req.Artifact)
-		}
+		t, err = lookup(req.Artifact)
 	}
-	cfg := a.Project(req.Config)
+	if err != nil {
+		return Result{}, err
+	}
+	return t.under(req.Config).Run()
+}
+
+// Run simulates the target and renders its table — the only place the
+// serving layer runs an artifact outside a ?trace=1 request.
+func (t Target) Run() (Result, error) {
 	start := time.Now()
-	res, err := a.Run(cfg)
+	res, err := t.Artifact.Run(t.Config)
 	if err != nil {
 		return Result{}, err
 	}
 	dur := time.Since(start)
-	body := []byte(a.Render(res).String())
+	body := []byte(t.Artifact.Render(res).String())
 	var metrics map[string]float64
-	if a.Metrics != nil {
-		metrics = a.Metrics(res)
+	if t.Artifact.Metrics != nil {
+		metrics = t.Artifact.Metrics(res)
 	}
 	sum := sha256.Sum256(body)
 	return Result{
 		Body:         body,
 		ContentHash:  hex.EncodeToString(sum[:]),
-		ScenarioHash: hash,
 		RenderMicros: dur.Microseconds(),
 		Metrics:      metrics,
 	}, nil
-}
-
-// ConfigFromQuery derives a render config from URL query parameters:
-// quick=1 swaps the base config for quick, iters / payloads /
-// placements override the corresponding Config fields. It is the one
-// query dialect of the serving layer — the worker API uses it to
-// parse requests and the router uses it to compute the same affinity
-// key the worker will cache under.
-func ConfigFromQuery(def, quick harness.Config, q url.Values) (harness.Config, error) {
-	cfg := def
-	if v := q.Get("quick"); v != "" {
-		on, err := strconv.ParseBool(v)
-		if err != nil {
-			return cfg, fmt.Errorf("bad quick=%q: %v", v, err)
-		}
-		if on {
-			cfg = quick
-		}
-	}
-	if v := q.Get("iters"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			return cfg, fmt.Errorf("bad iters=%q: want a positive integer", v)
-		}
-		cfg.Iters = n
-	}
-	if v := q.Get("payloads"); v != "" {
-		var payloads []int
-		for _, part := range strings.Split(v, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
-				return cfg, fmt.Errorf("bad payloads=%q: want comma-separated positive integers", v)
-			}
-			payloads = append(payloads, n)
-		}
-		cfg.GoodputPayloads = payloads
-	}
-	if v := q.Get("placements"); v != "" {
-		var names []string
-		for _, part := range strings.Split(v, ",") {
-			if part = strings.TrimSpace(part); part != "" {
-				names = append(names, part)
-			}
-		}
-		if len(names) == 0 {
-			return cfg, fmt.Errorf("bad placements=%q: no names", v)
-		}
-		cfg.LatencyPlacements = names
-	}
-	return cfg.Canonical(), nil
-}
-
-// ArtifactKey is the affinity key for rendering a named artifact: the
-// canonical cache key — sha256 over (artifact, projected config) —
-// when the artifact is registered, so the router's routing key equals
-// the owning worker's cache key exactly. Unknown names key on the
-// raw (name, config) pair; every worker will 404 them identically.
-func ArtifactKey(name string, cfg harness.Config) string {
-	if a := harness.Lookup(name); a != nil {
-		cfg = a.Project(cfg)
-	}
-	return cache.Key(name, cfg)
-}
-
-// ScenarioKey is the affinity key for a scenario spec: the canonical
-// cache key over the spec's content hash and the projected config,
-// matching the worker's scenario cache entry.
-func ScenarioKey(c *scenario.Compiled, cfg harness.Config) string {
-	return cache.Key("scenario:"+c.Hash, c.Artifact.Project(cfg))
 }

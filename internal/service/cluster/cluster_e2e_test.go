@@ -130,7 +130,7 @@ func TestLocalBackendMatchesDirect(t *testing.T) {
 // "draining"} is a successful probe reporting drain, not an error.
 func TestRemoteDrainHealthz(t *testing.T) {
 	srv, ts := newWorker(t, api.Options{})
-	remote, err := cluster.NewRemote(ts.URL, cluster.RemoteOptions{})
+	remote, err := cluster.NewRemote(ts.URL, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestRemoteRetryOnConnectFailure(t *testing.T) {
 	flaky.Start()
 	t.Cleanup(flaky.Close)
 
-	remote, err := cluster.NewRemote(flaky.URL, cluster.RemoteOptions{Retries: 3, Backoff: 5 * time.Millisecond})
+	remote, err := cluster.NewRemote(flaky.URL, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestRouterJoinLeave(t *testing.T) {
 	rt, rts := newRouter(t, cluster.RouterOptions{})
 
 	ctx := context.Background()
-	if err := cluster.Join(ctx, rts.URL, w1.URL, 3, 10*time.Millisecond); err != nil {
+	if err := cluster.Join(ctx, rts.URL, w1.URL); err != nil {
 		t.Fatal(err)
 	}
 	name := hostOf(w1.URL)

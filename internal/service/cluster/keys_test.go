@@ -1,0 +1,305 @@
+// Tests the single resolver makes cheap: the keys it derives are the
+// parent commit's, byte for byte; the router and the workers behind it
+// cannot disagree about them; and the real registry renders the same
+// through a routed fleet as it does directly.
+package cluster_test
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	_ "swallow/internal/experiments" // the real registry
+	"swallow/internal/harness"
+	"swallow/internal/service/api"
+	"swallow/internal/service/cluster"
+	"swallow/internal/service/store"
+)
+
+// overrideQuery is the table's one ?iters=&payloads= override, and
+// overrideJob the same thing in a job body's spelling.
+const (
+	overrideQuery = "iters=7&payloads=4,64"
+	overrideJob   = `"config": {"iters": 7, "goodput_payloads": [4, 64]}`
+)
+
+// parentKeys are literal cache keys computed at the parent commit
+// (2dd1d4b) with its own router-side key functions, not regenerated:
+// every registry artifact under the default config, ?quick=1 and
+// overrideQuery, and every examples/scenarios/*.json under the default
+// config and ?quick=1 (over is empty for those). If one of these moves,
+// every cache entry, store file and ring position filed under it is
+// orphaned.
+var parentKeys = []struct{ name, def, quick, over string }{
+	{"ablation-links", "05df7aad7deabcad89c870ff4a6355795bf743419d2dfbc5b1c3a356c5309617", "05df7aad7deabcad89c870ff4a6355795bf743419d2dfbc5b1c3a356c5309617", "05df7aad7deabcad89c870ff4a6355795bf743419d2dfbc5b1c3a356c5309617"},
+	{"ablation-placement", "8898df90efcee9e64b6e2fc1e35e6d2fbc70ff78c1903387d25b78b85cbc185f", "8898df90efcee9e64b6e2fc1e35e6d2fbc70ff78c1903387d25b78b85cbc185f", "8898df90efcee9e64b6e2fc1e35e6d2fbc70ff78c1903387d25b78b85cbc185f"},
+	{"ablation-routing", "8c073201aa2391841208a2e22aad9355358d55493cde9cf5441101f6efd16440", "8c073201aa2391841208a2e22aad9355358d55493cde9cf5441101f6efd16440", "8c073201aa2391841208a2e22aad9355358d55493cde9cf5441101f6efd16440"},
+	{"adc", "137f7a0cac0fc6831db7de9e2438aacb35e3318cbcafb6dc27e8e9e73b0ab7e4", "137f7a0cac0fc6831db7de9e2438aacb35e3318cbcafb6dc27e8e9e73b0ab7e4", "137f7a0cac0fc6831db7de9e2438aacb35e3318cbcafb6dc27e8e9e73b0ab7e4"},
+	{"boot", "df97dd1113ebd5102615a44f30ecc7e3380f723bb52cd6ba98a49659d02f9a58", "df97dd1113ebd5102615a44f30ecc7e3380f723bb52cd6ba98a49659d02f9a58", "df97dd1113ebd5102615a44f30ecc7e3380f723bb52cd6ba98a49659d02f9a58"},
+	{"boot-sweep", "bb762d328434abe11257f391c9b02335bbd044d3d758a896ca062f614757c058", "bb762d328434abe11257f391c9b02335bbd044d3d758a896ca062f614757c058", "bb762d328434abe11257f391c9b02335bbd044d3d758a896ca062f614757c058"},
+	{"bridge", "5f4c01aacfdaf93ad7ce7808a12e18503b46703cbb2623ec5b659189b3602751", "5f4c01aacfdaf93ad7ce7808a12e18503b46703cbb2623ec5b659189b3602751", "5f4c01aacfdaf93ad7ce7808a12e18503b46703cbb2623ec5b659189b3602751"},
+	{"ec", "62582f4ca7de3953d7c5f2f69b0029eeaa3d9311247b7415b50f4bb33a0d0532", "62582f4ca7de3953d7c5f2f69b0029eeaa3d9311247b7415b50f4bb33a0d0532", "62582f4ca7de3953d7c5f2f69b0029eeaa3d9311247b7415b50f4bb33a0d0532"},
+	{"energy", "12d53222c8904b8bf5f49f3b358da8c105e6f765c5b0d7fb022c8bc44566b3c6", "12d53222c8904b8bf5f49f3b358da8c105e6f765c5b0d7fb022c8bc44566b3c6", "12d53222c8904b8bf5f49f3b358da8c105e6f765c5b0d7fb022c8bc44566b3c6"},
+	{"eq2", "a32eaac2285589b701e3f7ba4cf2cd2f7088f38a7f43a6a34e1ba1a622b44bb2", "43afd7942f684e4f8e0d65bfc812f4074505f96848757e5a38ce833eb42985bd", "651aafde72ed9e06af00490b5fa81662c050d4e9163d3c324438049aa954445e"},
+	{"fig1", "e93bc0f3d016d7336d318b2d4389c3c06b661fe594d7e667ddcbc57f4d6c3d8b", "6e9044c9c88c1c800037e787f7e3adae5bc1e8373f132c399b050c6ac14514b1", "11c103056ade8553b3c385d23d6f425716579dae2ded5209c14f54c92073c5d5"},
+	{"fig2", "179651d999ebbb44c47c49039d7d241d9d304f24a66a5ca29e70f065f2c91d1e", "f6c9df46c1801f706ffbb69a29293830b6f444fd23c959d19f2dbc752283916b", "6215de7deff8b8b9eda04a545e68a27412b7b05829d28a94581947f00caafc31"},
+	{"fig3", "28e434f3b9f347c03204248db9aedc3d348e5b4494c92baaf4b779fc6cfe6ede", "e08dabad18356befbf126e40ce97778d105d357441b74c520a36c8509039f301", "3757707e0d9bad84bff5b10398ee23efb63cead0aad8a118cdf0e5d360f96041"},
+	{"fig4", "5482176131451dbfea2608c226409a94d73ec19c7c168dcf10608dbdd905f73c", "b5562c635980ce7eb6ecb7bbf2a5caf026f69ac7ab08d44fe6483a84255bc287", "800a57de713b1b1afb09f8a16baf02073090282a5b75a129319d0d4df0af7d1e"},
+	{"goodput", "56094b22aeeb2d1d02315a0a3af35a4978d6e400aae92350494eb0d29fbbfaac", "56094b22aeeb2d1d02315a0a3af35a4978d6e400aae92350494eb0d29fbbfaac", "213721702550900a07cee35acb3bf4e4b24e0d4015b57fb40e17bded20141d90"},
+	{"latency", "7574c80621c823b62460e53515aa7955f0d13411ed673460928147458f9eb657", "7574c80621c823b62460e53515aa7955f0d13411ed673460928147458f9eb657", "7574c80621c823b62460e53515aa7955f0d13411ed673460928147458f9eb657"},
+	{"placement", "19a4fe801c1866d16b26fdb7b17debfe617e5e08a783e1d917fea3b1ce173623", "19a4fe801c1866d16b26fdb7b17debfe617e5e08a783e1d917fea3b1ce173623", "19a4fe801c1866d16b26fdb7b17debfe617e5e08a783e1d917fea3b1ce173623"},
+	{"survey-ec", "49181af8eb09589b0ae85f2f772d8db77876b38f26c68ed01f8d363fb0a65fc3", "49181af8eb09589b0ae85f2f772d8db77876b38f26c68ed01f8d363fb0a65fc3", "49181af8eb09589b0ae85f2f772d8db77876b38f26c68ed01f8d363fb0a65fc3"},
+	{"table1", "c5a0f8daa4cb4b26f5689ce53cd05e55ec2add95565bc946a74734f9cfae3dc6", "c5a0f8daa4cb4b26f5689ce53cd05e55ec2add95565bc946a74734f9cfae3dc6", "c5a0f8daa4cb4b26f5689ce53cd05e55ec2add95565bc946a74734f9cfae3dc6"},
+	{"table2", "cdf3027b9b9729fce6bc294fffc4ec88ce6ae8e77d858124f0009ee37e7abd7d", "cdf3027b9b9729fce6bc294fffc4ec88ce6ae8e77d858124f0009ee37e7abd7d", "cdf3027b9b9729fce6bc294fffc4ec88ce6ae8e77d858124f0009ee37e7abd7d"},
+	{"table3", "7178832b38c8e652aad59f66e2ed9e8f3602eed6600a1066ee6dd5e83e47e38b", "7178832b38c8e652aad59f66e2ed9e8f3602eed6600a1066ee6dd5e83e47e38b", "7178832b38c8e652aad59f66e2ed9e8f3602eed6600a1066ee6dd5e83e47e38b"},
+	{"goodput.json", "2cc45f0c9314ab71ae802f612c65b83c80b5fc69158a747691e91b74ed17399e", "2cc45f0c9314ab71ae802f612c65b83c80b5fc69158a747691e91b74ed17399e", ""},
+	{"pipeline-dvfs.json", "1287750773f82dd059ca183bbb65d9d9907d80b9236a26901c43ffdc715d2732", "1287750773f82dd059ca183bbb65d9d9907d80b9236a26901c43ffdc715d2732", ""},
+}
+
+// isSpec tells a scenario row (an examples/scenarios file) from an
+// artifact row.
+func isSpec(name string) bool { return strings.HasSuffix(name, ".json") }
+
+func readSpec(t *testing.T, name string) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("../../../examples/scenarios", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// jobBody spells one table cell as a POST /jobs body.
+func jobBody(t *testing.T, name, query string) string {
+	what := fmt.Sprintf(`"artifact": %q`, name)
+	if isSpec(name) {
+		what = `"scenario": ` + string(readSpec(t, name))
+	}
+	switch query {
+	case "quick=1":
+		what += `, "quick": true`
+	case overrideQuery:
+		what += ", " + overrideJob
+	}
+	return "{" + what + "}"
+}
+
+// TestKeysDidNotMove: the resolver's key, in every spelling, equals the
+// parent's for the whole table — and the table covers the whole
+// registry and every example spec.
+func TestKeysDidNotMove(t *testing.T) {
+	rs := cluster.NewResolver(harness.Config{}, harness.Config{})
+	seen := map[string]bool{}
+	for _, row := range parentKeys {
+		seen[row.name] = true
+		for query, want := range map[string]string{"": row.def, "quick=1": row.quick, overrideQuery: row.over} {
+			if want == "" {
+				continue
+			}
+			q, _ := url.ParseQuery(query)
+			var sync cluster.Target
+			var err error
+			if isSpec(row.name) {
+				sync, err = rs.Scenario(readSpec(t, row.name), q)
+			} else {
+				sync, err = rs.Artifact(row.name, q)
+			}
+			if err != nil {
+				t.Fatalf("%s?%s: %v", row.name, query, err)
+			}
+			job, err := rs.Job([]byte(jobBody(t, row.name, query)))
+			if err != nil {
+				t.Fatalf("%s?%s as a job: %v", row.name, query, err)
+			}
+			if sync.Key != want || job.Key != want {
+				t.Errorf("%s?%s: key moved\n sync %s\n  job %s\n want %s", row.name, query, sync.Key, job.Key, want)
+			}
+		}
+	}
+	for _, name := range harness.Names() {
+		if !seen[name] && name != "echo" && name != "const" && name != "fail" {
+			t.Errorf("registry artifact %q has no row in parentKeys", name)
+		}
+	}
+	specs, _ := filepath.Glob("../../../examples/scenarios/*.json")
+	for _, f := range specs {
+		if !seen[filepath.Base(f)] {
+			t.Errorf("%s has no row in parentKeys", f)
+		}
+	}
+}
+
+// fleet is a router in front of two disk-backed workers, plus what a
+// test needs to check where a key went: each worker's store, and a
+// ring built independently of the router's.
+type fleet struct {
+	url    string
+	stores map[string]*store.Store
+	ring   *cluster.Ring
+}
+
+func newFleet(t *testing.T) fleet {
+	f := fleet{stores: map[string]*store.Store{}, ring: cluster.NewRing(0)}
+	var urls []string
+	for i := 0; i < 2; i++ {
+		st := storeFor(t)
+		_, w := newWorker(t, api.Options{Store: st})
+		f.stores[hostOf(w.URL)] = st
+		f.ring.Add(hostOf(w.URL))
+		urls = append(urls, w.URL)
+	}
+	_, rts := newRouter(t, cluster.RouterOptions{}, urls...)
+	f.url = rts.URL
+	return f
+}
+
+// do sends one request through the router: a GET, or a POST of body.
+func (f fleet) do(t *testing.T, path, body string) (*http.Response, string) {
+	t.Helper()
+	if body == "" {
+		return get(t, f.url+path)
+	}
+	resp, err := http.Post(f.url+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return resp, string(blob)
+}
+
+// filedUnder asserts the worker that answered resp is the one the ring
+// puts key on, and that its store holds the result under exactly key.
+func (f fleet) filedUnder(t *testing.T, what string, resp *http.Response, key string) {
+	t.Helper()
+	worker := resp.Header.Get("X-Worker")
+	if owner := f.ring.Sequence(key)[0]; worker != owner {
+		t.Errorf("%s: served by %s, but its key belongs to %s: the router hashed something else", what, worker, owner)
+	}
+	if _, ok := f.stores[worker].Get(key); !ok {
+		t.Errorf("%s: worker %s holds nothing under the key: it filed the result under something else", what, worker)
+	}
+}
+
+// TestRouterAndWorkerCannotDisagree: for the key table, what the router
+// hashes is what the worker files under, in all three spellings — the
+// repeat of a request is a HIT on the same worker, a job lands where
+// its synchronous twin does — and what does not resolve is relayed from
+// a worker verbatim.
+func TestRouterAndWorkerCannotDisagree(t *testing.T) {
+	f := newFleet(t)
+	for _, row := range parentKeys {
+		// The default-config cells of the iteration-driven figures cost
+		// seconds each; quick and the override exercise the same code.
+		for query, key := range map[string]string{"quick=1": row.quick, overrideQuery: row.over} {
+			if key == "" {
+				continue
+			}
+			what, path, body := row.name+"?"+query, "/artifacts/"+row.name+"?"+query, ""
+			if isSpec(row.name) {
+				path, body = "/scenarios?"+query, string(readSpec(t, row.name))
+			}
+			first, want := f.do(t, path, body)
+			if first.StatusCode != http.StatusOK {
+				t.Fatalf("%s: %s: %s", what, first.Status, want)
+			}
+			f.filedUnder(t, what, first, key)
+			again, got := f.do(t, path, body)
+			if again.Header.Get("X-Worker") != first.Header.Get("X-Worker") || again.Header.Get("X-Cache") != "HIT" || got != want {
+				t.Errorf("%s repeated: worker %s, X-Cache %s; want %s, HIT, same body", what,
+					again.Header.Get("X-Worker"), again.Header.Get("X-Cache"), first.Header.Get("X-Worker"))
+			}
+			job, blob := f.do(t, "/jobs", jobBody(t, row.name, query))
+			if job.StatusCode != http.StatusAccepted || job.Header.Get("X-Worker") != first.Header.Get("X-Worker") {
+				t.Errorf("%s as a job: %s on %s; want 202 on its twin's worker %s: %s", what,
+					job.Status, job.Header.Get("X-Worker"), first.Header.Get("X-Worker"), blob)
+			}
+		}
+	}
+
+	// A job on a cold key files under the table's key too.
+	row := parentKeys[0]
+	resp, blob := f.do(t, "/jobs", jobBody(t, row.name, ""))
+	var view struct{ ID, Status, Error string }
+	if err := json.Unmarshal([]byte(blob), &view); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("cold job: %s: %s", resp.Status, blob)
+	}
+	for deadline := time.Now().Add(10 * time.Second); view.Status != "done"; {
+		if view.Status == "failed" || time.Now().After(deadline) {
+			t.Fatalf("cold job did not finish: %+v", view)
+		}
+		time.Sleep(5 * time.Millisecond)
+		_, blob = f.do(t, "/jobs/"+view.ID, "")
+		json.Unmarshal([]byte(blob), &view)
+	}
+	f.filedUnder(t, row.name+" as a cold job", resp, row.def)
+
+	for _, bad := range []struct{ what, path, body string }{
+		{"malformed spec", "/scenarios", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"blob"},"sweep":[{"param":"links","ints":[1]}]}`},
+		{"unknown artifact", "/artifacts/no-such-table", ""},
+		{"bad iters", "/artifacts/fig3?iters=banana", ""},
+	} {
+		routed, got := f.do(t, bad.path, bad.body)
+		direct, want := fleet{url: "http://" + routed.Header.Get("X-Worker")}.do(t, bad.path, bad.body)
+		if routed.StatusCode != direct.StatusCode || got != want || routed.StatusCode < 400 || routed.StatusCode >= 500 {
+			t.Errorf("%s: routed %s %q; the worker itself says %s %q", bad.what, routed.Status, got, direct.Status, want)
+		}
+	}
+}
+
+// TestRoutedRegistryGolden: every registry artifact, rendered through
+// a router and two workers, is the table the registry renders directly.
+func TestRoutedRegistryGolden(t *testing.T) {
+	f := newFleet(t)
+	for _, row := range parentKeys {
+		if isSpec(row.name) {
+			continue
+		}
+		a := harness.Lookup(row.name)
+		want, err := a.Table(a.Project(harness.QuickConfig()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, got := f.do(t, "/artifacts/"+row.name+"?quick=1", "")
+		if resp.StatusCode != http.StatusOK || got != want.String() {
+			t.Errorf("%s through the fleet: %s\n%s\nwant\n%s", row.name, resp.Status, got, want)
+		}
+	}
+}
+
+// TestRouterJobPollStreams: a finished job's view is relayed whole
+// however large its result — the router streams polls instead of
+// buffering (and cutting) them.
+func TestRouterJobPollStreams(t *testing.T) {
+	view := `{"id": "job-1", "status": "done", "result": "` + strings.Repeat("x", 5<<20) + `"}`
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/healthz":
+			io.WriteString(w, `{"state": "ok"}`)
+		case r.Method == http.MethodPost:
+			w.WriteHeader(http.StatusAccepted)
+			io.WriteString(w, `{"id": "job-1", "status": "queued"}`)
+		default:
+			io.WriteString(w, view)
+		}
+	}))
+	t.Cleanup(stub.Close)
+	_, rts := newRouter(t, cluster.RouterOptions{}, stub.URL)
+	resp, err := http.Post(rts.URL+"/jobs", "application/json", strings.NewReader(`{"artifact": "const"}`))
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %v, %v", resp, err)
+	}
+	resp.Body.Close()
+	_, got := get(t, rts.URL+"/jobs/job-1")
+	if got != view {
+		t.Fatalf("poll relayed %d of %d bytes", len(got), len(view))
+	}
+}

@@ -13,35 +13,28 @@ import (
 	"time"
 )
 
-// RemoteOptions tunes a Remote. Zero fields take the stated defaults.
-type RemoteOptions struct {
-	// Timeout bounds one HTTP exchange end to end (default 2m —
-	// renders simulate).
-	Timeout time.Duration
-	// Retries is how many times a request is re-sent after a
-	// transport-level failure (connect refused, reset before any
-	// response); default 2. Worker-returned statuses are never
-	// retried — a 400 or 429 is an answer, not a failure.
-	Retries int
-	// Backoff is the first retry delay, doubling per attempt
-	// (default 50ms).
-	Backoff time.Duration
-}
+// Transport-level failures (connect refused, reset before any
+// response) are re-sent sendRetries times, the first after
+// retryBackoff, doubling per attempt. Worker-returned statuses are
+// never retried — a 400 or 429 is an answer, not a failure.
+const (
+	sendRetries  = 2
+	retryBackoff = 50 * time.Millisecond
+)
 
 // Remote is the router's client to one swallow-serve worker: requests
 // forwarded over its public API with per-worker connection reuse (a
-// dedicated pooled transport), request timeouts, and bounded
+// dedicated pooled transport), a request timeout, and bounded
 // retry-with-backoff on connect failure.
 type Remote struct {
-	base    *url.URL
-	client  *http.Client
-	retries int
-	backoff time.Duration
+	base   *url.URL
+	client *http.Client
 }
 
 // NewRemote builds a Remote for the worker at baseURL
-// (e.g. http://127.0.0.1:8081).
-func NewRemote(baseURL string, opts RemoteOptions) (*Remote, error) {
+// (e.g. http://127.0.0.1:8081). timeout bounds one HTTP exchange end
+// to end (<= 0: 2m — renders simulate).
+func NewRemote(baseURL string, timeout time.Duration) (*Remote, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: bad worker url %q: %v", baseURL, err)
@@ -49,16 +42,8 @@ func NewRemote(baseURL string, opts RemoteOptions) (*Remote, error) {
 	if u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("cluster: bad worker url %q: need scheme://host:port", baseURL)
 	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 2 * time.Minute
-	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
-	} else if opts.Retries == 0 {
-		opts.Retries = 2
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 50 * time.Millisecond
+	if timeout <= 0 {
+		timeout = 2 * time.Minute
 	}
 	transport := &http.Transport{
 		// One worker behind this transport: keep a healthy idle pool
@@ -71,12 +56,7 @@ func NewRemote(baseURL string, opts RemoteOptions) (*Remote, error) {
 			KeepAlive: 30 * time.Second,
 		}).DialContext,
 	}
-	return &Remote{
-		base:    u,
-		client:  &http.Client{Transport: transport, Timeout: opts.Timeout},
-		retries: opts.Retries,
-		backoff: opts.Backoff,
-	}, nil
+	return &Remote{base: u, client: &http.Client{Transport: transport, Timeout: timeout}}, nil
 }
 
 // Name identifies the worker: its host:port.
@@ -84,17 +64,6 @@ func (r *Remote) Name() string { return r.base.Host }
 
 // URL returns the worker base URL string.
 func (r *Remote) URL() string { return r.base.String() }
-
-// retryable reports whether err is a transport-level failure worth
-// re-sending: the worker never saw (or never answered) the request.
-// Context cancellation and deadline expiry are the caller's call to
-// stop, not a worker fault.
-func retryable(err error) bool {
-	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	return true
-}
 
 // Do sends one request to the worker with bounded
 // retry-with-backoff on transport failure. body may be nil; it must
@@ -105,8 +74,8 @@ func (r *Remote) Do(ctx context.Context, method, path string, query url.Values, 
 	u.Path = path
 	u.RawQuery = query.Encode()
 	var lastErr error
-	backoff := r.backoff
-	for attempt := 0; attempt <= r.retries; attempt++ {
+	backoff := retryBackoff
+	for attempt := 0; attempt <= sendRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
@@ -131,7 +100,9 @@ func (r *Remote) Do(ctx context.Context, method, path string, query url.Values, 
 			return resp, nil
 		}
 		lastErr = err
-		if !retryable(err) {
+		// The worker never answered: worth re-sending — unless the
+		// caller cancelled or ran out of time, which is no worker fault.
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			break
 		}
 	}
@@ -161,18 +132,8 @@ func (r *Remote) Healthz(ctx context.Context) (Health, error) {
 	}
 	defer resp.Body.Close()
 	var h Health
-	blob, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	_ = json.Unmarshal(blob, &h)
-	if h.State == "" {
-		// Older workers answer without a state field; infer from the
-		// status code.
-		if resp.StatusCode == http.StatusOK {
-			h.State = StateOK
-		} else {
-			h.State = StateDraining
-		}
-	}
-	if resp.StatusCode != http.StatusOK && h.State == StateOK {
+	_ = json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&h)
+	if resp.StatusCode != http.StatusOK && h.State != StateDraining {
 		return Health{}, fmt.Errorf("cluster: healthz on %s: %s", r.Name(), resp.Status)
 	}
 	return h, nil

@@ -84,16 +84,6 @@ func (r *Ring) Len() int { return len(r.members) }
 // VNodes is the virtual-node count.
 func (r *Ring) VNodes() int { return len(r.vnodes) }
 
-// Members lists the members in name order.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Owner returns the first member at or clockwise after key's ring
 // position that satisfies ok (nil ok accepts every member). The
 // second return is false when no member qualifies. The owner chain is

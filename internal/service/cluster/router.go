@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -14,12 +13,7 @@ import (
 	"time"
 
 	"swallow/internal/harness"
-	"swallow/internal/scenario"
 )
-
-// maxBodyBytes bounds a forwarded POST body, mirroring the worker
-// API's spec bound.
-const maxBodyBytes = 1 << 20
 
 // maxJobRoutes bounds the job-ID → worker affinity table.
 const maxJobRoutes = 4096
@@ -37,16 +31,7 @@ const (
 )
 
 func (s workerState) String() string {
-	switch s {
-	case stateJoining:
-		return "joining"
-	case stateHealthy:
-		return "healthy"
-	case stateDraining:
-		return "draining"
-	default:
-		return "down"
-	}
+	return [...]string{"joining", "healthy", "draining", "down"}[s]
 }
 
 // worker is the router's record of one swallow-serve process. All
@@ -68,9 +53,9 @@ type worker struct {
 // RouterOptions configures a Router. Zero fields take the stated
 // defaults.
 type RouterOptions struct {
-	// DefaultConfig / QuickConfig mirror the fronted workers' configs
-	// so the router derives the same affinity key the worker caches
-	// under. Zero means harness.DefaultConfig() / QuickConfig().
+	// DefaultConfig / QuickConfig must equal the fronted workers', so
+	// the router's Resolver derives the key the worker files under.
+	// Zero means harness.DefaultConfig() / QuickConfig().
 	DefaultConfig harness.Config
 	QuickConfig   harness.Config
 	// Replicas is the ring's virtual nodes per worker (<= 0: 128).
@@ -97,9 +82,9 @@ type RouterOptions struct {
 // /metrics), so clients cannot tell a fleet from a process — except
 // for the X-Worker header naming who rendered.
 type Router struct {
-	def, quick harness.Config
-	opts       RouterOptions
-	mux        *http.ServeMux
+	resolver Resolver
+	opts     RouterOptions
+	mux      *http.ServeMux
 
 	mu      sync.Mutex
 	workers map[string]*worker
@@ -116,18 +101,11 @@ type Router struct {
 
 	stop     chan struct{}
 	stopOnce sync.Once
-	started  time.Time
 }
 
 // NewRouter builds a Router with no workers; add them with AddWorker
 // or let them register via POST /join, then Start the probe loop.
 func NewRouter(opts RouterOptions) *Router {
-	if opts.DefaultConfig.Iters == 0 {
-		opts.DefaultConfig.Iters = harness.DefaultConfig().Iters
-	}
-	if opts.QuickConfig.Iters == 0 {
-		opts.QuickConfig.Iters = harness.QuickConfig().Iters
-	}
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = time.Second
 	}
@@ -137,32 +115,55 @@ func NewRouter(opts RouterOptions) *Router {
 	if opts.ProbeFailLimit <= 0 {
 		opts.ProbeFailLimit = 2
 	}
-	if opts.ForwardTimeout <= 0 {
-		opts.ForwardTimeout = 2 * time.Minute
-	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
 	rt := &Router{
-		def:     opts.DefaultConfig,
-		quick:   opts.QuickConfig,
-		opts:    opts,
-		mux:     http.NewServeMux(),
-		workers: make(map[string]*worker),
-		ring:    NewRing(opts.Replicas),
-		jobs:    make(map[string]string),
-		stop:    make(chan struct{}),
-		started: time.Now(),
+		resolver: NewResolver(opts.DefaultConfig, opts.QuickConfig),
+		opts:     opts,
+		mux:      http.NewServeMux(),
+		workers:  make(map[string]*worker),
+		ring:     NewRing(opts.Replicas),
+		jobs:     make(map[string]string),
+		stop:     make(chan struct{}),
 	}
-	rt.mux.HandleFunc("GET /artifacts", rt.handleIndex)
-	rt.mux.HandleFunc("GET /artifacts/{name}", rt.handleArtifact)
-	rt.mux.HandleFunc("POST /scenarios", rt.handleScenario)
-	rt.mux.HandleFunc("GET /scenarios", rt.handleScenarioIndex)
-	rt.mux.HandleFunc("PUT /scenarios/{name}", rt.handleScenarioNamed)
-	rt.mux.HandleFunc("GET /scenarios/{name}", rt.handleScenarioNamed)
-	rt.mux.HandleFunc("GET /scenarios/{name}/versions", rt.handleScenarioNamed)
-	rt.mux.HandleFunc("GET /cache/{key}", rt.handleCacheGet)
-	rt.mux.HandleFunc("POST /jobs", rt.handleJobSubmit)
+	// Every forwarded endpoint is a key extractor in front of forward.
+	// Renders key on what the Resolver says the worker files them
+	// under, so repeats of one request land on one warm worker. The two
+	// indexes key on a constant, for a stable view while membership
+	// holds (pinned names are per-worker state). Everything about a
+	// pinned name keys on the name alone, so the pin and every later
+	// render of it land on the one worker that knows the binding. A
+	// raw cache read keys on the key itself: its owner most likely
+	// holds it.
+	resolved := func(t Target, err error) (string, error) { return t.Key, err }
+	fixed := func(key string) keyFunc {
+		return func(*http.Request, []byte) (string, error) { return key, nil }
+	}
+	byName := func(r *http.Request, _ []byte) (string, error) {
+		return "scenario-name:" + r.PathValue("name"), nil
+	}
+	for pattern, key := range map[string]keyFunc{
+		"GET /artifacts": fixed("artifacts-index"),
+		"GET /artifacts/{name}": func(r *http.Request, _ []byte) (string, error) {
+			return resolved(rt.resolver.Artifact(r.PathValue("name"), r.URL.Query()))
+		},
+		"POST /scenarios": func(r *http.Request, body []byte) (string, error) {
+			return resolved(rt.resolver.Scenario(body, r.URL.Query()))
+		},
+		"GET /scenarios":                 fixed("scenarios-index"),
+		"PUT /scenarios/{name}":          byName,
+		"GET /scenarios/{name}":          byName,
+		"GET /scenarios/{name}/versions": byName,
+		"GET /cache/{key}": func(r *http.Request, _ []byte) (string, error) {
+			return r.PathValue("key"), nil
+		},
+		"POST /jobs": func(_ *http.Request, body []byte) (string, error) {
+			return resolved(rt.resolver.Job(body))
+		},
+	} {
+		rt.mux.HandleFunc(pattern, rt.forward(key))
+	}
 	rt.mux.HandleFunc("GET /jobs/{id}", rt.handleJobGet)
 	rt.mux.HandleFunc("POST /join", rt.handleJoin)
 	rt.mux.HandleFunc("POST /leave", rt.handleLeave)
@@ -177,7 +178,7 @@ func NewRouter(opts RouterOptions) *Router {
 // routable until a probe sees it healthy; call ProbeAll (or wait for
 // the loop) to admit it.
 func (rt *Router) AddWorker(baseURL string) (string, error) {
-	remote, err := NewRemote(baseURL, RemoteOptions{Timeout: rt.opts.ForwardTimeout})
+	remote, err := NewRemote(baseURL, rt.opts.ForwardTimeout)
 	if err != nil {
 		return "", err
 	}
@@ -239,18 +240,15 @@ func (rt *Router) probe(wk *worker) {
 	defer rt.mu.Unlock()
 	wk.probeRTT = rtt
 	prev := wk.state
-	if err != nil {
-		wk.fails++
-		if wk.fails >= rt.opts.ProbeFailLimit && wk.state != stateDown {
+	switch {
+	case err != nil:
+		if wk.fails++; wk.fails >= rt.opts.ProbeFailLimit {
 			wk.state = stateDown
 		}
-	} else {
-		wk.fails = 0
-		if h.State == StateDraining {
-			wk.state = stateDraining
-		} else {
-			wk.state = stateHealthy
-		}
+	case h.State == StateDraining:
+		wk.fails, wk.state = 0, stateDraining
+	default:
+		wk.fails, wk.state = 0, stateHealthy
 	}
 	if wk.state != prev {
 		rt.opts.Logf("worker %s: %v -> %v", wk.name, prev, wk.state)
@@ -271,47 +269,36 @@ func (rt *Router) markDown(wk *worker) {
 	}
 }
 
-// candidates returns the healthy workers in ring order from key: the
-// owner first, then its failover successors. Draining and down
-// workers are never returned while a healthy one exists — the drain
-// contract the rebalance tests pin.
-func (rt *Router) candidates(key string) []*worker {
+// plan reads key's ring sequence once, for two things. cands are the
+// healthy workers in ring order: the owner first, then its failover
+// successors; draining and down workers are never candidates while a
+// healthy one exists — the drain contract the rebalance tests pin.
+// urls are every member's base URL in the same order, the pool peer
+// cache-fill hints are drawn from; there every state qualifies: a
+// draining worker still answers GET /cache/{key}, and a "down" worker
+// may be back up with a warm store before the probe loop notices (the
+// worker's peer ask just times out if not).
+func (rt *Router) plan(key string) (cands []*worker, urls []string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	seq := rt.ring.Sequence(key)
-	out := make([]*worker, 0, len(seq))
-	for _, name := range seq {
-		if wk := rt.workers[name]; wk != nil && wk.state == stateHealthy {
-			out = append(out, wk)
+	for _, name := range rt.ring.Sequence(key) {
+		if wk := rt.workers[name]; wk != nil {
+			urls = append(urls, wk.remote.URL())
+			if wk.state == stateHealthy {
+				cands = append(cands, wk)
+			}
 		}
 	}
-	return out
+	return cands, urls
 }
 
 // ServeHTTP counts, stamps the request ID, and dispatches.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Add(1)
-	id := rt.requestID(r)
+	id := RequestID(r, "rt", &rt.reqSeq)
 	r.Header.Set("X-Request-ID", id) // forwarded verbatim to the worker
 	w.Header().Set("X-Request-ID", id)
 	rt.mux.ServeHTTP(w, r)
-}
-
-// requestID propagates a usable inbound X-Request-ID or mints one.
-func (rt *Router) requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-ID"); id != "" && len(id) <= 64 && printable(id) {
-		return id
-	}
-	return fmt.Sprintf("rt%x-%x-%x", os.Getpid(), rt.started.UnixNano()&0xffffff, rt.reqSeq.Add(1))
-}
-
-func printable(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] <= ' ' || s[i] > '~' {
-			return false
-		}
-	}
-	return true
 }
 
 // hopByHop are headers that must not be forwarded.
@@ -334,44 +321,19 @@ func forwardHeader(r *http.Request) http.Header {
 // maxPeerHints bounds the peer URLs handed to a worker per request.
 const maxPeerHints = 3
 
-// peersFor lists the base URLs of key's other ring-sequence members —
-// the previous owner first among them — as peer cache-fill hints for
-// the worker actually serving the request. Every state qualifies: a
-// draining worker still answers GET /cache/{key}, and a "down" worker
-// may be back up with a warm store before the probe loop notices
-// (the worker's peer ask just times out if not).
-func (rt *Router) peersFor(key, serving string) []string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var out []string
-	for _, name := range rt.ring.Sequence(key) {
-		if name == serving {
-			continue
-		}
-		if wk := rt.workers[name]; wk != nil {
-			out = append(out, wk.remote.URL())
-			if len(out) == maxPeerHints {
-				break
-			}
-		}
-	}
-	return out
-}
-
-// proxy forwards the request to the first candidate that answers,
-// failing over on transport errors (the worker never produced a
-// response, so retrying its successor is safe: renders are pure and
-// deterministic, and a failover changes who computes, never what).
-// Worker-returned statuses — 400, 404, 429, 500 — are answers and are
-// relayed verbatim. When capture is true the upstream body is
-// buffered and returned for inspection (job bookkeeping); otherwise
-// it streams. Returns the serving worker, or nil if every candidate
-// was unreachable (an error response has then been written).
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, body []byte, cands []*worker, key string, capture bool) (*worker, []byte, int) {
+// proxy forwards the request to the first candidate that answers and
+// relays the answer, failing over on transport errors (the worker
+// never produced a response, so retrying its successor is safe:
+// renders are pure and deterministic, and a failover changes who
+// computes, never what). Worker-returned statuses — 400, 404, 429, 500
+// — are answers and are relayed verbatim. If every candidate was
+// unreachable, an error response is written instead.
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, body []byte, key string) {
+	cands, urls := rt.plan(key)
 	if len(cands) == 0 {
 		rt.noWorker.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no healthy worker"})
-		return nil, nil, 0
+		WriteError(w, http.StatusServiceUnavailable, "no healthy worker")
+		return
 	}
 	hdr := forwardHeader(r)
 	for i, wk := range cands {
@@ -379,190 +341,90 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, body []byte, can
 		// members of this key, previous owner first — so a failover
 		// target reclaims the old owner's warm result instead of
 		// re-simulating.
-		if key != "" {
-			if peers := rt.peersFor(key, wk.name); len(peers) > 0 {
-				hdr.Set("X-Swallow-Peers", strings.Join(peers, ","))
-			} else {
-				hdr.Del("X-Swallow-Peers")
+		var peers []string
+		for _, u := range urls {
+			if u != wk.remote.URL() && len(peers) < maxPeerHints {
+				peers = append(peers, u)
 			}
+		}
+		hdr.Del("X-Swallow-Peers")
+		if len(peers) > 0 {
+			hdr.Set("X-Swallow-Peers", strings.Join(peers, ","))
 		}
 		start := time.Now()
 		resp, err := wk.remote.Do(r.Context(), r.Method, r.URL.Path, r.URL.Query(), hdr, body)
-		if err != nil {
-			if r.Context().Err() != nil {
-				// The client went away; nothing useful to write.
-				return nil, nil, 0
-			}
-			rt.markDown(wk)
-			if i < len(cands)-1 {
-				rt.failovers.Add(1)
-				rt.opts.Logf("failover: %s unreachable (%v), trying %s", wk.name, err, cands[i+1].name)
-			}
-			continue
-		}
-		out := w.Header()
-		for k, vs := range resp.Header {
-			out[k] = vs
-		}
-		out.Set("X-Worker", wk.name)
-		w.WriteHeader(resp.StatusCode)
-		var captured []byte
-		if capture {
-			captured, _ = io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes*4))
-			w.Write(captured)
-		} else {
-			io.Copy(w, resp.Body)
-		}
-		resp.Body.Close()
-		rt.mu.Lock()
-		wk.routed++
-		wk.latSum += time.Since(start).Seconds()
-		wk.latCount++
-		rt.mu.Unlock()
-		return wk, captured, resp.StatusCode
-	}
-	writeJSON(w, http.StatusBadGateway, map[string]string{"error": "all candidate workers unreachable"})
-	return nil, nil, 0
-}
-
-// route computes candidates for key and proxies.
-func (rt *Router) route(w http.ResponseWriter, r *http.Request, body []byte, key string, capture bool) (*worker, []byte, int) {
-	return rt.proxy(w, r, body, rt.candidates(key), key, capture)
-}
-
-// handleIndex forwards the registry index to any healthy worker (a
-// fixed key, so the index too benefits from connection affinity).
-func (rt *Router) handleIndex(w http.ResponseWriter, r *http.Request) {
-	rt.route(w, r, nil, "artifacts-index", false)
-}
-
-// handleArtifact routes a render by its canonical cache key: the same
-// sha256 the owning worker's result cache files the body under, so
-// repeated identical requests always land on one warm worker.
-// Unparseable configs still forward — the worker owns the error
-// message — keyed by name alone.
-func (rt *Router) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	key := ArtifactKey(name, harness.Config{})
-	if cfg, err := ConfigFromQuery(rt.def, rt.quick, r.URL.Query()); err == nil {
-		key = ArtifactKey(name, cfg)
-	}
-	rt.route(w, r, nil, key, false)
-}
-
-// handleScenario routes a spec submission by its content hash: the
-// spec is parsed and compiled router-side only to derive the same
-// cache key the worker will use, then forwarded verbatim. Malformed
-// specs forward too (keyed on the raw bytes) so the worker's
-// field-level 400 reaches the client unchanged.
-func (rt *Router) handleScenario(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("reading spec: %v", err)})
-		return
-	}
-	key := "scenario-raw:" + fmt.Sprintf("%x", hashString(string(body)))
-	cfg, cfgErr := ConfigFromQuery(rt.def, rt.quick, r.URL.Query())
-	if spec, perr := scenario.Parse(body); perr == nil && cfgErr == nil {
-		if c, cerr := scenario.Compile(spec); cerr == nil {
-			key = ScenarioKey(c, cfg)
-		}
-	}
-	rt.route(w, r, body, key, false)
-}
-
-// handleScenarioIndex forwards the pinned-name listing. Names are
-// per-worker state (each worker persists its own pins), so the index
-// routes by a fixed key for a stable view: clients always see the
-// same worker's list while membership holds.
-func (rt *Router) handleScenarioIndex(w http.ResponseWriter, r *http.Request) {
-	rt.route(w, r, nil, "scenarios-index", false)
-}
-
-// handleScenarioNamed routes PUT /scenarios/{name}, GET
-// /scenarios/{name} and its /versions listing by the name alone, so
-// the pin and every later render of it land on one worker — the only
-// one guaranteed to know the name → hash binding.
-func (rt *Router) handleScenarioNamed(w http.ResponseWriter, r *http.Request) {
-	var body []byte
-	if r.Method == http.MethodPut {
-		var err error
-		body, err = io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("reading spec: %v", err)})
+		if err == nil {
+			rt.relay(w, wk, resp, start)
 			return
 		}
-	}
-	rt.route(w, r, body, "scenario-name:"+r.PathValue("name"), false)
-}
-
-// handleCacheGet routes a raw cache read by the key itself — the
-// owner is the worker most likely to hold it. Used by operators for
-// spot checks; workers peer-fill directly from each other, not
-// through the router.
-func (rt *Router) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	rt.route(w, r, nil, r.PathValue("key"), false)
-}
-
-// handleJobSubmit routes an async job by the same key its synchronous
-// twin would use, and records which worker accepted it so polls for
-// the job ID — worker-local state — return to the right process.
-func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("reading job body: %v", err)})
-		return
-	}
-	wk, captured, status := rt.route(w, r, body, rt.jobKey(body, r), true)
-	if wk == nil || status != http.StatusAccepted {
-		return
-	}
-	var view struct {
-		ID string `json:"id"`
-	}
-	if json.Unmarshal(captured, &view) == nil && view.ID != "" {
-		rt.recordJob(view.ID, wk.name)
-	}
-}
-
-// jobKey derives the affinity key for a POST /jobs body, mirroring
-// the worker's own config resolution so the async render lands on
-// the worker whose cache its synchronous twin warms.
-func (rt *Router) jobKey(body []byte, r *http.Request) string {
-	var req struct {
-		Artifact string          `json:"artifact"`
-		Scenario json.RawMessage `json:"scenario"`
-		Quick    bool            `json:"quick"`
-		Config   *harness.Config `json:"config"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		return "job-raw:" + fmt.Sprintf("%x", hashString(string(body)))
-	}
-	cfg := rt.def
-	if req.Quick {
-		cfg = rt.quick
-	}
-	if req.Config != nil {
-		if req.Config.Iters > 0 {
-			cfg.Iters = req.Config.Iters
+		if r.Context().Err() != nil {
+			// The client went away; nothing useful to write.
+			return
 		}
-		if len(req.Config.GoodputPayloads) > 0 {
-			cfg.GoodputPayloads = req.Config.GoodputPayloads
-		}
-		if len(req.Config.LatencyPlacements) > 0 {
-			cfg.LatencyPlacements = req.Config.LatencyPlacements
+		rt.markDown(wk)
+		if i < len(cands)-1 {
+			rt.failovers.Add(1)
+			rt.opts.Logf("failover: %s unreachable (%v), trying %s", wk.name, err, cands[i+1].name)
 		}
 	}
-	cfg = cfg.Canonical()
-	if len(req.Scenario) > 0 {
-		if spec, err := scenario.Parse(req.Scenario); err == nil {
-			if c, cerr := scenario.Compile(spec); cerr == nil {
-				return ScenarioKey(c, cfg)
+	WriteError(w, http.StatusBadGateway, "all candidate workers unreachable")
+}
+
+// relay writes one worker's answer to the client — its headers plus
+// X-Worker, its status, its body streamed — and books the route. A 202
+// is a worker accepting a job: its small body is read for the job ID,
+// so polls for it — worker-local state — return to the right process.
+func (rt *Router) relay(w http.ResponseWriter, wk *worker, resp *http.Response, start time.Time) {
+	defer resp.Body.Close()
+	out := w.Header()
+	for k, vs := range resp.Header {
+		out[k] = vs
+	}
+	out.Set("X-Worker", wk.name)
+	w.WriteHeader(resp.StatusCode)
+	if resp.StatusCode == http.StatusAccepted {
+		blob, _ := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes))
+		var view struct {
+			ID string `json:"id"`
+		}
+		if json.Unmarshal(blob, &view) == nil && view.ID != "" {
+			rt.recordJob(view.ID, wk.name)
+		}
+		w.Write(blob)
+	} else {
+		io.Copy(w, resp.Body)
+	}
+	rt.mu.Lock()
+	wk.routed++
+	wk.latSum += time.Since(start).Seconds()
+	wk.latCount++
+	rt.mu.Unlock()
+}
+
+// keyFunc names the ring key of one forwarded request.
+type keyFunc func(r *http.Request, body []byte) (string, error)
+
+// forward is the one forwarding handler: read the body, ask key where
+// the request belongs, proxy it there. A request that does not resolve
+// — malformed spec, unknown artifact, bad override — is forwarded all
+// the same, keyed on its own bytes, so the worker's error reaches the
+// client verbatim; every worker refuses it identically.
+func (rt *Router) forward(key keyFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var body []byte
+		if r.Method != http.MethodGet {
+			var err error
+			if body, err = ReadBody(r); err != nil {
+				WriteError(w, Status(err), "%v", err)
+				return
 			}
 		}
-		return "job-raw:" + fmt.Sprintf("%x", hashString(string(req.Scenario)))
+		k, err := key(r, body)
+		if err != nil {
+			k = fmt.Sprintf("unresolved:%s?%s:%x", r.URL.Path, r.URL.RawQuery, hashString(string(body)))
+		}
+		rt.proxy(w, r, body, k)
 	}
-	return ArtifactKey(req.Artifact, cfg)
 }
 
 // recordJob files id → worker in the bounded affinity table.
@@ -587,46 +449,33 @@ func (rt *Router) recordJob(id, workerName string) {
 func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	rt.mu.Lock()
+	var ask []*worker
 	wk := rt.workers[rt.jobs[id]]
-	if wk != nil && wk.state == stateDown {
-		wk = nil
-	}
-	rt.mu.Unlock()
-	if wk != nil {
-		rt.proxy(w, r, nil, []*worker{wk}, "", true)
-		return
-	}
-	// Fallback scan: ask everyone still reachable.
-	rt.mu.Lock()
-	var cands []*worker
-	for _, n := range rt.ring.Sequence("job:" + id) {
-		if cw := rt.workers[n]; cw != nil && cw.state != stateDown {
-			cands = append(cands, cw)
+	recorded := wk != nil && wk.state != stateDown
+	if recorded {
+		ask = []*worker{wk}
+	} else {
+		for _, n := range rt.ring.Sequence("job:" + id) {
+			if cw := rt.workers[n]; cw != nil && cw.state != stateDown {
+				ask = append(ask, cw)
+			}
 		}
 	}
 	rt.mu.Unlock()
 	hdr := forwardHeader(r)
-	for _, cw := range cands {
-		resp, err := cw.remote.Do(r.Context(), http.MethodGet, r.URL.Path, nil, hdr, nil)
+	for _, wk := range ask {
+		start := time.Now()
+		resp, err := wk.remote.Do(r.Context(), http.MethodGet, r.URL.Path, nil, hdr, nil)
 		if err != nil {
 			continue
 		}
-		if resp.StatusCode == http.StatusNotFound {
-			resp.Body.Close()
-			continue
+		if recorded || resp.StatusCode != http.StatusNotFound {
+			rt.relay(w, wk, resp, start)
+			return
 		}
-		out := w.Header()
-		for k, vs := range resp.Header {
-			out[k] = vs
-		}
-		out.Set("X-Worker", cw.name)
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
 		resp.Body.Close()
-		return
 	}
-	writeJSON(w, http.StatusNotFound, map[string]string{
-		"error": fmt.Sprintf("unknown job %q (job results live on the worker that accepted them)", id)})
+	WriteError(w, http.StatusNotFound, "unknown job %q (job results live on the worker that accepted them)", id)
 }
 
 // joinRequest is the POST /join and /leave body.
@@ -634,19 +483,28 @@ type joinRequest struct {
 	URL string `json:"url"`
 }
 
+// joinURL decodes it, answering 400 itself when there is none.
+func joinURL(w http.ResponseWriter, r *http.Request) (string, bool) {
+	var req joinRequest
+	if err := json.NewDecoder(io.LimitReader(r.Body, 4096)).Decode(&req); err != nil || req.URL == "" {
+		WriteError(w, http.StatusBadRequest, `want {"url": "http://host:port"}`)
+		return "", false
+	}
+	return req.URL, true
+}
+
 // handleJoin registers a worker (idempotent) and probes it inline, so
 // a 200 response means the worker is in the ring and its state is
 // current — a worker retrying /join until success knows it is
 // routable once the reply says healthy.
 func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req joinRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 4096)).Decode(&req); err != nil || req.URL == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "want {\"url\": \"http://host:port\"}"})
+	url, ok := joinURL(w, r)
+	if !ok {
 		return
 	}
-	name, err := rt.AddWorker(req.URL)
+	name, err := rt.AddWorker(url)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rt.joins.Add(1)
@@ -654,25 +512,21 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	wk := rt.workers[name]
 	rt.mu.Unlock()
 	rt.probe(wk)
-	rt.mu.Lock()
-	st := wk.state.String()
-	n := rt.ring.Len()
-	rt.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"worker": name, "state": st, "workers": n})
+	states := rt.WorkerStates() // membership is sticky: one entry per ring member
+	WriteJSON(w, http.StatusOK, map[string]any{"worker": name, "state": states[name], "workers": len(states)})
 }
 
 // handleLeave marks a worker draining: it stops receiving new
 // requests immediately (its keys fall to ring successors) but keeps
 // its ring slots, so a rejoin restores the exact keyspace it owned.
 func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
-	var req joinRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 4096)).Decode(&req); err != nil || req.URL == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "want {\"url\": \"http://host:port\"}"})
+	url, ok := joinURL(w, r)
+	if !ok {
 		return
 	}
-	remote, err := NewRemote(req.URL, RemoteOptions{})
+	remote, err := NewRemote(url, 0)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rt.mu.Lock()
@@ -683,31 +537,28 @@ func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.mu.Unlock()
 	if wk == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown worker %q", remote.Name())})
+		WriteError(w, http.StatusNotFound, "unknown worker %q", remote.Name())
 		return
 	}
 	rt.leaves.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{"worker": wk.name, "state": stateDraining.String()})
+	WriteJSON(w, http.StatusOK, map[string]any{"worker": wk.name, "state": stateDraining.String()})
 }
 
 // handleHealth reports router liveness and the per-worker states. The
 // router is healthy while at least one worker is routable.
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
-	rt.mu.Lock()
-	states := make(map[string]string, len(rt.workers))
+	states := rt.WorkerStates()
 	healthy := 0
-	for name, wk := range rt.workers {
-		states[name] = wk.state.String()
-		if wk.state == stateHealthy {
+	for _, st := range states {
+		if st == stateHealthy.String() {
 			healthy++
 		}
 	}
-	rt.mu.Unlock()
 	state, code := StateOK, http.StatusOK
 	if healthy == 0 {
 		state, code = "degraded", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{"state": state, "healthy": healthy, "workers": states})
+	WriteJSON(w, code, map[string]any{"state": state, "healthy": healthy, "workers": states})
 }
 
 // handleMetrics serves the router's merged text metrics: fleet
@@ -715,7 +566,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 // stats.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "swallow_router_uptime_seconds %.3f\n", time.Since(rt.started).Seconds())
+	fmt.Fprintf(w, "swallow_router_uptime_seconds %.3f\n", time.Since(ProcessStart).Seconds())
 	fmt.Fprintf(w, "swallow_router_requests_total %d\n", rt.requests.Load())
 	fmt.Fprintf(w, "swallow_router_failovers_total %d\n", rt.failovers.Load())
 	fmt.Fprintf(w, "swallow_router_no_worker_total %d\n", rt.noWorker.Load())
@@ -747,15 +598,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeJSON writes v as an indented JSON response.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
 // WorkerStates snapshots the fleet view (name → state string), for
 // drivers and tests.
 func (rt *Router) WorkerStates() map[string]string {
@@ -768,77 +610,50 @@ func (rt *Router) WorkerStates() map[string]string {
 	return out
 }
 
-// OwnerOf reports which routable worker currently owns key (the
-// first healthy worker in ring order), for tests and diagnostics.
-func (rt *Router) OwnerOf(key string) (string, bool) {
-	cands := rt.candidates(key)
-	if len(cands) == 0 {
-		return "", false
-	}
-	return cands[0].name, true
-}
-
 // Join registers selfURL with the router at routerURL (the worker
-// side of POST /join), retrying with backoff until the router
-// answers or attempts are exhausted. A 200 means the worker is in
+// side of POST /join), retrying every 250ms until the router answers,
+// 20 attempts are exhausted or ctx ends. A 200 means the worker is in
 // the ring.
-func Join(ctx context.Context, routerURL, selfURL string, attempts int, backoff time.Duration) error {
-	if attempts <= 0 {
-		attempts = 20
-	}
-	if backoff <= 0 {
-		backoff = 250 * time.Millisecond
-	}
-	remote, err := NewRemote(routerURL, RemoteOptions{Timeout: 5 * time.Second, Retries: 0})
+func Join(ctx context.Context, routerURL, selfURL string) error {
+	remote, err := NewRemote(routerURL, 5*time.Second)
 	if err != nil {
 		return err
 	}
-	body, _ := json.Marshal(joinRequest{URL: selfURL})
-	hdr := http.Header{"Content-Type": {"application/json"}}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < 20; i++ {
 		if i > 0 {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(backoff):
+			case <-time.After(250 * time.Millisecond):
 			}
 		}
-		resp, err := remote.Do(ctx, http.MethodPost, "/join", nil, hdr, body)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		ok := resp.StatusCode == http.StatusOK
-		msg := ""
-		if !ok {
-			msg = errorBody(resp)
-		}
-		resp.Body.Close()
-		if ok {
+		if err = tell(ctx, remote, "/join", selfURL); err == nil {
 			return nil
 		}
-		lastErr = fmt.Errorf("join %s: %s: %s", routerURL, resp.Status, msg)
 	}
-	return lastErr
+	return err
 }
 
 // Leave notifies the router at routerURL that selfURL is draining
 // (best effort; the router's probes catch it regardless).
 func Leave(ctx context.Context, routerURL, selfURL string) error {
-	remote, err := NewRemote(routerURL, RemoteOptions{Timeout: 5 * time.Second, Retries: 1})
+	remote, err := NewRemote(routerURL, 5*time.Second)
 	if err != nil {
 		return err
 	}
+	return tell(ctx, remote, "/leave", selfURL)
+}
+
+// tell posts selfURL to the router's /join or /leave and wants a 200.
+func tell(ctx context.Context, router *Remote, path, selfURL string) error {
 	body, _ := json.Marshal(joinRequest{URL: selfURL})
-	hdr := http.Header{"Content-Type": {"application/json"}}
-	resp, err := remote.Do(ctx, http.MethodPost, "/leave", nil, hdr, body)
+	resp, err := router.Do(ctx, http.MethodPost, path, nil, http.Header{"Content-Type": {"application/json"}}, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("leave %s: %s: %s", routerURL, resp.Status, errorBody(resp))
+		return fmt.Errorf("%s %s: %s: %s", path[1:], router.URL(), resp.Status, errorBody(resp))
 	}
 	return nil
 }

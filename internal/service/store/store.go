@@ -39,6 +39,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -579,29 +580,18 @@ func decodeFrame(key, version string, blob []byte) (Entry, error) {
 	}, nil
 }
 
-// validName mirrors the API's scenario-name grammar closely enough to
-// guarantee file-name safety: no separators, no dot-prefix, bounded.
-func validName(name string) bool {
-	if name == "" || len(name) > 64 || name[0] == '.' {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
-		case c == '.' || c == '_' || c == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
+// nameRE is the scenario-name grammar: a letter or digit, then up to
+// 63 more of [A-Za-z0-9._-] — file-name safe by construction.
+var nameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
+
+// ValidName reports whether name can be pinned.
+func ValidName(name string) bool { return nameRE.MatchString(name) }
 
 // PinName points name at a spec hash, appending to its version
 // history and persisting the record. Re-pinning the current hash is
 // idempotent: no new version, changed=false.
 func (s *Store) PinName(name, hash string) (NameRecord, bool, error) {
-	if !validName(name) {
+	if !ValidName(name) {
 		return NameRecord{}, false, fmt.Errorf("store: bad scenario name %q", name)
 	}
 	if !ValidKey(hash) {
