@@ -136,37 +136,37 @@
 // holds the same block and the queue would provably only rotate, which
 // is how the paper's slices run, loaded or thin. Such a window reads and
 // writes nothing but its own core, so windows of different cores are
-// computed on different
-// host processors: wherever one member is given a window every member
-// that could take one is collected, the simulation goroutine and a
+// computed on different host processors: the simulation goroutine and a
 // process-wide pool of parked helpers (GOMAXPROCS - 1 of them) claim
-// the cores one at a time, and the simulation goroutine joins before it
+// them one at a time, and the simulation goroutine joins before it
 // replays a slot — no rollback, no speculation, the same bytes at every
-// GOMAXPROCS; xs1.TurboStats counts the fan-outs and the windows
-// helpers ran. The contract: turbo is step-by-step —
-// batching never changes architectural state at any foreign-event
-// boundary, and a core's
-// private state leads the kernel clock only inside one RunUntil, never
-// past the next foreign event or the deadline, never while an outside
-// event could wake one of its threads, never with a recorder attached;
-// anything reaching into a core that still holds unreplayed slots
-// panics. An exact Env (a test oracle; no flag) falls back to one
+// GOMAXPROCS. The contract: turbo is step-by-step — batching never
+// changes architectural state at any foreign-event boundary, and a
+// core's private state leads the kernel clock only inside one RunUntil,
+// never past the next foreign event or the deadline, never while an
+// outside event could wake one of its threads, never with a recorder
+// attached; anything reaching into a core that still holds unreplayed
+// slots panics. An exact Env (a test oracle; no flag) falls back to one
 // instruction per kernel event, byte-identical output either way.
 //
 // The communication path — kernel events and tokens rather than
 // instructions — follows the same rules. Nothing on it allocates in
-// steady state: a blocked IN/OUT reuses one wake callback per (thread,
-// channel end) pair, port and channel-end FIFOs live on fixed backing
-// arrays, waiter lists keep their capacity, and each link caches its
-// wire time per token. Absorbing a sibling's issue firing is O(1): the
-// kernel reports the queue head's Waker (Kernel.NextForeign), the
-// batching group recognises its own issue timer by type, and every
-// head primitive shares one walk that answers in place when the last
-// pop left the next head in view. None of it changes Seq, Fired or any
-// timestamp (core.TestCommRunZeroAllocs, the 2x2 shape of
-// TestTurboRandomizedDifferential, noc.TestRestoreWithSlidFIFOs).
-// Machine.Run names the blocked threads and their channel ends when
-// the kernel runs dry before every core is done.
+// steady state (wake callbacks, FIFOs and waiter lists are preallocated,
+// each link caches its wire time per token), and absorbing a sibling's
+// issue firing is O(1): the kernel reports the queue head's Waker and
+// the group recognises its own issue timer by type
+// (core.TestCommRunZeroAllocs). Machine.Run names the blocked threads,
+// their channel ends and what they are short of when the kernel runs dry.
+//
+// Counted stalls (internal/xs1/stall.go): when a channel-end wake cannot
+// satisfy its thread — a word wants four tokens, every token wakes — the
+// retry it would arm and the idle probe after that are accounted for by
+// the wake itself (sim.Kernel.Count), as is the probe after an
+// instruction that blocks. Only for a core with nothing else to run,
+// whose blocked instruction still lacks what it needs, on a channel end
+// nothing can reach before the probe's slot (noc.ChanEnd.QuietUntil),
+// inside an untraced RunUntil whose deadline covers it; anything else
+// fires as before, so Now, Seq and Fired match the exact pipeline's.
 //
 // # Observability
 //

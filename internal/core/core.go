@@ -387,8 +387,10 @@ func (m *Machine) Run(horizon sim.Time) error {
 
 // stuckThreads lists the live threads of a machine that can make no
 // further progress, in node order: which (node, thread) is blocked on
-// which channel end, or its state otherwise. The list is cut after a
-// few entries; the count is always complete.
+// which channel end and what its instruction is short of there — the
+// tokens an input holds of those it wants, the slots an output has — or
+// its state otherwise. The list is cut after a few entries; the count is
+// always complete.
 func (m *Machine) stuckThreads() string {
 	const show = 8
 	var b strings.Builder
@@ -409,6 +411,9 @@ func (m *Machine) stuckThreads() string {
 			}
 			if th.State == xs1.TBlockedChan {
 				fmt.Fprintf(&b, "%v thread %d on chanend %v", node, id, th.BlockedOn())
+				if short, ok := c.Shortfall(id); ok {
+					fmt.Fprintf(&b, ": %v", short)
+				}
 			} else {
 				fmt.Fprintf(&b, "%v thread %d %v", node, id, th.State)
 			}

@@ -243,21 +243,34 @@ func TestCoreAtAccessor(t *testing.T) {
 // TestRunNamesDeadlock pins the diagnosis Run gives when the kernel
 // runs dry with threads still live: it stops polling, lands the clock
 // on the deadline as the exhausted poll loop did, keeps the "did not
-// finish" text and says which thread waits on which channel end.
+// finish" text and says which thread waits on which channel end, and
+// what for — on the fast path and on the reference pipeline alike.
 func TestRunNamesDeadlock(t *testing.T) {
 	m := MustNew(1, 1, Options{})
 	rx := topo.MakeNodeID(1, 2, topo.LayerH)
 	if err := m.Load(rx, workload.StreamRx(4)); err != nil {
 		t.Fatal(err)
 	}
+	// One token of the word the receiver wants, and nobody to send more.
+	feed := m.Net.Switch(topo.MakeNodeID(1, 2, topo.LayerV)).ChanEnd(7)
+	feed.SetDest(noc.MakeChanEndID(uint16(rx), 0))
+	feed.TryOut(noc.DataToken(0x5A))
 	err := m.Run(5 * sim.Millisecond)
 	if err == nil {
 		t.Fatal("a receiver with no sender finished")
 	}
-	want := fmt.Sprintf("core: machine did not finish within %v: deadlock, no event pending: 1 stuck (%v thread 0 on chanend %v)",
+	want := fmt.Sprintf("core: machine did not finish within %v: deadlock, no event pending: 1 stuck (%v thread 0 on chanend %v: IN holds 1 of 4 tokens)",
 		5*sim.Millisecond, rx, noc.MakeChanEndID(uint16(rx), 0))
 	if err.Error() != want {
 		t.Errorf("error\n got %q\nwant %q", err, want)
+	}
+	exact := MustNew(1, 1, Options{})
+	exact.setExact(true)
+	loadOn(t, exact, rx, workload.StreamRx(4))
+	want = fmt.Sprintf("core: machine did not finish within %v: deadlock, no event pending: 1 stuck (%v thread 0 on chanend %v: IN holds 0 of 4 tokens)",
+		5*sim.Millisecond, rx, noc.MakeChanEndID(uint16(rx), 0))
+	if err := exact.Run(5 * sim.Millisecond); err == nil || err.Error() != want {
+		t.Errorf("exact error\n got %q\nwant %q", err, want)
 	}
 	if m.K.Now() != 5*sim.Millisecond {
 		t.Errorf("clock at %v after a deadlocked Run, want the deadline", m.K.Now())
@@ -311,7 +324,10 @@ func TestRunNamesRoutingDeadlock(t *testing.T) {
 		t.Fatal("the ring of held routes resolved; pick another placement")
 	}
 	msg := err.Error()
-	for _, want := range []string{"did not finish within", "deadlock, no event pending", " stuck (", " thread 0 on chanend "} {
+	// A ring of full routes: the senders it names wait for slots, the
+	// receivers for the rest of a word.
+	for _, want := range []string{"did not finish within", "deadlock, no event pending", " stuck (", " thread 0 on chanend ",
+		": OUT has ", " of 4 slots", ": IN holds ", " of 4 tokens"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error %q lacks %q", msg, want)
 		}

@@ -10,6 +10,7 @@ import (
 	"swallow/internal/sim"
 	"swallow/internal/topo"
 	"swallow/internal/workload"
+	"swallow/internal/xs1"
 )
 
 // loadPipeline places a three-stage pipeline (source -> stage -> sink)
@@ -160,6 +161,51 @@ func TestMachineSnapshotRandomizedBoundaries(t *testing.T) {
 		}
 		if got := fingerprint(m); got != wantFP {
 			t.Fatalf("cut %d: fingerprint\n got %s\nwant %s", cut, got, wantFP)
+		}
+	}
+
+	// The same contract where the fast path counts stalls: Step never
+	// does, so sixteen word streams run in RunFor segments a few cycles to
+	// a few microseconds long, are snapshotted at a segment boundary, and
+	// after Restore have to pass through the same kernel accounting, core
+	// fingerprints and thread states at every later boundary — with slots
+	// counted before the snapshot and after it, on both sides.
+	segments := func(seed uint64) []sim.Time {
+		out := make([]sim.Time, 60)
+		for i := range out {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			out[i] = sim.Time(1+seed>>33%2000) * 2 * sim.Nanosecond
+		}
+		return out
+	}
+	boundary := func(m *Machine) string {
+		return fmt.Sprintf("seq=%d fired=%d pending=%d %s%s", m.K.Seq(), m.K.Fired(), m.K.Pending(), fingerprint(m), threadStates(m))
+	}
+	sm := MustNew(2, 2, Options{})
+	for trial := uint64(0); trial < 4; trial++ {
+		schedule := segments(trial + 1)
+		cut := 5 + int(trial)*11
+		sm.Reset()
+		loadStreams(t, sm, 240)
+		for _, d := range schedule[:cut] {
+			sm.RunFor(d)
+		}
+		counted := xs1.ReadTurboStats().CountedSlots
+		snap := sm.Snapshot()
+		var want []string
+		for _, d := range schedule[cut:] {
+			sm.RunFor(d)
+			want = append(want, boundary(sm))
+		}
+		if xs1.ReadTurboStats().CountedSlots == counted {
+			t.Fatalf("streams trial %d: no slot was counted after the snapshot; counting is not live", trial)
+		}
+		sm.Restore(snap)
+		for i, d := range schedule[cut:] {
+			sm.RunFor(d)
+			if got := boundary(sm); got != want[i] {
+				t.Fatalf("streams trial %d: restored run diverged %d segments after the snapshot\n got %s\nwant %s", trial, i+1, got, want[i])
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"swallow/internal/noc"
@@ -28,6 +29,8 @@ type turboCut struct {
 	preexec, replayed   uint64
 	roundSlots          uint64
 	fanouts             uint64
+	// stalls are the counted-stall counters.
+	stalls xs1.TurboStats
 	// seen is what the shape's foreign observer has recorded so far.
 	seen string
 }
@@ -59,13 +62,21 @@ type turboShape struct {
 	// be worth sharing), must never be (fanoutNever: a lone computing
 	// core, or windows a few slots long), or may be.
 	fanout int
+	// counted says whether issue slots of blocked threads have to be
+	// accounted for without a firing (countedMust: threads parked on
+	// channel ends that the fabric provably leaves alone for a slot or
+	// two), must never be (countedNever: no such thread, or never such a
+	// moment), or may be.
+	counted int
 }
 
 const (
-	roundsMust  = 1
-	roundsNever = -1
-	fanoutMust  = 1
-	fanoutNever = -1
+	roundsMust   = 1
+	roundsNever  = -1
+	fanoutMust   = 1
+	fanoutNever  = -1
+	countedMust  = 1
+	countedNever = -1
 )
 
 // batchCap is xs1's turboBatchCap, which the capped shapes pin.
@@ -103,6 +114,17 @@ func cycleCuts(rng *rand.Rand) []sim.Time {
 		if i%50 == 25 {
 			schedule[i] = sim.Time(3000+rng.Intn(6000)) * cycle
 		}
+	}
+	return schedule
+}
+
+// stallCuts cuts every 1 to 41 cycles and nothing else: deadlines fall
+// between a channel-end wake, the retry it would arm and the idle probe
+// after that, so a slot is counted here, refused for the deadline there.
+func stallCuts(rng *rand.Rand) []sim.Time {
+	schedule := make([]sim.Time, 1500)
+	for i := range schedule {
+		schedule[i] = sim.Time(1+rng.Intn(41)) * cycle
 	}
 	return schedule
 }
@@ -145,7 +167,7 @@ func loadLockstep(t *testing.T, m *Machine) {
 // the core's slots fall in blocks with a gap between them — with core 5
 // retuned to retune MHz, if that is not zero.
 func thinSlice(name string, rounds int, retune float64, threads func(i int) int) turboShape {
-	return turboShape{name: name, ahead: true, rounds: rounds, fanout: fanoutMust, cuts: cycleCuts, build: func(t *testing.T) *Machine {
+	return turboShape{name: name, ahead: true, rounds: rounds, fanout: fanoutMust, counted: countedNever, cuts: cycleCuts, build: func(t *testing.T) *Machine {
 		m := MustNew(1, 1, Options{})
 		for i, c := range m.Cores() {
 			loadOn(t, m, c.Node(), workload.HeavyLoad(threads(i), 1<<20))
@@ -173,7 +195,7 @@ var turboShapes = []turboShape{
 	// has 64 members, most of them asleep on a channel end, and the
 	// queue head is as often a link or channel-end timer as an issue
 	// timer — the shape the communication path's absorb runs in.
-	{name: "2x2-streams", fanout: fanoutNever, build: func(t *testing.T) *Machine {
+	{name: "2x2-streams", fanout: fanoutNever, counted: countedMust, build: func(t *testing.T) *Machine {
 		m := MustNew(2, 2, Options{})
 		loadStreams(t, m, 24)
 		loadOn(t, m, topo.MakeNodeID(2, 1, topo.LayerV), workload.HeavyLoad(4, 40))
@@ -240,7 +262,7 @@ var turboShapes = []turboShape{
 	// The shape the paper measures in and round steps are for: all
 	// sixteen cores of a slice under heavy load on one clock, so the
 	// group ring only rotates. Cut every few cycles.
-	{name: "1x1-lockstep", ahead: true, rounds: roundsMust, fanout: fanoutMust, cuts: cycleCuts, build: func(t *testing.T) *Machine {
+	{name: "1x1-lockstep", ahead: true, rounds: roundsMust, fanout: fanoutMust, counted: countedNever, cuts: cycleCuts, build: func(t *testing.T) *Machine {
 		m := MustNew(1, 1, Options{})
 		loadLockstep(t, m)
 		return m
@@ -249,7 +271,7 @@ var turboShapes = []turboShape{
 	// the others' grid, the ring does not merely rotate, and a round step
 	// is refused wherever the drifting member is — in hand, in the ring,
 	// or still the kernel's, its slot the next registration.
-	{name: "1x1-lockstep-retuned", ahead: true, rounds: roundsNever, fanout: fanoutMust, cuts: cycleCuts, build: func(t *testing.T) *Machine {
+	{name: "1x1-lockstep-retuned", ahead: true, rounds: roundsNever, fanout: fanoutMust, counted: countedNever, cuts: cycleCuts, build: func(t *testing.T) *Machine {
 		m := MustNew(1, 1, Options{})
 		loadLockstep(t, m)
 		if err := m.Cores()[5].SetFrequency(400); err != nil {
@@ -274,7 +296,7 @@ var turboShapes = []turboShape{
 	// same clock, begun at four different times, so the members' slots
 	// never fall in one series and only their places in the block tell
 	// the ring it does not merely rotate.
-	{name: "1x1-one-thread-staggered", ahead: true, rounds: roundsNever, fanout: fanoutMust, cuts: cycleCuts, build: func(t *testing.T) *Machine {
+	{name: "1x1-one-thread-staggered", ahead: true, rounds: roundsNever, fanout: fanoutMust, counted: countedNever, cuts: cycleCuts, build: func(t *testing.T) *Machine {
 		m := MustNew(1, 1, Options{})
 		for i, c := range m.Cores() {
 			loadOn(t, m, c.Node(), workload.HeavyLoad(1, 1<<20))
@@ -289,7 +311,7 @@ var turboShapes = []turboShape{
 	// such a core sits in the ring more than a period out with a fresh
 	// window that begins on its grid, which only the test of each
 	// member's place against the slot in hand keeps out of a round.
-	{name: "1x1-staggered", ahead: true, rounds: roundsMust, fanout: fanoutMust, cuts: cycleCuts, build: func(t *testing.T) *Machine {
+	{name: "1x1-staggered", ahead: true, rounds: roundsMust, fanout: fanoutMust, counted: countedNever, cuts: cycleCuts, build: func(t *testing.T) *Machine {
 		m := MustNew(1, 1, Options{})
 		for i, c := range m.Cores() {
 			prog := workload.HeavyLoad(4+4*(i%2), 1<<20)
@@ -319,7 +341,7 @@ var turboShapes = []turboShape{
 	// between slots by turns, inside windows and inside rounds, and has
 	// to find every core settled at exactly its own time. It also keeps
 	// every window under 151 slots, so none is worth offering to a helper.
-	{name: "1x1-lockstep-ticked", ahead: true, rounds: roundsMust, fanout: fanoutNever,
+	{name: "1x1-lockstep-ticked", ahead: true, rounds: roundsMust, fanout: fanoutNever, counted: countedNever,
 		build: func(t *testing.T) *Machine {
 			m := MustNew(1, 1, Options{})
 			loadLockstep(t, m)
@@ -339,7 +361,7 @@ var turboShapes = []turboShape{
 	// Long runs of seventeen dense cores on two slices: the batch cap
 	// falls inside a round step's reach — on a turn's last slot, if the
 	// step is not careful — and has to cut at the slot it always did.
-	{name: "1x2-capped", ahead: true, rounds: roundsMust, capped: true, fanout: fanoutMust, cuts: capCuts, build: func(t *testing.T) *Machine {
+	{name: "1x2-capped", ahead: true, rounds: roundsMust, capped: true, fanout: fanoutMust, counted: countedNever, cuts: capCuts, build: func(t *testing.T) *Machine {
 		m := MustNew(1, 2, Options{})
 		for i, c := range m.Cores()[:cappedCores] {
 			loadOn(t, m, c.Node(), workload.HeavyLoad(4+4*(i%2), 1<<20))
@@ -347,6 +369,121 @@ var turboShapes = []turboShape{
 		m.RunFor(sim.Microsecond) // past the thread spawns, which end batches early
 		return m
 	}},
+	// The 16 streams cut every few cycles, for the three moments a counted
+	// stall has: the wake, the retry it stands for, the probe after it.
+	{name: "2x2-streams-cut", fanout: fanoutNever, counted: countedMust, cuts: stallCuts, build: func(t *testing.T) *Machine {
+		m := MustNew(2, 2, Options{})
+		loadStreams(t, m, 100)
+		return m
+	}},
+	// The same at the links' top speed: tokens 14 ns apart inside a
+	// package, so the next one is often due before the probe.
+	{name: "2x2-streams-maxrate", fanout: fanoutNever, counted: countedMust, cuts: stallCuts, build: func(t *testing.T) *Machine {
+		cfg := noc.MaxRateConfig()
+		m := MustNew(2, 2, Options{Noc: &cfg})
+		loadStreams(t, m, 200)
+		return m
+	}},
+	// Streams whose every core also computes: a core with a thread that
+	// can issue is never inert, and a blocked thread's slots are its
+	// sibling's to use.
+	{name: "1x1-streams-computing", fanout: fanoutNever, counted: countedNever, cuts: stallCuts, build: func(t *testing.T) *Machine {
+		m := MustNew(1, 1, Options{})
+		n, v, h := topo.MakeNodeID, topo.LayerV, topo.LayerH
+		for _, s := range [][2]topo.NodeID{{n(0, 0, v), n(0, 0, h)}, {n(1, 1, v), n(1, 2, v)}} {
+			dest := noc.MakeChanEndID(uint16(s[1]), 0)
+			loadOn(t, m, s[1], xs1.MustAssemble(spawn("alu")+rxSource(100)+aluWorker))
+			loadOn(t, m, s[0], xs1.MustAssemble(spawn("alu")+txSource(dest, 100)+aluWorker))
+		}
+		return m
+	}},
+	// Bursts one way, echoes the other, on one channel end each: the
+	// burster is parked in OUT on a full injection port while the echoes
+	// land in its receive buffer — deliveries that wake a thread they
+	// cannot help — and the echoer's words arrive while it is parked in
+	// its own OUT.
+	{name: "1x1-burst-echo", fanout: fanoutNever, counted: countedMust, cuts: stallCuts, build: func(t *testing.T) *Machine {
+		m := MustNew(1, 1, Options{})
+		a, b := topo.MakeNodeID(0, 0, topo.LayerV), topo.MakeNodeID(0, 2, topo.LayerV)
+		const bursts, burst = 40, 6
+		loadOn(t, m, b, workload.PingRx(noc.MakeChanEndID(uint16(a), 0), bursts*burst))
+		loadOn(t, m, a, xs1.MustAssemble(fmt.Sprintf(`
+			getr r0, 2
+			ldc  r1, %d
+			setd r0, r1
+			ldc  r5, %d
+		burst:`+strings.Repeat(`
+			out  r0, r5`, burst)+strings.Repeat(`
+			in   r0, r6`, burst)+`
+			subi r5, r5, 1
+			brt  r5, burst
+			outct r0, ct_end
+			chkct r0, ct_end
+			tend`, uint32(noc.MakeChanEndID(uint16(b), 0)), bursts)))
+		return m
+	}},
+	// Two threads of one core ping-pong through two of its channel ends:
+	// whichever is parked, the other is running or parked too, and what
+	// feeds a channel end is a source port of the same switch, which
+	// promises nothing.
+	{name: "1x1-local-pingpong", fanout: fanoutNever, counted: countedNever, cuts: stallCuts, build: func(t *testing.T) *Machine {
+		m := MustNew(1, 1, Options{})
+		node := topo.MakeNodeID(1, 1, topo.LayerH)
+		loadOn(t, m, node, workload.LocalPingPong(noc.MakeChanEndID(uint16(node), 0), noc.MakeChanEndID(uint16(node), 1), 400))
+		return m
+	}},
+	// Streams inside packages at the links' top speed between cores at
+	// 71 MHz: a slot is 14.08 ns and a token 14, so the two slots a wake
+	// would stand for always reach past the next token, a probe past the
+	// delivery latency — nothing is ever counted.
+	{name: "1x1-slow-cores", fanout: fanoutNever, counted: countedNever, cuts: stallCuts, build: func(t *testing.T) *Machine {
+		cfg := noc.MaxRateConfig()
+		m := MustNew(1, 1, Options{Noc: &cfg})
+		for y := 0; y < 4; y++ {
+			tx, rx := topo.MakeNodeID(y%2, y, topo.LayerV), topo.MakeNodeID(y%2, y, topo.LayerH)
+			loadOn(t, m, rx, workload.StreamRx(60))
+			loadOn(t, m, tx, workload.StreamTx(noc.MakeChanEndID(uint16(rx), 0), 60))
+		}
+		if err := m.SetAllFrequencies(71); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}},
+}
+
+// txSource and rxSource are workload.StreamTx and StreamRx as source, for
+// programs that run them beside other threads.
+func txSource(dest noc.ChanEndID, words int) string {
+	return fmt.Sprintf(`
+		getr r0, 2
+		ldc  r1, %d
+		setd r0, r1
+		ldc  r2, %d
+		ldc  r3, 0
+	txloop:
+		out  r0, r3
+		addi r3, r3, 1
+		subi r2, r2, 1
+		brt  r2, txloop
+		outct r0, ct_end
+		tend
+	`, uint32(dest), words)
+}
+
+func rxSource(words int) string {
+	return fmt.Sprintf(`
+		getr r0, 2
+		ldc  r2, %d
+		ldc  r3, 0
+	rxloop:
+		in   r0, r4
+		add  r3, r3, r4
+		subi r2, r2, 1
+		brt  r2, rxloop
+		chkct r0, ct_end
+		dbg  r3
+		tend
+	`, words)
 }
 
 // spawn emits assembly starting one worker thread at each label, each
@@ -463,6 +600,7 @@ func runSchedule(t *testing.T, shape turboShape, schedule []sim.Time, exact bool
 			seen:       seen(),
 			roundSlots: ts.RoundSlots,
 			fanouts:    ts.Fanouts,
+			stalls:     ts,
 			fp:         fingerprint(m),
 			threads:    threadStates(m),
 			now:        m.K.Now(),
@@ -572,8 +710,53 @@ func turboDifferential(t *testing.T, shape turboShape, seed int64) {
 	if shape.fanout == fanoutNever && fanouts != 0 {
 		t.Errorf("windows were offered to the helper pool %d times in a shape with nothing worth sharing", fanouts)
 	}
-	t.Logf("%d batches, %d slots pre-executed, %d of them retired by rounds, %d fan-outs, simulated %v",
-		turboBatches, ahead, inRounds, fanouts, last.now)
+	// The reference pipeline counts nothing, not even the stalls it sees.
+	if a, b := slow[0].stalls, base.stalls; a.CountedSlots != b.CountedSlots || a.DoomedWakes != b.DoomedWakes || a.BlockProbes != b.BlockProbes {
+		t.Errorf("the exact run moved the counted-stall counters: %d slots counted, %d doomed wakes, %d blocks",
+			b.CountedSlots-a.CountedSlots, b.DoomedWakes-a.DoomedWakes, b.BlockProbes-a.BlockProbes)
+	}
+	slots := last.stalls.CountedSlots - base.stalls.CountedSlots
+	wakes, doomed := last.stalls.CountedWakes-base.stalls.CountedWakes, last.stalls.DoomedWakes-base.stalls.DoomedWakes
+	probes, blocks := last.stalls.CountedProbes-base.stalls.CountedProbes, last.stalls.BlockProbes-base.stalls.BlockProbes
+	if slots != 2*wakes+probes || wakes > doomed || probes > blocks {
+		t.Errorf("%d slots counted for %d of %d doomed wakes and %d of %d probes after a block", slots, wakes, doomed, probes, blocks)
+	}
+	if shape.counted == countedMust && (wakes == 0 || probes == 0) {
+		t.Errorf("%d doomed wakes and %d probes after a block were counted; the shape is there to exercise both", wakes, probes)
+	}
+	if shape.counted == countedNever && slots != 0 {
+		t.Errorf("%d issue slots were counted in a shape where no thread's stall is safe to count", slots)
+	}
+	t.Logf("%d batches, %d slots pre-executed, %d of them retired by rounds, %d fan-outs, %d slots counted (%d of %d doomed wakes, %d of %d probes after a block), simulated %v",
+		turboBatches, ahead, inRounds, fanouts, slots, wakes, doomed, probes, blocks, last.now)
+}
+
+// TestCountedStallShare runs the 16-stream shape of the differential the
+// way Machine.Run runs anything — segments of a microsecond and more — and
+// requires that what the counting is for gets counted: at least 85 % of the
+// wakes that cannot satisfy their thread and 95 % of the idle probes after
+// a block. The simulator is deterministic, so the shares are ratios of
+// exact integers; what is refused is the first block of every receiver
+// (nothing holds its channel end yet) and the slots a deadline cuts off.
+func TestCountedStallShare(t *testing.T) {
+	m := MustNew(2, 2, Options{})
+	loadStreams(t, m, 24)
+	loadOn(t, m, topo.MakeNodeID(2, 1, topo.LayerV), workload.HeavyLoad(4, 40))
+	before := xs1.ReadTurboStats()
+	if err := m.Run(sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	after := xs1.ReadTurboStats()
+	wakes, doomed := after.CountedWakes-before.CountedWakes, after.DoomedWakes-before.DoomedWakes
+	probes, blocks := after.CountedProbes-before.CountedProbes, after.BlockProbes-before.BlockProbes
+	t.Logf("%d of %d doomed wakes and %d of %d probes after a block counted, %d slots in all",
+		wakes, doomed, probes, blocks, after.CountedSlots-before.CountedSlots)
+	if doomed == 0 || wakes*100 < 85*doomed {
+		t.Errorf("%d of %d doomed wakes counted, want at least 85%%", wakes, doomed)
+	}
+	if blocks == 0 || probes*100 < 95*blocks {
+		t.Errorf("%d of %d probes after a block counted, want at least 95%%", probes, blocks)
+	}
 }
 
 // TestTurboToggle pins the wiring: the nil Env checks machines out on

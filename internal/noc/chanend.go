@@ -140,14 +140,21 @@ func (ce *ChanEnd) SetWake(fn func()) { ce.wake = fn }
 
 func (ce *ChanEnd) String() string { return ce.ID().String() }
 
-// CanOut reports whether TryOut would accept a token right now.
-func (ce *ChanEnd) CanOut() bool {
-	need := 1
+// OutNeed reports the injection-port slots emitting n tokens takes right
+// now: the three header bytes go in ahead of them when the route is
+// closed.
+func (ce *ChanEnd) OutNeed(n int) int {
 	if !ce.routeOpen {
-		need = 1 + HeaderTokens
+		n += HeaderTokens
 	}
-	return ce.src.space() >= need
+	return n
 }
+
+// OutSpace reports the free slots of the injection port.
+func (ce *ChanEnd) OutSpace() int { return ce.src.space() }
+
+// CanOut reports whether TryOut would accept a token right now.
+func (ce *ChanEnd) CanOut() bool { return ce.src.space() >= ce.OutNeed(1) }
 
 // TryOut attempts to emit one token. The first token after a closed
 // route injects the three header bytes ahead of it. It reports false
@@ -183,11 +190,7 @@ func (ce *ChanEnd) TryOut(tok Token) bool {
 // first, reporting false (and emitting nothing) if there is no room for
 // all four.
 func (ce *ChanEnd) OutWord(v uint32) bool {
-	need := WordTokens
-	if !ce.routeOpen {
-		need += HeaderTokens
-	}
-	if ce.src.space() < need {
+	if ce.src.space() < ce.OutNeed(WordTokens) {
 		return false
 	}
 	for shift := 24; shift >= 0; shift -= 8 {
@@ -281,6 +284,48 @@ func (ce *ChanEnd) releaseLocal() {
 		ce.owner = next
 		next.localGranted(ce)
 	}
+}
+
+// WakeDue reports whether a wake of the channel end is pending for time t
+// or before.
+func (ce *ChanEnd) WakeDue(t sim.Time) bool {
+	return ce.wakeTimer.Armed() && ce.wakeTimer.When() <= t
+}
+
+// QuietUntil reports whether the channel end provably stays as its
+// blocked user last saw it up to and including time t: no wake of it
+// fires, its injection port frees no slot, and — for a user that reads
+// the receive buffer (reads) — no token lands in it. It answers from
+// what the fabric already holds, and says no whenever that does not
+// settle it:
+//
+//   - a wake already pending must fire after t;
+//   - the injection port gives up a slot only when something consumes
+//     from it, so it is empty, or routed onto a link that can take
+//     nothing before t (Link.nextSend) — one still collecting its
+//     header, delivering locally or queued for an output is refused;
+//   - only the stream that holds the receive buffer (owner) delivers
+//     into it, and no other can take its place before its packet ends,
+//     so that stream enters by a link, has nothing buffered, and its
+//     link's next arrival is after t (Link.nextArrival);
+//   - failing that, a user that does not read the buffer is still not
+//     woken in time if t is less than the delivery latency away: a
+//     token landing from now on wakes it LocalLatency later.
+//
+// The channel end's user must itself stay away until t; QuietUntil
+// speaks only for the fabric.
+func (ce *ChanEnd) QuietUntil(t sim.Time, reads bool) bool {
+	if ce.WakeDue(t) {
+		return false
+	}
+	if p := ce.src; p.fifo.len() > 0 && (p.out == nil || p.out.nextSend() <= t) {
+		return false
+	}
+	if o := ce.owner; o != nil && o.upstream != nil && o.fifo.len() == 0 && o.upstream.nextArrival() > t {
+		return true
+	}
+	net := ce.sw.net
+	return !reads && net.K.Now()+net.Cfg.LocalLatency > t
 }
 
 func (ce *ChanEnd) scheduleWake() { ce.scheduleWakeAfter(0) }

@@ -344,6 +344,33 @@ func (l *Link) deliverDue() {
 	}
 }
 
+// nextSend reports the earliest time the link can take another token
+// from the stream that holds it: when the wire is free and, with no
+// credit in hand, when the next one lands — the head of the returning
+// queue, else a token time from now at the soonest, for a credit is that
+// long on its way back.
+func (l *Link) nextSend() sim.Time {
+	at := l.busyUntil
+	if l.credits == 0 {
+		credit := l.k.Now() + l.tokenTime
+		if l.creditHead < len(l.creditQ) {
+			credit = l.creditQ[l.creditHead]
+		}
+		at = max(at, credit)
+	}
+	return at
+}
+
+// nextArrival reports the earliest time the link can hand its receiving
+// port another token: the head of the in-flight queue, else more than a
+// token time from now, which a transmission begun this instant would take.
+func (l *Link) nextArrival() sim.Time {
+	if l.delivHead < len(l.deliv) {
+		return l.deliv[l.delivHead].at
+	}
+	return l.k.Now() + l.tokenTime
+}
+
 // returnCredit is called by the receiving port when a buffered token is
 // consumed; the credit lands after the reverse-wire propagation delay.
 func (l *Link) returnCredit() {

@@ -486,6 +486,7 @@ func TestHealthAndMetrics(t *testing.T) {
 		"swallow_turbo_preexec_slots_total",
 		"swallow_turbo_replayed_slots_total",
 		"swallow_turbo_round_slots_total",
+		"swallow_turbo_counted_slots_total",
 		"swallow_turbo_fanouts_total",
 		"swallow_turbo_helped_windows_total",
 		`swallow_turbo_batch_len_bucket{le="1"}`,

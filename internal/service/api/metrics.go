@@ -146,6 +146,7 @@ func (m *metrics) write(w io.Writer, cs cache.Stats, ss store.Stats, queueDepth,
 	fmt.Fprintf(w, "swallow_turbo_preexec_slots_total %d\n", ts.PreexecSlots)
 	fmt.Fprintf(w, "swallow_turbo_replayed_slots_total %d\n", ts.ReplayedSlots)
 	fmt.Fprintf(w, "swallow_turbo_round_slots_total %d\n", ts.RoundSlots)
+	fmt.Fprintf(w, "swallow_turbo_counted_slots_total %d\n", ts.CountedSlots)
 	fmt.Fprintf(w, "swallow_turbo_fanouts_total %d\n", ts.Fanouts)
 	fmt.Fprintf(w, "swallow_turbo_helped_windows_total %d\n", ts.HelpedWindows)
 	fmt.Fprintf(w, "# HELP swallow_turbo_batch_len Turbo batch length in issue slots.\n")

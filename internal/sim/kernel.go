@@ -103,7 +103,10 @@ type Kernel struct {
 	cur     []slot
 	curHead int
 	// wheel holds the near-future buckets, unsorted. cur stands in for
-	// the bucket at wheelPos; wheelTime is the start of its quantum.
+	// the bucket at wheelPos — it is that bucket's backing, and goes back
+	// to that position when it has drained, so how much a position can
+	// hold never depends on which buckets were current before it —
+	// and wheelTime is the start of its quantum.
 	wheel     [numBuckets][]slot
 	wheelPos  int
 	wheelTime Time
@@ -168,15 +171,15 @@ func (k *Kernel) WheelSpan() Time { return k.wheelSpan }
 func (k *Kernel) Now() Time { return k.now }
 
 // Fired reports the number of events executed so far. The synthetic
-// firings of StepTo and StepN count, one per slot stepped, so a batched
+// firings of StepTo, StepN and Count count, one per slot, so a batched
 // run reports the same total as the equivalent event-by-event run.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
 // Seq reports the number of registrations consumed so far (the next
 // registration's sequence number). Like Fired it is held in lockstep
 // between batched and event-by-event execution: StepTo consumes one
-// seq per synthetic slot and StepN one for each of the slots it covers,
-// exactly as the arms they replace would have.
+// seq per synthetic slot, StepN and Count one for each of the slots
+// they cover, exactly as the arms they replace would have.
 func (k *Kernel) Seq() uint64 { return k.seq }
 
 // SetRecorder attaches (or, with nil, detaches) the flight recorder.
@@ -281,9 +284,10 @@ func (k *Kernel) advanceNear() bool {
 			}
 			k.curHead++ // stale registration
 		}
-		// Bucket drained: recycle it and pull in the next non-empty one.
+		// Bucket drained: leave its backing at its own position and pull
+		// in the next non-empty one.
 		clear(k.cur)
-		k.cur = k.cur[:0]
+		k.wheel[k.wheelPos] = k.cur[:0]
 		k.curHead = 0
 		for {
 			k.wheelPos = (k.wheelPos + 1) & bucketMask
@@ -292,7 +296,7 @@ func (k *Kernel) advanceNear() bool {
 				break
 			}
 		}
-		k.cur, k.wheel[k.wheelPos] = k.wheel[k.wheelPos], k.cur
+		k.cur, k.wheel[k.wheelPos] = k.wheel[k.wheelPos], nil
 		sortSlots(k.cur)
 	}
 }
@@ -509,6 +513,38 @@ func (k *Kernel) StepN(t Time, n int) {
 	k.fired += uint64(n - 1)
 }
 
+// Count accounts for registrations and firings that will not be made:
+// arms sequence numbers and firings firings, the clock left where it is.
+// It stands for issue slots whose firing would do nothing anyone else
+// could tell — a core that provably finds every thread still blocked —
+// and which are therefore ordered against nobody's: where StepN refuses
+// to pass a pending event, because the slots it covers run in the clock's
+// order, Count has no order to keep, and may be called with events
+// pending before the times it stands for. The clock stays because those
+// times are not the caller's to move it to: real events fall between
+// them. A slot is an arm and a firing; firings exceeds arms by the
+// registrations the caller armed for real and has disarmed, whose
+// sequence numbers are spent and whose firing is counted here. What the
+// caller owes is that every counted firing lies within the active
+// RunUntil deadline, so that no boundary sees Seq or Fired (which already
+// promise to include synthetic firings) ahead of the event-by-event run.
+// A negative count panics, as in StepN.
+func (k *Kernel) Count(arms, firings int) {
+	if arms < 0 || firings < 0 {
+		panic(fmt.Sprintf("sim: Count(%d, %d) with a negative count", arms, firings))
+	}
+	k.seq += uint64(arms)
+	k.fired += uint64(firings)
+}
+
+// rewindWheel returns the drained wheel to position zero with its first
+// quantum starting at t, every backing staying at its own position.
+func (k *Kernel) rewindWheel(t Time) {
+	k.wheel[k.wheelPos] = k.cur
+	k.wheelPos, k.wheelTime = 0, t
+	k.cur, k.wheel[0] = k.wheel[0], nil
+}
+
 // Reset drains every pending registration and rewinds the kernel to
 // its just-constructed state — clock at zero, sequence counter at
 // zero, no pending or fired events — while keeping the queue's
@@ -521,7 +557,7 @@ func (k *Kernel) Reset() {
 	k.drainQueues()
 	k.now, k.seq, k.fired = 0, 0, 0
 	k.halted = false
-	k.wheelPos, k.wheelTime = 0, 0
+	k.rewindWheel(0)
 	k.liveNear, k.liveFar = 0, 0
 	k.hasDeadline = false
 }

@@ -145,3 +145,37 @@ func TestWakerTimerInit(t *testing.T) {
 		t.Fatalf("disarmed waker fired: %d", holder.w.n)
 	}
 }
+
+// TestBucketBackingsStayPut: a drained bucket's backing stays with its
+// wheel position, so a run that repeats exactly — Reset, the same arms,
+// the same firings — finds every position sized by the run before it and
+// allocates nothing from the second run on. (Backings used to move one
+// position round the wheel with every bucket drained, and a repeated run
+// kept growing them for as many runs as its event count happened to
+// take.)
+func TestBucketBackingsStayPut(t *testing.T) {
+	k := NewKernel()
+	left := 0
+	timers := make([]*Timer, 48)
+	for i := range timers {
+		i := i
+		timers[i] = k.NewTimer(func() {
+			if left--; left > 0 {
+				// Uneven delays, so the wheel's positions fill unevenly.
+				timers[i].ArmAfter(Time(1+(i*37+left*11)%97) * k.Quantum() / 3)
+			}
+		})
+	}
+	op := func() {
+		k.Reset()
+		left = 4000
+		for i, tm := range timers {
+			tm.ArmAt(Time(i%5) * k.Quantum())
+		}
+		k.Run()
+	}
+	op()
+	if allocs := testing.AllocsPerRun(5, op); allocs != 0 {
+		t.Fatalf("a repeated run allocates %.1f times after one warm-up, want 0", allocs)
+	}
+}

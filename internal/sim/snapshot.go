@@ -65,8 +65,7 @@ func (k *Kernel) Restore(s *KernelSnapshot) {
 	k.drainQueues()
 	k.now, k.seq, k.fired = s.now, s.seq, s.fired
 	k.halted = false
-	k.wheelPos = 0
-	k.wheelTime = s.now &^ (k.quantum - 1)
+	k.rewindWheel(s.now &^ (k.quantum - 1))
 	k.liveNear, k.liveFar = 0, 0
 	for _, sl := range s.slots {
 		sl.ev.armed = true

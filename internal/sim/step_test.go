@@ -178,3 +178,85 @@ func TestStepNZeroAllocs(t *testing.T) {
 		t.Fatalf("the steps did not land: now=%v seq=%d", k.Now(), k.Seq())
 	}
 }
+
+// TestCountMatchesArmFire holds Count against the arm/fire pairs it
+// stands for. Twin kernels carry the same foreign timers, some of them
+// due before the slots in question — which StepN would refuse to pass —
+// and a chain of n slots whose firing does nothing but arm the next: one
+// kernel arms and fires them, the other counts them from the event that
+// would have armed the first. Wherever the chain has run out — the bound
+// the caller owes Count — Now, Seq, Fired and Pending agree, and the
+// foreign timers fire at the same times in the same order throughout.
+func TestCountMatchesArmFire(t *testing.T) {
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(6)
+		gap := Time(1 + rng.Intn(500))
+		foreign := make([]Time, 1+rng.Intn(8))
+		for i := range foreign {
+			foreign[i] = 100 + Time(rng.Intn(int(gap)*(n+2)))
+		}
+		end := 100 + gap*Time(n+2)
+		run := func(count bool) (order []string, state string) {
+			k := NewKernel()
+			for i, when := range foreign {
+				i := i
+				k.NewTimer(func() { order = append(order, fmt.Sprintf("%d@%d", i, k.Now())) }).ArmAt(when)
+			}
+			left := n
+			var slot *Timer
+			slot = k.NewTimer(func() {
+				if left--; left > 0 {
+					slot.ArmAfter(gap)
+				}
+			})
+			k.At(100, func() {
+				switch {
+				case count:
+					before := k.Now()
+					k.Count(n, n)
+					if k.Now() != before {
+						t.Errorf("seed %d: Count moved the clock from %v to %v", seed, before, k.Now())
+					}
+				case n > 0:
+					slot.ArmAfter(gap)
+				}
+			})
+			k.RunUntil(end)
+			return order, fmt.Sprintf("now=%d seq=%d fired=%d pending=%d", k.Now(), k.Seq(), k.Fired(), k.Pending())
+		}
+		firedOrder, fired := run(false)
+		countedOrder, counted := run(true)
+		if fired != counted {
+			t.Fatalf("seed %d: %d slots %v apart\n armed and fired: %s\n counted:         %s", seed, n, gap, fired, counted)
+		}
+		if fmt.Sprint(firedOrder) != fmt.Sprint(countedOrder) {
+			t.Fatalf("seed %d: foreign timers fired differently\n armed and fired: %v\n counted:         %v", seed, firedOrder, countedOrder)
+		}
+	}
+}
+
+// TestCountPanicsAndAllocs: a negative count panics like StepN's, zero
+// counts nothing, arms and firings are counted apart, and counting
+// allocates nothing.
+func TestCountPanicsAndAllocs(t *testing.T) {
+	k := NewKernel()
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "negative count") {
+				t.Errorf("Count(-1) recovered %q, want a panic naming the negative count", msg)
+			}
+		}()
+		k.Count(1, -1)
+	}()
+	k.Count(0, 0)
+	if k.Seq() != 0 || k.Fired() != 0 {
+		t.Fatalf("Count(0, 0) counted: seq=%d fired=%d", k.Seq(), k.Fired())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { k.Count(2, 3) }); allocs != 0 {
+		t.Errorf("Count allocates: %.1f per call, want 0", allocs)
+	}
+	if k.Seq() != 2*101 || k.Fired() != 3*101 || k.Now() != 0 {
+		t.Fatalf("after counting 101 times: now=%v seq=%d fired=%d", k.Now(), k.Seq(), k.Fired())
+	}
+}

@@ -58,7 +58,9 @@ func (c *Core) chanWake(th *Thread, ce *noc.ChanEnd) func() {
 	wake := &row[ce.ID().Index()]
 	if *wake == nil {
 		*wake = func() {
-			if th.State == TBlockedChan && th.blockedOn == ce {
+			// A wake that cannot satisfy the thread is accounted for
+			// where it fires, if it may be (stall.go); else it kicks.
+			if th.State == TBlockedChan && th.blockedOn == ce && !c.countDoomedWake(th) {
 				c.kickThread(th)
 			}
 		}

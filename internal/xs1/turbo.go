@@ -13,7 +13,7 @@ import (
 	"swallow/internal/trace"
 )
 
-// Turbo is the core's execution fast path, four mechanisms deep:
+// Turbo is the core's execution fast path, five mechanisms deep:
 //
 //  1. A predecoded instruction cache: each SRAM word executed as an
 //     instruction is decoded once into a dense per-page side table and
@@ -99,6 +99,24 @@ import (
 //     to pay for the wake (fanoutMinSlots). Not parallel: the replay,
 //     which owns the global order.
 //
+//  5. Counted stalls (stall.go). A thread parked on a channel end costs
+//     its core issue slots that do nothing: a word wants four tokens and
+//     every token wakes, so three wakes in four arm a retry that blocks
+//     again where it stood and an idle probe a period later that finds
+//     nothing; and every communication instruction that blocks is
+//     followed by such a probe. When the slots' outcome is already
+//     decided — the instruction, read back from the thread's PC, still
+//     lacks what it needs, the core has nothing else to run, and the
+//     fabric can neither change that nor wake the thread before the
+//     probe's slot has passed (noc.ChanEnd.QuietUntil) — the wake, or
+//     the blocking instruction, accounts for them on the spot: their
+//     sequence numbers and firings (Kernel.Count), the idle slot, the
+//     thread's next issue time and the rotation as the retry's pick
+//     would leave them. Nothing is armed, nothing fires, no batch runs.
+//     Only inside an untraced RunUntil, and only with the probe's slot
+//     within its deadline, so no boundary sees a count early; any doubt
+//     is a refusal, and a refusal is the event path, unchanged.
+//
 // Round-robin order, pipeline spacing, idle-slot accounting and energy
 // accrual run through the same code as the slow path (pickReady,
 // earliestReadyTime, run, chargeInstr), so "turbo ≡ step-by-step" is a
@@ -149,6 +167,21 @@ type TurboStats struct {
 	// RoundSlots counts the replayed slots that were retired by whole
 	// blocks of the group ring (turboGroup.rounds) rather than one by one.
 	RoundSlots uint64
+	// CountedSlots counts the issue slots accounted for without a firing
+	// (stall.go): the doomed retry and the idle probe after a channel-end
+	// wake that cannot satisfy its thread, and the idle probe after a
+	// communication instruction that blocked. They are not batches: they
+	// add nothing to Batches, BatchedInstrs, Exits or BatchLen.
+	CountedSlots uint64
+	// DoomedWakes counts the channel-end wakes that found their thread's
+	// instruction still short of what it needs, and CountedWakes those
+	// whose retry and idle probe were counted (two slots each) rather than
+	// fired; BlockProbes counts the communication instructions that
+	// blocked on a channel end inside a batch with no wake already on its
+	// way — the blocks an idle probe follows — and CountedProbes those
+	// whose probe was counted (one slot each).
+	DoomedWakes, CountedWakes  uint64
+	BlockProbes, CountedProbes uint64
 	// Fanouts counts the times windows were offered to the helper pool
 	// (turboGroup.refill with enough work to share and a spare host
 	// processor); HelpedWindows counts the windows a helper, not the
@@ -180,6 +213,11 @@ func (s *TurboStats) add(o *TurboStats) {
 	s.PreexecSlots += o.PreexecSlots
 	s.ReplayedSlots += o.ReplayedSlots
 	s.RoundSlots += o.RoundSlots
+	s.CountedSlots += o.CountedSlots
+	s.DoomedWakes += o.DoomedWakes
+	s.CountedWakes += o.CountedWakes
+	s.BlockProbes += o.BlockProbes
+	s.CountedProbes += o.CountedProbes
 	s.Fanouts += o.Fanouts
 	s.HelpedWindows += o.HelpedWindows
 	for i, n := range o.BatchLen {
@@ -315,7 +353,17 @@ type ipage [pageWords]ientry
 // goes through fetchMiss. Faults trap through fetchSlow with identical
 // diagnostics and are never cached.
 func (c *Core) ifetch(th *Thread) *ientry {
-	pc := th.PC
+	e := c.icached(th.PC)
+	if e != nil {
+		c.t.DecodeHits++
+	}
+	return e
+}
+
+// icached is ifetch's lookup without the fetch: the live entry for the
+// instruction at word address pc, or nil, and nothing counted. Reading
+// back the instruction a thread is blocked in goes through here.
+func (c *Core) icached(pc uint32) *ientry {
 	if pc >= MemSize/4 {
 		return nil
 	}
@@ -326,7 +374,6 @@ func (c *Core) ifetch(th *Thread) *ientry {
 	}
 	e := &ip[pc&(pageWords-1)]
 	if e.valid && e.gen == c.pageGen[page] {
-		c.t.DecodeHits++
 		return e
 	}
 	return nil
@@ -1136,6 +1183,9 @@ func (g *turboGroup) run(first *Core) {
 	cur := first
 	slots := 0
 	why := ExitForeign
+	// blocked is the thread whose communication instruction ended the
+	// batch by blocking on a channel end, if that is how it ended.
+	var blocked *Thread
 batch:
 	for {
 		var next sim.Time = -1
@@ -1194,6 +1244,8 @@ batch:
 						binstrs++
 						if th.State == TReady {
 							th.nextReady = max(th.nextReady, now+cur.clk.Cycles(PipelineDepth))
+						} else if th.State == TBlockedChan {
+							blocked = th
 						}
 						why = ExitComm
 						slots++
@@ -1269,8 +1321,12 @@ batch:
 	if why == ExitComm || why == ExitTrap {
 		// The slot that ended the batch re-arms its core after every
 		// other member, as the slow path armed it: at its own slot,
-		// the latest.
-		cur.scheduleIssue(now + cur.clk.Period())
+		// the latest — unless the instruction blocked, the core has
+		// nothing else to run and the idle probe that slot would be can
+		// be counted here and now.
+		if next := now + cur.clk.Period(); blocked == nil || !cur.countIdleProbe(blocked, next) {
+			cur.scheduleIssue(next)
+		}
 	}
 	first.t.Batches++
 	first.t.BatchedInstrs += uint64(binstrs)
