@@ -26,7 +26,10 @@ type TableIRow struct {
 	Class energy.LinkClass
 	// Published columns.
 	RateMbps, MaxPowerMW, PJPerBit float64
-	// Measured from a saturating stream over the simulated link.
+	// Measured from a saturating stream over the simulated link:
+	// MeasuredPowerMW is the link's energy over its wire-busy time (the
+	// saturated power the max-power column states), and Utilization the
+	// busy share of the flow's own window, start to last arrival.
 	MeasuredPJPerBit, MeasuredPowerMW, Utilization float64
 }
 
@@ -61,7 +64,6 @@ func TableI(env *core.Env) ([]TableIRow, error) {
 		if err := workload.RunFlows(k, []*workload.Flow{f}, sim.Second); err != nil {
 			return nil, fmt.Errorf("table I %v: %w", class, err)
 		}
-		elapsed := k.Now() - t0
 		after := net.StatsByClass()[class]
 		var delta noc.LinkStats
 		delta.Add(after)
@@ -76,8 +78,8 @@ func TableI(env *core.Env) ([]TableIRow, error) {
 			MaxPowerMW:       spec.MaxPowerW * 1e3,
 			PJPerBit:         spec.EnergyPerBit() * 1e12,
 			MeasuredPJPerBit: delta.EnergyPerBit() * 1e12,
-			MeasuredPowerMW:  delta.MeanPowerW(elapsed) * 1e3,
-			Utilization:      delta.Utilization(elapsed),
+			MeasuredPowerMW:  delta.MeanPowerW(delta.Busy) * 1e3,
+			Utilization:      delta.Utilization(f.LastArrival - t0),
 		})
 	}
 	return rows, nil

@@ -11,6 +11,12 @@ import (
 // for pure network experiments (bandwidth, contention, bisection)
 // without instruction-set overhead - the network-hardware-limited
 // regime of Section V-D's C (communication) measurements.
+//
+// A flow is sending until its budget is in the network, closing until
+// the END that ends its last packet (or its circuit) is accepted, and
+// then closed: it closes its route exactly once, and a wake after that
+// sends nothing. So once the last END has drained, a finished flow
+// leaves nothing in the kernel.
 type Flow struct {
 	// Src and Dst are the endpoints; Src.SetDest is called at start.
 	Src, Dst *noc.ChanEnd
@@ -21,6 +27,7 @@ type Flow struct {
 	// single END.
 	PacketTokens int
 
+	state    flowState
 	sent     int
 	inPacket int
 	received int
@@ -38,6 +45,19 @@ type Flow struct {
 	pumpFire            flowPumpFirer
 	drainFire           flowDrainFirer
 }
+
+// flowState is where a flow's source is in its lifecycle.
+type flowState uint8
+
+const (
+	// flowSending: data tokens (and the ENDs between packets) remain.
+	flowSending flowState = iota
+	// flowClosing: the budget is sent; the route's closing END is not
+	// yet accepted.
+	flowClosing
+	// flowClosed: the route is closed for good.
+	flowClosed
+)
 
 // flowPumpFirer and flowDrainFirer bind the flow's two kick timers to
 // its methods without closures (sim.Waker).
@@ -67,9 +87,14 @@ func (f *Flow) GoodputBitsPerSec() float64 {
 // Latency reports first-token delivery latency.
 func (f *Flow) Latency() sim.Time { return f.FirstArrival - f.started }
 
-// pump pushes tokens while the network accepts them.
+// pump pushes tokens while the network accepts them, then closes the
+// route once.
 func (f *Flow) pump() {
-	for f.sent < f.Tokens {
+	for f.state == flowSending {
+		if f.sent >= f.Tokens {
+			f.state = flowClosing
+			break
+		}
 		if f.PacketTokens > 0 && f.inPacket == f.PacketTokens {
 			if !f.Src.TryOut(noc.CtrlToken(noc.CtEnd)) {
 				return
@@ -83,12 +108,13 @@ func (f *Flow) pump() {
 		f.sent++
 		f.inPacket++
 	}
-	// Budget sent: close the route.
-	if f.inPacket > 0 || f.PacketTokens == 0 {
-		if f.Src.TryOut(noc.CtrlToken(noc.CtEnd)) {
-			f.inPacket = 0
-			f.sent++ // sentinel so we do not re-close
-		}
+	if f.state != flowClosing {
+		return
+	}
+	// The last packet, or the circuit, ends with an END. A packetised
+	// flow with no budget opened no packet and has nothing to close.
+	if f.PacketTokens > 0 && f.inPacket == 0 || f.Src.TryOut(noc.CtrlToken(noc.CtEnd)) {
+		f.state = flowClosed
 	}
 }
 
@@ -130,7 +156,12 @@ func (f *Flow) Start(k *sim.Kernel) {
 }
 
 // RunFlows starts every flow and advances the kernel until all
-// complete or the horizon passes. A kernel that runs dry while a flow is
+// complete or the horizon passes. It polls every horizon/1000 (at least
+// a microsecond) and returns on the first poll after the last flow
+// completes, with the clock on that poll. Finished flows fall silent, so
+// past the last arrival the kernel fires only what the closing ENDs
+// still owe the fabric (their delivery and credit returns), then nothing
+// up to the poll. A kernel that runs dry while a flow is
 // incomplete can never finish it — nothing is left to move a token — so
 // RunFlows stops polling there, moves the clock to the deadline exactly
 // as the exhausted poll loop would, and names the first stuck flow's

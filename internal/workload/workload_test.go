@@ -244,6 +244,105 @@ func TestFlowPacketized(t *testing.T) {
 	}
 }
 
+// TestFinishedFlowGoesQuiet pins that a flow closes its route exactly
+// once: every link of the route carries the budget and one header + END
+// per packet, the source emits one END per packet, and once RunFlows
+// returns the kernel holds nothing and a further millisecond fires
+// nothing. A circuit that re-opened its route on every wake after its
+// END left events pending and fired tens of thousands in that
+// millisecond.
+func TestFinishedFlowGoesQuiet(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		tokens, packet int
+		packets        uint64
+	}{
+		{"circuit", 2000, 0, 1},
+		{"packets-280/28", 280, 28, 10},
+		{"packets-290/28", 290, 28, 11},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			net, err := noc.NewNetwork(k, topo.MustSystem(1, 1), noc.OperatingConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := &Flow{
+				Src:          net.Switch(node(0, 0, topo.LayerV)).ChanEnd(0),
+				Dst:          net.Switch(node(0, 1, topo.LayerV)).ChanEnd(0),
+				Tokens:       tc.tokens,
+				PacketTokens: tc.packet,
+			}
+			if err := RunFlows(k, []*Flow{f}, 100*sim.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			// Per packet, a three-byte header and the END that closes it.
+			want := uint64(tc.tokens) + tc.packets*(noc.HeaderTokens+1)
+			hops := 0
+			for _, l := range net.Links() {
+				if l.Stats.Tokens == 0 {
+					continue
+				}
+				hops++
+				if l.Stats.Tokens != want {
+					t.Errorf("link %v carried %d tokens, want %d", l, l.Stats.Tokens, want)
+				}
+			}
+			if hops == 0 {
+				t.Fatal("no link carried the flow")
+			}
+			if got, want := f.Src.TokensOut, uint64(tc.tokens)+tc.packets; got != want {
+				t.Errorf("source emitted %d tokens, want %d (data + one END per packet)", got, want)
+			}
+			if n := k.Pending(); n != 0 {
+				t.Errorf("%d events pending after the flow finished", n)
+			}
+			fired, seq := k.Fired(), k.Seq()
+			k.RunFor(sim.Millisecond)
+			if k.Fired() != fired || k.Seq() != seq {
+				t.Errorf("a finished flow fired %d events (%d armed) in a further millisecond",
+					k.Fired()-fired, k.Seq()-seq)
+			}
+		})
+	}
+}
+
+// TestFinishedFlowLeavesSharedLinkAlone runs a short circuit beside a
+// long packetised flow over one vertical link. Once the circuit has
+// closed, the link is the packetised flow's alone: it carries exactly
+// what both flows owe, and the live flow's goodput is its own.
+func TestFinishedFlowLeavesSharedLinkAlone(t *testing.T) {
+	k := sim.NewKernel()
+	net, err := noc.NewNetwork(k, topo.MustSystem(1, 1), noc.OperatingConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := net.Switch(node(0, 0, topo.LayerV)), net.Switch(node(0, 1, topo.LayerV))
+	circuit := &Flow{Src: src.ChanEnd(0), Dst: dst.ChanEnd(0), Tokens: 200}
+	live := &Flow{Src: src.ChanEnd(1), Dst: dst.ChanEnd(1), Tokens: 3000, PacketTokens: 16}
+	if err := RunFlows(k, []*Flow{circuit, live}, 100*sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	// 200 data + header + END, and 3 000 data + 188 packets' header + END.
+	const want = 204 + 3752
+	shared := 0
+	for _, l := range net.Links() {
+		if l.Stats.Tokens == 0 {
+			continue
+		}
+		shared++
+		if l.Stats.Tokens != want {
+			t.Errorf("shared link %v carried %d tokens, want %d", l, l.Stats.Tokens, want)
+		}
+	}
+	if shared != 1 {
+		t.Fatalf("%d links carried traffic, want the one shared link", shared)
+	}
+	if got, want := fmt.Sprintf("%.3f Mbit/s", live.GoodputBitsPerSec()/1e6), "47.407 Mbit/s"; got != want {
+		t.Errorf("live flow goodput %s, want %s", got, want)
+	}
+}
+
 func TestRunFlowsTimeout(t *testing.T) {
 	k := sim.NewKernel()
 	net, err := noc.NewNetwork(k, topo.MustSystem(1, 1), noc.OperatingConfig())
