@@ -44,11 +44,11 @@
 // operating point and one or more sweep axes, and Compile lowers it
 // into a harness.Artifact running one pooled machine per point under
 // sweep.Map. Specs have a canonical form and content hash; the
-// canonical latency/goodput/ec/ablation artifacts are themselves
-// compiled specs, held byte-identical to the hand-written reference
-// runners by TestScenarioMatchesHandWritten. swallow-tables -scenario
-// renders spec files locally; POST /scenarios serves submissions with
-// result caching under the spec hash.
+// canonical latency/goodput/ec/ablation artifacts are compiled specs
+// with no other implementation, their renders held to the hashes in
+// bench/golden/tables.json. swallow-tables -scenario renders spec files
+// locally; POST /scenarios serves submissions with result caching
+// under the spec hash.
 //
 // # Serving
 //
@@ -103,13 +103,12 @@
 //
 // # Scheduling
 //
-// The kernel offers two APIs over one deterministic (time, seq) FIFO
-// queue. Kernel.At/After allocate a single-use event per call and are
-// used by tests only. Everything else — instruction issue, link pumps,
-// channel-end wakes, ADC ticks — uses sim.Timer: allocated once with the
-// callback bound at construction, then armed, re-armed and disarmed
-// forever without allocating; components embedding their timers bind
-// the callback through a preallocated sim.Waker instead of a closure.
+// The kernel schedules through one API over one deterministic (time,
+// seq) FIFO queue: sim.Timer, allocated once with the callback bound at
+// construction, then armed, re-armed and disarmed forever without
+// allocating — instruction issue, link pumps, channel-end wakes, ADC
+// ticks; components embedding their timers bind the callback through a
+// preallocated sim.Waker instead of a closure.
 // Kernel.Reset drains and rewinds a kernel in place, which is what
 // makes the reset-many lifecycle above possible. See internal/sim and
 // README.md for the Timer contract.

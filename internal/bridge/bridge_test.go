@@ -90,7 +90,7 @@ func TestBridgeReceiveFromCore(t *testing.T) {
 	}
 	src := n.Switch(topo.MakeNodeID(1, 2, topo.LayerV)).ChanEnd(0)
 	src.SetDest(b.Addr())
-	k.After(0, func() {
+	k.NewTimer(func() {
 		for _, v := range []byte{0xca, 0xfe} {
 			src.TryOut(noc.DataToken(v))
 		}
@@ -99,7 +99,7 @@ func TestBridgeReceiveFromCore(t *testing.T) {
 			src.TryOut(noc.DataToken(v))
 		}
 		src.TryOut(noc.CtrlToken(noc.CtEnd))
-	})
+	}).ArmAfter(0)
 	k.RunFor(10 * sim.Millisecond)
 	frames := b.Frames()
 	if len(frames) != 2 {

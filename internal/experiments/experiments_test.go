@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"swallow/internal/energy"
+	"swallow/internal/harness"
+	"swallow/internal/scenario"
 	"swallow/internal/topo"
 )
 
@@ -182,80 +184,76 @@ func TestEq2Reproduces(t *testing.T) {
 	}
 }
 
-func TestLatenciesShape(t *testing.T) {
-	rows, err := Latencies(nil)
+// served runs a registered compiled-scenario artifact as the registry
+// serves it and returns its sweep points.
+func served(t *testing.T, name string, cfg harness.Config) []scenario.Point {
+	t.Helper()
+	res, err := harness.Lookup(name).Run(cfg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", name, err)
 	}
-	byName := map[string]LatencyRow{}
-	for _, r := range rows {
-		byName[r.Name] = r
+	return res.(*scenario.Result).Points
+}
+
+func TestLatenciesShape(t *testing.T) {
+	byName := map[string]scenario.Point{}
+	for _, p := range served(t, "latency", harness.DefaultConfig()) {
+		byName[p.Label] = p
 	}
 	local := byName["core-local word"]
 	inPkg := byName["in-package word"]
 	crossPkg := byName["cross-package word"]
 	crossBoard := byName["cross-board word"]
 	// Shape: strictly increasing with distance.
-	if !(local.MeasuredNS < inPkg.MeasuredNS && inPkg.MeasuredNS < crossPkg.MeasuredNS &&
-		crossPkg.MeasuredNS < crossBoard.MeasuredNS) {
-		t.Errorf("latency ordering violated: %v", rows)
+	if !(local.NS < inPkg.NS && inPkg.NS < crossPkg.NS && crossPkg.NS < crossBoard.NS) {
+		t.Errorf("latency ordering violated: %+v", byName)
 	}
 	// Magnitudes: core-local within ~2x of the paper's 50 ns; the
 	// cross-package word within ~2x of 360 ns.
-	if local.MeasuredNS < 20 || local.MeasuredNS > 100 {
-		t.Errorf("core-local = %.0f ns, want ~50", local.MeasuredNS)
+	if local.NS < 20 || local.NS > 100 {
+		t.Errorf("core-local = %.0f ns, want ~50", local.NS)
 	}
-	if crossPkg.MeasuredNS < 180 || crossPkg.MeasuredNS > 720 {
-		t.Errorf("cross-package = %.0f ns, want ~360", crossPkg.MeasuredNS)
+	if crossPkg.NS < 180 || crossPkg.NS > 720 {
+		t.Errorf("cross-package = %.0f ns, want ~360", crossPkg.NS)
 	}
 	// The in-package/cross-package gap stays within a small factor.
 	// (The paper's software-dominated measurements put them at 40 vs 45
 	// instructions; our simulated in-package path has less software
 	// overhead, so the ratio is larger but bounded.)
-	if crossPkg.MeasuredNS/inPkg.MeasuredNS > 4 {
-		t.Errorf("cross/in package ratio = %.1f, want < 4", crossPkg.MeasuredNS/inPkg.MeasuredNS)
-	}
-	if !strings.Contains(RenderLatencies(rows).String(), "core-local") {
-		t.Error("render missing rows")
+	if crossPkg.NS/inPkg.NS > 4 {
+		t.Errorf("cross/in package ratio = %.1f, want < 4", crossPkg.NS/inPkg.NS)
 	}
 }
 
 func TestGoodputSweep87Percent(t *testing.T) {
-	points, err := GoodputSweep(nil, []int{4, 12, 28, 60})
-	if err != nil {
-		t.Fatal(err)
+	cfg := harness.DefaultConfig()
+	cfg.GoodputPayloads = []int{4, 12, 28, 60}
+	points := served(t, "goodput", cfg)
+	if len(points) != len(cfg.GoodputPayloads) {
+		t.Fatalf("points = %d, want %d", len(points), len(cfg.GoodputPayloads))
 	}
 	for _, p := range points {
-		if math.Abs(p.Fraction-p.Analytic) > 0.02 {
-			t.Errorf("payload %d: simulated %.3f vs analytic %.3f", p.PayloadBytes, p.Fraction, p.Analytic)
+		if analytic := float64(p.Payload) / float64(p.Payload+4); math.Abs(p.Fraction-analytic) > 0.02 {
+			t.Errorf("payload %d: simulated %.3f vs analytic %.3f", p.Payload, p.Fraction, analytic)
 		}
 	}
 	// The paper's ~87% point.
 	for _, p := range points {
-		if p.PayloadBytes == 28 && math.Abs(p.Fraction-0.875) > 0.01 {
+		if p.Payload == 28 && math.Abs(p.Fraction-0.875) > 0.01 {
 			t.Errorf("28-byte payload goodput = %.3f, want ~0.875", p.Fraction)
 		}
-	}
-	if !strings.Contains(RenderGoodput(points).String(), "0.875") {
-		t.Error("render missing analytic point")
 	}
 }
 
 func TestECRatiosReproduce(t *testing.T) {
-	rows, err := ECRatios(nil)
-	if err != nil {
-		t.Fatal(err)
+	points := served(t, "ec", harness.DefaultConfig())
+	if len(points) != 5 {
+		t.Fatalf("points = %d", len(points))
 	}
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if math.Abs(r.MeasuredEC-r.PaperEC)/r.PaperEC > 0.10 {
-			t.Errorf("%s: measured EC %.1f, paper %.0f", r.Name, r.MeasuredEC, r.PaperEC)
+	for _, p := range points {
+		if math.Abs(p.EC-p.PaperEC)/p.PaperEC > 0.10 {
+			t.Errorf("%s: measured EC %.1f, paper %.0f", p.Label, p.EC, p.PaperEC)
 		}
-	}
-	if !strings.Contains(RenderEC(rows).String(), "512") {
-		t.Error("render missing bisection row")
 	}
 }
 
@@ -284,19 +282,20 @@ func TestAblationRouting(t *testing.T) {
 }
 
 func TestAblationLinks(t *testing.T) {
-	res, err := AblationLinks(nil)
-	if err != nil {
-		t.Fatal(err)
+	points := served(t, "ablation-links", harness.DefaultConfig())
+	if len(points) != 4 {
+		t.Fatalf("points = %d", len(points))
 	}
 	// Throughput grows with link count up to 4 concurrent flows.
-	for links := 2; links <= 4; links++ {
-		if res[links] <= res[links-1]*1.05 {
+	for i := 1; i < len(points); i++ {
+		prev, cur := points[i-1], points[i]
+		if cur.GoodputBps <= prev.GoodputBps*1.05 {
 			t.Errorf("aggregation gain absent: %d links %.3g vs %d links %.3g",
-				links, res[links], links-1, res[links-1])
+				cur.IntValue, cur.GoodputBps, prev.IntValue, prev.GoodputBps)
 		}
 	}
 	// Four links: ~4x one link.
-	ratio := res[4] / res[1]
+	ratio := points[3].GoodputBps / points[0].GoodputBps
 	if ratio < 3 || ratio > 4.5 {
 		t.Errorf("4-link/1-link ratio = %.2f, want ~4", ratio)
 	}

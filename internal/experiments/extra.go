@@ -5,7 +5,6 @@ import (
 
 	"swallow/internal/core"
 	"swallow/internal/energy"
-	"swallow/internal/harness/sweep"
 	"swallow/internal/nos"
 	"swallow/internal/power"
 	"swallow/internal/report"
@@ -132,67 +131,6 @@ func BridgeRate(env *core.Env) (float64, error) {
 	}
 	elapsed := (k.Now() - start).Seconds()
 	return float64(bytes) * 8 / elapsed, nil
-}
-
-// AblationPlacement streams the same word count between threads placed
-// core-locally, in-package, on-board and off-board, reporting the
-// achieved rates that motivate the Section V-D placement
-// recommendations.
-func AblationPlacement(env *core.Env) (map[string]float64, error) {
-	rates, err := sweep.Map(env.SweepWidth(), streamPlacements, func(_ int, p streamPlacement) (float64, error) {
-		m, release, err := env.Checkout(2, 1, core.Options{})
-		if err != nil {
-			return 0, err
-		}
-		defer release()
-		net := m.Net
-		dst, dstEnd := p.dst, uint8(0)
-		if p.src == p.dst {
-			// Two channel ends on one core, host-driven.
-			dst, dstEnd = p.src, 1
-		}
-		f := &workload.Flow{
-			Src:    net.Switch(p.src).ChanEnd(0),
-			Dst:    net.Switch(dst).ChanEnd(dstEnd),
-			Tokens: 8000,
-		}
-		if err := workload.RunFlows(m.K, []*workload.Flow{f}, sim.Second); err != nil {
-			return 0, err
-		}
-		return f.GoodputBitsPerSec(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64, len(rates))
-	for i, r := range rates {
-		out[streamPlacements[i].name] = r
-	}
-	return out, nil
-}
-
-// streamPlacement is one AblationPlacement variant; streamPlacements
-// is the single source of both the sweep and the render order.
-type streamPlacement struct {
-	name     string
-	src, dst topo.NodeID
-}
-
-var streamPlacements = []streamPlacement{
-	{"core-local", topo.MakeNodeID(0, 0, topo.LayerV), topo.MakeNodeID(0, 0, topo.LayerV)},
-	{"in-package", topo.MakeNodeID(0, 0, topo.LayerV), topo.MakeNodeID(0, 0, topo.LayerH)},
-	{"on-board", topo.MakeNodeID(0, 0, topo.LayerV), topo.MakeNodeID(0, 1, topo.LayerV)},
-	{"off-board", topo.MakeNodeID(1, 0, topo.LayerH), topo.MakeNodeID(2, 0, topo.LayerH)},
-}
-
-// RenderAblationPlacement formats the stream-placement ablation.
-func RenderAblationPlacement(res map[string]float64) *report.Table {
-	t := report.NewTable("Ablation: single-stream goodput by placement",
-		"placement", "goodput")
-	for _, p := range streamPlacements {
-		t.AddRow(p.name, report.FormatSI(res[p.name])+"bit/s")
-	}
-	return t
 }
 
 // RenderBridgeRate formats the Ethernet bridge ingress measurement.

@@ -118,9 +118,7 @@ func init() {
 		},
 	})
 	// latency, goodput and ec are compiled scenario specs (see
-	// scenarios.go): the declarative layer regenerates them
-	// byte-identically, proving the compiler against the hand-written
-	// reference runners that remain in this package.
+	// scenarios.go), their renders pinned by bench/golden/tables.json.
 	registerLatencyScenario()
 	registerGoodputScenario()
 	registerECScenario()

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"testing"
 
@@ -9,80 +11,41 @@ import (
 	"swallow/internal/scenario"
 )
 
-// TestScenarioMatchesHandWritten is the compiler-faithfulness golden:
-// each canonical artifact that is now registered as a compiled
-// scenario spec must render byte-identical to the hand-written
-// reference runner it replaced — serially and in parallel, pooled and
-// fresh. The references (LatenciesFor, GoodputSweep, ECRatios,
-// AblationLinks, AblationPlacement) stay in this package precisely to
-// anchor this test.
-func TestScenarioMatchesHandWritten(t *testing.T) {
-	references := map[string]func() (string, error){
-		"latency": func() (string, error) {
-			rows, err := LatenciesFor(nil, nil)
-			if err != nil {
-				return "", err
-			}
-			return RenderLatencies(rows).String(), nil
-		},
-		"goodput": func() (string, error) {
-			points, err := GoodputSweep(nil, goodputPayloads)
-			if err != nil {
-				return "", err
-			}
-			return RenderGoodput(points).String(), nil
-		},
-		"ec": func() (string, error) {
-			rows, err := ECRatios(nil)
-			if err != nil {
-				return "", err
-			}
-			return RenderEC(rows).String(), nil
-		},
-		"ablation-links": func() (string, error) {
-			res, err := AblationLinks(nil)
-			if err != nil {
-				return "", err
-			}
-			return RenderAblationLinks(res).String(), nil
-		},
-		"ablation-placement": func() (string, error) {
-			res, err := AblationPlacement(nil)
-			if err != nil {
-				return "", err
-			}
-			return RenderAblationPlacement(res).String(), nil
-		},
+// TestCanonicalRendersMatchGolden holds each compiled canonical
+// artifact to the bytes the benchmark commits for it: rendered at the
+// default config — serially and in parallel, pooled and fresh — its
+// sha256 must be the one bench/golden/tables.json records. The specs
+// are their artifacts' only implementation, so the committed hashes
+// are the reference they answer to.
+func TestCanonicalRendersMatchGolden(t *testing.T) {
+	var tables map[string]string
+	readBenchGolden(t, "tables.json", &tables)
+	modes := []mode{
+		{"seq-pooled", core.Env{Pool: core.SharedPool(), Width: 1}},
+		{"par-pooled", core.Env{Pool: core.SharedPool(), Width: 16}},
+		{"seq-fresh", core.Env{Width: 1}},
+		{"par-fresh", core.Env{Width: 16}},
 	}
-
 	for _, spec := range CanonicalScenarios() {
-		refFn, ok := references[spec.Name]
+		want, ok := tables[spec.Name]
 		if !ok {
-			t.Fatalf("no hand-written reference for scenario %q", spec.Name)
-		}
-		want, err := refFn()
-		if err != nil {
-			t.Fatalf("%s (reference): %v", spec.Name, err)
+			t.Fatalf("bench/golden/tables.json has no hash for %q", spec.Name)
 		}
 		a := harness.Lookup(spec.Name)
 		if a == nil {
 			t.Fatalf("scenario %q not registered", spec.Name)
 		}
-		for _, mode := range []mode{
-			{"seq-pooled", core.Env{Pool: core.SharedPool(), Width: 1}},
-			{"par-pooled", core.Env{Pool: core.SharedPool(), Width: 16}},
-			{"seq-fresh", core.Env{Width: 1}},
-			{"par-fresh", core.Env{Width: 16}},
-		} {
-			cfg := harness.QuickConfig()
-			cfg.Env = &mode.env
+		for _, m := range modes {
+			cfg := harness.DefaultConfig()
+			cfg.Env = &m.env
 			table, err := a.Table(cfg)
 			if err != nil {
-				t.Fatalf("%s (%s): %v", spec.Name, mode.name, err)
+				t.Fatalf("%s (%s): %v", spec.Name, m.name, err)
 			}
-			if got := table.String(); got != want {
-				t.Errorf("%s (%s): compiled scenario diverges from hand-written reference.\n--- compiled ---\n%s--- reference ---\n%s",
-					spec.Name, mode.name, got, want)
+			sum := sha256.Sum256([]byte(table.String()))
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("%s (%s): render hashes to %s, bench/golden/tables.json has %s\n%s",
+					spec.Name, m.name, got, want, table)
 			}
 		}
 	}
@@ -113,9 +76,10 @@ func TestCanonicalScenarioHashesStable(t *testing.T) {
 }
 
 // TestExampleSpecMatchesCanonical pins examples/scenarios/goodput.json
-// to the canonical goodput spec: CI diffs the file's render against
-// the registry's, and that diff is only meaningful while the two
-// share one content hash.
+// to the canonical goodput spec: TestTrafficRendersPinned holds the
+// file's render to the goodput hash of bench/golden/tables.json, which
+// speaks for the registry's artifact only while the two share one
+// content hash.
 func TestExampleSpecMatchesCanonical(t *testing.T) {
 	blob, err := os.ReadFile("../../examples/scenarios/goodput.json")
 	if err != nil {

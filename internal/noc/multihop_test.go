@@ -18,12 +18,12 @@ func TestCornerToCornerMultiSlice(t *testing.T) {
 	dst := n.Switch(topo.MakeNodeID(3, 7, topo.LayerV)).ChanEnd(5)
 	src.SetDest(dst.ID())
 	payload := []byte{0xde, 0xad, 0xbe, 0xef, 0x42}
-	k.After(0, func() {
+	k.NewTimer(func() {
 		for _, b := range payload {
 			src.TryOut(DataToken(b))
 		}
 		src.TryOut(CtrlToken(CtEnd))
-	})
+	}).ArmAfter(0)
 	got := drain(k, dst, 100*sim.Microsecond)
 	if len(got) != len(payload)+1 {
 		t.Fatalf("received %d tokens: %v", len(got), got)
@@ -59,12 +59,12 @@ func TestEveryPairDelivers(t *testing.T) {
 			dst := n.Switch(b).ChanEnd(1)
 			src.SetDest(dst.ID())
 			sent := byte(uint32(a) ^ uint32(b))
-			k.After(0, func() {
+			k.NewTimer(func() {
 				if !src.TryOut(DataToken(sent)) {
 					t.Errorf("%v->%v: output refused", a, b)
 				}
 				src.TryOut(CtrlToken(CtEnd))
-			})
+			}).ArmAfter(0)
 			k.RunFor(20 * sim.Microsecond)
 			tok, ok := dst.TryIn()
 			if !ok || tok.Ctrl || tok.Val != sent {
@@ -104,7 +104,7 @@ func TestPayloadIntegrityProperty(t *testing.T) {
 			}
 		}
 		src.SetWake(pump)
-		k.After(0, pump)
+		k.NewTimer(pump).ArmAfter(0)
 		got := drain(k, dst, sim.Millisecond)
 		if len(got) != len(payload)+1 {
 			return false
@@ -154,7 +154,7 @@ func TestCreditInvariantUnderChurn(t *testing.T) {
 			}
 		}
 		src.SetWake(pump)
-		k.After(0, pump)
+		k.NewTimer(pump).ArmAfter(0)
 	}
 	k.RunFor(5 * sim.Millisecond)
 	if dst.TokensIn < 4*300 {
@@ -183,7 +183,7 @@ func TestMaxRateInternalLinkThroughput(t *testing.T) {
 		}
 	}
 	src.SetWake(pump)
-	k.After(0, pump)
+	k.NewTimer(pump).ArmAfter(0)
 	k.RunFor(sim.Millisecond)
 	bits := float64(dst.TokensIn * 8)
 	rate := bits / sim.Millisecond.Seconds() / 1e6

@@ -33,7 +33,7 @@ func drain(k *sim.Kernel, ce *ChanEnd, horizon sim.Time) []Token {
 		}
 	}
 	ce.SetWake(pull)
-	k.After(0, pull)
+	k.NewTimer(pull).ArmAfter(0)
 	k.RunUntil(horizon)
 	pull()
 	return got
@@ -127,14 +127,14 @@ func TestCoreLocalTransfer(t *testing.T) {
 	src := sw.ChanEnd(0)
 	dst := sw.ChanEnd(1)
 	src.SetDest(dst.ID())
-	k.After(0, func() {
+	k.NewTimer(func() {
 		for _, b := range []byte{1, 2, 3} {
 			if !src.TryOut(DataToken(b)) {
 				t.Error("TryOut refused with empty buffers")
 			}
 		}
 		src.TryOut(CtrlToken(CtEnd))
-	})
+	}).ArmAfter(0)
 	got := drain(k, dst, sim.Microsecond)
 	if len(got) != 4 {
 		t.Fatalf("received %d tokens, want 3 data + END", len(got))
@@ -156,10 +156,10 @@ func TestInPackageTransfer(t *testing.T) {
 	src := v.ChanEnd(0)
 	dst := h.ChanEnd(3)
 	src.SetDest(dst.ID())
-	k.After(0, func() {
+	k.NewTimer(func() {
 		src.OutWord(0xdeadbeef)
 		src.TryOut(CtrlToken(CtEnd))
-	})
+	}).ArmAfter(0)
 	ce := dst
 	k.RunUntil(10 * sim.Microsecond)
 	w, ok := ce.InWord()
@@ -183,10 +183,10 @@ func TestCrossBoardTransferAndClasses(t *testing.T) {
 	src := n.Switch(topo.MakeNodeID(0, 0, topo.LayerH)).ChanEnd(0)
 	dst := n.Switch(topo.MakeNodeID(3, 0, topo.LayerH)).ChanEnd(0)
 	src.SetDest(dst.ID())
-	k.After(0, func() {
+	k.NewTimer(func() {
 		src.OutWord(42)
 		src.TryOut(CtrlToken(CtEnd))
-	})
+	}).ArmAfter(0)
 	k.RunUntil(50 * sim.Microsecond)
 	if w, ok := dst.InWord(); !ok || w != 42 {
 		t.Fatalf("cross-board word = %v ok=%v", w, ok)
@@ -207,12 +207,12 @@ func TestHeaderOverheadOnWire(t *testing.T) {
 	dst := n.Switch(topo.MakeNodeID(0, 0, topo.LayerH)).ChanEnd(0)
 	src.SetDest(dst.ID())
 	const payload = 5
-	k.After(0, func() {
+	k.NewTimer(func() {
 		for i := 0; i < payload; i++ {
 			src.TryOut(DataToken(byte(i)))
 		}
 		src.TryOut(CtrlToken(CtEnd))
-	})
+	}).ArmAfter(0)
 	k.RunUntil(50 * sim.Microsecond)
 	st := n.StatsByClass()[energy.LinkOnChip]
 	want := uint64(payload + HeaderTokens + 1)
@@ -229,13 +229,13 @@ func TestPauseClosesRouteSilently(t *testing.T) {
 	src := n.Switch(topo.MakeNodeID(0, 0, topo.LayerV)).ChanEnd(0)
 	dst := n.Switch(topo.MakeNodeID(0, 0, topo.LayerH)).ChanEnd(0)
 	src.SetDest(dst.ID())
-	k.After(0, func() {
+	k.NewTimer(func() {
 		src.TryOut(DataToken(0x11))
 		src.TryOut(CtrlToken(CtPause))
 		// Second packet reopens the route with a fresh header.
 		src.TryOut(DataToken(0x22))
 		src.TryOut(CtrlToken(CtEnd))
-	})
+	}).ArmAfter(0)
 	got := drain(k, dst, 50*sim.Microsecond)
 	if len(got) != 3 {
 		t.Fatalf("received %d tokens %v, want D11 D22 END (no PAUSE)", len(got), got)
@@ -263,7 +263,7 @@ func TestBackpressureWithoutLoss(t *testing.T) {
 		src.TryOut(CtrlToken(CtEnd))
 	}
 	src.SetWake(pump)
-	k.After(0, pump)
+	k.NewTimer(pump).ArmAfter(0)
 	// Let the network clog: the receiver consumes nothing for a while.
 	k.RunUntil(20 * sim.Microsecond)
 	if sent >= total {
@@ -281,7 +281,7 @@ func TestBackpressureWithoutLoss(t *testing.T) {
 		}
 	}
 	dst.SetWake(pull)
-	k.After(0, pull)
+	k.NewTimer(pull).ArmAfter(0)
 	k.RunUntil(sim.Millisecond)
 	pull()
 	data := 0
@@ -313,10 +313,10 @@ func TestWormholeHoldsLink(t *testing.T) {
 	da, db := dstSw.ChanEnd(0), dstSw.ChanEnd(1)
 	a.SetDest(da.ID())
 	b.SetDest(db.ID())
-	k.After(0, func() {
+	k.NewTimer(func() {
 		a.TryOut(DataToken(0xaa)) // opens route, holds it (no END)
 		b.TryOut(DataToken(0xbb)) // must queue behind a's circuit
-	})
+	}).ArmAfter(0)
 	k.RunUntil(100 * sim.Microsecond)
 	if da.InAvailable() == 0 {
 		t.Fatal("first stream's token did not arrive")
@@ -325,7 +325,7 @@ func TestWormholeHoldsLink(t *testing.T) {
 		t.Fatal("second stream overtook a held wormhole route")
 	}
 	// Closing the first stream releases the link.
-	k.After(0, func() { a.TryOut(CtrlToken(CtEnd)) })
+	k.NewTimer(func() { a.TryOut(CtrlToken(CtEnd)) }).ArmAfter(0)
 	k.RunUntil(200 * sim.Microsecond)
 	if db.InAvailable() == 0 {
 		t.Fatal("second stream still blocked after route closed")
@@ -388,8 +388,8 @@ func TestPacketInterleavingAtSharedDestination(t *testing.T) {
 		ce.SetWake(pump)
 		return pump
 	}
-	k.After(0, send(a, 0x10))
-	k.After(0, send(b, 0x50))
+	k.NewTimer(send(a, 0x10)).ArmAfter(0)
+	k.NewTimer(send(b, 0x50)).ArmAfter(0)
 	got := drain(k, dst, sim.Millisecond)
 	// Split on END and check each packet is homogeneous.
 	var cur []byte
@@ -420,15 +420,15 @@ func TestStrayControlTokenDropped(t *testing.T) {
 	src := n.Switch(topo.MakeNodeID(0, 0, topo.LayerV)).ChanEnd(0)
 	dst := n.Switch(topo.MakeNodeID(0, 0, topo.LayerH)).ChanEnd(0)
 	src.SetDest(dst.ID())
-	k.After(0, func() {
+	k.NewTimer(func() {
 		// END with no open route: the header opens a packet whose only
 		// content is the END, which is legal; then a second stray END is
 		// injected directly into the source port between packets.
 		src.TryOut(DataToken(1))
 		src.TryOut(CtrlToken(CtEnd))
 		src.src.push(CtrlToken(CtPause))
-		k.After(0, src.src.process)
-	})
+		k.NewTimer(src.src.process).ArmAfter(0)
+	}).ArmAfter(0)
 	k.RunUntil(100 * sim.Microsecond)
 	if src.src.DroppedTokens != 1 {
 		t.Errorf("dropped tokens = %d, want 1", src.src.DroppedTokens)
@@ -466,7 +466,7 @@ func TestTableIEnergyPerBitMeasured(t *testing.T) {
 		}
 		src.SetWake(pump)
 		drainAll(k, dst)
-		k.After(0, pump)
+		k.NewTimer(pump).ArmAfter(0)
 		k.RunUntil(k.Now() + sim.Millisecond)
 		st := n.StatsByClass()[r.class]
 		if st.Bits == 0 {
@@ -522,7 +522,7 @@ func TestGoodputApproaches87Percent(t *testing.T) {
 		}
 	}
 	src.SetWake(pump)
-	k.After(0, pump)
+	k.NewTimer(pump).ArmAfter(0)
 	start := k.Now()
 	k.RunUntil(10 * sim.Millisecond)
 	if sentPkts < packets {
@@ -556,7 +556,7 @@ func TestSaturatedLinkPowerMatchesTableI(t *testing.T) {
 		}
 	}
 	src.SetWake(pump)
-	k.After(0, pump)
+	k.NewTimer(pump).ArmAfter(0)
 	dur := 2 * sim.Millisecond
 	k.RunUntil(dur)
 	st := n.StatsByClass()[energy.LinkBoardVertical]
@@ -607,11 +607,11 @@ func TestWordHelpers(t *testing.T) {
 	sw := n.Switch(topo.MakeNodeID(0, 0, topo.LayerV))
 	src, dst := sw.ChanEnd(0), sw.ChanEnd(1)
 	src.SetDest(dst.ID())
-	k.After(0, func() {
+	k.NewTimer(func() {
 		if !src.OutWord(0x01020304) {
 			t.Error("OutWord refused")
 		}
-	})
+	}).ArmAfter(0)
 	k.RunUntil(sim.Microsecond)
 	if _, ok := dst.InWord(); !ok {
 		// Only 4 tokens buffered; should be there.
@@ -624,10 +624,10 @@ func TestInWordPartialDoesNotConsume(t *testing.T) {
 	sw := n.Switch(topo.MakeNodeID(0, 0, topo.LayerV))
 	src, dst := sw.ChanEnd(0), sw.ChanEnd(1)
 	src.SetDest(dst.ID())
-	k.After(0, func() {
+	k.NewTimer(func() {
 		src.TryOut(DataToken(9))
 		src.TryOut(DataToken(8))
-	})
+	}).ArmAfter(0)
 	k.RunUntil(sim.Microsecond)
 	if _, ok := dst.InWord(); ok {
 		t.Fatal("InWord succeeded with 2 tokens")

@@ -45,7 +45,7 @@ const (
 type slot struct {
 	when Time
 	seq  uint64
-	ev   *Event
+	ev   *event
 }
 
 // before reports whether a fires before b under the (time, seq) order.
@@ -59,16 +59,15 @@ func (a slot) before(b slot) bool {
 // live reports whether the slot is the current registration of its event.
 func (s slot) live() bool { return s.ev.armed && s.ev.seq == s.seq }
 
-// Event is a scheduled callback. Events with equal timestamps fire in
-// the order they were scheduled (FIFO), which keeps the kernel
-// deterministic. Events returned by At/After are single-use; a Timer
-// wraps an Event that re-arms without allocating.
-type Event struct {
+// event is a Timer's scheduled callback. Events with equal timestamps
+// fire in the order they were scheduled (FIFO), which keeps the kernel
+// deterministic.
+type event struct {
 	when Time
 	seq  uint64
-	// Exactly one of fn and w carries the callback: fn for closure
-	// events (At/After, NewTimer), w for Waker timers whose target is a
-	// preallocated struct rather than a fresh closure.
+	// Exactly one of fn and w carries the callback: fn for NewTimer
+	// timers, w for Waker timers whose target is a preallocated struct
+	// rather than a closure.
 	fn func()
 	w  Waker
 	// armed marks a pending registration; seq identifies it among any
@@ -79,16 +78,13 @@ type Event struct {
 }
 
 // fire invokes the event's callback.
-func (e *Event) fire() {
+func (e *event) fire() {
 	if e.w != nil {
 		e.w.Fire()
 		return
 	}
 	e.fn()
 }
-
-// When reports the time the event is scheduled to fire.
-func (e *Event) When() Time { return e.when }
 
 // Kernel is a single-threaded discrete-event scheduler.
 //
@@ -195,29 +191,9 @@ func (k *Kernel) Recorder() *trace.Recorder { return k.rec }
 // Pending reports the number of events waiting in the queue.
 func (k *Kernel) Pending() int { return k.liveNear + k.liveFar }
 
-// At schedules fn to run at absolute time t. Scheduling in the past is a
-// programming error and panics: the kernel cannot rewind the clock.
-func (k *Kernel) At(t Time, fn func()) *Event {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: event scheduled at %v before now %v", t, k.now))
-	}
-	ev := &Event{when: t, seq: k.seq, fn: fn, armed: true}
-	k.seq++
-	k.insert(slot{when: t, seq: ev.seq, ev: ev})
-	return ev
-}
-
-// After schedules fn to run d picoseconds after the current time.
-func (k *Kernel) After(d Time, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	return k.At(k.now+d, fn)
-}
-
-// Cancel removes a pending event. Cancelling an event that already fired
-// (or was already cancelled) is a no-op and reports false.
-func (k *Kernel) Cancel(ev *Event) bool {
+// cancel removes a pending registration. Cancelling an event that
+// already fired (or was already cancelled) is a no-op and reports false.
+func (k *Kernel) cancel(ev *event) bool {
 	if ev == nil || !ev.armed {
 		return false
 	}
@@ -549,8 +525,8 @@ func (k *Kernel) rewindWheel(t Time) {
 // its just-constructed state — clock at zero, sequence counter at
 // zero, no pending or fired events — while keeping the queue's
 // allocated capacity (buckets, overflow heap) for reuse. Every armed
-// Event and Timer is disarmed in place, so existing Timers remain
-// usable and re-arm from a clean queue. Reset is the foundation of the
+// Timer is disarmed in place, so existing Timers remain usable and
+// re-arm from a clean queue. Reset is the foundation of the
 // build-once / reset-many machine lifecycle; it must not be called
 // from inside a running event callback.
 func (k *Kernel) Reset() {

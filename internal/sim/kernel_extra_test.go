@@ -4,10 +4,11 @@ import "testing"
 
 func TestKernelCancelAlreadyFired(t *testing.T) {
 	k := NewKernel()
-	ev := k.At(10, func() {})
+	tm := k.NewTimer(func() {})
+	tm.ArmAt(10)
 	k.Run()
-	if k.Cancel(ev) {
-		t.Error("Cancel of already-fired event reported true")
+	if tm.Disarm() {
+		t.Error("Disarm of already-fired event reported true")
 	}
 }
 
@@ -17,15 +18,15 @@ func TestKernelRunUntilEmptyWindow(t *testing.T) {
 	// earlier than the wheel position the peek left behind.
 	k := NewKernel()
 	var got []Time
-	k.At(10, func() { got = append(got, k.Now()) })
-	k.At(5*defaultWheelSpan, func() { got = append(got, k.Now()) })
+	k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(10)
+	k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(5 * defaultWheelSpan)
 	k.RunUntil(2 * defaultWheelSpan) // fires 10, clock lands mid-gap
 	if k.Now() != 2*defaultWheelSpan {
 		t.Fatalf("Now = %v, want %v", k.Now(), 2*defaultWheelSpan)
 	}
 	// Schedule between the deadline and the far pending event.
-	k.At(3*defaultWheelSpan, func() { got = append(got, k.Now()) })
-	k.At(k.Now()+1, func() { got = append(got, k.Now()) })
+	k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(3 * defaultWheelSpan)
+	k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(k.Now() + 1)
 	k.Run()
 	want := []Time{10, 2*defaultWheelSpan + 1, 3 * defaultWheelSpan, 5 * defaultWheelSpan}
 	if len(got) != len(want) {
@@ -44,7 +45,7 @@ func TestKernelHorizonBoundary(t *testing.T) {
 	k := NewKernel()
 	var got []Time
 	for _, d := range []Time{defaultWheelSpan + 1, defaultWheelSpan, defaultWheelSpan - 1, 1, 2 * defaultWheelSpan} {
-		k.At(d, func() { got = append(got, k.Now()) })
+		k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(d)
 	}
 	k.Run()
 	want := []Time{1, defaultWheelSpan - 1, defaultWheelSpan, defaultWheelSpan + 1, 2 * defaultWheelSpan}
@@ -60,12 +61,12 @@ func TestKernelInterleavedTiers(t *testing.T) {
 	// still fire before later wheel events (the two-tier merge).
 	k := NewKernel()
 	var got []Time
-	k.At(defaultWheelSpan+10, func() { got = append(got, k.Now()) }) // overflow at insert
-	k.At(defaultQuantum, func() {
+	k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(defaultWheelSpan + 10) // overflow at insert
+	k.NewTimer(func() {
 		// Wheel has advanced; this lands after the overflow event in
 		// time but in the near tier.
-		k.At(defaultWheelSpan+20, func() { got = append(got, k.Now()) })
-	})
+		k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(defaultWheelSpan + 20)
+	}).ArmAt(defaultQuantum)
 	k.Run()
 	if len(got) != 2 || got[0] != defaultWheelSpan+10 || got[1] != defaultWheelSpan+20 {
 		t.Fatalf("fired %v, want [%v %v]", got, defaultWheelSpan+10, defaultWheelSpan+20)
@@ -169,8 +170,8 @@ func BenchmarkKernelMixedHorizon(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelClosureEvents is the legacy allocating API, kept as the
-// baseline the Timer paths are measured against.
+// BenchmarkKernelClosureEvents builds a fresh timer for every event: the
+// allocating baseline the re-armed Timer paths are measured against.
 func BenchmarkKernelClosureEvents(b *testing.B) {
 	k := NewKernel()
 	var next func()
@@ -178,10 +179,10 @@ func BenchmarkKernelClosureEvents(b *testing.B) {
 	next = func() {
 		n++
 		if n < b.N {
-			k.After(2*Nanosecond, next)
+			k.NewTimer(next).ArmAfter(2 * Nanosecond)
 		}
 	}
-	k.After(2*Nanosecond, next)
+	k.NewTimer(next).ArmAfter(2 * Nanosecond)
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.Run()
@@ -201,12 +202,12 @@ func TestKernelQuantumOption(t *testing.T) {
 	note := func() { got = append(got, k.Now()) }
 	// Far beyond the narrow horizon, inside it, a same-time FIFO pair,
 	// and one event in the current bucket.
-	k.At(3*span+5, note)
-	k.At(span/2, note)
+	k.NewTimer(note).ArmAt(3*span + 5)
+	k.NewTimer(note).ArmAt(span / 2)
 	order := []int{}
-	k.At(span/2, func() { order = append(order, 1) })
-	k.At(span/2, func() { order = append(order, 2) })
-	k.At(1, note)
+	k.NewTimer(func() { order = append(order, 1) }).ArmAt(span / 2)
+	k.NewTimer(func() { order = append(order, 2) }).ArmAt(span / 2)
+	k.NewTimer(note).ArmAt(1)
 	k.Run()
 	want := []Time{1, span / 2, 3*span + 5}
 	if len(got) != len(want) {
@@ -283,7 +284,7 @@ func TestAbsorbNextAndHeadPeek(t *testing.T) {
 	far.Init(k, wfar)
 	a.ArmAt(10)
 	b.ArmAt(10)
-	k.At(15, func() {
+	k.NewTimer(func() {
 		peek(20, wc)
 		if !k.AbsorbNext(&c) || k.Now() != 20 {
 			t.Fatal("AbsorbNext(c) did not consume the head")
@@ -293,7 +294,7 @@ func TestAbsorbNextAndHeadPeek(t *testing.T) {
 		if k.AbsorbNext(&c) {
 			t.Fatal("AbsorbNext consumed a disarmed timer")
 		}
-	})
+	}).ArmAt(15)
 	c.ArmAt(20)
 	far.ArmAt(3 * defaultWheelSpan)
 	k.Run()

@@ -9,10 +9,10 @@ import (
 // a fresh one on the observable counters.
 func TestKernelResetEmpty(t *testing.T) {
 	k := NewKernel()
-	k.After(5*Nanosecond, func() {})
-	k.After(2*defaultWheelSpan, func() {}) // far tier
+	k.NewTimer(func() {}).ArmAfter(5 * Nanosecond)
+	k.NewTimer(func() {}).ArmAfter(2 * defaultWheelSpan) // far tier
 	k.Run()
-	k.After(3*Nanosecond, func() {})
+	k.NewTimer(func() {}).ArmAfter(3 * Nanosecond)
 	k.Reset()
 	if k.Now() != 0 || k.Fired() != 0 || k.Pending() != 0 || k.seq != 0 {
 		t.Fatalf("after Reset: now=%v fired=%d pending=%d seq=%d, want all zero",
@@ -30,7 +30,7 @@ func TestKernelResetDisarmsEverything(t *testing.T) {
 	tm.ArmAfter(10 * Nanosecond)
 	far := k.NewTimer(func() { fired++ })
 	far.ArmAfter(4 * defaultWheelSpan)
-	k.After(20*Nanosecond, func() { fired++ })
+	k.NewTimer(func() { fired++ }).ArmAfter(20 * Nanosecond)
 
 	k.Reset()
 	if tm.Armed() || far.Armed() {
@@ -79,7 +79,7 @@ func TestKernelResetDifferential(t *testing.T) {
 		var order []int
 		for _, o := range ops {
 			o := o
-			k.After(o.delay, func() { order = append(order, o.id) })
+			k.NewTimer(func() { order = append(order, o.id) }).ArmAfter(o.delay)
 		}
 		k.Run()
 		return order
@@ -93,7 +93,7 @@ func TestKernelResetDifferential(t *testing.T) {
 		// Pollute the kernel with an unrelated run, leave events pending,
 		// then reset.
 		run(dirty, schedule(seed+100))
-		dirty.After(3*Nanosecond, func() { t.Error("stale event fired") })
+		dirty.NewTimer(func() { t.Error("stale event fired") }).ArmAfter(3 * Nanosecond)
 		dirty.NewTimer(func() {}).ArmAfter(5 * defaultWheelSpan)
 		dirty.Reset()
 		reset := run(dirty, ops)

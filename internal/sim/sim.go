@@ -8,14 +8,12 @@
 // always produce identical schedules, preserving the time-determinism that
 // is the point of the Swallow platform.
 //
-// Two scheduling APIs share the same queue:
-//
-//   - Kernel.At/After allocate a single-use Event per call. They are the
-//     convenient form for setup code, tests and one-shot work.
-//   - Kernel.NewTimer builds a reusable Timer with its callback bound at
-//     construction. Arming, re-arming and disarming a Timer allocates
-//     nothing, which is what the per-instruction and per-token hot paths
-//     (instruction issue, link pumps, channel-end wakes) are built on.
+// Everything is scheduled through a Timer: a reusable callback bound
+// once, by Kernel.NewTimer (a closure) or Timer.Init (a Waker embedded
+// in its component). Arming, re-arming and disarming a Timer allocates
+// nothing, which is what the per-instruction and per-token hot paths
+// (instruction issue, link pumps, channel-end wakes) are built on; a
+// one-off callback is a NewTimer armed once.
 //
 // Internally the queue is a two-tier ladder: a bucketed near-future
 // wheel with roughly core-cycle granularity, backed by an overflow heap

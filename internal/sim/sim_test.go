@@ -9,9 +9,9 @@ import (
 func TestKernelOrdering(t *testing.T) {
 	k := NewKernel()
 	var got []int
-	k.At(30, func() { got = append(got, 3) })
-	k.At(10, func() { got = append(got, 1) })
-	k.At(20, func() { got = append(got, 2) })
+	k.NewTimer(func() { got = append(got, 3) }).ArmAt(30)
+	k.NewTimer(func() { got = append(got, 1) }).ArmAt(10)
+	k.NewTimer(func() { got = append(got, 2) }).ArmAt(20)
 	k.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -29,7 +29,7 @@ func TestKernelFIFOAtSameTime(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		k.At(5, func() { got = append(got, i) })
+		k.NewTimer(func() { got = append(got, i) }).ArmAt(5)
 	}
 	k.Run()
 	for i := range got {
@@ -42,24 +42,25 @@ func TestKernelFIFOAtSameTime(t *testing.T) {
 func TestKernelAfter(t *testing.T) {
 	k := NewKernel()
 	var at Time
-	k.At(100, func() {
-		k.After(50, func() { at = k.Now() })
-	})
+	k.NewTimer(func() {
+		k.NewTimer(func() { at = k.Now() }).ArmAfter(50)
+	}).ArmAt(100)
 	k.Run()
 	if at != 150 {
-		t.Errorf("After fired at %v, want 150", at)
+		t.Errorf("ArmAfter fired at %v, want 150", at)
 	}
 }
 
 func TestKernelCancel(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	ev := k.At(10, func() { fired = true })
-	if !k.Cancel(ev) {
-		t.Fatal("Cancel reported false for pending event")
+	tm := k.NewTimer(func() { fired = true })
+	tm.ArmAt(10)
+	if !tm.Disarm() {
+		t.Fatal("Disarm reported false for pending event")
 	}
-	if k.Cancel(ev) {
-		t.Fatal("double Cancel reported true")
+	if tm.Disarm() {
+		t.Fatal("double Disarm reported true")
 	}
 	k.Run()
 	if fired {
@@ -69,21 +70,22 @@ func TestKernelCancel(t *testing.T) {
 
 func TestKernelCancelNil(t *testing.T) {
 	k := NewKernel()
-	if k.Cancel(nil) {
-		t.Error("Cancel(nil) reported true")
+	if k.cancel(nil) {
+		t.Error("cancel(nil) reported true")
 	}
 }
 
 func TestKernelCancelMiddleOfHeap(t *testing.T) {
 	k := NewKernel()
 	var got []int
-	evs := make([]*Event, 10)
+	timers := make([]*Timer, 10)
 	for i := 0; i < 10; i++ {
 		i := i
-		evs[i] = k.At(Time(i*10), func() { got = append(got, i) })
+		timers[i] = k.NewTimer(func() { got = append(got, i) })
+		timers[i].ArmAt(Time(i * 10))
 	}
-	k.Cancel(evs[4])
-	k.Cancel(evs[7])
+	timers[4].Disarm()
+	timers[7].Disarm()
 	k.Run()
 	if len(got) != 8 {
 		t.Fatalf("fired %d events, want 8: %v", len(got), got)
@@ -99,7 +101,7 @@ func TestKernelRunUntil(t *testing.T) {
 	k := NewKernel()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		k.At(Time(i*100), func() { count++ })
+		k.NewTimer(func() { count++ }).ArmAt(Time(i * 100))
 	}
 	k.RunUntil(500)
 	if count != 5 {
@@ -129,12 +131,12 @@ func TestKernelHalt(t *testing.T) {
 	k := NewKernel()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		k.At(Time(i), func() {
+		k.NewTimer(func() {
 			count++
 			if count == 3 {
 				k.Halt()
 			}
-		})
+		}).ArmAt(Time(i))
 	}
 	k.Run()
 	if count != 3 {
@@ -152,17 +154,17 @@ func TestKernelPastSchedulingPanics(t *testing.T) {
 		}
 	}()
 	k := NewKernel()
-	k.At(100, func() { k.At(50, func() {}) })
+	k.NewTimer(func() { k.NewTimer(func() {}).ArmAt(50) }).ArmAt(100)
 	k.Run()
 }
 
 func TestKernelNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("negative After delay did not panic")
+			t.Error("negative ArmAfter delay did not panic")
 		}
 	}()
-	NewKernel().After(-1, func() {})
+	NewKernel().NewTimer(func() {}).ArmAfter(-1)
 }
 
 func TestKernelDeterminism(t *testing.T) {
@@ -172,7 +174,7 @@ func TestKernelDeterminism(t *testing.T) {
 		var got []int
 		for i := 0; i < 500; i++ {
 			i := i
-			k.At(Time(rng.Intn(1000)), func() { got = append(got, i) })
+			k.NewTimer(func() { got = append(got, i) }).ArmAt(Time(rng.Intn(1000)))
 		}
 		k.Run()
 		return got
@@ -191,7 +193,7 @@ func TestKernelMonotonicProperty(t *testing.T) {
 		k := NewKernel()
 		var times []Time
 		for _, d := range delays {
-			k.At(Time(d), func() { times = append(times, k.Now()) })
+			k.NewTimer(func() { times = append(times, k.Now()) }).ArmAt(Time(d))
 		}
 		k.Run()
 		for i := 1; i < len(times); i++ {
@@ -271,19 +273,4 @@ func TestTimeConversions(t *testing.T) {
 	if Second.Seconds() != 1 {
 		t.Error("Seconds conversion wrong")
 	}
-}
-
-func BenchmarkKernelThroughput(b *testing.B) {
-	k := NewKernel()
-	var next func()
-	n := 0
-	next = func() {
-		n++
-		if n < b.N {
-			k.After(1, next)
-		}
-	}
-	k.After(1, next)
-	b.ResetTimer()
-	k.Run()
 }

@@ -6,9 +6,9 @@ package sim
 // the snapshot/restore counterpart of Reset for the warm-start sweep
 // path.
 //
-// A snapshot holds the *Event pointers of the registrations it
+// A snapshot holds the *event pointers of the registrations it
 // captured, which is what makes restore exact: components hold their
-// timers by value (Timer.Init), so the Event identity of, say, a
+// timers by value (Timer.Init), so the event identity of, say, a
 // core's issue timer is stable for the component's lifetime, and
 // re-arming the captured slot re-arms that same timer. The snapshot is
 // therefore only meaningful against the kernel (and component graph)

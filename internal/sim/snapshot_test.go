@@ -37,10 +37,7 @@ func TestKernelSnapshotRestoreExact(t *testing.T) {
 	}
 	k := NewKernel()
 	var fires []firing
-	record := func(ev *Event) func() {
-		return func() { fires = append(fires, firing{k.Now(), ev.seq}) }
-	}
-	// Periodic timers across both tiers plus one-shot events.
+	// Periodic timers across both tiers plus one-shot timers.
 	var near, far *Timer
 	near = k.NewTimer(func() {
 		fires = append(fires, firing{k.Now(), near.ev.seq})
@@ -59,8 +56,9 @@ func TestKernelSnapshotRestoreExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
 		at := Time(rng.Intn(int(30 * defaultWheelSpan)))
-		ev := k.At(at, nil)
-		ev.fn = record(ev)
+		var tm *Timer
+		tm = k.NewTimer(func() { fires = append(fires, firing{k.Now(), tm.ev.seq}) })
+		tm.ArmAt(at)
 	}
 
 	k.RunUntil(10 * defaultWheelSpan)
@@ -176,13 +174,13 @@ func TestKernelSnapshotRandomizedBoundaries(t *testing.T) {
 // TestKernelSnapshotEmpty round-trips a kernel with no pending events.
 func TestKernelSnapshotEmpty(t *testing.T) {
 	k := NewKernel()
-	k.After(5*Nanosecond, func() {})
+	k.NewTimer(func() {}).ArmAfter(5 * Nanosecond)
 	k.Run()
 	snap := k.Snapshot()
 	if snap.Pending() != 0 {
 		t.Fatalf("empty kernel snapshot holds %d slots", snap.Pending())
 	}
-	k.After(3*Nanosecond, func() { t.Fatal("stale event fired after restore") })
+	k.NewTimer(func() { t.Fatal("stale event fired after restore") }).ArmAfter(3 * Nanosecond)
 	k.Restore(snap)
 	k.RunFor(Microsecond)
 	if k.Pending() != 0 {

@@ -64,7 +64,7 @@ func TestStepNMatchesStepTo(t *testing.T) {
 					i := i
 					timers[i] = k.NewTimer(func() { fired = append(fired, fmt.Sprintf("%d@%d/%d", i, k.Now(), k.Seq())) })
 				}
-				k.At(start, func() {
+				k.NewTimer(func() {
 					for i, r := range regs {
 						timers[i].ArmAt(r.when)
 						if r.cancel {
@@ -81,7 +81,7 @@ func TestStepNMatchesStepTo(t *testing.T) {
 						}
 					}
 					mid = kernelState(k)
-				})
+				}).ArmAt(start)
 				if bounded {
 					k.RunUntil(last)
 				}
@@ -112,7 +112,7 @@ func TestStepNPanics(t *testing.T) {
 	step := func(name, want string, pending []Time, f func(k *Kernel)) {
 		t.Helper()
 		k := NewKernel()
-		k.At(100, func() {
+		k.NewTimer(func() {
 			defer func() {
 				t.Helper()
 				msg, _ := recover().(string)
@@ -121,7 +121,7 @@ func TestStepNPanics(t *testing.T) {
 				}
 			}()
 			f(k)
-		})
+		}).ArmAt(100)
 		for _, when := range pending {
 			k.NewTimer(func() {}).ArmAt(when)
 		}
@@ -147,7 +147,7 @@ func TestStepNPanics(t *testing.T) {
 func TestStepNZeroIsNoOp(t *testing.T) {
 	k := NewKernel()
 	k.NewTimer(func() {}).ArmAt(200)
-	k.At(100, func() {
+	k.NewTimer(func() {
 		before := kernelState(k)
 		for _, when := range []Time{0, 100, 150, 200, 1 << 40} {
 			k.StepN(when, 0)
@@ -155,7 +155,7 @@ func TestStepNZeroIsNoOp(t *testing.T) {
 		if after := kernelState(k); after != before {
 			t.Errorf("StepN(_, 0) moved the kernel\n before %s\n after  %s", before, after)
 		}
-	})
+	}).ArmAt(100)
 	k.RunUntil(300)
 }
 
@@ -210,7 +210,7 @@ func TestCountMatchesArmFire(t *testing.T) {
 					slot.ArmAfter(gap)
 				}
 			})
-			k.At(100, func() {
+			k.NewTimer(func() {
 				switch {
 				case count:
 					before := k.Now()
@@ -221,7 +221,7 @@ func TestCountMatchesArmFire(t *testing.T) {
 				case n > 0:
 					slot.ArmAfter(gap)
 				}
-			})
+			}).ArmAt(100)
 			k.RunUntil(end)
 			return order, fmt.Sprintf("now=%d seq=%d fired=%d pending=%d", k.Now(), k.Seq(), k.Fired(), k.Pending())
 		}

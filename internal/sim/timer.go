@@ -15,7 +15,7 @@ import "fmt"
 // among equal-time events.
 type Timer struct {
 	k  *Kernel
-	ev Event
+	ev event
 }
 
 // Waker is a preallocated callback target. Components that would
@@ -59,7 +59,7 @@ func (t *Timer) Armed() bool { return t.ev.armed }
 func (t *Timer) When() Time { return t.ev.when }
 
 // ArmAt schedules (or reschedules) the callback for absolute time at.
-// Arming in the past panics, like Kernel.At.
+// Arming in the past panics: the kernel cannot rewind the clock.
 func (t *Timer) ArmAt(at Time) {
 	k := t.k
 	if at < k.now {
@@ -69,7 +69,7 @@ func (t *Timer) ArmAt(at Time) {
 		if t.ev.when == at {
 			return
 		}
-		k.Cancel(&t.ev)
+		k.cancel(&t.ev)
 	}
 	t.ev.armed = true
 	t.ev.when = at
@@ -99,4 +99,4 @@ func (t *Timer) ArmEarliest(at Time) {
 // Disarm cancels the pending firing, reporting whether one was pending.
 // The timer remains usable; firing also disarms (re-arm from the
 // callback to build periodic ticks).
-func (t *Timer) Disarm() bool { return t.k.Cancel(&t.ev) }
+func (t *Timer) Disarm() bool { return t.k.cancel(&t.ev) }

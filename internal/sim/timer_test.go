@@ -91,14 +91,14 @@ func TestTimerPeriodicFromCallback(t *testing.T) {
 }
 
 func TestTimerFIFOWithEvents(t *testing.T) {
-	// A timer armed between two At events at the same timestamp fires
-	// between them: one (time, seq) order across both APIs.
+	// A timer armed between two one-shot timers at the same timestamp
+	// fires between them: one (time, seq) order across every registration.
 	k := NewKernel()
 	var got []int
-	k.At(5, func() { got = append(got, 1) })
+	k.NewTimer(func() { got = append(got, 1) }).ArmAt(5)
 	tm := k.NewTimer(func() { got = append(got, 2) })
 	tm.ArmAt(5)
-	k.At(5, func() { got = append(got, 3) })
+	k.NewTimer(func() { got = append(got, 3) }).ArmAt(5)
 	k.Run()
 	for i, want := range []int{1, 2, 3} {
 		if got[i] != want {
@@ -114,7 +114,7 @@ func TestTimerRearmSameTimeKeepsOrder(t *testing.T) {
 	var got []int
 	tm := k.NewTimer(func() { got = append(got, 1) })
 	tm.ArmAt(5)
-	k.At(5, func() { got = append(got, 2) })
+	k.NewTimer(func() { got = append(got, 2) }).ArmAt(5)
 	tm.ArmAt(5) // no-op: same time
 	k.Run()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
@@ -143,7 +143,7 @@ func TestTimerPastArmPanics(t *testing.T) {
 	}()
 	k := NewKernel()
 	tm := k.NewTimer(func() {})
-	k.At(100, func() { tm.ArmAt(50) })
+	k.NewTimer(func() { tm.ArmAt(50) }).ArmAt(100)
 	k.Run()
 }
 
@@ -305,8 +305,8 @@ func kernelMatchesReference(t *testing.T, shift int) {
 			i := i
 			timers[i] = k.NewTimer(func() { got = append(got, timerIDs[i]) })
 		}
-		var open []*Event
-		openIDs := map[*Event]uint64{}
+		var open []*Timer
+		openIDs := map[*Timer]uint64{}
 
 		delay := func() Time {
 			// Mix near (same bucket), mid (in-wheel) and far (overflow).
@@ -322,14 +322,15 @@ func kernelMatchesReference(t *testing.T, shift int) {
 
 		for op := 0; op < 400; op++ {
 			switch rng.Intn(5) {
-			case 0, 1: // one-shot event
+			case 0, 1: // one-shot: a fresh timer armed once
 				id++
 				d := delay()
 				myID := id
-				ev := k.At(k.Now()+d, func() { got = append(got, myID) })
+				tm := k.NewTimer(func() { got = append(got, myID) })
+				tm.ArmAt(k.Now() + d)
 				ref.schedule(myID, k.Now()+d)
-				open = append(open, ev)
-				openIDs[ev] = myID
+				open = append(open, tm)
+				openIDs[tm] = myID
 			case 2: // (re-)arm a timer
 				i := rng.Intn(len(timers))
 				d := delay()
@@ -349,12 +350,12 @@ func kernelMatchesReference(t *testing.T, shift int) {
 					break
 				}
 				i := rng.Intn(len(open))
-				ev := open[i]
+				tm := open[i]
 				open = append(open[:i], open[i+1:]...)
-				if k.Cancel(ev) {
-					ref.cancel(openIDs[ev])
+				if tm.Disarm() {
+					ref.cancel(openIDs[tm])
 				}
-				delete(openIDs, ev)
+				delete(openIDs, tm)
 			case 4: // disarm a timer
 				i := rng.Intn(len(timers))
 				if timers[i].Disarm() {

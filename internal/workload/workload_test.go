@@ -384,7 +384,7 @@ func TestRunFlowsNamesStuckFlow(t *testing.T) {
 	}
 	// Registered before the flows start, so it fires first; Start has
 	// installed the flow's own wake-up by then.
-	k.At(0, func() { fs[1].Dst.SetWake(func() {}) })
+	k.NewTimer(func() { fs[1].Dst.SetWake(func() {}) }).ArmAt(0)
 	const horizon = 10*sim.Millisecond + 7*sim.Nanosecond
 	err = RunFlows(k, fs, horizon)
 	if err == nil {

@@ -55,7 +55,7 @@ func (s stalledRx) inside(deadline func(probe sim.Time) sim.Time, f func()) {
 	if deadline != nil {
 		until = deadline(s.c.alignUp(at) + s.c.clk.Period())
 	}
-	s.r.k.At(at, f)
+	s.r.k.NewTimer(f).ArmAt(at)
 	s.r.k.RunUntil(until)
 }
 
