@@ -90,16 +90,16 @@
 // Machines split configuration into structure and operating point.
 // Structure — grid shape, link counts, buffer depths, channel ends,
 // latencies, routing policy — is fixed at core.New. The operating
-// point — core clock and supply voltage, link timings — is movable:
-// Machine.Retune applies a new core.OperatingPoint to a built machine,
-// and Machine.Reset rewinds everything else (kernel clock and queue,
-// fabric, threads, SRAM, counters, energy accounting, ADC baselines)
-// to the just-built state. Reset + Retune is observationally identical
-// to a fresh build, so core.Pool recycles machines keyed on structural
-// shape: frequency/DVFS sweeps, the experiment inner loops and the
-// HTTP service all check machines out, run, and return them instead of
-// rebuilding per point (an Env with no Pool forces fresh builds;
-// output is byte-identical either way).
+// point — core clock and supply voltage, link timings — is movable with
+// Machine.Retune. A machine rewinds one way: Machine.Restore puts back a
+// Machine.Snapshot, byte-identical to a fresh build re-running the
+// prefix the snapshot followed. New snapshots the just-built machine and
+// Machine.Reset restores it, at the operating point last given to New or
+// Retune, so core.Pool recycles machines keyed on structural shape:
+// frequency/DVFS sweeps, the experiment inner loops and the HTTP service
+// all check machines out, run, and return them instead of rebuilding per
+// point (an Env with no Pool forces fresh builds; output is
+// byte-identical either way).
 //
 // # Scheduling
 //
@@ -109,9 +109,10 @@
 // allocating — instruction issue, link pumps, channel-end wakes, ADC
 // ticks; components embedding their timers bind the callback through a
 // preallocated sim.Waker instead of a closure.
-// Kernel.Reset drains and rewinds a kernel in place, which is what
-// makes the reset-many lifecycle above possible. See internal/sim and
-// README.md for the Timer contract.
+// Kernel.Restore drains the queue and re-arms a snapshot's
+// registrations in place, every Timer staying usable, which is what
+// makes the rewind above possible. See internal/sim and README.md for
+// the Timer contract.
 //
 // # Execution fast path
 //

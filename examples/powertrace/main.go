@@ -1,8 +1,10 @@
-// Powertrace: energy transparency in action. Sweeps the core clock
-// across the paper's DFS range under load, measuring power through the
-// simulated shunt/ADC daughter-board (Fig. 3's experiment), then
-// demonstrates the platform's novel self-measurement path: a program
-// running *on the slice* reads its own power and adapts its frequency.
+// Powertrace: energy transparency in action. A program running on a
+// fully loaded slice is measured through the simulated shunt/ADC
+// daughter-board while an adaptive governor reads the samples and moves
+// the slice's clock: the platform's self-measurement path ("a program
+// that can measure its own power consumption and adapt to the results",
+// Section II). The frequency sweep under load is Fig. 3 (swallow-tables
+// -only fig3) and the rails of a loaded slice are cmd/swallow-power.
 //
 //	go run ./examples/powertrace
 package main
@@ -12,53 +14,18 @@ import (
 	"log"
 
 	"swallow/internal/core"
-	"swallow/internal/energy"
 	"swallow/internal/sim"
 	"swallow/internal/workload"
-	"swallow/internal/xs1"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	fmt.Println("frequency sweep, one slice fully loaded (4 threads/core):")
-	fmt.Println("  MHz   wall W   per-core mW   Eq.1 mW")
-	// Build the slice once; every frequency point is then a Reset
-	// (scrub run state, rewind the clock) plus a Retune (move the
-	// operating point) on the same machine — the build-once /
-	// reset-many lifecycle the sweep engine's machine pool uses.
+	// Run a load, sample the board mid-flight, and emulate a governor
+	// that drops the clock when the slice exceeds a power budget.
+	fmt.Println("adaptive governor, 4.0 W slice budget:")
 	m, err := core.New(1, 1, core.Options{})
 	if err != nil {
-		log.Fatal(err)
-	}
-	for _, f := range []float64{71, 150, 250, 350, 500} {
-		cfg := xs1.Config{FreqMHz: f, VDD: 1.0}
-		m.Reset()
-		if err := m.Retune(core.Options{Core: &cfg}.OperatingPoint()); err != nil {
-			log.Fatal(err)
-		}
-		if err := m.LoadAll(workload.HeavyLoad(4, 30000)); err != nil {
-			log.Fatal(err)
-		}
-		m.RunFor(50 * sim.Microsecond)
-		m.Board(0).SampleAll()
-		m.RunFor(500 * sim.Microsecond)
-		smp := m.Board(0).SampleAll()
-		perCore := (smp.TotalInputW() - 0.73) * core.CoreSupplyEfficiency / 16
-		fmt.Printf("  %3.0f   %6.2f   %11.1f   %7.1f\n",
-			f, smp.TotalInputW(), perCore*1e3, energy.CorePowerActive(f)*1e3)
-	}
-
-	// Self-measurement: run a load, sample the board mid-flight, and
-	// emulate an adaptive governor that drops the clock when the slice
-	// exceeds a power budget - the measurement data "collected on the
-	// Swallow slice itself ... a program that can measure its own power
-	// consumption and adapt to the results" (Section II).
-	fmt.Println("\nadaptive governor, 4.0 W slice budget:")
-	// Recycle the sweep machine at the default operating point instead
-	// of building another.
-	m.Reset()
-	if err := m.Retune(core.Options{}.OperatingPoint()); err != nil {
 		log.Fatal(err)
 	}
 	if err := m.LoadAll(workload.HeavyLoad(4, 500000)); err != nil {

@@ -91,29 +91,25 @@ func New(k *sim.Kernel, net *noc.Network, node topo.NodeID) (*Bridge, error) {
 	n := sw.ChanEndCount()
 	b.tx = sw.ChanEnd(uint8(n - 1))
 	b.rx = sw.ChanEnd(uint8(n - 2))
-	if !b.tx.Claim() || !b.rx.Claim() {
-		return nil, fmt.Errorf("bridge: channel ends already claimed at %v", node)
-	}
-	b.rx.SetWake(b.pumpRx)
-	b.tx.SetWake(b.pumpTx)
 	b.txFire.b, b.rxFire.b = b, b
 	b.txTimer.Init(k, &b.txFire)
 	b.rxTimer.Init(k, &b.rxFire)
+	if err := b.Attach(); err != nil {
+		return nil, err
+	}
 	return b, nil
 }
 
-// Reset re-attaches the bridge after its machine was Reset (which
-// released every channel end and cleared all wake callbacks): it
-// re-claims its two channel ends, re-registers the pacing wakes, and
-// clears queues, pacing deadlines and statistics, leaving the bridge
-// exactly as New built it.
-func (b *Bridge) Reset() error {
+// Attach claims the bridge's two channel ends, registers the pacing
+// wakes, and clears queues, pacing deadlines and statistics, leaving
+// the bridge exactly as New builds it. New attaches; a machine
+// re-attaches its bridges after a rewind released every channel end.
+// When either end is taken it claims neither and reports the conflict.
+func (b *Bridge) Attach() error {
 	if !b.tx.Claim() {
 		return fmt.Errorf("bridge: channel ends already claimed at %v", b.node)
 	}
 	if !b.rx.Claim() {
-		// Leave no half-claimed state behind: a failed Reset must not
-		// leak the tx end or poison a retry.
 		b.tx.Free()
 		return fmt.Errorf("bridge: channel ends already claimed at %v", b.node)
 	}

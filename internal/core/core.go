@@ -6,13 +6,12 @@
 // This is the package examples, tools and benchmarks program against; a
 // Machine is the paper's Fig. 1 stack in software.
 //
-// Machines support three progressively cheaper lifecycles: New builds
-// from scratch; Reset/Retune rewind a build in place (what the shared
-// Pool uses across sweep points); and Snapshot/Restore rewind to an
-// arbitrary mid-run point, copying back only SRAM pages written since
-// the snapshot, so sweeps that share a simulated prefix (a network
-// boot, a warmup) pay for it once. All three are held observationally
-// identical by differential tests; see snapshot.go for the contract.
+// A machine has one way to rewind: Restore puts back a Snapshot,
+// copying back only the SRAM pages written since. New takes a snapshot
+// of the just-built machine, and Reset restores it, which is how the
+// shared Pool recycles builds across sweep points; sweeps that share a
+// simulated prefix (a network boot, a warmup) restore a snapshot taken
+// after it and pay for it once. See snapshot.go for the contract.
 package core
 
 import (
@@ -145,8 +144,8 @@ type Machine struct {
 	epoch sim.Time
 	// shape is the structural key the Pool files this machine under.
 	shape shape
-	// pristine is the post-Reset snapshot a warm rewind restores
-	// instead of Reset, taken lazily on the first one.
+	// pristine is the snapshot New takes of the just-built machine, moved
+	// by Retune to each new operating point; Reset restores it.
 	pristine *Snapshot
 	// exact is the pipeline Env.Checkout last stamped on the cores.
 	exact bool
@@ -193,47 +192,37 @@ func New(slicesX, slicesY int, opts Options) (*Machine, error) {
 	if err := m.buildPowerTree(); err != nil {
 		return nil, err
 	}
+	m.pristine = m.Snapshot()
 	return m, nil
 }
 
-// Reset rewinds the whole machine to its just-built state — kernel
-// clock and queue, network fabric, every core's threads/SRAM/counters/
-// energy, measurement-board baselines — while keeping all structure
-// and capacity. A reset machine is observationally identical to a
-// fresh New with the same options and the machine's current operating
-// point; Retune moves it to a different one. Reset must not be called
-// while the kernel is executing an event.
-func (m *Machine) Reset() {
-	m.K.Reset()
-	m.Net.Reset()
-	for _, node := range m.nodes {
-		m.cores[node].Reset()
-	}
-	for _, b := range m.boards {
-		b.Reset()
-	}
-	// Net.Reset released every channel end, detaching any bridges;
-	// Machine.Bridge revives them on demand.
-	for _, slot := range m.bridges {
-		slot.live = false
-	}
-	m.epoch = 0
-}
+// Reset rewinds the whole machine to the snapshot New took of it —
+// kernel clock and queue, network fabric, every core's threads, SRAM,
+// counters and energy, measurement-board baselines, bridges detached —
+// keeping all structure and capacity. A reset machine is
+// observationally identical to a fresh New at the operating point last
+// given to New or Retune; a per-core SetFrequency or SetVoltage does
+// not survive it. Reset must not be called while the kernel is
+// executing an event.
+func (m *Machine) Reset() { m.Restore(m.pristine) }
 
 // Retune moves the machine to a new operating point — every core's
 // clock and supply, every link's timing — without rebuilding any
-// structure. The core config is validated once up front, so Retune
-// either applies everywhere or changes nothing.
+// structure, and moves the snapshot Reset restores with it. The core
+// config is validated once up front, so Retune either applies
+// everywhere or changes nothing.
 func (m *Machine) Retune(op OperatingPoint) error {
 	if err := op.Core.Validate(); err != nil {
 		return err
 	}
-	for _, node := range m.nodes {
+	for i, node := range m.nodes {
 		if err := m.cores[node].Retune(op.Core); err != nil {
 			return err
 		}
+		m.pristine.cores[i].SetConfig(op.Core)
 	}
 	m.Net.Retune(op.Internal, op.External, op.OffBoard)
+	m.pristine.net.SetTimings(op.Internal, op.External, op.OffBoard)
 	return nil
 }
 

@@ -16,12 +16,12 @@ import "swallow/internal/trace"
 // path, GOMAXPROCS-wide sweeps, no recorder. The three oracle fields
 // exist for tests to compare production against; no binary sets them.
 type Env struct {
-	// Pool is where Checkout draws machines and parks them again. Nil
-	// builds every checkout from scratch: the oracle for Reset ≡ rebuild.
+	// Pool is where Checkout draws machines and where release Resets
+	// and parks them. Nil builds every checkout from scratch: the oracle
+	// for Reset, which is Restore ≡ re-run of the empty prefix.
 	Pool *Pool
-	// Cold rewinds parked machines by Reset rather than from a pristine
-	// snapshot and makes sweeps re-run their common prefixes: the oracle
-	// for Restore ≡ re-run.
+	// Cold makes sweeps re-run their common prefixes rather than restore
+	// a snapshot taken after them: the oracle for Restore ≡ re-run.
 	Cold bool
 	// Exact runs every core one instruction per kernel event
 	// (xs1.Core.SetExact): the oracle for turbo ≡ step-by-step.
@@ -107,12 +107,12 @@ func (e *Env) Checkout(slicesX, slicesY int, opts Options) (*Machine, func(), er
 	return m, func() {
 		rec.Emit(int64(m.K.Now()), trace.KindRelease, trace.SrcMachine, 0, 0)
 		if env.Pool != nil {
-			m.rewind(env.Cold)
+			m.Reset()
 		}
-		// Detach only now that the park-time Reset/Restore is in the
-		// recording, and strictly before the machine is published: once
-		// it is on the idle list another worker may check it out, and
-		// that worker's SetRecorder would race with ours.
+		// Detach only now that the park-time Reset is in the recording,
+		// and strictly before the machine is published: once it is on
+		// the idle list another worker may check it out, and that
+		// worker's SetRecorder would race with ours.
 		if rec != nil {
 			m.K.SetRecorder(nil)
 			env.Trace.Collect(rec)

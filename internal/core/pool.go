@@ -7,8 +7,8 @@ import "sync"
 // dominant per-point cost of a sweep now that the steady-state
 // simulation is allocation-free; the Pool amortises one build across
 // any number of points by keying idle machines on their structural
-// shape (grid plus the non-operating-point half of Options) and
-// handing them back through Reset + Retune.
+// shape (grid plus the non-operating-point half of Options), resetting
+// them as they are parked and retuning them as they are handed back.
 //
 // The contract: Get returns a machine observationally identical to
 // New(slicesX, slicesY, opts) — byte-identical simulation output —
@@ -101,32 +101,17 @@ func (p *Pool) Get(slicesX, slicesY int, opts Options) (*Machine, error) {
 	return m, nil
 }
 
-// Put parks a machine for reuse. The machine is rewound immediately
-// so idle machines hold no run state (programs, traces, wake
-// callbacks) and a later Get only retunes.
+// Put parks a machine for reuse. The machine is Reset immediately —
+// copying back only the SRAM pages its run dirtied — so idle machines
+// hold no run state (programs, traces, wake callbacks) and a later Get
+// only retunes.
 func (p *Pool) Put(m *Machine) {
 	if m == nil {
 		return
 	}
-	m.rewind(false)
+	m.Reset()
 	m.K.SetRecorder(nil)
 	p.park(m)
-}
-
-// rewind returns a machine to its just-built state on its way back to
-// a pool. Warm, it restores a pristine post-Reset snapshot — copying
-// only the SRAM pages the run dirtied instead of clearing every bank —
-// taken once on the machine's first return; cold, it is Reset.
-func (m *Machine) rewind(cold bool) {
-	switch {
-	case cold:
-		m.Reset()
-	case m.pristine == nil:
-		m.Reset()
-		m.pristine = m.Snapshot()
-	default:
-		m.Restore(m.pristine)
-	}
 }
 
 // park publishes a rewound machine on the idle list.

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"swallow/internal/noc"
 	"swallow/internal/sim"
 	"swallow/internal/topo"
 	"swallow/internal/workload"
@@ -42,26 +43,42 @@ func profileRun(t *testing.T, m *Machine) runProfile {
 }
 
 // TestMachineResetRetuneMatchesFresh is the machine-level
-// reset-equals-rebuild contract: a machine dirtied at one operating
-// point, Reset and Retuned to another must reproduce a fresh build at
-// that point exactly (instruction counts, energies, ADC readings,
-// finish times).
+// reset-equals-rebuild contract, in both orders. A machine dirtied at
+// one operating point, Reset and Retuned to another, and a machine
+// built at one point, Retuned to another, dirtied and Reset, must each
+// reproduce a fresh build at the second point exactly (instruction
+// counts, energies, ADC readings, finish times, link timings).
 func TestMachineResetRetuneMatchesFresh(t *testing.T) {
-	cfg := xs1.Config{FreqMHz: 200, VDD: 1.0}
-	fresh := MustNew(1, 1, Options{Core: &cfg})
-	want := profileRun(t, fresh)
+	check := func(name string, m *Machine, cfg xs1.Config, links noc.Config) {
+		t.Helper()
+		fresh := MustNew(1, 1, Options{Core: &cfg, Noc: &links})
+		for i, l := range m.Net.Links() {
+			if got, want := l.Timing(), fresh.Net.Links()[i].Timing(); got != want {
+				t.Fatalf("%s: %v timing %+v, fresh build has %+v", name, l, got, want)
+			}
+		}
+		if got, want := profileRun(t, m), profileRun(t, fresh); got != want {
+			t.Fatalf("%s: recycled run diverges from fresh:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+	slow, fast := xs1.Config{FreqMHz: 200, VDD: 1.0}, xs1.DefaultConfig()
+	maxRate, operating := noc.MaxRateConfig(), noc.OperatingConfig()
 
 	recycled := MustNew(1, 1, Options{})
 	profileRun(t, recycled) // dirty at 500 MHz
 	recycled.Reset()
-	if err := recycled.Retune(Options{Core: &cfg}.OperatingPoint()); err != nil {
+	if err := recycled.Retune(Options{Core: &slow, Noc: &maxRate}.OperatingPoint()); err != nil {
 		t.Fatal(err)
 	}
-	got := profileRun(t, recycled)
+	check("reset, then retune", recycled, slow, maxRate)
 
-	if got != want {
-		t.Fatalf("recycled run diverges from fresh:\n got %+v\nwant %+v", got, want)
+	retuned := MustNew(1, 1, Options{Core: &slow, Noc: &maxRate})
+	if err := retuned.Retune(Options{Core: &fast, Noc: &operating}.OperatingPoint()); err != nil {
+		t.Fatal(err)
 	}
+	profileRun(t, retuned)
+	retuned.Reset()
+	check("retune, then reset", retuned, fast, operating)
 }
 
 // TestPoolRecyclesByShape checks shape keying: equal structure with a

@@ -17,11 +17,12 @@ import (
 // the full network fabric, the measurement boards' averaging windows,
 // and every attached bridge. Machine.Restore rewinds the machine in
 // place so the simulation replays the remaining event sequence
-// byte-identically — the warm-start contract is
+// byte-identically — the contract is
 //
-//	Restore(s) ≡ Reset + re-run of everything before Snapshot
+//	Restore(s) ≡ New + re-run of everything before Snapshot
 //
-// for all machine-observable state.
+// for all machine-observable state. The snapshot New takes is the
+// empty prefix, and Reset restores it.
 //
 // A snapshot captures machine component state only, never host
 // closure state: a workload.Flow pump or power.Trace tick holds its
@@ -32,7 +33,7 @@ import (
 //
 // Snapshots are only meaningful against the machine they were taken
 // from; any number may be outstanding at once, and each stays valid
-// across intervening Reset, Restore and further runs.
+// across intervening restores (Reset among them) and further runs.
 type Snapshot struct {
 	kernel *sim.KernelSnapshot
 	// cores in m.nodes order; boards in slice-index order.
@@ -66,12 +67,14 @@ var snapStats struct {
 // SnapshotStats reports cumulative snapshot counters across all
 // machines in the process.
 type SnapshotStats struct {
-	// Taken counts Machine.Snapshot calls.
+	// Taken counts Machine.Snapshot calls, one of them in every New.
 	Taken uint64
-	// Restores counts Machine.Restore calls.
+	// Restores counts Machine.Restore calls, one of them in every Reset
+	// and so in every park.
 	Restores uint64
-	// DirtyBytes totals SRAM bytes copied back by restores — the
-	// pages actually written since each snapshot, not the banks' size.
+	// DirtyBytes totals SRAM bytes copied back or cleared by restores —
+	// the pages actually written since each snapshot, not the banks'
+	// size.
 	DirtyBytes uint64
 }
 
@@ -117,9 +120,8 @@ func (m *Machine) Snapshot() *Snapshot {
 
 // Restore rewinds the machine to a prior Snapshot of the same
 // machine, reusing existing capacity: beyond copying SRAM pages
-// written since the snapshot, a warm restore allocates nothing. Like
-// Reset, it must not be called while the kernel is executing an
-// event.
+// written since the snapshot, a warm restore allocates nothing. It
+// must not be called while the kernel is executing an event.
 func (m *Machine) Restore(s *Snapshot) {
 	m.K.Restore(s.kernel)
 	dirty := int64(0)
@@ -151,15 +153,15 @@ func (m *Machine) Restore(s *Snapshot) {
 }
 
 // Bridge returns the machine's bridge at node, attaching one on first
-// use and re-attaching across Reset/Restore. Bridges are part of the
-// machine for pooling purposes: a recycled machine keeps its built
-// bridges parked (detached, holding no claims) and revives them here
-// with a cheap re-claim instead of a rebuild.
+// use and re-attaching it after a restore detached it. Bridges are part
+// of the machine for pooling purposes: a recycled machine keeps its
+// built bridges parked (detached, holding no claims) and revives them
+// here with a cheap re-claim instead of a rebuild.
 func (m *Machine) Bridge(node topo.NodeID) (*bridge.Bridge, error) {
 	for _, slot := range m.bridges {
 		if slot.b.Node() == node {
 			if !slot.live {
-				if err := slot.b.Reset(); err != nil {
+				if err := slot.b.Attach(); err != nil {
 					return nil, err
 				}
 				slot.live = true

@@ -76,9 +76,9 @@ func sameSeq(a, b []sim.Time) (int, bool) {
 }
 
 // TestMachineSnapshotDifferential is the warm-start contract test:
-// Restore must be byte-identical to Reset + re-running the prefix,
-// both in every machine-observable counter and in the exact remaining
-// event sequence.
+// Restore must be byte-identical to a fresh build re-running the
+// prefix, both in every machine-observable counter and in the exact
+// remaining event sequence.
 func TestMachineSnapshotDifferential(t *testing.T) {
 	const items, prefix = 48, 2500
 	m := MustNew(1, 1, Options{})
@@ -105,22 +105,23 @@ func TestMachineSnapshotDifferential(t *testing.T) {
 		t.Fatalf("restored replay fingerprint:\n got %s\nwant %s", got, wantFP)
 	}
 
-	// Path 2: Reset + re-run the prefix, then replay — the definition
-	// the snapshot must match.
-	m.Reset()
-	loadPipeline(t, m, items)
+	// Path 2: a fresh build re-runs the prefix, then replays — the
+	// definition the snapshot must match.
+	fresh := MustNew(1, 1, Options{})
+	loadPipeline(t, fresh, items)
 	for i := 0; i < prefix; i++ {
-		m.K.Step()
+		fresh.K.Step()
 	}
-	gotSeq = drain(t, m)
+	gotSeq = drain(t, fresh)
 	if i, ok := sameSeq(wantSeq, gotSeq); !ok {
-		t.Fatalf("reset+rerun replay diverged at step %d (len %d vs %d)", i, len(wantSeq), len(gotSeq))
+		t.Fatalf("fresh rerun replay diverged at step %d (len %d vs %d)", i, len(wantSeq), len(gotSeq))
 	}
-	if got := fingerprint(m); got != wantFP {
-		t.Fatalf("reset+rerun fingerprint:\n got %s\nwant %s", got, wantFP)
+	if got := fingerprint(fresh); got != wantFP {
+		t.Fatalf("fresh rerun fingerprint:\n got %s\nwant %s", got, wantFP)
 	}
 
-	// The snapshot must survive the intervening Reset and restore again.
+	// The snapshot must survive an intervening Reset and restore again.
+	m.Reset()
 	m.Restore(snap)
 	gotSeq = drain(t, m)
 	if i, ok := sameSeq(wantSeq, gotSeq); !ok {
@@ -131,7 +132,9 @@ func TestMachineSnapshotDifferential(t *testing.T) {
 // TestMachineSnapshotRandomizedBoundaries snapshots at arbitrary event
 // boundaries mid-run and verifies the restored machine replays the
 // identical remaining event sequence and final state. The workload is
-// in-SRAM programs, so the snapshot captures all driving state.
+// in-SRAM programs, so the snapshot captures all driving state. Every
+// trial runs on a fresh build, so the run a restore must reproduce
+// never begins with a restore itself.
 func TestMachineSnapshotRandomizedBoundaries(t *testing.T) {
 	const items = 32
 	m := MustNew(1, 1, Options{})
@@ -145,7 +148,7 @@ func TestMachineSnapshotRandomizedBoundaries(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rnd = rnd*6364136223846793005 + 1442695040888963407
 		cut := 50 + int(rnd%uint64(total-100))
-		m.Reset()
+		m := MustNew(1, 1, Options{})
 		loadPipeline(t, m, items)
 		for i := 0; i < cut; i++ {
 			m.K.Step()
@@ -181,11 +184,10 @@ func TestMachineSnapshotRandomizedBoundaries(t *testing.T) {
 	boundary := func(m *Machine) string {
 		return fmt.Sprintf("seq=%d fired=%d pending=%d %s%s", m.K.Seq(), m.K.Fired(), m.K.Pending(), fingerprint(m), threadStates(m))
 	}
-	sm := MustNew(2, 2, Options{})
 	for trial := uint64(0); trial < 4; trial++ {
 		schedule := segments(trial + 1)
 		cut := 5 + int(trial)*11
-		sm.Reset()
+		sm := MustNew(2, 2, Options{})
 		loadStreams(t, sm, 240)
 		for _, d := range schedule[:cut] {
 			sm.RunFor(d)
@@ -239,6 +241,18 @@ func TestWarmRestoreAllocs(t *testing.T) {
 	after := ReadSnapshotStats()
 	if after.Restores <= before.Restores {
 		t.Fatalf("restore counter did not advance: %+v -> %+v", before, after)
+	}
+}
+
+// TestPristineSnapshotHoldsNoSRAM pins what New's snapshot costs: a
+// just-built machine has never written its SRAM, so the snapshot Reset
+// restores copies none of it, even for the 480 cores of Fig. 1.
+func TestPristineSnapshotHoldsNoSRAM(t *testing.T) {
+	m := MustNew(5, 6, Options{})
+	for i, cs := range m.pristine.cores {
+		if n := cs.SRAMBytes(); n != 0 {
+			t.Fatalf("core %v: the snapshot of a just-built machine holds %d SRAM bytes", m.nodes[i], n)
+		}
 	}
 }
 

@@ -72,8 +72,8 @@ func TestTracedCheckoutRecords(t *testing.T) {
 	if recs[0].Events[0].Kind != trace.KindCheckout {
 		t.Errorf("first event = %v, want checkout", recs[0].Events[0].Kind)
 	}
-	// Release precedes only the pool's park-time events (snapshot,
-	// reset bookkeeping); nothing after it may come from the workload.
+	// Release precedes only the pool's park-time event (the Reset's
+	// restore); nothing after it may come from the workload.
 	seenRelease := false
 	for _, ev := range recs[0].Events {
 		if ev.Kind == trace.KindRelease {

@@ -47,6 +47,13 @@ func sliceDigest(t *testing.T, retune float64, threads func(i int) int) string {
 		t.Fatal(err)
 	}
 	defer release()
+	return machineDigest(t, m, retune, threads)
+}
+
+// machineDigest is sliceDigest on a machine of the caller's, Reset first
+// as the benchmark resets its own before every op.
+func machineDigest(t *testing.T, m *core.Machine, retune float64, threads func(i int) int) string {
+	t.Helper()
 	m.Reset()
 	for i, c := range m.Cores() {
 		if err := m.Load(c.Node(), workload.HeavyLoad(threads(i), 1<<20)); err != nil {
@@ -68,6 +75,28 @@ func sliceDigest(t *testing.T, retune float64, threads func(i int) int) string {
 	return fmt.Sprintf("instrs=%d events=%d end_ps=%d core_j=%016x link_j=%016x tokens=%v",
 		m.TotalInstrCount(), m.K.Fired(), int64(m.K.Now()),
 		math.Float64bits(rep.ComputationJ+rep.BackgroundJ), math.Float64bits(rep.LinkJ), tokens)
+}
+
+// TestResetKeepsTheOperatingPoint: Reset rewinds a machine to the
+// operating point last given to New or Retune, as the benchmark relies
+// on when it resets its checkout before every op without retuning. A
+// slice built at Fig. 3's lowest clock and retuned to 500 MHz runs a
+// sim-compute op after a Reset to a committed digest.
+func TestResetKeepsTheOperatingPoint(t *testing.T) {
+	var sims map[string][]string
+	readBenchGolden(t, "sim.seed1.json", &sims)
+	slow := xs1.Config{FreqMHz: 71, VDD: 1.0}
+	m := core.MustNew(1, 1, core.Options{Core: &slow})
+	if err := m.Retune(core.Options{}.OperatingPoint()); err != nil {
+		t.Fatal(err)
+	}
+	d := machineDigest(t, m, 0, func(int) int { return 4 })
+	for _, g := range sims["sim-compute"] {
+		if d == g {
+			return
+		}
+	}
+	t.Fatalf("sim-compute after build at 71 MHz, retune to 500 MHz and Reset is not in bench/golden/sim.seed1.json:\n  %s", d)
 }
 
 // TestHostThreadsNeverChangeAByte is the width half of the turbo

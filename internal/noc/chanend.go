@@ -80,27 +80,6 @@ func newChanEnd(sw *Switch, idx uint8) *ChanEnd {
 	return ce
 }
 
-// reset returns the channel end (and its injection port) to the
-// power-on state: unallocated, no destination, closed route, empty
-// buffers, no wake callback, zeroed counters.
-func (ce *ChanEnd) reset() {
-	ce.wakeTimer.Disarm()
-	ce.injectTimer.Disarm()
-	ce.allocated = false
-	ce.dest = 0
-	ce.destSet = false
-	ce.routeOpen = false
-	ce.in.reset()
-	ce.owner = nil
-	clear(ce.waiters)
-	ce.waiters = ce.waiters[:0]
-	clear(ce.spaceWaiters)
-	ce.spaceWaiters = ce.spaceWaiters[:0]
-	ce.wake = nil
-	ce.TokensIn, ce.TokensOut = 0, 0
-	ce.src.reset()
-}
-
 // ID reports the globally routable identifier of this channel end.
 func (ce *ChanEnd) ID() ChanEndID {
 	return MakeChanEndID(uint16(ce.sw.node), ce.idx)

@@ -70,21 +70,6 @@ func newChanInPort(ce *ChanEnd, capacity int) *inPort {
 	return p
 }
 
-// reset returns the port to its just-built state (buffer capacity
-// kept), mid-packet wormhole state included.
-func (p *inPort) reset() {
-	p.nudgeTimer.Disarm()
-	p.fifo.reset()
-	p.hdrNeed = HeaderTokens
-	p.hdr = [3]byte{}
-	p.hdrSend = 0
-	p.routed = false
-	p.waitingGrant = false
-	p.out = nil
-	p.localDst = nil
-	p.DroppedTokens = 0
-}
-
 func (p *inPort) String() string { return fmt.Sprintf("inport %s", p.name) }
 
 // space reports free buffer slots (used by channel-end sources).

@@ -128,10 +128,7 @@ type Link struct {
 	// re-granting after release.
 	outPort *outPort
 
-	credits int
-	// initCredits is the construction-time credit allowance, restored
-	// by reset.
-	initCredits int
+	credits     int
 	busyUntil   sim.Time
 	hopLatency  sim.Time
 	energyPerBt float64
@@ -186,7 +183,6 @@ func newLink(k *sim.Kernel, name string, class energy.LinkClass, timing LinkTimi
 		class:       class,
 		k:           k,
 		credits:     credits,
-		initCredits: credits,
 		energyPerBt: energy.LinkEnergyPerBit(class),
 	}
 	l.setTiming(timing)
@@ -197,33 +193,15 @@ func newLink(k *sim.Kernel, name string, class energy.LinkClass, timing LinkTimi
 	return l
 }
 
-// reset returns the link to its just-built state: timers disarmed,
-// full credit allowance, empty wire and queues, zeroed statistics.
-// Queue capacity is kept for reuse.
-func (l *Link) reset() {
-	l.pumpTimer.Disarm()
-	l.delivTimer.Disarm()
-	l.creditTimer.Disarm()
-	l.owner = nil
-	l.credits = l.initCredits
-	l.busyUntil = 0
-	clear(l.deliv)
-	l.deliv = l.deliv[:0]
-	l.delivHead = 0
-	l.creditQ = l.creditQ[:0]
-	l.creditHead = 0
-	l.Stats = LinkStats{}
-}
-
 // Class reports the physical class of the link.
 func (l *Link) Class() energy.LinkClass { return l.class }
 
 // Timing reports the link's configured timing.
 func (l *Link) Timing() LinkTiming { return l.timing }
 
-// setTiming installs a link mode and its derived token time; every
-// path that changes the timing (construction, Network.Retune, snapshot
-// restore) goes through here.
+// setTiming installs a link mode and its derived token time. The
+// network sets every link from its class's timing in Cfg, at
+// construction and in Network.Retune, which snapshot restore calls.
 func (l *Link) setTiming(t LinkTiming) {
 	l.timing = t
 	l.tokenTime = t.TokenTime()

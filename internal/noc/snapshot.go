@@ -9,9 +9,9 @@ import (
 // every channel end (allocation, destination, route and buffer state,
 // wake callback), every wormhole stream's mid-packet state, every
 // link's credits, in-flight tokens and statistics, and the
-// Retune-managed timings. Timer registrations are kernel state,
-// captured by the kernel's own snapshot; Restore here copies only
-// plain component state. Pointers captured (port owners, claimed
+// Retune-managed timing of each link class. Timer registrations are
+// kernel state, captured by the kernel's own snapshot; Restore here
+// copies only plain component state. Pointers captured (port owners, claimed
 // links, local destinations) refer to components of the same network,
 // so a snapshot is only meaningful against the network it was taken
 // from.
@@ -31,6 +31,8 @@ var snapDirs = [...]topo.Dir{
 }
 
 type switchSnap struct {
+	// ces holds the channel ends up to the last one not idle; the rest
+	// restore to idleChanEnd.
 	ces []chanEndSnap
 	// outWaiters[i] holds the queued streams of snapDirs[i] (nil when
 	// the switch has no port in that direction).
@@ -61,7 +63,6 @@ type inPortSnap struct {
 }
 
 type linkSnap struct {
-	timing    LinkTiming
 	owner     *inPort
 	credits   int
 	busyUntil sim.Time
@@ -95,6 +96,21 @@ func (p *inPort) restore(s *inPortSnap) {
 	p.out = s.out
 	p.localDst = s.localDst
 	p.DroppedTokens = s.dropped
+}
+
+// idleChanEnd is the snapshot of a channel end as NewNetwork builds it.
+var idleChanEnd = chanEndSnap{src: inPortSnap{hdrNeed: HeaderTokens}}
+
+// idle reports whether the channel end and its injection port are as
+// NewNetwork builds them, so that a snapshot need not copy them: every
+// field chanEndSnap captures holds its idleChanEnd value.
+func (ce *ChanEnd) idle() bool {
+	p := ce.src
+	return !ce.allocated && !ce.destSet && !ce.routeOpen && ce.dest == 0 &&
+		ce.in.len() == 0 && ce.owner == nil && len(ce.waiters) == 0 &&
+		len(ce.spaceWaiters) == 0 && ce.wake == nil && ce.TokensIn == 0 && ce.TokensOut == 0 &&
+		p.fifo.len() == 0 && p.hdrNeed == HeaderTokens && p.hdr == [3]byte{} && p.hdrSend == 0 &&
+		!p.routed && !p.waitingGrant && p.out == nil && p.localDst == nil && p.DroppedTokens == 0
 }
 
 func (ce *ChanEnd) snapshot() chanEndSnap {
@@ -131,7 +147,6 @@ func (ce *ChanEnd) restore(s *chanEndSnap) {
 
 func (l *Link) snapshot() linkSnap {
 	return linkSnap{
-		timing:    l.timing,
 		owner:     l.owner,
 		credits:   l.credits,
 		busyUntil: l.busyUntil,
@@ -143,7 +158,6 @@ func (l *Link) snapshot() linkSnap {
 }
 
 func (l *Link) restore(s *linkSnap) {
-	l.setTiming(s.timing)
 	l.owner = s.owner
 	l.credits = s.credits
 	l.busyUntil = s.busyUntil
@@ -168,9 +182,15 @@ func (n *Network) Snapshot() *NetworkSnapshot {
 	}
 	for _, node := range n.nodes {
 		sw := n.switches[node]
-		ss := switchSnap{ces: make([]chanEndSnap, len(sw.ces))}
+		last := -1
 		for i, ce := range sw.ces {
-			ss.ces[i] = ce.snapshot()
+			if !ce.idle() {
+				last = i
+			}
+		}
+		ss := switchSnap{ces: make([]chanEndSnap, last+1)}
+		for i := range ss.ces {
+			ss.ces[i] = sw.ces[i].snapshot()
 		}
 		for i, d := range snapDirs {
 			if op, ok := sw.out[d]; ok && len(op.waiters) > 0 {
@@ -185,15 +205,26 @@ func (n *Network) Snapshot() *NetworkSnapshot {
 	return s
 }
 
+// SetTimings moves a snapshot taken at construction to other link
+// timings, as Network.Retune moves the network: restoring it then gives
+// the fabric NewNetwork would build with them.
+func (s *NetworkSnapshot) SetTimings(internal, external, offBoard LinkTiming) {
+	s.internal, s.external, s.offBoard = internal, external, offBoard
+}
+
 // Restore rewinds the fabric to a prior Snapshot of the same network,
 // reusing buffer capacity so a warm restore allocates nothing.
 func (n *Network) Restore(s *NetworkSnapshot) {
-	n.Cfg.Internal, n.Cfg.External, n.Cfg.OffBoard = s.internal, s.external, s.offBoard
+	n.Retune(s.internal, s.external, s.offBoard)
 	for si, node := range n.nodes {
 		sw := n.switches[node]
 		ss := &s.switches[si]
 		for i, ce := range sw.ces {
-			ce.restore(&ss.ces[i])
+			if i < len(ss.ces) {
+				ce.restore(&ss.ces[i])
+			} else {
+				ce.restore(&idleChanEnd)
+			}
 		}
 		for i, d := range snapDirs {
 			op, ok := sw.out[d]

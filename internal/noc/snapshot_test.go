@@ -57,7 +57,7 @@ func (s *slowStream) pump() {
 	}
 }
 
-// start arms the stream on a just-built or just-reset network.
+// start arms the stream on a just-built or just-rewound network.
 func (s *slowStream) start() {
 	s.sent, s.got = 0, s.got[:0]
 	s.src.SetDest(s.dst.ID())
@@ -101,15 +101,18 @@ func (s *slowStream) finish(t *testing.T) streamOutcome {
 // requires the remainder to replay exactly what an uninterrupted run
 // produces: same tokens, same credits, same link statistics, same
 // kernel accounting. Restore must also rewind both windows onto the
-// front of the same backing arrays.
+// front of the same backing arrays. The uninterrupted run is the fresh
+// network's; the cut run starts from a restore of snapshots taken at
+// construction, the empty prefix.
 func TestRestoreWithSlidFIFOs(t *testing.T) {
 	const total = 120
 	s := newSlowStream(t, total)
+	ks0, ns0 := s.k.Snapshot(), s.n.Snapshot()
 	s.start()
 	want := s.finish(t)
 
-	s.k.Reset()
-	s.n.Reset()
+	s.k.Restore(ks0)
+	s.n.Restore(ns0)
 	s.start()
 	var port *inPort
 	for steps := 0; port == nil; steps++ {
@@ -134,7 +137,9 @@ func TestRestoreWithSlidFIFOs(t *testing.T) {
 	portToks := append([]Token(nil), port.fifo.live...)
 	ceToks := append([]Token(nil), s.dst.in.live...)
 
-	// Run on, so the restore has sliding, credits and statistics to undo.
+	// Run on, at other link timings, so the restore has timings,
+	// sliding, credits and statistics to undo.
+	s.n.Retune(TimingInternalMax, TimingExternalMax, TimingExternalMax)
 	s.k.RunFor(20 * sim.Microsecond)
 	if len(s.got) == got {
 		t.Fatal("nothing moved between snapshot and restore")
@@ -153,5 +158,19 @@ func TestRestoreWithSlidFIFOs(t *testing.T) {
 	}
 	if got := s.finish(t); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored run diverged from the uninterrupted run\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestIdleChanEndIsFresh pins the template a snapshot restores the
+// channel ends it skipped to: every channel end of a just-built network
+// is idle and snapshots to idleChanEnd exactly.
+func TestIdleChanEndIsFresh(t *testing.T) {
+	_, n := testNet(t, 1, 1, OperatingConfig())
+	for _, node := range n.nodes {
+		for _, ce := range n.switches[node].ces {
+			if !ce.idle() || !reflect.DeepEqual(ce.snapshot(), idleChanEnd) {
+				t.Fatalf("%v: fresh channel end idle=%v, snapshot %+v, want %+v", ce.ID(), ce.idle(), ce.snapshot(), idleChanEnd)
+			}
+		}
 	}
 }

@@ -151,24 +151,6 @@ func NewNetwork(k *sim.Kernel, sys topo.System, cfg Config) (*Network, error) {
 // Switch returns the switch of a node.
 func (n *Network) Switch(node topo.NodeID) *Switch { return n.switches[node] }
 
-// Reset returns the whole fabric to its just-built state: every
-// channel end unallocated with empty buffers and no wake callbacks,
-// every wormhole stream closed, every link idle with a full credit
-// allowance and zeroed statistics. Buffer capacity is kept. Callers
-// reset the kernel first (Machine.Reset does), so no stale events can
-// reference the cleared state.
-func (n *Network) Reset() {
-	// Pure state clearing, no events or float accumulation, so map
-	// iteration order is immaterial (and allocates nothing).
-	for _, sw := range n.switches {
-		sw.reset()
-	}
-	for _, l := range n.links {
-		l.reset()
-		l.dst.reset()
-	}
-}
-
 // Retune swaps the link timings of the three physical classes without
 // rebuilding — the run-time half of the network's operating point.
 // Structure (link counts, buffers, latencies, routing policy) is fixed
@@ -219,17 +201,6 @@ func newSwitch(n *Network, node topo.NodeID) *Switch {
 		sw.ces[i] = newChanEnd(sw, uint8(i))
 	}
 	return sw
-}
-
-// reset clears the switch's channel ends and output arbiters.
-func (sw *Switch) reset() {
-	for _, ce := range sw.ces {
-		ce.reset()
-	}
-	for _, op := range sw.out {
-		clear(op.waiters)
-		op.waiters = op.waiters[:0]
-	}
 }
 
 // Node reports the switch's position.

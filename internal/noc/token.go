@@ -145,10 +145,6 @@ func (q *tokenFIFO) pop() Token {
 	return tok
 }
 
-// reset empties the queue, rewinding the window onto the front of the
-// same backing.
-func (q *tokenFIFO) reset() { q.live = q.buf[:0] }
-
-// set replaces the contents with toks, rewound likewise (snapshot
-// restore).
+// set replaces the contents with toks, rewinding the window onto the
+// front of the same backing (snapshot restore).
 func (q *tokenFIFO) set(toks []Token) { q.live = q.buf[:copy(q.buf, toks)] }

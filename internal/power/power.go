@@ -184,17 +184,6 @@ func NewBoard(k *sim.Kernel, supplies []*Supply) (*Board, error) {
 	return b, nil
 }
 
-// Reset re-baselines the board after a machine reset: the averaging
-// window restarts at the current kernel time with the loads' current
-// (post-reset) cumulative energies, exactly the state NewBoard
-// captures at construction.
-func (b *Board) Reset() {
-	b.lastT = b.k.Now()
-	for i, s := range b.Supplies {
-		b.lastE[i] = s.OutputEnergyJ()
-	}
-}
-
 // BoardSnapshot captures a board's averaging-window state: the last
 // sample time and per-channel energy baselines.
 type BoardSnapshot struct {

@@ -133,6 +133,8 @@ func (m *metrics) write(w io.Writer, cs cache.Stats, ss store.Stats, queueDepth,
 	fmt.Fprintf(w, "swallow_pool_evictions_total %d\n", ps.Evictions)
 	fmt.Fprintf(w, "swallow_pool_idle_machines %d\n", ps.Idle)
 	fmt.Fprintf(w, "swallow_pool_idle_bytes %d\n", ps.IdleBytes)
+	// Every build takes a snapshot and every park restores one, so these
+	// count builds and parks as well as warm prefixes.
 	snap := core.ReadSnapshotStats()
 	fmt.Fprintf(w, "swallow_snapshot_taken_total %d\n", snap.Taken)
 	fmt.Fprintf(w, "swallow_snapshot_restores_total %d\n", snap.Restores)

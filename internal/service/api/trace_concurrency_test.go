@@ -146,8 +146,8 @@ func TestTracedResponsesDeterministicUnderLoad(t *testing.T) {
 	if wantTable != plainBody {
 		t.Fatalf("traced table differs from plain render:\n--- plain ---\n%s\n--- traced ---\n%s", plainBody, wantTable)
 	}
-	if !strings.Contains(wantTrace, `"restore"`) || !strings.Contains(wantTrace, `"snapshot"`) {
-		t.Fatal("the trace recorded alone shows no machine parked and reused; the comparison below would be of nothing")
+	if !strings.Contains(wantTrace, `"restore"`) || !strings.Contains(wantTrace, `"pooled":1`) {
+		t.Fatal("the trace recorded alone shows no machine checked out of a pool and parked again; the comparison below would be of nothing")
 	}
 
 	const traced, plain = 4, 8

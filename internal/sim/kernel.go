@@ -126,8 +126,8 @@ type Kernel struct {
 	wheelSpan    Time
 
 	// rec is the attached flight recorder, nil when tracing is off.
-	// Reset and snapshot restore leave it alone: attachment follows
-	// the checkout lifecycle (core.Checkout), not the event state.
+	// Snapshot restore leaves it alone: attachment follows the checkout
+	// lifecycle (core.Checkout), not the event state.
 	rec *trace.Recorder
 }
 
@@ -179,8 +179,8 @@ func (k *Kernel) Fired() uint64 { return k.fired }
 func (k *Kernel) Seq() uint64 { return k.seq }
 
 // SetRecorder attaches (or, with nil, detaches) the flight recorder.
-// Attachment is owned by the machine checkout lifecycle; Reset and
-// snapshot restore never touch it.
+// Attachment is owned by the machine checkout lifecycle; snapshot
+// restore never touches it.
 func (k *Kernel) SetRecorder(r *trace.Recorder) { k.rec = r }
 
 // Recorder returns the attached flight recorder, nil when tracing is
@@ -511,31 +511,6 @@ func (k *Kernel) Count(arms, firings int) {
 	}
 	k.seq += uint64(arms)
 	k.fired += uint64(firings)
-}
-
-// rewindWheel returns the drained wheel to position zero with its first
-// quantum starting at t, every backing staying at its own position.
-func (k *Kernel) rewindWheel(t Time) {
-	k.wheel[k.wheelPos] = k.cur
-	k.wheelPos, k.wheelTime = 0, t
-	k.cur, k.wheel[0] = k.wheel[0], nil
-}
-
-// Reset drains every pending registration and rewinds the kernel to
-// its just-constructed state — clock at zero, sequence counter at
-// zero, no pending or fired events — while keeping the queue's
-// allocated capacity (buckets, overflow heap) for reuse. Every armed
-// Timer is disarmed in place, so existing Timers remain usable and
-// re-arm from a clean queue. Reset is the foundation of the
-// build-once / reset-many machine lifecycle; it must not be called
-// from inside a running event callback.
-func (k *Kernel) Reset() {
-	k.drainQueues()
-	k.now, k.seq, k.fired = 0, 0, 0
-	k.halted = false
-	k.rewindWheel(0)
-	k.liveNear, k.liveFar = 0, 0
-	k.hasDeadline = false
 }
 
 // Run executes events until the queue drains or Halt is called.

@@ -2,9 +2,9 @@ package sim
 
 // KernelSnapshot is a point-in-time capture of the kernel: the clock,
 // the sequence and fired counters, and every live registration in both
-// tiers. Restore rewinds the kernel to exactly this state in place —
-// the snapshot/restore counterpart of Reset for the warm-start sweep
-// path.
+// tiers. Restore rewinds the kernel to exactly this state in place; a
+// snapshot of a just-built kernel rewinds it to clock zero with nothing
+// pending, which is how a machine resets.
 //
 // A snapshot holds the *event pointers of the registrations it
 // captured, which is what makes restore exact: components hold their
@@ -28,8 +28,8 @@ func (s *KernelSnapshot) Now() Time { return s.now }
 func (s *KernelSnapshot) Pending() int { return len(s.slots) }
 
 // Snapshot captures the kernel's current state: clock, counters and
-// every live registration. Like Reset, it must not be called from
-// inside a running event callback.
+// every live registration. It must not be called from inside a running
+// event callback.
 func (k *Kernel) Snapshot() *KernelSnapshot {
 	s := &KernelSnapshot{now: k.now, seq: k.seq, fired: k.fired}
 	s.slots = make([]slot, 0, k.liveNear+k.liveFar)
@@ -57,15 +57,19 @@ func (k *Kernel) Snapshot() *KernelSnapshot {
 // registration armed since (or cancelled since) is undone in place,
 // and exactly the captured registrations are re-armed with their
 // original (time, seq) keys — so the remaining event sequence replays
-// identically. Queue capacity is kept, and restoring a snapshot with
-// no registrations newer than the current queue allocates nothing.
-// Like Reset, Restore must not be called from inside a running event
-// callback.
+// identically. Every Timer armed since is disarmed in place and stays
+// usable. Queue capacity is kept: the drained wheel returns to position
+// zero with every bucket's backing staying at its own position, and
+// restoring a snapshot with no registrations newer than the current
+// queue allocates nothing. Restore must not be called from inside a
+// running event callback.
 func (k *Kernel) Restore(s *KernelSnapshot) {
 	k.drainQueues()
 	k.now, k.seq, k.fired = s.now, s.seq, s.fired
-	k.halted = false
-	k.rewindWheel(s.now &^ (k.quantum - 1))
+	k.halted, k.hasDeadline = false, false
+	k.wheel[k.wheelPos] = k.cur
+	k.wheelPos, k.wheelTime = 0, s.now&^(k.quantum-1)
+	k.cur, k.wheel[0] = k.wheel[0], nil
 	k.liveNear, k.liveFar = 0, 0
 	for _, sl := range s.slots {
 		sl.ev.armed = true

@@ -189,10 +189,12 @@ func TestKernelSnapshotEmpty(t *testing.T) {
 }
 
 // TestKernelRestoreAfterReset proves a snapshot survives an
-// intervening Reset: restore rewinds forward again to the captured
-// mid-run state.
+// intervening reset — a restore of the snapshot taken at construction,
+// which is how a machine resets: restore rewinds forward again to the
+// captured mid-run state.
 func TestKernelRestoreAfterReset(t *testing.T) {
 	k := NewKernel()
+	pristine := k.Snapshot()
 	count := 0
 	var tick *Timer
 	tick = k.NewTimer(func() {
@@ -207,9 +209,9 @@ func TestKernelRestoreAfterReset(t *testing.T) {
 	}
 	snap := k.Snapshot()
 	atSnap := count
-	k.Reset()
+	k.Restore(pristine)
 	if tick.Armed() {
-		t.Fatal("timer armed after Reset")
+		t.Fatal("timer armed after the reset")
 	}
 	k.Restore(snap)
 	if !tick.Armed() {
@@ -218,5 +220,41 @@ func TestKernelRestoreAfterReset(t *testing.T) {
 	k.Run()
 	if count != atSnap+(100-atSnap) {
 		t.Fatalf("count %d after restore+run, want 100", count)
+	}
+}
+
+// TestBucketBackingsStayPut: a drained bucket's backing stays with its
+// wheel position, so a run that repeats exactly — a restore of the
+// snapshot taken at construction, the same arms, the same firings —
+// finds every position sized by the run before it and allocates nothing
+// from the second run on. (Backings used to move one
+// position round the wheel with every bucket drained, and a repeated run
+// kept growing them for as many runs as its event count happened to
+// take.)
+func TestBucketBackingsStayPut(t *testing.T) {
+	k := NewKernel()
+	pristine := k.Snapshot()
+	left := 0
+	timers := make([]*Timer, 48)
+	for i := range timers {
+		i := i
+		timers[i] = k.NewTimer(func() {
+			if left--; left > 0 {
+				// Uneven delays, so the wheel's positions fill unevenly.
+				timers[i].ArmAfter(Time(1+(i*37+left*11)%97) * k.Quantum() / 3)
+			}
+		})
+	}
+	op := func() {
+		k.Restore(pristine)
+		left = 4000
+		for i, tm := range timers {
+			tm.ArmAt(Time(i%5) * k.Quantum())
+		}
+		k.Run()
+	}
+	op()
+	if allocs := testing.AllocsPerRun(5, op); allocs != 0 {
+		t.Fatalf("a repeated run allocates %.1f times after one warm-up, want 0", allocs)
 	}
 }

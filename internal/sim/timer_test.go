@@ -387,3 +387,39 @@ func kernelMatchesReference(t *testing.T, shift int) {
 		}
 	}
 }
+
+// wakeCounter is a Waker for the embedded-timer path.
+type wakeCounter struct{ n int }
+
+func (w *wakeCounter) Fire() { w.n++ }
+
+// TestWakerTimerInit exercises the embedded value-Timer + Waker path:
+// no closure, same arm/fire/disarm semantics as NewTimer.
+func TestWakerTimerInit(t *testing.T) {
+	k := NewKernel()
+	var holder struct {
+		w  wakeCounter
+		tm Timer
+	}
+	holder.tm.Init(k, &holder.w)
+	if holder.tm.Armed() {
+		t.Fatal("fresh timer armed")
+	}
+	holder.tm.ArmAfter(4 * Nanosecond)
+	holder.tm.ArmEarliest(2 * Nanosecond)
+	k.Run()
+	if holder.w.n != 1 {
+		t.Fatalf("waker fired %d times, want 1", holder.w.n)
+	}
+	if got := k.Now(); got != 2*Nanosecond {
+		t.Fatalf("fired at %v, want 2ns", got)
+	}
+	holder.tm.ArmAfter(Nanosecond)
+	if !holder.tm.Disarm() {
+		t.Fatal("Disarm on armed timer reported false")
+	}
+	k.Run()
+	if holder.w.n != 1 {
+		t.Fatalf("disarmed waker fired: %d", holder.w.n)
+	}
+}

@@ -147,8 +147,8 @@ type Core struct {
 	// singleton for standalone cores.
 	turbo *turboGroup
 	// exact routes issueStep to the unbatched reference pipeline
-	// (SetExact). Configuration, not state: Reset, Snapshot and Restore
-	// leave it alone.
+	// (SetExact). Configuration, not state: Snapshot and Restore leave
+	// it alone.
 	exact bool
 	// t holds the fast-path counters, accumulated plain and folded into
 	// the process-wide totals by FlushTurboStats.
@@ -176,7 +176,7 @@ type Core struct {
 	LastIssue sim.Time
 
 	// DebugTrace collects OpDBG values; Console collects OpDBGC bytes.
-	// Reset, Load and Restore rewind them onto the same backing, so copy
+	// Load and Restore rewind them onto the same backing, so copy
 	// what must outlive the run.
 	DebugTrace []uint32
 	Console    []byte
@@ -270,32 +270,10 @@ func (c *Core) unsettled(entry string) {
 		entry, c.node, c.logged(), c.k.Now()))
 }
 
-// Reset returns the core to its just-built state — threads free, SRAM
-// zeroed, counters and energy accounting cleared — without touching
-// the operating point (Retune changes that). Callers reset the kernel
-// first (Machine.Reset does); Reset also disarms its own timers so it
-// is safe standalone on a live kernel.
-func (c *Core) Reset() {
-	c.issueTimer.Disarm()
-	c.resetThreads()
-	clear(c.mem)
-	c.touchAll()
-	c.timerAlloc = [MaxThreads]bool{}
-	c.accrualStart = c.k.Now()
-	c.accruedJ, c.dynamicJ = 0, 0
-	c.InstrCount, c.commMark = 0, 0
-	c.ClassCounts = [energy.NumInstrClasses]uint64{}
-	c.IdleSlots = 0
-	c.LastIssue = 0
-	c.DebugTrace, c.Console = c.DebugTrace[:0], c.Console[:0]
-	c.halted = false
-}
-
 // Retune moves the core to a new operating point (clock and supply) in
 // one step, banking energy accrued at the old point first. Unlike
 // SetVoltage it applies construction's envelope checks only, so a
-// reset-and-retuned core accepts exactly the configs a fresh build
-// would.
+// retuned core accepts exactly the configs a fresh build would.
 func (c *Core) Retune(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err

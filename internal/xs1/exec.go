@@ -48,7 +48,7 @@ func (c *Core) blockOnChan(th *Thread, ce *noc.ChanEnd) {
 // built the first time the pair blocks and reused ever after, so a
 // blocking IN/OUT allocates nothing in steady state. Both captures are
 // stable for the core's lifetime (threads live in the core, channel
-// ends in its switch), so the table survives Reset and Restore.
+// ends in its switch), so the table survives Restore.
 func (c *Core) chanWake(th *Thread, ce *noc.ChanEnd) func() {
 	row := c.chanWakes[th.ID]
 	if row == nil {

@@ -14,10 +14,12 @@ import (
 // records the generation it was taken at, and restore copies back only
 // pages stamped newer than that, so rewinding a core whose SRAM was
 // never touched after the snapshot costs nothing. Generations are
-// monotone for the core's lifetime (Reset does not rewind them), which
+// monotone for the core's lifetime (Restore does not rewind them), which
 // keeps any number of outstanding snapshots valid: a page equal to its
 // state in snapshot S is exactly a page never stamped after S's
-// generation.
+// generation. A page stamped with generation zero was never written
+// and is all zeros, so a snapshot keeps no copy of it: a just-built
+// core's snapshot holds no SRAM at all.
 const (
 	pageShift = 12
 	pageSize  = 1 << pageShift
@@ -43,7 +45,7 @@ func (c *Core) touchRange(addr uint32, n int) {
 	}
 }
 
-// touchAll stamps the whole bank (Load/Reset clear it wholesale).
+// touchAll stamps the whole bank (Load clears it wholesale).
 func (c *Core) touchAll() {
 	c.memGen++
 	for p := range c.pageGen {
@@ -52,14 +54,13 @@ func (c *Core) touchAll() {
 }
 
 // CoreSnapshot is a point-in-time capture of one core: operating
-// point, full SRAM image, thread contexts, issue order, resource
-// allocation and every counter. Timer registrations (issue, TWAIT) are
+// point, SRAM image, thread contexts, issue order, resource allocation
+// and every counter. Timer registrations (issue, TWAIT) are
 // kernel state and are captured by the kernel's own snapshot; Restore
 // here copies only plain component state.
 type CoreSnapshot struct {
 	gen          uint64
 	cfg          Config
-	mem          []byte
 	threads      [MaxThreads]Thread
 	rr           []int
 	timerAlloc   [MaxThreads]bool
@@ -73,18 +74,20 @@ type CoreSnapshot struct {
 	debugTrace   []uint32
 	console      []byte
 	halted       bool
+	// pages is the SRAM image a page at a time, nil for a page never
+	// written (all zeros).
+	pages [numPages][]byte
 }
 
-// Snapshot captures the core's current state. The SRAM image is a full
-// copy (snapshots are taken once per shared prefix; restores are the
-// hot path).
+// Snapshot captures the core's current state. Every page ever written
+// is copied (snapshots are taken once per build or shared prefix;
+// restores are the hot path).
 func (c *Core) Snapshot() *CoreSnapshot {
 	c.settled("Snapshot")
 	c.rrNormalize()
 	s := &CoreSnapshot{
 		gen:          c.memGen,
 		cfg:          c.cfg,
-		mem:          append([]byte(nil), c.mem...),
 		threads:      c.threads,
 		rr:           append([]int(nil), c.rr...),
 		timerAlloc:   c.timerAlloc,
@@ -99,14 +102,45 @@ func (c *Core) Snapshot() *CoreSnapshot {
 		console:      append([]byte(nil), c.Console...),
 		halted:       c.halted,
 	}
+	written := 0
+	for _, g := range c.pageGen {
+		if g != 0 {
+			written++
+		}
+	}
+	img := make([]byte, written*pageSize)
+	for p, g := range c.pageGen {
+		if g != 0 {
+			off := p << pageShift
+			s.pages[p], img = img[:pageSize:pageSize], img[pageSize:]
+			copy(s.pages[p], c.mem[off:off+pageSize])
+		}
+	}
 	// Every later write stamps its page with a generation above s.gen
 	// (touch increments memGen first), so "dirty since this snapshot"
 	// is exactly pageGen > s.gen.
 	return s
 }
 
-// Restore rewinds the core to a prior Snapshot, copying back only the
-// SRAM pages written since, and reports the bytes copied. It reuses
+// SRAMBytes reports how much SRAM the snapshot holds a copy of: the
+// pages written before it was taken.
+func (s *CoreSnapshot) SRAMBytes() int {
+	n := 0
+	for _, page := range s.pages {
+		n += len(page)
+	}
+	return n
+}
+
+// SetConfig moves a snapshot taken at construction to another operating
+// point: restoring it then gives the core New would build at cfg. On a
+// snapshot of a core that has run it would rewrite history, since the
+// energy accrued before it was taken stays at the old point.
+func (s *CoreSnapshot) SetConfig(cfg Config) { s.cfg = cfg }
+
+// Restore rewinds the core to a prior Snapshot, copying back (or, for a
+// page the snapshot never saw written, clearing) only the SRAM pages
+// written since, and reports the bytes rewritten. It reuses
 // the core's existing slice capacity, so restoring allocates nothing
 // beyond (at most) first-time slice growth.
 func (c *Core) Restore(s *CoreSnapshot) int {
@@ -118,8 +152,12 @@ func (c *Core) Restore(s *CoreSnapshot) int {
 	dirty := 0
 	for p := 0; p < numPages; p++ {
 		if c.pageGen[p] > s.gen {
-			off := p << pageShift
-			copy(c.mem[off:off+pageSize], s.mem[off:off+pageSize])
+			page := c.mem[p<<pageShift:][:pageSize]
+			if s.pages[p] != nil {
+				copy(page, s.pages[p])
+			} else {
+				clear(page)
+			}
 			c.pageGen[p] = c.memGen
 			dirty += pageSize
 		}

@@ -523,7 +523,7 @@ func newTurboGroup(k *sim.Kernel, members int) *turboGroup {
 // GroupTurbo joins cores sharing one kernel into a single batching
 // group. Machine construction calls it once over all its cores;
 // ungrouped cores batch solo. Group membership is static and carries
-// no run-state, so it composes with Reset, Retune, snapshot and pool
+// no run-state, so it composes with Retune, snapshot restore and pool
 // reuse unchanged.
 func GroupTurbo(cores []*Core) {
 	if len(cores) < 2 {

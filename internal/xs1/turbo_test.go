@@ -238,8 +238,8 @@ func mustPanic(t *testing.T, name, want string, f func()) {
 // TestUnsettledCorePanics pins the guard on every entry into a core
 // from outside its own issue step: while the core holds pre-executed
 // slots the group loop has not replayed, its state is ahead of the
-// kernel clock and must not be observed or disturbed. Reset, Load and
-// LoadAt discard the log instead.
+// kernel clock and must not be observed or disturbed. Load and LoadAt
+// discard the log instead.
 func TestUnsettledCorePanics(t *testing.T) {
 	r := newRig(t)
 	c := r.core(t, v00(), turboLoop)
@@ -267,7 +267,6 @@ func TestUnsettledCorePanics(t *testing.T) {
 		mustPanic(t, name, name+" on core", f)
 	}
 	for name, f := range map[string]func(){
-		"Reset":  func() { c.Reset() },
 		"Load":   func() { _ = c.Load(MustAssemble(turboLoop)) },
 		"LoadAt": func() { _ = c.LoadAt(MustAssemble(turboLoop), 0x1000) },
 	} {
