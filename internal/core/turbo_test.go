@@ -759,6 +759,26 @@ func TestCountedStallShare(t *testing.T) {
 	}
 }
 
+// TestRotationShare pins where a loaded slice's issue slots run: sixteen
+// cores of four heavy-load threads each fill every slot, and at least 95 %
+// of the slots they pre-execute are issued in the fixed rotation rather
+// than picked by a scan (xs1.TurboStats.RotationSlots).
+func TestRotationShare(t *testing.T) {
+	m := MustNew(1, 1, Options{})
+	if err := m.LoadAll(workload.HeavyLoad(4, 50_000_000)); err != nil {
+		t.Fatal(err)
+	}
+	m.RunFor(20 * sim.Microsecond) // past the spawns
+	before := xs1.ReadTurboStats()
+	m.RunFor(200 * sim.Microsecond)
+	after := xs1.ReadTurboStats()
+	pre, rot := after.PreexecSlots-before.PreexecSlots, after.RotationSlots-before.RotationSlots
+	t.Logf("%d of %d pre-executed slots in the rotation", rot, pre)
+	if pre == 0 || rot*100 < 95*pre {
+		t.Errorf("%d of %d pre-executed slots in the rotation, want at least 95%%", rot, pre)
+	}
+}
+
 // TestTurboToggle pins the wiring: the nil Env checks machines out on
 // the turbo path, an exact Env on the reference pipeline, and a pooled
 // machine takes whichever its next checkout asks for.

@@ -484,6 +484,7 @@ func TestHealthAndMetrics(t *testing.T) {
 		`swallow_turbo_batch_exits_total{reason="comm_instr"}`,
 		`swallow_turbo_batch_exits_total{reason="asleep"}`,
 		"swallow_turbo_preexec_slots_total",
+		"swallow_turbo_rotation_slots_total",
 		"swallow_turbo_replayed_slots_total",
 		"swallow_turbo_round_slots_total",
 		"swallow_turbo_counted_slots_total",

@@ -138,10 +138,13 @@ type Core struct {
 	// timerAlloc tracks GETR'd timers.
 	timerAlloc [MaxThreads]bool
 
-	// icache is the predecoded instruction cache (turbo.go): one lazily
-	// allocated table per SRAM page, entries validated against pageGen.
+	// icache is the predecoded instruction cache (window.go): one table
+	// per SRAM page, noPage until the page is first fetched from, entries
+	// validated against pageGen.
 	// Derived state — it never appears in snapshots.
 	icache [numPages]*ipage
+	// scratch holds an instruction decoded outside the cache (fetchSlow).
+	scratch ientry
 	// turbo is the batching group this core issues through unless it
 	// is exact — shared by all cores of a machine (GroupTurbo), a
 	// singleton for standalone cores.
@@ -184,7 +187,7 @@ type Core struct {
 	halted bool
 
 	// log holds the issue slots the core has pre-executed ahead of the
-	// kernel clock and the group loop has not yet replayed (turbo.go), in
+	// kernel clock and the group loop has not yet replayed (window.go), in
 	// strided runs: runs log[logHead:logTail], filled from zero only when
 	// empty, so logTail != 0 says the core's private state leads the
 	// clock; the head run shrinks from the front as its slots are
@@ -230,6 +233,9 @@ func NewCore(k *sim.Kernel, sw *noc.Switch, cfg Config) (*Core, error) {
 	c.issueFire.c = c
 	c.issueTimer.Init(k, &c.issueFire)
 	c.turbo = newTurboGroup(k, 1)
+	for i := range c.icache {
+		c.icache[i] = &noPage
+	}
 	for i := range c.threads {
 		c.threads[i].ID = i
 		c.twaitFires[i] = twaitFirer{c: c, id: i}
@@ -457,12 +463,67 @@ func (c *Core) issueOne() {
 		}
 		return
 	}
-	c.execute(th, now)
-	if th.State == TReady {
-		th.nextReady = max(th.nextReady, now+c.clk.Cycles(PipelineDepth))
+	if e := c.fetchSlow(th); e != nil {
+		c.issue(th, e, now)
 	}
 	// Another thread may issue next cycle.
 	c.scheduleIssue(now + c.clk.Period())
+}
+
+// pickReady rotates the round-robin order and returns the first thread
+// able to issue at time now, or nil. Shared by the slow and batched
+// paths: the rotation is the architectural thread scheduler. The
+// rotation is held as an offset into c.rr (bumping an index beats a
+// memmove per issued instruction); everything outside the issue loop
+// sees the materialized order via rrNormalize.
+func (c *Core) pickReady(now sim.Time) *Thread {
+	n := len(c.rr)
+	idx := c.rrOff
+	for i := 0; i < n; i++ {
+		if idx >= n {
+			idx -= n
+		}
+		cand := &c.threads[c.rr[idx]]
+		idx++
+		if cand.State == TReady && cand.nextReady <= now {
+			if idx == n {
+				idx = 0
+			}
+			c.rrOff = idx
+			return cand
+		}
+	}
+	// Every candidate rotated past and none issued: a full rotation is
+	// the identity, so the offset stays.
+	return nil
+}
+
+// rrNormalize materializes the round-robin rotation offset into the
+// physical slice, so code that copies or appends to c.rr (snapshots,
+// thread allocation) sees the logical issue order.
+func (c *Core) rrNormalize() {
+	if c.rrOff == 0 {
+		return
+	}
+	var tmp [MaxThreads]int
+	n := copy(tmp[:], c.rr[:c.rrOff])
+	copy(c.rr, c.rr[c.rrOff:])
+	copy(c.rr[len(c.rr)-n:], tmp[:n])
+	c.rrOff = 0
+}
+
+// earliestReadyTime reports the soonest nextReady among ready threads,
+// or -1 when no thread is ready at any time (the core then sleeps
+// until something kicks it).
+func (c *Core) earliestReadyTime() sim.Time {
+	var next sim.Time = -1
+	for _, id := range c.rr {
+		t := &c.threads[id]
+		if t.State == TReady && (next < 0 || t.nextReady < next) {
+			next = t.nextReady
+		}
+	}
+	return next
 }
 
 // kickThread readies a blocked thread and restarts the pipeline.

@@ -68,143 +68,125 @@ func (c *Core) chanWake(th *Thread, ce *noc.ChanEnd) func() {
 	return *wake
 }
 
-// execute runs one instruction of thread th. Blocking instructions
-// leave PC unchanged and park the thread; they re-execute when woken.
-func (c *Core) execute(th *Thread, now sim.Time) {
-	in, class, words, ok := c.fetchSlow(th)
-	if !ok {
-		return
-	}
-	c.run(th, &in, class, words, now)
-}
-
 // fetchSlow reads and decodes the instruction at th.PC straight from
-// SRAM, trapping the thread on a fetch or decode fault. It is the
-// uncached path: the turbo fetch falls back to it for anything the
-// predecode cache cannot hold, so faults trap with identical
-// diagnostics either way.
-func (c *Core) fetchSlow(th *Thread) (in Instr, class energy.InstrClass, words uint32, ok bool) {
+// SRAM into the core's scratch entry, trapping the thread on a fetch or
+// decode fault (nil). It is the uncached path: the turbo fetch falls back
+// to it for anything the predecode cache cannot hold, so faults trap with
+// identical diagnostics either way.
+func (c *Core) fetchSlow(th *Thread) *ientry {
 	w0, err := c.loadWord(th.PC * 4)
 	if err != nil {
 		c.trapThread(th, "instruction fetch: %v", err)
-		return Instr{}, 0, 0, false
+		return nil
 	}
 	var w1 uint32
 	if th.PC+1 < MemSize/4 {
 		w1, _ = c.loadWord(th.PC*4 + 4)
 	}
-	in, err = Decode(w0, w1)
+	in, err := Decode(w0, w1)
 	if err != nil {
 		c.trapThread(th, "decode at %#x: %v", th.PC, err)
-		return Instr{}, 0, 0, false
+		return nil
 	}
-	return in, classOf(in.Op), uint32(in.Words()), true
+	c.scratch = ientry{in: in, class: uint8(classOf(in.Op)), words: uint8(in.Words())}
+	return &c.scratch
+}
+
+// issue runs e's instruction for th in the issue slot at time now,
+// charges it if it issued, and spaces th's next slot the pipeline depth
+// on while it stays ready: the slot step every pipeline shares.
+func (c *Core) issue(th *Thread, e *ientry, now sim.Time) {
+	if c.run(th, &e.in, uint32(e.words), now) {
+		c.chargeInstr(th, energy.InstrClass(e.class), now)
+	}
+	if th.State == TReady {
+		th.nextReady = max(th.nextReady, now+c.clk.Cycles(PipelineDepth))
+	}
 }
 
 // run executes one already-decoded instruction of thread th in the
-// issue slot at time now. class and words are the instruction's
-// precomputed energy class and encoded size (the predecode cache
-// carries both, so the fast path never re-derives them). Everything a
-// non-communication instruction dates — LastIssue, the divider stall —
-// takes now rather than the kernel clock, which is what lets a core
-// pre-execute such slots ahead of the kernel (turbo.go); communication
-// instructions only ever run with now equal to the kernel clock.
-func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32, now sim.Time) {
+// issue slot at time now, words being its encoded size, and reports
+// whether it issued: the caller charges it (chargeInstr) if so (issue). An
+// instruction that traps or blocks on a channel end did not issue — but
+// for a misaligned BAU, which issued before its target trapped. Every
+// caller charges at one site, and the rotation (window.go) folds what it
+// charges. Everything a non-communication instruction dates — the divider
+// stall — takes now rather than the kernel clock, which is what lets a
+// core pre-execute such slots ahead of the kernel (window.go);
+// communication instructions only ever run with now equal to the kernel
+// clock.
+func (c *Core) run(th *Thread, in *Instr, words uint32, now sim.Time) bool {
 	r := &th.Regs
 	next := th.PC + words
 	imm := uint32(in.Imm)
 
 	switch in.Op {
 	case OpNOP:
-		c.chargeInstr(th, class, now)
 	case OpADD:
 		r[in.A] = r[in.B] + r[in.C]
-		c.chargeInstr(th, class, now)
 	case OpSUB:
 		r[in.A] = r[in.B] - r[in.C]
-		c.chargeInstr(th, class, now)
 	case OpAND:
 		r[in.A] = r[in.B] & r[in.C]
-		c.chargeInstr(th, class, now)
 	case OpOR:
 		r[in.A] = r[in.B] | r[in.C]
-		c.chargeInstr(th, class, now)
 	case OpXOR:
 		r[in.A] = r[in.B] ^ r[in.C]
-		c.chargeInstr(th, class, now)
 	case OpSHL:
 		r[in.A] = shiftL(r[in.B], r[in.C])
-		c.chargeInstr(th, class, now)
 	case OpSHR:
 		r[in.A] = shiftR(r[in.B], r[in.C])
-		c.chargeInstr(th, class, now)
 	case OpASHR:
 		if r[in.C] >= 32 {
 			r[in.A] = uint32(int32(r[in.B]) >> 31)
 		} else {
 			r[in.A] = uint32(int32(r[in.B]) >> r[in.C])
 		}
-		c.chargeInstr(th, class, now)
 	case OpMUL:
 		r[in.A] = r[in.B] * r[in.C]
-		c.chargeInstr(th, class, now)
 	case OpDIVU, OpREMU:
 		if r[in.C] == 0 {
 			c.trapThread(th, "divide by zero at %#x", th.PC)
-			return
+			return false
 		}
 		if in.Op == OpDIVU {
 			r[in.A] = r[in.B] / r[in.C]
 		} else {
 			r[in.A] = r[in.B] % r[in.C]
 		}
-		c.chargeInstr(th, class, now)
 		// The iterative divider stalls only the issuing thread.
 		th.nextReady = now + c.clk.Cycles(DividerCycles)
 	case OpEQ:
 		r[in.A] = b2u(r[in.B] == r[in.C])
-		c.chargeInstr(th, class, now)
 	case OpLSS:
 		r[in.A] = b2u(int32(r[in.B]) < int32(r[in.C]))
-		c.chargeInstr(th, class, now)
 	case OpLSU:
 		r[in.A] = b2u(r[in.B] < r[in.C])
-		c.chargeInstr(th, class, now)
 	case OpNOT:
 		r[in.A] = ^r[in.B]
-		c.chargeInstr(th, class, now)
 	case OpNEG:
 		r[in.A] = -r[in.B]
-		c.chargeInstr(th, class, now)
 
 	case OpLDC:
 		r[in.A] = imm
-		c.chargeInstr(th, class, now)
 	case OpADDI:
 		r[in.A] = r[in.B] + imm
-		c.chargeInstr(th, class, now)
 	case OpSUBI:
 		r[in.A] = r[in.B] - imm
-		c.chargeInstr(th, class, now)
 	case OpSHLI:
 		r[in.A] = shiftL(r[in.B], imm)
-		c.chargeInstr(th, class, now)
 	case OpSHRI:
 		r[in.A] = shiftR(r[in.B], imm)
-		c.chargeInstr(th, class, now)
 	case OpANDI:
 		r[in.A] = r[in.B] & imm
-		c.chargeInstr(th, class, now)
 	case OpORI:
 		r[in.A] = r[in.B] | imm
-		c.chargeInstr(th, class, now)
 	case OpMKMSK:
 		if imm >= 32 {
 			r[in.A] = ^uint32(0)
 		} else {
 			r[in.A] = (1 << imm) - 1
 		}
-		c.chargeInstr(th, class, now)
 
 	case OpLDW, OpLDWI:
 		addr := r[in.B]
@@ -216,10 +198,9 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32,
 		v, err := c.loadWord(addr)
 		if err != nil {
 			c.trapThread(th, "%v at pc %#x", err, th.PC)
-			return
+			return false
 		}
 		r[in.A] = v
-		c.chargeInstr(th, class, now)
 	case OpSTW, OpSTWI:
 		addr := r[in.B]
 		if in.Op == OpSTW {
@@ -229,132 +210,113 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32,
 		}
 		if err := c.storeWord(addr, r[in.A]); err != nil {
 			c.trapThread(th, "%v at pc %#x", err, th.PC)
-			return
+			return false
 		}
-		c.chargeInstr(th, class, now)
 	case OpLD8:
 		addr := r[in.B] + r[in.C]
 		if int(addr) >= MemSize {
 			c.trapThread(th, "bad byte load at %#x", addr)
-			return
+			return false
 		}
 		r[in.A] = uint32(c.mem[addr])
-		c.chargeInstr(th, class, now)
 	case OpST8:
 		addr := r[in.B] + r[in.C]
 		if int(addr) >= MemSize {
 			c.trapThread(th, "bad byte store at %#x", addr)
-			return
+			return false
 		}
 		c.mem[addr] = byte(r[in.A])
 		c.touch(addr)
-		c.chargeInstr(th, class, now)
 	case OpLD16S:
 		addr := r[in.B] + r[in.C]*2
 		if addr&1 != 0 || int(addr)+2 > MemSize {
 			c.trapThread(th, "bad halfword load at %#x", addr)
-			return
+			return false
 		}
 		v := uint32(c.mem[addr]) | uint32(c.mem[addr+1])<<8
 		r[in.A] = uint32(int32(v<<16) >> 16)
-		c.chargeInstr(th, class, now)
 	case OpST16:
 		addr := r[in.B] + r[in.C]*2
 		if addr&1 != 0 || int(addr)+2 > MemSize {
 			c.trapThread(th, "bad halfword store at %#x", addr)
-			return
+			return false
 		}
 		c.mem[addr] = byte(r[in.A])
 		c.mem[addr+1] = byte(r[in.A] >> 8)
 		c.touch(addr)
-		c.chargeInstr(th, class, now)
 
 	case OpBRU:
-		c.chargeInstr(th, class, now)
 		th.PC = imm
-		return
+		return true
 	case OpBRT:
-		c.chargeInstr(th, class, now)
 		if r[in.A] != 0 {
 			th.PC = imm
-			return
+			return true
 		}
 	case OpBRF:
-		c.chargeInstr(th, class, now)
 		if r[in.A] == 0 {
 			th.PC = imm
-			return
+			return true
 		}
 	case OpBL:
-		c.chargeInstr(th, class, now)
 		r[RegLR] = next
 		th.PC = imm
-		return
+		return true
 	case OpBAU:
-		c.chargeInstr(th, class, now)
 		// BAU takes a byte address, as labels materialised via '@' are.
 		if r[in.A]&3 != 0 {
 			c.trapThread(th, "misaligned branch target %#x", r[in.A])
-			return
+			return true
 		}
 		th.PC = r[in.A] >> 2
-		return
+		return true
 	case OpRET:
-		c.chargeInstr(th, class, now)
 		th.PC = r[RegLR]
-		return
+		return true
 
 	case OpGETST:
 		id := c.allocThread(imm)
 		if id < 0 {
 			c.trapThread(th, "no free hardware thread")
-			return
+			return false
 		}
 		r[in.A] = uint32(id)
-		c.chargeInstr(th, class, now)
 	case OpTSETR:
 		tid := int(r[in.A])
 		if tid < 0 || tid >= MaxThreads || c.threads[tid].State != TPaused {
 			c.trapThread(th, "tsetr of thread %d in state %v", tid, c.threads[tid&7].State)
-			return
+			return false
 		}
 		if imm >= NumRegs {
 			c.trapThread(th, "tsetr register %d out of range", imm)
-			return
+			return false
 		}
 		c.threads[tid].Regs[imm] = r[in.B]
-		c.chargeInstr(th, class, now)
 	case OpTSTART:
 		tid := int(r[in.A])
 		if tid < 0 || tid >= MaxThreads || c.threads[tid].State != TPaused {
 			c.trapThread(th, "tstart of thread %d not paused", tid)
-			return
+			return false
 		}
 		c.threads[tid].State = TReady
 		c.threads[tid].nextReady = now
 		c.traceThread(&c.threads[tid])
-		c.chargeInstr(th, class, now)
 	case OpTEND:
-		c.chargeInstr(th, class, now)
 		th.State = TDone
 		c.traceThread(th)
 		c.wakeJoiners(th.ID)
-		return
+		return true
 	case OpTJOIN:
 		tid := int(r[in.A])
 		if tid < 0 || tid >= MaxThreads {
 			c.trapThread(th, "tjoin of bad thread %d", tid)
-			return
+			return false
 		}
-		switch c.threads[tid].State {
-		case TDone, TFree:
-			c.chargeInstr(th, class, now)
-		default:
-			c.chargeInstr(th, class, now)
+		if s := c.threads[tid].State; s != TDone && s != TFree {
 			th.State = TBlockedJoin
 			th.joinTarget = tid
 			c.traceThread(th)
-			return
+			return true
 		}
 
 	case OpGETR:
@@ -363,10 +325,9 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32,
 			ce := c.sw.AllocChanEnd()
 			if ce == nil {
 				c.trapThread(th, "out of channel ends")
-				return
+				return false
 			}
 			r[in.A] = uint32(ce.ID())
-			c.chargeInstr(th, class, now)
 		case ResTypeTimer:
 			idx := -1
 			for i, used := range c.timerAlloc {
@@ -377,14 +338,13 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32,
 			}
 			if idx < 0 {
 				c.trapThread(th, "out of timers")
-				return
+				return false
 			}
 			c.timerAlloc[idx] = true
 			r[in.A] = uint32(timerResourceTag | idx)
-			c.chargeInstr(th, class, now)
 		default:
 			c.trapThread(th, "getr of unknown resource type %d", imm)
-			return
+			return false
 		}
 	case OpFREER:
 		rid := r[in.A]
@@ -393,104 +353,93 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32,
 			if idx < MaxThreads {
 				c.timerAlloc[idx] = false
 			}
-			c.chargeInstr(th, class, now)
 			break
 		}
 		ce, ok := c.resolveChanEnd(th, rid)
 		if !ok {
-			return
+			return false
 		}
 		ce.Free()
-		c.chargeInstr(th, class, now)
 	case OpSETD:
 		ce, ok := c.resolveChanEnd(th, r[in.A])
 		if !ok {
-			return
+			return false
 		}
 		ce.SetDest(noc.ChanEndID(r[in.B]))
-		c.chargeInstr(th, class, now)
 	case OpOUT:
 		ce, ok := c.resolveChanEnd(th, r[in.A])
 		if !ok {
-			return
+			return false
 		}
 		if !ce.OutWord(r[in.B]) {
 			c.blockOnChan(th, ce)
-			return
+			return false
 		}
-		c.chargeInstr(th, class, now)
 	case OpIN:
 		ce, ok := c.resolveChanEnd(th, r[in.A])
 		if !ok {
-			return
+			return false
 		}
 		v, ok2 := ce.InWord()
 		if !ok2 {
 			c.blockOnChan(th, ce)
-			return
+			return false
 		}
 		r[in.B] = v
-		c.chargeInstr(th, class, now)
 	case OpOUTT:
 		ce, ok := c.resolveChanEnd(th, r[in.A])
 		if !ok {
-			return
+			return false
 		}
 		if !ce.TryOut(noc.DataToken(byte(r[in.B]))) {
 			c.blockOnChan(th, ce)
-			return
+			return false
 		}
-		c.chargeInstr(th, class, now)
 	case OpINT:
 		ce, ok := c.resolveChanEnd(th, r[in.A])
 		if !ok {
-			return
+			return false
 		}
 		tok, ok2 := ce.TryIn()
 		if !ok2 {
 			c.blockOnChan(th, ce)
-			return
+			return false
 		}
 		if tok.Ctrl {
 			c.trapThread(th, "INT received control token %v", tok)
-			return
+			return false
 		}
 		r[in.B] = uint32(tok.Val)
-		c.chargeInstr(th, class, now)
 	case OpOUTCT:
 		ce, ok := c.resolveChanEnd(th, r[in.A])
 		if !ok {
-			return
+			return false
 		}
 		if !ce.TryOut(noc.CtrlToken(byte(imm))) {
 			c.blockOnChan(th, ce)
-			return
+			return false
 		}
-		c.chargeInstr(th, class, now)
 	case OpCHKCT:
 		ce, ok := c.resolveChanEnd(th, r[in.A])
 		if !ok {
-			return
+			return false
 		}
 		tok, ok2 := ce.PeekIn()
 		if !ok2 {
 			c.blockOnChan(th, ce)
-			return
+			return false
 		}
 		if !tok.Ctrl || tok.Val != byte(imm) {
 			c.trapThread(th, "CHKCT %d saw %v", imm, tok)
-			return
+			return false
 		}
 		ce.TryIn()
-		c.chargeInstr(th, class, now)
 
 	case OpTIME:
 		r[in.A] = c.refNow()
-		c.chargeInstr(th, class, now)
 	case OpTWAIT:
 		deadline := r[in.A]
 		if int32(deadline-c.refNow()) > 0 {
-			c.chargeInstr(th, class, now)
 			th.State = TBlockedTime
 			c.traceThread(th)
 			when := c.k.Now() + sim.Time(int32(deadline-c.refNow()))*10*sim.Nanosecond
@@ -498,28 +447,24 @@ func (c *Core) run(th *Thread, in *Instr, class energy.InstrClass, words uint32,
 			// TWAIT completes when the deadline passes; PC advances now
 			// so the wake resumes after it.
 			th.PC = next
-			return
+			return true
 		}
-		c.chargeInstr(th, class, now)
 	case OpGETID:
 		r[in.A] = uint32(c.node)
-		c.chargeInstr(th, class, now)
 	case OpGETTID:
 		r[in.A] = uint32(th.ID)
-		c.chargeInstr(th, class, now)
 
 	case OpDBG:
 		c.DebugTrace = append(c.DebugTrace, r[in.A])
-		c.chargeInstr(th, class, now)
 	case OpDBGC:
 		c.Console = append(c.Console, byte(r[in.A]))
-		c.chargeInstr(th, class, now)
 
 	default:
 		c.trapThread(th, "unimplemented opcode %v", in.Op)
-		return
+		return false
 	}
 	th.PC = next
+	return true
 }
 
 // allocThread grabs a free hardware thread, paused at pc.

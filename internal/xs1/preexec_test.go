@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"swallow/internal/energy"
@@ -34,34 +35,25 @@ func refPreexec(c *Core, at, limit sim.Time, most int) []refSlot {
 				next = c.alignUp(t)
 			}
 		} else {
-			var in *Instr
-			var class energy.InstrClass
-			var words uint32
-			ok := true
-			e := c.ifetch(th)
-			if e != nil {
-				in, class, words = &e.in, energy.InstrClass(e.class), uint32(e.words)
-			} else {
-				var iv Instr
-				iv, class, words, ok = c.fetchMiss(th)
-				in = &iv
-			}
-			if ok && class == energy.ClassComm {
+			e, hit := c.fetch(th)
+			if e != nil && e.class == uint8(energy.ClassComm) {
 				c.rrOff = off
-				if e != nil {
+				if hit {
 					c.t.DecodeHits--
 				}
 				break
 			}
-			if ok {
-				c.run(th, in, class, words, at)
+			if e != nil {
+				if c.run(th, &e.in, uint32(e.words), at) {
+					c.chargeInstr(th, energy.InstrClass(e.class), at)
+				}
 				c.t.BatchedInstrs++
 			}
 			if th.State == TReady {
 				th.nextReady = max(th.nextReady, at+depth)
 			}
 			next = at + period
-			if !ok || th.State == TTrapped {
+			if e == nil || th.State == TTrapped {
 				next = slotTrapped
 			}
 		}
@@ -74,11 +66,19 @@ func refPreexec(c *Core, at, limit sim.Time, most int) []refSlot {
 	return log
 }
 
-// coreState renders everything a window may have moved in a core.
+// coreState renders everything a window may have moved in a core: its
+// architectural state and the counters of the fast path's own work.
 func coreState(c *Core) string {
+	return fmt.Sprintf("hits=%d batched=%d %s", c.t.DecodeHits, c.t.BatchedInstrs, archState(c))
+}
+
+// archState renders a core's architectural state, which the exact
+// pipeline has to agree with: the counters, the rotation, the energy
+// bits and every live thread.
+func archState(c *Core) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "instrs=%d idle=%d last=%d classes=%v rr=%v+%d hits=%d batched=%d dyn=%x",
-		c.InstrCount, c.IdleSlots, c.LastIssue, c.ClassCounts, c.rr, c.rrOff, c.t.DecodeHits, c.t.BatchedInstrs, c.dynamicJ)
+	fmt.Fprintf(&b, "instrs=%d idle=%d last=%d classes=%v rr=%v+%d dyn=%x",
+		c.InstrCount, c.IdleSlots, c.LastIssue, c.ClassCounts, c.rr, c.rrOff, math.Float64bits(c.dynamicJ))
 	for i := range c.threads {
 		th := &c.threads[i]
 		if th.State != TFree {
@@ -86,6 +86,74 @@ func coreState(c *Core) string {
 		}
 	}
 	return b.String()
+}
+
+// rotationEnds are four-thread programs whose fixed rotation (Core.rotate)
+// ends in each way it can, at a thread other than the first: thread 0
+// sets off a divide, or stores into the code page the others execute from
+// (a word of their loop over another, which they must re-decode); thread 2
+// traps on a load, which does not issue, or on a misaligned branch, which
+// does; thread 3 reaches a communication instruction. Each instruction
+// that ends a rotation has issued before, so the predecode cache holds it
+// and the rotation, not a miss, meets it.
+var rotationEnds = []struct{ name, src string }{
+	{"a divide joins mid-rotation", spawned("alu", "alu", "alu") + `
+	ldc  r6, 7
+again:
+	ldc  r0, 40
+spin:
+	subi r0, r0, 1
+	brt  r0, spin
+	divu r4, r6, r6
+	bru  again
+` + aluLoop},
+	{"a store into the executing code page", spawned("alu", "alu", "alu") + `
+	ldc  r9, @src
+	ldwi r8, r9, 0
+	ldc  r9, @patch
+again:
+	ldc  r0, 40
+spin:
+	subi r0, r0, 1
+	brt  r0, spin
+	stwi r8, r9, 0
+	bru  again
+alu:
+patch:
+	add r1, r0, r0
+src:
+	sub r2, r1, r0
+	bru alu
+`},
+	{"a bad load traps thread 2, uncharged", spawned("alu", "bad", "alu") + "\tbru alu\n" + aluLoop + `
+bad:
+	ldc  r7, 0xF060   ; the 1000th word on is past the end of SRAM
+	ldc  r0, 0
+badloop:
+	ldw  r4, r7, r0
+	addi r0, r0, 1
+	bru  badloop
+`},
+	{"a misaligned branch traps thread 2, charged", spawned("alu", "bad", "alu") + "\tbru alu\n" + aluLoop + `
+bad:
+	ldc  r0, 1000
+	ldc  r5, @badloop
+badloop:
+	subi r0, r0, 1
+	eq   r6, r0, r8
+	shli r6, r6, 1    ; 2 once r0 is down to 0
+	add  r7, r5, r6
+	bau  r7
+`},
+	{"a communication instruction in thread 3 of 4", spawned("alu", "alu", "talk") + "\tbru alu\n" + aluLoop + `
+talk:
+	ldc  r0, 50
+tspin:
+	subi r0, r0, 1
+	brt  r0, tspin
+	gettid r5
+	bru  talk
+`},
 }
 
 // TestRunLengthLogMatchesPerSlotLog pre-executes one window on a core
@@ -133,7 +201,48 @@ loop:
 	gettid r5
 	bru loop
 `
-	for _, tc := range []struct {
+	// first is the thread the window's first slot fell to.
+	var first int
+	// rotated wants the window run in the fixed rotation, n slots or more.
+	rotated := func(t *testing.T, c *Core, n int) {
+		t.Helper()
+		if c.t.RotationSlots < uint64(n) {
+			t.Errorf("%d slots of %d in the rotation, want at least %d", c.t.RotationSlots, c.logged(), n)
+		}
+	}
+	// trapped wants thread id trapped in the rotation, not at its start.
+	trapped := func(t *testing.T, c *Core, id int) {
+		t.Helper()
+		if e := c.log[c.logTail-1]; e.gap != slotTrapped || c.threads[id].State != TTrapped || first == id {
+			t.Errorf("last run %+v, thread %d %v, window from thread %d; want thread %d trapped in the rotation",
+				e, id, c.threads[id].State, first, id)
+		}
+		rotated(t, c, 1000)
+	}
+	ends := map[string]func(t *testing.T, c *Core, period sim.Time){
+		"a divide joins mid-rotation": func(t *testing.T, c *Core, period sim.Time) {
+			rotated(t, c, 100)
+			if c.t.RotationSlots == uint64(c.logged()) {
+				t.Error("every slot in the rotation, want the divides to break it")
+			}
+		},
+		"a store into the executing code page": func(t *testing.T, c *Core, period sim.Time) {
+			rotated(t, c, 100)
+			if c.t.DecodeStale == 0 {
+				t.Error("no entry re-decoded after the stores into the code page")
+			}
+		},
+		"a bad load traps thread 2, uncharged":        func(t *testing.T, c *Core, period sim.Time) { trapped(t, c, 2) },
+		"a misaligned branch traps thread 2, charged": func(t *testing.T, c *Core, period sim.Time) { trapped(t, c, 2) },
+		"a communication instruction in thread 3 of 4": func(t *testing.T, c *Core, period sim.Time) {
+			rotated(t, c, 100)
+			th := &c.threads[3]
+			if e := c.icached(th.PC); e == nil || e.in.Op != OpGETTID || th.Instrs == 0 {
+				t.Errorf("thread 3 stands at %#x after %d instructions, want it at gettid", th.PC, th.Instrs)
+			}
+		},
+	}
+	type windowCase struct {
 		name, src string
 		// warm is how long the core runs before the window — a picosecond
 		// short of a slot, for the window to begin at that slot — and limit
@@ -143,7 +252,8 @@ loop:
 		mhz float64
 		// check looks at the shape of the log the window left.
 		check func(t *testing.T, c *Core, period sim.Time)
-	}{
+	}
+	cases := []windowCase{
 		{"one thread: instruction, idle probe, three periods skipped", turboLoop, 2*sim.Microsecond - 1, sim.Millisecond, 0,
 			func(t *testing.T, c *Core, period sim.Time) {
 				// 125 000 blocks of two slots, four periods from one to the
@@ -238,7 +348,18 @@ loop:
 					t.Errorf("last run = %+v after %d instructions, want the window to stop at gettid with the core awake", e, c.InstrCount)
 				}
 			}},
-	} {
+		{"eight threads: limit mid-lap", turboLoopOn(8), 2 * sim.Microsecond, 37*2*sim.Nanosecond + 17, 0,
+			func(t *testing.T, c *Core, period sim.Time) {
+				if c.logTail != 1 || c.logged() != 38 {
+					t.Errorf("log = %+v in %d runs, want one run of 38 slots", c.log[0], c.logTail)
+				}
+				rotated(t, c, 38)
+			}},
+	}
+	for _, e := range rotationEnds {
+		cases = append(cases, windowCase{e.name, e.src, 2 * sim.Microsecond, 60 * sim.Microsecond, 0, ends[e.name]})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() (*rig, *Core) {
 				r := newRig(t)
@@ -257,6 +378,7 @@ loop:
 			at := c.alignUp(r.k.Now())
 			period := c.clk.Period()
 
+			first = c.rr[c.rrOff]
 			c.preexec(at, at+tc.limit)
 			if c.logTail == 0 {
 				t.Fatal("the window logged nothing")
@@ -282,6 +404,40 @@ loop:
 			}
 			if c.logTail != 0 {
 				t.Errorf("after %d pops %d slots are left", len(want), c.logged())
+			}
+		})
+	}
+}
+
+// TestLoneCoreRotationMatchesExact holds the lone-core loop's rotation to
+// the exact pipeline: a core alone on its kernel runs each rotation end,
+// and the one- to eight-thread loops, beside a twin on the exact pipeline,
+// cut at uneven points; at every cut the cores and the kernels' clock,
+// sequence and firing counts must agree.
+func TestLoneCoreRotationMatchesExact(t *testing.T) {
+	progs := append([]struct{ name, src string }{}, rotationEnds...)
+	for _, n := range []int{1, 2, 3, 4, 8} {
+		progs = append(progs, struct{ name, src string }{fmt.Sprint(n, " threads"), turboLoopOn(n)})
+	}
+	for _, p := range progs {
+		t.Run(p.name, func(t *testing.T) {
+			fast, slow := newRig(t), newRig(t)
+			slow.exact = true
+			c, twin := fast.core(t, v00(), p.src), slow.core(t, v00(), p.src)
+			for i := 0; fast.k.Now() < 60*sim.Microsecond; i++ {
+				cut := sim.Time(1+(i*7919)%1500) * sim.Nanosecond
+				fast.k.RunFor(cut)
+				slow.k.RunFor(cut)
+				if got, want := archState(c), archState(twin); got != want {
+					t.Fatalf("cut %d at %v: cores differ\n rotation %s\n    exact %s", i, fast.k.Now(), got, want)
+				}
+				if fast.k.Now() != slow.k.Now() || fast.k.Seq() != slow.k.Seq() || fast.k.Fired() != slow.k.Fired() {
+					t.Fatalf("cut %d: kernel at %v seq %d fired %d, exact at %v seq %d fired %d", i,
+						fast.k.Now(), fast.k.Seq(), fast.k.Fired(), slow.k.Now(), slow.k.Seq(), slow.k.Fired())
+				}
+			}
+			if c.t.RotationSlots == 0 {
+				t.Error("no slot ran in the rotation")
 			}
 		})
 	}
@@ -358,35 +514,41 @@ func (s *stagedRing) logs() string {
 }
 
 // TestFanoutJoinsBeforeReturning pins the join. Two windows are handed
-// out on two host threads, a short one that the simulation goroutine
-// claims at once (claims go from the last window down, and it does not
-// wait to be helped) and, for the core in hand, one ten times as long.
-// A helper that wakes while the short one is being computed takes the
-// long one, and is a tenth of the way through it when the simulation
-// goroutine runs out of windows: refill must not return before it is
-// done, for the group goes on to replay what it logged. Helpers are
-// woken, not spun for, so a fan-out the helper reached too late — the
-// simulation goroutine had taken both windows — is tried again.
+// out on two host threads: a long one, for the ring member, and one a
+// tenth as long for the core in hand. Claims go from the last window
+// down, and the simulation goroutine is held back (beforeClaim) until a
+// helper has claimed, so the helper takes the long window and the
+// simulation goroutine runs out of windows a tenth of the way through it:
+// refill must not return before it is done, for the group goes on to
+// replay what it logged. A fan-out whose offer found no helper parked is
+// tried again.
 func TestFanoutJoinsBeforeReturning(t *testing.T) {
 	const short, long = 20_000, 200_000
-	for try := 0; try < 50; try++ {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for try := 0; try < 20; try++ {
 		s := emptyRing(t)
+		f := &s.g.fan
+		f.beforeClaim = func() {
+			for give := time.Now().Add(100 * time.Millisecond); uint32(f.word.Load()) == 2 && time.Now().Before(give); {
+				runtime.Gosched()
+			}
+		}
 		cur, other := s.cores[0], s.cores[1]
 		s.g.tail = s.g.head + 1
-		s.g.q[s.g.head&uint(len(s.g.q)-1)].when = s.now + (long-short)*s.period
-		s.refillAt(2, long)
-		if cur.logged() != long+1 || other.logged() != short+1 {
+		s.g.q[s.g.head&uint(len(s.g.q)-1)].when = s.now
+		s.g.refill(cur, s.now+(long-short)*s.period, s.now+long*s.period+17)
+		if cur.logged() != short+1 || other.logged() != long+1 {
 			t.Fatalf("refill returned with %d of %d slots logged on the core in hand and %d of %d on the other (helped windows: %d, %d): it did not join",
-				cur.logged(), long+1, other.logged(), short+1, cur.t.HelpedWindows, other.t.HelpedWindows)
+				cur.logged(), short+1, other.logged(), long+1, cur.t.HelpedWindows, other.t.HelpedWindows)
 		}
-		if cur.t.Fanouts != 1 || other.t.HelpedWindows != 0 {
-			t.Fatalf("%d fan-outs; the short window was helped: %v; want 1 and the simulation goroutine claiming first", cur.t.Fanouts, other.t.HelpedWindows != 0)
+		if cur.t.Fanouts != 1 {
+			t.Fatalf("%d fan-outs, want 1", cur.t.Fanouts)
 		}
-		if cur.t.HelpedWindows == 1 {
+		if other.t.HelpedWindows == 1 {
 			return
 		}
 	}
-	t.Error("no helper took the long window in fifty fan-outs")
+	t.Error("no helper took the long window in twenty fan-outs")
 }
 
 // TestFanoutComputesTheSameWindows hands sixteen windows of fifty

@@ -9,7 +9,7 @@ import (
 // each stamped with the core's write generation on every store. The
 // generation advances on every touch, so a page's stamp changes
 // whenever its content may have — which is what lets the predecoded
-// instruction cache (turbo.go) validate an entry with one comparison,
+// instruction cache (window.go) validate an entry with one comparison,
 // and what lets snapshots copy back only what changed: a snapshot
 // records the generation it was taken at, and restore copies back only
 // pages stamped newer than that, so rewinding a core whose SRAM was

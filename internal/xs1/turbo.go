@@ -13,114 +13,29 @@ import (
 	"swallow/internal/trace"
 )
 
-// Turbo is the core's execution fast path, five mechanisms deep:
+// The execution fast path, in five statements; the code that holds each
+// says why it is sound.
 //
-//  1. A predecoded instruction cache: each SRAM word executed as an
-//     instruction is decoded once into a dense per-page side table and
-//     revalidated with a single generation compare against the page
-//     stamps snapshot.go maintains on every store. The cache is
-//     derived state — never snapshotted, never restored — and a stale
-//     stamp simply re-decodes, so self-modifying code, program loads
-//     and Restore all stay exact.
+//  1. A window is (core state, at, limit) → folded log (window.go): a core
+//     on a compute streak runs its own slots ahead of the kernel clock,
+//     only inside an untraced RunUntil, before every pending registration,
+//     never while an outside event could wake it.
+//  2. The group owns order (turboGroup.run, replay): the cores sharing a
+//     kernel issue in one loop in global (time, sequence) order, and every
+//     slot, pre-executed or not, is accounted for at its own time, so
+//     kernel Now/Seq/Fired and arm order are the unbatched loop's.
+//  3. A round is a rotation (turboGroup.rounds): when every ring member
+//     holds the same block, r blocks of the ring are retired at once.
+//  4. A fan-out is who computes windows (turboGroup.refill): any host
+//     thread may, and the simulation goroutine joins them all before it
+//     replays, so no width changes a byte.
+//  5. A count is a slot nobody can observe (stall.go): a blocked thread's
+//     doomed retry and idle probe are accounted for without a firing.
 //
-//  2. Batched run-to-horizon issue: instead of one ladder-queue
-//     arm/fire round trip per instruction, a turboGroup — every core
-//     sharing one kernel, typically all cores of a machine — executes
-//     issue slots in a tight loop in global (time, sequence) order.
-//     Sibling members' pending issue firings are absorbed into the
-//     batch (Kernel.AbsorbNext), later slots advance the clock with
-//     Kernel.StepTo, and each slot's re-arm is deferred in a small
-//     time-sorted queue that the batch hands back to the kernel when
-//     it stops, in the exact order the slow path would have armed. A
-//     batch stops at the first event it cannot own: a foreign kernel
-//     event (the horizon), the active RunUntil deadline, any
-//     instruction that could interact beyond the issuing thread (every
-//     communication/resource/thread/time opcode is energy.ClassComm),
-//     a trap, or the batch cap. Nothing is armed or observed mid-batch
-//     except what the identical slow-path instruction would have
-//     armed, so architectural state at every kernel-visible boundary
-//     is bit-identical to the unbatched loop — including the kernel's
-//     own clock, firing and sequence counters.
-//
-//  3. Pre-execution and replay. Cores share no memory, so between two
-//     communication instructions a core's registers, SRAM, thread
-//     rotation and counters are nobody else's business, and what a slot
-//     does is split from when the kernel accounts for it. A core on a
-//     streak of compute instructions runs its own next slots alone on a
-//     local clock (Core.preexec: a window — no kernel call, no group
-//     queue) and logs when they fell; the group loop stays the single
-//     owner of global order and kernel accounting, and a slot of a core
-//     with a non-empty log is a log pop instead of an instruction. Push,
-//     pop, AbsorbNext, StepTo, the exit re-arm, the batch cap and every
-//     batch boundary are untouched, so kernel Now/Seq/Fired and arm order
-//     are the unbatched loop's by construction; there is no rollback and
-//     nothing to undo — work is only done earlier. It is sound because it
-//     is bounded: only inside RunUntil, only slots strictly before the
-//     kernel's earliest pending registration and no later than the
-//     deadline (limit), only while the core has no thread an outside
-//     event could wake, never with a recorder attached, never across a
-//     communication instruction — the window stops before the pick. Every
-//     entry into a core from outside its own issue step panics on a
-//     non-empty log (Core.settled).
-//
-//     The log has one shape: a run is n slots a period apart, then a gap,
-//     repeated (preRun). A core with an instruction in every slot logs
-//     one slot and one period, over and over; a one-thread core logs an
-//     instruction, an idle probe and the three periods the probe skips;
-//     either way a steady window is one entry up to limit and one more
-//     for what limit cut off. A round is r blocks of a ring that only
-//     rotates: when the core in hand and every ring member hold the same
-//     block, each at the same slot of it or — having had its turn — one
-//     slot on, every push lands at the ring's tail and every pop takes
-//     its head, and r blocks later it is the same ring r strides on.
-//     turboGroup.rounds retires them at once — each log's repeat count
-//     down by r, each ring time on by r strides — and replay steps the
-//     kernel for all of it with one counted step (Kernel.StepN), bounded
-//     by the horizon, the deadline and the batch cap exactly as the slots
-//     would be. Anything else — an empty log, another block, period or
-//     phase, a member whose slot is still the kernel's — is refused, not
-//     guessed at, and goes slot by slot.
-//
-//  4. Windows on every host processor. A window is a function of its
-//     core's own state, the time of its first slot and limit, and touches
-//     nothing else, so which goroutine computes it is nobody's business
-//     either. Wherever a member is given a window (run's streak entry,
-//     replay's refill, a round step that emptied logs) turboGroup.refill
-//     collects every member that could take one, and the simulation
-//     goroutine and a process-wide pool of parked helpers, one per spare
-//     host processor, claim them one at a time. The simulation goroutine
-//     always takes part, never waits to be helped, and joins before it
-//     replays a slot, arms a timer or steps the kernel, so Now/Seq/Fired,
-//     arm order, batch boundaries and every rendered byte are the same at
-//     every GOMAXPROCS. Waking a parked goroutine costs thousands of
-//     slots, so a window runs to the horizon — which wastes nothing, for
-//     every slot logged within limit is replayed inside the RunUntil that
-//     logged it — and windows are shared only when they hold enough work
-//     to pay for the wake (fanoutMinSlots). Not parallel: the replay,
-//     which owns the global order.
-//
-//  5. Counted stalls (stall.go). A thread parked on a channel end costs
-//     its core issue slots that do nothing: a word wants four tokens and
-//     every token wakes, so three wakes in four arm a retry that blocks
-//     again where it stood and an idle probe a period later that finds
-//     nothing; and every communication instruction that blocks is
-//     followed by such a probe. When the slots' outcome is already
-//     decided — the instruction, read back from the thread's PC, still
-//     lacks what it needs, the core has nothing else to run, and the
-//     fabric can neither change that nor wake the thread before the
-//     probe's slot has passed (noc.ChanEnd.QuietUntil) — the wake, or
-//     the blocking instruction, accounts for them on the spot: their
-//     sequence numbers and firings (Kernel.Count), the idle slot, the
-//     thread's next issue time and the rotation as the retry's pick
-//     would leave them. Nothing is armed, nothing fires, no batch runs.
-//     Only inside an untraced RunUntil, and only with the probe's slot
-//     within its deadline, so no boundary sees a count early; any doubt
-//     is a refusal, and a refusal is the event path, unchanged.
-//
-// Round-robin order, pipeline spacing, idle-slot accounting and energy
-// accrual run through the same code as the slow path (pickReady,
-// earliestReadyTime, run, chargeInstr), so "turbo ≡ step-by-step" is a
-// structural property, guarded by the differential tests.
+// The scheduler, the pipeline spacing and the charge are the slow path's
+// (pickReady, run, chargeInstr), and where the fixed rotation stands in
+// for pickReady (Core.rotate) it leaves what pickReady would have, so
+// "turbo ≡ step-by-step" is structural, guarded by the differential tests.
 
 // BatchExit names why a turbo batch handed control back to the kernel.
 type BatchExit int
@@ -167,6 +82,10 @@ type TurboStats struct {
 	// RoundSlots counts the replayed slots that were retired by whole
 	// blocks of the group ring (turboGroup.rounds) rather than one by one.
 	RoundSlots uint64
+	// RotationSlots counts the issue slots run in the fixed rotation
+	// (Core.rotate) rather than picked by a scan, in windows and in the
+	// lone-core loop alike.
+	RotationSlots uint64
 	// CountedSlots counts the issue slots accounted for without a firing
 	// (stall.go): the doomed retry and the idle probe after a channel-end
 	// wake that cannot satisfy its thread, and the idle probe after a
@@ -213,6 +132,7 @@ func (s *TurboStats) add(o *TurboStats) {
 	s.PreexecSlots += o.PreexecSlots
 	s.ReplayedSlots += o.ReplayedSlots
 	s.RoundSlots += o.RoundSlots
+	s.RotationSlots += o.RotationSlots
 	s.CountedSlots += o.CountedSlots
 	s.DoomedWakes += o.DoomedWakes
 	s.CountedWakes += o.CountedWakes
@@ -257,12 +177,6 @@ func (c *Core) FlushTurboStats() {
 }
 
 const (
-	// pageWordShift/pageWords mirror snapshot.go's 4 KiB pages in
-	// 32-bit instruction words: one predecode table page per SRAM page,
-	// validated by the same generation stamp.
-	pageWordShift = pageShift - 2
-	pageWords     = 1 << pageWordShift
-
 	// turboBatchCap bounds one batch (instructions plus idle probes) so
 	// a compute-bound core cannot stall the surrounding event loop's
 	// liveness indefinitely between kernel-visible boundaries.
@@ -273,10 +187,11 @@ const (
 	BatchLenBuckets = turboBatchCapLog2 + 1
 
 	// preexecStreak is how many instructions a core must have issued
-	// since it last reached a communication instruction before it
-	// tries to pre-execute: communication-bound code, whose compute
-	// runs are a few instructions long, never pays for a window it
-	// would abandon at once. A core asks at every preexecStreak-th
+	// since it last reached a communication instruction before it tries
+	// to pre-execute, or a lone core to issue its rotation:
+	// communication-bound code, whose compute runs are a few instructions
+	// long, never pays for a window or a rotation it would abandon at
+	// once. A core asks for a window at every preexecStreak-th
 	// instruction it issues (a power of two), so the question itself
 	// costs the exact path one test of a counter it has just updated.
 	preexecStreak = 32
@@ -287,186 +202,26 @@ const (
 	// apart, and the ones a slot behind would otherwise each open a
 	// window alone, one after the other, with nobody to share it with.
 	preexecJoin = preexecStreak / 2
-	// preexecRuns is the capacity of a core's slot log, in runs. A core
-	// whose slots repeat one block logs its whole window as one run and a
-	// tail; a core whose idle probes skip ahead by no pattern logs one run
-	// per skip, and its window ends when the log is full.
-	preexecRuns = 64
-
 	// fanoutMinSlots is how many issue slots the windows handed out at one
 	// moment must be able to run, between them, before the pool is offered
 	// a share (turboGroup.refill). Handing off is not free: on the 2-vCPU
 	// reference VM a goroutine parked on a channel starts 11 us (median; 55
 	// us at the 99th percentile, 70 us on a busier day) after the send that
-	// wakes it, and the send itself costs the sender 10 us of futex wake —
-	// a thousand slots at 10 ns each, 1000 sends 2 ms apart, measured with
-	// a channel and a WaitGroup as here. Under 7 k slots the helper arrives
-	// after the work is done; the constant is several times that, so a
-	// fan-out always has more to share than it costs, and the ADC
-	// artifact's 500-slot sample horizons (8 k slots a slice) refill in
-	// line.
+	// wakes it, and the send itself costs the sender 10 us of futex wake,
+	// 1000 sends 2 ms apart, measured with a channel and a WaitGroup as
+	// here. A window slot of a loaded slice, issued in the fixed rotation,
+	// costs 11 ns on one processor of a 2-vCPU VM half as fast as that one
+	// (BenchmarkTurbo/on at GOMAXPROCS=1, the traced sim-compute
+	// benchmark), about 6 ns there: the wake is 2 k slots, and under 12 k
+	// the helper arrives after the work is done. The constant is nearly
+	// three times that, so a fan-out always has more to share than it
+	// costs, and the ADC artifact's 500-slot sample horizons (8 k slots a
+	// slice) refill in line.
 	fanoutMinSlots = 1 << 15
-
-	// slotTrapped is the logged next time of a pre-executed slot whose
-	// thread trapped: the replay ends the batch there, as the trap
-	// itself would have.
-	slotTrapped sim.Time = -2
 
 	// timeMax stands for no bound on simulated time.
 	timeMax sim.Time = math.MaxInt64
 )
-
-// preRun is one strided run of pre-executed issue slots: a block of n
-// slots a period apart, then gap from the block's last slot to the core's
-// next, reps times over. The first block may be short: left counts the
-// slots of it yet to replay, and falls as they are. A core with an
-// instruction in every slot logs blocks of one slot and a period's gap —
-// the period-only run — and one whose idle probes skip ahead logs the
-// slots up to the probe and the skip. A negative gap ends the log, and
-// its one block: -1 when the core sleeps after the last slot, slotTrapped
-// when that slot trapped. The time of the next slot to replay is the
-// core's (Core.logAt); a run begins where the one before it ends.
-type preRun struct {
-	gap           sim.Time
-	left, n, reps int
-}
-
-// ientry is one predecoded instruction. gen pins the page generation
-// the entry was decoded under; class and words cache the per-issue
-// derivations (energy class, encoded size) the slow path recomputes.
-type ientry struct {
-	gen   uint64
-	in    Instr
-	class uint8
-	words uint8
-	valid bool
-}
-
-// ipage is the predecode table for one SRAM page, allocated lazily the
-// first time an instruction from that page is fetched through turbo.
-type ipage [pageWords]ientry
-
-// ifetch resolves th.PC through the predecode cache, returning the
-// live entry on a hit — small enough to inline into the issue loop.
-// Everything else — virgin or stale entries, PCs beyond SRAM (whose
-// byte address wraps uint32 in the slow path's load) — returns nil and
-// goes through fetchMiss. Faults trap through fetchSlow with identical
-// diagnostics and are never cached.
-func (c *Core) ifetch(th *Thread) *ientry {
-	e := c.icached(th.PC)
-	if e != nil {
-		c.t.DecodeHits++
-	}
-	return e
-}
-
-// icached is ifetch's lookup without the fetch: the live entry for the
-// instruction at word address pc, or nil, and nothing counted. Reading
-// back the instruction a thread is blocked in goes through here.
-func (c *Core) icached(pc uint32) *ientry {
-	if pc >= MemSize/4 {
-		return nil
-	}
-	page := pc >> pageWordShift
-	ip := c.icache[page]
-	if ip == nil {
-		return nil
-	}
-	e := &ip[pc&(pageWords-1)]
-	if e.valid && e.gen == c.pageGen[page] {
-		return e
-	}
-	return nil
-}
-
-// fetchMiss decodes through the uncached path and populates the cache
-// entry when one page stamp can guard the whole encoding (a two-word
-// instruction straddling a page boundary cannot be cached).
-func (c *Core) fetchMiss(th *Thread) (Instr, energy.InstrClass, uint32, bool) {
-	pc := th.PC
-	if pc >= MemSize/4 {
-		return c.fetchSlow(th)
-	}
-	page := pc >> pageWordShift
-	ip := c.icache[page]
-	if ip == nil {
-		ip = new(ipage)
-		c.icache[page] = ip
-	}
-	e := &ip[pc&(pageWords-1)]
-	if e.valid {
-		c.t.DecodeStale++
-	} else {
-		c.t.DecodeMisses++
-	}
-	in, class, words, ok := c.fetchSlow(th)
-	if !ok {
-		return in, class, words, false
-	}
-	if words == 2 && pc&(pageWords-1) == pageWords-1 {
-		// The immediate word is on the next page; one stamp cannot
-		// guard both. Rare enough to always decode.
-		return in, class, words, true
-	}
-	e.gen, e.in, e.class, e.words, e.valid = c.pageGen[page], in, uint8(class), uint8(words), true
-	return in, class, words, true
-}
-
-// pickReady rotates the round-robin order and returns the first thread
-// able to issue at time now, or nil. Shared by the slow and batched
-// paths: the rotation is the architectural thread scheduler. The
-// rotation is held as an offset into c.rr (bumping an index beats a
-// memmove per issued instruction); everything outside the issue loop
-// sees the materialized order via rrNormalize.
-func (c *Core) pickReady(now sim.Time) *Thread {
-	n := len(c.rr)
-	idx := c.rrOff
-	for i := 0; i < n; i++ {
-		if idx >= n {
-			idx -= n
-		}
-		cand := &c.threads[c.rr[idx]]
-		idx++
-		if cand.State == TReady && cand.nextReady <= now {
-			if idx == n {
-				idx = 0
-			}
-			c.rrOff = idx
-			return cand
-		}
-	}
-	// Every candidate rotated past and none issued: a full rotation is
-	// the identity, so the offset stays.
-	return nil
-}
-
-// rrNormalize materializes the round-robin rotation offset into the
-// physical slice, so code that copies or appends to c.rr (snapshots,
-// thread allocation) sees the logical issue order.
-func (c *Core) rrNormalize() {
-	if c.rrOff == 0 {
-		return
-	}
-	var tmp [MaxThreads]int
-	n := copy(tmp[:], c.rr[:c.rrOff])
-	copy(c.rr, c.rr[c.rrOff:])
-	copy(c.rr[len(c.rr)-n:], tmp[:n])
-	c.rrOff = 0
-}
-
-// earliestReadyTime reports the soonest nextReady among ready threads,
-// or -1 when no thread is ready at any time (the core then sleeps
-// until something kicks it).
-func (c *Core) earliestReadyTime() sim.Time {
-	var next sim.Time = -1
-	for _, id := range c.rr {
-		t := &c.threads[id]
-		if t.State == TReady && (next < 0 || t.nextReady < next) {
-			next = t.nextReady
-		}
-	}
-	return next
-}
 
 // turboGroup batches issue execution across the cores sharing one
 // kernel. Grouping is what keeps fast-path throughput on multi-core
@@ -492,14 +247,16 @@ type turboGroup struct {
 	// loop is spilled and reloaded around the calls each slot makes.
 	// start is the batch's first slot time and end the last time it
 	// may run a slot at (the deadline of the RunUntil executing it, if
-	// there is one); mayPreexec says cores may run ahead in this batch
-	// — only inside RunUntil, since under Step and Run every return is
-	// a point where the host may look, and only untraced, since trace
-	// events carry the kernel's time; kw is the Waker of the kernel's
-	// earliest registration as horizon last saw it.
-	start, end sim.Time
-	mayPreexec bool
-	kw         sim.Waker
+	// there is one); untraced says no recorder is attached, whose events
+	// carry the kernel's time, so a lone core may issue its rotation
+	// before the kernel steps over it; mayPreexec says cores may run ahead
+	// in this batch — only untraced and only inside RunUntil, since under
+	// Step and Run every return is a point where the host may look; kw is
+	// the Waker of the kernel's earliest registration as horizon last saw
+	// it.
+	start, end           sim.Time
+	untraced, mayPreexec bool
+	kw                   sim.Waker
 
 	// fan is the record of the windows being handed out (refill).
 	fan fanout
@@ -603,193 +360,6 @@ func (g *turboGroup) absorb(head sim.Waker) *Core {
 	return f.c
 }
 
-// quiet reports whether nothing outside the core can re-time it: it is
-// not halted and has no thread blocked on a channel end or on the
-// reference clock — the only states a foreign event wakes (kickThread).
-// A thread blocked in TJOIN is woken by this core's own TEND, which is
-// a communication instruction and so never pre-executed.
-func (c *Core) quiet() bool {
-	if c.halted {
-		return false
-	}
-	for i := range c.threads {
-		if s := c.threads[i].State; s == TBlockedChan || s == TBlockedTime {
-			return false
-		}
-	}
-	return true
-}
-
-// preexec runs the core's own next issue slots alone on a local clock,
-// starting with the slot at time at, and logs them in runs for the group
-// loop to replay. It is the group loop's slot step — pickReady, ifetch,
-// run, the pipeline spacing, the idle probe — with the kernel left out,
-// and it stops at the first slot later than limit (the caller's bound:
-// before every pending registration, within the deadline), before the
-// first communication instruction (the pick is undone, so the rotation
-// is as the group loop expects to find it), after a trap, when the core
-// goes to sleep, or when the log is full. It reads and writes nothing
-// but its own core — no kernel, no group, no other core — which is what
-// lets windows of different cores run on different host threads
-// (turboGroup.refill). The core must be quiet and its log empty: refill
-// gives windows only to such cores, and a window begun over slots not
-// yet replayed would lose them, so that panics.
-func (c *Core) preexec(at, limit sim.Time) {
-	if c.logTail != 0 {
-		panic(fmt.Sprintf("xs1: core %v given a window at %v with %d pre-executed slots not replayed",
-			c.node, at, c.logged()))
-	}
-	period := c.clk.Period()
-	// n counts the slots of the block being logged so far, a period apart.
-	// Nothing else is carried from slot to slot: every value live across
-	// the call to run is spilled around it.
-	c.logAt = at
-	n := 0
-	for at <= limit {
-		off := c.rrOff
-		th := c.pickReady(at)
-		var next sim.Time = -1
-		if th == nil {
-			c.IdleSlots++
-			if t := c.earliestReadyTime(); t >= 0 {
-				next = c.alignUp(t)
-			}
-		} else {
-			var in *Instr
-			var class energy.InstrClass
-			var words uint32
-			ok := true
-			e := c.ifetch(th)
-			if e != nil {
-				in, class, words = &e.in, energy.InstrClass(e.class), uint32(e.words)
-			} else {
-				var iv Instr
-				iv, class, words, ok = c.fetchMiss(th)
-				in = &iv
-			}
-			if ok && class == energy.ClassComm {
-				// The group loop picks and fetches this slot again. The
-				// streak is over: until the instruction has issued, no
-				// refill on another member's behalf need ask this core
-				// again, to be turned away at the same pick.
-				c.rrOff = off
-				if e != nil {
-					c.t.DecodeHits--
-				}
-				c.commMark = c.InstrCount
-				break
-			}
-			if ok {
-				c.run(th, in, class, words, at)
-				c.t.BatchedInstrs++
-			}
-			if th.State == TReady {
-				th.nextReady = max(th.nextReady, at+PipelineDepth*period)
-			}
-			next = at + period
-			if !ok || th.State == TTrapped {
-				next = slotTrapped
-			}
-		}
-		n++
-		if next != at+period {
-			// The slot leaves the grid, and its block ends with it.
-			gap := next
-			if next >= 0 {
-				gap -= at
-			}
-			c.logBlock(n, gap)
-			n = 0
-			if next < 0 || c.logTail == len(c.log) {
-				break
-			}
-		}
-		at = next
-	}
-	if n > 0 {
-		// limit or a communication instruction cut the window short of a
-		// block's end: n slots, each a period before the core's next.
-		c.log[c.logTail] = preRun{gap: period, left: 1, n: 1, reps: n}
-		c.logTail++
-	}
-	c.t.PreexecSlots += uint64(c.logged())
-}
-
-// logBlock logs a block of n slots and the gap after it: one more of the
-// run before it, if it is that run's block again — or the whole of a block
-// that run opened with the end of — else the first of a new run.
-func (c *Core) logBlock(n int, gap sim.Time) {
-	if c.logTail > 0 {
-		if p := &c.log[c.logTail-1]; p.gap == gap && (p.n == n || p.reps == 1 && p.n < n) {
-			p.n = n
-			p.reps++
-			return
-		}
-	}
-	c.log[c.logTail] = preRun{gap: gap, left: n, n: n, reps: 1}
-	c.logTail++
-}
-
-// logged counts the pre-executed slots the group loop has yet to replay.
-func (c *Core) logged() int {
-	n := 0
-	for _, e := range c.log[c.logHead:c.logTail] {
-		n += e.left + (e.reps-1)*e.n
-	}
-	return n
-}
-
-// wholeBlocks counts the blocks of the head run a round step may retire
-// at once, the core ending at the slot of a block it began at: all of them
-// from a block's first slot, one fewer from inside one, and never a block
-// that ends the log asleep or trapped. The log must not be empty.
-func (c *Core) wholeBlocks() int {
-	e := &c.log[c.logHead]
-	if e.left == e.n && e.gap >= 0 {
-		return e.reps
-	}
-	return e.reps - 1
-}
-
-// pop replays the next slot: it moves the log past it and reports the
-// time of the core's slot after it — a period later inside a block, the
-// gap later after its last slot, the run's negative gap itself when that
-// ends the log.
-func (c *Core) pop() sim.Time {
-	e := &c.log[c.logHead]
-	if e.left > 1 {
-		e.left--
-		c.logAt += c.clk.Period()
-		return c.logAt
-	}
-	if e.reps > 1 {
-		e.reps--
-		e.left = e.n
-	} else if c.logHead++; c.logHead == c.logTail {
-		c.logHead, c.logTail = 0, 0
-	}
-	if e.gap < 0 {
-		return e.gap
-	}
-	c.logAt += e.gap
-	return c.logAt
-}
-
-// retire moves the log past r whole blocks of its head run (no more than
-// wholeBlocks), span later, and reports whether that emptied the log.
-func (c *Core) retire(r int, span sim.Time) bool {
-	c.logAt += span
-	e := &c.log[c.logHead]
-	if e.reps -= r; e.reps > 0 {
-		return false
-	}
-	if c.logHead++; c.logHead < c.logTail {
-		return false
-	}
-	c.logHead, c.logTail = 0, 0
-	return true
-}
-
 // window is one core's share of a fan-out: pre-execute c from its next
 // slot, at time at.
 type window struct {
@@ -819,6 +389,9 @@ type fanout struct {
 	// fault holds what the first window to panic panicked with, for the
 	// simulation goroutine to raise again after the join.
 	fault atomic.Pointer[any]
+	// beforeClaim, when set, runs on the simulation goroutine between the
+	// offers and its first claim, for a test to order the claims.
+	beforeClaim func()
 }
 
 // add puts c's window, from time at, on the record if c can take one —
@@ -966,6 +539,9 @@ func (g *turboGroup) refill(cur *Core, at, limit sim.Time) {
 				}
 			}
 		}
+	}
+	if f.beforeClaim != nil {
+		f.beforeClaim()
 	}
 	f.work(f.gen, false)
 	f.wg.Wait()
@@ -1178,7 +754,8 @@ func (g *turboGroup) run(first *Core) {
 	if hasDeadline {
 		g.end = deadline
 	}
-	g.mayPreexec = hasDeadline && k.Recorder() == nil
+	g.untraced = k.Recorder() == nil
+	g.mayPreexec = hasDeadline && g.untraced
 	kt, kok, limit := g.horizon()
 	cur := first
 	slots := 0
@@ -1209,8 +786,27 @@ batch:
 			// Execute cur's slot, and its following slots for as long
 			// as they lead — which is all a lone awake core ever does,
 			// in this inner loop with nothing of the replay machinery
-			// live across it.
+			// live across it. On a compute streak, where its threads
+			// stand in the fixed rotation, it issues that up to limit and
+			// the cap, and the kernel takes one counted step for all of it.
 			for {
+				if g.untraced && g.head == g.tail && cur.InstrCount-cur.commMark >= preexecStreak {
+					if r := cur.rotate(now, limit, turboBatchCap-slots); r.instrs > 0 {
+						binstrs += int64(r.instrs)
+						slots += r.instrs + r.probes
+						k.StepN(r.last, r.instrs+r.probes-1)
+						now = r.last
+						if r.trapped {
+							why = ExitTrap
+							break batch
+						}
+						if next = r.next; !g.leads(next, limit) || slots >= turboBatchCap {
+							break
+						}
+						k.StepTo(next)
+						now = next
+					}
+				}
 				th := cur.pickReady(now)
 				if th == nil {
 					cur.IdleSlots++
@@ -1221,44 +817,29 @@ batch:
 					// next < 0: the member sleeps until something kicks
 					// it — no arm, exactly the slow path.
 				} else {
-					var in *Instr
-					var class energy.InstrClass
-					var words uint32
-					ok := true
-					if e := cur.ifetch(th); e != nil {
-						in, class, words = &e.in, energy.InstrClass(e.class), uint32(e.words)
-					} else {
-						var iv Instr
-						iv, class, words, ok = cur.fetchMiss(th)
-						in = &iv
-					}
-					if ok && class == energy.ClassComm {
+					e, _ := cur.fetch(th)
+					if e != nil && e.class == uint8(energy.ClassComm) {
 						// The instruction may arm timers or wake threads
 						// as it runs; hand the other members' arms back
 						// first so everything it registers lands after
 						// them, preserving the slow path's arm order (it
 						// armed those at their own earlier slots).
 						g.armPending()
-						cur.run(th, in, class, words, now)
+						cur.issue(th, e, now)
 						cur.commMark = cur.InstrCount
 						binstrs++
-						if th.State == TReady {
-							th.nextReady = max(th.nextReady, now+cur.clk.Cycles(PipelineDepth))
-						} else if th.State == TBlockedChan {
+						if th.State == TBlockedChan {
 							blocked = th
 						}
 						why = ExitComm
 						slots++
 						break batch
 					}
-					if ok {
-						cur.run(th, in, class, words, now)
+					if e != nil {
+						cur.issue(th, e, now)
 						binstrs++
 					}
-					if th.State == TReady {
-						th.nextReady = max(th.nextReady, now+cur.clk.Cycles(PipelineDepth))
-					}
-					if !ok || th.State == TTrapped {
+					if e == nil || th.State == TTrapped {
 						// Trap boundary: fall back to the event loop.
 						why = ExitTrap
 						slots++

@@ -3,6 +3,7 @@ package xs1
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,13 +29,21 @@ loop:
 // turboLoopOn runs turboLoop's body on so many threads, each spawned
 // thread on a stack of its own.
 func turboLoopOn(threads int) string {
+	return spawned(slices.Repeat([]string{"loop"}, threads-1)...) +
+		"loop:\n\tadd r1, r0, r0\n\tsub r2, r1, r0\n\tor r3, r2, r1\n\tand r4, r3, r2\n\tbru loop\n"
+}
+
+// spawned starts a thread at each label, each on a stack of its own.
+func spawned(labels ...string) string {
 	var b strings.Builder
-	for i := 1; i < threads; i++ {
-		fmt.Fprintf(&b, "\tgetst r1, loop\n\tldc   r2, %#x\n\ttsetr r1, 12, r2\n\ttstart r1\n", 0xF000-i*0x800)
+	for i, l := range labels {
+		fmt.Fprintf(&b, "\tgetst r1, %s\n\tldc   r2, %#x\n\ttsetr r1, 12, r2\n\ttstart r1\n", l, 0xF000-(i+1)*0x800)
 	}
-	b.WriteString("loop:\n\tadd r1, r0, r0\n\tsub r2, r1, r0\n\tor r3, r2, r1\n\tand r4, r3, r2\n\tbru loop\n")
 	return b.String()
 }
+
+// aluLoop is a two-instruction compute loop at label alu.
+const aluLoop = "alu:\n\tadd r1, r0, r0\n\tsub r2, r1, r0\n\tbru alu\n"
 
 // turboLoop2 leaves two slots in four empty: two instructions, an idle
 // probe and two periods skipped, over and over. turboLoop4 fills every
