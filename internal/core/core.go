@@ -235,64 +235,54 @@ func MustNew(slicesX, slicesY int, opts Options) *Machine {
 	return m
 }
 
-// buildPowerTree wires each slice's cores to its four 1 V supplies and
-// attaches the support rail and measurement board.
+// buildPowerTree wires each slice's cores to its four 1 V supplies, by
+// Rail, and attaches the support rail and measurement board.
 func (m *Machine) buildPowerTree() error {
-	slices := m.Sys.Slices()
-	m.supplies = make([][]*power.Supply, slices)
-	m.boards = make([]*power.Board, slices)
-	for sy := 0; sy < m.Sys.SlicesY; sy++ {
-		for sx := 0; sx < m.Sys.SlicesX; sx++ {
-			idx := sy*m.Sys.SlicesX + sx
-			var rails []*power.Supply
-			nodes := m.sliceNodes(sx, sy)
-			for g := 0; g < SupplyGroups; g++ {
-				s, err := power.NewSupply(
-					fmt.Sprintf("slice%d-1V-%c", idx, 'A'+g), 1.0, 5.0, CoreSupplyEfficiency)
-				if err != nil {
-					return err
-				}
-				for _, node := range nodes[g*CoresPerSupply : (g+1)*CoresPerSupply] {
-					c := m.cores[node]
-					s.Attach(c.EnergyJ)
-				}
-				rails = append(rails, s)
-			}
-			io, err := power.NewSupply(fmt.Sprintf("slice%d-3V3", idx), 3.3, 5.0, 0.85)
+	m.supplies = make([][]*power.Supply, m.Sys.Slices())
+	m.boards = make([]*power.Board, m.Sys.Slices())
+	for idx := range m.supplies {
+		m.supplies[idx] = make([]*power.Supply, SupplyGroups, SliceSupplies)
+		for g := range SupplyGroups {
+			s, err := power.NewSupply(
+				fmt.Sprintf("slice%d-1V-%c", idx, 'A'+g), 1.0, 5.0, CoreSupplyEfficiency)
 			if err != nil {
 				return err
 			}
-			k := m.K
-			io.Attach(func() float64 {
-				return SliceSupportPowerW * 0.85 * k.Now().Seconds()
-			})
-			rails = append(rails, io)
-			board, err := power.NewBoard(m.K, rails)
-			if err != nil {
-				return err
-			}
-			board.SetTraceIndex(idx)
-			m.supplies[idx] = rails
-			m.boards[idx] = board
+			m.supplies[idx][g] = s
 		}
+	}
+	for _, node := range m.nodes {
+		slice, g := Rail(m.Sys, node)
+		m.supplies[slice][g].Attach(m.cores[node].EnergyJ)
+	}
+	k := m.K
+	for idx, rails := range m.supplies {
+		io, err := power.NewSupply(fmt.Sprintf("slice%d-3V3", idx), 3.3, 5.0, 0.85)
+		if err != nil {
+			return err
+		}
+		io.Attach(func() float64 {
+			return SliceSupportPowerW * 0.85 * k.Now().Seconds()
+		})
+		rails = append(rails, io)
+		board, err := power.NewBoard(m.K, rails)
+		if err != nil {
+			return err
+		}
+		board.SetTraceIndex(idx)
+		m.supplies[idx] = rails
+		m.boards[idx] = board
 	}
 	return nil
 }
 
-// sliceNodes lists the sixteen nodes of one board in supply-group order
-// (two packages = four cores per group).
-func (m *Machine) sliceNodes(sx, sy int) []topo.NodeID {
-	var out []topo.NodeID
-	x0 := sx * topo.PackagesPerSliceX
-	y0 := sy * topo.PackagesPerSliceY
-	for py := 0; py < topo.PackagesPerSliceY; py++ {
-		for px := 0; px < topo.PackagesPerSliceX; px++ {
-			out = append(out,
-				topo.MakeNodeID(x0+px, y0+py, topo.LayerV),
-				topo.MakeNodeID(x0+px, y0+py, topo.LayerH))
-		}
-	}
-	return out
+// Rail names the 1 V converter that feeds a node: the index of its
+// slice board (as Board takes it) and of the rail on that board. Each
+// rail feeds CoresPerSupply cores, two packages in board order.
+func Rail(sys topo.System, n topo.NodeID) (slice, rail int) {
+	sx, sy := sys.SliceOf(n)
+	pkg := (n.Y()%topo.PackagesPerSliceY)*topo.PackagesPerSliceX + n.X()%topo.PackagesPerSliceX
+	return sy*sys.SlicesX + sx, (pkg*topo.CoresPerPackage + int(n.Layer())) / CoresPerSupply
 }
 
 // Core returns the processor at a node.

@@ -78,109 +78,100 @@ func TestSurveyECRender(t *testing.T) {
 	}
 }
 
+// withIters is the default config at a workload length of iters.
+func withIters(iters int) harness.Config {
+	cfg := harness.DefaultConfig()
+	cfg.Iters = iters
+	return cfg
+}
+
 func TestFig3ReproducesEq1(t *testing.T) {
-	points, err := Fig3(nil, 12000)
+	res, err := harness.Lookup("fig3").Run(withIters(12000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	slope, intercept, r2, err := Fig3Fit(points)
-	if err != nil {
-		t.Fatal(err)
+	points, fit := res.(*scenario.Result).Points, res.(*scenario.Result).Fit
+	if fit == nil {
+		t.Fatal("no Eq. 1 fit")
 	}
 	// Eq. 1: Pc = 46 + 0.30 f. Accept a few percent of model error.
-	if math.Abs(slope-0.30) > 0.02 {
-		t.Errorf("slope = %.3f mW/MHz, want 0.30", slope)
+	if math.Abs(fit.SlopeMWPerMHz-0.30) > 0.02 {
+		t.Errorf("slope = %.3f mW/MHz, want 0.30", fit.SlopeMWPerMHz)
 	}
-	if math.Abs(intercept-46) > 6 {
-		t.Errorf("intercept = %.1f mW, want 46", intercept)
+	if math.Abs(fit.InterceptMW-46) > 6 {
+		t.Errorf("intercept = %.1f mW, want 46", fit.InterceptMW)
 	}
-	if r2 < 0.999 {
-		t.Errorf("linearity r2 = %.5f", r2)
+	if fit.R2 < 0.999 {
+		t.Errorf("linearity r2 = %.5f", fit.R2)
 	}
 	// Endpoint shape: ~772 mW at 500 MHz for four cores, ~65 mW/core
 	// at 71 MHz; idle 113/50 mW per core.
 	last := points[len(points)-1]
-	if math.Abs(last.MeasuredActive4W-0.772) > 0.03 {
-		t.Errorf("active @500 = %.3f W, want ~0.772", last.MeasuredActive4W)
+	if math.Abs(last.RailW-0.772) > 0.03 {
+		t.Errorf("active @500 = %.3f W, want ~0.772", last.RailW)
 	}
 	first := points[0]
-	if math.Abs(first.MeasuredActive4W/4-0.065) > 0.006 {
-		t.Errorf("active/core @71 = %.3f W, want ~0.065", first.MeasuredActive4W/4)
+	if math.Abs(first.RailW/4-0.065) > 0.006 {
+		t.Errorf("active/core @71 = %.3f W, want ~0.065", first.RailW/4)
 	}
-	if math.Abs(last.MeasuredIdle4W/4-0.113) > 0.006 {
-		t.Errorf("idle/core @500 = %.3f W, want ~0.113", last.MeasuredIdle4W/4)
-	}
-	if !strings.Contains(RenderFig3(points).String(), "500") {
-		t.Error("render missing rows")
+	if math.Abs(last.IdleW/4-0.113) > 0.006 {
+		t.Errorf("idle/core @500 = %.3f W, want ~0.113", last.IdleW/4)
 	}
 }
 
 func TestFig4DVFSSavings(t *testing.T) {
-	points, err := Fig4(nil, 12000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := served(t, "fig4", withIters(12000))
 	for _, p := range points {
-		if p.PowerDVFSW >= p.PowerAt1VW {
-			t.Errorf("%v MHz: DVFS model %.3f W >= 1V %.3f W", p.FreqMHz, p.PowerDVFSW, p.PowerAt1VW)
+		if p.ModelDVFSW >= p.CoreW {
+			t.Errorf("%v MHz: DVFS model %.3f W >= 1V %.3f W", p.FreqMHz, p.ModelDVFSW, p.CoreW)
 		}
 		// The emergent measurement (core actually run at VMin) must
 		// track the analytic DVFS model closely.
-		if math.Abs(p.MeasuredDVFSW-p.PowerDVFSW) > p.PowerDVFSW*0.05 {
-			t.Errorf("%v MHz: measured DVFS %.3f W vs model %.3f W", p.FreqMHz, p.MeasuredDVFSW, p.PowerDVFSW)
+		if math.Abs(p.DVFSW-p.ModelDVFSW) > p.ModelDVFSW*0.05 {
+			t.Errorf("%v MHz: measured DVFS %.3f W vs model %.3f W", p.FreqMHz, p.DVFSW, p.ModelDVFSW)
 		}
 	}
 	// Fig. 4 shape: at 71 MHz the saving is large (~45%), at 500 MHz
 	// modest (~10%).
 	first, last := points[0], points[len(points)-1]
-	saveLow := 1 - first.PowerDVFSW/first.PowerAt1VW
-	saveHigh := 1 - last.PowerDVFSW/last.PowerAt1VW
+	saveLow := 1 - first.ModelDVFSW/first.CoreW
+	saveHigh := 1 - last.ModelDVFSW/last.CoreW
 	if saveLow < 0.35 || saveLow > 0.6 {
 		t.Errorf("saving @71 MHz = %.0f%%, want ~45%%", saveLow*100)
 	}
 	if saveHigh < 0.05 || saveHigh > 0.2 {
 		t.Errorf("saving @500 MHz = %.0f%%, want ~10%%", saveHigh*100)
 	}
-	if !strings.Contains(RenderFig4(points).String(), "0.60 V") {
-		t.Error("render missing Vmin")
+	if first.VMin != 0.60 {
+		t.Errorf("Vmin @71 MHz = %.2f V, want 0.60", first.VMin)
 	}
 }
 
 func TestFig2Budget(t *testing.T) {
-	r, err := Fig2(nil, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := served(t, "fig2", withIters(20000))[0]
 	// Per-node total ~260 mW under load.
-	if math.Abs(r.NodeTotalW-0.260) > 0.03 {
-		t.Errorf("node total = %.0f mW, want ~260", r.NodeTotalW*1e3)
+	if math.Abs(r.NodeW-0.260) > 0.03 {
+		t.Errorf("node total = %.0f mW, want ~260", r.NodeW*1e3)
 	}
 	// Computation wedge ~78 mW.
-	if math.Abs(r.ComputationW-0.078) > 0.012 {
-		t.Errorf("computation = %.0f mW, want ~78", r.ComputationW*1e3)
+	if math.Abs(r.ComputeW-0.078) > 0.012 {
+		t.Errorf("computation = %.0f mW, want ~78", r.ComputeW*1e3)
 	}
 	// Background corresponds to static + NI wedges (68 + 58 = 126 mW).
 	if math.Abs(r.BackgroundW-0.126) > 0.02 {
 		t.Errorf("background = %.0f mW, want ~126", r.BackgroundW*1e3)
 	}
-	out := RenderFig2(r).String()
-	if !strings.Contains(out, "260 mW") {
-		t.Errorf("render missing totals:\n%s", out)
-	}
 }
 
 func TestEq2Reproduces(t *testing.T) {
-	points, err := Eq2(nil, 15000)
-	if err != nil {
-		t.Fatal(err)
+	points := served(t, "eq2", withIters(15000))
+	if len(points) != 8 {
+		t.Fatalf("points = %d", len(points))
 	}
 	for _, p := range points {
-		if math.Abs(p.MeasuredIPS-p.ModelIPS)/p.ModelIPS > 0.02 {
-			t.Errorf("Nt=%d: measured %.3g IPS, model %.3g", p.Threads, p.MeasuredIPS, p.ModelIPS)
+		if math.Abs(p.IPS-p.ModelIPS)/p.ModelIPS > 0.02 {
+			t.Errorf("Nt=%d: measured %.3g IPS, model %.3g", p.Threads, p.IPS, p.ModelIPS)
 		}
-	}
-	if !strings.Contains(RenderEq2(points).String(), "500.0") {
-		t.Error("render missing saturated row")
 	}
 }
 
@@ -325,26 +316,23 @@ func TestScaleHeadline(t *testing.T) {
 }
 
 func TestPipelinePlacementEnergy(t *testing.T) {
-	rows, err := PipelinePlacement(nil, 150)
-	if err != nil {
-		t.Fatal(err)
+	points := served(t, "placement", harness.DefaultConfig())
+	if len(points) != 2 {
+		t.Fatalf("points = %d", len(points))
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	local, scattered := points[0], points[1]
+	if local.Label != "chip-local" || local.Items != 150 {
+		t.Fatalf("first point %q, %d items; want chip-local, 150", local.Label, local.Items)
 	}
-	local, scattered := rows[0], rows[1]
 	// Scattered placement crosses off-board cables (10880 pJ/bit vs
 	// 5.6): its link energy must dwarf the local placement's.
-	if scattered.LinkEnergyJ < 10*local.LinkEnergyJ {
+	if scattered.LinkJ < 10*local.LinkJ {
 		t.Errorf("scattered link energy %.3g not >> local %.3g",
-			scattered.LinkEnergyJ, local.LinkEnergyJ)
+			scattered.LinkJ, local.LinkJ)
 	}
 	// And it must also be slower (62.5 Mbit/s hops and longer paths).
 	if scattered.Elapsed <= local.Elapsed {
 		t.Errorf("scattered elapsed %v not slower than local %v",
 			scattered.Elapsed, local.Elapsed)
-	}
-	if !strings.Contains(RenderPlacement(rows).String(), "chip-local") {
-		t.Error("render missing rows")
 	}
 }

@@ -4,60 +4,11 @@ import (
 	"fmt"
 
 	"swallow/internal/core"
-	"swallow/internal/harness/sweep"
-	"swallow/internal/metrics"
 	"swallow/internal/report"
 	"swallow/internal/sim"
 	"swallow/internal/topo"
 	"swallow/internal/workload"
 )
-
-// Eq2Point is one thread count of the Eq. 2 validation.
-type Eq2Point struct {
-	Threads int
-	// ModelIPS is Eq. 2's aggregate rate.
-	ModelIPS float64
-	// MeasuredIPS comes from the pipeline simulation.
-	MeasuredIPS float64
-}
-
-// Eq2 measures aggregate instruction rate against thread count, one
-// independent machine per count under sweep.Map.
-func Eq2(env *core.Env, iters int) ([]Eq2Point, error) {
-	return sweep.Map(env.SweepWidth(), []int{1, 2, 3, 4, 5, 6, 7, 8}, func(_ int, nt int) (Eq2Point, error) {
-		m, release, err := env.Checkout(1, 1, core.Options{})
-		if err != nil {
-			return Eq2Point{}, err
-		}
-		defer release()
-		node := topo.MakeNodeID(0, 0, topo.LayerV)
-		if err := m.Load(node, workload.BusyLoop(nt, iters)); err != nil {
-			return Eq2Point{}, err
-		}
-		if err := m.Run(sim.Second); err != nil {
-			return Eq2Point{}, err
-		}
-		c := m.Core(node)
-		ips := float64(c.InstrCount) / c.LastIssue.Seconds()
-		return Eq2Point{
-			Threads:     nt,
-			ModelIPS:    metrics.IPSCore(500e6, nt),
-			MeasuredIPS: ips,
-		}, nil
-	})
-}
-
-// RenderEq2 formats the series.
-func RenderEq2(points []Eq2Point) *report.Table {
-	t := report.NewTable("Eq. 2: aggregate throughput vs active threads (500 MHz)",
-		"threads", "model MIPS", "simulated MIPS")
-	for _, p := range points {
-		t.AddRow(fmt.Sprintf("%d", p.Threads),
-			fmt.Sprintf("%.1f", p.ModelIPS/1e6),
-			fmt.Sprintf("%.1f", p.MeasuredIPS/1e6))
-	}
-	return t
-}
 
 // AblationRouting compares the adaptive policy against strict
 // vertical-first ordering: mean path length and layer transitions over

@@ -70,26 +70,36 @@ func TestCanonicalScenarioHashesStable(t *testing.T) {
 	if a := harness.Lookup("latency"); a.Uses&harness.UsesLatencyPlacements == 0 {
 		t.Error("compiled latency does not declare the placement knob")
 	}
-	if a := harness.Lookup("ec"); a.Uses != 0 {
-		t.Error("compiled ec claims config knobs it ignores")
+	for _, name := range []string{"ec", "placement"} {
+		if a := harness.Lookup(name); a.Uses != 0 {
+			t.Errorf("compiled %s claims config knobs it ignores", name)
+		}
+	}
+	for _, name := range []string{"fig2", "fig3", "fig4", "eq2"} {
+		if a := harness.Lookup(name); a.Uses != harness.UsesIters {
+			t.Errorf("compiled %s declares knobs %b, want UsesIters alone", name, a.Uses)
+		}
 	}
 }
 
-// TestExampleSpecMatchesCanonical pins examples/scenarios/goodput.json
-// to the canonical goodput spec: TestTrafficRendersPinned holds the
-// file's render to the goodput hash of bench/golden/tables.json, which
-// speaks for the registry's artifact only while the two share one
-// content hash.
+// TestExampleSpecMatchesCanonical pins each canonical spec serialised
+// under examples/scenarios to the registry's: the files' renders speak
+// for the registry's artifacts (TestTrafficRendersPinned holds
+// goodput.json's to the goodput hash of bench/golden/tables.json) only
+// while each shares its artifact's content hash.
 func TestExampleSpecMatchesCanonical(t *testing.T) {
-	blob, err := os.ReadFile("../../examples/scenarios/goodput.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := scenario.Parse(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := spec.Hash(), GoodputScenario().Hash(); got != want {
-		t.Fatalf("example spec hash %s != canonical %s; regenerate the example from GoodputScenario()", got, want)
+	for _, want := range []scenario.Spec{GoodputScenario(), Fig2Scenario(), Fig3Scenario()} {
+		blob, err := os.ReadFile("../../examples/scenarios/" + want.Name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := scenario.Parse(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := spec.Hash(); got != want.Hash() {
+			t.Errorf("examples/scenarios/%s.json hashes to %s, the canonical spec to %s; regenerate the example from it",
+				want.Name, got, want.Hash())
+		}
 	}
 }

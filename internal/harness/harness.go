@@ -1,9 +1,9 @@
 // Package harness is the experiment registry that cmd/swallow-tables,
-// the root benchmark harness and the golden determinism tests all
-// drive. Each table or figure of the paper registers exactly once —
-// a name, a Run that regenerates it from simulation, and a Render
-// that formats the result — and every driver becomes a loop over
-// Artifacts() instead of a hand-maintained list.
+// the service, bench/ and the golden determinism tests all drive. Each
+// table or figure of the paper registers exactly once — a name, a Run
+// that regenerates it from simulation, and a Render that formats the
+// result — and every driver becomes a loop over Artifacts() instead of
+// a hand-maintained list.
 //
 // Runs take a Config (workload-length knob today) and return a typed
 // result; Register erases the type so heterogeneous artifacts share

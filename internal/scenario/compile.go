@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"swallow/internal/core"
+	"swallow/internal/energy"
 	"swallow/internal/harness"
 	"swallow/internal/harness/sweep"
 	"swallow/internal/metrics"
@@ -26,6 +28,13 @@ func instrTimeNS(freqMHz float64) float64 { return 4e3 / freqMHz }
 // point, in cross-product order (first axis slowest).
 type Result struct {
 	Points []Point
+	// Fit is Eq. 1 fitted to a rail_power sweep over freq_mhz alone.
+	Fit *Fit
+}
+
+// Fit is a linear fit of per-core power (mW) against the clock (MHz).
+type Fit struct {
+	SlopeMWPerMHz, InterceptMW, R2 float64
 }
 
 // Point is one sweep point's measurements. Only the fields of the
@@ -54,6 +63,20 @@ type Point struct {
 	Items                  int
 	Elapsed                sim.Time
 	CoreJ, LinkJ, PerItemJ float64
+
+	// load: the point's clock and threads per core
+	FreqMHz float64
+	Threads int
+	// mips: instructions per second, simulated and Eq. 2's
+	IPS, ModelIPS float64
+	// core_power (W): at the spec's VDD, and at VMin simulated and
+	// modelled
+	VMin, CoreW, DVFSW, ModelDVFSW float64
+	// rail_power (W): the placement's rail loaded and on an idle
+	// machine, beside Eq. 1 and the idle fit for its cores
+	RailW, IdleW, ModelRailW, ModelIdleW float64
+	// budget (W per node): the energy report's wedges over the window
+	ComputeW, BackgroundW, ConversionW, SupportW, LinkW, NodeW float64
 }
 
 // Compiled is a lowered Spec: the canonical spec, its content hash,
@@ -83,6 +106,9 @@ func Compile(s Spec) (*Compiled, error) {
 		case "latency_placements":
 			uses |= harness.UsesLatencyPlacements
 		}
+	}
+	if s.Workload.Structure == "load" {
+		uses |= harness.UsesIters
 	}
 	c.Artifact = &harness.Artifact{
 		Name:        s.Name,
@@ -121,6 +147,7 @@ type point struct {
 	freq    float64
 	items   int
 	rounds  int
+	threads int
 	variant *Variant
 	intVal  int
 }
@@ -150,27 +177,14 @@ func (c *Compiled) axesFor(cfg harness.Config) ([]Axis, error) {
 			for j, v := range ax.Variants {
 				names[j] = v.Name
 			}
-			want := make(map[string]bool, len(cfg.LatencyPlacements))
 			for _, n := range cfg.LatencyPlacements {
-				found := false
-				for _, have := range names {
-					if have == n {
-						found = true
-						break
-					}
-				}
-				if !found {
+				if !slices.Contains(names, n) {
 					return nil, badf("unknown %s %q (have %v)", ax.Param, n, names)
 				}
-				want[n] = true
 			}
-			kept := make([]Variant, 0, len(want))
-			for _, v := range ax.Variants {
-				if want[v.Name] {
-					kept = append(kept, v)
-				}
-			}
-			ax.Variants = kept
+			ax.Variants = slices.DeleteFunc(slices.Clone(ax.Variants), func(v Variant) bool {
+				return !slices.Contains(cfg.LatencyPlacements, v.Name)
+			})
 		}
 		axes[i] = ax
 	}
@@ -209,6 +223,8 @@ func enumerate(axes []Axis) []point {
 						p.items = v
 					case "rounds":
 						p.rounds = v
+					case "threads":
+						p.threads = v
 					}
 				case "floats":
 					v := ax.Floats[j]
@@ -306,17 +322,30 @@ func (c *Compiled) Run(cfg harness.Config) (*Result, error) {
 		},
 		(*warmState).drop,
 		func(_ int, p point, ws *warmState) (Point, error) {
-			return c.runPoint(env, p, ws)
+			return c.runPoint(env, cfg.Iters, p, ws)
 		})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Points: points}, nil
+	res := &Result{Points: points}
+	if c.Spec.Measure == "rail_power" && c.Spec.clockSweep() {
+		xs, ys := make([]float64, len(points)), make([]float64, len(points))
+		for i, p := range points {
+			xs[i], ys[i] = p.FreqMHz, p.RailW/core.CoresPerSupply*1e3
+		}
+		if slope, intercept, r2, err := metrics.LinearFit(xs, ys); err == nil {
+			res.Fit = &Fit{slope, intercept, r2}
+		}
+	}
+	return res, nil
 }
+
+// clockSweep reports whether the spec sweeps freq_mhz and nothing else.
+func (s Spec) clockSweep() bool { return len(s.Sweep) == 1 && s.Sweep[0].Param == "freq_mhz" }
 
 // runPoint resolves the point's workload (base plus variant
 // overrides) and dispatches on the structure.
-func (c *Compiled) runPoint(env *core.Env, p point, ws *warmState) (Point, error) {
+func (c *Compiled) runPoint(env *core.Env, iters int, p point, ws *warmState) (Point, error) {
 	w := c.Spec.Workload
 	flows := w.Flows
 	a, b := w.A, w.B
@@ -350,33 +379,39 @@ func (c *Compiled) runPoint(env *core.Env, p point, ws *warmState) (Point, error
 			return Point{}, badf("%s: ping point has no endpoints", p.label)
 		}
 		return c.runPing(env, p, *a, *b, rounds)
-	default:
-		ids, err := c.programNodes(nodes)
-		if err != nil {
-			return Point{}, err
-		}
-		return c.runProgram(env, p, ids, items, rounds, ws)
 	}
+	ids, err := c.programNodes(nodes)
+	if err != nil {
+		return Point{}, err
+	}
+	if w.Structure == "load" {
+		threads := *w.Threads
+		if p.threads > 0 {
+			threads = p.threads
+		}
+		return c.runLoad(env, p, ids, threads, iters)
+	}
+	return c.runProgram(env, p, ids, items, rounds, ws)
 }
 
-// programNodes resolves a point's program-structure placement.
+// programNodes resolves a point's program-structure or load placement;
+// a load with none runs on every core.
 func (c *Compiled) programNodes(variantNodes []NodeRef) ([]topo.NodeID, error) {
 	if len(variantNodes) > 0 {
-		ids := make([]topo.NodeID, len(variantNodes))
-		for i, n := range variantNodes {
-			ids[i] = n.ID()
-		}
-		return ids, nil
+		return ids(variantNodes), nil
 	}
 	sys := topo.MustSystem(c.Spec.Grid.SlicesX, c.Spec.Grid.SlicesY)
-	ids, err := c.Spec.placementNodes(sys)
+	nodes, err := c.Spec.placementNodes(sys)
 	if err != nil {
 		return nil, err
 	}
-	if ids == nil {
+	if nodes == nil && c.Spec.Workload.Structure == "load" {
+		return sys.Nodes(), nil
+	}
+	if nodes == nil {
 		return nil, badf("workload.placement: %s point has no placement", c.Spec.Workload.Structure)
 	}
-	return ids, nil
+	return nodes, nil
 }
 
 // runTraffic drives host-level flows and reduces them under the
@@ -680,6 +715,132 @@ func (c *Compiled) runProgram(env *core.Env, p point, nodes []topo.NodeID, items
 	return pt, nil
 }
 
+// The load measures' settling: the load warms up, then the instrument
+// reads over the window (the budget's window is longer).
+const (
+	loadWarmup   = 50 * sim.Microsecond
+	loadWindow   = 500 * sim.Microsecond
+	budgetWindow = sim.Millisecond
+)
+
+// loaded checks out a machine at opts with prog on every node.
+func (c *Compiled) loaded(env *core.Env, opts core.Options, nodes []topo.NodeID, prog *xs1.Program) (*core.Machine, func(), error) {
+	m, release, err := env.Checkout(c.Spec.Grid.SlicesX, c.Spec.Grid.SlicesY, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, n := range nodes {
+		if err := m.Load(n, prog); err != nil {
+			release()
+			return nil, nil, err
+		}
+	}
+	return m, release, nil
+}
+
+// runLoad places the load on the point's nodes and reads the measure's
+// instrument: BusyLoop run to completion, its instructions over the
+// last issue (mips); or HeavyLoad settled and then the nodes' power at
+// the spec's VDD and again at VMin, on a machine each (core_power), the
+// rail feeding them loaded and then on an idle machine (rail_power), or
+// the energy report's wedges per node (budget).
+func (c *Compiled) runLoad(env *core.Env, p point, nodes []topo.NodeID, threads, iters int) (Point, error) {
+	f, n := c.freqMHz(p), float64(len(nodes))
+	pt := Point{Label: p.label, IntValue: p.intVal, FreqMHz: f, Threads: threads}
+	opts := c.options(p)
+	if c.Spec.Measure == "mips" {
+		m, release, err := c.loaded(env, opts, nodes, workload.BusyLoop(threads, iters))
+		if err != nil {
+			return pt, err
+		}
+		defer release()
+		if err := m.Run(sim.Second); err != nil {
+			return pt, specFault(p.label, err)
+		}
+		var instrs uint64
+		var last sim.Time
+		for _, nd := range nodes {
+			instrs += m.Core(nd).InstrCount
+			last = max(last, m.Core(nd).LastIssue)
+		}
+		pt.IPS = float64(instrs) / last.Seconds()
+		pt.ModelIPS = n * metrics.IPSCore(f*1e6, threads)
+		return pt, nil
+	}
+	heavy := workload.HeavyLoad(threads, iters)
+	switch c.Spec.Measure {
+	case "core_power":
+		power := func(opts core.Options) (float64, error) {
+			m, release, err := c.loaded(env, opts, nodes, heavy)
+			if err != nil {
+				return 0, err
+			}
+			defer release()
+			m.RunFor(loadWarmup)
+			joules := func() (j float64) {
+				for _, nd := range nodes {
+					j += m.Core(nd).EnergyJ()
+				}
+				return j
+			}
+			e0, t0 := joules(), m.K.Now()
+			m.RunFor(loadWindow)
+			return (joules() - e0) / (m.K.Now() - t0).Seconds(), nil
+		}
+		var err error
+		if pt.CoreW, err = power(opts); err != nil {
+			return pt, err
+		}
+		low := *opts.Core
+		low.VDD = energy.VMin(f)
+		opts.Core = &low
+		if pt.DVFSW, err = power(opts); err != nil {
+			return pt, err
+		}
+		pt.VMin = low.VDD
+		pt.ModelDVFSW = n * energy.CorePowerDVFS(f, threads)
+	case "rail_power":
+		m, release, err := c.loaded(env, opts, nodes, heavy)
+		if err != nil {
+			return pt, err
+		}
+		defer release()
+		slice, rail := core.Rail(m.Sys, nodes[0])
+		m.RunFor(loadWarmup)
+		m.Board(slice).SampleAll()
+		m.RunFor(loadWindow)
+		pt.RailW = m.Board(slice).SampleAll().OutputW[rail]
+		idle, releaseIdle, err := env.Checkout(c.Spec.Grid.SlicesX, c.Spec.Grid.SlicesY, opts)
+		if err != nil {
+			return pt, err
+		}
+		defer releaseIdle()
+		idle.RunFor(loadWindow)
+		pt.IdleW = idle.Board(slice).SampleAll().OutputW[rail]
+		pt.ModelRailW = core.CoresPerSupply * energy.CorePowerActive(f)
+		pt.ModelIdleW = core.CoresPerSupply * energy.CorePowerIdle(f)
+	default: // budget
+		m, release, err := c.loaded(env, opts, nodes, heavy)
+		if err != nil {
+			return pt, err
+		}
+		defer release()
+		m.RunFor(loadWarmup)
+		r0 := m.Report()
+		m.RunFor(budgetWindow)
+		r1 := m.Report()
+		window := (r1.Elapsed - r0.Elapsed).Seconds()
+		perNode := func(j0, j1 float64) float64 { return (j1 - j0) / window / float64(m.CoreCount()) }
+		pt.ComputeW = perNode(r0.ComputationJ, r1.ComputationJ)
+		pt.BackgroundW = perNode(r0.BackgroundJ, r1.BackgroundJ)
+		pt.ConversionW = perNode(r0.ConversionJ, r1.ConversionJ)
+		pt.SupportW = perNode(r0.SupportJ, r1.SupportJ)
+		pt.LinkW = perNode(r0.LinkJ, r1.LinkJ)
+		pt.NodeW = pt.ComputeW + pt.BackgroundW + pt.ConversionW + pt.SupportW + pt.LinkW
+	}
+	return pt, nil
+}
+
 // Render formats a Result under the spec's measure and table options.
 func (c *Compiled) Render(res *Result) *report.Table {
 	s := c.Spec
@@ -729,6 +890,71 @@ func (c *Compiled) Render(res *Result) *report.Table {
 				report.FormatSI(p.CBps),
 				fmt.Sprintf("%.0f", p.EC),
 				fmt.Sprintf("%.0f", p.PaperEC))
+		}
+		return t
+	case "mips":
+		t := report.NewTable(title, label, "model MIPS", "simulated MIPS")
+		for _, p := range res.Points {
+			t.AddRow(p.Label, fmt.Sprintf("%.1f", p.ModelIPS/1e6), fmt.Sprintf("%.1f", p.IPS/1e6))
+		}
+		return t
+	case "core_power", "rail_power":
+		// The power tables read against the clock; a sweep over anything
+		// else names its points in a leading column.
+		var headers []string
+		if !s.clockSweep() {
+			headers = append(headers, label)
+		}
+		headers = append(headers, "MHz")
+		if s.Measure == "core_power" {
+			headers = append(headers, "Vmin", fmt.Sprintf("P at %gV (sim)", s.Operating.VDD),
+				"P DVFS (model)", "P DVFS (sim)", "saving")
+		} else {
+			headers = append(headers, "P active (model)", "P active (sim)", "P idle (model)", "P idle (sim)")
+		}
+		t := report.NewTable(title, headers...)
+		mW := func(w float64) string { return fmt.Sprintf("%.0f mW", w*1e3) }
+		for _, p := range res.Points {
+			var row []string
+			if !s.clockSweep() {
+				row = append(row, p.Label)
+			}
+			row = append(row, fmt.Sprintf("%.0f", p.FreqMHz))
+			if s.Measure == "core_power" {
+				row = append(row, fmt.Sprintf("%.2f V", p.VMin), mW(p.CoreW), mW(p.ModelDVFSW), mW(p.DVFSW),
+					fmt.Sprintf("%.0f%%", 100*(1-p.DVFSW/p.CoreW)))
+			} else {
+				row = append(row, mW(p.ModelRailW), mW(p.RailW), mW(p.ModelIdleW), mW(p.IdleW))
+			}
+			t.AddRow(row...)
+		}
+		if f := res.Fit; f != nil {
+			t.AddRow("(fit)", fmt.Sprintf("Pc = %.1f + %.3f f", f.InterceptMW, f.SlopeMWPerMHz),
+				fmt.Sprintf("r2 = %.5f", f.R2), "paper: 46 + 0.30 f")
+		}
+		return t
+	case "budget":
+		b := energy.PaperNodeBudget
+		rows := [][]string{
+			{"computation & memory ops", fmt.Sprintf("%.0f mW (30%%)", b.ComputationW*1e3)},
+			{"static + network interface", fmt.Sprintf("%.0f mW (48%%)", (b.StaticW+b.NetworkInterfaceW)*1e3)},
+			{"DC-DC & I/O + other", fmt.Sprintf("%.0f mW (22%%)", (b.ConversionIOW+b.OtherW)*1e3)},
+			{"total per node", fmt.Sprintf("%.0f mW", b.TotalW()*1e3)},
+		}
+		headers := []string{"component", "paper"}
+		for _, p := range res.Points {
+			if len(res.Points) == 1 {
+				headers = append(headers, "simulated")
+			} else {
+				headers = append(headers, p.Label)
+			}
+			for i, w := range []float64{p.ComputeW, p.BackgroundW, p.ConversionW + p.SupportW + p.LinkW, p.NodeW} {
+				rows[i] = append(rows[i], fmt.Sprintf("%.0f mW", w*1e3))
+			}
+		}
+		t := report.NewTable(title, headers...)
+		for _, row := range rows {
+			t.AddRow(row...)
 		}
 		return t
 	case "energy":

@@ -1,14 +1,15 @@
 // Package scenario is the declarative layer over the experiment
 // stack: a Spec names a machine grid, a workload structure from
 // internal/workload (traffic flows, ping-pong probes, pipelines,
-// rings, client/server farms, barrier groups), a placement (explicit
-// nodes or an internal/topo policy), an operating point, and one or
-// more sweep axes with explicit grids. Compile validates a Spec and
-// lowers it into a harness.Artifact whose inner loop runs one machine
-// per sweep point through sweep.MapWarm under the run's core.Env —
-// exactly the parallel-sweep and pooling contracts the hand-written
-// experiments obey, so compiled scenarios render byte-identically
-// under every Env.
+// rings, client/server farms, barrier groups, or a settled load read
+// as instruction rate, core power, rail power or energy budget), a
+// placement (explicit nodes or an internal/topo policy), an operating
+// point, and one or more sweep axes with explicit grids. Compile
+// validates a Spec and lowers it into a harness.Artifact whose inner
+// loop runs one machine per sweep point through sweep.MapWarm under
+// the run's core.Env — the parallel-sweep and pooling contracts every
+// artifact obeys, so compiled scenarios render byte-identically under
+// every Env.
 //
 // Specs are JSON-serialisable with a canonical normal form: Canonical
 // fills structural defaults and normalises empty slices, and Hash is
@@ -28,9 +29,11 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"swallow/internal/core"
 	"swallow/internal/harness"
 	"swallow/internal/noc"
 	"swallow/internal/topo"
+	"swallow/internal/xs1"
 )
 
 // Resource-safety bounds for user-submitted specs: validation rejects
@@ -125,7 +128,8 @@ type Placement struct {
 // Workload selects the parallel program structure of Section I and its
 // parameters. Structure-specific fields are ignored by the others.
 type Workload struct {
-	// Structure is one of traffic, ping, pipeline, ring, farm, group.
+	// Structure is one of traffic, ping, pipeline, ring, farm, group,
+	// load.
 	Structure string `json:"structure"`
 	// Flows drive the traffic structure (channel-end level streams).
 	Flows []FlowSpec `json:"flows,omitempty"`
@@ -138,8 +142,11 @@ type Workload struct {
 	// Items is the pipeline workload size or per-client farm requests.
 	Items int `json:"items,omitempty"`
 	// Placement places pipeline stages, ring members, farm
-	// [server, clients...] or group [root, members...].
+	// [server, clients...], group [root, members...] or the load's
+	// cores (every core when absent).
 	Placement *Placement `json:"placement,omitempty"`
+	// Threads is the load's thread count per core, 1-8 (default 4).
+	Threads *int `json:"threads,omitempty"`
 	// Boot loads the program structure by genuine nOS network boot
 	// through the Ethernet bridge instead of the host debug path: every
 	// task image is streamed over the simulated network at the spec's
@@ -186,7 +193,8 @@ type Variant struct {
 type Axis struct {
 	// Param names what the axis drives. Int axes: "payload" (traffic
 	// packet payload), "links" (enabled package-internal links),
-	// "items" (pipeline/farm size), "rounds" (ping/group rounds).
+	// "items" (pipeline/farm size), "rounds" (ping/group rounds),
+	// "threads" (load threads per core).
 	// Float axes: "freq_mhz" (core clock). Variant axes: any label
 	// ("placement", "regime", ...), rendered as the row name.
 	Param string `json:"param"`
@@ -226,8 +234,9 @@ func (a Axis) size() int {
 }
 
 // Table customises the rendered table of measures that have free
-// headers (aggregate_goodput, energy). Measures with canonical layouts
-// (goodput_fraction, latency, ec) use only Title.
+// headers (aggregate_goodput, energy, mips, and core_power/rail_power
+// when they sweep more than the clock). Measures with canonical layouts
+// (goodput_fraction, latency, ec, budget) use only Title.
 type Table struct {
 	// Title is the table heading; empty derives "scenario: <name>".
 	Title string `json:"title,omitempty"`
@@ -251,8 +260,10 @@ type Spec struct {
 	Sweep       []Axis     `json:"sweep"`
 	// Measure selects what each point reports: "goodput_fraction",
 	// "aggregate_goodput" or "ec" for traffic, "latency" for ping,
-	// "energy" for the program structures. Empty picks the structure's
-	// default (aggregate_goodput / latency / energy).
+	// "energy" for the program structures, and for load "mips" (Eq. 2),
+	// "core_power" (Fig. 4), "rail_power" (Fig. 3) or "budget"
+	// (Fig. 2). Empty picks the structure's default (aggregate_goodput
+	// / latency / energy / budget).
 	Measure string `json:"measure,omitempty"`
 	Table   *Table `json:"table,omitempty"`
 }
@@ -272,6 +283,7 @@ var structures = map[string]string{
 	"ring":     "energy",
 	"farm":     "energy",
 	"group":    "energy",
+	"load":     "budget",
 }
 
 // measures maps each measure to the structure it applies to.
@@ -281,10 +293,14 @@ var measures = map[string]map[string]bool{
 	"ec":                {"traffic": true},
 	"latency":           {"ping": true},
 	"energy":            {"pipeline": true, "ring": true, "farm": true, "group": true},
+	"mips":              {"load": true},
+	"core_power":        {"load": true},
+	"rail_power":        {"load": true},
+	"budget":            {"load": true},
 }
 
 // Canonical returns the semantic normal form of the spec: structural
-// defaults filled in (measure, operating point, rounds, items,
+// defaults filled in (measure, operating point, rounds, items, threads,
 // placement counts), empty slices normalised to nil, and pointer
 // sections deep-copied so the result shares no mutable state with s.
 // Hash and the service cache key both derive from this form, so
@@ -327,78 +343,48 @@ func (s Spec) Canonical() Spec {
 			w.Items = 100
 		}
 	}
-	if len(w.Flows) == 0 {
-		w.Flows = nil
-	} else {
-		w.Flows = append([]FlowSpec(nil), w.Flows...)
+	if w.Threads = cloneRef(w.Threads); w.Threads == nil && w.Structure == "load" {
+		four := 4
+		w.Threads = &four
 	}
-	if w.A != nil {
-		a := *w.A
-		w.A = &a
-	}
-	if w.B != nil {
-		b := *w.B
-		w.B = &b
-	}
-	if w.Placement != nil {
-		p := *w.Placement
-		if len(p.Nodes) == 0 {
-			p.Nodes = nil
-		} else {
-			p.Nodes = append([]NodeRef(nil), p.Nodes...)
-		}
-		w.Placement = &p
+	w.Flows = clone(w.Flows)
+	w.A, w.B = cloneRef(w.A), cloneRef(w.B)
+	if w.Placement = cloneRef(w.Placement); w.Placement != nil {
+		w.Placement.Nodes = clone(w.Placement.Nodes)
 	}
 	axes := make([]Axis, len(s.Sweep))
 	for i, ax := range s.Sweep {
-		if len(ax.Ints) == 0 {
-			ax.Ints = nil
-		} else {
-			ax.Ints = append([]int(nil), ax.Ints...)
-		}
-		if len(ax.Floats) == 0 {
-			ax.Floats = nil
-		} else {
-			ax.Floats = append([]float64(nil), ax.Floats...)
-		}
-		if len(ax.Variants) == 0 {
-			ax.Variants = nil
-		} else {
-			vs := make([]Variant, len(ax.Variants))
-			for j, v := range ax.Variants {
-				if v.EMult == 0 {
-					v.EMult = 1
-				}
-				if len(v.Flows) == 0 {
-					v.Flows = nil
-				} else {
-					v.Flows = append([]FlowSpec(nil), v.Flows...)
-				}
-				if len(v.Nodes) == 0 {
-					v.Nodes = nil
-				} else {
-					v.Nodes = append([]NodeRef(nil), v.Nodes...)
-				}
-				if v.A != nil {
-					a := *v.A
-					v.A = &a
-				}
-				if v.B != nil {
-					b := *v.B
-					v.B = &b
-				}
-				vs[j] = v
+		ax.Ints, ax.Floats, ax.Variants = clone(ax.Ints), clone(ax.Floats), clone(ax.Variants)
+		for j := range ax.Variants {
+			v := &ax.Variants[j]
+			if v.EMult == 0 {
+				v.EMult = 1
 			}
-			ax.Variants = vs
+			v.Flows, v.Nodes = clone(v.Flows), clone(v.Nodes)
+			v.A, v.B = cloneRef(v.A), cloneRef(v.B)
 		}
 		axes[i] = ax
 	}
 	s.Sweep = axes
-	if s.Table != nil {
-		t := *s.Table
-		s.Table = &t
-	}
+	s.Table = cloneRef(s.Table)
 	return s
+}
+
+// clone copies a slice, normalising empty to nil.
+func clone[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append([]T(nil), s...)
+}
+
+// cloneRef copies what a pointer section points at.
+func cloneRef[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	c := *p
+	return &c
 }
 
 // Hash is the canonical content identity of the spec: the hex sha256
@@ -451,7 +437,7 @@ func (s Spec) Validate() error {
 	}
 	w := s.Workload
 	if _, ok := structures[w.Structure]; !ok {
-		return badf("workload.structure: unknown structure %q (have traffic, ping, pipeline, ring, farm, group)", w.Structure)
+		return badf("workload.structure: unknown structure %q (have traffic, ping, pipeline, ring, farm, group, load)", w.Structure)
 	}
 	if w.Boot && w.Structure != "pipeline" && w.Structure != "ring" &&
 		w.Structure != "farm" && w.Structure != "group" {
@@ -527,8 +513,17 @@ func (s Spec) Validate() error {
 						return badf("%s: rounds %d outside 2-%d", field, v, MaxRounds)
 					}
 				}
+			case "threads":
+				if w.Structure != "load" {
+					return badf("%s: threads axis needs the load structure", field)
+				}
+				for _, v := range ax.Ints {
+					if v < 1 || v > xs1.MaxThreads {
+						return badf("%s: threads %d outside 1-%d", field, v, xs1.MaxThreads)
+					}
+				}
 			default:
-				return badf("%s: unknown int axis param %q (have payload, links, items, rounds)", field, ax.Param)
+				return badf("%s: unknown int axis param %q (have payload, links, items, rounds, threads)", field, ax.Param)
 			}
 			if ax.FromConfig != "" && ax.FromConfig != "goodput_payloads" {
 				return badf("%s: from_config %q does not apply to an int axis", field, ax.FromConfig)
@@ -587,6 +582,9 @@ func (s Spec) Validate() error {
 				}
 				if len(v.Nodes) > 0 {
 					if err := checkStructureNodes(w.Structure, len(v.Nodes), vf+".nodes"); err != nil {
+						return err
+					}
+					if err := s.checkRail(sys, ids(v.Nodes), vf+".nodes"); err != nil {
 						return err
 					}
 				}
@@ -648,6 +646,17 @@ func (s Spec) Validate() error {
 		}
 		if w.Rounds < 2 || w.Rounds > MaxRounds {
 			return badf("workload.rounds: %d outside 2-%d", w.Rounds, MaxRounds)
+		}
+	case "load":
+		if t := *w.Threads; t < 1 || t > xs1.MaxThreads {
+			return badf("workload.threads: %d outside 1-%d", t, xs1.MaxThreads)
+		}
+		nodes, err := s.placementNodes(sys)
+		if err != nil {
+			return err
+		}
+		if err := s.checkRail(sys, nodes, "workload.placement"); err != nil {
+			return err
 		}
 	default: // program structures: pipeline, ring, farm, group
 		nodes, err := s.placementNodes(sys)
@@ -798,11 +807,7 @@ func (s Spec) placementNodes(sys topo.System) ([]topo.NodeID, error) {
 		if err := checkNodes(sys, p.Nodes, "workload.placement.nodes"); err != nil {
 			return nil, err
 		}
-		out := make([]topo.NodeID, len(p.Nodes))
-		for i, n := range p.Nodes {
-			out[i] = n.ID()
-		}
-		return out, nil
+		return ids(p.Nodes), nil
 	}
 	if p.Policy == "" {
 		return nil, badf("workload.placement: needs nodes or a policy")
@@ -815,4 +820,33 @@ func (s Spec) placementNodes(sys topo.System) ([]topo.NodeID, error) {
 		return nil, badf("workload.placement: %v", err)
 	}
 	return nodes, nil
+}
+
+// ids converts validated node references to their topo nodes.
+func ids(refs []NodeRef) []topo.NodeID {
+	out := make([]topo.NodeID, len(refs))
+	for i, n := range refs {
+		out[i] = n.ID()
+	}
+	return out
+}
+
+// checkRail holds a rail_power placement to one 1 V rail: the measure
+// reads the converter that feeds it, so it must be given and must not
+// straddle two.
+func (s Spec) checkRail(sys topo.System, nodes []topo.NodeID, field string) error {
+	if s.Measure != "rail_power" {
+		return nil
+	}
+	if len(nodes) == 0 {
+		return badf("%s: rail_power reads the rail that feeds the placement, and none is given", field)
+	}
+	slice, rail := core.Rail(sys, nodes[0])
+	for _, n := range nodes[1:] {
+		if sl, r := core.Rail(sys, n); sl != slice || r != rail {
+			return badf("%s: rail_power placement spans two rails (%v on slice %d rail %d, %v on slice %d rail %d)",
+				field, nodes[0], slice, rail, n, sl, r)
+		}
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -106,6 +107,39 @@ func TestValidationRejectsBadSpecs(t *testing.T) {
 		{"duplicate axis param", func(s *Spec) {
 			s.Sweep = []Axis{{Param: "links", Ints: []int{1, 4}}, {Param: "links", Ints: []int{2}}}
 		}, "duplicate axis param"},
+		{"workload threads 0", func(s *Spec) {
+			s.Workload = Workload{Structure: "load", Threads: intp(0)}
+		}, "workload.threads: 0"},
+		{"workload threads 9", func(s *Spec) {
+			s.Workload = Workload{Structure: "load", Threads: intp(9)}
+		}, "workload.threads: 9"},
+		{"threads axis 0", func(s *Spec) {
+			s.Workload = Workload{Structure: "load"}
+			s.Sweep = []Axis{{Param: "threads", Ints: []int{4, 0}}}
+		}, "threads 0 outside"},
+		{"threads axis 9", func(s *Spec) {
+			s.Workload = Workload{Structure: "load"}
+			s.Sweep = []Axis{{Param: "threads", Ints: []int{9}}}
+		}, "threads 9 outside"},
+		{"threads axis on pipeline", func(s *Spec) {
+			s.Workload = Workload{Structure: "pipeline", Items: 10,
+				Placement: &Placement{Policy: "column", Count: 3}}
+			s.Sweep = []Axis{{Param: "threads", Ints: []int{4}}}
+		}, "threads axis needs the load structure"},
+		{"mips on traffic", func(s *Spec) { s.Measure = "mips" }, `measure: "mips" does not apply`},
+		{"energy on load", func(s *Spec) {
+			s.Workload = Workload{Structure: "load"}
+			s.Measure = "energy"
+		}, `measure: "energy" does not apply`},
+		{"rail_power across two rails", func(s *Spec) {
+			s.Workload = Workload{Structure: "load", Placement: &Placement{Nodes: []NodeRef{
+				{X: 0, Y: 0, Layer: "V"}, {X: 0, Y: 1, Layer: "V"}}}}
+			s.Measure = "rail_power"
+		}, "spans two rails"},
+		{"rail_power without placement", func(s *Spec) {
+			s.Workload = Workload{Structure: "load"}
+			s.Measure = "rail_power"
+		}, "workload.placement: rail_power"},
 		{"too many points", func(s *Spec) {
 			ints := make([]int, 300)
 			for i := range ints {
@@ -134,6 +168,8 @@ func TestValidationRejectsBadSpecs(t *testing.T) {
 		})
 	}
 }
+
+func intp(n int) *int { return &n }
 
 // TestParseRejectsUnknownFields: typo'd knobs are 400s, not silent
 // no-ops.
@@ -244,7 +280,7 @@ func compileAndRun(t *testing.T, s Spec) *Result {
 }
 
 // TestNovelStructuresRun exercises the open-set side of the compiler:
-// program structures and axes no hand-written artifact covers.
+// structures, axes and operating points no canonical artifact covers.
 func TestNovelStructuresRun(t *testing.T) {
 	t.Run("ring", func(t *testing.T) {
 		res := compileAndRun(t, Spec{
@@ -290,6 +326,66 @@ func TestNovelStructuresRun(t *testing.T) {
 		})
 		if len(res.Points) != 2 || res.Points[0].Elapsed >= res.Points[1].Elapsed {
 			t.Fatalf("more rounds must take longer: %+v", res.Points)
+		}
+	})
+	// A load is read at any operating point, grid or placement: Fig. 2
+	// on two slices at half clock, Fig. 3's rail two package rows up.
+	quick := func(t *testing.T, s Spec) Point {
+		t.Helper()
+		c, err := Compile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run(harness.QuickConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Points) != 1 || res.Fit != nil {
+			t.Fatalf("%d points, fit %v; want one point and no fit", len(res.Points), res.Fit)
+		}
+		if rows := len(c.Render(res).Rows); rows == 0 {
+			t.Fatal("empty render")
+		}
+		return res.Points[0]
+	}
+	t.Run("budget on 2x1 at 250 MHz", func(t *testing.T) {
+		budget := func(slicesX int) Point {
+			return quick(t, Spec{
+				Name:     "budget",
+				Grid:     Grid{SlicesX: slicesX, SlicesY: 1},
+				Workload: Workload{Structure: "load"},
+				Sweep:    []Axis{{Param: "freq_mhz", Floats: []float64{250}}},
+				Measure:  "budget",
+			})
+		}
+		two, one := budget(2), budget(1)
+		if two.ComputeW <= 0 || two.NodeW != two.ComputeW+two.BackgroundW+two.ConversionW+two.SupportW+two.LinkW {
+			t.Fatalf("2x1 wedges %+v", two)
+		}
+		// Every core carries the same load, so the per-node budget does
+		// not depend on how many slices share it.
+		if math.Abs(two.NodeW-one.NodeW) > 0.01*one.NodeW {
+			t.Errorf("per-node total %.1f mW on 2x1, %.1f mW on 1x1", two.NodeW*1e3, one.NodeW*1e3)
+		}
+	})
+	t.Run("rail_power on rail 2", func(t *testing.T) {
+		rail := func(y int) Point {
+			return quick(t, Spec{
+				Name: "rail",
+				Grid: Grid{SlicesX: 1, SlicesY: 1},
+				Workload: Workload{Structure: "load", Placement: &Placement{Nodes: []NodeRef{
+					{X: 0, Y: y, Layer: "V"}, {X: 0, Y: y, Layer: "H"},
+					{X: 1, Y: y, Layer: "V"}, {X: 1, Y: y, Layer: "H"},
+				}}},
+				Sweep:   []Axis{{Param: "freq_mhz", Floats: []float64{500}}},
+				Measure: "rail_power",
+			})
+		}
+		two, zero := rail(2), rail(0)
+		// The rail read is the one that carries the load: it draws what
+		// Fig. 3's rail 0 draws, well above the idle rail.
+		if math.Abs(two.RailW-zero.RailW) > 0.01*zero.RailW || two.RailW < 1.2*two.IdleW {
+			t.Errorf("rail 2 reads %.3f W loaded, %.3f W idle; rail 0 %.3f W loaded", two.RailW, two.IdleW, zero.RailW)
 		}
 	})
 	t.Run("pipeline placement variants", func(t *testing.T) {

@@ -118,6 +118,10 @@ func TestScenarioBadSpecs(t *testing.T) {
 		{"absurd grid", `{"grid":{"slices_x":50,"slices_y":50},"workload":{"structure":"traffic","flows":[{"src":{"layer":"V"},"dst":{"layer":"H"},"tokens":10}]},"sweep":[{"param":"links","ints":[1]}]}`, "grid"},
 		{"empty sweep axis", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"traffic","flows":[{"src":{"layer":"V"},"dst":{"layer":"H"},"tokens":10}]},"sweep":[{"param":"links"}]}`, "empty axis"},
 		{"off-grid placement", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"traffic","flows":[{"src":{"x":40,"layer":"V"},"dst":{"layer":"H"},"tokens":10}]},"sweep":[{"param":"links","ints":[1]}]}`, "outside the"},
+		// The load programs panic outside 1-8 threads; validation keeps
+		// that out of reach.
+		{"load threads 9", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"load","threads":9},"sweep":[{"param":"freq_mhz","floats":[500]}]}`, "workload.threads"},
+		{"load threads axis 0", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"load"},"sweep":[{"param":"threads","ints":[0]}]}`, "threads 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -62,6 +62,11 @@ var parentKeys = []struct{ name, def, quick, over string }{
 	{"table3", "7178832b38c8e652aad59f66e2ed9e8f3602eed6600a1066ee6dd5e83e47e38b", "7178832b38c8e652aad59f66e2ed9e8f3602eed6600a1066ee6dd5e83e47e38b", "7178832b38c8e652aad59f66e2ed9e8f3602eed6600a1066ee6dd5e83e47e38b"},
 	{"goodput.json", "2cc45f0c9314ab71ae802f612c65b83c80b5fc69158a747691e91b74ed17399e", "2cc45f0c9314ab71ae802f612c65b83c80b5fc69158a747691e91b74ed17399e", ""},
 	{"pipeline-dvfs.json", "1287750773f82dd059ca183bbb65d9d9907d80b9236a26901c43ffdc715d2732", "1287750773f82dd059ca183bbb65d9d9907d80b9236a26901c43ffdc715d2732", ""},
+	// New pins, not the parent's: these two specs use the load
+	// structure, which the parent commit cannot parse, so their keys
+	// were computed when the files were added.
+	{"fig2.json", "478c790422cc23e3a8df05b0a5ed779f331a3e84be4eda5f0b678a050edc97e7", "1109d3dbcc6f193ec9eab3b489503aec192573d4160792b6c78104885d571224", ""},
+	{"fig3.json", "8d5b077c83d0801bbc61beed7d2425ccbbd2a6cf346715e7eb955becac652c43", "86250ac14bba3a936d457f264c8db8725557ab629d8772eb48950aa608f44997", ""},
 }
 
 // isSpec tells a scenario row (an examples/scenarios file) from an

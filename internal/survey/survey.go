@@ -191,8 +191,8 @@ type System struct {
 	// not max power over frequency.
 	PublishedUWPerMHzLo, PublishedUWPerMHzHi float64
 	// ComputeGbps and CommGbps are system-wide execution and
-	// communication bit rates used for the Section VI EC comparison
-	// (derived from the published architectures; see EXPERIMENTS.md).
+	// communication bit rates used for the Section VI EC comparison,
+	// derived from the published architectures (see each entry).
 	ComputeGbps, CommGbps float64
 }
 
