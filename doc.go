@@ -39,17 +39,21 @@
 //
 // internal/scenario turns the experiment surface from a closed set
 // into an open one: a JSON Spec declares a grid, a workload structure
-// (traffic flows, ping probes, pipelines, rings, farms, barrier
-// groups, or a settled load read as instruction rate, core power, rail
-// power or the per-node budget), a placement (explicit nodes or a topo
+// (traffic flows read as goodput or per-class link energy, or the
+// Ethernet bridge's stream; ping probes; pipelines, rings, farms and
+// barrier groups; or a load read as instruction rate, core power, rail
+// power, the per-node budget, an nOS network-boot cost or the ADC
+// board's sampling limits), a placement (explicit nodes or a topo
 // policy), an operating point and one or more sweep axes, and Compile
 // lowers it into a harness.Artifact running one pooled machine per
 // point under sweep.Map. Specs have a canonical form and content hash;
-// Fig. 2-4, Eq. 2 and the latency, goodput, ec, placement and ablation
-// artifacts are compiled specs with no other implementation, their
-// renders held to the hashes in bench/golden/tables.json. swallow-tables -scenario renders spec files
-// locally; POST /scenarios serves submissions with result caching
-// under the spec hash.
+// Table I, Fig. 2-4, Eq. 2, the latency, goodput, ec, placement and
+// ablation artifacts and the bridge, boot and ADC instruments are
+// compiled specs with no other implementation, their renders held to
+// the hashes in bench/golden/tables.json; fig1 is the one artifact
+// that runs a machine from Go. swallow-tables -scenario renders spec
+// files locally; POST /scenarios serves submissions with result
+// caching under the spec hash.
 //
 // # Serving
 //

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -12,30 +13,36 @@ import (
 )
 
 func TestTableIReproduces(t *testing.T) {
-	rows, err := TableI(nil)
+	a := harness.Lookup("table1")
+	res, err := a.Run(harness.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
-	}
+	points := res.(*scenario.Result).Points
 	want := map[energy.LinkClass]float64{
 		energy.LinkOnChip:          5.6,
 		energy.LinkBoardVertical:   212.8,
 		energy.LinkBoardHorizontal: 201.6,
 		energy.LinkOffBoard:        10880,
 	}
-	for _, r := range rows {
-		if math.Abs(r.MeasuredPJPerBit-want[r.Class]) > want[r.Class]*0.01 {
-			t.Errorf("%v measured pJ/bit = %.1f, want %.1f", r.Class, r.MeasuredPJPerBit, want[r.Class])
+	if len(points) != len(want) {
+		t.Fatalf("points = %d", len(points))
+	}
+	for _, p := range points {
+		if math.Abs(p.PJPerBit-want[p.Class]) > want[p.Class]*0.01 {
+			t.Errorf("%v measured pJ/bit = %.1f, want %.1f", p.Class, p.PJPerBit, want[p.Class])
 		}
+		delete(want, p.Class)
 		// The stream keeps its link busy over its whole window, so the
 		// power it measures is the saturated one.
-		if r.Utilization < 0.99 {
-			t.Errorf("%v link busy %.4f of the flow window, want >= 0.99", r.Class, r.Utilization)
+		if p.Busy < 0.99 {
+			t.Errorf("%v link busy %.4f of the flow window, want >= 0.99", p.Class, p.Busy)
 		}
 	}
-	table := RenderTableI(rows)
+	if len(want) != 0 {
+		t.Errorf("no row measured %v", want)
+	}
+	table := a.Render(res)
 	out := table.String()
 	if !strings.Contains(out, "on-chip") || !strings.Contains(out, "10880") {
 		t.Errorf("render missing content:\n%s", out)
@@ -44,6 +51,37 @@ func TestTableIReproduces(t *testing.T) {
 	for _, row := range table.Rows {
 		if sim, published := row[5], strings.TrimSuffix(row[2], " mW"); sim != published {
 			t.Errorf("%s: sim %s mW, published max %s mW", row[0], sim, published)
+		}
+	}
+}
+
+// TestInstrumentsReproduce holds the instruments to Section II: the
+// loaded slice's wall power read through the ADC board, the bridge at
+// its 80 Mbit/s cap, and the four-core boot's 64 image bytes.
+func TestInstrumentsReproduce(t *testing.T) {
+	if w := served(t, "adc", harness.DefaultConfig())[0].InputW; w < 3.5 || w > 5.2 {
+		t.Errorf("loaded slice wall = %.2f W via ADC, want ~4.5", w)
+	}
+	a := harness.Lookup("bridge")
+	res, err := a.Run(harness.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rate := a.Render(res).Rows[0][1]; rate != "80Mbit/s" {
+		t.Errorf("bridge ingress renders %s, want 80Mbit/s", rate)
+	}
+	if boot := served(t, "boot", harness.DefaultConfig())[0]; boot.ImageBytes != 64 || boot.Elapsed <= 0 {
+		t.Errorf("boot streamed %d image bytes in %v, want 64 bytes", boot.ImageBytes, boot.Elapsed)
+	}
+}
+
+// TestItersBounded: a workload length past harness.MaxIters is the
+// caller's error, never a panic in a sweep worker.
+func TestItersBounded(t *testing.T) {
+	for _, name := range []string{"eq2", "fig1"} {
+		_, err := harness.Lookup(name).Run(withIters(5_000_000_000))
+		if !errors.Is(err, harness.ErrBadConfig) {
+			t.Errorf("%s at 5e9 iters: %v, want ErrBadConfig", name, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"swallow/internal/core"
+	"swallow/internal/harness"
 	"swallow/internal/report"
 	"swallow/internal/sim"
 	"swallow/internal/topo"
@@ -85,6 +86,9 @@ type SystemScale struct {
 // end).
 func Scale(env *core.Env, iters int) (SystemScale, error) {
 	var s SystemScale
+	if iters < 0 || iters > harness.MaxIters {
+		return s, fmt.Errorf("%w: fig1: iters %d outside 0-%d", harness.ErrBadConfig, iters, harness.MaxIters)
+	}
 	m, release, err := env.Checkout(5, 6, core.Options{})
 	if err != nil {
 		return s, err

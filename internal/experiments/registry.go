@@ -1,3 +1,11 @@
+// Package experiments regenerates every table and figure of the paper
+// from the simulator and files each once with the harness registry.
+// Every artifact that runs a machine but fig1 is a compiled scenario
+// spec (scenarios.go); what stays in Go is the static tables (Tables II
+// and III, the EC survey and the compute-vs-communication comparison,
+// survey.go; the route-policy ablation, network.go) and fig1's
+// 480-core Scale (network.go). cmd/swallow-tables, the service and
+// bench/ drive the registry.
 package experiments
 
 // This file is the single registration point of the experiment
@@ -9,8 +17,6 @@ package experiments
 
 import (
 	"swallow/internal/harness"
-	"swallow/internal/nos"
-	"swallow/internal/report"
 	"swallow/internal/scenario"
 )
 
@@ -18,19 +24,9 @@ import (
 var goodputPayloads = []int{4, 8, 16, 28, 48, 96}
 
 func init() {
-	harness.Register(harness.Spec[[]TableIRow]{
-		Name:        "table1",
-		Description: "Table I: measured communication energy per bit by link class",
-		Run:         func(cfg harness.Config) ([]TableIRow, error) { return TableI(cfg.Env) },
-		Render:      RenderTableI,
-		Metrics: func(rows []TableIRow) map[string]float64 {
-			m := make(map[string]float64)
-			for _, r := range rows {
-				m[harness.MetricName(r.Class.String(), "pJ/bit")] = r.MeasuredPJPerBit
-			}
-			return m
-		},
-	})
+	// Everything filed by registerScenario is a compiled scenario spec
+	// (scenarios.go), its render pinned by bench/golden/tables.json.
+	registerScenario(TableIScenario())
 	registerSurveyTables()
 	harness.Register(harness.Spec[SystemScale]{
 		Name:        "fig1",
@@ -42,8 +38,6 @@ func init() {
 			return map[string]float64{"GIPS": s.PeakGIPS, "loaded_W": s.LoadedWallW}
 		},
 	})
-	// Everything filed by registerScenario is a compiled scenario spec
-	// (scenarios.go), its render pinned by bench/golden/tables.json.
 	for _, s := range []scenario.Spec{
 		Fig2Scenario(), Fig3Scenario(), Fig4Scenario(), Eq2Scenario(),
 		LatencyScenario(), GoodputScenario(), ECScenario(),
@@ -66,31 +60,12 @@ func init() {
 			return m
 		},
 	})
-	registerScenario(AblationLinksScenario())
-	registerScenario(AblationPlacementScenario())
-	harness.Register(harness.Spec[float64]{
-		Name:        "bridge",
-		Description: "Ethernet bridge: sustained off-system transfer rate",
-		Run:         func(cfg harness.Config) (float64, error) { return BridgeRate(cfg.Env) },
-		Render:      RenderBridgeRate,
-		Metrics: func(rate float64) map[string]float64 {
-			return map[string]float64{"bridge_Mbit/s": rate / 1e6}
-		},
-	})
-	harness.Register(harness.Spec[nos.BootStats]{
-		Name:        "boot",
-		Description: "Network boot: image size and end-to-end boot time",
-		Run:         func(cfg harness.Config) (nos.BootStats, error) { return BootCost(cfg.Env) },
-		Render:      RenderBootCost,
-		Metrics: func(st nos.BootStats) map[string]float64 {
-			return map[string]float64{
-				"image_bytes": float64(st.ImageBytes),
-				"boot_us":     st.Elapsed.Seconds() * 1e6,
-			}
-		},
-	})
-	// boot-sweep is the registry's warm-start showcase.
-	registerScenario(BootSweepScenario())
+	for _, s := range []scenario.Spec{
+		AblationLinksScenario(), AblationPlacementScenario(),
+		BridgeScenario(), BootScenario(), BootSweepScenario(),
+	} {
+		registerScenario(s)
+	}
 	harness.Register(harness.Spec[EnergyCompare]{
 		Name:        "energy",
 		Description: "Computation vs communication energy per bit",
@@ -104,12 +79,5 @@ func init() {
 			}
 		},
 	})
-	harness.Register(harness.Spec[struct{}]{
-		Name:        "adc",
-		Description: "ADC measurement chain: sample rates and bandwidth checks",
-		Run: func(cfg harness.Config) (struct{}, error) {
-			return struct{}{}, MeasurementRates(cfg.Env)
-		},
-		Render: func(struct{}) *report.Table { return RenderMeasurementRates() },
-	})
+	registerScenario(ADCScenario())
 }

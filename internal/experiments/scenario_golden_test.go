@@ -70,7 +70,8 @@ func TestCanonicalScenarioHashesStable(t *testing.T) {
 	if a := harness.Lookup("latency"); a.Uses&harness.UsesLatencyPlacements == 0 {
 		t.Error("compiled latency does not declare the placement knob")
 	}
-	for _, name := range []string{"ec", "placement"} {
+	// The instruments fix their own loads: no knob, not even iters.
+	for _, name := range []string{"ec", "placement", "table1", "adc", "bridge", "boot"} {
 		if a := harness.Lookup(name); a.Uses != 0 {
 			t.Errorf("compiled %s claims config knobs it ignores", name)
 		}
@@ -88,7 +89,7 @@ func TestCanonicalScenarioHashesStable(t *testing.T) {
 // goodput.json's to the goodput hash of bench/golden/tables.json) only
 // while each shares its artifact's content hash.
 func TestExampleSpecMatchesCanonical(t *testing.T) {
-	for _, want := range []scenario.Spec{GoodputScenario(), Fig2Scenario(), Fig3Scenario()} {
+	for _, want := range []scenario.Spec{GoodputScenario(), Fig2Scenario(), Fig3Scenario(), TableIScenario()} {
 		blob, err := os.ReadFile("../../examples/scenarios/" + want.Name + ".json")
 		if err != nil {
 			t.Fatal(err)

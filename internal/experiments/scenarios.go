@@ -1,15 +1,17 @@
 package experiments
 
-// The canonical scenario specs: the load figures (Fig. 2-4, Eq. 2), the
-// goodput, latency, EC-regime, placement and ablation artifacts and the
-// boot sweep, expressed declaratively and compiled into the registry by
-// registerScenario in the registry init, at their canonical listing
-// positions. Each spec is the only implementation of its artifact: the
-// paper checks run on what the registry serves, and
-// TestCanonicalRendersMatchGolden holds every render to the sha256
-// committed in bench/golden/tables.json. The same spec vocabulary is
-// what swallow-tables -scenario and POST /scenarios accept, so the
-// canonical tables double as worked examples for novel submissions.
+// The canonical scenario specs: Table I, the load figures (Fig. 2-4,
+// Eq. 2), the goodput, latency, EC-regime, placement and ablation
+// artifacts, the instruments (the Ethernet bridge, the nOS network boot
+// and the ADC board) and the boot sweep, expressed declaratively and
+// compiled into the registry by registerScenario in the registry init,
+// at their canonical listing positions. Each spec is the only
+// implementation of its artifact: the paper checks run on what the
+// registry serves, and TestCanonicalRendersMatchGolden holds every
+// render to the sha256 committed in bench/golden/tables.json. The same
+// spec vocabulary is what swallow-tables -scenario and POST /scenarios
+// accept, so the canonical tables double as worked examples for novel
+// submissions.
 
 import (
 	"fmt"
@@ -23,6 +25,40 @@ func vNode(x, y int) scenario.NodeRef { return scenario.NodeRef{X: x, Y: y, Laye
 func hNode(x, y int) scenario.NodeRef { return scenario.NodeRef{X: x, Y: y, Layer: "H"} }
 
 func ref(n scenario.NodeRef) *scenario.NodeRef { return &n }
+
+// stream is one flow of tokens from src's channel end 0 to dst's dstEnd.
+func stream(src, dst scenario.NodeRef, dstEnd, tokens int) []scenario.FlowSpec {
+	return []scenario.FlowSpec{{Src: src, Dst: dst, DstEnd: dstEnd, Tokens: tokens}}
+}
+
+// fourEnds is four flows from src to dst, each channel end i to end i.
+func fourEnds(src, dst scenario.NodeRef, tokens, packet int) []scenario.FlowSpec {
+	flows := make([]scenario.FlowSpec, 4)
+	for i := range flows {
+		flows[i] = scenario.FlowSpec{Src: src, SrcEnd: i, Dst: dst, DstEnd: i, Tokens: tokens, PacketTokens: packet}
+	}
+	return flows
+}
+
+// TableIScenario is Table I as a spec: one 4096-token stream per link
+// class on a 2x1 grid, each on its own machine, so the one class its
+// route loads is the row it reads.
+func TableIScenario() scenario.Spec {
+	return scenario.Spec{
+		Name:        "table1",
+		Description: "Table I: measured communication energy per bit by link class",
+		Grid:        scenario.Grid{SlicesX: 2, SlicesY: 1},
+		Workload:    scenario.Workload{Structure: "traffic"},
+		Sweep: []scenario.Axis{{Param: "link", Variants: []scenario.Variant{
+			{Name: "on-chip", Flows: stream(vNode(0, 0), hNode(0, 0), 0, 4096)},
+			{Name: "on-board vertical", Flows: stream(vNode(0, 0), vNode(0, 1), 0, 4096)},
+			{Name: "on-board horizontal", Flows: stream(hNode(0, 0), hNode(1, 0), 0, 4096)},
+			{Name: "off-board", Flows: stream(hNode(1, 0), hNode(2, 0), 0, 4096)},
+		}}},
+		Measure: "link_energy",
+		Table:   &scenario.Table{Title: "Table I: per-bit energies of Swallow links"},
+	}
+}
 
 // Fig2Scenario is the Fig. 2 budget as a spec: every core of a slice
 // under the four-thread heavy load, its energy report per node.
@@ -178,24 +214,11 @@ func LatencyScenario() scenario.Spec {
 // issue-limited core-local regime, where C = E analytically), its
 // execution multiplier and the printed ratio.
 func ECScenario() scenario.Spec {
-	internal4 := make([]scenario.FlowSpec, 0, 4)
-	for i := 0; i < 4; i++ {
-		internal4 = append(internal4, scenario.FlowSpec{
-			Src: vNode(0, 0), SrcEnd: i, Dst: hNode(0, 0), DstEnd: i, Tokens: 4000,
-		})
-	}
 	external := []scenario.FlowSpec{
 		{Src: vNode(0, 1), SrcEnd: 0, Dst: vNode(0, 0), DstEnd: 0, Tokens: 2000},
 		{Src: vNode(0, 1), SrcEnd: 1, Dst: vNode(0, 2), DstEnd: 1, Tokens: 2000},
 		{Src: hNode(0, 1), SrcEnd: 2, Dst: hNode(1, 1), DstEnd: 2, Tokens: 2000},
 		{Src: hNode(1, 1), SrcEnd: 3, Dst: hNode(0, 1), DstEnd: 3, Tokens: 2000},
-	}
-	contended := make([]scenario.FlowSpec, 0, 4)
-	for i := 0; i < 4; i++ {
-		contended = append(contended, scenario.FlowSpec{
-			Src: vNode(0, 0), SrcEnd: i, Dst: vNode(0, 1), DstEnd: i,
-			Tokens: 2240, PacketTokens: 112,
-		})
 	}
 	var bisection []scenario.FlowSpec
 	i := 0
@@ -220,9 +243,9 @@ func ECScenario() scenario.Spec {
 			Param: "regime",
 			Variants: []scenario.Variant{
 				{Name: "core-local", EMult: 1, PaperEC: 1},
-				{Name: "package-internal (4 links)", EMult: 1, PaperEC: 16, Flows: internal4},
+				{Name: "package-internal (4 links)", EMult: 1, PaperEC: 16, Flows: fourEnds(vNode(0, 0), hNode(0, 0), 4000, 0)},
 				{Name: "external links (4 x 62.5M)", EMult: 1, PaperEC: 64, Flows: external},
-				{Name: "one external link, 4 threads contending", EMult: 1, PaperEC: 256, Flows: contended},
+				{Name: "one external link, 4 threads contending", EMult: 1, PaperEC: 256, Flows: fourEnds(vNode(0, 0), vNode(0, 1), 2240, 112)},
 				{Name: "slice bisection (8 cores)", EMult: 8, PaperEC: 512, Flows: bisection},
 			},
 		}},
@@ -235,18 +258,11 @@ func ECScenario() scenario.Spec {
 // four package-internal flows swept over the enabled-link count (a
 // structural axis, so each count is its own pool shape).
 func AblationLinksScenario() scenario.Spec {
-	flows := make([]scenario.FlowSpec, 0, 4)
-	for i := 0; i < 4; i++ {
-		flows = append(flows, scenario.FlowSpec{
-			Src: vNode(0, 0), SrcEnd: i, Dst: hNode(0, 0), DstEnd: i,
-			Tokens: 3000, PacketTokens: 30,
-		})
-	}
 	return scenario.Spec{
 		Name:        "ablation-links",
 		Description: "Ablation: aggregate goodput vs enabled internal link count",
 		Grid:        scenario.Grid{SlicesX: 1, SlicesY: 1},
-		Workload:    scenario.Workload{Structure: "traffic", Flows: flows},
+		Workload:    scenario.Workload{Structure: "traffic", Flows: fourEnds(vNode(0, 0), hNode(0, 0), 3000, 30)},
 		Sweep:       []scenario.Axis{{Param: "links", Ints: []int{1, 2, 3, 4}}},
 		Measure:     "aggregate_goodput",
 		Table: &scenario.Table{
@@ -262,14 +278,11 @@ func AblationLinksScenario() scenario.Spec {
 // spec: one 8000-token stream per variant, endpoints moving from
 // core-local (two channel ends on one core) to off-board.
 func AblationPlacementScenario() scenario.Spec {
-	stream := func(src, dst scenario.NodeRef, dstEnd int) []scenario.FlowSpec {
-		return []scenario.FlowSpec{{Src: src, Dst: dst, DstEnd: dstEnd, Tokens: 8000}}
-	}
 	variants := []scenario.Variant{
-		{Name: "core-local", Flows: stream(vNode(0, 0), vNode(0, 0), 1)},
-		{Name: "in-package", Flows: stream(vNode(0, 0), hNode(0, 0), 0)},
-		{Name: "on-board", Flows: stream(vNode(0, 0), vNode(0, 1), 0)},
-		{Name: "off-board", Flows: stream(hNode(1, 0), hNode(2, 0), 0)},
+		{Name: "core-local", Flows: stream(vNode(0, 0), vNode(0, 0), 1, 8000)},
+		{Name: "in-package", Flows: stream(vNode(0, 0), hNode(0, 0), 0, 8000)},
+		{Name: "on-board", Flows: stream(vNode(0, 0), vNode(0, 1), 0, 8000)},
+		{Name: "off-board", Flows: stream(hNode(1, 0), hNode(2, 0), 0, 8000)},
 	}
 	return scenario.Spec{
 		Name:        "ablation-placement",
@@ -283,6 +296,53 @@ func AblationPlacementScenario() scenario.Spec {
 			Label: "placement",
 			Value: "goodput",
 		},
+	}
+}
+
+// BridgeScenario is the Ethernet bridge's ingress rate as a spec: the
+// bridge streams into its own core, so its 80 Mbit/s cap binds.
+func BridgeScenario() scenario.Spec {
+	return scenario.Spec{
+		Name:        "bridge",
+		Description: "Ethernet bridge: sustained off-system transfer rate",
+		Grid:        scenario.Grid{SlicesX: 1, SlicesY: 1},
+		Workload:    scenario.Workload{Structure: "traffic"},
+		Sweep:       []scenario.Axis{{Param: "cap", Variants: []scenario.Variant{{Name: "80Mbit/s"}}}},
+		Measure:     "bridge_rate",
+		Table:       &scenario.Table{Title: "Ethernet bridge ingress rate", Label: "cap", Value: "measured"},
+	}
+}
+
+// BootScenario is the nOS network boot as a spec: a four-core job
+// streamed through the bridge.
+func BootScenario() scenario.Spec {
+	return scenario.Spec{
+		Name:        "boot",
+		Description: "Network boot: image size and end-to-end boot time",
+		Grid:        scenario.Grid{SlicesX: 1, SlicesY: 1},
+		Workload: scenario.Workload{
+			Structure: "load",
+			Placement: &scenario.Placement{Nodes: []scenario.NodeRef{
+				vNode(0, 0), hNode(0, 0), vNode(1, 0), hNode(1, 0),
+			}},
+		},
+		Sweep:   []scenario.Axis{{Param: "freq_mhz", Floats: []float64{500}}},
+		Measure: "boot_cost",
+		Table:   &scenario.Table{Title: "nOS network boot (4-core job over the bridge)"},
+	}
+}
+
+// ADCScenario is the Section II sampling limits as a spec: a loaded
+// slice read through its daughter-board.
+func ADCScenario() scenario.Spec {
+	return scenario.Spec{
+		Name:        "adc",
+		Description: "ADC measurement chain: sample rates and bandwidth checks",
+		Grid:        scenario.Grid{SlicesX: 1, SlicesY: 1},
+		Workload:    scenario.Workload{Structure: "load"},
+		Sweep:       []scenario.Axis{{Param: "freq_mhz", Floats: []float64{500}}},
+		Measure:     "adc_rates",
+		Table:       &scenario.Table{Title: "ADC daughter-board rate limits (Section II)"},
 	}
 }
 
@@ -321,6 +381,7 @@ func BootSweepScenario() scenario.Spec {
 // the warm-start showcase, aside), for tests.
 func CanonicalScenarios() []scenario.Spec {
 	return []scenario.Spec{
+		TableIScenario(),
 		Fig2Scenario(),
 		Fig3Scenario(),
 		Fig4Scenario(),
@@ -331,6 +392,9 @@ func CanonicalScenarios() []scenario.Spec {
 		PlacementScenario(),
 		AblationLinksScenario(),
 		AblationPlacementScenario(),
+		BridgeScenario(),
+		BootScenario(),
+		ADCScenario(),
 	}
 }
 
@@ -344,6 +408,13 @@ func registerScenario(s scenario.Spec) {
 
 // headlines extracts each compiled artifact's headline metrics.
 var headlines = map[string]func(r *scenario.Result) map[string]float64{
+	"table1": func(r *scenario.Result) map[string]float64 {
+		m := make(map[string]float64)
+		for _, p := range r.Points {
+			m[harness.MetricName(p.Class.String(), "pJ/bit")] = p.PJPerBit
+		}
+		return m
+	},
 	"fig2": func(r *scenario.Result) map[string]float64 {
 		p := r.Points[0]
 		return map[string]float64{"node_mW": p.NodeW * 1e3, "compute_mW": p.ComputeW * 1e3}
@@ -398,7 +469,14 @@ var headlines = map[string]func(r *scenario.Result) map[string]float64{
 		return m
 	},
 	"ablation-placement": byLabel("Mbit/s", func(p scenario.Point) float64 { return p.GoodputBps / 1e6 }),
-	"boot-sweep":         byLabel("nJ/item", func(p scenario.Point) float64 { return p.PerItemJ * 1e9 }),
+	"bridge": func(r *scenario.Result) map[string]float64 {
+		return map[string]float64{"bridge_Mbit/s": r.Points[0].GoodputBps / 1e6}
+	},
+	"boot": func(r *scenario.Result) map[string]float64 {
+		p := r.Points[0]
+		return map[string]float64{"image_bytes": float64(p.ImageBytes), "boot_us": p.Elapsed.Seconds() * 1e6}
+	},
+	"boot-sweep": byLabel("nJ/item", func(p scenario.Point) float64 { return p.PerItemJ * 1e9 }),
 }
 
 // byLabel names one metric per point: its label and unit.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"swallow/internal/energy"
 	"swallow/internal/harness"
 	"swallow/internal/report"
 	"swallow/internal/survey"
@@ -119,5 +120,35 @@ func RenderSurveyEC() *report.Table {
 	}
 	lo, hi := survey.ECRange()
 	t.AddRow("(range)", "", "", fmt.Sprintf("%.2f - %.0f", lo, hi))
+	return t
+}
+
+// EnergyCompare is the Section II comparison of per-bit compute
+// energy (ALU lower bound to divide upper bound, at 400 MHz) against
+// per-bit on-chip link energy — the ratio that motivates
+// energy-transparent communication.
+type EnergyCompare struct {
+	ComputeLoPJ, ComputeHiPJ, OnChipLinkPJ float64
+}
+
+// ComputeVsComm derives the comparison from the calibrated models.
+func ComputeVsComm() EnergyCompare {
+	lo := energy.PerBitComputeEnergy(energy.InstrEnergyTotal(energy.ClassALU, 400, 1))
+	hi := energy.PerBitComputeEnergy(energy.InstrEnergyTotal(energy.ClassDiv, 400, 1))
+	link := energy.LinkEnergyPerBit(energy.LinkOnChip)
+	return EnergyCompare{
+		ComputeLoPJ:  lo * 1e12,
+		ComputeHiPJ:  hi * 1e12,
+		OnChipLinkPJ: link * 1e12,
+	}
+}
+
+// RenderEnergyCompare formats the comparison.
+func RenderEnergyCompare(e EnergyCompare) *report.Table {
+	t := report.NewTable("Section II: per-bit compute vs communication energy",
+		"quantity", "pJ/bit")
+	t.AddRow("compute, ALU class (lower bound)", fmt.Sprintf("%.2f", e.ComputeLoPJ))
+	t.AddRow("compute, divide class (upper bound)", fmt.Sprintf("%.2f", e.ComputeHiPJ))
+	t.AddRow("on-chip link", fmt.Sprintf("%.2f", e.OnChipLinkPJ))
 	return t
 }

@@ -88,6 +88,12 @@ const (
 	UsesLatencyPlacements
 )
 
+// MaxIters bounds Config.Iters: enough for any settling window (it is
+// the benchmark's own compute load), and far below the 32-bit loop
+// count a load program can hold, which a larger value would overflow.
+// Runs and the service refuse more with ErrBadConfig.
+const MaxIters = 1 << 20
+
 // DefaultConfig is the settled-measurement configuration the CLI and
 // golden comparisons use by default.
 func DefaultConfig() Config { return Config{Iters: 20000} }

@@ -12,6 +12,7 @@ import (
 	"swallow/internal/metrics"
 	"swallow/internal/noc"
 	"swallow/internal/nos"
+	"swallow/internal/power"
 	"swallow/internal/report"
 	"swallow/internal/sim"
 	"swallow/internal/topo"
@@ -56,13 +57,22 @@ type Point struct {
 	// ec
 	EBps, CBps, EC, PaperEC float64
 
-	// aggregate_goodput
+	// aggregate_goodput; bridge_rate's ingress rate
 	GoodputBps float64
 
-	// energy
+	// link_energy: the one link class the flows loaded, its energy per
+	// bit, its power over its wire-busy time (the saturated power Table
+	// I's max-power column states) and its busy share of the flows'
+	// window, start to last arrival
+	Class                  energy.LinkClass
+	PJPerBit, LinkMW, Busy float64
+
+	// energy; Elapsed is also boot_cost's boot time
 	Items                  int
 	Elapsed                sim.Time
 	CoreJ, LinkJ, PerItemJ float64
+	// boot_cost: the image bytes streamed through the bridge
+	ImageBytes int
 
 	// load: the point's clock and threads per core
 	FreqMHz float64
@@ -77,6 +87,8 @@ type Point struct {
 	RailW, IdleW, ModelRailW, ModelIdleW float64
 	// budget (W per node): the energy report's wedges over the window
 	ComputeW, BackgroundW, ConversionW, SupportW, LinkW, NodeW float64
+	// adc_rates: slice 0's mean input power over the all-channel trace
+	InputW float64
 }
 
 // Compiled is a lowered Spec: the canonical spec, its content hash,
@@ -107,7 +119,7 @@ func Compile(s Spec) (*Compiled, error) {
 			uses |= harness.UsesLatencyPlacements
 		}
 	}
-	if s.Workload.Structure == "load" {
+	if s.Workload.Structure == "load" && s.Measure != "boot_cost" && s.Measure != "adc_rates" {
 		uses |= harness.UsesIters
 	}
 	c.Artifact = &harness.Artifact{
@@ -190,12 +202,8 @@ func (c *Compiled) axesFor(cfg harness.Config) ([]Axis, error) {
 	}
 	// Overrides replace grids wholesale, so the cross product must be
 	// re-bounded: Validate only saw the spec's own grids.
-	points := 1
-	for _, ax := range axes {
-		points *= ax.size()
-	}
-	if points > MaxPoints {
-		return nil, badf("sweep: %d points exceed the %d-point service bound", points, MaxPoints)
+	if err := boundPoints(axes); err != nil {
+		return nil, err
 	}
 	return axes, nil
 }
@@ -282,14 +290,16 @@ func (c *Compiled) options(p point) core.Options {
 
 // warmState is one sweep worker's cached boot prefix: a checked-out
 // machine plus the snapshot taken right after its network boot
-// completed. Points sharing a boot identity restore the snapshot and
-// retune instead of re-simulating the boot; the machine stays checked
-// out for the worker's lifetime and returns to the pool on close.
+// completed, and what the boot cost. Points sharing a boot identity
+// restore the snapshot and retune instead of re-simulating the boot;
+// the machine stays checked out for the worker's lifetime and returns
+// to the pool on close.
 type warmState struct {
 	key     string
 	m       *core.Machine
 	release func()
 	snap    *core.Snapshot
+	stats   nos.BootStats
 }
 
 // drop returns the cached machine, if any, to the pool. A nil
@@ -297,7 +307,7 @@ type warmState struct {
 func (ws *warmState) drop() {
 	if ws != nil && ws.m != nil {
 		ws.release()
-		ws.key, ws.m, ws.release, ws.snap = "", nil, nil, nil
+		*ws = warmState{}
 	}
 }
 
@@ -311,6 +321,9 @@ func (c *Compiled) Run(cfg harness.Config) (*Result, error) {
 	axes, err := c.axesFor(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if c.Artifact.Uses&harness.UsesIters != 0 && (cfg.Iters < 0 || cfg.Iters > harness.MaxIters) {
+		return nil, badf("iters %d outside 0-%d", cfg.Iters, harness.MaxIters)
 	}
 	env := cfg.Env
 	points, err := sweep.MapWarm(env.SweepWidth(), enumerate(axes),
@@ -414,8 +427,8 @@ func (c *Compiled) programNodes(variantNodes []NodeRef) ([]topo.NodeID, error) {
 	return nodes, nil
 }
 
-// runTraffic drives host-level flows and reduces them under the
-// traffic measures.
+// runTraffic drives host-level flows, or for bridge_rate the grid's
+// bridge, and reduces them under the traffic measures.
 func (c *Compiled) runTraffic(env *core.Env, p point, flows []FlowSpec) (Point, error) {
 	pt := Point{Label: p.label, IntValue: p.intVal, Payload: p.payload}
 	if c.Spec.Measure == "ec" {
@@ -441,6 +454,10 @@ func (c *Compiled) runTraffic(env *core.Env, p point, flows []FlowSpec) (Point, 
 		return pt, err
 	}
 	defer release()
+	if c.Spec.Measure == "bridge_rate" {
+		pt.GoodputBps, err = c.bridgeRate(m, p.label)
+		return pt, err
+	}
 	fs := make([]*workload.Flow, len(flows))
 	for i, f := range flows {
 		tokens := f.Tokens
@@ -458,8 +475,12 @@ func (c *Compiled) runTraffic(env *core.Env, p point, flows []FlowSpec) (Point, 
 			PacketTokens: packet,
 		}
 	}
+	t0 := m.K.Now()
 	if err := workload.RunFlows(m.K, fs, sim.Second); err != nil {
 		return pt, specFault(p.label, err)
+	}
+	if c.Spec.Measure == "link_energy" {
+		return linkEnergy(pt, m, fs, t0)
 	}
 	agg := workload.AggregateGoodput(fs)
 	switch c.Spec.Measure {
@@ -473,6 +494,63 @@ func (c *Compiled) runTraffic(env *core.Env, p point, flows []FlowSpec) (Point, 
 		pt.GoodputBps = agg
 	}
 	return pt, nil
+}
+
+// linkEnergy reads the one link class a point's flows loaded: what
+// Table I states of it, measured. Flows that load two classes, or none,
+// measure nothing a row can name.
+func linkEnergy(pt Point, m *core.Machine, fs []*workload.Flow, t0 sim.Time) (Point, error) {
+	stats := m.Net.StatsByClass()
+	var loaded []energy.LinkClass
+	for class := energy.LinkClass(0); int(class) < energy.NumLinkClasses; class++ {
+		if stats[class].Tokens > 0 {
+			loaded = append(loaded, class)
+		}
+	}
+	if len(loaded) != 1 {
+		return pt, specFault(pt.Label, fmt.Errorf("link_energy needs flows that load exactly one link class, these load %v", loaded))
+	}
+	var last sim.Time
+	for _, f := range fs {
+		last = max(last, f.LastArrival)
+	}
+	st := stats[loaded[0]]
+	pt.Class = loaded[0]
+	pt.PJPerBit = st.EnergyPerBit() * 1e12
+	pt.LinkMW = st.MeanPowerW(st.Busy) * 1e3
+	pt.Busy = st.Utilization(last - t0)
+	return pt, nil
+}
+
+// bridgeBytes is what bridge_rate streams through the bridge.
+const bridgeBytes = 40000
+
+// bridgeRate streams bridgeBytes from the grid's bridge to channel end
+// 1 of its own core and returns bits over the time to drain. Delivery
+// is switch-local, so the bridge's 80 Mbit/s Ethernet pacing binds,
+// not a 62.5 Mbit/s board link.
+func (c *Compiled) bridgeRate(m *core.Machine, label string) (float64, error) {
+	br, err := m.Bridge(c.bridgeNode())
+	if err != nil {
+		return 0, err
+	}
+	dst := m.Net.Switch(c.bridgeNode()).ChanEnd(1)
+	dst.SetWake(func() {
+		for {
+			if _, ok := dst.TryIn(); !ok {
+				return
+			}
+		}
+	})
+	start := m.K.Now()
+	br.Send(dst.ID(), make([]byte, bridgeBytes))
+	for i := 0; i < 10000 && br.Pending() > 0; i++ {
+		m.K.RunFor(100 * sim.Microsecond)
+	}
+	if br.Pending() > 0 {
+		return 0, fmt.Errorf("%s: bridge did not drain", label)
+	}
+	return float64(bridgeBytes) * 8 / (m.K.Now() - start).Seconds(), nil
 }
 
 // runPing measures one placement of the word-latency probe: a
@@ -614,46 +692,41 @@ func (c *Compiled) bridgeNode() topo.NodeID {
 	return topo.MakeNodeID(0, c.Spec.Grid.SlicesY*topo.PackagesPerSliceY-1, topo.LayerV)
 }
 
-// bootedMachine returns a machine whose task images were network-
-// booted at the spec's base operating point. With a warm state whose
-// cached boot identity matches, the post-boot snapshot is restored in
-// place of re-simulating the boot; on a miss the boot runs cold and
-// (when ws is non-nil) the machine and a fresh snapshot are cached.
-// The caller retunes to the point's operating point afterwards.
-func (c *Compiled) bootedMachine(env *core.Env, p point, progs []progAt, nodes []topo.NodeID, items, rounds int, ws *warmState) (*core.Machine, func(), error) {
-	// Everything the post-boot state depends on except the operating
-	// point, which the caller retunes: structural links plus the values
-	// the task images derive from.
-	key := fmt.Sprintf("links=%d items=%d rounds=%d nodes=%v", p.links, items, rounds, nodes)
+// bootedMachine returns a machine at p's operating point whose task
+// images were network-booted, and what the boot cost. With a warm state
+// whose cached boot identity (key) matches, the post-boot snapshot is
+// restored in place of re-simulating the boot; on a miss the boot runs
+// cold and (when ws is non-nil) the machine, a fresh snapshot and the
+// cost are cached.
+func (c *Compiled) bootedMachine(env *core.Env, p point, key string, progs []progAt, ws *warmState) (*core.Machine, nos.BootStats, func(), error) {
 	if ws != nil && ws.m != nil && ws.key == key {
 		ws.m.Restore(ws.snap)
-		return ws.m, func() {}, nil
+		return ws.m, ws.stats, func() {}, nil
 	}
-	base := p
-	base.freq = 0
-	m, release, err := env.Checkout(c.Spec.Grid.SlicesX, c.Spec.Grid.SlicesY, c.options(base))
+	m, release, err := env.Checkout(c.Spec.Grid.SlicesX, c.Spec.Grid.SlicesY, c.options(p))
 	if err != nil {
-		return nil, nil, err
+		return nil, nos.BootStats{}, nil, err
 	}
 	br, err := m.Bridge(c.bridgeNode())
 	if err != nil {
 		release()
-		return nil, nil, err
+		return nil, nos.BootStats{}, nil, err
 	}
 	var job nos.Job
 	for i, pa := range progs {
 		job.Add(fmt.Sprintf("task%d", i), pa.node, pa.prog)
 	}
-	if _, err := job.BootOverNetwork(m, br, sim.Second); err != nil {
+	st, err := job.BootOverNetwork(m, br, sim.Second)
+	if err != nil {
 		release()
-		return nil, nil, specFault(p.label, err)
+		return nil, st, nil, specFault(p.label, err)
 	}
 	if ws == nil {
-		return m, release, nil
+		return m, st, release, nil
 	}
 	ws.drop()
-	ws.key, ws.m, ws.release, ws.snap = key, m, release, m.Snapshot()
-	return m, func() {}, nil
+	*ws = warmState{key: key, m: m, release: release, snap: m.Snapshot(), stats: st}
+	return m, st, func() {}, nil
 }
 
 // runProgram places one of the assembled program structures — host
@@ -672,13 +745,18 @@ func (c *Compiled) runProgram(env *core.Env, p point, nodes []topo.NodeID, items
 	var m *core.Machine
 	var release func()
 	if c.Spec.Workload.Boot {
-		m, release, err = c.bootedMachine(env, p, progs, nodes, items, rounds, ws)
+		// Boot at the base operating point, keyed by everything the
+		// post-boot state depends on but that: structural links plus the
+		// values the task images derive from. The point's sweep values
+		// apply from here (DFS after a common boot).
+		base := p
+		base.freq = 0
+		key := fmt.Sprintf("links=%d items=%d rounds=%d nodes=%v", p.links, items, rounds, nodes)
+		m, _, release, err = c.bootedMachine(env, base, key, progs, ws)
 		if err != nil {
 			return pt, err
 		}
 		defer release()
-		// Boot ran at the base operating point; the point's sweep values
-		// apply from here (DFS after a common boot).
 		if err := m.Retune(c.options(p).OperatingPoint()); err != nil {
 			return pt, err
 		}
@@ -743,12 +821,18 @@ func (c *Compiled) loaded(env *core.Env, opts core.Options, nodes []topo.NodeID,
 // last issue (mips); or HeavyLoad settled and then the nodes' power at
 // the spec's VDD and again at VMin, on a machine each (core_power), the
 // rail feeding them loaded and then on an idle machine (rail_power), or
-// the energy report's wedges per node (budget).
+// the energy report's wedges per node (budget). boot_cost and adc_rates
+// fix their own programs.
 func (c *Compiled) runLoad(env *core.Env, p point, nodes []topo.NodeID, threads, iters int) (Point, error) {
 	f, n := c.freqMHz(p), float64(len(nodes))
 	pt := Point{Label: p.label, IntValue: p.intVal, FreqMHz: f, Threads: threads}
 	opts := c.options(p)
-	if c.Spec.Measure == "mips" {
+	switch c.Spec.Measure {
+	case "boot_cost":
+		return c.bootCost(env, pt, p, nodes)
+	case "adc_rates":
+		return c.adcRates(env, pt, opts, nodes, threads)
+	case "mips":
 		m, release, err := c.loaded(env, opts, nodes, workload.BusyLoop(threads, iters))
 		if err != nil {
 			return pt, err
@@ -770,7 +854,7 @@ func (c *Compiled) runLoad(env *core.Env, p point, nodes []topo.NodeID, threads,
 	heavy := workload.HeavyLoad(threads, iters)
 	switch c.Spec.Measure {
 	case "core_power":
-		power := func(opts core.Options) (float64, error) {
+		coreW := func(opts core.Options) (float64, error) {
 			m, release, err := c.loaded(env, opts, nodes, heavy)
 			if err != nil {
 				return 0, err
@@ -788,13 +872,13 @@ func (c *Compiled) runLoad(env *core.Env, p point, nodes []topo.NodeID, threads,
 			return (joules() - e0) / (m.K.Now() - t0).Seconds(), nil
 		}
 		var err error
-		if pt.CoreW, err = power(opts); err != nil {
+		if pt.CoreW, err = coreW(opts); err != nil {
 			return pt, err
 		}
 		low := *opts.Core
 		low.VDD = energy.VMin(f)
 		opts.Core = &low
-		if pt.DVFSW, err = power(opts); err != nil {
+		if pt.DVFSW, err = coreW(opts); err != nil {
 			return pt, err
 		}
 		pt.VMin = low.VDD
@@ -837,6 +921,74 @@ func (c *Compiled) runLoad(env *core.Env, p point, nodes []topo.NodeID, threads,
 		pt.SupportW = perNode(r0.SupportJ, r1.SupportJ)
 		pt.LinkW = perNode(r0.LinkJ, r1.LinkJ)
 		pt.NodeW = pt.ComputeW + pt.BackgroundW + pt.ConversionW + pt.SupportW + pt.LinkW
+	}
+	return pt, nil
+}
+
+// bootCost network-boots the nOS getid/dbg/tend image onto the nodes
+// through the grid's bridge at the point's operating point, runs it,
+// and reports the image bytes streamed and the boot time.
+func (c *Compiled) bootCost(env *core.Env, pt Point, p point, nodes []topo.NodeID) (Point, error) {
+	image := xs1.MustAssemble("getid r0\ndbg r0\ntend\n")
+	progs := make([]progAt, len(nodes))
+	for i, n := range nodes {
+		progs[i] = progAt{n, image}
+	}
+	m, st, release, err := c.bootedMachine(env, p, "", progs, nil)
+	if err != nil {
+		return pt, err
+	}
+	defer release()
+	if err := m.Run(100 * sim.Millisecond); err != nil {
+		return pt, specFault(p.label, err)
+	}
+	pt.ImageBytes, pt.Elapsed = st.ImageBytes, st.Elapsed
+	return pt, nil
+}
+
+// The adc_rates load and trace length.
+const (
+	adcIters   = 40000
+	adcSamples = 200
+)
+
+// adcRates loads the nodes and exercises slice 0's daughter-board at
+// the Section II limits: a trace of every channel at 1 MS/s (whose mean
+// input power the point reports), one channel at 2 MS/s, and an
+// over-rate request that must be refused. A limit the board does not
+// keep fails the run.
+func (c *Compiled) adcRates(env *core.Env, pt Point, opts core.Options, nodes []topo.NodeID, threads int) (Point, error) {
+	m, release, err := c.loaded(env, opts, nodes, workload.HeavyLoad(threads, adcIters))
+	if err != nil {
+		return pt, err
+	}
+	defer release()
+	board := m.Board(0)
+	m.RunFor(20 * sim.Microsecond)
+	board.SampleAll()
+	all, err := board.StartTrace(power.MaxAllChannelHz, adcSamples)
+	if err != nil {
+		return pt, err
+	}
+	m.RunFor(250 * sim.Microsecond)
+	if len(all.Samples) != adcSamples {
+		return pt, fmt.Errorf("%s: all-channel trace collected %d samples, want %d", pt.Label, len(all.Samples), adcSamples)
+	}
+	pt.InputW = all.MeanInputW()
+	single, err := power.NewBoard(m.K, m.Supplies(0)[:1])
+	if err != nil {
+		return pt, err
+	}
+	one, err := single.StartTrace(power.MaxSingleChannelHz, adcSamples)
+	if err != nil {
+		return pt, err
+	}
+	m.RunFor(150 * sim.Microsecond)
+	if len(one.Samples) != adcSamples {
+		return pt, fmt.Errorf("%s: single-channel trace collected %d samples, want %d", pt.Label, len(one.Samples), adcSamples)
+	}
+	if _, err := board.StartTrace(power.MaxAllChannelHz*1.5, 4); err == nil {
+		return pt, fmt.Errorf("%s: over-rate all-channel trace accepted", pt.Label)
 	}
 	return pt, nil
 }
@@ -892,6 +1044,49 @@ func (c *Compiled) Render(res *Result) *report.Table {
 				fmt.Sprintf("%.0f", p.PaperEC))
 		}
 		return t
+	case "link_energy":
+		t := report.NewTable(title, "link type", "data rate", "max power", "pJ/bit (paper)", "pJ/bit (sim)", "mW (sim)")
+		for _, p := range res.Points {
+			spec := energy.LinkSpecs[p.Class]
+			t.AddRow(p.Class.String(),
+				report.FormatSI(spec.DataRateBitsPerSec)+"bit/s",
+				fmt.Sprintf("%.1f mW", spec.MaxPowerW*1e3),
+				fmt.Sprintf("%.1f", spec.EnergyPerBit()*1e12),
+				fmt.Sprintf("%.1f", p.PJPerBit),
+				fmt.Sprintf("%.1f", p.LinkMW))
+		}
+		return t
+	case "boot_cost":
+		// One point reads as the boot itself; a sweep names its points.
+		headers := []string{"image bytes", "boot time"}
+		if len(res.Points) > 1 {
+			headers = append([]string{label}, headers...)
+		}
+		t := report.NewTable(title, headers...)
+		for _, p := range res.Points {
+			row := []string{fmt.Sprintf("%d", p.ImageBytes), p.Elapsed.String()}
+			if len(res.Points) > 1 {
+				row = append([]string{p.Label}, row...)
+			}
+			t.AddRow(row...)
+		}
+		return t
+	case "adc_rates":
+		// A limit the board does not keep fails the run, so every point
+		// that renders passed all three.
+		t := report.NewTable(title, append([]string{"check"}, pointColumns(res, "result")...)...)
+		for _, check := range []string{
+			fmt.Sprintf("all channels @ %s", report.FormatSI(power.MaxAllChannelHz)+"S/s"),
+			fmt.Sprintf("single channel @ %s", report.FormatSI(power.MaxSingleChannelHz)+"S/s"),
+			"over-rate trace rejected",
+		} {
+			row := []string{check}
+			for range res.Points {
+				row = append(row, "ok")
+			}
+			t.AddRow(row...)
+		}
+		return t
 	case "mips":
 		t := report.NewTable(title, label, "model MIPS", "simulated MIPS")
 		for _, p := range res.Points {
@@ -941,13 +1136,8 @@ func (c *Compiled) Render(res *Result) *report.Table {
 			{"DC-DC & I/O + other", fmt.Sprintf("%.0f mW (22%%)", (b.ConversionIOW+b.OtherW)*1e3)},
 			{"total per node", fmt.Sprintf("%.0f mW", b.TotalW()*1e3)},
 		}
-		headers := []string{"component", "paper"}
+		headers := append([]string{"component", "paper"}, pointColumns(res, "simulated")...)
 		for _, p := range res.Points {
-			if len(res.Points) == 1 {
-				headers = append(headers, "simulated")
-			} else {
-				headers = append(headers, p.Label)
-			}
 			for i, w := range []float64{p.ComputeW, p.BackgroundW, p.ConversionW + p.SupportW + p.LinkW, p.NodeW} {
 				rows[i] = append(rows[i], fmt.Sprintf("%.0f mW", w*1e3))
 			}
@@ -992,4 +1182,17 @@ func (c *Compiled) Render(res *Result) *report.Table {
 		}
 		return t
 	}
+}
+
+// pointColumns heads the one-column-per-point layouts: one for a single
+// point, else each point's label.
+func pointColumns(res *Result, single string) []string {
+	if len(res.Points) == 1 {
+		return []string{single}
+	}
+	cols := make([]string, len(res.Points))
+	for i, p := range res.Points {
+		cols[i] = p.Label
+	}
+	return cols
 }

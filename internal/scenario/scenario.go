@@ -1,15 +1,16 @@
 // Package scenario is the declarative layer over the experiment
 // stack: a Spec names a machine grid, a workload structure from
-// internal/workload (traffic flows, ping-pong probes, pipelines,
-// rings, client/server farms, barrier groups, or a settled load read
-// as instruction rate, core power, rail power or energy budget), a
-// placement (explicit nodes or an internal/topo policy), an operating
-// point, and one or more sweep axes with explicit grids. Compile
-// validates a Spec and lowers it into a harness.Artifact whose inner
-// loop runs one machine per sweep point through sweep.MapWarm under
-// the run's core.Env — the parallel-sweep and pooling contracts every
-// artifact obeys, so compiled scenarios render byte-identically under
-// every Env.
+// internal/workload (traffic flows read as goodput or link energy, or
+// the Ethernet bridge's stream; ping-pong probes; pipelines, rings,
+// client/server farms and barrier groups; or a load read as
+// instruction rate, core power, rail power, energy budget, network-boot
+// cost or ADC sampling limits), a placement (explicit nodes or an
+// internal/topo policy), an operating point, and one or more sweep
+// axes with explicit grids. Compile validates a Spec and lowers it into
+// a harness.Artifact whose inner loop runs one machine per sweep point
+// through sweep.MapWarm under the run's core.Env — the parallel-sweep
+// and pooling contracts every artifact obeys, so compiled scenarios
+// render byte-identically under every Env.
 //
 // Specs are JSON-serialisable with a canonical normal form: Canonical
 // fills structural defaults and normalises empty slices, and Hash is
@@ -28,6 +29,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"swallow/internal/core"
 	"swallow/internal/harness"
@@ -234,16 +236,17 @@ func (a Axis) size() int {
 }
 
 // Table customises the rendered table of measures that have free
-// headers (aggregate_goodput, energy, mips, and core_power/rail_power
-// when they sweep more than the clock). Measures with canonical layouts
-// (goodput_fraction, latency, ec, budget) use only Title.
+// headers (aggregate_goodput, bridge_rate, energy, mips, and
+// core_power/rail_power when they sweep more than the clock). Measures
+// with canonical layouts (goodput_fraction, latency, ec, link_energy,
+// budget, boot_cost, adc_rates) use only Title.
 type Table struct {
 	// Title is the table heading; empty derives "scenario: <name>".
 	Title string `json:"title,omitempty"`
 	// Label heads the point column (default "point").
 	Label string `json:"label,omitempty"`
-	// Value heads the measured column of aggregate_goodput (default
-	// "goodput").
+	// Value heads the measured column of aggregate_goodput and
+	// bridge_rate (default "goodput").
 	Value string `json:"value,omitempty"`
 	// Ratio, when non-empty, adds a column of that header holding each
 	// point's value relative to the first point's.
@@ -259,11 +262,14 @@ type Spec struct {
 	Operating   *Operating `json:"operating,omitempty"`
 	Sweep       []Axis     `json:"sweep"`
 	// Measure selects what each point reports: "goodput_fraction",
-	// "aggregate_goodput" or "ec" for traffic, "latency" for ping,
-	// "energy" for the program structures, and for load "mips" (Eq. 2),
-	// "core_power" (Fig. 4), "rail_power" (Fig. 3) or "budget"
-	// (Fig. 2). Empty picks the structure's default (aggregate_goodput
-	// / latency / energy / budget).
+	// "aggregate_goodput", "ec", "link_energy" (Table I) or
+	// "bridge_rate" (the Ethernet bridge, which takes no flows) for
+	// traffic, "latency" for ping, "energy" for the program structures,
+	// and for load "mips" (Eq. 2), "core_power" (Fig. 4), "rail_power"
+	// (Fig. 3), "budget" (Fig. 2), "boot_cost" (an nOS network boot of
+	// the placement) or "adc_rates" (the Section II sampling limits).
+	// Empty picks the structure's default (aggregate_goodput / latency
+	// / energy / budget).
 	Measure string `json:"measure,omitempty"`
 	Table   *Table `json:"table,omitempty"`
 }
@@ -291,12 +297,30 @@ var measures = map[string]map[string]bool{
 	"goodput_fraction":  {"traffic": true},
 	"aggregate_goodput": {"traffic": true},
 	"ec":                {"traffic": true},
+	"link_energy":       {"traffic": true},
+	"bridge_rate":       {"traffic": true},
 	"latency":           {"ping": true},
 	"energy":            {"pipeline": true, "ring": true, "farm": true, "group": true},
 	"mips":              {"load": true},
 	"core_power":        {"load": true},
 	"rail_power":        {"load": true},
 	"budget":            {"load": true},
+	"boot_cost":         {"load": true},
+	"adc_rates":         {"load": true},
+}
+
+// intAxes bounds each int axis param's values and names the structures
+// it applies to (every one, when on is nil).
+var intAxes = map[string]struct {
+	lo, hi int
+	needs  string
+	on     []string
+}{
+	"payload": {1, 4096, "the traffic structure", []string{"traffic"}},
+	"links":   {1, topo.InternalLinksPerPackage, "", nil},
+	"items":   {1, MaxItems, "a pipeline or farm structure", []string{"pipeline", "farm"}},
+	"rounds":  {2, MaxRounds, "a ping or group structure", []string{"ping", "group"}},
+	"threads": {1, xs1.MaxThreads, "the load structure", []string{"load"}},
 }
 
 // Canonical returns the semantic normal form of the spec: structural
@@ -449,7 +473,6 @@ func (s Spec) Validate() error {
 	if len(s.Sweep) == 0 {
 		return badf("sweep: at least one axis is required")
 	}
-	points := 1
 	payloadAxes, variantAxes := 0, 0
 	seenParams := make(map[string]bool)
 	for i, ax := range s.Sweep {
@@ -478,52 +501,22 @@ func (s Spec) Validate() error {
 		}
 		switch ax.kind() {
 		case "ints":
-			switch ax.Param {
-			case "payload":
-				payloadAxes++
-				if w.Structure != "traffic" {
-					return badf("%s: payload axis needs the traffic structure", field)
-				}
-				for _, v := range ax.Ints {
-					if v < 1 || v > 4096 {
-						return badf("%s: payload %d outside 1-4096", field, v)
-					}
-				}
-			case "links":
-				for _, v := range ax.Ints {
-					if v < 1 || v > topo.InternalLinksPerPackage {
-						return badf("%s: links %d outside 1-%d", field, v, topo.InternalLinksPerPackage)
-					}
-				}
-			case "items":
-				if w.Structure != "pipeline" && w.Structure != "farm" {
-					return badf("%s: items axis needs a pipeline or farm structure", field)
-				}
-				for _, v := range ax.Ints {
-					if v < 1 || v > MaxItems {
-						return badf("%s: items %d outside 1-%d", field, v, MaxItems)
-					}
-				}
-			case "rounds":
-				if w.Structure != "ping" && w.Structure != "group" {
-					return badf("%s: rounds axis needs a ping or group structure", field)
-				}
-				for _, v := range ax.Ints {
-					if v < 2 || v > MaxRounds {
-						return badf("%s: rounds %d outside 2-%d", field, v, MaxRounds)
-					}
-				}
-			case "threads":
-				if w.Structure != "load" {
-					return badf("%s: threads axis needs the load structure", field)
-				}
-				for _, v := range ax.Ints {
-					if v < 1 || v > xs1.MaxThreads {
-						return badf("%s: threads %d outside 1-%d", field, v, xs1.MaxThreads)
-					}
-				}
-			default:
+			b, ok := intAxes[ax.Param]
+			switch {
+			case !ok:
 				return badf("%s: unknown int axis param %q (have payload, links, items, rounds, threads)", field, ax.Param)
+			case b.on != nil && !slices.Contains(b.on, w.Structure):
+				return badf("%s: %s axis needs %s", field, ax.Param, b.needs)
+			case ax.Param == "threads" && s.Measure == "boot_cost":
+				return badf("%s: threads axis does not apply to boot_cost, whose program is fixed", field)
+			}
+			for _, v := range ax.Ints {
+				if v < b.lo || v > b.hi {
+					return badf("%s: %s %d outside %d-%d", field, ax.Param, v, b.lo, b.hi)
+				}
+			}
+			if ax.Param == "payload" {
+				payloadAxes++
 			}
 			if ax.FromConfig != "" && ax.FromConfig != "goodput_payloads" {
 				return badf("%s: from_config %q does not apply to an int axis", field, ax.FromConfig)
@@ -590,10 +583,9 @@ func (s Spec) Validate() error {
 				}
 			}
 		}
-		points *= ax.size()
 	}
-	if points > MaxPoints {
-		return badf("sweep: %d points exceed the %d-point service bound", points, MaxPoints)
+	if err := boundPoints(s.Sweep); err != nil {
+		return err
 	}
 
 	switch w.Structure {
@@ -601,20 +593,15 @@ func (s Spec) Validate() error {
 		if err := checkFlows(sys, w.Flows, "workload.flows", payloadAxes > 0); err != nil {
 			return err
 		}
-		if len(w.Flows) == 0 {
-			// Flows may instead come from a variants axis (or, for the ec
-			// measure, be absent to mean "issue-limited: C = E").
-			ok := s.Measure == "ec"
-			for _, ax := range s.Sweep {
-				for _, v := range ax.Variants {
-					if len(v.Flows) > 0 {
-						ok = true
-					}
-				}
-			}
-			if !ok {
-				return badf("workload.flows: traffic structure needs flows (in the workload or its variants)")
-			}
+		// Flows may come from the workload or a variants axis. The ec
+		// measure may leave them out ("issue-limited: C = E"), and
+		// bridge_rate must: its one source is the grid's bridge.
+		flows := len(w.Flows) > 0 || s.anyVariant(func(v Variant) bool { return len(v.Flows) > 0 })
+		switch {
+		case s.Measure == "bridge_rate" && flows:
+			return badf("workload.flows: bridge_rate streams from the grid's bridge and takes no flows")
+		case !flows && s.Measure != "ec" && s.Measure != "bridge_rate":
+			return badf("workload.flows: traffic structure needs flows (in the workload or its variants)")
 		}
 		if s.Measure == "goodput_fraction" && payloadAxes == 0 {
 			return badf("measure: goodput_fraction needs a payload axis")
@@ -623,15 +610,7 @@ func (s Spec) Validate() error {
 			return badf("measure: ec needs a variants axis of regimes")
 		}
 	case "ping":
-		hasEndpoints := w.A != nil && w.B != nil
-		for _, ax := range s.Sweep {
-			for _, v := range ax.Variants {
-				if v.A != nil && v.B != nil {
-					hasEndpoints = true
-				}
-			}
-		}
-		if !hasEndpoints {
+		if !(w.A != nil && w.B != nil) && !s.anyVariant(func(v Variant) bool { return v.A != nil && v.B != nil }) {
 			return badf("workload.a/b: ping structure needs both endpoints (in the workload or its variants)")
 		}
 		if w.A != nil {
@@ -665,15 +644,7 @@ func (s Spec) Validate() error {
 		}
 		if nodes == nil {
 			// Placement may come from a variants axis instead.
-			ok := false
-			for _, ax := range s.Sweep {
-				for _, v := range ax.Variants {
-					if len(v.Nodes) > 0 {
-						ok = true
-					}
-				}
-			}
-			if !ok {
+			if !s.anyVariant(func(v Variant) bool { return len(v.Nodes) > 0 }) {
 				return badf("workload.placement: %s structure needs a placement (nodes or policy)", w.Structure)
 			}
 		} else if err := checkStructureNodes(w.Structure, len(nodes), "workload.placement"); err != nil {
@@ -698,6 +669,29 @@ func (s Spec) Validate() error {
 	}
 	if op.VDD < 0.5 || op.VDD > 1.2 {
 		return badf("operating.vdd: %g outside 0.5-1.2", op.VDD)
+	}
+	return nil
+}
+
+// anyVariant reports whether some variant of the sweep satisfies f.
+func (s Spec) anyVariant(f func(Variant) bool) bool {
+	for _, ax := range s.Sweep {
+		if slices.ContainsFunc(ax.Variants, f) {
+			return true
+		}
+	}
+	return false
+}
+
+// boundPoints refuses a sweep past MaxPoints. It bounds the cross
+// product axis by axis, so a hostile grid cannot wrap the total past
+// 2^64 into something small.
+func boundPoints(axes []Axis) error {
+	points := 1
+	for _, ax := range axes {
+		if points *= ax.size(); points > MaxPoints {
+			return badf("sweep: %d points exceed the %d-point service bound", points, MaxPoints)
+		}
 	}
 	return nil
 }

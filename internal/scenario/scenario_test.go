@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"swallow/internal/core"
+	"swallow/internal/energy"
 	"swallow/internal/harness"
 )
 
@@ -140,12 +142,58 @@ func TestValidationRejectsBadSpecs(t *testing.T) {
 			s.Workload = Workload{Structure: "load"}
 			s.Measure = "rail_power"
 		}, "workload.placement: rail_power"},
+		{"link_energy on load", func(s *Spec) {
+			s.Workload = Workload{Structure: "load"}
+			s.Measure = "link_energy"
+		}, `measure: "link_energy" does not apply`},
+		{"bridge_rate on load", func(s *Spec) {
+			s.Workload = Workload{Structure: "load"}
+			s.Measure = "bridge_rate"
+		}, `measure: "bridge_rate" does not apply`},
+		{"boot_cost on traffic", func(s *Spec) { s.Measure = "boot_cost" }, `measure: "boot_cost" does not apply`},
+		{"adc_rates on traffic", func(s *Spec) { s.Measure = "adc_rates" }, `measure: "adc_rates" does not apply`},
+		{"flows on bridge_rate", func(s *Spec) { s.Measure = "bridge_rate" }, "bridge_rate streams from the grid's bridge"},
+		{"variant flows on bridge_rate", func(s *Spec) {
+			s.Sweep = []Axis{{Param: "cap", Variants: []Variant{{Name: "a", Flows: s.Workload.Flows}}}}
+			s.Workload.Flows = nil
+			s.Measure = "bridge_rate"
+		}, "takes no flows"},
+		{"threads axis on boot_cost", func(s *Spec) {
+			s.Workload = Workload{Structure: "load"}
+			s.Measure = "boot_cost"
+			s.Sweep = []Axis{{Param: "threads", Ints: []int{1, 4}}}
+		}, "threads axis does not apply to boot_cost"},
 		{"too many points", func(s *Spec) {
 			ints := make([]int, 300)
 			for i := range ints {
 				ints[i] = 1 + i%4
 			}
 			s.Sweep = []Axis{{Param: "links", Ints: ints}}
+		}, "points exceed"},
+		{"points product past 2^64", func(s *Spec) {
+			// 2^17 * 2^17 * 2^17 * 2^13 wraps a 64-bit product to 0: the
+			// bound must hold axis by axis, not on the wrapped total.
+			ones := func(n int) []int {
+				v := make([]int, n)
+				for i := range v {
+					v[i] = 1
+				}
+				return v
+			}
+			freqs := make([]float64, 1<<17)
+			for i := range freqs {
+				freqs[i] = 500
+			}
+			variants := make([]Variant, 1<<13)
+			for i := range variants {
+				variants[i].Name = strconv.Itoa(i)
+			}
+			s.Sweep = []Axis{
+				{Param: "links", Ints: ones(1 << 17)},
+				{Param: "payload", Ints: ones(1 << 17)},
+				{Param: "freq_mhz", Floats: freqs},
+				{Param: "v", Variants: variants},
+			}
 		}, "points exceed"},
 	}
 	for _, tc := range cases {
@@ -388,6 +436,54 @@ func TestNovelStructuresRun(t *testing.T) {
 			t.Errorf("rail 2 reads %.3f W loaded, %.3f W idle; rail 0 %.3f W loaded", two.RailW, two.IdleW, zero.RailW)
 		}
 	})
+	// The instruments too: Table I's reading on a route its spec does
+	// not use, a boot of two cores at half clock, the bridge of a 2x2
+	// grid.
+	t.Run("link_energy on a one-hop vertical route", func(t *testing.T) {
+		p := quick(t, Spec{
+			Name: "link",
+			Grid: Grid{SlicesX: 1, SlicesY: 1},
+			Workload: Workload{Structure: "traffic", Flows: []FlowSpec{{
+				Src: NodeRef{X: 1, Y: 2, Layer: "V"}, Dst: NodeRef{X: 1, Y: 3, Layer: "V"}, Tokens: 2048,
+			}}},
+			Sweep:   []Axis{{Param: "freq_mhz", Floats: []float64{250}}},
+			Measure: "link_energy",
+		})
+		want := energy.LinkSpecs[energy.LinkBoardVertical].EnergyPerBit() * 1e12
+		if p.Class != energy.LinkBoardVertical || math.Abs(p.PJPerBit-want) > 0.01*want || p.Busy < 0.99 {
+			t.Errorf("%v at %.1f pJ/bit, busy %.3f; want on-board,vertical at %.1f, busy >= 0.99", p.Class, p.PJPerBit, p.Busy, want)
+		}
+	})
+	t.Run("boot_cost on two nodes at 250 MHz", func(t *testing.T) {
+		boot := func(mhz float64, nodes ...NodeRef) Point {
+			return quick(t, Spec{
+				Name:     "boot",
+				Grid:     Grid{SlicesX: 1, SlicesY: 1},
+				Workload: Workload{Structure: "load", Placement: &Placement{Nodes: nodes}},
+				Sweep:    []Axis{{Param: "freq_mhz", Floats: []float64{mhz}}},
+				Measure:  "boot_cost",
+			})
+		}
+		two := boot(250, NodeRef{X: 0, Y: 2, Layer: "V"}, NodeRef{X: 1, Y: 3, Layer: "H"})
+		four := boot(500, NodeRef{Layer: "V"}, NodeRef{Layer: "H"}, NodeRef{X: 1, Layer: "V"}, NodeRef{X: 1, Layer: "H"})
+		// Every core takes the same image, so two cores stream half the
+		// bytes of Table I's four.
+		if two.ImageBytes*2 != four.ImageBytes || two.Elapsed <= 0 {
+			t.Errorf("two cores at 250 MHz: %d bytes in %v; four at 500 MHz: %d bytes", two.ImageBytes, two.Elapsed, four.ImageBytes)
+		}
+	})
+	t.Run("bridge_rate on a 2x2 grid", func(t *testing.T) {
+		p := quick(t, Spec{
+			Name:     "bridge",
+			Grid:     Grid{SlicesX: 2, SlicesY: 2},
+			Workload: Workload{Structure: "traffic"},
+			Sweep:    []Axis{{Param: "freq_mhz", Floats: []float64{500}}},
+			Measure:  "bridge_rate",
+		})
+		if math.Abs(p.GoodputBps-80e6) > 0.01*80e6 {
+			t.Errorf("2x2 bridge ingress %.3g bit/s, want its 80 Mbit/s cap", p.GoodputBps)
+		}
+	})
 	t.Run("pipeline placement variants", func(t *testing.T) {
 		res := compileAndRun(t, Spec{
 			Name: "pipe-placement",
@@ -409,6 +505,28 @@ func TestNovelStructuresRun(t *testing.T) {
 				corners.LinkJ, local.LinkJ)
 		}
 	})
+}
+
+// TestLinkEnergyNeedsOneClass: flows that load two link classes are a
+// spec fault, not a Table I row.
+func TestLinkEnergyNeedsOneClass(t *testing.T) {
+	c, err := Compile(Spec{
+		Name: "two-classes",
+		Grid: Grid{SlicesX: 1, SlicesY: 1},
+		Workload: Workload{Structure: "traffic", Flows: []FlowSpec{
+			{Src: NodeRef{Layer: "V"}, Dst: NodeRef{Layer: "H"}, Tokens: 256},
+			{Src: NodeRef{Layer: "V"}, SrcEnd: 1, Dst: NodeRef{Y: 1, Layer: "V"}, Tokens: 256},
+		}},
+		Sweep:   []Axis{{Param: "links", Ints: []int{4}}},
+		Measure: "link_energy",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Run(harness.QuickConfig())
+	if !errors.Is(err, harness.ErrBadConfig) || !strings.Contains(err.Error(), "exactly one link class") {
+		t.Fatalf("two-class flow set: %v, want a spec fault naming the classes", err)
+	}
 }
 
 // TestCompiledParallelMatchesSerial holds the compiler to the

@@ -229,6 +229,14 @@ func TestErrorsSurface(t *testing.T) {
 	if r, _ := get(t, ts.URL+"/artifacts/echo?iters=bogus"); r.StatusCode != 400 {
 		t.Errorf("bad iters: %d, want 400", r.StatusCode)
 	}
+	// Past harness.MaxIters a load program's loop count overflows its
+	// 32-bit immediate: refused in both spellings before any render.
+	if r, body := get(t, ts.URL+"/artifacts/echo?iters=5000000000"); r.StatusCode != 400 || !strings.Contains(body, "bound") {
+		t.Errorf("iters past the bound: %d %q, want 400", r.StatusCode, body)
+	}
+	if r, view := submitJob(t, ts.URL, `{"artifact":"echo","config":{"iters":5000000000}}`); r.StatusCode != 400 {
+		t.Errorf("job with iters past the bound: %d %v, want 400", r.StatusCode, view)
+	}
 	if r, _ := get(t, ts.URL+"/artifacts/echo?payloads=-1"); r.StatusCode != 400 {
 		t.Errorf("bad payloads: %d, want 400", r.StatusCode)
 	}

@@ -122,6 +122,14 @@ func TestScenarioBadSpecs(t *testing.T) {
 		// that out of reach.
 		{"load threads 9", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"load","threads":9},"sweep":[{"param":"freq_mhz","floats":[500]}]}`, "workload.threads"},
 		{"load threads axis 0", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"load"},"sweep":[{"param":"threads","ints":[0]}]}`, "threads 0"},
+		// The instruments' measures, each on the wrong structure or fed
+		// what it does not take.
+		{"link_energy on load", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"load"},"sweep":[{"param":"freq_mhz","floats":[500]}],"measure":"link_energy"}`, `link_energy\" does not apply`},
+		{"bridge_rate on ping", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"ping","a":{"layer":"V"},"b":{"layer":"H"}},"sweep":[{"param":"rounds","ints":[4]}],"measure":"bridge_rate"}`, `bridge_rate\" does not apply`},
+		{"boot_cost on traffic", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"traffic","flows":[{"src":{"layer":"V"},"dst":{"layer":"H"},"tokens":10}]},"sweep":[{"param":"links","ints":[1]}],"measure":"boot_cost"}`, `boot_cost\" does not apply`},
+		{"adc_rates on traffic", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"traffic","flows":[{"src":{"layer":"V"},"dst":{"layer":"H"},"tokens":10}]},"sweep":[{"param":"links","ints":[1]}],"measure":"adc_rates"}`, `adc_rates\" does not apply`},
+		{"flows on bridge_rate", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"traffic","flows":[{"src":{"layer":"V"},"dst":{"layer":"H"},"tokens":10}]},"sweep":[{"param":"links","ints":[1]}],"measure":"bridge_rate"}`, "takes no flows"},
+		{"threads axis on boot_cost", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"load"},"sweep":[{"param":"threads","ints":[2]}],"measure":"boot_cost"}`, "threads axis does not apply"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

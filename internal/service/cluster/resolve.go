@@ -205,6 +205,9 @@ func (rs Resolver) overlay(t Target, err error, o overrides) (Target, error) {
 	if o.Config.Iters < 0 {
 		return t, badRequest("bad config: iters must be positive")
 	}
+	if o.Config.Iters > harness.MaxIters {
+		return t, badRequest("bad config: iters %d above the %d bound", o.Config.Iters, harness.MaxIters)
+	}
 	if o.Config.Iters > 0 {
 		cfg.Iters = o.Config.Iters
 	}
