@@ -3,6 +3,8 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"maps"
 	"os"
 	"testing"
 
@@ -12,24 +14,38 @@ import (
 )
 
 // TestCanonicalRendersMatchGolden holds each compiled canonical
-// artifact to the bytes the benchmark commits for it: rendered at the
-// default config — serially and in parallel, pooled and fresh — its
-// sha256 must be the one bench/golden/tables.json records. The specs
-// are their artifacts' only implementation, so the committed hashes
-// are the reference they answer to.
+// artifact, and the boot sweep, to the bytes the benchmark commits for
+// it: rendered at the default config — serially and in parallel, pooled
+// and fresh — its sha256 must be the one bench/golden/tables.json
+// records, and its headline metrics, float bits and all, the ones
+// testdata/headlines.json records. The specs are their artifacts' only
+// implementation, so the committed hashes and headlines are the
+// reference they answer to.
 func TestCanonicalRendersMatchGolden(t *testing.T) {
 	var tables map[string]string
 	readBenchGolden(t, "tables.json", &tables)
+	var headlines map[string]map[string]float64
+	blob, err := os.ReadFile("testdata/headlines.json")
+	if err == nil {
+		err = json.Unmarshal(blob, &headlines)
+	}
+	if err != nil {
+		t.Fatalf("testdata/headlines.json: %v", err)
+	}
 	modes := []mode{
 		{"seq-pooled", core.Env{Pool: core.SharedPool(), Width: 1}},
 		{"par-pooled", core.Env{Pool: core.SharedPool(), Width: 16}},
 		{"seq-fresh", core.Env{Width: 1}},
 		{"par-fresh", core.Env{Width: 16}},
 	}
-	for _, spec := range CanonicalScenarios() {
+	for _, spec := range append(CanonicalScenarios(), BootSweepScenario()) {
 		want, ok := tables[spec.Name]
 		if !ok {
 			t.Fatalf("bench/golden/tables.json has no hash for %q", spec.Name)
+		}
+		wantMetrics, ok := headlines[spec.Name]
+		if !ok {
+			t.Fatalf("testdata/headlines.json has no entry for %q", spec.Name)
 		}
 		a := harness.Lookup(spec.Name)
 		if a == nil {
@@ -38,14 +54,23 @@ func TestCanonicalRendersMatchGolden(t *testing.T) {
 		for _, m := range modes {
 			cfg := harness.DefaultConfig()
 			cfg.Env = &m.env
-			table, err := a.Table(cfg)
+			res, err := a.Run(cfg)
 			if err != nil {
 				t.Fatalf("%s (%s): %v", spec.Name, m.name, err)
 			}
+			table := a.Render(res)
 			sum := sha256.Sum256([]byte(table.String()))
 			if got := hex.EncodeToString(sum[:]); got != want {
 				t.Errorf("%s (%s): render hashes to %s, bench/golden/tables.json has %s\n%s",
 					spec.Name, m.name, got, want, table)
+			}
+			var got map[string]float64
+			if a.Metrics != nil {
+				got = a.Metrics(res)
+			}
+			if !maps.Equal(got, wantMetrics) {
+				t.Errorf("%s (%s): headline metrics %v, testdata/headlines.json has %v",
+					spec.Name, m.name, got, wantMetrics)
 			}
 		}
 	}
