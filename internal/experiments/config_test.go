@@ -52,7 +52,7 @@ func TestGoodputGridOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	points := res.(*scenario.Result).Points
-	if len(points) != 1 || points[0].Payload != 4 {
+	if len(points) != 1 || points[0].Value("payload") != 4 {
 		t.Fatalf("override grid rendered %+v", points)
 	}
 }

@@ -19,24 +19,25 @@ func TestTableIReproduces(t *testing.T) {
 		t.Fatal(err)
 	}
 	points := res.(*scenario.Result).Points
-	want := map[energy.LinkClass]float64{
-		energy.LinkOnChip:          5.6,
-		energy.LinkBoardVertical:   212.8,
-		energy.LinkBoardHorizontal: 201.6,
-		energy.LinkOffBoard:        10880,
+	want := map[energy.LinkClass]float64{ // J/bit
+		energy.LinkOnChip:          5.6e-12,
+		energy.LinkBoardVertical:   212.8e-12,
+		energy.LinkBoardHorizontal: 201.6e-12,
+		energy.LinkOffBoard:        10880e-12,
 	}
 	if len(points) != len(want) {
 		t.Fatalf("points = %d", len(points))
 	}
 	for _, p := range points {
-		if math.Abs(p.PJPerBit-want[p.Class]) > want[p.Class]*0.01 {
-			t.Errorf("%v measured pJ/bit = %.1f, want %.1f", p.Class, p.PJPerBit, want[p.Class])
+		class, perBit := energy.LinkClass(p.Value("class")), p.Value("bit_energy")
+		if math.Abs(perBit-want[class]) > want[class]*0.01 {
+			t.Errorf("%v measured pJ/bit = %.1f, want %.1f", class, perBit*1e12, want[class]*1e12)
 		}
-		delete(want, p.Class)
+		delete(want, class)
 		// The stream keeps its link busy over its whole window, so the
 		// power it measures is the saturated one.
-		if p.Busy < 0.99 {
-			t.Errorf("%v link busy %.4f of the flow window, want >= 0.99", p.Class, p.Busy)
+		if busy := p.Value("busy"); busy < 0.99 {
+			t.Errorf("%v link busy %.4f of the flow window, want >= 0.99", class, busy)
 		}
 	}
 	if len(want) != 0 {
@@ -59,7 +60,7 @@ func TestTableIReproduces(t *testing.T) {
 // loaded slice's wall power read through the ADC board, the bridge at
 // its 80 Mbit/s cap, and the four-core boot's 64 image bytes.
 func TestInstrumentsReproduce(t *testing.T) {
-	if w := served(t, "adc", harness.DefaultConfig())[0].InputW; w < 3.5 || w > 5.2 {
+	if w := served(t, "adc", harness.DefaultConfig())[0].Value("input_power"); w < 3.5 || w > 5.2 {
 		t.Errorf("loaded slice wall = %.2f W via ADC, want ~4.5", w)
 	}
 	a := harness.Lookup("bridge")
@@ -70,8 +71,8 @@ func TestInstrumentsReproduce(t *testing.T) {
 	if rate := a.Render(res).Rows[0][1]; rate != "80Mbit/s" {
 		t.Errorf("bridge ingress renders %s, want 80Mbit/s", rate)
 	}
-	if boot := served(t, "boot", harness.DefaultConfig())[0]; boot.ImageBytes != 64 || boot.Elapsed <= 0 {
-		t.Errorf("boot streamed %d image bytes in %v, want 64 bytes", boot.ImageBytes, boot.Elapsed)
+	if boot := served(t, "boot", harness.DefaultConfig())[0]; boot.Value("image_bytes") != 64 || boot.Value("elapsed") <= 0 {
+		t.Errorf("boot streamed %g image bytes in %gs, want 64 bytes", boot.Value("image_bytes"), boot.Value("elapsed"))
 	}
 }
 
@@ -128,76 +129,77 @@ func TestFig3ReproducesEq1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, fit := res.(*scenario.Result).Points, res.(*scenario.Result).Fit
-	if fit == nil {
-		t.Fatal("no Eq. 1 fit")
+	points, extra := res.(*scenario.Result).Points, res.(*scenario.Result).Extra
+	if len(extra) != 1 || extra[0].Label != "(fit)" {
+		t.Fatalf("extra rows %+v, want the Eq. 1 fit", extra)
 	}
+	fit := extra[0]
 	// Eq. 1: Pc = 46 + 0.30 f. Accept a few percent of model error.
-	if math.Abs(fit.SlopeMWPerMHz-0.30) > 0.02 {
-		t.Errorf("slope = %.3f mW/MHz, want 0.30", fit.SlopeMWPerMHz)
+	if slope := fit.Value("slope"); math.Abs(slope-0.30) > 0.02 {
+		t.Errorf("slope = %.3f mW/MHz, want 0.30", slope)
 	}
-	if math.Abs(fit.InterceptMW-46) > 6 {
-		t.Errorf("intercept = %.1f mW, want 46", fit.InterceptMW)
+	if intercept := fit.Value("intercept"); math.Abs(intercept-46) > 6 {
+		t.Errorf("intercept = %.1f mW, want 46", intercept)
 	}
-	if fit.R2 < 0.999 {
-		t.Errorf("linearity r2 = %.5f", fit.R2)
+	if r2 := fit.Value("r2"); r2 < 0.999 {
+		t.Errorf("linearity r2 = %.5f", r2)
 	}
 	// Endpoint shape: ~772 mW at 500 MHz for four cores, ~65 mW/core
 	// at 71 MHz; idle 113/50 mW per core.
 	last := points[len(points)-1]
-	if math.Abs(last.RailW-0.772) > 0.03 {
-		t.Errorf("active @500 = %.3f W, want ~0.772", last.RailW)
+	if rail := last.Value("rail_power"); math.Abs(rail-0.772) > 0.03 {
+		t.Errorf("active @500 = %.3f W, want ~0.772", rail)
 	}
-	first := points[0]
-	if math.Abs(first.RailW/4-0.065) > 0.006 {
-		t.Errorf("active/core @71 = %.3f W, want ~0.065", first.RailW/4)
+	if rail := points[0].Value("rail_power"); math.Abs(rail/4-0.065) > 0.006 {
+		t.Errorf("active/core @71 = %.3f W, want ~0.065", rail/4)
 	}
-	if math.Abs(last.IdleW/4-0.113) > 0.006 {
-		t.Errorf("idle/core @500 = %.3f W, want ~0.113", last.IdleW/4)
+	if idle := last.Value("idle_power"); math.Abs(idle/4-0.113) > 0.006 {
+		t.Errorf("idle/core @500 = %.3f W, want ~0.113", idle/4)
 	}
 }
 
 func TestFig4DVFSSavings(t *testing.T) {
 	points := served(t, "fig4", withIters(12000))
 	for _, p := range points {
-		if p.ModelDVFSW >= p.CoreW {
-			t.Errorf("%v MHz: DVFS model %.3f W >= 1V %.3f W", p.FreqMHz, p.ModelDVFSW, p.CoreW)
+		mhz, at, model, dvfs := p.Value("mhz"), p.Value("power"), p.Value("model_dvfs_power"), p.Value("dvfs_power")
+		if model >= at {
+			t.Errorf("%v MHz: DVFS model %.3f W >= 1V %.3f W", mhz, model, at)
 		}
 		// The emergent measurement (core actually run at VMin) must
 		// track the analytic DVFS model closely.
-		if math.Abs(p.DVFSW-p.ModelDVFSW) > p.ModelDVFSW*0.05 {
-			t.Errorf("%v MHz: measured DVFS %.3f W vs model %.3f W", p.FreqMHz, p.DVFSW, p.ModelDVFSW)
+		if math.Abs(dvfs-model) > model*0.05 {
+			t.Errorf("%v MHz: measured DVFS %.3f W vs model %.3f W", mhz, dvfs, model)
 		}
 	}
 	// Fig. 4 shape: at 71 MHz the saving is large (~45%), at 500 MHz
 	// modest (~10%).
 	first, last := points[0], points[len(points)-1]
-	saveLow := 1 - first.ModelDVFSW/first.CoreW
-	saveHigh := 1 - last.ModelDVFSW/last.CoreW
+	saveLow := 1 - first.Value("model_dvfs_power")/first.Value("power")
+	saveHigh := 1 - last.Value("model_dvfs_power")/last.Value("power")
 	if saveLow < 0.35 || saveLow > 0.6 {
 		t.Errorf("saving @71 MHz = %.0f%%, want ~45%%", saveLow*100)
 	}
 	if saveHigh < 0.05 || saveHigh > 0.2 {
 		t.Errorf("saving @500 MHz = %.0f%%, want ~10%%", saveHigh*100)
 	}
-	if first.VMin != 0.60 {
-		t.Errorf("Vmin @71 MHz = %.2f V, want 0.60", first.VMin)
+	if vmin := first.Value("vmin"); vmin != 0.60 {
+		t.Errorf("Vmin @71 MHz = %.2f V, want 0.60", vmin)
 	}
 }
 
 func TestFig2Budget(t *testing.T) {
 	r := served(t, "fig2", withIters(20000))[0]
 	// Per-node total ~260 mW under load.
-	if math.Abs(r.NodeW-0.260) > 0.03 {
-		t.Errorf("node total = %.0f mW, want ~260", r.NodeW*1e3)
+	if node := r.Value("node"); math.Abs(node-0.260) > 0.03 {
+		t.Errorf("node total = %.0f mW, want ~260", node*1e3)
 	}
 	// Computation wedge ~78 mW.
-	if math.Abs(r.ComputeW-0.078) > 0.012 {
-		t.Errorf("computation = %.0f mW, want ~78", r.ComputeW*1e3)
+	if compute := r.Value("compute"); math.Abs(compute-0.078) > 0.012 {
+		t.Errorf("computation = %.0f mW, want ~78", compute*1e3)
 	}
 	// Background corresponds to static + NI wedges (68 + 58 = 126 mW).
-	if math.Abs(r.BackgroundW-0.126) > 0.02 {
-		t.Errorf("background = %.0f mW, want ~126", r.BackgroundW*1e3)
+	if background := r.Value("background"); math.Abs(background-0.126) > 0.02 {
+		t.Errorf("background = %.0f mW, want ~126", background*1e3)
 	}
 }
 
@@ -207,14 +209,14 @@ func TestEq2Reproduces(t *testing.T) {
 		t.Fatalf("points = %d", len(points))
 	}
 	for _, p := range points {
-		if math.Abs(p.IPS-p.ModelIPS)/p.ModelIPS > 0.02 {
-			t.Errorf("Nt=%d: measured %.3g IPS, model %.3g", p.Threads, p.IPS, p.ModelIPS)
+		if ips, model := p.Value("ips"), p.Value("model_ips"); math.Abs(ips-model)/model > 0.02 {
+			t.Errorf("Nt=%g: measured %.3g IPS, model %.3g", p.Value("threads"), ips, model)
 		}
 	}
 }
 
 // served runs a registered compiled-scenario artifact as the registry
-// serves it and returns its sweep points.
+// serves it and returns its rows, one per sweep point.
 func served(t *testing.T, name string, cfg harness.Config) []scenario.Point {
 	t.Helper()
 	res, err := harness.Lookup(name).Run(cfg)
@@ -225,32 +227,32 @@ func served(t *testing.T, name string, cfg harness.Config) []scenario.Point {
 }
 
 func TestLatenciesShape(t *testing.T) {
-	byName := map[string]scenario.Point{}
+	byName := map[string]float64{} // ns
 	for _, p := range served(t, "latency", harness.DefaultConfig()) {
-		byName[p.Label] = p
+		byName[p.Label] = p.Value("ns")
 	}
 	local := byName["core-local word"]
 	inPkg := byName["in-package word"]
 	crossPkg := byName["cross-package word"]
 	crossBoard := byName["cross-board word"]
 	// Shape: strictly increasing with distance.
-	if !(local.NS < inPkg.NS && inPkg.NS < crossPkg.NS && crossPkg.NS < crossBoard.NS) {
+	if !(local < inPkg && inPkg < crossPkg && crossPkg < crossBoard) {
 		t.Errorf("latency ordering violated: %+v", byName)
 	}
 	// Magnitudes: core-local within ~2x of the paper's 50 ns; the
 	// cross-package word within ~2x of 360 ns.
-	if local.NS < 20 || local.NS > 100 {
-		t.Errorf("core-local = %.0f ns, want ~50", local.NS)
+	if local < 20 || local > 100 {
+		t.Errorf("core-local = %.0f ns, want ~50", local)
 	}
-	if crossPkg.NS < 180 || crossPkg.NS > 720 {
-		t.Errorf("cross-package = %.0f ns, want ~360", crossPkg.NS)
+	if crossPkg < 180 || crossPkg > 720 {
+		t.Errorf("cross-package = %.0f ns, want ~360", crossPkg)
 	}
 	// The in-package/cross-package gap stays within a small factor.
 	// (The paper's software-dominated measurements put them at 40 vs 45
 	// instructions; our simulated in-package path has less software
 	// overhead, so the ratio is larger but bounded.)
-	if crossPkg.NS/inPkg.NS > 4 {
-		t.Errorf("cross/in package ratio = %.1f, want < 4", crossPkg.NS/inPkg.NS)
+	if crossPkg/inPkg > 4 {
+		t.Errorf("cross/in package ratio = %.1f, want < 4", crossPkg/inPkg)
 	}
 }
 
@@ -262,14 +264,13 @@ func TestGoodputSweep87Percent(t *testing.T) {
 		t.Fatalf("points = %d, want %d", len(points), len(cfg.GoodputPayloads))
 	}
 	for _, p := range points {
-		if analytic := float64(p.Payload) / float64(p.Payload+4); math.Abs(p.Fraction-analytic) > 0.02 {
-			t.Errorf("payload %d: simulated %.3f vs analytic %.3f", p.Payload, p.Fraction, analytic)
+		payload, fraction := p.Value("payload"), p.Value("fraction")
+		if analytic := payload / (payload + 4); math.Abs(fraction-analytic) > 0.02 {
+			t.Errorf("payload %g: simulated %.3f vs analytic %.3f", payload, fraction, analytic)
 		}
-	}
-	// The paper's ~87% point.
-	for _, p := range points {
-		if p.Payload == 28 && math.Abs(p.Fraction-0.875) > 0.01 {
-			t.Errorf("28-byte payload goodput = %.3f, want ~0.875", p.Fraction)
+		// The paper's ~87% point.
+		if payload == 28 && math.Abs(fraction-0.875) > 0.01 {
+			t.Errorf("28-byte payload goodput = %.3f, want ~0.875", fraction)
 		}
 	}
 }
@@ -280,8 +281,8 @@ func TestECRatiosReproduce(t *testing.T) {
 		t.Fatalf("points = %d", len(points))
 	}
 	for _, p := range points {
-		if math.Abs(p.EC-p.PaperEC)/p.PaperEC > 0.10 {
-			t.Errorf("%s: measured EC %.1f, paper %.0f", p.Label, p.EC, p.PaperEC)
+		if ec, paper := p.Value("ec"), p.Value("paper_ec"); math.Abs(ec-paper)/paper > 0.10 {
+			t.Errorf("%s: measured EC %.1f, paper %.0f", p.Label, ec, paper)
 		}
 	}
 }
@@ -318,13 +319,13 @@ func TestAblationLinks(t *testing.T) {
 	// Throughput grows with link count up to 4 concurrent flows.
 	for i := 1; i < len(points); i++ {
 		prev, cur := points[i-1], points[i]
-		if cur.GoodputBps <= prev.GoodputBps*1.05 {
-			t.Errorf("aggregation gain absent: %d links %.3g vs %d links %.3g",
-				cur.IntValue, cur.GoodputBps, prev.IntValue, prev.GoodputBps)
+		if cur.Value("goodput") <= prev.Value("goodput")*1.05 {
+			t.Errorf("aggregation gain absent: %g links %.3g vs %g links %.3g",
+				cur.Value("links"), cur.Value("goodput"), prev.Value("links"), prev.Value("goodput"))
 		}
 	}
 	// Four links: ~4x one link.
-	ratio := points[3].GoodputBps / points[0].GoodputBps
+	ratio := points[3].Value("goodput") / points[0].Value("goodput")
 	if ratio < 3 || ratio > 4.5 {
 		t.Errorf("4-link/1-link ratio = %.2f, want ~4", ratio)
 	}
@@ -359,18 +360,18 @@ func TestPipelinePlacementEnergy(t *testing.T) {
 		t.Fatalf("points = %d", len(points))
 	}
 	local, scattered := points[0], points[1]
-	if local.Label != "chip-local" || local.Items != 150 {
-		t.Fatalf("first point %q, %d items; want chip-local, 150", local.Label, local.Items)
+	if local.Label != "chip-local" || local.Value("items") != 150 {
+		t.Fatalf("first point %q, %g items; want chip-local, 150", local.Label, local.Value("items"))
 	}
 	// Scattered placement crosses off-board cables (10880 pJ/bit vs
 	// 5.6): its link energy must dwarf the local placement's.
-	if scattered.LinkJ < 10*local.LinkJ {
+	if scattered.Value("link_energy") < 10*local.Value("link_energy") {
 		t.Errorf("scattered link energy %.3g not >> local %.3g",
-			scattered.LinkJ, local.LinkJ)
+			scattered.Value("link_energy"), local.Value("link_energy"))
 	}
 	// And it must also be slower (62.5 Mbit/s hops and longer paths).
-	if scattered.Elapsed <= local.Elapsed {
-		t.Errorf("scattered elapsed %v not slower than local %v",
-			scattered.Elapsed, local.Elapsed)
+	if scattered.Value("elapsed") <= local.Value("elapsed") {
+		t.Errorf("scattered elapsed %gs not slower than local %gs",
+			scattered.Value("elapsed"), local.Value("elapsed"))
 	}
 }

@@ -14,7 +14,8 @@ package experiments
 // submissions.
 
 import (
-	"fmt"
+	"slices"
+	"strings"
 
 	"swallow/internal/harness"
 	"swallow/internal/scenario"
@@ -400,92 +401,68 @@ func CanonicalScenarios() []scenario.Spec {
 
 // registerScenario compiles a canonical spec into the registry with
 // its benchmark headline quantities, called from the registry init in
-// canonical listing order. The extraction stays here, not in the
+// canonical listing order. The declarations stay here, not in the
 // compiler, so the headline names outlive any change to the specs.
 func registerScenario(s scenario.Spec) {
-	scenario.MustRegister(s, headlines[s.Name])
-}
-
-// headlines extracts each compiled artifact's headline metrics.
-var headlines = map[string]func(r *scenario.Result) map[string]float64{
-	"table1": func(r *scenario.Result) map[string]float64 {
-		m := make(map[string]float64)
-		for _, p := range r.Points {
-			m[harness.MetricName(p.Class.String(), "pJ/bit")] = p.PJPerBit
-		}
-		return m
-	},
-	"fig2": func(r *scenario.Result) map[string]float64 {
-		p := r.Points[0]
-		return map[string]float64{"node_mW": p.NodeW * 1e3, "compute_mW": p.ComputeW * 1e3}
-	},
-	"fig3": func(r *scenario.Result) map[string]float64 {
-		return map[string]float64{
-			"slope_mW/MHz": r.Fit.SlopeMWPerMHz, "intercept_mW": r.Fit.InterceptMW, "r2": r.Fit.R2,
-		}
-	},
-	"fig4": func(r *scenario.Result) map[string]float64 {
-		return map[string]float64{"dvfs_500MHz_mW": r.Points[len(r.Points)-1].ModelDVFSW * 1e3}
-	},
-	"eq2": func(r *scenario.Result) map[string]float64 {
-		m := make(map[string]float64)
-		for _, p := range r.Points {
-			if p.Threads == 1 || p.Threads == 4 || p.Threads == 8 {
-				m[fmt.Sprintf("MIPS_nt%d", p.Threads)] = p.IPS / 1e6
-			}
-		}
-		return m
-	},
-	"latency": byLabel("ns", func(p scenario.Point) float64 { return p.NS }),
-	"goodput": func(r *scenario.Result) map[string]float64 {
-		m := make(map[string]float64)
-		for _, p := range r.Points {
-			if p.Payload == 28 {
-				m["goodput_28B_%"] = p.Fraction * 100
-			}
-		}
-		return m
-	},
-	"ec": func(r *scenario.Result) map[string]float64 {
-		last := r.Points[len(r.Points)-1]
-		return map[string]float64{
-			"bisection_EC":     last.EC,
-			"bisection_Mbit/s": last.CBps / 1e6,
-		}
-	},
-	"placement": func(r *scenario.Result) map[string]float64 {
-		m := make(map[string]float64)
-		for _, p := range r.Points {
-			m[harness.MetricName(p.Label, "nJ/item")] = p.PerItemJ * 1e9
-			m[harness.MetricName(p.Label, "us")] = p.Elapsed.Seconds() * 1e6
-		}
-		return m
-	},
-	"ablation-links": func(r *scenario.Result) map[string]float64 {
-		m := make(map[string]float64)
-		for _, p := range r.Points {
-			m[fmt.Sprintf("links%d_Mbit/s", p.IntValue)] = p.GoodputBps / 1e6
-		}
-		return m
-	},
-	"ablation-placement": byLabel("Mbit/s", func(p scenario.Point) float64 { return p.GoodputBps / 1e6 }),
-	"bridge": func(r *scenario.Result) map[string]float64 {
-		return map[string]float64{"bridge_Mbit/s": r.Points[0].GoodputBps / 1e6}
-	},
-	"boot": func(r *scenario.Result) map[string]float64 {
-		p := r.Points[0]
-		return map[string]float64{"image_bytes": float64(p.ImageBytes), "boot_us": p.Elapsed.Seconds() * 1e6}
-	},
-	"boot-sweep": byLabel("nJ/item", func(p scenario.Point) float64 { return p.PerItemJ * 1e9 }),
-}
-
-// byLabel names one metric per point: its label and unit.
-func byLabel(unit string, value func(scenario.Point) float64) func(*scenario.Result) map[string]float64 {
-	return func(r *scenario.Result) map[string]float64 {
-		m := make(map[string]float64)
-		for _, p := range r.Points {
-			m[harness.MetricName(p.Label, unit)] = value(p)
-		}
-		return m
+	var metrics func(*scenario.Result) map[string]float64
+	if hs := headlines[s.Name]; hs != nil {
+		metrics = func(res *scenario.Result) map[string]float64 { return headlineMetrics(res, hs) }
 	}
+	scenario.MustRegister(s, metrics)
+}
+
+// A headline declares one benchmark quantity of a compiled artifact:
+// column col of every row that has it — or of the points labelled in
+// at, when at is set — scaled by 10^exp and named name, with the row's
+// label (or, when key is set, the cell of its key column) in place of
+// a "*" in name.
+type headline struct {
+	name, col string
+	at        []string
+	key       string
+	exp       int
+}
+
+// headlineMetrics reads the headlines from a result.
+func headlineMetrics(res *scenario.Result, hs []headline) map[string]float64 {
+	m := make(map[string]float64)
+	for _, h := range hs {
+		for _, p := range slices.Concat(res.Points, res.Extra) {
+			c, ok := p.Col(h.col)
+			if !ok || h.at != nil && !slices.Contains(h.at, p.Label) {
+				continue
+			}
+			key := p.Label
+			if k, ok := p.Col(h.key); ok {
+				key = k.Cell()
+			}
+			m[harness.MetricName(strings.Replace(h.name, "*", key, 1))] = scenario.Scale(c.Value, h.exp)
+		}
+	}
+	return m
+}
+
+// headlines declares each compiled artifact's headline metrics. Every
+// column holds SI units but latency's nanoseconds; exp scales it to the
+// metric's.
+var headlines = map[string][]headline{
+	"table1": {{name: "*_pJ/bit", col: "bit_energy", key: "class", exp: 12}},
+	"fig2":   {{name: "node_mW", col: "node", exp: 3}, {name: "compute_mW", col: "compute", exp: 3}},
+	"fig3": {
+		{name: "slope_mW/MHz", col: "slope"}, {name: "intercept_mW", col: "intercept"}, {name: "r2", col: "r2"},
+	},
+	"fig4":    {{name: "dvfs_500MHz_mW", col: "model_dvfs_power", at: []string{"500 MHz"}, exp: 3}},
+	"eq2":     {{name: "MIPS_nt*", col: "ips", at: []string{"1", "4", "8"}, exp: -6}},
+	"latency": {{name: "*_ns", col: "ns"}},
+	"goodput": {{name: "goodput_28B_%", col: "fraction", at: []string{"28"}, exp: 2}},
+	"ec": {
+		{name: "bisection_EC", col: "ec", at: []string{"slice bisection (8 cores)"}},
+		{name: "bisection_Mbit/s", col: "c", at: []string{"slice bisection (8 cores)"}, exp: -6},
+	},
+	"placement":          {{name: "*_nJ/item", col: "item_energy", exp: 9}, {name: "*_us", col: "elapsed", exp: 6}},
+	"ablation-links":     {{name: "links*_Mbit/s", col: "goodput", exp: -6}},
+	"ablation-placement": {{name: "*_Mbit/s", col: "goodput", exp: -6}},
+	"bridge":             {{name: "bridge_Mbit/s", col: "goodput", exp: -6}},
+	"boot":               {{name: "image_bytes", col: "image_bytes"}, {name: "boot_us", col: "elapsed", exp: 6}},
+	"boot-sweep":         {{name: "*_nJ/item", col: "item_energy", exp: 9}},
 }

@@ -1,16 +1,21 @@
 // Package scenario is the declarative layer over the experiment
 // stack: a Spec names a machine grid, a workload structure from
-// internal/workload (traffic flows read as goodput or link energy, or
-// the Ethernet bridge's stream; ping-pong probes; pipelines, rings,
-// client/server farms and barrier groups; or a load read as
-// instruction rate, core power, rail power, energy budget, network-boot
-// cost or ADC sampling limits), a placement (explicit nodes or an
-// internal/topo policy), an operating point, and one or more sweep
-// axes with explicit grids. Compile validates a Spec and lowers it into
-// a harness.Artifact whose inner loop runs one machine per sweep point
-// through sweep.MapWarm under the run's core.Env — the parallel-sweep
-// and pooling contracts every artifact obeys, so compiled scenarios
-// render byte-identically under every Env.
+// internal/workload (traffic flows, ping-pong probes, pipelines, rings,
+// client/server farms, barrier groups, or a load), a placement
+// (explicit nodes or an internal/topo policy), an operating point, one
+// or more sweep axes with explicit grids, and a measure. Compile
+// validates a Spec and lowers it into a harness.Artifact whose inner
+// loop runs one machine per sweep point through sweep.MapWarm under the
+// run's core.Env — the parallel-sweep and pooling contracts every
+// artifact obeys, so compiled scenarios render byte-identically under
+// every Env.
+//
+// A structure's runner checks out the point's machine and drives the
+// workload; the measure reads it. Each measure is one entry of
+// measureTable (measures.go): the structures it applies to, its extra
+// validation, its instrument, and its columns and table layout. A
+// Result row is a label plus named columns, each with a value, a unit
+// and a cell format; Render lays out the rows the measure declares.
 //
 // Specs are JSON-serialisable with a canonical normal form: Canonical
 // fills structural defaults and normalises empty slices, and Hash is
@@ -223,30 +228,19 @@ func (a Axis) kind() string {
 	return ""
 }
 
-// size is the axis grid length.
-func (a Axis) size() int {
-	switch a.kind() {
-	case "ints":
-		return len(a.Ints)
-	case "floats":
-		return len(a.Floats)
-	default:
-		return len(a.Variants)
-	}
-}
+// size is the axis grid length (a valid axis carries one list).
+func (a Axis) size() int { return len(a.Ints) + len(a.Floats) + len(a.Variants) }
 
-// Table customises the rendered table of measures that have free
-// headers (aggregate_goodput, bridge_rate, energy, mips, and
-// core_power/rail_power when they sweep more than the clock). Measures
-// with canonical layouts (goodput_fraction, latency, ec, link_energy,
-// budget, boot_cost, adc_rates) use only Title.
+// Table customises the rendered table. Every measure reads Title; its
+// entry in measureTable (measures.go) says whether it has a label
+// column and a value column, and Validate refuses Label, Value or Ratio
+// where the table would not show it.
 type Table struct {
 	// Title is the table heading; empty derives "scenario: <name>".
 	Title string `json:"title,omitempty"`
 	// Label heads the point column (default "point").
 	Label string `json:"label,omitempty"`
-	// Value heads the measured column of aggregate_goodput and
-	// bridge_rate (default "goodput").
+	// Value heads the measured column (default "goodput").
 	Value string `json:"value,omitempty"`
 	// Ratio, when non-empty, adds a column of that header holding each
 	// point's value relative to the first point's.
@@ -261,15 +255,9 @@ type Spec struct {
 	Workload    Workload   `json:"workload"`
 	Operating   *Operating `json:"operating,omitempty"`
 	Sweep       []Axis     `json:"sweep"`
-	// Measure selects what each point reports: "goodput_fraction",
-	// "aggregate_goodput", "ec", "link_energy" (Table I) or
-	// "bridge_rate" (the Ethernet bridge, which takes no flows) for
-	// traffic, "latency" for ping, "energy" for the program structures,
-	// and for load "mips" (Eq. 2), "core_power" (Fig. 4), "rail_power"
-	// (Fig. 3), "budget" (Fig. 2), "boot_cost" (an nOS network boot of
-	// the placement) or "adc_rates" (the Section II sampling limits).
-	// Empty picks the structure's default (aggregate_goodput / latency
-	// / energy / budget).
+	// Measure selects what each point reports, one of measureTable's
+	// names (measures.go) for the structure. Empty picks the structure's
+	// default (aggregate_goodput / latency / energy / budget).
 	Measure string `json:"measure,omitempty"`
 	Table   *Table `json:"table,omitempty"`
 }
@@ -290,23 +278,6 @@ var structures = map[string]string{
 	"farm":     "energy",
 	"group":    "energy",
 	"load":     "budget",
-}
-
-// measures maps each measure to the structure it applies to.
-var measures = map[string]map[string]bool{
-	"goodput_fraction":  {"traffic": true},
-	"aggregate_goodput": {"traffic": true},
-	"ec":                {"traffic": true},
-	"link_energy":       {"traffic": true},
-	"bridge_rate":       {"traffic": true},
-	"latency":           {"ping": true},
-	"energy":            {"pipeline": true, "ring": true, "farm": true, "group": true},
-	"mips":              {"load": true},
-	"core_power":        {"load": true},
-	"rail_power":        {"load": true},
-	"budget":            {"load": true},
-	"boot_cost":         {"load": true},
-	"adc_rates":         {"load": true},
 }
 
 // intAxes bounds each int axis param's values and names the structures
@@ -467,8 +438,9 @@ func (s Spec) Validate() error {
 		w.Structure != "farm" && w.Structure != "group" {
 		return badf("workload.boot: network boot applies only to program structures, not %q", w.Structure)
 	}
-	if !measures[s.Measure][w.Structure] {
-		return badf("measure: %q does not apply to structure %q", s.Measure, w.Structure)
+	ms, err := s.measureOf()
+	if err != nil {
+		return err
 	}
 	if len(s.Sweep) == 0 {
 		return badf("sweep: at least one axis is required")
@@ -507,8 +479,6 @@ func (s Spec) Validate() error {
 				return badf("%s: unknown int axis param %q (have payload, links, items, rounds, threads)", field, ax.Param)
 			case b.on != nil && !slices.Contains(b.on, w.Structure):
 				return badf("%s: %s axis needs %s", field, ax.Param, b.needs)
-			case ax.Param == "threads" && s.Measure == "boot_cost":
-				return badf("%s: threads axis does not apply to boot_cost, whose program is fixed", field)
 			}
 			for _, v := range ax.Ints {
 				if v < b.lo || v > b.hi {
@@ -577,14 +547,12 @@ func (s Spec) Validate() error {
 					if err := checkStructureNodes(w.Structure, len(v.Nodes), vf+".nodes"); err != nil {
 						return err
 					}
-					if err := s.checkRail(sys, ids(v.Nodes), vf+".nodes"); err != nil {
-						return err
-					}
 				}
 			}
 		}
 	}
-	if err := boundPoints(s.Sweep); err != nil {
+	points, err := boundPoints(s.Sweep)
+	if err != nil {
 		return err
 	}
 
@@ -593,21 +561,14 @@ func (s Spec) Validate() error {
 		if err := checkFlows(sys, w.Flows, "workload.flows", payloadAxes > 0); err != nil {
 			return err
 		}
-		// Flows may come from the workload or a variants axis. The ec
-		// measure may leave them out ("issue-limited: C = E"), and
-		// bridge_rate must: its one source is the grid's bridge.
+		// Flows may come from the workload or a variants axis, and the
+		// measure says whether it needs them.
 		flows := len(w.Flows) > 0 || s.anyVariant(func(v Variant) bool { return len(v.Flows) > 0 })
 		switch {
-		case s.Measure == "bridge_rate" && flows:
-			return badf("workload.flows: bridge_rate streams from the grid's bridge and takes no flows")
-		case !flows && s.Measure != "ec" && s.Measure != "bridge_rate":
+		case ms.flows == noFlows && flows:
+			return badf("workload.flows: %s streams from the grid's bridge and takes no flows", s.Measure)
+		case ms.flows == needFlows && !flows:
 			return badf("workload.flows: traffic structure needs flows (in the workload or its variants)")
-		}
-		if s.Measure == "goodput_fraction" && payloadAxes == 0 {
-			return badf("measure: goodput_fraction needs a payload axis")
-		}
-		if s.Measure == "ec" && variantAxes == 0 {
-			return badf("measure: ec needs a variants axis of regimes")
 		}
 	case "ping":
 		if !(w.A != nil && w.B != nil) && !s.anyVariant(func(v Variant) bool { return v.A != nil && v.B != nil }) {
@@ -630,11 +591,7 @@ func (s Spec) Validate() error {
 		if t := *w.Threads; t < 1 || t > xs1.MaxThreads {
 			return badf("workload.threads: %d outside 1-%d", t, xs1.MaxThreads)
 		}
-		nodes, err := s.placementNodes(sys)
-		if err != nil {
-			return err
-		}
-		if err := s.checkRail(sys, nodes, "workload.placement"); err != nil {
+		if _, err := s.placementNodes(sys); err != nil {
 			return err
 		}
 	default: // program structures: pipeline, ring, farm, group
@@ -670,7 +627,12 @@ func (s Spec) Validate() error {
 	if op.VDD < 0.5 || op.VDD > 1.2 {
 		return badf("operating.vdd: %g outside 0.5-1.2", op.VDD)
 	}
-	return nil
+	if ms.check != nil {
+		if err := ms.check(s, sys); err != nil {
+			return err
+		}
+	}
+	return ms.checkTable(s, points)
 }
 
 // anyVariant reports whether some variant of the sweep satisfies f.
@@ -683,17 +645,17 @@ func (s Spec) anyVariant(f func(Variant) bool) bool {
 	return false
 }
 
-// boundPoints refuses a sweep past MaxPoints. It bounds the cross
-// product axis by axis, so a hostile grid cannot wrap the total past
-// 2^64 into something small.
-func boundPoints(axes []Axis) error {
+// boundPoints counts a sweep's points and refuses more than MaxPoints.
+// It bounds the cross product axis by axis, so a hostile grid cannot
+// wrap the total past 2^64 into something small.
+func boundPoints(axes []Axis) (int, error) {
 	points := 1
 	for _, ax := range axes {
 		if points *= ax.size(); points > MaxPoints {
-			return badf("sweep: %d points exceed the %d-point service bound", points, MaxPoints)
+			return 0, badf("sweep: %d points exceed the %d-point service bound", points, MaxPoints)
 		}
 	}
-	return nil
+	return points, nil
 }
 
 // checkFlows validates one flow list.
@@ -828,10 +790,7 @@ func ids(refs []NodeRef) []topo.NodeID {
 // checkRail holds a rail_power placement to one 1 V rail: the measure
 // reads the converter that feeds it, so it must be given and must not
 // straddle two.
-func (s Spec) checkRail(sys topo.System, nodes []topo.NodeID, field string) error {
-	if s.Measure != "rail_power" {
-		return nil
-	}
+func checkRail(sys topo.System, nodes []topo.NodeID, field string) error {
 	if len(nodes) == 0 {
 		return badf("%s: rail_power reads the rail that feeds the placement, and none is given", field)
 	}

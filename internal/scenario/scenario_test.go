@@ -158,6 +158,35 @@ func TestValidationRejectsBadSpecs(t *testing.T) {
 			s.Workload.Flows = nil
 			s.Measure = "bridge_rate"
 		}, "takes no flows"},
+		{"unknown measure", func(s *Spec) { s.Measure = "watts" },
+			`measure: unknown measure "watts" (have aggregate_goodput, bridge_rate, ec, goodput_fraction, link_energy)`},
+		{"ratio on latency", func(s *Spec) {
+			s.Workload = Workload{Structure: "ping", A: &NodeRef{Layer: "V"}, B: &NodeRef{Layer: "H"}}
+			s.Measure = "latency"
+			s.Table = &Table{Ratio: "x"}
+		}, "table.value/ratio"},
+		{"value on energy", func(s *Spec) {
+			s.Workload = Workload{Structure: "ring", Placement: &Placement{Policy: "column", Count: 2}}
+			s.Table = &Table{Value: "x"}
+		}, "table.value/ratio"},
+		{"label on goodput_fraction", func(s *Spec) {
+			s.Workload.Flows[0].Tokens, s.Workload.Flows[0].TokensPerUnit = 0, 1
+			s.Sweep = []Axis{{Param: "payload", Ints: []int{8}}}
+			s.Measure = "goodput_fraction"
+			s.Table = &Table{Label: "x"}
+		}, "table.label"},
+		{"label on a clock-swept core_power", func(s *Spec) {
+			s.Workload = Workload{Structure: "load"}
+			s.Sweep = []Axis{{Param: "freq_mhz", Floats: []float64{250, 500}}}
+			s.Measure = "core_power"
+			s.Table = &Table{Label: "x"}
+		}, "table.label"},
+		{"label on a one-point boot_cost", func(s *Spec) {
+			s.Workload = Workload{Structure: "load"}
+			s.Sweep = []Axis{{Param: "freq_mhz", Floats: []float64{500}}}
+			s.Measure = "boot_cost"
+			s.Table = &Table{Label: "x"}
+		}, "table.label"},
 		{"threads axis on boot_cost", func(s *Spec) {
 			s.Workload = Workload{Structure: "load"}
 			s.Measure = "boot_cost"
@@ -257,6 +286,24 @@ func TestRoundTripHashStable(t *testing.T) {
 				A: &NodeRef{Layer: "V"}, B: &NodeRef{Y: 1, Layer: "H"}},
 			Sweep: []Axis{{Param: "rounds", Ints: []int{8, 16}}},
 		},
+		// The label column shows where the layout has one: a boot_cost
+		// of several points, a core_power swept over more than the clock.
+		{
+			Name:     "boots",
+			Grid:     Grid{SlicesX: 1, SlicesY: 1},
+			Workload: Workload{Structure: "load"},
+			Sweep:    []Axis{{Param: "freq_mhz", Floats: []float64{250, 500}}},
+			Measure:  "boot_cost",
+			Table:    &Table{Label: "clock"},
+		},
+		{
+			Name:     "threads",
+			Grid:     Grid{SlicesX: 1, SlicesY: 1},
+			Workload: Workload{Structure: "load"},
+			Sweep:    []Axis{{Param: "threads", Ints: []int{1, 4}}},
+			Measure:  "core_power",
+			Table:    &Table{Label: "threads"},
+		},
 	}
 	for _, s := range specs {
 		if err := s.Validate(); err != nil {
@@ -342,9 +389,9 @@ func TestNovelStructuresRun(t *testing.T) {
 			t.Fatalf("points = %d", len(res.Points))
 		}
 		// Halving the clock must slow the ring down.
-		if res.Points[0].Elapsed <= res.Points[1].Elapsed {
-			t.Fatalf("250 MHz ring (%v) not slower than 500 MHz (%v)",
-				res.Points[0].Elapsed, res.Points[1].Elapsed)
+		if res.Points[0].Value("elapsed") <= res.Points[1].Value("elapsed") {
+			t.Fatalf("250 MHz ring (%gs) not slower than 500 MHz (%gs)",
+				res.Points[0].Value("elapsed"), res.Points[1].Value("elapsed"))
 		}
 	})
 	t.Run("farm", func(t *testing.T) {
@@ -356,10 +403,10 @@ func TestNovelStructuresRun(t *testing.T) {
 			Sweep: []Axis{{Param: "items", Ints: []int{4, 8}}},
 		})
 		for i, want := range []int{4, 8} {
-			if res.Points[i].Items != want {
-				t.Fatalf("point %d items = %d, want %d", i, res.Points[i].Items, want)
+			if got := res.Points[i].Value("items"); got != float64(want) {
+				t.Fatalf("point %d items = %g, want %d", i, got, want)
 			}
-			if res.Points[i].Elapsed == 0 || res.Points[i].CoreJ <= 0 {
+			if res.Points[i].Value("elapsed") == 0 || res.Points[i].Value("core_energy") <= 0 {
 				t.Fatalf("point %d unmeasured: %+v", i, res.Points[i])
 			}
 		}
@@ -372,7 +419,7 @@ func TestNovelStructuresRun(t *testing.T) {
 				Placement: &Placement{Policy: "scatter", Count: 4}},
 			Sweep: []Axis{{Param: "rounds", Ints: []int{2, 3}}},
 		})
-		if len(res.Points) != 2 || res.Points[0].Elapsed >= res.Points[1].Elapsed {
+		if len(res.Points) != 2 || res.Points[0].Value("elapsed") >= res.Points[1].Value("elapsed") {
 			t.Fatalf("more rounds must take longer: %+v", res.Points)
 		}
 	})
@@ -388,8 +435,8 @@ func TestNovelStructuresRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Points) != 1 || res.Fit != nil {
-			t.Fatalf("%d points, fit %v; want one point and no fit", len(res.Points), res.Fit)
+		if len(res.Points) != 1 || res.Extra != nil {
+			t.Fatalf("%d points, extra rows %v; want one point and no fit", len(res.Points), res.Extra)
 		}
 		if rows := len(c.Render(res).Rows); rows == 0 {
 			t.Fatal("empty render")
@@ -407,13 +454,14 @@ func TestNovelStructuresRun(t *testing.T) {
 			})
 		}
 		two, one := budget(2), budget(1)
-		if two.ComputeW <= 0 || two.NodeW != two.ComputeW+two.BackgroundW+two.ConversionW+two.SupportW+two.LinkW {
+		node := two.Value("node")
+		if two.Value("compute") <= 0 || node != two.Value("compute")+two.Value("background")+two.Value("conversion")+two.Value("support")+two.Value("link") {
 			t.Fatalf("2x1 wedges %+v", two)
 		}
 		// Every core carries the same load, so the per-node budget does
 		// not depend on how many slices share it.
-		if math.Abs(two.NodeW-one.NodeW) > 0.01*one.NodeW {
-			t.Errorf("per-node total %.1f mW on 2x1, %.1f mW on 1x1", two.NodeW*1e3, one.NodeW*1e3)
+		if math.Abs(node-one.Value("node")) > 0.01*one.Value("node") {
+			t.Errorf("per-node total %.1f mW on 2x1, %.1f mW on 1x1", node*1e3, one.Value("node")*1e3)
 		}
 	})
 	t.Run("rail_power on rail 2", func(t *testing.T) {
@@ -432,8 +480,9 @@ func TestNovelStructuresRun(t *testing.T) {
 		two, zero := rail(2), rail(0)
 		// The rail read is the one that carries the load: it draws what
 		// Fig. 3's rail 0 draws, well above the idle rail.
-		if math.Abs(two.RailW-zero.RailW) > 0.01*zero.RailW || two.RailW < 1.2*two.IdleW {
-			t.Errorf("rail 2 reads %.3f W loaded, %.3f W idle; rail 0 %.3f W loaded", two.RailW, two.IdleW, zero.RailW)
+		loaded, idle, zeroLoaded := two.Value("rail_power"), two.Value("idle_power"), zero.Value("rail_power")
+		if math.Abs(loaded-zeroLoaded) > 0.01*zeroLoaded || loaded < 1.2*idle {
+			t.Errorf("rail 2 reads %.3f W loaded, %.3f W idle; rail 0 %.3f W loaded", loaded, idle, zeroLoaded)
 		}
 	})
 	// The instruments too: Table I's reading on a route its spec does
@@ -449,9 +498,10 @@ func TestNovelStructuresRun(t *testing.T) {
 			Sweep:   []Axis{{Param: "freq_mhz", Floats: []float64{250}}},
 			Measure: "link_energy",
 		})
-		want := energy.LinkSpecs[energy.LinkBoardVertical].EnergyPerBit() * 1e12
-		if p.Class != energy.LinkBoardVertical || math.Abs(p.PJPerBit-want) > 0.01*want || p.Busy < 0.99 {
-			t.Errorf("%v at %.1f pJ/bit, busy %.3f; want on-board,vertical at %.1f, busy >= 0.99", p.Class, p.PJPerBit, p.Busy, want)
+		want := energy.LinkSpecs[energy.LinkBoardVertical].EnergyPerBit()
+		class, perBit, busy := energy.LinkClass(p.Value("class")), p.Value("bit_energy"), p.Value("busy")
+		if class != energy.LinkBoardVertical || math.Abs(perBit-want) > 0.01*want || busy < 0.99 {
+			t.Errorf("%v at %.1f pJ/bit, busy %.3f; want on-board,vertical at %.1f, busy >= 0.99", class, perBit*1e12, busy, want*1e12)
 		}
 	})
 	t.Run("boot_cost on two nodes at 250 MHz", func(t *testing.T) {
@@ -468,8 +518,9 @@ func TestNovelStructuresRun(t *testing.T) {
 		four := boot(500, NodeRef{Layer: "V"}, NodeRef{Layer: "H"}, NodeRef{X: 1, Layer: "V"}, NodeRef{X: 1, Layer: "H"})
 		// Every core takes the same image, so two cores stream half the
 		// bytes of Table I's four.
-		if two.ImageBytes*2 != four.ImageBytes || two.Elapsed <= 0 {
-			t.Errorf("two cores at 250 MHz: %d bytes in %v; four at 500 MHz: %d bytes", two.ImageBytes, two.Elapsed, four.ImageBytes)
+		if two.Value("image_bytes")*2 != four.Value("image_bytes") || two.Value("elapsed") <= 0 {
+			t.Errorf("two cores at 250 MHz: %g bytes in %gs; four at 500 MHz: %g bytes",
+				two.Value("image_bytes"), two.Value("elapsed"), four.Value("image_bytes"))
 		}
 	})
 	t.Run("bridge_rate on a 2x2 grid", func(t *testing.T) {
@@ -480,8 +531,8 @@ func TestNovelStructuresRun(t *testing.T) {
 			Sweep:    []Axis{{Param: "freq_mhz", Floats: []float64{500}}},
 			Measure:  "bridge_rate",
 		})
-		if math.Abs(p.GoodputBps-80e6) > 0.01*80e6 {
-			t.Errorf("2x2 bridge ingress %.3g bit/s, want its 80 Mbit/s cap", p.GoodputBps)
+		if rate := p.Value("goodput"); math.Abs(rate-80e6) > 0.01*80e6 {
+			t.Errorf("2x2 bridge ingress %.3g bit/s, want its 80 Mbit/s cap", rate)
 		}
 	})
 	t.Run("pipeline placement variants", func(t *testing.T) {
@@ -500,9 +551,9 @@ func TestNovelStructuresRun(t *testing.T) {
 			}}},
 		})
 		local, corners := res.Points[0], res.Points[1]
-		if corners.LinkJ <= local.LinkJ {
+		if corners.Value("link_energy") <= local.Value("link_energy") {
 			t.Fatalf("scattered pipeline link energy %g not above local %g",
-				corners.LinkJ, local.LinkJ)
+				corners.Value("link_energy"), local.Value("link_energy"))
 		}
 	})
 }

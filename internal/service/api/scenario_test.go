@@ -130,6 +130,11 @@ func TestScenarioBadSpecs(t *testing.T) {
 		{"adc_rates on traffic", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"traffic","flows":[{"src":{"layer":"V"},"dst":{"layer":"H"},"tokens":10}]},"sweep":[{"param":"links","ints":[1]}],"measure":"adc_rates"}`, `adc_rates\" does not apply`},
 		{"flows on bridge_rate", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"traffic","flows":[{"src":{"layer":"V"},"dst":{"layer":"H"},"tokens":10}]},"sweep":[{"param":"links","ints":[1]}],"measure":"bridge_rate"}`, "takes no flows"},
 		{"threads axis on boot_cost", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"load"},"sweep":[{"param":"threads","ints":[2]}],"measure":"boot_cost"}`, "threads axis does not apply"},
+		// A table field the measure's layout never reads is a typo'd
+		// knob, not a silent no-op; an unknown measure lists the known.
+		{"ratio on latency", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"ping","a":{"layer":"V"},"b":{"layer":"H"}},"sweep":[{"param":"rounds","ints":[4]}],"measure":"latency","table":{"ratio":"x"}}`, "table.value/ratio"},
+		{"label on one-point boot_cost", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"load"},"sweep":[{"param":"freq_mhz","floats":[500]}],"measure":"boot_cost","table":{"label":"x"}}`, "table.label"},
+		{"unknown measure", `{"grid":{"slices_x":1,"slices_y":1},"workload":{"structure":"load"},"sweep":[{"param":"freq_mhz","floats":[500]}],"measure":"watts"}`, `unknown measure \"watts\" (have adc_rates, boot_cost, budget, core_power, mips, rail_power)`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
