@@ -1,17 +1,13 @@
 // Command swallow-load drives a running swallow-serve with a
 // configurable artifact mix and reports throughput and tail latency —
 // the ReqBench shape: a workload description, a concurrency knob, and
-// a closed or open request loop.
-//
-// Closed loop (default): -c workers each issue requests back-to-back,
-// so offered load adapts to service rate. Open loop (-rate R): R
-// arrivals per second regardless of completions, exposing queueing
-// delay under overload.
+// a closed request loop: -c workers each issue requests back-to-back,
+// so offered load adapts to service rate.
 //
 // Usage:
 //
 //	swallow-load [-url http://localhost:8080] [-c 4] [-n 100 | -d 10s]
-//	             [-rate R] [-artifacts regexp] [-quick] [-json]
+//	             [-artifacts regexp] [-quick] [-json]
 //	             [-scenario spec.json[,spec2.json...]]
 //
 // The artifact mix is discovered from GET /artifacts, filtered by
@@ -117,7 +113,6 @@ func main() {
 	conc := flag.Int("c", 4, "closed-loop worker count")
 	n := flag.Int64("n", 100, "total requests (0: unbounded, needs -d; ignored when only -d is given)")
 	dur := flag.Duration("d", 0, "run duration (0: until -n requests)")
-	rate := flag.Float64("rate", 0, "open-loop arrivals per second (0: closed loop)")
 	only := flag.String("artifacts", "", "regexp selecting the artifact mix (default: all)")
 	scenarios := flag.String("scenario", "", "comma-separated scenario spec files to POST as part of the mix")
 	quick := flag.Bool("quick", false, "request quick (less settled) renders")
@@ -161,7 +156,7 @@ func main() {
 	}
 
 	start := time.Now()
-	samples := run(client, mix, *conc, *n, *dur, *rate)
+	samples := run(client, mix, *conc, *n, *dur)
 	wall := time.Since(start)
 	st := reduce(samples, mix, wall)
 	if *asJSON {
@@ -267,10 +262,10 @@ func fetch(client *http.Client, t target) sample {
 	return s
 }
 
-// run drives the load loop and returns every sample. Request i always
-// targets mix[i % len(mix)], so the mix is deterministic for a given
-// -n whatever the interleaving.
-func run(client *http.Client, mix []target, conc int, n int64, dur time.Duration, rate float64) []sample {
+// run drives the closed loop — conc workers back-to-back — and returns
+// every sample. Request i always targets mix[i % len(mix)], so the mix
+// is deterministic for a given -n whatever the interleaving.
+func run(client *http.Client, mix []target, conc int, n int64, dur time.Duration) []sample {
 	var next atomic.Int64
 	var deadline time.Time
 	if dur > 0 {
@@ -287,42 +282,18 @@ func run(client *http.Client, mix []target, conc int, n int64, dur time.Duration
 	}
 
 	var wg sync.WaitGroup
-	if rate > 0 {
-		// Open loop: fixed arrival schedule, one goroutine per
-		// arrival. The inter-arrival wait precedes each dispatch after
-		// the first so wall time ends at the last arrival, not one
-		// idle interval later.
-		interval := time.Duration(float64(time.Second) / rate)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for i := int64(0); ; i++ {
-			if (n > 0 && i >= n) || stopped() {
-				break
-			}
-			if i > 0 {
-				<-ticker.C
-			}
-			wg.Add(1)
-			go func(t target) {
-				defer wg.Done()
-				record(fetch(client, t))
-			}(mix[i%int64(len(mix))])
-		}
-	} else {
-		// Closed loop: conc workers back-to-back.
-		wg.Add(conc)
-		for w := 0; w < conc; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := next.Add(1) - 1
-					if (n > 0 && i >= n) || stopped() {
-						return
-					}
-					record(fetch(client, mix[i%int64(len(mix))]))
+	wg.Add(conc)
+	for w := 0; w < conc; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := next.Add(1) - 1
+				if (n > 0 && i >= n) || stopped() {
+					return
 				}
-			}()
-		}
+				record(fetch(client, mix[i%int64(len(mix))]))
+			}
+		}()
 	}
 	wg.Wait()
 	return samples

@@ -18,7 +18,7 @@
 //
 //	swallow-serve [-addr :8080] [-quick] [-par N]
 //	              [-pool-max-mb N] [-workers N] [-queue N]
-//	              [-cache-mb N] [-cache-entries N] [-cache-ttl D]
+//	              [-cache-mb N] [-cache-entries N]
 //	              [-store-dir DIR] [-store-mb N]
 //	              [-access-log=false] [-pprof]
 //	              [-join URL] [-advertise URL] [-drain-notice D]
@@ -30,11 +30,11 @@
 // X-Cache: HIT-DISK without re-simulating. Entries are keyed by the
 // same canonical content hash as the memory cache and invalidated
 // only by registry-version changes — determinism makes them valid
-// forever, so -cache-ttl does not apply to the disk tier. -store-mb
-// bounds the directory size (LRU eviction). The store also persists
-// named scenarios (PUT /scenarios/{name}) and serves peer cache fills
-// (GET /cache/{key}) to ring neighbors in cluster mode. Without
-// -store-dir everything behaves exactly as before (memory-only).
+// forever. -store-mb bounds the directory size (LRU eviction). The
+// store also persists named scenarios (PUT /scenarios/{name}) and
+// serves peer cache fills (GET /cache/{key}) to ring neighbors in
+// cluster mode. Without -store-dir everything behaves exactly as
+// before (memory-only).
 //
 // Observability: every request gets an X-Request-ID (inbound value
 // propagated, otherwise generated) and -access-log (default on) emits
@@ -107,7 +107,6 @@ func main() {
 	queueCap := flag.Int("queue", 64, "job queue capacity (backpressure beyond it)")
 	cacheMB := flag.Int64("cache-mb", 64, "result cache bound, MiB")
 	cacheEntries := flag.Int("cache-entries", 256, "result cache bound, entries")
-	cacheTTL := flag.Duration("cache-ttl", 0, "result cache entry lifetime (0 = never expire); memory tier only — the disk store never expires by time")
 	storeDir := flag.String("store-dir", "", "persistent artifact store directory (empty: memory-only)")
 	storeMB := flag.Int64("store-mb", 1024, "persistent store size bound, MiB (LRU eviction)")
 	poolMaxMB := flag.Int64("pool-max-mb", 256, "idle machine pool byte budget, MiB (0 = unbounded); submitted scenarios on big grids cannot park memory past it")
@@ -142,7 +141,6 @@ func main() {
 	opts := api.Options{
 		CacheBytes:    *cacheMB << 20,
 		CacheEntries:  *cacheEntries,
-		CacheTTL:      *cacheTTL,
 		Workers:       *workers,
 		QueueCapacity: *queueCap,
 		Store:         st,

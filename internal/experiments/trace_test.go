@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"swallow/internal/core"
@@ -44,13 +46,16 @@ func TestTracingNeutralGolden(t *testing.T) {
 // same artifact twice must produce byte-identical text timelines — same
 // machines, same checkout order, same event sequence with the same
 // timestamps — whatever ran before or runs beside it, because a traced
-// Env draws on nothing the rest of the process has touched.
+// Env draws on nothing the rest of the process has touched. The first
+// recording's Chrome export must load: valid JSON, known phases only,
+// and every core track it names carrying events.
 func TestTraceDeterministicGolden(t *testing.T) {
 	cfg := harness.QuickConfig()
 	fig3 := harness.Lookup("fig3")
 	if fig3 == nil {
 		t.Fatal("fig3 artifact not registered")
 	}
+	var chrome bytes.Buffer
 	record := func() []byte {
 		sess := trace.NewSession(0)
 		cfg.Env = core.TracedEnv(sess)
@@ -61,10 +66,16 @@ func TestTraceDeterministicGolden(t *testing.T) {
 		if err := sess.WriteText(&buf); err != nil {
 			t.Fatal(err)
 		}
+		if chrome.Len() == 0 {
+			if err := sess.WriteChrome(&chrome); err != nil {
+				t.Fatal(err)
+			}
+		}
 		return buf.Bytes()
 	}
 
 	first := record()
+	checkCoreTracks(t, chrome.Bytes())
 	// In between, leave the shared pool's fig3 machines with a history.
 	if _, err := fig3.Table(harness.QuickConfig()); err != nil {
 		t.Fatal(err)
@@ -75,5 +86,46 @@ func TestTraceDeterministicGolden(t *testing.T) {
 	}
 	if !bytes.Equal(first, second) {
 		t.Errorf("tracing fig3 twice produced different timelines:\n--- first ---\n%s\n--- second ---\n%s", first, second)
+	}
+}
+
+// checkCoreTracks holds a Chrome export of a live recording to what a
+// viewer needs: it parses, every phase is metadata (M), span (X),
+// counter (C) or instant (i), and every "core …" track carries events.
+func checkCoreTracks(t *testing.T, blob []byte) {
+	t.Helper()
+	var doc struct {
+		TraceEvents []struct {
+			Name     string
+			Ph       string
+			Pid, Tid int
+			Args     struct{ Name string }
+		}
+	}
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		t.Fatalf("Chrome export is not valid JSON: %v", err)
+	}
+	type lane struct{ pid, tid int }
+	events := map[lane]int{}
+	var cores []lane
+	for _, ev := range doc.TraceEvents {
+		switch ev.Ph {
+		case "M":
+			if ev.Name == "thread_name" && strings.HasPrefix(ev.Args.Name, "core ") {
+				cores = append(cores, lane{ev.Pid, ev.Tid})
+			}
+		case "X", "C", "i":
+			events[lane{ev.Pid, ev.Tid}]++
+		default:
+			t.Fatalf("Chrome export has phase %q", ev.Ph)
+		}
+	}
+	if len(cores) == 0 {
+		t.Fatal("Chrome export names no core track")
+	}
+	for _, c := range cores {
+		if events[c] == 0 {
+			t.Errorf("core track pid %d tid %d carries no events", c.pid, c.tid)
+		}
 	}
 }

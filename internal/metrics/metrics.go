@@ -8,17 +8,11 @@ import (
 	"math"
 )
 
-// Per-thread and per-core instruction rates of Eq. 2.
+// IPSCore is the aggregate instruction rate of one core (Eq. 2):
 //
-//	IPSt = f / max(4, Nt)      IPSc = f * min(4, Nt) / 4
-func IPSThread(fHz float64, nt int) float64 {
-	if nt < 1 {
-		return 0
-	}
-	return fHz / math.Max(4, float64(nt))
-}
-
-// IPSCore is the aggregate instruction rate of one core (Eq. 2).
+//	IPSc = f * min(4, Nt) / 4
+//
+// the per-thread rate IPSt = f / max(4, Nt) times the Nt threads.
 func IPSCore(fHz float64, nt int) float64 {
 	if nt < 1 {
 		return 0

@@ -20,14 +20,11 @@ func TestEq2Laws(t *testing.T) {
 		{8, 62.5e6, 500e6},
 	}
 	for _, c := range cases {
-		if got := IPSThread(f, c.nt); math.Abs(got-c.ipst) > 1 {
-			t.Errorf("IPSThread(%d) = %v, want %v", c.nt, got, c.ipst)
-		}
 		if got := IPSCore(f, c.nt); math.Abs(got-c.ipsc) > 1 {
 			t.Errorf("IPSCore(%d) = %v, want %v", c.nt, got, c.ipsc)
 		}
 	}
-	if IPSThread(f, 0) != 0 || IPSCore(f, -1) != 0 {
+	if IPSCore(f, -1) != 0 {
 		t.Error("nonpositive thread counts must give 0")
 	}
 }
@@ -37,7 +34,7 @@ func TestEq2ConservationProperty(t *testing.T) {
 	f := func(ntRaw uint8) bool {
 		nt := int(ntRaw)%8 + 1
 		agg := IPSCore(500e6, nt)
-		per := IPSThread(500e6, nt)
+		per := 500e6 / math.Max(4, float64(nt)) // Eq. 2's IPSt
 		return math.Abs(agg-per*float64(nt)) < 1e-3
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -47,7 +44,7 @@ func TestEq2ConservationProperty(t *testing.T) {
 
 func TestExecutionBitRate(t *testing.T) {
 	// One thread at 125 MIPS on 32-bit data: 4 Gbit/s (Section V-D).
-	if got := ExecutionBitRate(IPSThread(500e6, 1)); math.Abs(got-4e9) > 1 {
+	if got := ExecutionBitRate(IPSCore(500e6, 1)); math.Abs(got-4e9) > 1 {
 		t.Errorf("single-thread E = %v, want 4e9", got)
 	}
 	// Four threads: 16 Gbit/s.

@@ -88,11 +88,6 @@ func (n NodeRef) ID() topo.NodeID {
 	return topo.MakeNodeID(n.X, n.Y, l)
 }
 
-// Ref is the inverse of ID, for building specs from topo nodes.
-func Ref(n topo.NodeID) NodeRef {
-	return NodeRef{X: n.X(), Y: n.Y(), Layer: n.Layer().String()}
-}
-
 // check validates the reference against a system grid.
 func (n NodeRef) check(sys topo.System, field string) error {
 	if n.Layer != "V" && n.Layer != "H" {

@@ -78,10 +78,6 @@ type Options struct {
 	// 256 entries).
 	CacheBytes   int64
 	CacheEntries int
-	// CacheTTL expires cached renders that age past it; 0 (the
-	// default) keeps them until capacity evicts, which is sound
-	// because artifacts are pure.
-	CacheTTL time.Duration
 	// Workers / QueueCapacity / JobRetention shape the job queue
 	// (<= 0: 1 worker, 16 slots, 64 retained jobs).
 	Workers       int
@@ -142,7 +138,7 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		resolver:  cluster.NewResolver(opts.DefaultConfig, opts.QuickConfig),
-		cache:     cache.New(opts.CacheBytes, opts.CacheEntries, cache.WithTTL(opts.CacheTTL)),
+		cache:     cache.New(opts.CacheBytes, opts.CacheEntries),
 		store:     opts.Store,
 		peers:     &http.Client{Timeout: opts.PeerTimeout},
 		queue:     queue.New(opts.Workers, opts.QueueCapacity, opts.JobRetention),

@@ -109,7 +109,6 @@ func (m *metrics) write(w io.Writer, cs cache.Stats, ss store.Stats, queueDepth,
 	fmt.Fprintf(w, "swallow_cache_misses_total %d\n", cs.Misses)
 	fmt.Fprintf(w, "swallow_cache_shared_fills_total %d\n", cs.Shared)
 	fmt.Fprintf(w, "swallow_cache_evictions_total %d\n", cs.Evictions)
-	fmt.Fprintf(w, "swallow_cache_expired_total %d\n", cs.Expired)
 	fmt.Fprintf(w, "swallow_cache_hit_ratio %.4f\n", cs.HitRatio())
 	fmt.Fprintf(w, "swallow_cache_entries %d\n", cs.Entries)
 	fmt.Fprintf(w, "swallow_cache_bytes %d\n", cs.Bytes)

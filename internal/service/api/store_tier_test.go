@@ -1,6 +1,6 @@
 // Store-tier tests: the disk tier under the memory cache (HIT-DISK
-// restarts), its TTL independence, the peer cache-fill path
-// (HIT-PEER), the raw /cache/{key} endpoint, and named scenarios.
+// restarts), the peer cache-fill path (HIT-PEER), the raw /cache/{key}
+// endpoint, and named scenarios.
 // Like the rest of the api tests they run against the synthetic
 // registry in api_test.go, so tier transitions are observable through
 // the echoRuns counter: any unexpected re-simulation is a hard fail.
@@ -82,32 +82,6 @@ func TestRestartServesFromDiskStore(t *testing.T) {
 	wantCache(t, resp, "HIT")
 	if echoRuns.Load() != runs {
 		t.Fatal("memory hit re-simulated")
-	}
-}
-
-// TestTTLExpiryRefillsFromDisk pins the tier interplay: -cache-ttl
-// governs only the memory tier; an expired entry refills from disk
-// (determinism keeps stored results valid forever) without
-// re-simulating.
-func TestTTLExpiryRefillsFromDisk(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := newServer(t, api.Options{
-		Store:    openStore(t, dir),
-		CacheTTL: 20 * time.Millisecond,
-	})
-	resp, body1 := get(t, ts.URL+"/artifacts/echo")
-	wantCache(t, resp, "MISS")
-	runs := echoRuns.Load()
-
-	time.Sleep(60 * time.Millisecond) // let the memory entry age out
-
-	resp, body2 := get(t, ts.URL+"/artifacts/echo")
-	wantCache(t, resp, "HIT-DISK")
-	if body2 != body1 {
-		t.Fatal("TTL refill body differs")
-	}
-	if echoRuns.Load() != runs {
-		t.Fatal("TTL expiry re-simulated despite a valid stored entry")
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"swallow/internal/harness"
 )
@@ -54,10 +53,7 @@ type Stats struct {
 	Hits, Misses, Evictions int64
 	// Shared counts GetOrFill callers that piggybacked on another
 	// caller's in-flight fill instead of running their own.
-	Shared int64
-	// Expired counts lookups that found an entry past its TTL (each is
-	// also counted as a miss).
-	Expired int64
+	Shared  int64
 	Entries int
 	Bytes   int64
 }
@@ -66,8 +62,6 @@ type Stats struct {
 type entry struct {
 	key string
 	val Entry
-	// filled stamps the fill completion, for TTL expiry.
-	filled time.Time
 }
 
 // ErrFillPanicked is what the followers of a fill that panicked get.
@@ -86,8 +80,6 @@ type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
 	maxEnt   int
-	ttl      time.Duration
-	now      func() time.Time
 	bytes    int64
 	ll       *list.List // front = most recent
 	items    map[string]*list.Element
@@ -95,57 +87,18 @@ type Cache struct {
 	stats    Stats
 }
 
-// Option configures a Cache at construction.
-type Option func(*Cache)
-
-// WithTTL expires entries d after their fill completed: a lookup past
-// the deadline counts as a miss and the entry is dropped (expiry is
-// lazy — idle entries linger until looked up or evicted by capacity).
-// Artifacts are pure, so the default — d = 0, never expire — stays
-// correct; a TTL bounds staleness if configs ever gain inputs the
-// cache key cannot see.
-//
-// TTL governs only this memory tier. The disk tier underneath
-// (internal/service/store) deliberately ignores it: determinism makes
-// a stored body valid for as long as the registry version holds, so a
-// TTL-expired memory entry refills from disk (X-Cache: HIT-DISK)
-// without re-simulating, and the store invalidates by registry
-// version, never by age.
-func WithTTL(d time.Duration) Option {
-	return func(c *Cache) { c.ttl = d }
-}
-
 // New builds a cache bounded to maxBytes total body bytes and
 // maxEntries renders. Non-positive bounds mean "unbounded" in that
-// dimension.
-func New(maxBytes int64, maxEntries int, opts ...Option) *Cache {
-	c := &Cache{
+// dimension. Entries never expire by age: artifacts are pure, so a
+// cached body is valid until capacity evicts it.
+func New(maxBytes int64, maxEntries int) *Cache {
+	return &Cache{
 		maxBytes: maxBytes,
 		maxEnt:   maxEntries,
-		now:      time.Now,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
 		inflight: make(map[string]*flight),
 	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
-}
-
-// expired reports whether ent is past its TTL. Caller holds mu.
-func (c *Cache) expired(ent *entry) bool {
-	return c.ttl > 0 && c.now().Sub(ent.filled) > c.ttl
-}
-
-// dropExpired removes an expired element; the caller books the miss
-// it turns into. Caller holds mu.
-func (c *Cache) dropExpired(el *list.Element) {
-	ent := el.Value.(*entry)
-	c.ll.Remove(el)
-	delete(c.items, ent.key)
-	c.bytes -= int64(len(ent.val.Body))
-	c.stats.Expired++
 }
 
 // Get returns the cached entry for key, marking it most recently used.
@@ -157,27 +110,20 @@ func (c *Cache) Get(key string) (Entry, bool) {
 		c.stats.Misses++
 		return Entry{}, false
 	}
-	if c.expired(el.Value.(*entry)) {
-		c.dropExpired(el)
-		c.stats.Misses++
-		return Entry{}, false
-	}
 	c.ll.MoveToFront(el)
 	c.stats.Hits++
 	return el.Value.(*entry).val, true
 }
 
 // Peek returns the cached entry for key without touching recency
-// order or the hit/miss counters. It still honors TTL (an expired
-// entry is not returned, but is left for the accounted paths to
-// drop). It exists for the peer cache-fill endpoint: a sibling worker
-// probing this cache should not distort the eviction order or the
-// /metrics hit ratio the load tests assert on.
+// order or the hit/miss counters. It exists for the peer cache-fill
+// endpoint: a sibling worker probing this cache should not distort the
+// eviction order or the /metrics hit ratio the load tests assert on.
 func (c *Cache) Peek(key string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
-	if !ok || c.expired(el.Value.(*entry)) {
+	if !ok {
 		return Entry{}, false
 	}
 	return el.Value.(*entry).val, true
@@ -192,15 +138,10 @@ func (c *Cache) Peek(key string) (Entry, bool) {
 func (c *Cache) GetOrFill(key string, fill func() ([]byte, error)) (e Entry, hit bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
-		if c.expired(el.Value.(*entry)) {
-			c.dropExpired(el)
-			// Fall through to the fill path below.
-		} else {
-			c.ll.MoveToFront(el)
-			c.stats.Hits++
-			c.mu.Unlock()
-			return el.Value.(*entry).val, true, nil
-		}
+		c.ll.MoveToFront(el)
+		c.stats.Hits++
+		c.mu.Unlock()
+		return el.Value.(*entry).val, true, nil
 	}
 	if f, ok := c.inflight[key]; ok {
 		c.stats.Shared++
@@ -244,10 +185,9 @@ func (c *Cache) add(key string, val Entry) {
 		ent := el.Value.(*entry)
 		c.bytes += int64(len(val.Body)) - int64(len(ent.val.Body))
 		ent.val = val
-		ent.filled = c.now()
 		c.ll.MoveToFront(el)
 	} else {
-		c.items[key] = c.ll.PushFront(&entry{key: key, val: val, filled: c.now()})
+		c.items[key] = c.ll.PushFront(&entry{key: key, val: val})
 		c.bytes += int64(len(val.Body))
 	}
 	for c.over() {

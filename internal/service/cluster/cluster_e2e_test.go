@@ -539,6 +539,7 @@ func TestRouterMetrics(t *testing.T) {
 	_, body := get(t, rts.URL+"/metrics")
 	for _, want := range []string{
 		"swallow_router_requests_total",
+		"swallow_router_failovers_total",
 		"swallow_router_ring_members 1",
 		"swallow_router_ring_vnodes 64",
 		"swallow_router_worker_up{worker=",
@@ -581,11 +582,11 @@ func TestWorkerDrainHealthz(t *testing.T) {
 	}
 }
 
-// storeFor opens a disk-backed store for one test worker, bound to
-// the live registry version like swallow-serve -store-dir.
-func storeFor(t *testing.T) *store.Store {
+// storeAt opens a disk-backed store over dir for one test worker,
+// bound to the live registry version like swallow-serve -store-dir.
+func storeAt(t *testing.T, dir string) *store.Store {
 	t.Helper()
-	st, err := store.Open(store.Options{Dir: t.TempDir(), Version: api.RegistryVersion()})
+	st, err := store.Open(store.Options{Dir: dir, Version: api.RegistryVersion()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,8 +599,8 @@ func storeFor(t *testing.T) *store.Store {
 // X-Swallow-Peers hint — X-Cache: HIT-PEER, byte-identical body, no
 // re-simulation — and counts it in swallow_peer_fills_total.
 func TestRouterPeerFillOnDrain(t *testing.T) {
-	s1, w1 := newWorker(t, api.Options{Store: storeFor(t)})
-	s2, w2 := newWorker(t, api.Options{Store: storeFor(t)})
+	s1, w1 := newWorker(t, api.Options{Store: storeAt(t, t.TempDir())})
+	s2, w2 := newWorker(t, api.Options{Store: storeAt(t, t.TempDir())})
 	rt, rts := newRouter(t, cluster.RouterOptions{}, w1.URL, w2.URL)
 
 	url := rts.URL + "/artifacts/echo?iters=77"
@@ -677,8 +678,8 @@ func TestRouterNamedScenario(t *testing.T) {
 		},
 		"sweep": [{"param": "links", "ints": [1, 4]}]
 	}`
-	_, w1 := newWorker(t, api.Options{Store: storeFor(t)})
-	_, w2 := newWorker(t, api.Options{Store: storeFor(t)})
+	_, w1 := newWorker(t, api.Options{Store: storeAt(t, t.TempDir())})
+	_, w2 := newWorker(t, api.Options{Store: storeAt(t, t.TempDir())})
 	_, rts := newRouter(t, cluster.RouterOptions{}, w1.URL, w2.URL)
 
 	req, err := http.NewRequest(http.MethodPut, rts.URL+"/scenarios/probe?quick=1", strings.NewReader(spec))

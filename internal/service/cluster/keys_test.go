@@ -5,6 +5,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -148,21 +149,24 @@ func TestKeysDidNotMove(t *testing.T) {
 }
 
 // fleet is a router in front of two disk-backed workers, plus what a
-// test needs to check where a key went: each worker's store, and a
-// ring built independently of the router's.
+// test needs to check where a key went: each worker's store and its
+// directory, and a ring built independently of the router's.
 type fleet struct {
 	url    string
 	stores map[string]*store.Store
+	dirs   map[string]string
 	ring   *cluster.Ring
 }
 
 func newFleet(t *testing.T) fleet {
-	f := fleet{stores: map[string]*store.Store{}, ring: cluster.NewRing(0)}
+	f := fleet{stores: map[string]*store.Store{}, dirs: map[string]string{}, ring: cluster.NewRing(0)}
 	var urls []string
 	for i := 0; i < 2; i++ {
-		st := storeFor(t)
+		dir := t.TempDir()
+		st := storeAt(t, dir)
 		_, w := newWorker(t, api.Options{Store: st})
 		f.stores[hostOf(w.URL)] = st
+		f.dirs[hostOf(w.URL)] = dir
 		f.ring.Add(hostOf(w.URL))
 		urls = append(urls, w.URL)
 	}
@@ -267,8 +271,13 @@ func TestRouterAndWorkerCannotDisagree(t *testing.T) {
 
 // TestRoutedRegistryGolden: every registry artifact, rendered through
 // a router and two workers, is the table the registry renders directly.
+// Then each worker restarts over its store directory with a cold memory
+// tier — all a kill -9 leaves, since Store.Put returns only after its
+// rename — and re-serves every artifact it rendered, and a scenario
+// pinned before the restart, from disk: byte-identical, with no render.
 func TestRoutedRegistryGolden(t *testing.T) {
 	f := newFleet(t)
+	owner, bodies := map[string]string{}, map[string]string{}
 	for _, row := range parentKeys {
 		if isSpec(row.name) {
 			continue
@@ -279,8 +288,55 @@ func TestRoutedRegistryGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp, got := f.do(t, "/artifacts/"+row.name+"?quick=1", "")
-		if resp.StatusCode != http.StatusOK || got != want.String() {
-			t.Errorf("%s through the fleet: %s\n%s\nwant\n%s", row.name, resp.Status, got, want)
+		if c := resp.Header.Get("X-Cache"); resp.StatusCode != http.StatusOK || c != "MISS" || got != want.String() {
+			t.Errorf("%s through the fleet: %s, X-Cache %q\n%s\nwant MISS\n%s", row.name, resp.Status, c, got, want)
+		}
+		owner[row.name], bodies[row.name] = resp.Header.Get("X-Worker"), got
+	}
+	const pinned = "/scenarios/goodput-pinned"
+	req, err := http.NewRequest(http.MethodPut, f.url+pinned, bytes.NewReader(readSpec(t, "goodput.json")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin.Body.Close()
+	named, namedBody := f.do(t, pinned+"?quick=1", "")
+	if pin.StatusCode != http.StatusCreated || named.StatusCode != http.StatusOK {
+		t.Fatalf("pin: %s, then render: %s: %s", pin.Status, named.Status, namedBody)
+	}
+
+	// Straight to the restarted workers: the router's ring hashes
+	// worker addresses, and new listeners have new ones.
+	restarted := map[string]string{}
+	for host, dir := range f.dirs {
+		_, w := newWorker(t, api.Options{Store: storeAt(t, dir)})
+		restarted[host] = w.URL
+	}
+	diskHits := map[string]int{}
+	fromDisk := func(what, host, path, want string) {
+		t.Helper()
+		diskHits[host]++
+		resp, got := get(t, restarted[host]+path)
+		if c := resp.Header.Get("X-Cache"); resp.StatusCode != http.StatusOK || c != "HIT-DISK" || got != want {
+			t.Errorf("%s after restart: %s, X-Cache %q, same bytes %v; want 200, HIT-DISK, true", what, resp.Status, c, got == want)
+		}
+	}
+	for name, host := range owner {
+		fromDisk(name, host, "/artifacts/"+name+"?quick=1", bodies[name])
+	}
+	pinWorker := named.Header.Get("X-Worker")
+	fromDisk("goodput-pinned", pinWorker, pinned+"?quick=1", namedBody)
+	if _, list := get(t, restarted[pinWorker]+"/scenarios"); !strings.Contains(list, `"goodput-pinned"`) {
+		t.Errorf("GET /scenarios after restart does not list the pin: %s", list)
+	}
+	for host, url := range restarted {
+		_, metrics := get(t, url+"/metrics")
+		hits := fmt.Sprintf("swallow_store_hits_total %d\n", diskHits[host])
+		if strings.Contains(metrics, "swallow_render_seconds") || !strings.Contains(metrics, hits) {
+			t.Errorf("worker %s after its restart: want no render and %q:\n%s", host, hits, metrics)
 		}
 	}
 }

@@ -285,26 +285,8 @@ func (s *Store) checkHeader(key string) error {
 	defer f.Close()
 	buf := make([]byte, 8192)
 	n, _ := f.Read(buf)
-	buf = buf[:n]
-	if !bytes.HasPrefix(buf, []byte(magic)) {
-		return fmt.Errorf("bad magic")
-	}
-	rest := buf[len(magic):]
-	nl := bytes.IndexByte(rest, '\n')
-	if nl < 0 {
-		return fmt.Errorf("truncated header")
-	}
-	var h header
-	if err := json.Unmarshal(rest[:nl], &h); err != nil {
-		return fmt.Errorf("header: %v", err)
-	}
-	if h.Key != key {
-		return fmt.Errorf("key mismatch: header says %.16s...", h.Key)
-	}
-	if h.Version != s.version {
-		return fmt.Errorf("registry version %q (store runs %q)", h.Version, s.version)
-	}
-	return nil
+	_, _, err = parseHeader(key, s.version, buf[:n])
+	return err
 }
 
 // loadNames reads every persisted name record.
@@ -407,29 +389,19 @@ func (s *Store) Put(key string, body []byte, meta Meta) error {
 		return fmt.Errorf("store: bad key %q", key)
 	}
 	frame := encodeFrame(key, s.version, body, meta)
-	dir := filepath.Join(s.dir, "objects")
-	tmp, err := os.CreateTemp(dir, key+".tmp*")
+	tmp, err := writeTemp(s.objectPath(key), frame)
 	if err != nil {
-		s.writeError()
-		return fmt.Errorf("store: put %s: %v", key[:16], err)
-	}
-	if _, err := tmp.Write(frame); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.writeError()
-		return fmt.Errorf("store: put %s: %v", key[:16], err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		s.writeError()
+		s.mu.Lock()
+		s.stats.WriteErrors++
+		s.mu.Unlock()
 		return fmt.Errorf("store: put %s: %v", key[:16], err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// The rename runs under mu so it serializes with eviction and
 	// quarantine, which unlink by the same name.
-	if err := os.Rename(tmp.Name(), s.objectPath(key)); err != nil {
-		os.Remove(tmp.Name())
+	if err := os.Rename(tmp, s.objectPath(key)); err != nil {
+		os.Remove(tmp)
 		s.stats.WriteErrors++
 		return fmt.Errorf("store: put %s: %v", key[:16], err)
 	}
@@ -447,12 +419,6 @@ func (s *Store) Put(key string, body []byte, meta Meta) error {
 	s.stats.BytesWritten += size
 	s.evictLocked()
 	return nil
-}
-
-func (s *Store) writeError() {
-	s.mu.Lock()
-	s.stats.WriteErrors++
-	s.mu.Unlock()
 }
 
 // evictLocked deletes LRU-tail objects until the byte bound holds,
@@ -532,27 +498,37 @@ func encodeFrame(key, version string, body []byte, meta Meta) []byte {
 	return buf
 }
 
-// decodeFrame verifies and unpacks one object frame.
-func decodeFrame(key, version string, blob []byte) (Entry, error) {
+// parseHeader checks a frame's magic and header line — the key it was
+// filed under and the registry version it was written for — and
+// returns the header and the payload after it.
+func parseHeader(key, version string, blob []byte) (header, []byte, error) {
+	var h header
 	if !bytes.HasPrefix(blob, []byte(magic)) {
-		return Entry{}, fmt.Errorf("bad magic")
+		return h, nil, fmt.Errorf("bad magic")
 	}
 	rest := blob[len(magic):]
 	nl := bytes.IndexByte(rest, '\n')
 	if nl < 0 {
-		return Entry{}, fmt.Errorf("truncated header")
+		return h, nil, fmt.Errorf("truncated header")
 	}
-	var h header
 	if err := json.Unmarshal(rest[:nl], &h); err != nil {
-		return Entry{}, fmt.Errorf("header: %v", err)
+		return h, nil, fmt.Errorf("header: %v", err)
 	}
 	if h.Key != key {
-		return Entry{}, fmt.Errorf("key mismatch")
+		return h, nil, fmt.Errorf("key mismatch: header says %.16s...", h.Key)
 	}
 	if h.Version != version {
-		return Entry{}, fmt.Errorf("registry version %q (store runs %q)", h.Version, version)
+		return h, nil, fmt.Errorf("registry version %q (store runs %q)", h.Version, version)
 	}
-	payload := rest[nl+1:]
+	return h, rest[nl+1:], nil
+}
+
+// decodeFrame verifies and unpacks one object frame.
+func decodeFrame(key, version string, blob []byte) (Entry, error) {
+	h, payload, err := parseHeader(key, version, blob)
+	if err != nil {
+		return Entry{}, err
+	}
 	if int64(len(payload)) != h.SpecLen+h.BodyLen || h.SpecLen < 0 || h.BodyLen < 0 {
 		return Entry{}, fmt.Errorf("payload length %d (header says %d+%d)",
 			len(payload), h.SpecLen, h.BodyLen)
@@ -685,24 +661,33 @@ func (s *Store) GetSpec(hash string) ([]byte, bool) {
 	return blob, true
 }
 
+// writeTemp writes blob to a fresh temp file beside path, named
+// path's base + ".tmp*", and returns its name; on failure it leaves no
+// temp file behind. The caller renames it into place.
+func writeTemp(path string, blob []byte) (string, error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return "", err
+	}
+	_, err = tmp.Write(blob)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return "", err
+	}
+	return tmp.Name(), nil
+}
+
 // writeFileAtomic is temp-file + rename in path's directory.
 func (s *Store) writeFileAtomic(path string, blob []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	tmp, err := writeTemp(path, blob)
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	return nil
