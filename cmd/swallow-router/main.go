@@ -29,9 +29,9 @@
 // persistent store asks those peers (GET /cache/{key}) before
 // simulating, so a failover target reclaims the old owner's stored
 // result — byte-identical by the determinism contract — instead of
-// re-rendering it. Named scenario routes (PUT/GET /scenarios/{name})
-// key on the name alone, so a pin and all later renders of it land
-// on one worker.
+// re-rendering it. Every named-scenario route (GET /scenarios, PUT/GET
+// /scenarios/{name}) keys on one constant, so the name registry has one
+// home worker. A job ID carries its key, so polls need no job table.
 //
 // -quick must match the workers' -quick flag: the router derives
 // affinity keys from the same default config the workers cache under.

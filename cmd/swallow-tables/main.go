@@ -4,9 +4,9 @@
 // internal/harness artifact registry: -list enumerates the registered
 // artifacts (name and description), -only filters them, -json emits a
 // machine-readable record per artifact (render, wall time, headline
-// metrics), and -par/-seq choose how many goroutines the inner sweeps
-// fan out across. Sweep points own their simulations, so every width
-// renders byte-identical output; only wall clock changes.
+// metrics), and -par chooses how many goroutines the inner sweeps fan
+// out across (-par 1: serial). Sweep points own their simulations, so
+// every width renders byte-identical output; only wall clock changes.
 //
 // -scenario compiles one or more declarative scenario spec files
 // (comma-separated JSON, see internal/scenario) and renders them
@@ -17,7 +17,7 @@
 // Usage:
 //
 //	swallow-tables [-quick] [-only regexp] [-list] [-json]
-//	               [-par N | -seq] [-cpuprofile f] [-memprofile f]
+//	               [-par N] [-cpuprofile f] [-memprofile f]
 //	               [-trace out.json] [-trace-events N]
 //	               [-scenario spec.json[,spec2.json...]]
 //
@@ -67,7 +67,6 @@ func main() {
 	list := flag.Bool("list", false, "list registered artifact names and descriptions, then exit")
 	asJSON := flag.Bool("json", false, "emit one machine-readable JSON array (render, wall time, metrics)")
 	par := flag.Int("par", runtime.GOMAXPROCS(0), "max goroutines per sweep (output is identical at any setting)")
-	seq := flag.Bool("seq", false, "run sweeps serially (same as -par 1)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	scenarios := flag.String("scenario", "", "comma-separated scenario spec files to compile and render instead of the registry")
@@ -119,9 +118,6 @@ func main() {
 	cfg := harness.DefaultConfig()
 	if *quick {
 		cfg = harness.QuickConfig()
-	}
-	if *seq {
-		*par = 1
 	}
 	if *par < 1 {
 		log.Fatalf("-par must be >= 1, got %d", *par)

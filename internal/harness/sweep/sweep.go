@@ -18,7 +18,9 @@
 package sweep
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -47,7 +49,9 @@ func Map[P, R any](width int, points []P, worker func(i int, p P) (R, error)) ([
 // result whichever worker (and therefore whichever warm state) it
 // lands on. A serial run uses exactly one state. close is called for
 // every state open returned, including on failure; an open error fails
-// the sweep at the point that asked for the state.
+// the sweep at the point that asked for the state. A point whose worker
+// panics fails with an error carrying the panic value and its stack,
+// on whichever goroutine it ran.
 func MapWarm[P, R, S any](
 	width int,
 	points []P,
@@ -77,6 +81,14 @@ func MapWarm[P, R, S any](
 			}
 		}
 	}
+	run := func(i int, s S) (r R, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("sweep point %d panicked: %v\n%s", i, p, debug.Stack())
+			}
+		}()
+		return worker(i, points[i], s)
+	}
 	drain := func() {
 		var s S
 		opened := false
@@ -99,7 +111,7 @@ func MapWarm[P, R, S any](
 				}
 				opened = true
 			}
-			results[i], errs[i] = worker(i, points[i], s)
+			results[i], errs[i] = run(i, s)
 			if errs[i] != nil {
 				fail(i)
 			}

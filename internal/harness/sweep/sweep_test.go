@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -43,6 +44,39 @@ func TestMapReturnsLowestIndexedError(t *testing.T) {
 		})
 		if err == nil || err.Error() != boom3.Error() {
 			t.Fatalf("workers=%d: err = %v, want %v", workers, err, boom3)
+		}
+	}
+}
+
+// TestMapPanicIsThePointsError: a panicking point fails the sweep with
+// an error naming it, its panic value and its stack, at any width,
+// instead of killing the process from a goroutine no caller can
+// recover; a plain error at a lower index still wins.
+func TestMapPanicIsThePointsError(t *testing.T) {
+	points := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for _, workers := range []int{1, 4} {
+		_, err := Map(workers, points, func(i, p int) (int, error) {
+			if i == 5 {
+				panic("melted core")
+			}
+			return p, nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "sweep point 5 panicked: melted core") ||
+			!strings.Contains(err.Error(), "sweep_test.go") {
+			t.Fatalf("workers=%d: err = %v; want point 5's panic with its stack", workers, err)
+		}
+		boom2 := errors.New("boom at 2")
+		_, err = Map(workers, points, func(i, p int) (int, error) {
+			switch i {
+			case 2:
+				return 0, boom2
+			case 5:
+				panic("melted core")
+			}
+			return p, nil
+		})
+		if err != boom2 {
+			t.Fatalf("workers=%d: err = %v; want the lower-indexed %v", workers, err, boom2)
 		}
 	}
 }

@@ -43,7 +43,10 @@
 // Synchronous endpoints run that inline; POST /jobs runs it on the
 // worker pool, 429 + Retry-After when the queue is full, each scenario
 // its own job class so per-class round-robin keeps a heavy scenario
-// from starving cheap artifact jobs.
+// from starving cheap artifact jobs. A job's ID (cluster.JobID) carries
+// the key its body resolved to, so a fronting router sends every poll
+// to that key's workers with no record of who accepted it. The last
+// jobRetention finished jobs stay pollable.
 package api
 
 import (
@@ -78,11 +81,10 @@ type Options struct {
 	// 256 entries).
 	CacheBytes   int64
 	CacheEntries int
-	// Workers / QueueCapacity / JobRetention shape the job queue
-	// (<= 0: 1 worker, 16 slots, 64 retained jobs).
+	// Workers / QueueCapacity shape the job queue (<= 0: 1 worker, 16
+	// slots).
 	Workers       int
 	QueueCapacity int
-	JobRetention  int
 	// AccessLog receives one structured JSON line per request (see
 	// accessRecord). Nil disables access logging.
 	AccessLog io.Writer
@@ -96,6 +98,9 @@ type Options struct {
 	// PeerTimeout bounds one peer cache-fill HTTP ask (<= 0: 3s).
 	PeerTimeout time.Duration
 }
+
+// jobRetention is how many finished jobs stay pollable.
+const jobRetention = 64
 
 // Server wires the in-process renderer, cache and queue behind one
 // http.Handler.
@@ -126,9 +131,6 @@ func New(opts Options) *Server {
 	if opts.QueueCapacity <= 0 {
 		opts.QueueCapacity = 16
 	}
-	if opts.JobRetention <= 0 {
-		opts.JobRetention = 64
-	}
 	opts.DefaultConfig.Env, opts.QuickConfig.Env = opts.Env, opts.Env
 	if opts.Store == nil {
 		opts.Store = store.Memory(RegistryVersion())
@@ -141,7 +143,7 @@ func New(opts Options) *Server {
 		cache:     cache.New(opts.CacheBytes, opts.CacheEntries),
 		store:     opts.Store,
 		peers:     &http.Client{Timeout: opts.PeerTimeout},
-		queue:     queue.New(opts.Workers, opts.QueueCapacity, opts.JobRetention),
+		queue:     queue.New(opts.Workers, opts.QueueCapacity, jobRetention),
 		met:       &metrics{renders: make(map[string]*latHist)},
 		mux:       http.NewServeMux(),
 		accessLog: opts.AccessLog,
@@ -365,7 +367,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		cluster.WriteError(w, cluster.Status(err), "%v", err)
 		return
 	}
-	id, err := s.queue.Submit(t.Class, func() (any, error) {
+	id := cluster.JobID(t.Key)
+	err = s.queue.Submit(id, t.Class, func() (any, error) {
 		// Async jobs carry no peer hints (the router header belongs to
 		// the submitting request); the disk tier still applies.
 		entry, _, _, err := s.render(t, nil)

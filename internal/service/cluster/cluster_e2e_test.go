@@ -439,6 +439,74 @@ func TestRouterJobPollDuringProbe(t *testing.T) {
 	<-probed
 }
 
+// pollJob polls one job at base until it finishes and returns the
+// worker that answered and the rendered result.
+func pollJob(t *testing.T, base, id string) (string, string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, body := get(t, base+"/jobs/"+id)
+		var view struct{ Status, Result string }
+		if resp.StatusCode != http.StatusOK || json.Unmarshal([]byte(body), &view) != nil {
+			t.Fatalf("poll %s: %s: %s", id, resp.Status, body)
+		}
+		if view.Status == "done" {
+			return resp.Header.Get("X-Worker"), view.Result
+		}
+		if view.Status == "failed" || time.Now().After(deadline) {
+			t.Fatalf("job %s did not finish: %s", id, body)
+		}
+	}
+}
+
+// TestRouterJobPollsReachTheirOwnJob: each worker mints its own job
+// IDs, so two workers' jobs must never be mistaken for each other.
+// Echo jobs go in until both workers have accepted one; a poll of each
+// through the router, and through a second router over the same fleet
+// (a router restart: it has seen no submission), answers with that
+// job's own render from the worker that accepted it.
+func TestRouterJobPollsReachTheirOwnJob(t *testing.T) {
+	_, w1 := newWorker(t, api.Options{})
+	_, w2 := newWorker(t, api.Options{})
+	_, rts := newRouter(t, cluster.RouterOptions{}, w1.URL, w2.URL)
+	type job struct {
+		id    string
+		iters int
+	}
+	first := map[string]job{} // worker → the first job it accepted
+	for iters := 1; len(first) < 2; iters++ {
+		if iters > 64 {
+			t.Fatalf("64 keys all landed on %v", first)
+		}
+		resp, err := http.Post(rts.URL+"/jobs", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"artifact": "echo", "config": {"iters": %d}}`, iters)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var view struct{ ID string }
+		err = json.NewDecoder(resp.Body).Decode(&view)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted || view.ID == "" {
+			t.Fatalf("submit iters=%d: %s: %+v, %v", iters, resp.Status, view, err)
+		}
+		if wk := resp.Header.Get("X-Worker"); first[wk].id == "" {
+			first[wk] = job{view.ID, iters}
+		}
+	}
+	_, restarted := newRouter(t, cluster.RouterOptions{}, w1.URL, w2.URL)
+	for _, front := range []string{rts.URL, restarted.URL} {
+		for owner, j := range first {
+			wk, result := pollJob(t, front, j.id)
+			if want := fmt.Sprintf("iters=%d ", j.iters); wk != owner || !strings.Contains(result, want) {
+				t.Errorf("poll of %s (iters=%d, on %s) answered from %s with %q", j.id, j.iters, owner, wk, result)
+			}
+		}
+	}
+	// An ID no worker can have minted is the router's own 404.
+	if resp, body := get(t, rts.URL+"/jobs/job-1"); resp.StatusCode != http.StatusNotFound || resp.Header.Get("X-Worker") != "" {
+		t.Errorf("poll of job-1: %s from %q: %s; want the router's 404", resp.Status, resp.Header.Get("X-Worker"), body)
+	}
+}
+
 // TestRouterRequestIDAndTrace: X-Request-ID propagates client →
 // router → worker → response, and ?trace=1 renders its multipart
 // bundle on the owning worker through the router.
@@ -660,10 +728,10 @@ func TestRouterPeerFillOnDrain(t *testing.T) {
 	}
 }
 
-// TestRouterNamedScenario: the pin and every later render of a named
-// scenario route by the name alone, so they land on one worker — the
-// one that persisted the name — and the rendered body matches the
-// anonymous submission of the same spec.
+// TestRouterNamedScenario: names share one home, so the pin and every
+// later render of a named scenario land on one worker — the one that
+// persisted the name — and the rendered body matches the anonymous
+// submission of the same spec.
 func TestRouterNamedScenario(t *testing.T) {
 	const spec = `{
 		"name": "links-probe",
@@ -743,5 +811,62 @@ func TestRouterNamedScenario(t *testing.T) {
 	}
 	if resp.Header.Get("X-Store-Version") == "" {
 		t.Fatal("relayed cache miss lacks X-Store-Version")
+	}
+}
+
+// TestRouterNamesShareOneHome: sixteen names pinned through the router
+// all come back in the routed GET /scenarios, and each name's pin,
+// render and version history answer from one worker.
+func TestRouterNamesShareOneHome(t *testing.T) {
+	const spec = `{
+		"name": "links-probe",
+		"grid": {"slices_x": 1, "slices_y": 1},
+		"workload": {
+			"structure": "traffic",
+			"flows": [{
+				"src": {"x": 0, "y": 0, "layer": "V"},
+				"dst": {"x": 0, "y": 0, "layer": "H"},
+				"tokens": 400, "packet_tokens": 20
+			}]
+		},
+		"sweep": [{"param": "links", "ints": [1, 4]}]
+	}`
+	_, w1 := newWorker(t, api.Options{})
+	_, w2 := newWorker(t, api.Options{})
+	_, rts := newRouter(t, cluster.RouterOptions{}, w1.URL, w2.URL)
+	var names []string
+	for i := 0; i < 16; i++ {
+		name := fmt.Sprintf("probe-%02d", i)
+		names = append(names, name)
+		req, err := http.NewRequest(http.MethodPut, rts.URL+"/scenarios/"+name, strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, pin.Body)
+		pin.Body.Close()
+		render, _ := get(t, rts.URL+"/scenarios/"+name+"?quick=1")
+		versions, _ := get(t, rts.URL+"/scenarios/"+name+"/versions")
+		if pin.StatusCode != http.StatusCreated || render.StatusCode != http.StatusOK || versions.StatusCode != http.StatusOK {
+			t.Fatalf("%s: pin %s, render %s, versions %s", name, pin.Status, render.Status, versions.Status)
+		}
+		if p, r, v := pin.Header.Get("X-Worker"), render.Header.Get("X-Worker"), versions.Header.Get("X-Worker"); p != r || p != v {
+			t.Errorf("%s: pin on %s, render on %s, versions on %s; want one worker", name, p, r, v)
+		}
+	}
+	_, list := get(t, rts.URL+"/scenarios")
+	var rows []struct{ Name string }
+	if err := json.Unmarshal([]byte(list), &rows); err != nil {
+		t.Fatal(err)
+	}
+	var listed []string
+	for _, row := range rows {
+		listed = append(listed, row.Name)
+	}
+	if fmt.Sprint(listed) != fmt.Sprint(names) {
+		t.Fatalf("routed GET /scenarios lists %d names %v; want all %d %v", len(listed), listed, len(names), names)
 	}
 }

@@ -345,14 +345,15 @@ func TestRoutedRegistryGolden(t *testing.T) {
 // however large its result — the router streams polls instead of
 // buffering (and cutting) them.
 func TestRouterJobPollStreams(t *testing.T) {
-	view := `{"id": "job-1", "status": "done", "result": "` + strings.Repeat("x", 5<<20) + `"}`
+	id := cluster.JobID(strings.Repeat("0", 64))
+	view := `{"id": "` + id + `", "status": "done", "result": "` + strings.Repeat("x", 5<<20) + `"}`
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case r.URL.Path == "/healthz":
 			io.WriteString(w, `{"state": "ok"}`)
 		case r.Method == http.MethodPost:
 			w.WriteHeader(http.StatusAccepted)
-			io.WriteString(w, `{"id": "job-1", "status": "queued"}`)
+			io.WriteString(w, `{"id": "`+id+`", "status": "queued"}`)
 		default:
 			io.WriteString(w, view)
 		}
@@ -364,7 +365,7 @@ func TestRouterJobPollStreams(t *testing.T) {
 		t.Fatalf("submit: %v, %v", resp, err)
 	}
 	resp.Body.Close()
-	_, got := get(t, rts.URL+"/jobs/job-1")
+	_, got := get(t, rts.URL+"/jobs/"+id)
 	if got != view {
 		t.Fatalf("poll relayed %d of %d bytes", len(got), len(view))
 	}

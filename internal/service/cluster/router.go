@@ -15,9 +15,6 @@ import (
 	"swallow/internal/harness"
 )
 
-// maxJobRoutes bounds the job-ID → worker affinity table.
-const maxJobRoutes = 4096
-
 // workerState is a router-side view of one worker's availability.
 type workerState int
 
@@ -60,11 +57,10 @@ type RouterOptions struct {
 	QuickConfig   harness.Config
 	// Replicas is the ring's virtual nodes per worker (<= 0: 128).
 	Replicas int
-	// ProbeInterval paces the health loop (<= 0: 1s); ProbeTimeout
-	// bounds one probe (<= 0: 2s); ProbeFailLimit is how many
-	// consecutive probe failures mark a worker down (<= 0: 2).
+	// ProbeInterval paces the health loop (<= 0: 1s); ProbeFailLimit
+	// is how many consecutive probe failures mark a worker down (<= 0:
+	// 2).
 	ProbeInterval  time.Duration
-	ProbeTimeout   time.Duration
 	ProbeFailLimit int
 	// ForwardTimeout bounds one proxied render (<= 0: 2m).
 	ForwardTimeout time.Duration
@@ -72,6 +68,9 @@ type RouterOptions struct {
 	// discarded).
 	Logf func(format string, args ...any)
 }
+
+// probeTimeout bounds one health probe.
+const probeTimeout = 2 * time.Second
 
 // Router fronts N swallow-serve workers: requests are routed by
 // consistent hashing over the canonical content key so each worker's
@@ -89,8 +88,6 @@ type Router struct {
 	mu      sync.Mutex
 	workers map[string]*worker
 	ring    *Ring
-	jobs    map[string]string // job ID → worker name
-	jobSeq  []string          // insertion order, for bounding
 
 	requests  atomic.Int64
 	noWorker  atomic.Int64
@@ -109,9 +106,6 @@ func NewRouter(opts RouterOptions) *Router {
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = time.Second
 	}
-	if opts.ProbeTimeout <= 0 {
-		opts.ProbeTimeout = 2 * time.Second
-	}
 	if opts.ProbeFailLimit <= 0 {
 		opts.ProbeFailLimit = 2
 	}
@@ -124,25 +118,21 @@ func NewRouter(opts RouterOptions) *Router {
 		mux:      http.NewServeMux(),
 		workers:  make(map[string]*worker),
 		ring:     NewRing(opts.Replicas),
-		jobs:     make(map[string]string),
 		stop:     make(chan struct{}),
 	}
 	// Every forwarded endpoint is a key extractor in front of forward.
 	// Renders key on what the Resolver says the worker files them
-	// under, so repeats of one request land on one warm worker. The two
-	// indexes key on a constant, for a stable view while membership
-	// holds (pinned names are per-worker state). Everything about a
-	// pinned name keys on the name alone, so the pin and every later
-	// render of it land on the one worker that knows the binding. A
-	// raw cache read keys on the key itself: its owner most likely
-	// holds it.
+	// under, so repeats of one request land on one warm worker. The
+	// artifact index keys on a constant. So does everything about a
+	// pinned name: the name registry is worker-local state, and keying
+	// the index, every pin and every render of a name on one constant
+	// gives it one home, which the index then lists whole. A raw cache
+	// read keys on the key itself: its owner most likely holds it.
 	resolved := func(t Target, err error) (string, error) { return t.Key, err }
 	fixed := func(key string) keyFunc {
 		return func(*http.Request, []byte) (string, error) { return key, nil }
 	}
-	byName := func(r *http.Request, _ []byte) (string, error) {
-		return "scenario-name:" + r.PathValue("name"), nil
-	}
+	names := fixed("scenarios-index")
 	for pattern, key := range map[string]keyFunc{
 		"GET /artifacts": fixed("artifacts-index"),
 		"GET /artifacts/{name}": func(r *http.Request, _ []byte) (string, error) {
@@ -151,10 +141,10 @@ func NewRouter(opts RouterOptions) *Router {
 		"POST /scenarios": func(r *http.Request, body []byte) (string, error) {
 			return resolved(rt.resolver.Scenario(body, r.URL.Query()))
 		},
-		"GET /scenarios":                 fixed("scenarios-index"),
-		"PUT /scenarios/{name}":          byName,
-		"GET /scenarios/{name}":          byName,
-		"GET /scenarios/{name}/versions": byName,
+		"GET /scenarios":                 names,
+		"PUT /scenarios/{name}":          names,
+		"GET /scenarios/{name}":          names,
+		"GET /scenarios/{name}/versions": names,
 		"GET /cache/{key}": func(r *http.Request, _ []byte) (string, error) {
 			return r.PathValue("key"), nil
 		},
@@ -231,7 +221,7 @@ func (rt *Router) ProbeAll() {
 // healthy on 200, draining on a drain report, down after
 // ProbeFailLimit consecutive unreachable probes.
 func (rt *Router) probe(wk *worker) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	start := time.Now()
 	h, err := wk.remote.Healthz(ctx)
 	rtt := time.Since(start)
@@ -371,9 +361,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, body []byte, key
 }
 
 // relay writes one worker's answer to the client — its headers plus
-// X-Worker, its status, its body streamed — and books the route. A 202
-// is a worker accepting a job: its small body is read for the job ID,
-// so polls for it — worker-local state — return to the right process.
+// X-Worker, its status, its body streamed — and books the route.
 func (rt *Router) relay(w http.ResponseWriter, wk *worker, resp *http.Response, start time.Time) {
 	defer resp.Body.Close()
 	out := w.Header()
@@ -382,18 +370,7 @@ func (rt *Router) relay(w http.ResponseWriter, wk *worker, resp *http.Response, 
 	}
 	out.Set("X-Worker", wk.name)
 	w.WriteHeader(resp.StatusCode)
-	if resp.StatusCode == http.StatusAccepted {
-		blob, _ := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes))
-		var view struct {
-			ID string `json:"id"`
-		}
-		if json.Unmarshal(blob, &view) == nil && view.ID != "" {
-			rt.recordJob(view.ID, wk.name)
-		}
-		w.Write(blob)
-	} else {
-		io.Copy(w, resp.Body)
-	}
+	io.Copy(w, resp.Body)
 	rt.mu.Lock()
 	wk.routed++
 	wk.latSum += time.Since(start).Seconds()
@@ -427,41 +404,23 @@ func (rt *Router) forward(key keyFunc) http.HandlerFunc {
 	}
 }
 
-// recordJob files id → worker in the bounded affinity table.
-func (rt *Router) recordJob(id, workerName string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if _, ok := rt.jobs[id]; !ok {
-		rt.jobSeq = append(rt.jobSeq, id)
-		for len(rt.jobSeq) > maxJobRoutes {
-			delete(rt.jobs, rt.jobSeq[0])
-			rt.jobSeq = rt.jobSeq[1:]
-		}
-	}
-	rt.jobs[id] = workerName
-}
-
-// handleJobGet polls a job on the worker that accepted it. Job state
-// is worker-local, so the recorded route wins even while that worker
-// drains (it still answers until its listener closes); with no
-// record — a router restart — every routable worker is asked in ring
-// order and the first non-404 answer is relayed.
+// handleJobGet polls a job on the workers its ID's key routes to. A
+// job lives on the worker that accepted it, which is the key's owner
+// or, after a failover, a ring successor; so every member that is not
+// down is asked in ring order — a draining one still answers for its
+// own jobs — and the first answer that is not a 404 is relayed.
 func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	rt.mu.Lock()
 	var ask []*worker
-	wk := rt.workers[rt.jobs[id]]
-	recorded := wk != nil && wk.state != stateDown
-	if recorded {
-		ask = []*worker{wk}
-	} else {
-		for _, n := range rt.ring.Sequence("job:" + id) {
-			if cw := rt.workers[n]; cw != nil && cw.state != stateDown {
-				ask = append(ask, cw)
+	if key, ok := JobKey(id); ok {
+		rt.mu.Lock()
+		for _, n := range rt.ring.Sequence(key) {
+			if wk := rt.workers[n]; wk != nil && wk.state != stateDown {
+				ask = append(ask, wk)
 			}
 		}
+		rt.mu.Unlock()
 	}
-	rt.mu.Unlock()
 	hdr := forwardHeader(r)
 	for _, wk := range ask {
 		start := time.Now()
@@ -469,7 +428,7 @@ func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		if recorded || resp.StatusCode != http.StatusNotFound {
+		if resp.StatusCode != http.StatusNotFound {
 			rt.relay(w, wk, resp, start)
 			return
 		}
@@ -576,7 +535,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	defer rt.mu.Unlock()
 	fmt.Fprintf(w, "swallow_router_ring_members %d\n", rt.ring.Len())
 	fmt.Fprintf(w, "swallow_router_ring_vnodes %d\n", rt.ring.VNodes())
-	fmt.Fprintf(w, "swallow_router_jobs_tracked %d\n", len(rt.jobs))
 	names := make([]string, 0, len(rt.workers))
 	for name := range rt.workers {
 		names = append(names, name)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -46,9 +47,12 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // ProcessStart anchors uptime metrics and, with the pid, goes into
-// minted request IDs, so lines from different processes on one box stay
-// distinguishable when logs merge.
+// minted request and job IDs, so lines from different processes on one
+// box stay distinguishable when logs merge.
 var ProcessStart = time.Now()
+
+// nonce tells IDs minted by this process from any other's.
+var nonce = fmt.Sprintf("%x-%x", os.Getpid(), ProcessStart.UnixNano()&0xffffff)
 
 // RequestID returns the inbound X-Request-ID if it is usable (short,
 // printable) or mints one from prefix, this process and seq.
@@ -61,5 +65,30 @@ func RequestID(r *http.Request, prefix string, seq *atomic.Uint64) string {
 	if usable {
 		return id
 	}
-	return fmt.Sprintf("%s%x-%x-%x", prefix, os.Getpid(), ProcessStart.UnixNano()&0xffffff, seq.Add(1))
+	return fmt.Sprintf("%s%s-%x", prefix, nonce, seq.Add(1))
+}
+
+// jobSeq numbers the jobs this process accepts. It is one counter for
+// the process, not one per Server, because every Server in a process
+// shares its nonce: workers of an in-process fleet mint distinct IDs
+// for one key too.
+var jobSeq atomic.Uint64
+
+// JobID mints the ID of a job filed under key: the key, this process's
+// nonce and a sequence number, joined by dashes. IDs are unique across
+// workers and restarts, and a router routes a poll by the key alone.
+func JobID(key string) string { return fmt.Sprintf("%s-%s-%x", key, nonce, jobSeq.Add(1)) }
+
+// JobKey returns the key an ID minted by JobID carries; ok is false
+// for any other string.
+func JobKey(id string) (key string, ok bool) {
+	f := strings.Split(id, "-")
+	ok = len(f) == 4 && len(f[0]) == 64
+	for _, s := range f {
+		ok = ok && s != "" && strings.Trim(s, "0123456789abcdef") == ""
+	}
+	if !ok {
+		return "", false
+	}
+	return f[0], true
 }

@@ -6,8 +6,8 @@
 // run to completion before Close returns.
 //
 // Jobs are opaque functions returning (any, error); the queue tracks
-// their lifecycle (queued → running → done|failed) under caller-
-// pollable string IDs. Completed jobs are retained up to a bounded
+// their lifecycle (queued → running → done|failed) under the IDs their
+// callers name them by. Completed jobs are retained up to a bounded
 // history so pollers can fetch results after the fact without the job
 // table growing forever.
 //
@@ -21,7 +21,6 @@ package queue
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 )
@@ -83,7 +82,6 @@ type Queue struct {
 	done     []string // completed job IDs, oldest first, for retention
 	retain   int
 	capacity int
-	nextID   int
 	queued   int
 	running  int
 	closed   bool
@@ -183,22 +181,22 @@ func (q *Queue) retire(id string) {
 	}
 }
 
-// Submit enqueues fn under a fresh ID in label's class. It never
-// blocks: when the queue is at capacity it returns ErrFull
-// (backpressure), and after Close it returns ErrClosed.
-func (q *Queue) Submit(label string, fn func() (any, error)) (string, error) {
+// Submit enqueues fn under id, which no other job of this queue may
+// carry, in label's class. It never blocks: when the queue is at
+// capacity it returns ErrFull (backpressure), and after Close it
+// returns ErrClosed.
+func (q *Queue) Submit(id, label string, fn func() (any, error)) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return "", ErrClosed
+		return ErrClosed
 	}
 	if q.queued >= q.capacity {
-		return "", ErrFull
+		return ErrFull
 	}
-	q.nextID++
 	j := &job{
 		Job: Job{
-			ID:        fmt.Sprintf("job-%d", q.nextID),
+			ID:        id,
 			Label:     label,
 			Status:    StatusQueued,
 			Submitted: time.Now(),
@@ -212,7 +210,7 @@ func (q *Queue) Submit(label string, fn func() (any, error)) (string, error) {
 	q.jobs[j.ID] = j
 	q.queued++
 	q.cond.Signal()
-	return j.ID, nil
+	return nil
 }
 
 // Get snapshots a job by ID.

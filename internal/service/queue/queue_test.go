@@ -24,11 +24,10 @@ func wait(t *testing.T, q *Queue, id string) Job {
 func TestLifecycleAndResult(t *testing.T) {
 	q := New(2, 4, 16)
 	defer q.Close()
-	id, err := q.Submit("double", func() (any, error) { return 42, nil })
-	if err != nil {
+	if err := q.Submit("a", "double", func() (any, error) { return 42, nil }); err != nil {
 		t.Fatal(err)
 	}
-	j := wait(t, q, id)
+	j := wait(t, q, "a")
 	if j.Status != StatusDone || j.Result != 42 || j.Err != "" {
 		t.Fatalf("job = %+v", j)
 	}
@@ -36,11 +35,10 @@ func TestLifecycleAndResult(t *testing.T) {
 		t.Fatalf("lifecycle stamps wrong: %+v", j)
 	}
 
-	id, err = q.Submit("fail", func() (any, error) { return nil, fmt.Errorf("boom") })
-	if err != nil {
+	if err := q.Submit("b", "fail", func() (any, error) { return nil, fmt.Errorf("boom") }); err != nil {
 		t.Fatal(err)
 	}
-	if j = wait(t, q, id); j.Status != StatusFailed || j.Err != "boom" {
+	if j = wait(t, q, "b"); j.Status != StatusFailed || j.Err != "boom" {
 		t.Fatalf("failed job = %+v", j)
 	}
 }
@@ -50,7 +48,7 @@ func TestBackpressureWhenFull(t *testing.T) {
 	gate := make(chan struct{})
 	running := make(chan struct{})
 	// Job 1 occupies the single worker.
-	id1, err := q.Submit("block", func() (any, error) {
+	err := q.Submit("1", "block", func() (any, error) {
 		close(running)
 		<-gate
 		return nil, nil
@@ -60,20 +58,19 @@ func TestBackpressureWhenFull(t *testing.T) {
 	}
 	<-running
 	// Job 2 fills the single pending slot.
-	id2, err := q.Submit("pending", func() (any, error) { return nil, nil })
-	if err != nil {
+	if err := q.Submit("2", "pending", func() (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 	// Job 3 must bounce, not block.
-	if _, err := q.Submit("reject", func() (any, error) { return nil, nil }); err != ErrFull {
+	if err := q.Submit("3", "reject", func() (any, error) { return nil, nil }); err != ErrFull {
 		t.Fatalf("saturated Submit returned %v, want ErrFull", err)
 	}
 	if d := q.Depth(); d != 2 {
 		t.Fatalf("depth = %d, want 2", d)
 	}
 	close(gate)
-	wait(t, q, id1)
-	wait(t, q, id2)
+	wait(t, q, "1")
+	wait(t, q, "2")
 	q.Close()
 }
 
@@ -81,13 +78,13 @@ func TestCloseDrainsAcceptedJobs(t *testing.T) {
 	q := New(1, 4, 16)
 	gate := make(chan struct{})
 	running := make(chan struct{})
-	id1, _ := q.Submit("inflight", func() (any, error) {
+	q.Submit("1", "inflight", func() (any, error) {
 		close(running)
 		<-gate
 		return "first", nil
 	})
 	<-running
-	id2, _ := q.Submit("queued", func() (any, error) { return "second", nil })
+	q.Submit("2", "queued", func() (any, error) { return "second", nil })
 
 	closed := make(chan struct{})
 	go func() {
@@ -102,13 +99,13 @@ func TestCloseDrainsAcceptedJobs(t *testing.T) {
 	close(gate)
 	<-closed
 
-	if j, _ := q.Get(id1); j.Status != StatusDone || j.Result != "first" {
+	if j, _ := q.Get("1"); j.Status != StatusDone || j.Result != "first" {
 		t.Fatalf("in-flight job not drained: %+v", j)
 	}
-	if j, _ := q.Get(id2); j.Status != StatusDone || j.Result != "second" {
+	if j, _ := q.Get("2"); j.Status != StatusDone || j.Result != "second" {
 		t.Fatalf("queued job not drained: %+v", j)
 	}
-	if _, err := q.Submit("late", func() (any, error) { return nil, nil }); err != ErrClosed {
+	if err := q.Submit("3", "late", func() (any, error) { return nil, nil }); err != ErrClosed {
 		t.Fatalf("post-Close Submit returned %v, want ErrClosed", err)
 	}
 	q.Close() // idempotent
@@ -124,7 +121,7 @@ func TestRoundRobinFairnessAcrossClasses(t *testing.T) {
 	defer q.Close()
 	gate := make(chan struct{})
 	running := make(chan struct{})
-	blocker, err := q.Submit("warmup", func() (any, error) {
+	err := q.Submit("blocker", "warmup", func() (any, error) {
 		close(running)
 		<-gate
 		return nil, nil
@@ -144,20 +141,18 @@ func TestRoundRobinFairnessAcrossClasses(t *testing.T) {
 			return nil, nil
 		}
 	}
-	var last string
 	for i := 0; i < 5; i++ {
-		if last, err = q.Submit("heavy", record("heavy")); err != nil {
+		if err := q.Submit(fmt.Sprint("heavy", i), "heavy", record("heavy")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cheap, err := q.Submit("cheap", record("cheap"))
-	if err != nil {
+	if err := q.Submit("cheap", "cheap", record("cheap")); err != nil {
 		t.Fatal(err)
 	}
 	close(gate)
-	wait(t, q, blocker)
-	wait(t, q, cheap)
-	wait(t, q, last)
+	wait(t, q, "blocker")
+	wait(t, q, "cheap")
+	wait(t, q, "heavy4")
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -192,8 +187,8 @@ func TestRetentionForgetsOldestCompleted(t *testing.T) {
 	q := New(1, 4, 2)
 	var ids []string
 	for i := 0; i < 4; i++ {
-		id, err := q.Submit("r", func() (any, error) { return nil, nil })
-		if err != nil {
+		id := fmt.Sprint("r", i)
+		if err := q.Submit(id, "r", func() (any, error) { return nil, nil }); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
