@@ -94,9 +94,12 @@ func TestUntracedRunZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A load that cannot quiesce inside the measured window, so the
-	// guard times live execution rather than an idle kernel.
-	if err := m.LoadAll(workload.HeavyLoad(4, 50_000_000)); err != nil {
-		t.Fatal(err)
+	// guard times live execution rather than an idle kernel. Each core
+	// gets a program of its own, as loadLockstep gives them: cores loaded
+	// from one program would be twins and compute one window between them
+	// (TestTwinRunZeroAlloc), and there would be no sixteen to fan out.
+	for _, c := range m.Cores() {
+		loadOn(t, m, c.Node(), workload.HeavyLoad(4, 50_000_000))
 	}
 	// Warm the kernel's bucket capacities to steady state; capacities
 	// migrate around the wheel ring as runs rotate through it, so this

@@ -27,7 +27,7 @@ type turboCut struct {
 	batches, instrs     uint64
 	decodeHits, decodeM uint64
 	preexec, replayed   uint64
-	roundSlots          uint64
+	roundSlots, adopted uint64
 	fanouts             uint64
 	// stalls are the counted-stall counters.
 	stalls xs1.TurboStats
@@ -48,6 +48,14 @@ type turboShape struct {
 	// watch arms a foreign observer on the built machine and returns
 	// what it has seen so far, for the cuts to compare.
 	watch func(m *Machine) func() string
+	// step, if set, returns what the schedule does to the built machine
+	// after segment i, before the cut is recorded: a retune, a snapshot,
+	// a restore.
+	step func(t *testing.T, m *Machine) func(i int)
+	// twins marks a shape whose cores are loaded from one *xs1.Program:
+	// some of them have to adopt a twin's windows (AdoptedSlots), where a
+	// shape that loads each core from a program of its own never may.
+	twins bool
 	// rounds says whether the replay has to retire slots by whole blocks
 	// of the group ring (roundsMust), must refuse to every time
 	// (roundsNever), or may do either.
@@ -449,7 +457,98 @@ var turboShapes = []turboShape{
 		}
 		return m
 	}},
+	// Twins: the cores of a slice loaded from one program, so that the
+	// ones in one state share the window one of them computes (xs1
+	// twin.go). Sixteen in lockstep, cut every few cycles.
+	{name: "1x1-twins", ahead: true, twins: true, rounds: roundsMust, counted: countedNever, cuts: cycleCuts, build: func(t *testing.T) *Machine {
+		return loadedAll(t, workload.HeavyLoad(4, 1<<20))
+	}},
+	// Thin twins: one thread each, an instruction, an idle probe and
+	// three periods skipped.
+	{name: "1x1-twins-one-thread", ahead: true, twins: true, rounds: roundsMust, counted: countedNever, cuts: cycleCuts, build: func(t *testing.T) *Machine {
+		return loadedAll(t, workload.HeavyLoad(1, 1<<20))
+	}},
+	// Twins fed a stream: every core but one runs a program that computes
+	// on four threads, then takes a channel end and reads eight words from
+	// it while three threads go on computing; the other core streams them
+	// to one twin, where they wait in the receive buffer while it computes
+	// in its class. The GETR takes every twin out of its class (the
+	// channel end's ID is its own); the fed twin reads its words and goes
+	// on, the others block.
+	{name: "1x1-twins-fed", ahead: true, twins: true, cuts: cycleCuts, build: func(t *testing.T) *Machine {
+		m := loadedAll(t, xs1.MustAssemble(spawn("alu", "alu", "alu")+`
+			ldc  r5, 3000
+		spin:
+			subi r5, r5, 1
+			brt  r5, spin
+			getr r0, 2
+			ldc  r2, 8
+			ldc  r3, 0
+		rxloop:
+			in   r0, r4
+			add  r3, r3, r4
+			subi r2, r2, 1
+			brt  r2, rxloop
+			chkct r0, ct_end
+			dbg  r3
+			tend`+aluWorker))
+		fed := topo.MakeNodeID(1, 1, topo.LayerH)
+		loadOn(t, m, topo.MakeNodeID(0, 0, topo.LayerV), workload.StreamTx(noc.MakeChanEndID(uint16(fed), 0), 8))
+		return m
+	}},
+	// One twin retuned at a cut: it leaves its class and the others go on
+	// adopting.
+	{name: "1x1-twins-retuned", ahead: true, twins: true, counted: countedNever, cuts: cycleCuts,
+		build: func(t *testing.T) *Machine { return loadedAll(t, workload.HeavyLoad(4, 1<<20)) },
+		step: func(t *testing.T, m *Machine) func(int) {
+			return func(i int) {
+				if i == 100 {
+					if err := m.Cores()[5].SetFrequency(400); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}},
+	// Twins that write: every thread counts in the word under its stack
+	// pointer, so each window stores, and twins adopt the pages. The
+	// machine is snapshotted at a cut, runs on, and is restored to it at a
+	// later cut: every page a twin adopted has to be rewound as a page it
+	// wrote is.
+	{name: "1x1-twins-restored", ahead: true, twins: true, counted: countedNever, cuts: cycleCuts,
+		build: func(t *testing.T) *Machine { return loadedAll(t, countingLoad) },
+		step: func(t *testing.T, m *Machine) func(int) {
+			var snap *Snapshot
+			return func(i int) {
+				switch i {
+				case 100:
+					snap = m.Snapshot()
+				case 300:
+					m.Restore(snap)
+				}
+			}
+		}},
 }
+
+// loadedAll builds a slice with p on every core.
+func loadedAll(t *testing.T, p *xs1.Program) *Machine {
+	t.Helper()
+	m := MustNew(1, 1, Options{})
+	if err := m.LoadAll(p); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// countingLoad keeps four threads counting, each in the word under its
+// stack pointer: a compute loop whose every turn stores a new value.
+var countingLoad = xs1.MustAssemble(spawn("count", "count", "count") + `
+	count:
+		ldwi r6, sp, -1
+		addi r6, r6, 1
+		stwi r6, sp, -1
+		add  r7, r7, r6
+		bru  count
+`)
 
 // txSource and rxSource are workload.StreamTx and StreamRx as source, for
 // programs that run them beside other threads.
@@ -592,13 +691,19 @@ func runSchedule(t *testing.T, shape turboShape, schedule []sim.Time, exact bool
 	if shape.watch != nil {
 		seen = shape.watch(m)
 	}
+	step := func(int) {}
+	if shape.step != nil {
+		step = shape.step(t, m)
+	}
 	cuts := make([]turboCut, 0, len(schedule))
-	for _, d := range schedule {
+	for i, d := range schedule {
 		m.RunFor(d)
+		step(i)
 		ts := xs1.ReadTurboStats()
 		cuts = append(cuts, turboCut{
 			seen:       seen(),
 			roundSlots: ts.RoundSlots,
+			adopted:    ts.AdoptedSlots,
 			fanouts:    ts.Fanouts,
 			stalls:     ts,
 			fp:         fingerprint(m),
@@ -703,6 +808,17 @@ func turboDifferential(t *testing.T, shape turboShape, seed int64) {
 	if shape.rounds == roundsNever && inRounds != 0 {
 		t.Errorf("%d of %d pre-executed slots retired by round steps in a ring that does not merely rotate", inRounds, ahead)
 	}
+	// Only the turbo run opens windows, so only it adopts them.
+	if n := base.adopted - slow[0].adopted; n != 0 {
+		t.Errorf("the exact run adopted %d slots", n)
+	}
+	adopted := last.adopted - base.adopted
+	if shape.twins && adopted == 0 {
+		t.Error("no core adopted a twin's window; the shape is there to exercise that")
+	}
+	if !shape.twins && adopted != 0 {
+		t.Errorf("%d slots adopted in a shape whose cores each run a program of their own", adopted)
+	}
 	fanouts := last.fanouts - base.fanouts
 	if shape.fanout == fanoutMust && fanouts == 0 {
 		t.Errorf("no window was offered to the helper pool on %d host threads; the shape is there to exercise that", hostThreads)
@@ -727,8 +843,8 @@ func turboDifferential(t *testing.T, shape turboShape, seed int64) {
 	if shape.counted == countedNever && slots != 0 {
 		t.Errorf("%d issue slots were counted in a shape where no thread's stall is safe to count", slots)
 	}
-	t.Logf("%d batches, %d slots pre-executed, %d of them retired by rounds, %d fan-outs, %d slots counted (%d of %d doomed wakes, %d of %d probes after a block), simulated %v",
-		turboBatches, ahead, inRounds, fanouts, slots, wakes, doomed, probes, blocks, last.now)
+	t.Logf("%d batches, %d slots pre-executed, %d of them adopted and %d retired by rounds, %d fan-outs, %d slots counted (%d of %d doomed wakes, %d of %d probes after a block), simulated %v",
+		turboBatches, ahead, adopted, inRounds, fanouts, slots, wakes, doomed, probes, blocks, last.now)
 }
 
 // TestCountedStallShare runs the 16-stream shape of the differential the

@@ -66,3 +66,25 @@ func TestSingleCoreRenderNeverRunsAhead(t *testing.T) {
 			after.PreexecSlots-before.PreexecSlots, after.ReplayedSlots-before.ReplayedSlots, after.RoundSlots-before.RoundSlots)
 	}
 }
+
+// TestFig2TwinsAdopt pins where twin classes pay: fig2 loads one program
+// on every core of a slice, so its cores adopt one another's windows —
+// and under an exact Env, which opens no window, adopt nothing. It reads
+// deltas of the process-wide counters, so it runs beside no other test.
+func TestFig2TwinsAdopt(t *testing.T) {
+	for _, exact := range []bool{false, true} {
+		cfg := harness.QuickConfig()
+		cfg.Env = &core.Env{Exact: exact}
+		before := xs1.ReadTurboStats()
+		if _, err := harness.Lookup("fig2").Table(cfg); err != nil {
+			t.Fatal(err)
+		}
+		adopted := xs1.ReadTurboStats().AdoptedSlots - before.AdoptedSlots
+		if exact && adopted != 0 {
+			t.Errorf("fig2 on the exact pipeline adopted %d slots, want 0", adopted)
+		}
+		if !exact && adopted == 0 {
+			t.Error("fig2 on the turbo path adopted no slots")
+		}
+	}
+}

@@ -228,8 +228,7 @@ func (b *Board) SampleAll() Sample {
 		// Through the measurement chain: power -> current -> sense
 		// voltage -> ADC -> reconstructed.
 		current := outW / s.OutVolts
-		_, backV := b.Conv.Quantize(b.Sense.SenseVolts(current))
-		code, _ := b.Conv.Quantize(b.Sense.SenseVolts(current))
+		code, backV := b.Conv.Quantize(b.Sense.SenseVolts(current))
 		backI := b.Sense.CurrentFor(backV)
 		backOutW := backI * s.OutVolts
 		smp.Codes[i] = code

@@ -145,6 +145,7 @@ func (m *metrics) write(w io.Writer, cs cache.Stats, ss store.Stats, queueDepth,
 		fmt.Fprintf(w, "swallow_turbo_batch_exits_total{reason=%q} %d\n", xs1.BatchExit(reason), n)
 	}
 	fmt.Fprintf(w, "swallow_turbo_preexec_slots_total %d\n", ts.PreexecSlots)
+	fmt.Fprintf(w, "swallow_turbo_adopted_slots_total %d\n", ts.AdoptedSlots)
 	fmt.Fprintf(w, "swallow_turbo_rotation_slots_total %d\n", ts.RotationSlots)
 	fmt.Fprintf(w, "swallow_turbo_replayed_slots_total %d\n", ts.ReplayedSlots)
 	fmt.Fprintf(w, "swallow_turbo_round_slots_total %d\n", ts.RoundSlots)

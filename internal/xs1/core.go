@@ -160,6 +160,13 @@ type Core struct {
 	// this core reached; the distance to InstrCount is the streak of
 	// compute instructions that makes pre-execution worth trying.
 	commMark uint64
+	// prog is the program Load or LoadAt last put on the core, nil for
+	// none: cores holding the same one are twin candidates (twin.go).
+	// twin is the core's twin class in its group when above zero; zero
+	// is a candidate not yet compared, noTwin a core that may not join a
+	// class before its next Load or Restore.
+	prog *Program
+	twin int
 
 	// Energy accounting: background (static + idle dynamic) accrues
 	// with time; instructions add incremental switching energy.
@@ -285,6 +292,7 @@ func (c *Core) Retune(cfg Config) error {
 		return err
 	}
 	c.settled("Retune")
+	c.leave()
 	c.bankEnergy()
 	c.cfg = cfg
 	c.clk = sim.NewClock(cfg.FreqMHz)
@@ -348,6 +356,7 @@ func (c *Core) Load(p *Program) error {
 	c.resetThreads()
 	c.DebugTrace, c.Console = c.DebugTrace[:0], c.Console[:0]
 	c.halted = false
+	c.prog, c.twin = p, 0
 	t0 := &c.threads[0]
 	t0.State = TReady
 	c.traceThread(t0)
@@ -376,6 +385,7 @@ func (c *Core) LoadAt(p *Program, byteBase uint32) error {
 	c.touchRange(byteBase, p.ByteLen())
 	c.resetThreads()
 	c.halted = false
+	c.prog, c.twin = p, 0
 	t0 := &c.threads[0]
 	t0.State = TReady
 	c.traceThread(t0)
@@ -446,6 +456,7 @@ func (c *Core) issueStep() {
 // unreplayed slots.
 func (c *Core) SetExact(on bool) {
 	c.settled("SetExact")
+	c.leave()
 	c.exact = on
 }
 
@@ -548,6 +559,7 @@ func (c *Core) tracePowerState() {
 
 func (c *Core) kickThread(th *Thread) {
 	c.settled("kickThread")
+	c.leave()
 	th.State = TReady
 	th.blockedOn = nil
 	c.traceThread(th)
@@ -599,6 +611,7 @@ func (c *Core) SetFrequency(fMHz float64) error {
 		return fmt.Errorf("xs1: frequency %v MHz outside 1-500", fMHz)
 	}
 	c.settled("SetFrequency")
+	c.leave()
 	c.bankEnergy()
 	c.cfg.FreqMHz = fMHz
 	c.clk = sim.NewClock(fMHz)
@@ -618,6 +631,7 @@ func (c *Core) SetVoltage(v float64) error {
 		return fmt.Errorf("xs1: VDD %.3f below VMin(%v MHz) = %.3f", v, c.cfg.FreqMHz, vmin)
 	}
 	c.settled("SetVoltage")
+	c.leave()
 	c.bankEnergy()
 	c.cfg.VDD = v
 	c.fillInstrEnergy()
@@ -638,6 +652,7 @@ func (c *Core) bankEnergy() {
 // Halt freezes the core (used by machine teardown).
 func (c *Core) Halt() {
 	c.settled("Halt")
+	c.leave()
 	c.halted = true
 	c.issueTimer.Disarm()
 }
@@ -664,13 +679,17 @@ func (c *Core) storeWord(addr, v uint32) error {
 func (c *Core) ReadWord(addr uint32) (uint32, error) { return c.loadWord(addr) }
 
 // WriteWord pokes SRAM from the host side.
-func (c *Core) WriteWord(addr, v uint32) error { return c.storeWord(addr, v) }
+func (c *Core) WriteWord(addr, v uint32) error {
+	c.leave()
+	return c.storeWord(addr, v)
+}
 
 // WriteBytes copies host data into SRAM.
 func (c *Core) WriteBytes(addr uint32, data []byte) error {
 	if int(addr)+len(data) > MemSize {
 		return fmt.Errorf("bad byte store at %#x", addr)
 	}
+	c.leave()
 	copy(c.mem[addr:], data)
 	c.touchRange(addr, len(data))
 	return nil
@@ -688,6 +707,7 @@ func (c *Core) ReadBytes(addr uint32, n int) ([]byte, error) {
 
 // trapThread stops a thread with a diagnostic.
 func (c *Core) trapThread(th *Thread, format string, args ...any) {
+	c.leave()
 	th.State = TTrapped
 	th.trap = fmt.Errorf(format, args...)
 	c.traceThread(th)

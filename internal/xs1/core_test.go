@@ -33,12 +33,18 @@ func newRig(t *testing.T) *rig {
 
 func (r *rig) core(t *testing.T, node topo.NodeID, src string) *Core {
 	t.Helper()
+	return r.coreWith(t, node, MustAssemble(src))
+}
+
+// coreWith builds a core at node with p loaded.
+func (r *rig) coreWith(t *testing.T, node topo.NodeID, p *Program) *Core {
+	t.Helper()
 	c, err := NewCore(r.k, r.net.Switch(node), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.SetExact(r.exact)
-	if err := c.Load(MustAssemble(src)); err != nil {
+	if err := c.Load(p); err != nil {
 		t.Fatal(err)
 	}
 	return c

@@ -54,8 +54,9 @@ func (c *Core) touchAll() {
 }
 
 // CoreSnapshot is a point-in-time capture of one core: operating
-// point, SRAM image, thread contexts, issue order, resource allocation
-// and every counter. Timer registrations (issue, TWAIT) are
+// point, SRAM image, thread contexts, issue order, resource allocation,
+// every counter and the program last loaded (a restored core is a twin
+// candidate again, twin.go). Timer registrations (issue, TWAIT) are
 // kernel state and are captured by the kernel's own snapshot; Restore
 // here copies only plain component state.
 type CoreSnapshot struct {
@@ -74,6 +75,7 @@ type CoreSnapshot struct {
 	debugTrace   []uint32
 	console      []byte
 	halted       bool
+	prog         *Program
 	// pages is the SRAM image a page at a time, nil for a page never
 	// written (all zeros).
 	pages [numPages][]byte
@@ -101,6 +103,7 @@ func (c *Core) Snapshot() *CoreSnapshot {
 		debugTrace:   append([]uint32(nil), c.DebugTrace...),
 		console:      append([]byte(nil), c.Console...),
 		halted:       c.halted,
+		prog:         c.prog,
 	}
 	written := 0
 	for _, g := range c.pageGen {
@@ -179,5 +182,6 @@ func (c *Core) Restore(s *CoreSnapshot) int {
 	c.DebugTrace = append(c.DebugTrace[:0], s.debugTrace...)
 	c.Console = append(c.Console[:0], s.console...)
 	c.halted = s.halted
+	c.prog, c.twin = s.prog, 0
 	return dirty
 }

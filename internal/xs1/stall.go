@@ -218,6 +218,7 @@ func (c *Core) countDoomedWake(th *Thread) bool {
 	if c.held(th, retry+c.clk.Period(), s.reads()) != counted {
 		return false
 	}
+	c.leave()
 	c.issueTimer.Disarm()
 	th.nextReady = ready
 	for i, id := range c.rr {

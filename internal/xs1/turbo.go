@@ -13,7 +13,7 @@ import (
 	"swallow/internal/trace"
 )
 
-// The execution fast path, in five statements; the code that holds each
+// The execution fast path, in six statements; the code that holds each
 // says why it is sound.
 //
 //  1. A window is (core state, at, limit) → folded log (window.go): a core
@@ -31,6 +31,8 @@ import (
 //     replays, so no width changes a byte.
 //  5. A count is a slot nobody can observe (stall.go): a blocked thread's
 //     doomed retry and idle probe are accounted for without a firing.
+//  6. A twin adopts a window it would have computed (twin.go): cores shown
+//     to be in one state, given windows from one time, compute one of them.
 //
 // The scheduler, the pipeline spacing and the charge are the slow path's
 // (pickReady, run, chargeInstr), and where the fixed rotation stands in
@@ -79,6 +81,11 @@ type TurboStats struct {
 	// no RunUntil is executing.
 	PreexecSlots  uint64
 	ReplayedSlots uint64
+	// AdoptedSlots counts the pre-executed slots a core adopted from a
+	// twin's window (twin.go) instead of computing them. They count in
+	// PreexecSlots, BatchedInstrs and RotationSlots as the twin's window
+	// did, and in none of the decode counters.
+	AdoptedSlots uint64
 	// RoundSlots counts the replayed slots that were retired by whole
 	// blocks of the group ring (turboGroup.rounds) rather than one by one.
 	RoundSlots uint64
@@ -131,6 +138,7 @@ func (s *TurboStats) add(o *TurboStats) {
 	}
 	s.PreexecSlots += o.PreexecSlots
 	s.ReplayedSlots += o.ReplayedSlots
+	s.AdoptedSlots += o.AdoptedSlots
 	s.RoundSlots += o.RoundSlots
 	s.RotationSlots += o.RotationSlots
 	s.CountedSlots += o.CountedSlots
@@ -258,8 +266,13 @@ type turboGroup struct {
 	untraced, mayPreexec bool
 	kw                   sim.Waker
 
-	// fan is the record of the windows being handed out (refill).
-	fan fanout
+	// fan is the record of the windows being handed out (refill), and
+	// twins the members that adopt one of them after the join instead of
+	// computing their own (twin.go); classes numbers the twin classes the
+	// group has opened.
+	fan     fanout
+	twins   []adoption
+	classes int
 }
 
 // turboSlot is one deferred issue arm.
@@ -274,7 +287,7 @@ func newTurboGroup(k *sim.Kernel, members int) *turboGroup {
 	for n < members {
 		n <<= 1
 	}
-	return &turboGroup{k: k, q: make([]turboSlot, n), fan: fanout{wins: make([]window, 0, n)}}
+	return &turboGroup{k: k, q: make([]turboSlot, n), fan: fanout{wins: make([]window, 0, n)}, twins: make([]adoption, 0, n)}
 }
 
 // GroupTurbo joins cores sharing one kernel into a single batching
@@ -361,10 +374,12 @@ func (g *turboGroup) absorb(head sim.Waker) *Core {
 }
 
 // window is one core's share of a fan-out: pre-execute c from its next
-// slot, at time at.
+// slot, at time at. gen and rot are c's write generation and rotation
+// count as the window opens, for its twins to adopt by (twin.go).
 type window struct {
-	c  *Core
-	at sim.Time
+	c        *Core
+	at       sim.Time
+	gen, rot uint64
 }
 
 // fanout is a group's record of the windows being handed out: wins, on
@@ -402,7 +417,7 @@ func (f *fanout) add(c *Core, at, limit sim.Time) int64 {
 	if at > limit || !c.quiet() {
 		return 0
 	}
-	f.wins = append(f.wins, window{c: c, at: at})
+	f.wins = append(f.wins, window{c: c, at: at, gen: c.memGen, rot: c.t.RotationSlots})
 	return int64((limit-at)/c.clk.Period()) + 1
 }
 
@@ -496,29 +511,31 @@ func helperWidth() int {
 // for it. Who computes a window changes nothing it contains: preexec is
 // a function of the core's own state, at and limit, and touches nothing
 // else, so the windows are independent of one another and of the order
-// and the goroutines they run on. When between them they can run at
-// least fanoutMinSlots slots, helpers parked in the pool are offered a
-// share — one offer per window beyond the first, at most one per spare
-// host processor, never blocking: a busy pool costs the failed sends and
-// nothing more. The simulation goroutine then claims windows itself
-// until none is left (help-first), and joins: it returns only when every
-// window has been computed, which is the happens-before edge for every
-// field of the cores the helpers wrote. Nothing replays, arms, steps the
-// kernel or returns to it while a fan-out is open. One eligible core,
-// too little work or a lone host processor is the same call with nobody
-// else claiming.
+// and the goroutines they run on. A twin of a core given a window from
+// its own time is not given one (take): it adopts that window's result
+// once the join is over (adoptAll). When the windows can run at least
+// fanoutMinSlots slots between them, helpers parked in the pool are
+// offered a share — one offer per window beyond the first, at most one
+// per spare host processor, never blocking: a busy pool costs the failed
+// sends and nothing more. The simulation goroutine then claims windows
+// itself until none is left (help-first), and joins: it returns only when
+// every window has been computed, which is the happens-before edge for
+// every field of the cores the helpers wrote. Nothing replays, arms,
+// steps the kernel or returns to it while a fan-out is open. One eligible
+// core, too little work or a lone host processor is the same call with
+// nobody else claiming.
 func (g *turboGroup) refill(cur *Core, at, limit sim.Time) {
 	f := &g.fan
-	f.wins = f.wins[:0]
+	f.wins, g.twins = f.wins[:0], g.twins[:0]
 	var slots int64
 	if cur.logTail == 0 {
-		slots = f.add(cur, at, limit)
+		slots = g.take(cur, at, limit)
 	}
 	mask := uint(len(g.q) - 1)
 	for i := g.head; i != g.tail; i++ {
 		s := &g.q[i&mask]
 		if c := s.c; c.logTail == 0 && c.InstrCount-c.commMark >= preexecJoin {
-			slots += f.add(c, s.when, limit)
+			slots += g.take(c, s.when, limit)
 		}
 	}
 	n := len(f.wins)
@@ -549,6 +566,7 @@ func (g *turboGroup) refill(cur *Core, at, limit sim.Time) {
 		f.fault.Store(nil)
 		panic(*r)
 	}
+	g.adoptAll()
 }
 
 // horizon reports the kernel's earliest registration — its time and its
@@ -827,6 +845,7 @@ batch:
 						g.armPending()
 						cur.issue(th, e, now)
 						cur.commMark = cur.InstrCount
+						cur.leave()
 						binstrs++
 						if th.State == TBlockedChan {
 							blocked = th
