@@ -35,7 +35,7 @@ const (
 // parentKeys are literal cache keys computed at the parent commit
 // (2dd1d4b) with its own router-side key functions, not regenerated:
 // every registry artifact under the default config, ?quick=1 and
-// overrideQuery, and every examples/scenarios/*.json under the default
+// overrideQuery, and every spec file in specDirs under the default
 // config and ?quick=1 (over is empty for those). If one of these moves,
 // every cache entry, store file and ring position filed under it is
 // orphaned.
@@ -73,19 +73,42 @@ var parentKeys = []struct{ name, def, quick, over string }{
 	// computed when the file was added. It reads no knob, so quick=1
 	// files under the same key.
 	{"table1.json", "a868f737cbcccdfe50673b7fd70ef630548063af22522ffd27132cc1f862f6eb", "a868f737cbcccdfe50673b7fd70ef630548063af22522ffd27132cc1f862f6eb", ""},
+	// New pins, not the parent's: the registry's other compiled specs,
+	// filed as JSON beside these, had no file at the parent commit, so
+	// their keys were computed when the files were generated from the
+	// specs the registry then compiled.
+	{"ablation-links.json", "b3c445b952a259d4f411e289d755075f9b046c25141d509c156a1b76083e2a92", "b3c445b952a259d4f411e289d755075f9b046c25141d509c156a1b76083e2a92", ""},
+	{"ablation-placement.json", "7be1c098e3237b6f4391d44f3a115e6aede089823109ac45011d7100d5b42fdd", "7be1c098e3237b6f4391d44f3a115e6aede089823109ac45011d7100d5b42fdd", ""},
+	{"adc.json", "e09268a7b46c39704739666fac14325e20c53da68f3f67957139b79fa3e906f2", "e09268a7b46c39704739666fac14325e20c53da68f3f67957139b79fa3e906f2", ""},
+	{"boot-sweep.json", "ec7c4bc70da28f1e71a7eb2de7ac0ba306c33f3106e1585dff0136843989b9fd", "ec7c4bc70da28f1e71a7eb2de7ac0ba306c33f3106e1585dff0136843989b9fd", ""},
+	{"boot.json", "bcc7473299feb6a386fd58e2893b79bb6881f61ca454d64496a49eb9c17ccd46", "bcc7473299feb6a386fd58e2893b79bb6881f61ca454d64496a49eb9c17ccd46", ""},
+	{"bridge.json", "3fa8455056e219789392f69e9b51431b7d5ceb080751491f1049d1531154ddd7", "3fa8455056e219789392f69e9b51431b7d5ceb080751491f1049d1531154ddd7", ""},
+	{"ec.json", "7deed95c8c92f7d0513a1c6b5292b1a42b4a77ace12a9f07e226680022eb2bdd", "7deed95c8c92f7d0513a1c6b5292b1a42b4a77ace12a9f07e226680022eb2bdd", ""},
+	{"eq2.json", "4e6289b184bbef40795eb5ab33ddae07b4a405420e289ff1a39c802b632cbf55", "29d1cb44f9381fe425b37212deeeda04e62a95a81568cdd3defda63239582e19", ""},
+	{"fig4.json", "a2e0b233b9af19445fd1b41a6a60af196e53c0ea377c07c1bb45ca5e2beeb8e1", "efb2edd496a000d7251dd3578bb70422a6d9429b6c676ea1fe7c17dcf2835096", ""},
+	{"latency.json", "6bcf2536d8f997e80c4635d536efde4cd19055a44738485b5a89fc8b75a133fa", "6bcf2536d8f997e80c4635d536efde4cd19055a44738485b5a89fc8b75a133fa", ""},
+	{"placement.json", "526a16f1554395da7d38c3256575c21cc14496c6937910c640a7b105117795fa", "526a16f1554395da7d38c3256575c21cc14496c6937910c640a7b105117795fa", ""},
 }
 
-// isSpec tells a scenario row (an examples/scenarios file) from an
-// artifact row.
+// specDirs hold the spec files the table pins: the registry's own
+// specs and the examples.
+var specDirs = []string{"../../experiments/specs", "../../../examples/scenarios"}
+
+// isSpec tells a scenario row (a file in specDirs) from an artifact
+// row.
 func isSpec(name string) bool { return strings.HasSuffix(name, ".json") }
 
+// readSpec reads the spec file name from the first of specDirs that
+// has it.
 func readSpec(t *testing.T, name string) []byte {
 	t.Helper()
-	blob, err := os.ReadFile(filepath.Join("../../../examples/scenarios", name))
-	if err != nil {
-		t.Fatal(err)
+	for _, dir := range specDirs {
+		if blob, err := os.ReadFile(filepath.Join(dir, name)); err == nil {
+			return blob
+		}
 	}
-	return blob
+	t.Fatalf("no spec file %s in %v", name, specDirs)
+	return nil
 }
 
 // jobBody spells one table cell as a POST /jobs body.
@@ -105,7 +128,7 @@ func jobBody(t *testing.T, name, query string) string {
 
 // TestKeysDidNotMove: the resolver's key, in every spelling, equals the
 // parent's for the whole table — and the table covers the whole
-// registry and every example spec.
+// registry and every spec file.
 func TestKeysDidNotMove(t *testing.T) {
 	rs := cluster.NewResolver(harness.Config{}, harness.Config{})
 	seen := map[string]bool{}
@@ -140,10 +163,12 @@ func TestKeysDidNotMove(t *testing.T) {
 			t.Errorf("registry artifact %q has no row in parentKeys", name)
 		}
 	}
-	specs, _ := filepath.Glob("../../../examples/scenarios/*.json")
-	for _, f := range specs {
-		if !seen[filepath.Base(f)] {
-			t.Errorf("%s has no row in parentKeys", f)
+	for _, dir := range specDirs {
+		specs, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+		for _, f := range specs {
+			if !seen[filepath.Base(f)] {
+				t.Errorf("%s has no row in parentKeys", f)
+			}
 		}
 	}
 }
