@@ -12,7 +12,7 @@ import (
 // canonical order, and unknown names fail loudly.
 func TestLatencyPlacementOverride(t *testing.T) {
 	var names []string
-	for _, v := range LatencyScenario().Sweep[0].Variants {
+	for _, v := range spec("latency").Sweep[0].Variants {
 		names = append(names, v.Name)
 	}
 	if len(names) != 4 || names[0] != "core-local word" {

@@ -1,11 +1,12 @@
 // Package experiments regenerates every table and figure of the paper
 // from the simulator and files each once with the harness registry.
 // Every artifact that runs a machine but fig1 is a compiled scenario
-// spec (scenarios.go); what stays in Go is the static tables (Tables II
+// spec, one embedded JSON file under specs/ that can be POSTed as it
+// is (scenarios.go). What stays in Go is the static tables (Tables II
 // and III, the EC survey and the compute-vs-communication comparison,
-// survey.go; the route-policy ablation, network.go) and fig1's
-// 480-core Scale (network.go). cmd/swallow-tables, the service and
-// bench/ drive the registry.
+// survey.go; the route-policy ablation, network.go), fig1's 480-core
+// Scale (network.go) and the specs' headline metrics.
+// cmd/swallow-tables, the service and bench/ drive the registry.
 package experiments
 
 // This file is the single registration point of the experiment
@@ -15,18 +16,12 @@ package experiments
 // tests are all loops over harness.Artifacts(). Registration order is
 // the canonical output order.
 
-import (
-	"swallow/internal/harness"
-	"swallow/internal/scenario"
-)
-
-// goodputPayloads is the canonical Section V-B payload grid.
-var goodputPayloads = []int{4, 8, 16, 28, 48, 96}
+import "swallow/internal/harness"
 
 func init() {
-	// Everything filed by registerScenario is a compiled scenario spec
+	// Everything filed by registerScenario is a compiled spec file
 	// (scenarios.go), its render pinned by bench/golden/tables.json.
-	registerScenario(TableIScenario())
+	registerScenario("table1")
 	registerSurveyTables()
 	harness.Register(harness.Spec[SystemScale]{
 		Name:        "fig1",
@@ -38,14 +33,9 @@ func init() {
 			return map[string]float64{"GIPS": s.PeakGIPS, "loaded_W": s.LoadedWallW}
 		},
 	})
-	for _, s := range []scenario.Spec{
-		Fig2Scenario(), Fig3Scenario(), Fig4Scenario(), Eq2Scenario(),
-		LatencyScenario(), GoodputScenario(), ECScenario(),
-	} {
-		registerScenario(s)
-	}
+	registerScenario("fig2", "fig3", "fig4", "eq2", "latency", "goodput", "ec")
 	registerSurveyEC()
-	registerScenario(PlacementScenario())
+	registerScenario("placement")
 	harness.Register(harness.Spec[[]AblationRoutingResult]{
 		Name:        "ablation-routing",
 		Description: "Ablation: adaptive vs strict vertical-first routing",
@@ -60,12 +50,7 @@ func init() {
 			return m
 		},
 	})
-	for _, s := range []scenario.Spec{
-		AblationLinksScenario(), AblationPlacementScenario(),
-		BridgeScenario(), BootScenario(), BootSweepScenario(),
-	} {
-		registerScenario(s)
-	}
+	registerScenario("ablation-links", "ablation-placement", "bridge", "boot", "boot-sweep")
 	harness.Register(harness.Spec[EnergyCompare]{
 		Name:        "energy",
 		Description: "Computation vs communication energy per bit",
@@ -79,5 +64,5 @@ func init() {
 			}
 		},
 	})
-	registerScenario(ADCScenario())
+	registerScenario("adc")
 }

@@ -1,13 +1,13 @@
 package scenario_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"swallow/internal/experiments"
 	"swallow/internal/harness"
 	"swallow/internal/scenario"
 )
@@ -18,25 +18,28 @@ import (
 // from its canonical JSON to the same Hash (the identity the service
 // files results under) and sweeps at most MaxPoints points; and Compile
 // accepts every spec Parse accepts.
-// The seeds are the example specs and the registry's canonical ones.
+// The seeds are the spec files, the registry's own and the examples,
+// each as committed and compacted to one line.
 func FuzzParse(f *testing.F) {
-	files, err := filepath.Glob("../../examples/scenarios/*.json")
-	if err != nil || len(files) == 0 {
-		f.Fatalf("no example specs to seed from: %v", err)
+	var files []string
+	for _, dir := range []string{"../experiments/specs", "../../examples/scenarios"} {
+		found, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+		if len(found) == 0 {
+			f.Fatalf("no spec files in %s to seed from", dir)
+		}
+		files = append(files, found...)
 	}
 	for _, name := range files {
 		blob, err := os.ReadFile(name)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(blob)
-	}
-	for _, s := range experiments.CanonicalScenarios() {
-		blob, err := json.Marshal(s)
-		if err != nil {
-			f.Fatal(err)
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, blob); err != nil {
+			f.Fatalf("%s: %v", name, err)
 		}
 		f.Add(blob)
+		f.Add(compact.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := scenario.Parse(data)

@@ -22,12 +22,12 @@ func trafficShape(k, j int) []byte {
 }
 
 // TestTrafficRendersPinned pins the rendered bytes of host-flow specs to
-// sha256 digests: the example goodput spec and eight parameterisations
-// of the benchmark's traffic shape. Each flow's budgeted traffic alone
-// decides these tables, so how the fabric is driven once a flow has
+// sha256 digests: the registry's goodput spec file and eight
+// parameterisations of the benchmark's traffic shape. Each flow's
+// budgeted traffic alone decides these tables, so how the fabric is driven once a flow has
 // sent its budget must never move them.
 func TestTrafficRendersPinned(t *testing.T) {
-	goodput, err := os.ReadFile("../../examples/scenarios/goodput.json")
+	goodput, err := os.ReadFile("../experiments/specs/goodput.json")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,13 +20,18 @@ import (
 // 413), never a 500. JobKey never panics either, and recovers the key
 // of any ID JobID mints. The fuzzer varies an artifact name (which is
 // also read as a job ID), a query string, and a body read both as a
-// spec and as a job. The seeds are the example specs, the key table's
-// query rows, and job bodies for every registered name.
+// spec and as a job. The seeds are the spec files in specDirs (the
+// registry's own and the examples) under the key table's query rows and
+// as job bodies, and job bodies for every registered name.
 func FuzzResolve(f *testing.F) {
 	queries := []string{"", "quick=1", overrideQuery}
-	files, err := filepath.Glob("../../../examples/scenarios/*.json")
-	if err != nil || len(files) == 0 {
-		f.Fatalf("no example specs to seed from: %v", err)
+	var files []string
+	for _, dir := range specDirs {
+		found, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+		if len(found) == 0 {
+			f.Fatalf("no spec files in %s to seed from", dir)
+		}
+		files = append(files, found...)
 	}
 	for _, file := range files {
 		blob, err := os.ReadFile(file)
