@@ -29,10 +29,10 @@ func compiledNames() []string {
 // TestCanonicalRendersMatchGolden holds each compiled artifact to the
 // bytes the benchmark commits for it: rendered at the default config —
 // serially and in parallel, pooled and fresh — its sha256 must be the
-// one bench/golden/tables.json records, and its headline metrics, float bits and all, the ones
-// testdata/headlines.json records. The spec files are their artifacts'
-// only implementation, so the committed hashes and headlines are the
-// reference they answer to.
+// one bench/golden/tables.json records, and its headline metrics,
+// float bits and all, the ones testdata/headlines.json records. The
+// spec files are their artifacts' only implementation, so the committed
+// hashes and headlines are the reference they answer to.
 func TestCanonicalRendersMatchGolden(t *testing.T) {
 	var tables map[string]string
 	readBenchGolden(t, "tables.json", &tables)

@@ -28,11 +28,11 @@ var specFiles embed.FS
 // spec reads and parses the spec file specs/<name>.json. The files are
 // compiled in, so an error is a broken build and panics.
 func spec(name string) scenario.Spec {
+	var s scenario.Spec
 	blob, err := specFiles.ReadFile("specs/" + name + ".json")
-	if err != nil {
-		panic(fmt.Sprintf("experiments: spec %q: %v", name, err))
+	if err == nil {
+		s, err = scenario.Parse(blob)
 	}
-	s, err := scenario.Parse(blob)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: spec %q: %v", name, err))
 	}

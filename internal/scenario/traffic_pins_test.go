@@ -24,8 +24,8 @@ func trafficShape(k, j int) []byte {
 // TestTrafficRendersPinned pins the rendered bytes of host-flow specs to
 // sha256 digests: the registry's goodput spec file and eight
 // parameterisations of the benchmark's traffic shape. Each flow's
-// budgeted traffic alone decides these tables, so how the fabric is driven once a flow has
-// sent its budget must never move them.
+// budgeted traffic alone decides these tables, so how the fabric is
+// driven once a flow has sent its budget must never move them.
 func TestTrafficRendersPinned(t *testing.T) {
 	goodput, err := os.ReadFile("../experiments/specs/goodput.json")
 	if err != nil {

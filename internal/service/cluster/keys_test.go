@@ -73,10 +73,10 @@ var parentKeys = []struct{ name, def, quick, over string }{
 	// computed when the file was added. It reads no knob, so quick=1
 	// files under the same key.
 	{"table1.json", "a868f737cbcccdfe50673b7fd70ef630548063af22522ffd27132cc1f862f6eb", "a868f737cbcccdfe50673b7fd70ef630548063af22522ffd27132cc1f862f6eb", ""},
-	// New pins, not the parent's: the registry's other compiled specs,
-	// filed as JSON beside these, had no file at the parent commit, so
-	// their keys were computed when the files were generated from the
-	// specs the registry then compiled.
+	// New pins, not the parent's: the registry's other compiled specs
+	// had no JSON file until the registry's specs became files, so
+	// their keys were computed from the files when they were generated
+	// from the Go specs the registry then compiled.
 	{"ablation-links.json", "b3c445b952a259d4f411e289d755075f9b046c25141d509c156a1b76083e2a92", "b3c445b952a259d4f411e289d755075f9b046c25141d509c156a1b76083e2a92", ""},
 	{"ablation-placement.json", "7be1c098e3237b6f4391d44f3a115e6aede089823109ac45011d7100d5b42fdd", "7be1c098e3237b6f4391d44f3a115e6aede089823109ac45011d7100d5b42fdd", ""},
 	{"adc.json", "e09268a7b46c39704739666fac14325e20c53da68f3f67957139b79fa3e906f2", "e09268a7b46c39704739666fac14325e20c53da68f3f67957139b79fa3e906f2", ""},
