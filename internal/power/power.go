@@ -210,14 +210,18 @@ func (b *Board) Restore(s *BoardSnapshot) {
 // sample through the full shunt -> amplifier -> ADC chain. The first
 // call after construction averages from board attach time.
 func (b *Board) SampleAll() Sample {
+	n := len(b.Supplies)
+	smp := Sample{InputW: make([]float64, n), OutputW: make([]float64, n), Codes: make([]int, n)}
+	b.sampleInto(&smp)
+	return smp
+}
+
+// sampleInto is SampleAll into smp's own per-channel slices, one entry
+// per supply each.
+func (b *Board) sampleInto(smp *Sample) {
 	now := b.k.Now()
 	dt := (now - b.lastT).Seconds()
-	smp := Sample{
-		T:       now,
-		InputW:  make([]float64, len(b.Supplies)),
-		OutputW: make([]float64, len(b.Supplies)),
-		Codes:   make([]int, len(b.Supplies)),
-	}
+	smp.T = now
 	for i, s := range b.Supplies {
 		e := s.OutputEnergyJ()
 		var outW float64
@@ -240,7 +244,6 @@ func (b *Board) SampleAll() Sample {
 		rec.Emit(int64(now), trace.KindPowerSample, b.traceIdx,
 			int64(math.Float64bits(smp.TotalInputW())), 0)
 	}
-	return smp
 }
 
 // Trace is a periodic sampling session.
@@ -273,18 +276,23 @@ func (b *Board) StartTrace(rateHz float64, n int) (*Trace, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("power: trace needs a positive sample count")
 	}
-	tr := &Trace{}
+	// The session's n samples are sized once: Samples to n, and each
+	// sample's channels are views into three flat arrays of n rows.
+	ch := len(b.Supplies)
+	tr := &Trace{Samples: make([]Sample, 0, n)}
+	in, out, codes := make([]float64, n*ch), make([]float64, n*ch), make([]int, n*ch)
 	period := sim.Time(1e12 / rateHz)
-	remaining := n
-	// One timer carries the whole session: each tick re-arms it, so a
-	// trace costs one allocation regardless of sample count.
+	// One timer carries the whole session: each tick re-arms it and
+	// fills the next row, so a tick allocates nothing.
 	tr.tick = b.k.NewTimer(func() {
 		if tr.stopped {
 			return
 		}
-		tr.Samples = append(tr.Samples, b.SampleAll())
-		remaining--
-		if remaining > 0 {
+		i, j := len(tr.Samples)*ch, (len(tr.Samples)+1)*ch
+		smp := Sample{InputW: in[i:j:j], OutputW: out[i:j:j], Codes: codes[i:j:j]}
+		b.sampleInto(&smp)
+		tr.Samples = append(tr.Samples, smp)
+		if len(tr.Samples) < n {
 			tr.tick.ArmAfter(period)
 		}
 	})

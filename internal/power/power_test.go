@@ -179,6 +179,35 @@ func TestTraceCollects(t *testing.T) {
 	}
 }
 
+// TestTraceTickZeroAlloc pins a warm trace tick at zero allocations: the
+// samples and their channels are sized when the trace starts.
+func TestTraceTickZeroAlloc(t *testing.T) {
+	k := sim.NewKernel()
+	var supplies []*Supply
+	for _, name := range []string{"1V-A", "1V-B", "3V3"} {
+		s, _ := NewSupply(name, 1, 5, 0.9)
+		s.Attach(rampMeter(k, 0.5))
+		supplies = append(supplies, s)
+	}
+	b, _ := NewBoard(k, supplies)
+	tr, err := b.StartTrace(1e6, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.RunFor(10 * sim.Microsecond)
+	before := len(tr.Samples)
+	if avg := testing.AllocsPerRun(100, func() { k.RunFor(sim.Microsecond) }); avg > 0 {
+		t.Errorf("a trace tick allocates %.2f times, want 0", avg)
+	}
+	if got := len(tr.Samples) - before; got != 101 {
+		t.Fatalf("measured runs took %d samples, want 101", got)
+	}
+	s := tr.Samples[len(tr.Samples)-1]
+	if len(s.InputW) != 3 || cap(s.InputW) != 3 || len(s.Codes) != 3 || s.InputW[0] == 0 {
+		t.Errorf("last sample's channels: %v %v, want three each, powered", s.InputW, s.Codes)
+	}
+}
+
 func TestTraceStop(t *testing.T) {
 	k := sim.NewKernel()
 	s, _ := NewSupply("1V-A", 1, 5, 1.0)

@@ -640,9 +640,10 @@ func TestFanoutThreshold(t *testing.T) {
 // TestRefillEligibility pins who is given a window: the core in hand if
 // its log is empty, and ring members whose log is empty, which nothing
 // outside can wake, on a compute streak, whose slot lies within limit.
-// A member one instruction short of preexecStreak is on the streak:
-// cores in step reach it a slot apart, and the ones behind the first to
-// ask must share its fan-out, not each open a window alone a slot later.
+// A member one instruction short of preexecStreak is on the streak: the
+// first of the cores in step asks before it issues its streak's last
+// instruction, and the ones behind it in the ring, at the same time and
+// one short too, must share its fan-out, not each open a window alone.
 func TestRefillEligibility(t *testing.T) {
 	s := emptyRing(t)
 	holds, comm, parked, late, halted, behind := s.cores[3], s.cores[5], s.cores[7], s.cores[9], s.cores[11], s.cores[13]

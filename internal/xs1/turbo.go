@@ -31,8 +31,8 @@ import (
 //     replays, so no width changes a byte.
 //  5. A count is a slot nobody can observe (stall.go): a blocked thread's
 //     doomed retry and idle probe are accounted for without a firing.
-//  6. A twin adopts a window it would have computed (twin.go): cores shown
-//     to be in one state, given windows from one time, compute one of them.
+//  6. A twin adopts a window it would have computed (twin.go): asked for
+//     at the time its twins hold, one window serves cores in one state.
 //
 // The scheduler, the pipeline spacing and the charge are the slow path's
 // (pickReady, run, chargeInstr), and where the fixed rotation stands in
@@ -199,16 +199,16 @@ const (
 	// to pre-execute, or a lone core to issue its rotation:
 	// communication-bound code, whose compute runs are a few instructions
 	// long, never pays for a window or a rotation it would abandon at
-	// once. A core asks for a window at every preexecStreak-th
+	// once. A core asks for a window before every preexecStreak-th
 	// instruction it issues (a power of two), so the question itself
-	// costs the exact path one test of a counter it has just updated.
+	// costs the exact path one test of a counter per slot.
 	preexecStreak = 32
 	// preexecJoin is how many instructions since its last communication
 	// instruction a member with an empty log must have issued to be given
-	// a window because another member's streak opened one. It is half a
-	// streak, not a whole one: cores in step reach preexecStreak a slot
-	// apart, and the ones a slot behind would otherwise each open a
-	// window alone, one after the other, with nobody to share it with.
+	// a window because another member's streak opened one. It is under a
+	// streak: that member asks before it issues an instruction, so twins
+	// behind it in the ring can be one short of a streak, and a whole one
+	// would make each of them open a window alone.
 	preexecJoin = preexecStreak / 2
 	// fanoutMinSlots is how many issue slots the windows handed out at one
 	// moment must be able to run, between them, before the pool is offered
@@ -505,25 +505,25 @@ func helperWidth() int {
 	return w
 }
 
-// refill hands out windows: to cur from its next slot, at time at, if
-// its log is empty, and to every ring member that could take one at this
-// moment — log empty, on a compute streak, from the time the ring holds
-// for it. Who computes a window changes nothing it contains: preexec is
-// a function of the core's own state, at and limit, and touches nothing
-// else, so the windows are independent of one another and of the order
-// and the goroutines they run on. A twin of a core given a window from
-// its own time is not given one (take): it adopts that window's result
-// once the join is over (adoptAll). When the windows can run at least
-// fanoutMinSlots slots between them, helpers parked in the pool are
-// offered a share — one offer per window beyond the first, at most one
-// per spare host processor, never blocking: a busy pool costs the failed
-// sends and nothing more. The simulation goroutine then claims windows
-// itself until none is left (help-first), and joins: it returns only when
-// every window has been computed, which is the happens-before edge for
-// every field of the cores the helpers wrote. Nothing replays, arms,
-// steps the kernel or returns to it while a fan-out is open. One eligible
-// core, too little work or a lone host processor is the same call with
-// nobody else claiming.
+// refill hands out windows: to cur from its slot at time at, if its log is
+// empty (in run, the slot in hand, asked for before it issues), and to
+// every ring member that could take one at this moment — log empty, on a
+// compute streak, from the time the ring holds for it. Who computes a
+// window changes nothing it contains: preexec is a function of the core's
+// own state, at and limit, and touches nothing else, so the windows are
+// independent of one another, of order and of goroutine. A twin of a core
+// given a window from its own time is not given one (take): it adopts that
+// window's result once the join is over (adoptAll). When the windows can
+// run at least fanoutMinSlots slots between them, helpers parked in the
+// pool are offered a share — one offer per window beyond the first, at
+// most one per spare host processor, never blocking: a busy pool costs the
+// failed sends and nothing more. The simulation goroutine then claims
+// windows itself until none is left (help-first), and joins: it returns
+// only when every window has been computed, which is the happens-before
+// edge for every field of the cores the helpers wrote. Nothing replays,
+// arms, steps the kernel or returns to it while a fan-out is open. One
+// eligible core, too little work or a lone host processor is the same call
+// with nobody else claiming.
 func (g *turboGroup) refill(cur *Core, at, limit sim.Time) {
 	f := &g.fan
 	f.wins, g.twins = f.wins[:0], g.twins[:0]
@@ -825,6 +825,17 @@ batch:
 						now = next
 					}
 				}
+				// A slot that would issue a streak's last instruction asks first,
+				// from now, where its twins behind it stand; a probe never asks.
+				if n := cur.InstrCount + 1; n&(preexecStreak-1) == 0 && n-cur.commMark >= preexecStreak &&
+					g.mayPreexec && g.head != g.tail {
+					if off := cur.rrOff; cur.pickReady(now) != nil {
+						cur.rrOff = off
+						if g.refill(cur, now, limit); cur.logTail != 0 {
+							continue batch
+						}
+					}
+				}
 				th := cur.pickReady(now)
 				if th == nil {
 					cur.IdleSlots++
@@ -865,18 +876,6 @@ batch:
 						break batch
 					}
 					next = now + cur.clk.Period()
-					// If cur has been computing for a while and its slots
-					// interleave with other members', let it run its own
-					// slots ahead — strictly before the earliest thing
-					// the kernel holds, within the deadline — and replay
-					// them as the loop comes round. (A lone awake core
-					// finds the ring empty.)
-					if n := cur.InstrCount; n&(preexecStreak-1) == 0 && n-cur.commMark >= preexecStreak &&
-						g.mayPreexec && g.head != g.tail {
-						g.refill(cur, next, limit)
-						slots++
-						break
-					}
 				}
 				slots++
 				if !g.leads(next, limit) || slots >= turboBatchCap {

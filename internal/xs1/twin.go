@@ -12,7 +12,8 @@ import (
 // operating point run one computation, and a window is a function of the
 // core's state, its first slot's time and limit — so of two cores in the
 // same state, given windows from the same time up to the same limit, one
-// computes and the other adopts the result.
+// computes and the other adopts the result. A slot asks for its window
+// before it issues, so twins in step meet at one time.
 //
 // Candidates are the cores Load or LoadAt gave the same *Program. A
 // candidate joins a class the first time refill finds it beside a window
@@ -24,8 +25,8 @@ import (
 // time, left alone, are equal at every time both have reached — whether a
 // slot ran in a window, in the rotation, one by one or was adopted. What
 // is not left alone leaves the class (leave): an entry from outside the
-// core's issue step, a communication instruction it issues itself (what
-// it reads or sends is its own, and so is GETID), a trap (its error is its
+// core's issue step, a communication instruction it issues itself (what it
+// reads or sends is its own, and so is GETID), a trap (its error is its
 // own). A window that ends in a trap is not adopted: each twin computes
 // its own.
 
