@@ -50,7 +50,6 @@ import (
 	"time"
 
 	_ "swallow/internal/experiments" // registers the artifacts for key derivation
-	"swallow/internal/harness"
 	"swallow/internal/service/cluster"
 )
 
@@ -67,14 +66,12 @@ func main() {
 	flag.Parse()
 
 	opts := cluster.RouterOptions{
+		Quick:          *quick,
 		Replicas:       *replicas,
 		ProbeInterval:  *probe,
 		ProbeFailLimit: *probeFails,
 		ForwardTimeout: *timeout,
 		Logf:           log.Printf,
-	}
-	if *quick {
-		opts.DefaultConfig = harness.QuickConfig()
 	}
 	rt := cluster.NewRouter(opts)
 	for _, u := range strings.Split(*workers, ",") {

@@ -145,9 +145,7 @@ func main() {
 		QueueCapacity: *queueCap,
 		Store:         st,
 		Env:           &core.Env{Pool: core.SharedPool(), Width: *par},
-	}
-	if *quick {
-		opts.DefaultConfig = harness.QuickConfig()
+		Quick:         *quick,
 	}
 	if *accessLog {
 		// Access logs go to stdout; the operational log stays on

@@ -9,7 +9,7 @@
 //	GET  /artifacts/{name}  synchronous render, cache-aware, ETag'd
 //	POST /scenarios         compile + run a submitted scenario spec
 //	GET  /scenarios         list pinned scenario names
-//	PUT  /scenarios/{name}  pin name -> spec hash (persisted in the store)
+//	PUT  /scenarios/{name}  pin name -> spec (persisted in the store)
 //	GET  /scenarios/{name}  re-render a pinned scenario by name
 //	GET  /scenarios/{name}/versions  pin history with change flags
 //	GET  /cache/{key}       read one cached/stored result (peer cache fill)
@@ -71,12 +71,10 @@ import (
 
 // Options configures a Server. Zero fields take the stated defaults.
 type Options struct {
-	// DefaultConfig is the render config when a request does not
-	// override it. Zero means harness.DefaultConfig().
-	DefaultConfig harness.Config
-	// QuickConfig serves requests carrying quick=true. Zero means
-	// harness.QuickConfig().
-	QuickConfig harness.Config
+	// Quick makes harness.QuickConfig() the render config when a
+	// request does not override it; false means harness.DefaultConfig().
+	// quick=true requests get QuickConfig either way.
+	Quick bool
 	// CacheBytes / CacheEntries bound the result cache (<= 0: 64 MiB /
 	// 256 entries).
 	CacheBytes   int64
@@ -95,12 +93,13 @@ type Options struct {
 	// memory-only store under RegistryVersion(): no disk persistence,
 	// but named scenarios still work for the process lifetime.
 	Store *store.Store
-	// PeerTimeout bounds one peer cache-fill HTTP ask (<= 0: 3s).
-	PeerTimeout time.Duration
 }
 
 // jobRetention is how many finished jobs stay pollable.
 const jobRetention = 64
+
+// peerTimeout bounds one peer cache-fill HTTP ask.
+const peerTimeout = 3 * time.Second
 
 // Server wires the in-process renderer, cache and queue behind one
 // http.Handler.
@@ -131,18 +130,16 @@ func New(opts Options) *Server {
 	if opts.QueueCapacity <= 0 {
 		opts.QueueCapacity = 16
 	}
-	opts.DefaultConfig.Env, opts.QuickConfig.Env = opts.Env, opts.Env
 	if opts.Store == nil {
 		opts.Store = store.Memory(RegistryVersion())
 	}
-	if opts.PeerTimeout <= 0 {
-		opts.PeerTimeout = 3 * time.Second
-	}
+	resolver := cluster.NewResolver(opts.Quick)
+	resolver.Def.Env, resolver.Quick.Env = opts.Env, opts.Env
 	s := &Server{
-		resolver:  cluster.NewResolver(opts.DefaultConfig, opts.QuickConfig),
+		resolver:  resolver,
 		cache:     cache.New(opts.CacheBytes, opts.CacheEntries),
 		store:     opts.Store,
-		peers:     &http.Client{Timeout: opts.PeerTimeout},
+		peers:     &http.Client{Timeout: peerTimeout},
 		queue:     queue.New(opts.Workers, opts.QueueCapacity, jobRetention),
 		met:       &metrics{renders: make(map[string]*latHist)},
 		mux:       http.NewServeMux(),

@@ -142,12 +142,11 @@ type scenarioPinView struct {
 	URL     string `json:"url"`
 }
 
-// handleScenarioPin pins a validated spec under a name: the canonical
-// spec persists in the store under its content hash, and the name
-// record appends a version whenever the hash actually changes. The
-// pin is by-value — later edits to the submitted file change nothing
-// until re-PUT — and GET /scenarios/{name} re-renders the pinned
-// hash exactly.
+// handleScenarioPin pins a validated spec under a name: the name
+// record holds the canonical spec of its current pin and appends a
+// version whenever the hash actually changes. The pin is by-value —
+// later edits to the submitted file change nothing until re-PUT — and
+// GET /scenarios/{name} re-renders the pinned hash exactly.
 func (s *Server) handleScenarioPin(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !store.ValidName(name) {
@@ -165,11 +164,7 @@ func (s *Server) handleScenarioPin(w http.ResponseWriter, r *http.Request) {
 		cluster.WriteError(w, cluster.Status(err), "%v", err)
 		return
 	}
-	if err := s.store.PutSpec(t.Hash, t.Spec); err != nil {
-		cluster.WriteError(w, http.StatusInternalServerError, "persisting spec: %v", err)
-		return
-	}
-	rec, changed, err := s.store.PinName(name, t.Hash)
+	rec, changed, err := s.store.PinName(name, t.Hash, t.Spec)
 	if err != nil {
 		cluster.WriteError(w, http.StatusInternalServerError, "pinning %s: %v", name, err)
 		return
@@ -189,9 +184,9 @@ func (s *Server) handleScenarioPin(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleScenarioNamed re-renders a pinned scenario by name: the
-// stored canonical spec must resolve back to the pinned hash (a store
-// that cannot reproduce it is corrupt and must not serve under the
-// name), and from there it is handleScenario's path — so naming a
+// record's canonical spec must resolve back to the pinned hash (the
+// store checked its bytes; this catches a build whose canonical form
+// moved), and from there it is handleScenario's path — so naming a
 // submission costs nothing: both share one cache entry under the spec
 // hash.
 func (s *Server) handleScenarioNamed(w http.ResponseWriter, r *http.Request) {
@@ -201,13 +196,7 @@ func (s *Server) handleScenarioNamed(w http.ResponseWriter, r *http.Request) {
 		cluster.WriteError(w, http.StatusNotFound, "unknown scenario name %q (GET /scenarios lists them)", name)
 		return
 	}
-	blob, ok := s.store.GetSpec(rec.Hash)
-	if !ok {
-		cluster.WriteError(w, http.StatusInternalServerError,
-			"pinned spec %.16s... missing from store", rec.Hash)
-		return
-	}
-	t, err := s.resolver.Scenario(blob, r.URL.Query())
+	t, err := s.resolver.Scenario(rec.Spec, r.URL.Query())
 	if t.Hash != rec.Hash {
 		cluster.WriteError(w, http.StatusInternalServerError,
 			"stored spec for %q does not reproduce its pinned hash %.16s... (got %q, %v)", name, rec.Hash, t.Hash, err)

@@ -7,14 +7,17 @@
 package api_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"io/fs"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"swallow/internal/harness"
 	"swallow/internal/service/api"
 	"swallow/internal/service/cluster"
 	"swallow/internal/service/store"
@@ -35,7 +38,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 // (no query overrides) under.
 func defaultKey(t *testing.T, name string) string {
 	t.Helper()
-	target, err := cluster.NewResolver(harness.Config{}, harness.Config{}).Artifact(name, nil)
+	target, err := cluster.NewResolver(false).Artifact(name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +171,7 @@ func TestPeerFill(t *testing.T) {
 // soft miss — the render proceeds locally and still answers MISS.
 func TestPeerFillBadPeerFallsThrough(t *testing.T) {
 	dir := t.TempDir()
-	_, ts := newServer(t, api.Options{
-		Store:       openStore(t, dir),
-		PeerTimeout: 200 * time.Millisecond,
-	})
+	_, ts := newServer(t, api.Options{Store: openStore(t, dir)})
 	req, err := http.NewRequest(http.MethodGet, ts.URL+"/artifacts/echo", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -204,6 +204,20 @@ func readAll(t *testing.T, resp *http.Response) string {
 	return string(b)
 }
 
+// put sends PUT /scenarios/{name} with spec as the body.
+func put(t *testing.T, srvURL, name, spec string) (*http.Response, string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPut, srvURL+"/scenarios/"+name, strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, readAll(t, resp)
+}
+
 // TestNamedScenarios drives the pin surface end to end: PUT pins a
 // name (201 then 200 on idempotent re-pin), GET renders by name with
 // identity headers, the list and versions endpoints report the pin,
@@ -212,19 +226,7 @@ func TestNamedScenarios(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newServer(t, api.Options{Store: openStore(t, dir)})
 
-	put := func(srvURL, name, spec string) (*http.Response, string) {
-		req, err := http.NewRequest(http.MethodPut, srvURL+"/scenarios/"+name, strings.NewReader(spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, readAll(t, resp)
-	}
-
-	resp, body := put(ts.URL, "probe", specJSON)
+	resp, body := put(t, ts.URL, "probe", specJSON)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("first pin: status %d: %s", resp.StatusCode, body)
 	}
@@ -243,7 +245,7 @@ func TestNamedScenarios(t *testing.T) {
 
 	// Re-pinning an equivalent respelling is idempotent: same hash, no
 	// new version, 200 not 201.
-	resp, body = put(ts.URL, "probe", specJSONRespelled)
+	resp, body = put(t, ts.URL, "probe", specJSONRespelled)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-pin: status %d: %s", resp.StatusCode, body)
 	}
@@ -258,10 +260,10 @@ func TestNamedScenarios(t *testing.T) {
 	}
 
 	// Invalid names and invalid specs are 400s, not pins.
-	if resp, _ := put(ts.URL, "..%2F..%2Fetc", specJSON); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := put(t, ts.URL, "..%2F..%2Fetc", specJSON); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("traversal name: status %d, want 400", resp.StatusCode)
 	}
-	if resp, _ := put(ts.URL, "broken", "{"); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := put(t, ts.URL, "broken", "{"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad spec: status %d, want 400", resp.StatusCode)
 	}
 
@@ -344,16 +346,7 @@ func TestNamedScenarios(t *testing.T) {
 // tiers stay two-state HIT/MISS — the existing api tests pin that).
 func TestMemoryStoreNamedScenarios(t *testing.T) {
 	_, ts := newServer(t, api.Options{})
-	req, err := http.NewRequest(http.MethodPut, ts.URL+"/scenarios/ephemeral", strings.NewReader(specJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	readAll(t, resp)
-	if resp.StatusCode != http.StatusCreated {
+	if resp, _ := put(t, ts.URL, "ephemeral", specJSON); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("pin on memory store: status %d, want 201", resp.StatusCode)
 	}
 	resp, body := get(t, ts.URL+"/scenarios/ephemeral")
@@ -361,4 +354,81 @@ func TestMemoryStoreNamedScenarios(t *testing.T) {
 		t.Fatalf("named render: status %d: %s", resp.StatusCode, body)
 	}
 	wantCache(t, resp, "MISS")
+}
+
+// TestDamagedPinIsRepairedByRePut: when the file holding a pin's spec
+// is damaged between runs — cut short, or one byte changed so the JSON
+// still parses — the restarted server answers the name with a clean
+// 404, and the next PUT of the spec repairs it: 201 at version 1, then
+// a render byte-identical to the anonymous submission.
+func TestDamagedPinIsRepairedByRePut(t *testing.T) {
+	canonical, err := cluster.NewResolver(false).Scenario([]byte(specJSON), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := canonical.Spec
+	for _, tc := range []struct {
+		name   string
+		damage func(blob []byte, at int) []byte
+	}{
+		{"truncated", func(blob []byte, at int) []byte { return blob[:at+len(spec)/2] }},
+		{"byte-flipped", func(blob []byte, at int) []byte {
+			i := at + bytes.Index(spec, []byte("links-probe")) + len("links-prob")
+			blob[i]++ // "links-probe" becomes "links-probf"
+			return blob
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1 := api.New(api.Options{Store: openStore(t, dir)})
+			ts1 := httptest.NewServer(s1.Handler())
+			if resp, body := put(t, ts1.URL, "probe", specJSON); resp.StatusCode != http.StatusCreated {
+				t.Fatalf("pin: status %d: %s", resp.StatusCode, body)
+			}
+			ts1.Close()
+			s1.Close()
+
+			// Exactly one file under the store holds the spec; damage it.
+			var holders []string
+			filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+				if err != nil || d.IsDir() {
+					return err
+				}
+				if blob, err := os.ReadFile(path); err == nil && bytes.Contains(blob, spec) {
+					holders = append(holders, path)
+				}
+				return nil
+			})
+			if len(holders) != 1 {
+				t.Fatalf("files holding the spec: %v; want one", holders)
+			}
+			blob, err := os.ReadFile(holders[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob = tc.damage(blob, bytes.Index(blob, spec))
+			if err := os.WriteFile(holders[0], blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			_, ts := newServer(t, api.Options{Store: openStore(t, dir)})
+			if resp, body := get(t, ts.URL+"/scenarios/probe"); resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("damaged pin after restart: status %d, want 404: %s", resp.StatusCode, body)
+			}
+			resp, body := put(t, ts.URL, "probe", specJSON)
+			var pin struct {
+				Version int  `json:"version"`
+				Changed bool `json:"changed"`
+			}
+			json.Unmarshal([]byte(body), &pin)
+			if resp.StatusCode != http.StatusCreated || pin.Version != 1 || !pin.Changed {
+				t.Fatalf("re-pin: status %d, %+v; want 201 at version 1: %s", resp.StatusCode, pin, body)
+			}
+			_, want := postScenario(t, ts.URL, specJSON, nil)
+			resp, got := get(t, ts.URL+"/scenarios/probe")
+			if resp.StatusCode != http.StatusOK || got != want {
+				t.Fatalf("repaired pin: status %d, body equal to anonymous submission: %v", resp.StatusCode, got == want)
+			}
+		})
+	}
 }

@@ -21,19 +21,18 @@ import (
 // request alone. Traced responses are never cached and are marked
 // no-store.
 func (s *Server) handleArtifactTrace(w http.ResponseWriter, t cluster.Target) {
-	a, cfg := t.Artifact, t.Config
 	sess := trace.NewSession(0)
-	cfg.Env = core.TracedEnv(sess)
+	t.Config.Env = core.TracedEnv(sess)
 	start := time.Now()
-	tbl, err := a.Table(cfg)
-	renderDur := time.Since(start)
+	res, err := t.Run()
+	renderDur := time.Duration(res.RenderMicros) * time.Microsecond
 	var traceBuf bytes.Buffer
 	if err == nil {
-		s.met.observe(a.Name, renderDur)
+		s.met.observe(t.Label, renderDur)
 		err = sess.WriteChrome(&traceBuf)
 	}
 	if err != nil {
-		cluster.WriteError(w, cluster.Status(err), "%s: %v", a.Name, err)
+		cluster.WriteError(w, cluster.Status(err), "%s: %v", t.Class, err)
 		return
 	}
 	// The parts are written to a bytes.Buffer, which cannot fail.
@@ -43,7 +42,7 @@ func (s *Server) handleArtifactTrace(w http.ResponseWriter, t cluster.Target) {
 		name, ctype string
 		data        []byte
 	}{
-		{"table", "text/plain; charset=utf-8", []byte(tbl.String())},
+		{"table", "text/plain; charset=utf-8", res.Body},
 		{"trace", "application/json", traceBuf.Bytes()},
 	} {
 		part, _ := mw.CreatePart(textproto.MIMEHeader{

@@ -108,7 +108,7 @@ func (l *Local) Render(_ context.Context, req Request) (Result, error) {
 }
 
 // Run simulates the target and renders its table — the only place the
-// serving layer runs an artifact outside a ?trace=1 request.
+// serving layer runs an artifact.
 func (t Target) Run() (Result, error) {
 	start := time.Now()
 	res, err := t.Artifact.Run(t.Config)

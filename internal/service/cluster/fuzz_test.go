@@ -12,6 +12,7 @@ import (
 
 	"swallow/internal/harness"
 	"swallow/internal/service/cluster"
+	"swallow/internal/service/store"
 )
 
 // FuzzResolve holds the resolver to what a client may send any process
@@ -50,7 +51,7 @@ func FuzzResolve(f *testing.F) {
 	}
 	f.Add(cluster.JobID(parentKeys[0].def), "iters=0", []byte(`{"artifact": "table1", "scenario": {}}`))
 
-	rs := cluster.NewResolver(harness.Config{}, harness.Config{})
+	rs := cluster.NewResolver(false)
 	f.Fuzz(func(t *testing.T, name, query string, body []byte) {
 		q, _ := url.ParseQuery(query)
 		_, artErr := rs.Artifact(name, q)
@@ -69,4 +70,34 @@ func FuzzResolve(f *testing.F) {
 			t.Errorf("JobKey(JobID(%s)) = %q, %v", key, got, ok)
 		}
 	})
+}
+
+// TestSpecHashIsSHA256OfSpec: for every spec file FuzzResolve seeds
+// from, a scenario Target's Hash is the sha256 of its Spec. A pinned
+// name's record is checked against exactly that, so each of them pins.
+func TestSpecHashIsSHA256OfSpec(t *testing.T) {
+	rs := cluster.NewResolver(false)
+	st := store.Memory("test")
+	for _, dir := range specDirs {
+		files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+		if len(files) == 0 {
+			t.Fatalf("no spec files in %s", dir)
+		}
+		for _, file := range files {
+			blob, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			target, err := rs.Scenario(blob, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			if sum := sha256.Sum256(target.Spec); hex.EncodeToString(sum[:]) != target.Hash {
+				t.Errorf("%s: sha256 of the canonical spec is not its hash %s", file, target.Hash)
+			}
+			if _, _, err := st.PinName("spec", target.Hash, target.Spec); err != nil {
+				t.Errorf("%s: %v", file, err)
+			}
+		}
+	}
 }

@@ -130,7 +130,7 @@ func jobBody(t *testing.T, name, query string) string {
 // parent's for the whole table — and the table covers the whole
 // registry and every spec file.
 func TestKeysDidNotMove(t *testing.T) {
-	rs := cluster.NewResolver(harness.Config{}, harness.Config{})
+	rs := cluster.NewResolver(false)
 	seen := map[string]bool{}
 	for _, row := range parentKeys {
 		seen[row.name] = true

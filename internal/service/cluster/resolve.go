@@ -79,27 +79,26 @@ func Status(err error) int {
 }
 
 // Resolver turns requests into Targets against a pair of base configs.
-// Workers and the router in front of them must hold equal ones (both
-// default to the harness defaults); every method is then a pure
-// function of the request. When a request names something that exists
-// but carries bad overrides, the returned Target still identifies it
-// (Name, Hash) beside the error.
+// Workers and the router in front of them must hold equal ones (the
+// same -quick); every method is then a pure function of the request.
+// When a request names something that exists but carries bad
+// overrides, the returned Target still identifies it (Name, Hash)
+// beside the error.
 type Resolver struct {
 	// Def is the config a request starts from; Quick the one quick=1
 	// starts from instead.
 	Def, Quick harness.Config
 }
 
-// NewResolver fills only the missing Iters, so a caller config
-// carrying just grid overrides keeps them.
-func NewResolver(def, quick harness.Config) Resolver {
-	if def.Iters == 0 {
-		def.Iters = harness.DefaultConfig().Iters
+// NewResolver starts requests from harness.DefaultConfig(), or from
+// harness.QuickConfig() when quick is set; quick=1 requests start from
+// QuickConfig either way.
+func NewResolver(quick bool) Resolver {
+	rs := Resolver{Def: harness.DefaultConfig(), Quick: harness.QuickConfig()}
+	if quick {
+		rs.Def = rs.Quick
 	}
-	if quick.Iters == 0 {
-		quick.Iters = harness.QuickConfig().Iters
-	}
-	return Resolver{Def: def, Quick: quick}
+	return rs
 }
 
 // Artifact resolves GET /artifacts/{name}: a registered name plus the

@@ -13,11 +13,12 @@ import (
 // are themselves canonical content hashes, so placement is uniform
 // and fully deterministic across router restarts.
 //
-// Membership changes have the consistent-hashing property the
-// rebalance test pins: adding a member moves only the ~K/N keys that
-// now hash to it, removing one moves only the keys it owned; every
-// other key keeps its owner, so worker caches and machine pools stay
-// warm through fleet changes.
+// Membership has the consistent-hashing property the rebalance test
+// pins: adding a member moves only the ~K/N keys that now hash to it;
+// every other key keeps its owner, so worker caches and machine pools
+// stay warm as the fleet grows. Membership is sticky: a draining or
+// dead worker stays on the ring, and the router skips it in Sequence
+// order, so its keys fall to its ring successor and only to it.
 //
 // Ring is not goroutine-safe; the Router serializes access.
 type Ring struct {
@@ -63,42 +64,11 @@ func (r *Ring) Add(member string) {
 	})
 }
 
-// Remove deletes a member (idempotent).
-func (r *Ring) Remove(member string) {
-	if !r.members[member] {
-		return
-	}
-	delete(r.members, member)
-	keep := r.vnodes[:0]
-	for _, v := range r.vnodes {
-		if v.member != member {
-			keep = append(keep, v)
-		}
-	}
-	r.vnodes = keep
-}
-
 // Len is the member count.
 func (r *Ring) Len() int { return len(r.members) }
 
 // VNodes is the virtual-node count.
 func (r *Ring) VNodes() int { return len(r.vnodes) }
-
-// Owner returns the first member at or clockwise after key's ring
-// position that satisfies ok (nil ok accepts every member). The
-// second return is false when no member qualifies. The owner chain is
-// the failover order: a draining or dead owner's keys fall to its
-// ring successor, and only to it, so failover moves the minimum
-// keyspace.
-func (r *Ring) Owner(key string, ok func(member string) bool) (string, bool) {
-	seq := r.Sequence(key)
-	for _, m := range seq {
-		if ok == nil || ok(m) {
-			return m, true
-		}
-	}
-	return "", false
-}
 
 // Sequence returns every member in ring order starting at key's
 // position: the owner first, then each distinct successor. It is the

@@ -15,14 +15,16 @@ func keys(n int) []string {
 	return out
 }
 
+// owners maps each key to the head of its Sequence: the member the
+// router tries first while every member is healthy.
 func owners(r *Ring, ks []string) map[string]string {
 	out := make(map[string]string, len(ks))
 	for _, k := range ks {
-		m, ok := r.Owner(k, nil)
-		if !ok {
+		seq := r.Sequence(k)
+		if len(seq) == 0 {
 			panic("no owner for " + k)
 		}
-		out[k] = m
+		out[k] = seq[0]
 	}
 	return out
 }
@@ -64,59 +66,11 @@ func TestRingRebalanceAdd(t *testing.T) {
 	}
 }
 
-// TestRingRebalanceRemove: removing a member moves exactly the keys it
-// owned, each to some surviving member, and nothing else.
-func TestRingRebalanceRemove(t *testing.T) {
-	const n, k = 8, 10000
-	r := NewRing(128)
-	for i := 0; i < n; i++ {
-		r.Add(fmt.Sprintf("worker-%d", i))
-	}
-	ks := keys(k)
-	before := owners(r, ks)
-
-	const victim = "worker-3"
-	r.Remove(victim)
-	after := owners(r, ks)
-
-	for _, key := range ks {
-		if before[key] == victim {
-			if after[key] == victim {
-				t.Fatalf("key %q still owned by removed member", key)
-			}
-			continue
-		}
-		if before[key] != after[key] {
-			t.Fatalf("key %q moved %s -> %s though its owner stayed in the ring",
-				key, before[key], after[key])
-		}
-	}
-}
-
-// TestRingAddRemoveRoundTrip: membership is content-addressed, so
-// removing and re-adding a member restores the exact ownership map —
-// the property that lets a drained worker reclaim its warm keyspace.
-func TestRingAddRemoveRoundTrip(t *testing.T) {
-	r := NewRing(64)
-	for i := 0; i < 5; i++ {
-		r.Add(fmt.Sprintf("w%d", i))
-	}
-	ks := keys(2000)
-	before := owners(r, ks)
-	r.Remove("w2")
-	r.Add("w2")
-	after := owners(r, ks)
-	for _, key := range ks {
-		if before[key] != after[key] {
-			t.Fatalf("key %q: owner %s before remove/re-add, %s after", key, before[key], after[key])
-		}
-	}
-}
-
-// TestRingSkipsUnhealthy: the lookup predicate must never yield an
-// excluded (draining/dead) member while an acceptable one exists, and
-// the fallback owner must be the ring successor — the first healthy
-// member in Sequence order.
+// TestRingSkipsUnhealthy: Sequence lists every member once, and
+// filtering it the way Router.plan does — dropping a draining or dead
+// member — leaves the ring successor first, and the rest of the chain
+// in order, so a drained owner's keys fall to its successor and only
+// to it.
 func TestRingSkipsUnhealthy(t *testing.T) {
 	r := NewRing(128)
 	members := []string{"a:1", "b:2", "c:3"}
@@ -128,21 +82,24 @@ func TestRingSkipsUnhealthy(t *testing.T) {
 		if len(seq) != len(members) {
 			t.Fatalf("Sequence(%q) = %v; want all %d members", key, seq, len(members))
 		}
+		seen := map[string]bool{}
+		for _, m := range seq {
+			if seen[m] {
+				t.Fatalf("Sequence(%q) = %v lists %q twice", key, seq, m)
+			}
+			seen[m] = true
+		}
 		dead := seq[0] // the owner drains
-		got, ok := r.Owner(key, func(m string) bool { return m != dead })
-		if !ok {
-			t.Fatalf("Owner(%q) found nothing with 2 healthy members", key)
+		var healthy []string
+		for _, m := range seq {
+			if m != dead {
+				healthy = append(healthy, m)
+			}
 		}
-		if got == dead {
-			t.Fatalf("Owner(%q) returned excluded member %q", key, got)
+		if len(healthy) != 2 || healthy[0] != seq[1] || healthy[1] != seq[2] {
+			t.Fatalf("Sequence(%q) = %v without %q gives %v; want the successor chain %v",
+				key, seq, dead, healthy, seq[1:])
 		}
-		if got != seq[1] {
-			t.Fatalf("Owner(%q) = %q; want ring successor %q", key, got, seq[1])
-		}
-	}
-	// No acceptable member at all.
-	if _, ok := r.Owner("k", func(string) bool { return false }); ok {
-		t.Fatal("Owner accepted a member the predicate rejected")
 	}
 }
 
@@ -155,8 +112,7 @@ func TestRingDistribution(t *testing.T) {
 		r.Add(fmt.Sprintf("worker-%d", i))
 	}
 	counts := make(map[string]int)
-	for _, key := range keys(k) {
-		m, _ := r.Owner(key, nil)
+	for _, m := range owners(r, keys(k)) {
 		counts[m]++
 	}
 	mean := k / n
@@ -171,23 +127,19 @@ func TestRingDistribution(t *testing.T) {
 	}
 }
 
-// TestRingIdempotentMembership: double add/remove are no-ops.
+// TestRingIdempotentMembership: a double add is a no-op, and an empty
+// ring has no sequence.
 func TestRingIdempotentMembership(t *testing.T) {
 	r := NewRing(32)
+	if seq := r.Sequence("k"); seq != nil {
+		t.Fatalf("empty ring Sequence = %v; want nil", seq)
+	}
 	r.Add("a")
 	r.Add("a")
 	if r.Len() != 1 || r.VNodes() != 32 {
 		t.Fatalf("double Add: %d members, %d vnodes; want 1, 32", r.Len(), r.VNodes())
 	}
-	r.Remove("a")
-	r.Remove("a")
-	if r.Len() != 0 || r.VNodes() != 0 {
-		t.Fatalf("double Remove: %d members, %d vnodes; want 0, 0", r.Len(), r.VNodes())
-	}
-	if _, ok := r.Owner("k", nil); ok {
-		t.Fatal("empty ring returned an owner")
-	}
-	if seq := r.Sequence("k"); seq != nil {
-		t.Fatalf("empty ring Sequence = %v; want nil", seq)
+	if seq := r.Sequence("k"); len(seq) != 1 || seq[0] != "a" {
+		t.Fatalf("one-member Sequence = %v; want [a]", seq)
 	}
 }

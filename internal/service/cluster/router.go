@@ -11,8 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"swallow/internal/harness"
 )
 
 // workerState is a router-side view of one worker's availability.
@@ -50,11 +48,9 @@ type worker struct {
 // RouterOptions configures a Router. Zero fields take the stated
 // defaults.
 type RouterOptions struct {
-	// DefaultConfig / QuickConfig must equal the fronted workers', so
-	// the router's Resolver derives the key the worker files under.
-	// Zero means harness.DefaultConfig() / QuickConfig().
-	DefaultConfig harness.Config
-	QuickConfig   harness.Config
+	// Quick must equal the fronted workers' api.Options.Quick, so the
+	// router's Resolver derives the key the worker files under.
+	Quick bool
 	// Replicas is the ring's virtual nodes per worker (<= 0: 128).
 	Replicas int
 	// ProbeInterval paces the health loop (<= 0: 1s); ProbeFailLimit
@@ -113,7 +109,7 @@ func NewRouter(opts RouterOptions) *Router {
 		opts.Logf = func(string, ...any) {}
 	}
 	rt := &Router{
-		resolver: NewResolver(opts.DefaultConfig, opts.QuickConfig),
+		resolver: NewResolver(opts.Quick),
 		opts:     opts,
 		mux:      http.NewServeMux(),
 		workers:  make(map[string]*worker),

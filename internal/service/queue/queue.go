@@ -35,9 +35,6 @@ const (
 	StatusFailed  Status = "failed"
 )
 
-// Terminal reports whether the state is final.
-func (s Status) Terminal() bool { return s == StatusDone || s == StatusFailed }
-
 // Job is a point-in-time snapshot of one submitted job.
 type Job struct {
 	ID     string

@@ -12,7 +12,7 @@ func wait(t *testing.T, q *Queue, id string) Job {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if j, ok := q.Get(id); ok && j.Status.Terminal() {
+		if j, ok := q.Get(id); ok && (j.Status == StatusDone || j.Status == StatusFailed) {
 			return j
 		}
 		time.Sleep(time.Millisecond)

@@ -18,15 +18,17 @@
 // and reports a plain miss, so the caller re-renders and the next
 // Put repairs the entry.
 //
-// The store also persists the named-scenario registry: name → pinned
-// spec hash with full version history, and spec hash → canonical
-// spec bytes, so `PUT /scenarios/{name}` pins survive restarts
-// alongside the rendered results they point at.
+// The store also persists the named-scenario registry: one record per
+// name holding its pinned spec hash, full version history and the
+// canonical spec of the current pin, so `PUT /scenarios/{name}` pins
+// survive restarts alongside the rendered results they point at. A
+// record whose spec does not hash to its pin is skipped at open, as a
+// body that does not hash to its ETag is never served.
 //
 // A Store with an empty Dir runs in memory-only mode: the body tier
-// is disabled (Get always misses, Put is a no-op) while names and
-// specs live in process memory, so the serving layer can offer named
-// scenarios even without -store-dir.
+// is disabled (Get always misses, Put is a no-op) while names live in
+// process memory, so the serving layer can offer named scenarios even
+// without -store-dir.
 package store
 
 import (
@@ -138,6 +140,9 @@ type NameRecord struct {
 	Hash     string        `json:"hash"`
 	Version  int           `json:"version"`
 	Versions []NameVersion `json:"versions"`
+	// Spec is the current pin's canonical spec, compact JSON whose
+	// sha256 is Hash.
+	Spec json.RawMessage `json:"spec"`
 }
 
 // header is the JSON line between the magic and the payload.
@@ -170,13 +175,12 @@ type Store struct {
 	maxBytes int64
 	logf     func(format string, args ...any)
 
-	mu       sync.Mutex
-	ll       *list.List // front = most recently used
-	index    map[string]*list.Element
-	bytes    int64
-	stats    Stats
-	names    map[string]*NameRecord
-	memSpecs map[string][]byte // memory mode only
+	mu    sync.Mutex
+	ll    *list.List // front = most recently used
+	index map[string]*list.Element
+	bytes int64
+	stats Stats
+	names map[string]*NameRecord
 }
 
 // Open builds a Store over opts.Dir, creating the directory layout,
@@ -205,10 +209,9 @@ func Open(opts Options) (*Store, error) {
 		names:    make(map[string]*NameRecord),
 	}
 	if s.dir == "" {
-		s.memSpecs = make(map[string][]byte)
 		return s, nil
 	}
-	for _, sub := range []string{"objects", "quarantine", "names", "specs"} {
+	for _, sub := range []string{"objects", "quarantine", "names"} {
 		if err := os.MkdirAll(filepath.Join(s.dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("store: %v", err)
 		}
@@ -309,6 +312,10 @@ func (s *Store) loadNames() error {
 		if err := json.Unmarshal(blob, &rec); err != nil || rec.Name == "" ||
 			rec.Name+".json" != de.Name() || len(rec.Versions) == 0 {
 			s.logf("store: skipping unreadable name record %s", de.Name())
+			continue
+		}
+		if hexSHA256(rec.Spec) != rec.Hash {
+			s.logf("store: skipping name record %s: spec does not hash to %.16s...", de.Name(), rec.Hash)
 			continue
 		}
 		s.names[rec.Name] = &rec
@@ -471,12 +478,11 @@ func (s *Store) Stats() Stats {
 
 // encodeFrame builds the self-verifying object frame.
 func encodeFrame(key, version string, body []byte, meta Meta) []byte {
-	sum := sha256.Sum256(body)
 	h := header{
 		Key:          key,
 		Version:      version,
 		Artifact:     meta.Artifact,
-		ContentHash:  hex.EncodeToString(sum[:]),
+		ContentHash:  hexSHA256(body),
 		BodyLen:      int64(len(body)),
 		BodyCRC:      crc32.ChecksumIEEE(body),
 		SpecLen:      int64(len(meta.Spec)),
@@ -538,8 +544,7 @@ func decodeFrame(key, version string, blob []byte) (Entry, error) {
 	if crc32.ChecksumIEEE(body) != h.BodyCRC {
 		return Entry{}, fmt.Errorf("body crc mismatch")
 	}
-	sum := sha256.Sum256(body)
-	if got := hex.EncodeToString(sum[:]); got != h.ContentHash {
+	if hexSHA256(body) != h.ContentHash {
 		return Entry{}, fmt.Errorf("body sha256 mismatch")
 	}
 	if len(spec) == 0 {
@@ -563,15 +568,20 @@ var nameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 // ValidName reports whether name can be pinned.
 func ValidName(name string) bool { return nameRE.MatchString(name) }
 
-// PinName points name at a spec hash, appending to its version
-// history and persisting the record. Re-pinning the current hash is
+// PinName points name at spec, whose sha256 is hash, appending to its
+// version history and persisting the record, spec included, as one
+// file. spec must be compact JSON as json.Marshal writes it, so the
+// record keeps it byte for byte. Re-pinning the current hash is
 // idempotent: no new version, changed=false.
-func (s *Store) PinName(name, hash string) (NameRecord, bool, error) {
+func (s *Store) PinName(name, hash string, spec []byte) (NameRecord, bool, error) {
 	if !ValidName(name) {
 		return NameRecord{}, false, fmt.Errorf("store: bad scenario name %q", name)
 	}
-	if !ValidKey(hash) {
-		return NameRecord{}, false, fmt.Errorf("store: bad spec hash %q", hash)
+	if hexSHA256(spec) != hash {
+		return NameRecord{}, false, fmt.Errorf("store: spec does not hash to %q", hash)
+	}
+	if enc, err := json.Marshal(json.RawMessage(spec)); err != nil || !bytes.Equal(enc, spec) {
+		return NameRecord{}, false, fmt.Errorf("store: spec for %q is not compact JSON", name)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -579,7 +589,7 @@ func (s *Store) PinName(name, hash string) (NameRecord, bool, error) {
 	if rec != nil && rec.Hash == hash {
 		return copyRecord(rec), false, nil
 	}
-	next := NameRecord{Name: name, Hash: hash}
+	next := NameRecord{Name: name, Hash: hash, Spec: append(json.RawMessage(nil), spec...)}
 	if rec != nil {
 		next.Versions = append(next.Versions, rec.Versions...)
 	}
@@ -621,46 +631,6 @@ func (s *Store) Names() []NameRecord {
 	return out
 }
 
-// PutSpec persists the canonical spec bytes under their content hash,
-// so named scenarios can re-render after a restart.
-func (s *Store) PutSpec(hash string, canonical []byte) error {
-	if !ValidKey(hash) {
-		return fmt.Errorf("store: bad spec hash %q", hash)
-	}
-	if s.dir == "" {
-		s.mu.Lock()
-		s.memSpecs[hash] = append([]byte(nil), canonical...)
-		s.mu.Unlock()
-		return nil
-	}
-	path := filepath.Join(s.dir, "specs", hash+".json")
-	if _, err := os.Stat(path); err == nil {
-		return nil // content-addressed: an existing spec is this spec
-	}
-	if err := s.writeFileAtomic(path, canonical); err != nil {
-		return fmt.Errorf("store: spec %.16s...: %v", hash, err)
-	}
-	return nil
-}
-
-// GetSpec reads back a persisted canonical spec.
-func (s *Store) GetSpec(hash string) ([]byte, bool) {
-	if !ValidKey(hash) {
-		return nil, false
-	}
-	if s.dir == "" {
-		s.mu.Lock()
-		blob, ok := s.memSpecs[hash]
-		s.mu.Unlock()
-		return blob, ok
-	}
-	blob, err := os.ReadFile(filepath.Join(s.dir, "specs", hash+".json"))
-	if err != nil {
-		return nil, false
-	}
-	return blob, true
-}
-
 // writeTemp writes blob to a fresh temp file beside path, named
 // path's base + ".tmp*", and returns its name; on failure it leaves no
 // temp file behind. The caller renames it into place.
@@ -697,6 +667,12 @@ func copyRecord(rec *NameRecord) NameRecord {
 	out := *rec
 	out.Versions = append([]NameVersion(nil), rec.Versions...)
 	return out
+}
+
+// hexSHA256 is the hex sha256 of b: a body's ETag, a spec's hash.
+func hexSHA256(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 func mustJSON(v any) []byte {

@@ -286,17 +286,12 @@ func TestMemoryMode(t *testing.T) {
 		t.Fatal("memory mode reports Enabled")
 	}
 	// Named scenarios still work in process memory.
-	hash := keyFor("spec")
-	if err := s.PutSpec(hash, []byte(`{"name":"s"}`)); err != nil {
-		t.Fatal(err)
-	}
-	if blob, ok := s.GetSpec(hash); !ok || string(blob) != `{"name":"s"}` {
-		t.Fatal("memory spec round trip failed")
-	}
-	if _, changed, err := s.PinName("demo", hash); err != nil || !changed {
+	spec := `{"name":"s"}`
+	hash := keyFor(spec)
+	if _, changed, err := s.PinName("demo", hash, []byte(spec)); err != nil || !changed {
 		t.Fatalf("PinName: changed=%v err=%v", changed, err)
 	}
-	if rec, ok := s.NameInfo("demo"); !ok || rec.Hash != hash || rec.Version != 1 {
+	if rec, ok := s.NameInfo("demo"); !ok || rec.Hash != hash || rec.Version != 1 || string(rec.Spec) != spec {
 		t.Fatalf("NameInfo: %+v ok=%v", rec, ok)
 	}
 }
@@ -304,31 +299,26 @@ func TestMemoryMode(t *testing.T) {
 func TestNamesPersistAndVersion(t *testing.T) {
 	dir := t.TempDir()
 	s1 := mustOpen(t, Options{Dir: dir, Version: "v1"})
-	h1, h2 := keyFor("spec-a"), keyFor("spec-b")
-	if err := s1.PutSpec(h1, []byte("spec a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.PutSpec(h2, []byte("spec b")); err != nil {
-		t.Fatal(err)
-	}
-	rec, changed, err := s1.PinName("exp", h1)
+	a, b := []byte(`{"spec":"a"}`), []byte(`{"spec":"b"}`)
+	h1, h2 := keyFor(string(a)), keyFor(string(b))
+	rec, changed, err := s1.PinName("exp", h1, a)
 	if err != nil || !changed || rec.Version != 1 {
 		t.Fatalf("pin 1: %+v changed=%v err=%v", rec, changed, err)
 	}
 	// Idempotent re-pin of the same hash: no new version.
-	rec, changed, err = s1.PinName("exp", h1)
+	rec, changed, err = s1.PinName("exp", h1, a)
 	if err != nil || changed || rec.Version != 1 {
 		t.Fatalf("re-pin same: %+v changed=%v err=%v", rec, changed, err)
 	}
-	rec, changed, err = s1.PinName("exp", h2)
+	rec, changed, err = s1.PinName("exp", h2, b)
 	if err != nil || !changed || rec.Version != 2 || rec.Hash != h2 {
 		t.Fatalf("pin 2: %+v changed=%v err=%v", rec, changed, err)
 	}
-	if _, _, err := s1.PinName("../evil", h1); err == nil {
+	if _, _, err := s1.PinName("../evil", h1, a); err == nil {
 		t.Fatal("PinName accepted a path-traversal name")
 	}
 
-	// Reopen: names, history and specs all survive.
+	// Reopen: names, history and the current pin's spec all survive.
 	s2 := mustOpen(t, Options{Dir: dir, Version: "v1"})
 	rec, ok := s2.NameInfo("exp")
 	if !ok || rec.Version != 2 || rec.Hash != h2 || len(rec.Versions) != 2 ||
@@ -338,11 +328,31 @@ func TestNamesPersistAndVersion(t *testing.T) {
 	if all := s2.Names(); len(all) != 1 || all[0].Name != "exp" {
 		t.Fatalf("Names(): %+v", all)
 	}
-	if blob, ok := s2.GetSpec(h1); !ok || string(blob) != "spec a" {
-		t.Fatal("reopened spec a missing")
+	if !bytes.Equal(rec.Spec, b) {
+		t.Fatalf("reopened spec %s; want %s", rec.Spec, b)
 	}
-	if blob, ok := s2.GetSpec(h2); !ok || string(blob) != "spec b" {
-		t.Fatal("reopened spec b missing")
+}
+
+// TestPinNameRefusesUnhashedSpec: a pin's spec must be the bytes its
+// hash names, and stay so through the record's JSON encoding; a refused
+// pin leaves the name as it was.
+func TestPinNameRefusesUnhashedSpec(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		s := mustOpen(t, Options{Dir: dir, Version: "v1"})
+		spec := []byte(`{"spec":"a"}`)
+		if _, _, err := s.PinName("exp", keyFor(`{"spec":"b"}`), spec); err == nil {
+			t.Fatalf("dir %q: PinName accepted a spec under another spec's hash", dir)
+		}
+		if _, _, err := s.PinName("exp", "not-a-hash", spec); err == nil {
+			t.Fatalf("dir %q: PinName accepted a malformed hash", dir)
+		}
+		loose := []byte(`{ "spec": "a" }`)
+		if _, _, err := s.PinName("exp", keyFor(string(loose)), loose); err == nil {
+			t.Fatalf("dir %q: PinName accepted JSON its record would re-encode", dir)
+		}
+		if _, ok := s.NameInfo("exp"); ok {
+			t.Fatalf("dir %q: a refused pin created the name", dir)
+		}
 	}
 }
 
