@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -25,6 +26,7 @@ type turboCut struct {
 	seq, fired          uint64
 	pending             int
 	batches, instrs     uint64
+	batchLen            [xs1.BatchLenBuckets]uint64
 	decodeHits, decodeM uint64
 	preexec, replayed   uint64
 	roundSlots, adopted uint64
@@ -87,8 +89,9 @@ const (
 	countedNever = -1
 )
 
-// batchCap is xs1's turboBatchCap, which the capped shapes pin.
-const batchCap = 4096
+// batchCap is xs1's turboBatchCap, which the capped shapes pin: the
+// upper bound of BatchLen's last bucket.
+const batchCap = 1 << (xs1.BatchLenBuckets - 1)
 
 // hostThreads is the GOMAXPROCS the differential runs at, so that the
 // helper pool is live whatever the host: windows are computed on up to
@@ -138,26 +141,24 @@ func stallCuts(rng *rand.Rand) []sim.Time {
 }
 
 // cappedCores is how many cores the capped shape keeps busy. With m
-// members in step the replay first asks for rounds m-1 slots into a
-// batch, and the cap bounds the answer to (batchCap-1-(m-1))/m whole
-// turns; seventeen divides 4097, so there a bound one slot too generous
-// is one whole turn too many, where sixteen would hide it in the
-// remainder.
+// members in step a batch that opens inside their windows asks for
+// rounds m-1 slots in, and the cap bounds the answer to
+// (batchCap-1-(m-1))/m whole turns; seventeen divides 2^20+1, so there a
+// bound one slot too generous is one whole turn too many, where sixteen
+// would hide it in the remainder.
 const cappedCores = 17
 
-// capCuts runs cappedCores dense cores for a little over k cap-fulls of
-// slots, with k large enough that batches one slot too long or too short
-// would come out one fewer or one more, between short segments that move
-// the phase.
+// capCuts moves the phase by a short segment, then runs cappedCores dense
+// cores for two cap-fulls of slots and the two more that make whole
+// cycles: three batches. The first opens before any window does; the
+// second opens inside them, where a round bound one turn too generous
+// shows; and a batch one slot longer or shorter than the cap moves the
+// third, two slots long, into another BatchLen bucket.
 func capCuts(rng *rand.Rand) []sim.Time {
-	var schedule []sim.Time
-	for i := 0; i < 8; i++ {
-		k := 20 + rng.Intn(8)
-		schedule = append(schedule,
-			sim.Time(1+rng.Intn(300))*cycle,
-			sim.Time((batchCap*k+cappedCores-1)/cappedCores)*cycle)
+	return []sim.Time{
+		sim.Time(1+rng.Intn(300)) * cycle,
+		sim.Time((2*batchCap+cappedCores-1)/cappedCores) * cycle,
 	}
-	return schedule
 }
 
 // loadLockstep loads every core of a slice with the heavy compute mix,
@@ -713,6 +714,7 @@ func runSchedule(t *testing.T, shape turboShape, schedule []sim.Time, exact bool
 			fired:      m.K.Fired(),
 			pending:    m.K.Pending(),
 			batches:    ts.Batches,
+			batchLen:   ts.BatchLen,
 			instrs:     ts.BatchedInstrs,
 			decodeHits: ts.DecodeHits,
 			decodeM:    ts.DecodeMisses,
@@ -785,11 +787,21 @@ func turboDifferential(t *testing.T, shape turboShape, seed int64) {
 		}
 		if shape.capped && i > 0 {
 			// Nothing fires but issue slots and nothing ends a batch but
-			// the cap and the segment's deadline.
+			// the cap and the segment's deadline: every batch but the
+			// last is the cap's length, and the last holds the rest.
 			slots, batches := f.fired-fast[i-1].fired, f.batches-fast[i-1].batches
 			if want := (slots + batchCap - 1) / batchCap; batches != want {
 				t.Fatalf("cut %d: %d slots ran in %d batches, want %d: the cap of %d did not cut where it should",
 					i, slots, batches, want, batchCap)
+			}
+			var want [xs1.BatchLenBuckets]uint64
+			want[xs1.BatchLenBuckets-1] = batches - 1
+			want[bits.Len64(slots-(batches-1)*batchCap-1)]++
+			for j := range want {
+				if got := f.batchLen[j] - fast[i-1].batchLen[j]; got != want[j] {
+					t.Fatalf("cut %d: %d slots ran in %d batches, %d of them %d to %d slots long, want %d: the cap of %d did not cut where it should",
+						i, slots, batches, got, 1<<j/2+1, 1<<j, want[j], batchCap)
+				}
 			}
 		}
 	}

@@ -131,11 +131,34 @@ func TestTwinRunsMatchExact(t *testing.T) {
 	}
 }
 
+// TestTwinScaleBatches runs BenchmarkTwinScale's two machines once each
+// and pins how many batches each takes. It counts, where the benchmark
+// times, so it holds on any host; and since CI runs it at GOMAXPROCS 1, 2
+// and 4, it also pins that the host threads computing windows never move
+// a batch boundary.
+func TestTwinScaleBatches(t *testing.T) {
+	for _, tc := range []struct {
+		w, h    int
+		batches uint64
+	}{{1, 1, 197}, {5, 6, 5886}} {
+		m := MustNew(tc.w, tc.h, Options{})
+		if err := m.LoadAll(workload.HeavyLoad(4, 20000)); err != nil {
+			t.Fatal(err)
+		}
+		before := xs1.ReadTurboStats().Batches
+		m.RunFor(550 * sim.Microsecond)
+		if got := xs1.ReadTurboStats().Batches - before; got != tc.batches {
+			t.Errorf("%dx%d: %d batches (%.2f a member), want %d", tc.w, tc.h, got, float64(got)/float64(m.CoreCount()), tc.batches)
+		}
+	}
+}
+
 // BenchmarkTwinScale runs HeavyLoad(4) on every core of a slice and of a
 // 5x6 machine for 550 µs: one twin class of 16 and one of 480 members.
 // The host cost per simulated instruction is what the membership adds on
-// top of the one window each refill computes, and batches/member shows
-// how often the group's shared batch cap ends a batch over the members.
+// top of the one window each refill computes, and batches/member how
+// often a batch ends, over the members; TestTwinScaleBatches pins the
+// batch counts.
 func BenchmarkTwinScale(b *testing.B) {
 	for _, size := range []struct{ w, h int }{{1, 1}, {5, 6}} {
 		b.Run(fmt.Sprintf("%dx%d", size.w, size.h), func(b *testing.B) {

@@ -11,7 +11,7 @@
 //	GET  /scenarios         list pinned scenario names
 //	PUT  /scenarios/{name}  pin name -> spec (persisted in the store)
 //	GET  /scenarios/{name}  re-render a pinned scenario by name
-//	GET  /scenarios/{name}/versions  pin history with change flags
+//	GET  /scenarios/{name}/versions  pin history (version, hash, time)
 //	GET  /cache/{key}       read one cached/stored result (peer cache fill)
 //	POST /jobs              async render submission (429 when saturated)
 //	GET  /jobs/{id}         job status / result polling

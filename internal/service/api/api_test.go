@@ -21,6 +21,7 @@ import (
 	"swallow/internal/harness"
 	"swallow/internal/report"
 	"swallow/internal/service/api"
+	"swallow/internal/xs1"
 )
 
 // echoRuns counts echo-artifact simulations, the singleflight probe.
@@ -500,7 +501,8 @@ func TestHealthAndMetrics(t *testing.T) {
 		"swallow_turbo_fanouts_total",
 		"swallow_turbo_helped_windows_total",
 		`swallow_turbo_batch_len_bucket{le="1"}`,
-		`swallow_turbo_batch_len_bucket{le="4096"}`,
+		// The top bucket is the batch cap's.
+		fmt.Sprintf(`swallow_turbo_batch_len_bucket{le="%d"}`, 1<<(xs1.BatchLenBuckets-1)),
 		`swallow_turbo_batch_len_bucket{le="+Inf"}`,
 		"swallow_turbo_batch_len_count",
 		"swallow_turbo_decode_hits_total",

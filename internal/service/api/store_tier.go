@@ -239,15 +239,8 @@ func (s *Server) handleScenarioList(w http.ResponseWriter, r *http.Request) {
 	cluster.WriteJSON(w, http.StatusOK, out)
 }
 
-// scenarioVersionView is one GET /scenarios/{name}/versions row; the
-// Changed flag diffs each pin against its predecessor, so a client
-// can spot which re-PUTs actually moved the spec.
-type scenarioVersionView struct {
-	store.NameVersion
-	Changed bool `json:"changed"`
-}
-
-// handleScenarioVersions serves one name's full pin history.
+// handleScenarioVersions serves one name's full pin history. Every row
+// moved the spec: re-pinning the hash a name holds adds no version.
 func (s *Server) handleScenarioVersions(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	rec, ok := s.store.NameInfo(name)
@@ -255,14 +248,10 @@ func (s *Server) handleScenarioVersions(w http.ResponseWriter, r *http.Request) 
 		cluster.WriteError(w, http.StatusNotFound, "unknown scenario name %q (GET /scenarios lists them)", name)
 		return
 	}
-	views := make([]scenarioVersionView, len(rec.Versions))
-	for i, v := range rec.Versions {
-		views[i] = scenarioVersionView{v, i == 0 || v.Hash != rec.Versions[i-1].Hash}
-	}
 	cluster.WriteJSON(w, http.StatusOK, map[string]any{
 		"name":     rec.Name,
 		"hash":     rec.Hash,
 		"version":  rec.Version,
-		"versions": views,
+		"versions": rec.Versions,
 	})
 }

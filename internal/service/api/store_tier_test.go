@@ -310,22 +310,8 @@ func TestNamedScenarios(t *testing.T) {
 	if len(list) != 1 || list[0].Name != "probe" || list[0].Hash != pin.Hash {
 		t.Fatalf("list = %+v", list)
 	}
-	resp, body = get(t, ts.URL+"/scenarios/probe/versions")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("versions: status %d", resp.StatusCode)
-	}
-	var vv struct {
-		Versions []struct {
-			Version int    `json:"version"`
-			Hash    string `json:"hash"`
-			Changed bool   `json:"changed"`
-		} `json:"versions"`
-	}
-	if err := json.Unmarshal([]byte(body), &vv); err != nil {
-		t.Fatalf("versions: %v: %s", err, body)
-	}
-	if len(vv.Versions) != 1 || vv.Versions[0].Hash != pin.Hash || !vv.Versions[0].Changed {
-		t.Fatalf("versions = %+v", vv.Versions)
+	if vv := versions(t, ts.URL, "probe"); len(vv) != 1 || vv[0].Version != 1 || vv[0].Hash != pin.Hash {
+		t.Fatalf("versions = %+v", vv)
 	}
 
 	// Pins persist: a restarted server still knows the name and
@@ -339,6 +325,40 @@ func TestNamedScenarios(t *testing.T) {
 	if got != wantBody {
 		t.Fatal("named render after restart differs")
 	}
+
+	// A different spec is a new version: the history lists both pins, in
+	// order, with distinct hashes, and every row is a pin that moved the
+	// spec, so none carries a flag saying so.
+	resp, body = put(t, ts2.URL, "probe", strings.Replace(specJSON, `"tokens": 400`, `"tokens": 800`, 1))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("pin of a second spec: status %d: %s", resp.StatusCode, body)
+	}
+	if err := json.Unmarshal([]byte(body), &repin); err != nil || repin.Version != 2 || !repin.Changed {
+		t.Fatalf("pin of a second spec = %+v (%v), want version 2, changed=true", repin, err)
+	}
+	vv := versions(t, ts2.URL, "probe")
+	if len(vv) != 2 || vv[0].Version != 1 || vv[1].Version != 2 || vv[0].Hash != pin.Hash || vv[1].Hash != repin.Hash || repin.Hash == pin.Hash {
+		t.Fatalf("versions after a second spec = %+v, want version 1 at %s and version 2 at %s", vv, pin.Hash, repin.Hash)
+	}
+	if _, body := get(t, ts2.URL+"/scenarios/probe/versions"); strings.Contains(body, `"changed"`) {
+		t.Fatalf("versions rows carry a changed flag: %s", body)
+	}
+}
+
+// versions reads GET /scenarios/{name}/versions' rows.
+func versions(t *testing.T, url, name string) []store.NameVersion {
+	t.Helper()
+	resp, body := get(t, url+"/scenarios/"+name+"/versions")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("versions: status %d: %s", resp.StatusCode, body)
+	}
+	var vv struct {
+		Versions []store.NameVersion `json:"versions"`
+	}
+	if err := json.Unmarshal([]byte(body), &vv); err != nil {
+		t.Fatalf("versions: %v: %s", err, body)
+	}
+	return vv.Versions
 }
 
 // TestMemoryStoreNamedScenarios: with no disk store configured, the

@@ -185,10 +185,15 @@ func (c *Core) FlushTurboStats() {
 }
 
 const (
-	// turboBatchCap bounds one batch (instructions plus idle probes) so
-	// a compute-bound core cannot stall the surrounding event loop's
-	// liveness indefinitely between kernel-visible boundaries.
-	turboBatchCapLog2 = 12
+	// turboBatchCap bounds one batch (instructions plus idle probes, of
+	// all the group's members together) by the host time it may hold the
+	// simulation goroutine before control returns to the kernel loop —
+	// the latency a check made between batches, such as a cancelled
+	// context, inherits. A slot costs 0.3 to 1.2 ns untraced, so a full
+	// batch runs about 1 ms; a recorder adds 25 to 40 ns a slot, so traced
+	// it runs about 37 ms. It is one constant, not an allotment per member:
+	// the ring's size changes what a batch simulates, not how long it runs.
+	turboBatchCapLog2 = 20
 	turboBatchCap     = 1 << turboBatchCapLog2
 	// BatchLenBuckets is the number of TurboStats.BatchLen buckets: upper
 	// bounds 1, 2, 4, ... up to the batch cap.

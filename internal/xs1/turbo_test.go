@@ -617,7 +617,9 @@ loop:
 	t.Run("Step", func(t *testing.T) {
 		r := newRig(t)
 		cores := r.group(t, turboLoop)
-		for i := 0; i < 2000; i++ {
+		// As far as RunFor goes below: a step may be a whole batch, so
+		// stepping counts time, not steps.
+		for r.k.Now() < 20*sim.Microsecond {
 			if !r.k.Step() {
 				t.Fatal("kernel ran dry")
 			}
