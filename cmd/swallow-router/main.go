@@ -10,9 +10,11 @@
 //
 // Usage:
 //
-//	swallow-router [-addr :9090] [-workers http://h1:8081,http://h2:8082]
-//	               [-quick] [-replicas 128] [-probe 1s] [-probe-fails 2]
-//	               [-timeout 2m]
+//	swallow-router [-addr :9090] [-workers http://h1:8081,http://h2:8082] [-quick]
+//
+// The ring gives each worker 128 virtual nodes; workers are probed every
+// second and marked down after two failed probes; a forwarded request
+// times out after 2 minutes.
 //
 // Workers may also self-register at runtime via POST /join (the
 // swallow-serve -join flag) and deregister via POST /leave; both keep
@@ -59,21 +61,9 @@ func main() {
 	addr := flag.String("addr", ":9090", "listen address")
 	workers := flag.String("workers", "", "comma-separated worker base URLs (more may join at runtime)")
 	quick := flag.Bool("quick", false, "workers serve quick configs by default (must match their -quick)")
-	replicas := flag.Int("replicas", 128, "virtual nodes per worker on the hash ring")
-	probe := flag.Duration("probe", time.Second, "health probe interval")
-	probeFails := flag.Int("probe-fails", 2, "consecutive probe failures before a worker is down")
-	timeout := flag.Duration("timeout", 2*time.Minute, "forwarded request timeout")
 	flag.Parse()
 
-	opts := cluster.RouterOptions{
-		Quick:          *quick,
-		Replicas:       *replicas,
-		ProbeInterval:  *probe,
-		ProbeFailLimit: *probeFails,
-		ForwardTimeout: *timeout,
-		Logf:           log.Printf,
-	}
-	rt := cluster.NewRouter(opts)
+	rt := cluster.NewRouter(cluster.RouterOptions{Quick: *quick, Logf: log.Printf})
 	for _, u := range strings.Split(*workers, ",") {
 		u = strings.TrimSpace(u)
 		if u == "" {
@@ -92,7 +82,7 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: rt}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("routing on %s (replicas=%d probe=%v): workers %v", *addr, *replicas, *probe, rt.WorkerStates())
+	log.Printf("routing on %s: workers %v", *addr, rt.WorkerStates())
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -121,7 +121,7 @@ func main() {
 	if *par < 1 {
 		log.Fatalf("-par must be >= 1, got %d", *par)
 	}
-	core.SharedPool().SetLimit(0, *poolMaxMB<<20)
+	core.SharedPool().SetLimit(*poolMaxMB << 20)
 
 	st, err := store.Open(store.Options{
 		Dir:      *storeDir,

@@ -93,8 +93,9 @@
 // # Machine lifecycle
 //
 // Machines split configuration into structure and operating point.
-// Structure — grid shape, link counts, buffer depths, channel ends,
-// latencies, routing policy — is fixed at core.New. The operating
+// Structure — grid shape and internal link count — is fixed at
+// core.New; buffer depths, channel ends, latencies and the routing
+// policy are constants of internal/noc. The operating
 // point — core clock and supply voltage, link timings — is movable with
 // Machine.Retune. A machine rewinds one way: Machine.Restore puts back a
 // Machine.Snapshot, byte-identical to a fresh build re-running the

@@ -29,12 +29,11 @@ import (
 // Options parameterises machine construction.
 //
 // Options conflates two kinds of knob. The structural half (grid
-// shape, link counts, buffer depths, channel-end counts, latencies,
-// routing policy) is baked in at build time; the run-time half — the
-// operating point (core clock and supply voltage, link timings) — can
-// be changed after construction with Machine.Retune. The machine Pool
-// keys on the structural half only, so sweep points differing only in
-// operating point share one build.
+// shape, internal link count) is baked in at build time; the run-time
+// half — the operating point (core clock and supply voltage, link
+// timings) — can be changed after construction with Machine.Retune.
+// The machine Pool keys on the structural half only, so sweep points
+// differing only in operating point share one build.
 type Options struct {
 	// Noc configures the interconnect; zero value means the Table I
 	// operating point.
@@ -81,22 +80,17 @@ func (o Options) OperatingPoint() OperatingPoint {
 }
 
 // shape canonically encodes the structural half of a machine build:
-// the grid and the options with every run-time (operating point) knob
-// normalised out. It is a comparable value, used directly as the
-// Pool's map key so checkout allocates nothing. Two builds with equal
-// shapes are interchangeable under Reset + Retune, which is the Pool's
-// contract.
+// the grid and the internal link count, with the operating point left
+// out. It is a comparable value, used directly as the Pool's map key so
+// checkout allocates nothing. Two builds with equal shapes are
+// interchangeable under Reset + Retune, which is the Pool's contract.
 type shape struct {
-	slicesX, slicesY int
-	// noc is the structural network configuration, timings zeroed.
-	noc noc.Config
+	slicesX, slicesY, internalLinks int
 }
 
 func shapeOf(slicesX, slicesY int, o Options) shape {
 	nocCfg, _ := o.resolve()
-	nocCfg.Internal, nocCfg.External, nocCfg.OffBoard =
-		noc.LinkTiming{}, noc.LinkTiming{}, noc.LinkTiming{}
-	return shape{slicesX: slicesX, slicesY: slicesY, noc: nocCfg}
+	return shape{slicesX: slicesX, slicesY: slicesY, internalLinks: nocCfg.InternalLinks}
 }
 
 // SupplyGroups is the number of core supplies per slice: four 1 V
@@ -490,14 +484,6 @@ func (m *Machine) Slices() int { return m.Sys.Slices() }
 
 // CoreCount reports the processor count.
 func (m *Machine) CoreCount() int { return m.Sys.Cores() }
-
-// NodeBudgetW estimates the per-node wall power budget of slice idx
-// over the window since its board's last sample: the Fig. 2 quantity
-// (260 mW/node under load).
-func (m *Machine) NodeBudgetW(idx int) float64 {
-	smp := m.boards[idx].SampleAll()
-	return smp.TotalInputW() / float64(topo.CoresPerSlice)
-}
 
 // EnergyReport summarises where energy went, in the vocabulary of
 // Fig. 2's wedges.

@@ -22,7 +22,6 @@ type Pool struct {
 	// fifo orders every idle machine oldest-return first, across
 	// shapes, so byte-budget eviction has a deterministic victim.
 	fifo      []*Machine
-	perShape  int
 	maxBytes  int64
 	idleBytes int64
 	stats     PoolStats
@@ -36,7 +35,7 @@ type PoolStats struct {
 	Reuses int64
 	// Returns counts Puts.
 	Returns int64
-	// Evictions counts idle machines released by SetLimit bounds.
+	// Evictions counts idle machines released by the SetLimit bound.
 	Evictions int64
 	// Idle is the machines currently parked, across all shapes.
 	Idle int
@@ -44,22 +43,20 @@ type PoolStats struct {
 	IdleBytes int64
 }
 
-// NewPool builds an empty pool with no idle bounds.
+// NewPool builds an empty pool with no idle bound.
 func NewPool() *Pool {
 	return &Pool{idle: make(map[shape][]*Machine)}
 }
 
-// SetLimit bounds the idle side of the pool: perShape caps parked
-// machines per structural shape and maxBytes caps the estimated total
-// idle footprint (Machine.Footprint) across shapes. Zero or negative
-// means unbounded in that dimension (the default). When a Put pushes
-// the pool over either bound, the oldest-returned idle machines are
-// released for the GC — one render on a large grid can no longer park
-// tens of megabytes of simulated SRAM in a long-lived server forever.
+// SetLimit bounds the idle side of the pool: maxBytes caps the
+// estimated total idle footprint (Machine.Footprint) across shapes.
+// Zero or negative means unbounded (the default). When a Put pushes the
+// pool over the bound, the oldest-returned idle machines are released
+// for the GC — one render on a large grid can no longer park tens of
+// megabytes of simulated SRAM in a long-lived server forever.
 // Checked-out machines are never touched.
-func (p *Pool) SetLimit(perShape int, maxBytes int64) {
+func (p *Pool) SetLimit(maxBytes int64) {
 	p.mu.Lock()
-	p.perShape = perShape
 	p.maxBytes = maxBytes
 	p.enforce()
 	p.mu.Unlock()
@@ -137,31 +134,11 @@ func (p *Pool) unfile(m *Machine) {
 	p.idleBytes -= m.Footprint()
 }
 
-// enforce evicts oldest-returned idle machines until both idle bounds
-// hold. Caller holds mu.
+// enforce evicts oldest-returned idle machines until the byte bound
+// holds. Caller holds mu.
 func (p *Pool) enforce() {
-	over := func() bool {
-		if p.perShape > 0 {
-			for _, list := range p.idle {
-				if len(list) > p.perShape {
-					return true
-				}
-			}
-		}
-		return p.maxBytes > 0 && p.idleBytes > p.maxBytes
-	}
-	for over() && len(p.fifo) > 0 {
+	for p.maxBytes > 0 && p.idleBytes > p.maxBytes && len(p.fifo) > 0 {
 		victim := p.fifo[0]
-		// Per-shape overflow evicts that shape's oldest, not the global
-		// oldest, so a hot small shape cannot be purged by a cold big one.
-		if p.maxBytes <= 0 || p.idleBytes <= p.maxBytes {
-			for _, f := range p.fifo {
-				if len(p.idle[f.shape]) > p.perShape {
-					victim = f
-					break
-				}
-			}
-		}
 		list := p.idle[victim.shape]
 		for i, idle := range list {
 			if idle == victim {

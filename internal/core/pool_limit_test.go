@@ -2,37 +2,6 @@ package core
 
 import "testing"
 
-// TestPoolPerShapeLimit: the idle cap per shape evicts the oldest
-// returns and counts them, without touching checked-out machines.
-func TestPoolPerShapeLimit(t *testing.T) {
-	p := NewPool()
-	p.SetLimit(2, 0)
-	var ms []*Machine
-	for i := 0; i < 4; i++ {
-		m, err := p.Get(1, 1, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms = append(ms, m)
-	}
-	for _, m := range ms {
-		p.Put(m)
-	}
-	st := p.Stats()
-	if st.Idle != 2 || st.Evictions != 2 {
-		t.Fatalf("stats = %+v, want 2 idle / 2 evictions", st)
-	}
-	// The pool still serves the shape after evictions.
-	m, err := p.Get(1, 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Put(m)
-	if st := p.Stats(); st.Idle != 2 {
-		t.Fatalf("idle after reuse = %d, want 2", st.Idle)
-	}
-}
-
 // TestPoolByteBudget: the idle byte budget bounds total parked
 // footprint across shapes, evicting oldest-returned first, and
 // SetLimit applies retroactively to machines already parked.
@@ -54,7 +23,7 @@ func TestPoolByteBudget(t *testing.T) {
 	}
 	// Shrink the budget below the big machine alone: both the oldest
 	// (small) and then anything still over must go until it fits.
-	p.SetLimit(0, big.Footprint())
+	p.SetLimit(big.Footprint())
 	st := p.Stats()
 	if st.IdleBytes > big.Footprint() {
 		t.Fatalf("idle bytes %d over budget %d", st.IdleBytes, big.Footprint())

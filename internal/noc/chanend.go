@@ -69,10 +69,8 @@ func (f *chanWakeFirer) Fire() {
 }
 
 func newChanEnd(sw *Switch, idx uint8) *ChanEnd {
-	ce := &ChanEnd{sw: sw, idx: idx, in: newTokenFIFO(sw.net.Cfg.ChanEndBuffer)}
-	// The output FIFO must hold a full header plus a word so a single
-	// OUT instruction never deadlocks half-injected.
-	ce.src = newChanInPort(ce, sw.net.Cfg.ChanEndBuffer+HeaderTokens+1)
+	ce := &ChanEnd{sw: sw, idx: idx, in: newTokenFIFO(chanEndBuffer)}
+	ce.src = newChanInPort(ce)
 	ce.wakeFire.ce = ce
 	ce.wakeTimer.Init(sw.net.K, &ce.wakeFire)
 	// The injection kick is exactly a process pass on the source port.
@@ -109,9 +107,6 @@ func (ce *ChanEnd) SetDest(d ChanEndID) {
 	ce.dest = d
 	ce.destSet = true
 }
-
-// Dest reports the programmed destination.
-func (ce *ChanEnd) Dest() ChanEndID { return ce.dest }
 
 // SetWake registers the progress callback (one per channel end; cores
 // multiplex their own threads).
@@ -161,7 +156,7 @@ func (ce *ChanEnd) TryOut(tok Token) bool {
 	// The core-to-network interface adds a few cycles of latency. Tokens
 	// are already in the FIFO, so the earliest pending kick serves them
 	// all.
-	ce.injectTimer.ArmEarliest(ce.sw.net.K.Now() + ce.sw.net.Cfg.InjectLatency)
+	ce.injectTimer.ArmEarliest(ce.sw.net.K.Now() + injectLatency)
 	return true
 }
 
@@ -239,7 +234,7 @@ func (ce *ChanEnd) deliver(tok Token, from *inPort) bool {
 		return false
 	}
 	ce.in.push(tok)
-	ce.scheduleWakeAfter(ce.sw.net.Cfg.LocalLatency)
+	ce.scheduleWakeAfter(localLatency)
 	return true
 }
 
@@ -289,7 +284,7 @@ func (ce *ChanEnd) WakeDue(t sim.Time) bool {
 //     link's next arrival is after t (Link.nextArrival);
 //   - failing that, a user that does not read the buffer is still not
 //     woken in time if t is less than the delivery latency away: a
-//     token landing from now on wakes it LocalLatency later.
+//     token landing from now on wakes it localLatency later.
 //
 // The channel end's user must itself stay away until t; QuietUntil
 // speaks only for the fabric.
@@ -303,8 +298,7 @@ func (ce *ChanEnd) QuietUntil(t sim.Time, reads bool) bool {
 	if o := ce.owner; o != nil && o.upstream != nil && o.fifo.len() == 0 && o.upstream.nextArrival() > t {
 		return true
 	}
-	net := ce.sw.net
-	return !reads && net.K.Now()+net.Cfg.LocalLatency > t
+	return !reads && ce.sw.net.K.Now()+localLatency > t
 }
 
 func (ce *ChanEnd) scheduleWake() { ce.scheduleWakeAfter(0) }

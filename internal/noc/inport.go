@@ -52,17 +52,20 @@ type inPort struct {
 // port's channel end) runs one process pass.
 func (p *inPort) Fire() { p.process() }
 
-func newLinkInPort(sw *Switch, name string, capacity int) *inPort {
-	p := &inPort{sw: sw, name: name, fifo: newTokenFIFO(capacity), hdrNeed: HeaderTokens}
+func newLinkInPort(sw *Switch, name string) *inPort {
+	p := &inPort{sw: sw, name: name, fifo: newTokenFIFO(bufferTokens), hdrNeed: HeaderTokens}
 	p.nudgeTimer.Init(sw.net.K, p)
 	return p
 }
 
-func newChanInPort(ce *ChanEnd, capacity int) *inPort {
+// newChanInPort builds a channel end's injection port. Its FIFO holds a
+// full header plus a word so a single OUT instruction never deadlocks
+// half-injected.
+func newChanInPort(ce *ChanEnd) *inPort {
 	p := &inPort{
 		sw:      ce.sw,
 		name:    ce.ID().String() + "-tx",
-		fifo:    newTokenFIFO(capacity),
+		fifo:    newTokenFIFO(chanEndBuffer + HeaderTokens + 1),
 		srcChan: ce,
 		hdrNeed: HeaderTokens,
 	}

@@ -130,7 +130,6 @@ type Link struct {
 
 	credits     int
 	busyUntil   sim.Time
-	hopLatency  sim.Time
 	energyPerBt float64
 
 	// pumpTimer drives transmission attempts; it re-arms forever. The
@@ -177,12 +176,12 @@ type delivery struct {
 	tok Token
 }
 
-func newLink(k *sim.Kernel, name string, class energy.LinkClass, timing LinkTiming, credits int) *Link {
+func newLink(k *sim.Kernel, name string, class energy.LinkClass, timing LinkTiming) *Link {
 	l := &Link{
 		name:        name,
 		class:       class,
 		k:           k,
-		credits:     credits,
+		credits:     bufferTokens,
 		energyPerBt: energy.LinkEnergyPerBit(class),
 	}
 	l.setTiming(timing)
@@ -268,7 +267,7 @@ func (l *Link) pump() {
 			l.outPort.released(l)
 		}
 	}
-	l.scheduleDelivery(l.busyUntil+l.hopLatency, tok)
+	l.scheduleDelivery(l.busyUntil+hopLatency, tok)
 	l.armAt(l.busyUntil)
 }
 

@@ -109,16 +109,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewNetwork(k, topo.MustSystem(1, 1), bad); err == nil {
 		t.Error("internal links 9 accepted")
 	}
-	bad = OperatingConfig()
-	bad.BufferTokens = 0
-	if _, err := NewNetwork(k, topo.MustSystem(1, 1), bad); err == nil {
-		t.Error("zero buffer accepted")
-	}
-	bad = OperatingConfig()
-	bad.ChanEndsPerCore = 0
-	if _, err := NewNetwork(k, topo.MustSystem(1, 1), bad); err == nil {
-		t.Error("zero channel ends accepted")
-	}
 }
 
 func TestCoreLocalTransfer(t *testing.T) {
@@ -573,7 +563,7 @@ func TestChanEndAllocation(t *testing.T) {
 	_, n := testNet(t, 1, 1, OperatingConfig())
 	sw := n.Switch(topo.MakeNodeID(0, 0, topo.LayerV))
 	seen := map[uint8]bool{}
-	for i := 0; i < n.Cfg.ChanEndsPerCore; i++ {
+	for i := 0; i < ChanEndsPerCore; i++ {
 		ce := sw.AllocChanEnd()
 		if ce == nil {
 			t.Fatalf("allocation %d failed", i)

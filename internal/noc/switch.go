@@ -8,7 +8,31 @@ import (
 	"swallow/internal/topo"
 )
 
-// Config parameterises a network build.
+// The network's fixed model parameters: the machine being modelled has
+// one channel-end count, one set of buffer depths and switch latencies,
+// and one routing strategy.
+const (
+	// ChanEndsPerCore is the number of channel-end resources per core.
+	ChanEndsPerCore = 32
+	// bufferTokens is the receive buffer (and so credit allowance) per
+	// link, in tokens.
+	bufferTokens = 8
+	// chanEndBuffer is the receive buffer of a channel end, in tokens.
+	chanEndBuffer = 8
+	// hopLatency is the switch traversal latency added to each link hop.
+	hopLatency = 4 * sim.Nanosecond
+	// localLatency is the switch-to-channel-end delivery latency.
+	localLatency = 4 * sim.Nanosecond
+	// injectLatency is the core-to-network-hardware latency ("just
+	// three cycles of latency (6 ns)", Section V-A).
+	injectLatency = 6 * sim.Nanosecond
+	// routePolicy is the routing strategy.
+	routePolicy = topo.PolicyAdaptive
+)
+
+// Config parameterises a network build: the link timings, which are the
+// network's half of an operating point, and the link-aggregation
+// ablation's internal link count.
 type Config struct {
 	// Internal is the timing of the four package-internal links.
 	Internal LinkTiming
@@ -16,42 +40,19 @@ type Config struct {
 	External LinkTiming
 	// OffBoard is the timing of inter-slice FFC cables.
 	OffBoard LinkTiming
-	// BufferTokens is the receive buffer (and so credit allowance) per
-	// link, in tokens.
-	BufferTokens int
-	// ChanEndBuffer is the receive buffer of a channel end, in tokens.
-	ChanEndBuffer int
-	// ChanEndsPerCore is the number of channel-end resources per core.
-	ChanEndsPerCore int
 	// InternalLinks is how many of the four package-internal links are
 	// enabled (1-4); the link-aggregation ablation varies this.
 	InternalLinks int
-	// HopLatency is the switch traversal latency added to each link hop.
-	HopLatency sim.Time
-	// LocalLatency is the switch-to-channel-end delivery latency.
-	LocalLatency sim.Time
-	// InjectLatency is the core-to-network-hardware latency ("just
-	// three cycles of latency (6 ns)", Section V-A).
-	InjectLatency sim.Time
-	// Policy selects the routing strategy.
-	Policy topo.RoutePolicy
 }
 
 // OperatingConfig is the Swallow operating point of Table I: internal
 // links at 250 Mbit/s, board and cable links at 62.5 Mbit/s.
 func OperatingConfig() Config {
 	return Config{
-		Internal:        TimingInternalOperating,
-		External:        TimingExternalOperating,
-		OffBoard:        TimingExternalOperating,
-		BufferTokens:    8,
-		ChanEndBuffer:   8,
-		ChanEndsPerCore: 32,
-		InternalLinks:   4,
-		HopLatency:      4 * sim.Nanosecond,
-		LocalLatency:    4 * sim.Nanosecond,
-		InjectLatency:   6 * sim.Nanosecond,
-		Policy:          topo.PolicyAdaptive,
+		Internal:      TimingInternalOperating,
+		External:      TimingExternalOperating,
+		OffBoard:      TimingExternalOperating,
+		InternalLinks: 4,
 	}
 }
 
@@ -67,15 +68,9 @@ func MaxRateConfig() Config {
 }
 
 func (c Config) validate() error {
-	if c.BufferTokens < 1 || c.ChanEndBuffer < 1 {
-		return fmt.Errorf("noc: buffers must hold at least one token")
-	}
 	if c.InternalLinks < 1 || c.InternalLinks > topo.InternalLinksPerPackage {
 		return fmt.Errorf("noc: internal links must be 1..%d, got %d",
 			topo.InternalLinksPerPackage, c.InternalLinks)
-	}
-	if c.ChanEndsPerCore < 1 || c.ChanEndsPerCore > 256 {
-		return fmt.Errorf("noc: channel ends per core must be 1..256, got %d", c.ChanEndsPerCore)
 	}
 	return nil
 }
@@ -133,9 +128,8 @@ func NewNetwork(k *sim.Kernel, sys topo.System, cfg Config) (*Network, error) {
 			op := &outPort{dir: d}
 			for i := 0; i < count; i++ {
 				name := fmt.Sprintf("%v-%v-%d", node, d, i)
-				l := newLink(k, name, class, cfg.timingFor(class), cfg.BufferTokens)
-				l.hopLatency = cfg.HopLatency
-				ip := newLinkInPort(n.switches[peer], name+"-rx", cfg.BufferTokens)
+				l := newLink(k, name, class, cfg.timingFor(class))
+				ip := newLinkInPort(n.switches[peer], name+"-rx")
 				l.dst = ip
 				ip.upstream = l
 				l.outPort = op
@@ -153,8 +147,7 @@ func (n *Network) Switch(node topo.NodeID) *Switch { return n.switches[node] }
 
 // Retune swaps the link timings of the three physical classes without
 // rebuilding — the run-time half of the network's operating point.
-// Structure (link counts, buffers, latencies, routing policy) is fixed
-// at construction.
+// The internal link count is fixed at construction.
 func (n *Network) Retune(internal, external, offBoard LinkTiming) {
 	n.Cfg.Internal, n.Cfg.External, n.Cfg.OffBoard = internal, external, offBoard
 	for _, l := range n.links {
@@ -196,7 +189,7 @@ type Switch struct {
 
 func newSwitch(n *Network, node topo.NodeID) *Switch {
 	sw := &Switch{net: n, node: node, out: make(map[topo.Dir]*outPort)}
-	sw.ces = make([]*ChanEnd, n.Cfg.ChanEndsPerCore)
+	sw.ces = make([]*ChanEnd, ChanEndsPerCore)
 	for i := range sw.ces {
 		sw.ces[i] = newChanEnd(sw, uint8(i))
 	}
@@ -233,7 +226,7 @@ func (sw *Switch) routeDir(dest ChanEndID) (topo.Dir, error) {
 	if destNode == sw.node {
 		return topo.DirLocal, nil
 	}
-	return sw.net.Sys.NextHop(sw.node, destNode, sw.net.Cfg.Policy)
+	return sw.net.Sys.NextHop(sw.node, destNode, routePolicy)
 }
 
 // outPort groups the parallel links of one direction; packets claim a

@@ -670,9 +670,8 @@ func checkFlows(sys topo.System, flows []FlowSpec, field string, havePayloadAxis
 			name string
 			v    int
 		}{{"src_end", f.SrcEnd}, {"dst_end", f.DstEnd}} {
-			if end.v < 0 || end.v >= noc.OperatingConfig().ChanEndsPerCore {
-				return badf("%s.%s: channel end %d outside 0-%d", ff, end.name, end.v,
-					noc.OperatingConfig().ChanEndsPerCore-1)
+			if end.v < 0 || end.v >= noc.ChanEndsPerCore {
+				return badf("%s.%s: channel end %d outside 0-%d", ff, end.name, end.v, noc.ChanEndsPerCore-1)
 			}
 		}
 		if f.Tokens < 0 || f.Tokens > MaxTokens {

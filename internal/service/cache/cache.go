@@ -101,20 +101,6 @@ func New(maxBytes int64, maxEntries int) *Cache {
 	}
 }
 
-// Get returns the cached entry for key, marking it most recently used.
-func (c *Cache) Get(key string) (Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.stats.Misses++
-		return Entry{}, false
-	}
-	c.ll.MoveToFront(el)
-	c.stats.Hits++
-	return el.Value.(*entry).val, true
-}
-
 // Peek returns the cached entry for key without touching recency
 // order or the hit/miss counters. It exists for the peer cache-fill
 // endpoint: a sibling worker probing this cache should not distort the

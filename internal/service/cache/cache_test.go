@@ -127,10 +127,10 @@ func TestLRUEntryBound(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 entries / 2 evictions", s)
 	}
 	// Oldest keys evicted, newest kept.
-	if _, ok := c.Get("k0"); ok {
+	if _, ok := c.Peek("k0"); ok {
 		t.Error("k0 survived eviction")
 	}
-	if _, ok := c.Get("k3"); !ok {
+	if _, ok := c.Peek("k3"); !ok {
 		t.Error("k3 evicted prematurely")
 	}
 }
@@ -142,12 +142,16 @@ func TestLRUByteBoundAndRecency(t *testing.T) {
 	}
 	c.GetOrFill("a", fill("aaaaaaaa"))
 	c.GetOrFill("b", fill("bbbbbbbb"))
-	c.Get("a") // touch a so b is the LRU victim
+	// Touch a through GetOrFill's hit path so b is the LRU victim.
+	c.GetOrFill("a", func() ([]byte, error) {
+		t.Fatal("a missed before its touch")
+		return nil, nil
+	})
 	c.GetOrFill("c", fill("cccccccc"))
-	if _, ok := c.Get("b"); ok {
+	if _, ok := c.Peek("b"); ok {
 		t.Error("b should have been evicted (LRU)")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Peek("a"); !ok {
 		t.Error("a was recently used and must survive")
 	}
 	if s := c.Stats(); s.Bytes > 20 {
@@ -162,7 +166,7 @@ func TestOversizedEntryStillServable(t *testing.T) {
 	if err != nil || string(e.Body) != string(big) {
 		t.Fatalf("oversized fill: %v", err)
 	}
-	if _, ok := c.Get("big"); !ok {
+	if _, ok := c.Peek("big"); !ok {
 		t.Fatal("an oversized entry must still be kept (never evict the only entry)")
 	}
 }

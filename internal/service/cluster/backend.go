@@ -31,8 +31,6 @@ package cluster
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"time"
 
 	"swallow/internal/harness"
@@ -57,8 +55,6 @@ type Request struct {
 type Result struct {
 	// Body is the rendered table text.
 	Body []byte
-	// ContentHash is the hex sha256 of Body (the HTTP ETag value).
-	ContentHash string
 	// RenderMicros is the simulation time.
 	RenderMicros int64
 	// Metrics are the artifact's named headline quantities, when the
@@ -121,10 +117,8 @@ func (t Target) Run() (Result, error) {
 	if t.Artifact.Metrics != nil {
 		metrics = t.Artifact.Metrics(res)
 	}
-	sum := sha256.Sum256(body)
 	return Result{
 		Body:         body,
-		ContentHash:  hex.EncodeToString(sum[:]),
 		RenderMicros: dur.Microseconds(),
 		Metrics:      metrics,
 	}, nil

@@ -31,9 +31,12 @@ type Remote struct {
 	client *http.Client
 }
 
+// forwardTimeout bounds one proxied render: renders simulate.
+const forwardTimeout = 2 * time.Minute
+
 // NewRemote builds a Remote for the worker at baseURL
 // (e.g. http://127.0.0.1:8081). timeout bounds one HTTP exchange end
-// to end (<= 0: 2m — renders simulate).
+// to end (<= 0: forwardTimeout).
 func NewRemote(baseURL string, timeout time.Duration) (*Remote, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
@@ -43,7 +46,7 @@ func NewRemote(baseURL string, timeout time.Duration) (*Remote, error) {
 		return nil, fmt.Errorf("cluster: bad worker url %q: need scheme://host:port", baseURL)
 	}
 	if timeout <= 0 {
-		timeout = 2 * time.Minute
+		timeout = forwardTimeout
 	}
 	transport := &http.Transport{
 		// One worker behind this transport: keep a healthy idle pool

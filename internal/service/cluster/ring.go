@@ -38,11 +38,14 @@ func hashString(s string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
+// ringReplicas is a router ring's virtual nodes per worker.
+const ringReplicas = 128
+
 // NewRing builds an empty ring with the given virtual-node
-// replication (<= 0: 128).
+// replication (<= 0: ringReplicas).
 func NewRing(replicas int) *Ring {
 	if replicas <= 0 {
-		replicas = 128
+		replicas = ringReplicas
 	}
 	return &Ring{replicas: replicas, members: make(map[string]bool)}
 }

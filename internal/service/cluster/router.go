@@ -45,28 +45,24 @@ type worker struct {
 	latCount int64
 }
 
-// RouterOptions configures a Router. Zero fields take the stated
-// defaults.
+// RouterOptions configures a Router.
 type RouterOptions struct {
 	// Quick must equal the fronted workers' api.Options.Quick, so the
 	// router's Resolver derives the key the worker files under.
 	Quick bool
-	// Replicas is the ring's virtual nodes per worker (<= 0: 128).
-	Replicas int
-	// ProbeInterval paces the health loop (<= 0: 1s); ProbeFailLimit
-	// is how many consecutive probe failures mark a worker down (<= 0:
-	// 2).
-	ProbeInterval  time.Duration
-	ProbeFailLimit int
-	// ForwardTimeout bounds one proxied render (<= 0: 2m).
-	ForwardTimeout time.Duration
 	// Logf receives operational log lines (nil: log silently
 	// discarded).
 	Logf func(format string, args ...any)
 }
 
-// probeTimeout bounds one health probe.
-const probeTimeout = 2 * time.Second
+const (
+	// probeInterval paces the health loop; probeFailLimit consecutive
+	// probe failures mark a worker down.
+	probeInterval  = time.Second
+	probeFailLimit = 2
+	// probeTimeout bounds one health probe.
+	probeTimeout = 2 * time.Second
+)
 
 // Router fronts N swallow-serve workers: requests are routed by
 // consistent hashing over the canonical content key so each worker's
@@ -99,12 +95,6 @@ type Router struct {
 // NewRouter builds a Router with no workers; add them with AddWorker
 // or let them register via POST /join, then Start the probe loop.
 func NewRouter(opts RouterOptions) *Router {
-	if opts.ProbeInterval <= 0 {
-		opts.ProbeInterval = time.Second
-	}
-	if opts.ProbeFailLimit <= 0 {
-		opts.ProbeFailLimit = 2
-	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
@@ -113,7 +103,7 @@ func NewRouter(opts RouterOptions) *Router {
 		opts:     opts,
 		mux:      http.NewServeMux(),
 		workers:  make(map[string]*worker),
-		ring:     NewRing(opts.Replicas),
+		ring:     NewRing(ringReplicas),
 		stop:     make(chan struct{}),
 	}
 	// Every forwarded endpoint is a key extractor in front of forward.
@@ -164,7 +154,7 @@ func NewRouter(opts RouterOptions) *Router {
 // routable until a probe sees it healthy; call ProbeAll (or wait for
 // the loop) to admit it.
 func (rt *Router) AddWorker(baseURL string) (string, error) {
-	remote, err := NewRemote(baseURL, rt.opts.ForwardTimeout)
+	remote, err := NewRemote(baseURL, forwardTimeout)
 	if err != nil {
 		return "", err
 	}
@@ -182,7 +172,7 @@ func (rt *Router) AddWorker(baseURL string) (string, error) {
 // Start launches the periodic health-probe loop.
 func (rt *Router) Start() {
 	go func() {
-		ticker := time.NewTicker(rt.opts.ProbeInterval)
+		ticker := time.NewTicker(probeInterval)
 		defer ticker.Stop()
 		for {
 			select {
@@ -215,7 +205,7 @@ func (rt *Router) ProbeAll() {
 
 // probe checks one worker's health and applies the state machine:
 // healthy on 200, draining on a drain report, down after
-// ProbeFailLimit consecutive unreachable probes.
+// probeFailLimit consecutive unreachable probes.
 func (rt *Router) probe(wk *worker) {
 	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	start := time.Now()
@@ -228,7 +218,7 @@ func (rt *Router) probe(wk *worker) {
 	prev := wk.state
 	switch {
 	case err != nil:
-		if wk.fails++; wk.fails >= rt.opts.ProbeFailLimit {
+		if wk.fails++; wk.fails >= probeFailLimit {
 			wk.state = stateDown
 		}
 	case h.State == StateDraining:
@@ -248,7 +238,7 @@ func (rt *Router) markDown(wk *worker) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	wk.errors++
-	wk.fails = rt.opts.ProbeFailLimit
+	wk.fails = probeFailLimit
 	if wk.state != stateDown {
 		rt.opts.Logf("worker %s: %v -> down (transport failure)", wk.name, wk.state)
 		wk.state = stateDown

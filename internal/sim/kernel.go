@@ -28,16 +28,14 @@ import (
 // without touching the queue structure it was filed in.
 
 const (
-	// defaultQuantumShift sets the default bucket width: 2048 ps, about
-	// one cycle at the 500 MHz operating point. WithQuantumShift tunes
-	// it for kernels whose traffic lives in a different time scale.
-	defaultQuantumShift = 11
-	defaultQuantum      = Time(1) << defaultQuantumShift
-	numBuckets          = 256
-	bucketMask          = numBuckets - 1
-	// defaultWheelSpan is the near-tier horizon (~524 ns) at the
-	// default quantum.
-	defaultWheelSpan = defaultQuantum * numBuckets
+	// quantumShift sets the bucket width: 2048 ps, about one cycle at
+	// the 500 MHz operating point.
+	quantumShift = 11
+	quantum      = Time(1) << quantumShift
+	numBuckets   = 256
+	bucketMask   = numBuckets - 1
+	// wheelSpan is the near-tier horizon (~524 ns).
+	wheelSpan = quantum * numBuckets
 )
 
 // slot is one registration in the queue. ev's (armed, seq) pair decides
@@ -119,49 +117,14 @@ type Kernel struct {
 	deadline    Time
 	hasDeadline bool
 
-	// quantumShift/quantum/wheelSpan fix the near-tier geometry for the
-	// kernel's lifetime (set once in NewKernel).
-	quantumShift uint
-	quantum      Time
-	wheelSpan    Time
-
 	// rec is the attached flight recorder, nil when tracing is off.
 	// Snapshot restore leaves it alone: attachment follows the checkout
 	// lifecycle (core.Checkout), not the event state.
 	rec *trace.Recorder
 }
 
-// Option configures a Kernel at construction.
-type Option func(*Kernel)
-
-// WithQuantumShift sets the wheel bucket width to 2^shift picoseconds.
-// The default (11, i.e. 2048 ps) matches a 500 MHz core cycle; a
-// workload dominated by much slower clock domains can widen the
-// quantum so its events still land in the wheel instead of the
-// overflow heap. Shifts outside [0, 40] panic.
-func WithQuantumShift(shift int) Option {
-	if shift < 0 || shift > 40 {
-		panic(fmt.Sprintf("sim: quantum shift %d outside [0, 40]", shift))
-	}
-	return func(k *Kernel) { k.quantumShift = uint(shift) }
-}
-
 // NewKernel returns a kernel with the clock at zero.
-func NewKernel(opts ...Option) *Kernel {
-	k := &Kernel{quantumShift: defaultQuantumShift}
-	for _, o := range opts {
-		o(k)
-	}
-	k.quantum = Time(1) << k.quantumShift
-	k.wheelSpan = k.quantum * numBuckets
-	return k
-}
-
-// Quantum reports the width of one wheel bucket.
-func (k *Kernel) Quantum() Time { return k.quantum }
-
-// WheelSpan reports the near-tier horizon (quantum x bucket count).
-func (k *Kernel) WheelSpan() Time { return k.wheelSpan }
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now reports the current simulation time.
 func (k *Kernel) Now() Time { return k.now }
@@ -208,7 +171,7 @@ func (k *Kernel) cancel(ev *event) bool {
 
 // insert files a registration into the tier its timestamp selects.
 func (k *Kernel) insert(s slot) {
-	off := (s.when - k.wheelTime) >> k.quantumShift
+	off := (s.when - k.wheelTime) >> quantumShift
 	switch {
 	case off <= 0:
 		// Current quantum (or, after a RunUntil jump left wheelTime
@@ -267,7 +230,7 @@ func (k *Kernel) advanceNear() bool {
 		k.curHead = 0
 		for {
 			k.wheelPos = (k.wheelPos + 1) & bucketMask
-			k.wheelTime += k.quantum
+			k.wheelTime += quantum
 			if len(k.wheel[k.wheelPos]) > 0 {
 				break
 			}
@@ -290,8 +253,8 @@ func (k *Kernel) rebase() {
 	clear(k.cur)
 	k.cur = k.cur[:0]
 	k.curHead = 0
-	k.wheelTime = k.overflow[0].when &^ (k.quantum - 1)
-	for len(k.overflow) > 0 && k.overflow[0].when < k.wheelTime+k.wheelSpan {
+	k.wheelTime = k.overflow[0].when &^ (quantum - 1)
+	for len(k.overflow) > 0 && k.overflow[0].when < k.wheelTime+wheelSpan {
 		s := k.heapPop()
 		if !s.live() {
 			continue
@@ -365,6 +328,11 @@ func (k *Kernel) fireSlot(s slot) {
 
 // Step executes the single next event, advancing the clock to its
 // timestamp. It reports false when the queue is empty.
+//
+// On a machine with turbo cores one event can be a whole batch: a
+// core's issue event runs up to 2^20 issue slots, about 1 ms of host
+// time untraced and 37 ms traced, so Step and Run do not advance such a
+// machine in small steps. Product code runs only RunUntil and RunFor.
 func (k *Kernel) Step() bool {
 	s, far, ok := k.head()
 	if !ok {
@@ -513,7 +481,8 @@ func (k *Kernel) Count(arms, firings int) {
 	k.fired += uint64(firings)
 }
 
-// Run executes events until the queue drains or Halt is called.
+// Run executes events until the queue drains or Halt is called. As
+// under Step, one event can be a whole turbo batch.
 func (k *Kernel) Run() {
 	k.halted = false
 	for !k.halted && k.Step() {

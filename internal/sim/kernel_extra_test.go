@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestKernelCancelAlreadyFired(t *testing.T) {
 	k := NewKernel()
@@ -19,16 +22,16 @@ func TestKernelRunUntilEmptyWindow(t *testing.T) {
 	k := NewKernel()
 	var got []Time
 	k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(10)
-	k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(5 * defaultWheelSpan)
-	k.RunUntil(2 * defaultWheelSpan) // fires 10, clock lands mid-gap
-	if k.Now() != 2*defaultWheelSpan {
-		t.Fatalf("Now = %v, want %v", k.Now(), 2*defaultWheelSpan)
+	k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(5 * wheelSpan)
+	k.RunUntil(2 * wheelSpan) // fires 10, clock lands mid-gap
+	if k.Now() != 2*wheelSpan {
+		t.Fatalf("Now = %v, want %v", k.Now(), 2*wheelSpan)
 	}
 	// Schedule between the deadline and the far pending event.
-	k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(3 * defaultWheelSpan)
+	k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(3 * wheelSpan)
 	k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(k.Now() + 1)
 	k.Run()
-	want := []Time{10, 2*defaultWheelSpan + 1, 3 * defaultWheelSpan, 5 * defaultWheelSpan}
+	want := []Time{10, 2*wheelSpan + 1, 3 * wheelSpan, 5 * wheelSpan}
 	if len(got) != len(want) {
 		t.Fatalf("fired %v, want %v", got, want)
 	}
@@ -44,11 +47,11 @@ func TestKernelHorizonBoundary(t *testing.T) {
 	// tiers but still fire in timestamp order.
 	k := NewKernel()
 	var got []Time
-	for _, d := range []Time{defaultWheelSpan + 1, defaultWheelSpan, defaultWheelSpan - 1, 1, 2 * defaultWheelSpan} {
+	for _, d := range []Time{wheelSpan + 1, wheelSpan, wheelSpan - 1, 1, 2 * wheelSpan} {
 		k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(d)
 	}
 	k.Run()
-	want := []Time{1, defaultWheelSpan - 1, defaultWheelSpan, defaultWheelSpan + 1, 2 * defaultWheelSpan}
+	want := []Time{1, wheelSpan - 1, wheelSpan, wheelSpan + 1, 2 * wheelSpan}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("fired %v, want %v", got, want)
@@ -61,15 +64,15 @@ func TestKernelInterleavedTiers(t *testing.T) {
 	// still fire before later wheel events (the two-tier merge).
 	k := NewKernel()
 	var got []Time
-	k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(defaultWheelSpan + 10) // overflow at insert
+	k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(wheelSpan + 10) // overflow at insert
 	k.NewTimer(func() {
 		// Wheel has advanced; this lands after the overflow event in
 		// time but in the near tier.
-		k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(defaultWheelSpan + 20)
-	}).ArmAt(defaultQuantum)
+		k.NewTimer(func() { got = append(got, k.Now()) }).ArmAt(wheelSpan + 20)
+	}).ArmAt(quantum)
 	k.Run()
-	if len(got) != 2 || got[0] != defaultWheelSpan+10 || got[1] != defaultWheelSpan+20 {
-		t.Fatalf("fired %v, want [%v %v]", got, defaultWheelSpan+10, defaultWheelSpan+20)
+	if len(got) != 2 || got[0] != wheelSpan+10 || got[1] != wheelSpan+20 {
+		t.Fatalf("fired %v, want [%v %v]", got, wheelSpan+10, wheelSpan+20)
 	}
 }
 
@@ -161,9 +164,9 @@ func BenchmarkKernelMixedHorizon(b *testing.B) {
 			near.ArmAfter(2 * Nanosecond)
 		}
 	})
-	far = k.NewTimer(func() { far.ArmAfter(2 * defaultWheelSpan) })
+	far = k.NewTimer(func() { far.ArmAfter(2 * wheelSpan) })
 	near.ArmAfter(2 * Nanosecond)
-	far.ArmAfter(2 * defaultWheelSpan)
+	far.ArmAfter(2 * wheelSpan)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n < b.N && k.Step() {
@@ -188,52 +191,27 @@ func BenchmarkKernelClosureEvents(b *testing.B) {
 	k.Run()
 }
 
-// TestKernelQuantumOption exercises a kernel built with a non-default
-// wheel quantum: geometry accessors, ordering across the (now much
-// nearer) horizon, and FIFO ties — the contract must not depend on the
-// bucket width.
-func TestKernelQuantumOption(t *testing.T) {
-	k := NewKernel(WithQuantumShift(4))
-	if k.Quantum() != 16 || k.WheelSpan() != 16*numBuckets {
-		t.Fatalf("quantum = %v, span = %v", k.Quantum(), k.WheelSpan())
-	}
-	span := k.WheelSpan()
+// TestKernelHorizonAndTies orders events far beyond the wheel's
+// horizon, inside it, in the current bucket and as a same-time pair:
+// time order across the tiers, registration order among ties.
+func TestKernelHorizonAndTies(t *testing.T) {
+	k := NewKernel()
 	var got []Time
 	note := func() { got = append(got, k.Now()) }
-	// Far beyond the narrow horizon, inside it, a same-time FIFO pair,
-	// and one event in the current bucket.
-	k.NewTimer(note).ArmAt(3*span + 5)
-	k.NewTimer(note).ArmAt(span / 2)
+	k.NewTimer(note).ArmAt(3*wheelSpan + 5)
+	k.NewTimer(note).ArmAt(wheelSpan / 2)
 	order := []int{}
-	k.NewTimer(func() { order = append(order, 1) }).ArmAt(span / 2)
-	k.NewTimer(func() { order = append(order, 2) }).ArmAt(span / 2)
+	k.NewTimer(func() { order = append(order, 1) }).ArmAt(wheelSpan / 2)
+	k.NewTimer(func() { order = append(order, 2) }).ArmAt(wheelSpan / 2)
 	k.NewTimer(note).ArmAt(1)
 	k.Run()
-	want := []Time{1, span / 2, 3*span + 5}
-	if len(got) != len(want) {
+	want := []Time{1, wheelSpan / 2, 3*wheelSpan + 5}
+	if !slices.Equal(got, want) {
 		t.Fatalf("fired %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
-		}
 	}
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("same-time FIFO order = %v", order)
 	}
-
-	// Default geometry is unchanged.
-	if d := NewKernel(); d.Quantum() != defaultQuantum || d.WheelSpan() != defaultWheelSpan {
-		t.Fatalf("default quantum = %v, span = %v", d.Quantum(), d.WheelSpan())
-	}
-
-	// Out-of-range shifts are programming errors.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WithQuantumShift(41) did not panic")
-		}
-	}()
-	WithQuantumShift(41)
 }
 
 // testWaker is a Waker with an identity to compare and an optional
@@ -290,15 +268,15 @@ func TestAbsorbNextAndHeadPeek(t *testing.T) {
 			t.Fatal("AbsorbNext(c) did not consume the head")
 		}
 		// Only the far tier is left: the peek walks and rebases.
-		peek(3*defaultWheelSpan, wfar)
+		peek(3*wheelSpan, wfar)
 		if k.AbsorbNext(&c) {
 			t.Fatal("AbsorbNext consumed a disarmed timer")
 		}
 	}).ArmAt(15)
 	c.ArmAt(20)
-	far.ArmAt(3 * defaultWheelSpan)
+	far.ArmAt(3 * wheelSpan)
 	k.Run()
-	if k.Fired() != 5 || k.Pending() != 0 || k.Now() != 3*defaultWheelSpan {
+	if k.Fired() != 5 || k.Pending() != 0 || k.Now() != 3*wheelSpan {
 		t.Fatalf("fired=%d pending=%d now=%v", k.Fired(), k.Pending(), k.Now())
 	}
 	if _, _, ok := k.NextForeign(); ok {

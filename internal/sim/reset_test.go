@@ -15,7 +15,7 @@ func TestKernelResetEmpty(t *testing.T) {
 	k := NewKernel()
 	pristine := k.Snapshot()
 	k.NewTimer(func() {}).ArmAfter(5 * Nanosecond)
-	k.NewTimer(func() {}).ArmAfter(2 * defaultWheelSpan) // far tier
+	k.NewTimer(func() {}).ArmAfter(2 * wheelSpan) // far tier
 	k.Run()
 	k.NewTimer(func() {}).ArmAfter(3 * Nanosecond)
 	k.Restore(pristine)
@@ -35,14 +35,14 @@ func TestKernelResetDisarmsEverything(t *testing.T) {
 	tm := k.NewTimer(func() { fired++ })
 	tm.ArmAfter(10 * Nanosecond)
 	far := k.NewTimer(func() { fired++ })
-	far.ArmAfter(4 * defaultWheelSpan)
+	far.ArmAfter(4 * wheelSpan)
 	k.NewTimer(func() { fired++ }).ArmAfter(20 * Nanosecond)
 
 	k.Restore(pristine)
 	if tm.Armed() || far.Armed() {
 		t.Fatalf("timers still armed after reset")
 	}
-	k.RunFor(8 * defaultWheelSpan)
+	k.RunFor(8 * wheelSpan)
 	if fired != 0 {
 		t.Fatalf("%d stale events fired after reset", fired)
 	}
@@ -73,9 +73,9 @@ func TestKernelResetDifferential(t *testing.T) {
 			case 0:
 				d = Time(rng.Intn(64))
 			case 1:
-				d = Time(rng.Intn(int(defaultWheelSpan)))
+				d = Time(rng.Intn(int(wheelSpan)))
 			default:
-				d = defaultWheelSpan + Time(rng.Intn(int(defaultWheelSpan)))
+				d = wheelSpan + Time(rng.Intn(int(wheelSpan)))
 			}
 			ops[i] = op{delay: d, id: i}
 		}
@@ -101,7 +101,7 @@ func TestKernelResetDifferential(t *testing.T) {
 		// then reset.
 		run(dirty, schedule(seed+100))
 		dirty.NewTimer(func() { t.Error("stale event fired") }).ArmAfter(3 * Nanosecond)
-		dirty.NewTimer(func() {}).ArmAfter(5 * defaultWheelSpan)
+		dirty.NewTimer(func() {}).ArmAfter(5 * wheelSpan)
 		dirty.Restore(pristine)
 		reset := run(dirty, ops)
 

@@ -68,7 +68,7 @@ func (k *Kernel) Restore(s *KernelSnapshot) {
 	k.now, k.seq, k.fired = s.now, s.seq, s.fired
 	k.halted, k.hasDeadline = false, false
 	k.wheel[k.wheelPos] = k.cur
-	k.wheelPos, k.wheelTime = 0, s.now&^(k.quantum-1)
+	k.wheelPos, k.wheelTime = 0, s.now&^(quantum-1)
 	k.cur, k.wheel[0] = k.wheel[0], nil
 	k.liveNear, k.liveFar = 0, 0
 	for _, sl := range s.slots {

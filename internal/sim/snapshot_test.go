@@ -41,27 +41,27 @@ func TestKernelSnapshotRestoreExact(t *testing.T) {
 	var near, far *Timer
 	near = k.NewTimer(func() {
 		fires = append(fires, firing{k.Now(), near.ev.seq})
-		if k.Now() < 40*defaultWheelSpan {
+		if k.Now() < 40*wheelSpan {
 			near.ArmAfter(3 * Nanosecond)
 		}
 	})
 	far = k.NewTimer(func() {
 		fires = append(fires, firing{k.Now(), far.ev.seq})
-		if k.Now() < 40*defaultWheelSpan {
-			far.ArmAfter(2 * defaultWheelSpan)
+		if k.Now() < 40*wheelSpan {
+			far.ArmAfter(2 * wheelSpan)
 		}
 	})
 	near.ArmAfter(1 * Nanosecond)
-	far.ArmAfter(defaultWheelSpan)
+	far.ArmAfter(wheelSpan)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
-		at := Time(rng.Intn(int(30 * defaultWheelSpan)))
+		at := Time(rng.Intn(int(30 * wheelSpan)))
 		var tm *Timer
 		tm = k.NewTimer(func() { fires = append(fires, firing{k.Now(), tm.ev.seq}) })
 		tm.ArmAt(at)
 	}
 
-	k.RunUntil(10 * defaultWheelSpan)
+	k.RunUntil(10 * wheelSpan)
 	snap := k.Snapshot()
 	if snap.Now() != k.Now() {
 		t.Fatalf("snapshot now %v, kernel now %v", snap.Now(), k.Now())
@@ -121,9 +121,9 @@ func TestKernelSnapshotRandomizedBoundaries(t *testing.T) {
 				// Rescheduling must be a pure function of (timer, now) so
 				// the replayed suffix is identical: snapshots capture
 				// kernel and component state, not host closure state.
-				if k.Now() < 200*defaultWheelSpan {
+				if k.Now() < 200*wheelSpan {
 					h := uint64(k.Now())*2654435761 + uint64(i)*971
-					d := Time(1 + h%uint64(2*defaultWheelSpan))
+					d := Time(1 + h%uint64(2*wheelSpan))
 					timers[i].ArmAfter(d)
 				}
 			})
@@ -241,7 +241,7 @@ func TestBucketBackingsStayPut(t *testing.T) {
 		timers[i] = k.NewTimer(func() {
 			if left--; left > 0 {
 				// Uneven delays, so the wheel's positions fill unevenly.
-				timers[i].ArmAfter(Time(1+(i*37+left*11)%97) * k.Quantum() / 3)
+				timers[i].ArmAfter(Time(1+(i*37+left*11)%97) * quantum / 3)
 			}
 		})
 	}
@@ -249,7 +249,7 @@ func TestBucketBackingsStayPut(t *testing.T) {
 		k.Restore(pristine)
 		left = 4000
 		for i, tm := range timers {
-			tm.ArmAt(Time(i%5) * k.Quantum())
+			tm.ArmAt(Time(i%5) * quantum)
 		}
 		k.Run()
 	}

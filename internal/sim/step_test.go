@@ -24,78 +24,76 @@ func kernelState(k *Kernel) string {
 // counters, the head the next primitive finds and everything that fires
 // afterwards must agree.
 func TestStepNMatchesStepTo(t *testing.T) {
-	for _, shift := range []int{4, defaultQuantumShift} {
-		for seed := int64(1); seed <= 200; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			span := Time(numBuckets) << uint(shift)
-			start := Time(1 + rng.Int63n(int64(span)))
-			// The steps: n monotone times (ties allowed) after start.
-			n := 1 + rng.Intn(40)
-			times := make([]Time, n)
-			at := start
-			for i := range times {
-				at += Time(rng.Int63n(int64(span) / 8))
-				times[i] = at
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		span := wheelSpan
+		start := Time(1 + rng.Int63n(int64(span)))
+		// The steps: n monotone times (ties allowed) after start.
+		n := 1 + rng.Intn(40)
+		times := make([]Time, n)
+		at := start
+		for i := range times {
+			at += Time(rng.Int63n(int64(span) / 8))
+			times[i] = at
+		}
+		last := times[n-1]
+		// The queue: everything strictly after the final time.
+		type reg struct {
+			when   Time
+			cancel bool
+			rearm  Time
+		}
+		regs := make([]reg, rng.Intn(12))
+		for i := range regs {
+			r := reg{when: last + 1 + Time(rng.Int63n(int64(span)*3))}
+			switch rng.Intn(4) {
+			case 0:
+				r.cancel = true
+			case 1:
+				r.rearm = last + 1 + Time(rng.Int63n(int64(span)*3))
 			}
-			last := times[n-1]
-			// The queue: everything strictly after the final time.
-			type reg struct {
-				when   Time
-				cancel bool
-				rearm  Time
-			}
-			regs := make([]reg, rng.Intn(12))
-			for i := range regs {
-				r := reg{when: last + 1 + Time(rng.Int63n(int64(span)*3))}
-				switch rng.Intn(4) {
-				case 0:
-					r.cancel = true
-				case 1:
-					r.rearm = last + 1 + Time(rng.Int63n(int64(span)*3))
-				}
-				regs[i] = r
-			}
-			bounded := rng.Intn(2) == 0
+			regs[i] = r
+		}
+		bounded := rng.Intn(2) == 0
 
-			run := func(counted bool) (mid string, fired []string) {
-				k := NewKernel(WithQuantumShift(shift))
-				timers := make([]*Timer, len(regs))
-				for i := range regs {
-					i := i
-					timers[i] = k.NewTimer(func() { fired = append(fired, fmt.Sprintf("%d@%d/%d", i, k.Now(), k.Seq())) })
-				}
-				k.NewTimer(func() {
-					for i, r := range regs {
-						timers[i].ArmAt(r.when)
-						if r.cancel {
-							timers[i].Disarm()
-						} else if r.rearm != 0 {
-							timers[i].ArmAt(r.rearm)
-						}
+		run := func(counted bool) (mid string, fired []string) {
+			k := NewKernel()
+			timers := make([]*Timer, len(regs))
+			for i := range regs {
+				i := i
+				timers[i] = k.NewTimer(func() { fired = append(fired, fmt.Sprintf("%d@%d/%d", i, k.Now(), k.Seq())) })
+			}
+			k.NewTimer(func() {
+				for i, r := range regs {
+					timers[i].ArmAt(r.when)
+					if r.cancel {
+						timers[i].Disarm()
+					} else if r.rearm != 0 {
+						timers[i].ArmAt(r.rearm)
 					}
-					if counted {
-						k.StepN(last, n)
-					} else {
-						for _, when := range times {
-							k.StepTo(when)
-						}
-					}
-					mid = kernelState(k)
-				}).ArmAt(start)
-				if bounded {
-					k.RunUntil(last)
 				}
-				k.Run()
-				return mid, append(fired, kernelState(k))
+				if counted {
+					k.StepN(last, n)
+				} else {
+					for _, when := range times {
+						k.StepTo(when)
+					}
+				}
+				mid = kernelState(k)
+			}).ArmAt(start)
+			if bounded {
+				k.RunUntil(last)
 			}
-			slotMid, slotFired := run(false)
-			nMid, nFired := run(true)
-			if slotMid != nMid {
-				t.Fatalf("shift %d seed %d: after %d steps to %v\n StepTo x n: %s\n StepN:      %s", shift, seed, n, last, slotMid, nMid)
-			}
-			if fmt.Sprint(slotFired) != fmt.Sprint(nFired) {
-				t.Fatalf("shift %d seed %d: the runs diverge after the steps\n StepTo x n: %v\n StepN:      %v", shift, seed, slotFired, nFired)
-			}
+			k.Run()
+			return mid, append(fired, kernelState(k))
+		}
+		slotMid, slotFired := run(false)
+		nMid, nFired := run(true)
+		if slotMid != nMid {
+			t.Fatalf("seed %d: after %d steps to %v\n StepTo x n: %s\n StepN:      %s", seed, n, last, slotMid, nMid)
+		}
+		if fmt.Sprint(slotFired) != fmt.Sprint(nFired) {
+			t.Fatalf("seed %d: the runs diverge after the steps\n StepTo x n: %v\n StepN:      %v", seed, slotFired, nFired)
 		}
 	}
 }
@@ -105,7 +103,7 @@ func TestStepNMatchesStepTo(t *testing.T) {
 // pending registration in either tier, beyond the active RunUntil
 // deadline — and to StepTo sharing them; a negative count is a fourth.
 func TestStepNPanics(t *testing.T) {
-	const deadline = 8 * defaultWheelSpan
+	const deadline = 8 * wheelSpan
 	// step runs f from inside an event at time 100, under
 	// RunUntil(deadline), with timers pending at the given times, and
 	// requires a panic containing want — or none when want is empty.
@@ -127,7 +125,7 @@ func TestStepNPanics(t *testing.T) {
 		}
 		k.RunUntil(deadline)
 	}
-	both := []Time{200, 4 * defaultWheelSpan} // one registration per tier
+	both := []Time{200, 4 * wheelSpan} // one registration per tier
 	farOnly := both[1:]
 	step("backwards", "behind now", both, func(k *Kernel) { k.StepN(99, 3) })
 	step("StepTo backwards", "behind now", both, func(k *Kernel) { k.StepTo(99) })
@@ -163,8 +161,8 @@ func TestStepNZeroIsNoOp(t *testing.T) {
 // registrations pending in both tiers for its check to walk.
 func TestStepNZeroAllocs(t *testing.T) {
 	k := NewKernel()
-	k.NewTimer(func() {}).ArmAt(defaultWheelSpan / 2)
-	k.NewTimer(func() {}).ArmAt(4 * defaultWheelSpan)
+	k.NewTimer(func() {}).ArmAt(wheelSpan / 2)
+	k.NewTimer(func() {}).ArmAt(4 * wheelSpan)
 	at := Time(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		at += 16

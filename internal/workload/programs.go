@@ -210,36 +210,6 @@ func PingRx(txID noc.ChanEndID, rounds int) *xs1.Program {
 	return xs1.MustAssemble(src)
 }
 
-// TokenTx sends a single 8-bit token then closes: the Section V-C
-// "total core-to-core latency for an eight-bit token" probe.
-func TokenTx(dest noc.ChanEndID) *xs1.Program {
-	src := fmt.Sprintf(`
-		getr r0, 2
-		ldc  r1, %d
-		setd r0, r1
-		time r2
-		dbg  r2          ; departure stamp
-		ldc  r3, 0x5a
-		outt r0, r3
-		outct r0, ct_end
-		tend
-	`, uint32(dest))
-	return xs1.MustAssemble(src)
-}
-
-// TokenRx receives one token and stamps its arrival.
-func TokenRx() *xs1.Program {
-	return xs1.MustAssemble(`
-		getr r0, 2
-		int  r0, r2
-		time r3
-		dbg  r3          ; arrival stamp
-		dbg  r2          ; token value
-		chkct r0, ct_end
-		tend
-	`)
-}
-
 // PipelineStage forwards words: it receives count words on channel end
 // 0, applies an add-constant transform, and sends them to dest. Stages
 // chain into the pipeline structure of Section I.

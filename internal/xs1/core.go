@@ -313,20 +313,6 @@ func (c *Core) Config() Config { return c.cfg }
 // Thread exposes a thread context for inspection.
 func (c *Core) Thread(id int) *Thread { return &c.threads[id] }
 
-// ActiveThreads counts threads holding issue slots (ready or blocked on
-// the divider; blocked threads do not burn issue energy but are still
-// allocated).
-func (c *Core) ActiveThreads() int {
-	n := 0
-	for i := range c.threads {
-		switch c.threads[i].State {
-		case TReady:
-			n++
-		}
-	}
-	return n
-}
-
 // LiveThreads counts threads not free/done/trapped.
 func (c *Core) LiveThreads() int {
 	n := 0
