@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -280,8 +281,13 @@ func (r *refSched) run() {
 // script and requires identical fire sequences: the determinism contract,
 // checked across bucket boundaries, horizon overflow and rebasing. Delays
 // are drawn in wheel units, so every seed mixes same-bucket, in-wheel and
-// overflow registrations.
+// overflow registrations. The subtest is named for the wheel's quantum
+// shift.
 func TestKernelMatchesReference(t *testing.T) {
+	t.Run(fmt.Sprintf("shift%d", quantumShift), kernelMatchesReference)
+}
+
+func kernelMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		k := NewKernel()
