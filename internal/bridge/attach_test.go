@@ -55,7 +55,7 @@ func TestBridgeSnapshotDifferential(t *testing.T) {
 
 	same := func(what string) {
 		t.Helper()
-		if b.BytesIn != 0 || b.BytesOut != 0 || b.Pending() != 0 || len(b.Frames()) != 0 {
+		if b.BytesIn != 0 || b.BytesOut != 0 || b.Pending() != 0 || len(b.frames) != 0 {
 			t.Fatalf("%s: the bridge retains state", what)
 		}
 		if e, o := runEcho(t, k, n, b); e != elapsed || o != out {
@@ -110,9 +110,10 @@ func TestBridgeResetConflictLeavesNoClaim(t *testing.T) {
 		if err := attach.fn(); err == nil {
 			t.Fatalf("%s succeeded with rx end taken", attach.name)
 		}
-		if tx.Allocated() {
+		if !tx.Claim() {
 			t.Fatalf("failed %s leaked the tx claim", attach.name)
 		}
+		tx.Free()
 		rx.Free()
 		if err := attach.fn(); err != nil {
 			t.Fatalf("%s after the conflict cleared: %v", attach.name, err)

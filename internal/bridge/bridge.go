@@ -154,14 +154,6 @@ func (b *Bridge) SendWords(dest noc.ChanEndID, words []uint32) {
 // Pending reports queued ingress messages.
 func (b *Bridge) Pending() int { return len(b.sendQ) }
 
-// Frames drains completed egress frames (END-delimited packets sent to
-// the bridge's address).
-func (b *Bridge) Frames() [][]byte {
-	out := b.frames
-	b.frames = nil
-	return out
-}
-
 func (b *Bridge) armTx(t sim.Time) {
 	if b.txTimer.Armed() {
 		return

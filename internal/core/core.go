@@ -282,11 +282,6 @@ func Rail(sys topo.System, n topo.NodeID) (slice, rail int) {
 // Core returns the processor at a node.
 func (m *Machine) Core(node topo.NodeID) *xs1.Core { return m.cores[node] }
 
-// CoreAt returns the processor at package coordinates and layer.
-func (m *Machine) CoreAt(x, y int, l topo.Layer) *xs1.Core {
-	return m.cores[topo.MakeNodeID(x, y, l)]
-}
-
 // Cores enumerates processors in deterministic node order.
 func (m *Machine) Cores() []*xs1.Core {
 	out := make([]*xs1.Core, len(m.nodes))
@@ -406,17 +401,6 @@ func (m *Machine) RunFor(d sim.Time) {
 	for _, node := range m.nodes {
 		m.cores[node].FlushTurboStats()
 	}
-}
-
-// TotalCoreEnergyJ sums processor energy across the machine in
-// deterministic node order (float sums must not depend on map order,
-// or a reset re-run could differ in the last bit).
-func (m *Machine) TotalCoreEnergyJ() float64 {
-	e := 0.0
-	for _, node := range m.nodes {
-		e += m.cores[node].EnergyJ()
-	}
-	return e
 }
 
 // TotalInstrCount sums executed instructions.

@@ -24,10 +24,22 @@ func TestMachineAssembly(t *testing.T) {
 	if got := len(m.Supplies(0)); got != SliceSupplies {
 		t.Fatalf("supplies = %d, want %d", got, SliceSupplies)
 	}
-	// Four 1 V rails with four cores each.
+	// Four 1 V rails with four cores each: each rail delivers exactly the
+	// energy of the cores Rail names for it.
+	m.RunFor(sim.Microsecond)
+	var cores [SupplyGroups]int
+	var coreJ [SupplyGroups]float64
+	for _, c := range m.Cores() {
+		_, g := Rail(m.Sys, c.Node())
+		cores[g]++
+		coreJ[g] += c.EnergyJ()
+	}
 	for g := 0; g < SupplyGroups; g++ {
-		if n := m.Supplies(0)[g].Loads(); n != CoresPerSupply {
-			t.Errorf("rail %d loads = %d, want %d", g, n, CoresPerSupply)
+		if cores[g] != CoresPerSupply {
+			t.Errorf("rail %d feeds %d cores, want %d", g, cores[g], CoresPerSupply)
+		}
+		if got := m.Supplies(0)[g].OutputEnergyJ(); coreJ[g] == 0 || math.Abs(got-coreJ[g]) > 1e-12*coreJ[g] {
+			t.Errorf("rail %d delivers %v J, its cores hold %v J", g, got, coreJ[g])
 		}
 	}
 	if m.Board(0) == nil {
@@ -234,9 +246,9 @@ func TestSetAllFrequencies(t *testing.T) {
 
 func TestCoreAtAccessor(t *testing.T) {
 	m := MustNew(1, 1, Options{})
-	c := m.CoreAt(1, 3, topo.LayerH)
-	if c == nil || c.Node() != topo.MakeNodeID(1, 3, topo.LayerH) {
-		t.Error("CoreAt wrong")
+	n := topo.MakeNodeID(1, 3, topo.LayerH)
+	if c := m.Core(n); c == nil || c.Node() != n {
+		t.Error("Core wrong")
 	}
 }
 
@@ -347,4 +359,15 @@ func TestRunNamesRoutingDeadlock(t *testing.T) {
 	if m.K.Now() != 20*sim.Millisecond {
 		t.Errorf("clock at %v, want the deadline", m.K.Now())
 	}
+}
+
+// totalCoreEnergyJ sums processor energy across the machine in
+// deterministic node order (float sums must not depend on map order,
+// or a reset re-run could differ in the last bit).
+func totalCoreEnergyJ(m *Machine) float64 {
+	e := 0.0
+	for _, node := range m.nodes {
+		e += m.cores[node].EnergyJ()
+	}
+	return e
 }

@@ -35,7 +35,7 @@ func profileRun(t *testing.T, m *Machine) runProfile {
 	smp := m.Board(0).SampleAll()
 	return runProfile{
 		instrs:  m.TotalInstrCount(),
-		coreJ:   m.TotalCoreEnergyJ(),
+		coreJ:   totalCoreEnergyJ(m),
 		wallJ:   m.WallEnergyJ(),
 		boardW:  smp.TotalInputW(),
 		elapsed: m.K.Now(),
@@ -52,10 +52,8 @@ func TestMachineResetRetuneMatchesFresh(t *testing.T) {
 	check := func(name string, m *Machine, cfg xs1.Config, links noc.Config) {
 		t.Helper()
 		fresh := MustNew(1, 1, Options{Core: &cfg, Noc: &links})
-		for i, l := range m.Net.Links() {
-			if got, want := l.Timing(), fresh.Net.Links()[i].Timing(); got != want {
-				t.Fatalf("%s: %v timing %+v, fresh build has %+v", name, l, got, want)
-			}
+		if m.Net.Cfg != fresh.Net.Cfg {
+			t.Fatalf("%s: link timings %+v, fresh build has %+v", name, m.Net.Cfg, fresh.Net.Cfg)
 		}
 		if got, want := profileRun(t, m), profileRun(t, fresh); got != want {
 			t.Fatalf("%s: recycled run diverges from fresh:\n got %+v\nwant %+v", name, got, want)

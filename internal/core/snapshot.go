@@ -53,9 +53,6 @@ type bridgeState struct {
 	state *bridge.Snapshot
 }
 
-// Now reports the simulated time the snapshot was taken at.
-func (s *Snapshot) Now() sim.Time { return s.kernel.Now() }
-
 // snapStats counts snapshot traffic process-wide (exported at
 // /metrics as swallow_snapshot_*).
 var snapStats struct {

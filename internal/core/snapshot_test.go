@@ -49,21 +49,40 @@ func fingerprint(m *Machine) string {
 	return s
 }
 
-// drain steps the kernel to quiescence, recording the time of every
-// event fired — the remaining event sequence a snapshot must replay.
-func drain(t *testing.T, m *Machine) []sim.Time {
+// stop runs the machine to its next event's time, firing everything
+// due at that instant, and reports false when nothing is pending. No
+// drain can stop between two events at the same instant, so this is the
+// finest cut a run can be snapshotted at.
+func stop(m *Machine) bool {
+	at, _, ok := m.K.NextForeign()
+	if ok {
+		m.K.RunUntil(at)
+	}
+	return ok
+}
+
+// instant is where a stop left the kernel: its clock and its count of
+// events fired.
+type instant struct {
+	now   sim.Time
+	fired uint64
+}
+
+// drain stops the machine at every event time to quiescence, recording
+// each instant — the remaining event sequence a snapshot must replay.
+func drain(t *testing.T, m *Machine) []instant {
 	t.Helper()
-	var seq []sim.Time
-	for i := 0; m.K.Step(); i++ {
+	var seq []instant
+	for i := 0; stop(m); i++ {
 		if i > 5_000_000 {
 			t.Fatal("event sequence did not quiesce")
 		}
-		seq = append(seq, m.K.Now())
+		seq = append(seq, instant{m.K.Now(), m.K.Fired()})
 	}
 	return seq
 }
 
-func sameSeq(a, b []sim.Time) (int, bool) {
+func sameSeq(a, b []instant) (int, bool) {
 	if len(a) != len(b) {
 		return -1, false
 	}
@@ -84,8 +103,8 @@ func TestMachineSnapshotDifferential(t *testing.T) {
 	m := MustNew(1, 1, Options{})
 	loadPipeline(t, m, items)
 	for i := 0; i < prefix; i++ {
-		if !m.K.Step() {
-			t.Fatalf("pipeline quiesced after %d steps; prefix %d too long", i, prefix)
+		if !stop(m) {
+			t.Fatalf("pipeline quiesced after %d stops; prefix %d too long", i, prefix)
 		}
 	}
 	snap := m.Snapshot()
@@ -110,7 +129,7 @@ func TestMachineSnapshotDifferential(t *testing.T) {
 	fresh := MustNew(1, 1, Options{})
 	loadPipeline(t, fresh, items)
 	for i := 0; i < prefix; i++ {
-		fresh.K.Step()
+		stop(fresh)
 	}
 	gotSeq = drain(t, fresh)
 	if i, ok := sameSeq(wantSeq, gotSeq); !ok {
@@ -136,12 +155,12 @@ func TestMachineSnapshotDifferential(t *testing.T) {
 // trial runs on a fresh build, so the run a restore must reproduce
 // never begins with a restore itself.
 func TestMachineSnapshotRandomizedBoundaries(t *testing.T) {
-	const items = 32
+	const items = 40
 	m := MustNew(1, 1, Options{})
 	loadPipeline(t, m, items)
 	total := len(drain(t, m))
 	if total < 2000 {
-		t.Fatalf("pipeline only fires %d events; workload too small to probe", total)
+		t.Fatalf("pipeline only stops at %d instants; workload too small to probe", total)
 	}
 	// Deterministic pseudo-random boundaries spread over the run.
 	rnd := uint64(1)
@@ -151,7 +170,7 @@ func TestMachineSnapshotRandomizedBoundaries(t *testing.T) {
 		m := MustNew(1, 1, Options{})
 		loadPipeline(t, m, items)
 		for i := 0; i < cut; i++ {
-			m.K.Step()
+			stop(m)
 		}
 		snap := m.Snapshot()
 		wantSeq := drain(t, m)
@@ -167,8 +186,8 @@ func TestMachineSnapshotRandomizedBoundaries(t *testing.T) {
 		}
 	}
 
-	// The same contract where the fast path counts stalls: Step never
-	// does, so sixteen word streams run in RunFor segments a few cycles to
+	// The same contract where the fast path counts stalls: a stop at the
+	// next event's time leaves no room to, so sixteen word streams run in RunFor segments a few cycles to
 	// a few microseconds long, are snapshotted at a segment boundary, and
 	// after Restore have to pass through the same kernel accounting, core
 	// fingerprints and thread states at every later boundary — with slots
@@ -221,12 +240,12 @@ func TestWarmRestoreAllocs(t *testing.T) {
 	m := MustNew(1, 1, Options{})
 	loadPipeline(t, m, items)
 	for i := 0; i < 1500; i++ {
-		m.K.Step()
+		stop(m)
 	}
 	snap := m.Snapshot()
 	cycle := func() {
 		for i := 0; i < 200; i++ {
-			m.K.Step()
+			stop(m)
 		}
 		m.Restore(snap)
 	}

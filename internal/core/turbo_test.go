@@ -361,7 +361,7 @@ var turboShapes = []turboShape{
 			var tick *sim.Timer
 			tick = m.K.NewTimer(func() {
 				seen = append(seen, fmt.Sprintf("t=%d seq=%d instrs=%d e=%x", m.K.Now(), m.K.Seq(),
-					m.TotalInstrCount(), math.Float64bits(m.TotalCoreEnergyJ())))
+					m.TotalInstrCount(), math.Float64bits(totalCoreEnergyJ(m))))
 				tick.ArmAfter(301 * cycle / 2)
 			})
 			tick.ArmAfter(301 * cycle / 2)

@@ -33,31 +33,6 @@ func (b NodeBudget) TotalW() float64 {
 	return b.ComputationW + b.StaticW + b.NetworkInterfaceW + b.ConversionIOW + b.OtherW
 }
 
-// Fractions reports each component as a fraction of the total, in the
-// order computation, static, network interface, conversion/IO, other.
-func (b NodeBudget) Fractions() [5]float64 {
-	t := b.TotalW()
-	if t == 0 {
-		return [5]float64{}
-	}
-	return [5]float64{
-		b.ComputationW / t,
-		b.StaticW / t,
-		b.NetworkInterfaceW / t,
-		b.ConversionIOW / t,
-		b.OtherW / t,
-	}
-}
-
-// ComponentNames labels Fractions entries, matching Fig. 2.
-var ComponentNames = [5]string{
-	"computation & memory ops",
-	"static",
-	"network interface",
-	"DC-DC & I/O",
-	"other",
-}
-
 // Slice- and system-level constants from Sections III-A and IV-B.
 const (
 	// CoresPerSlice is the number of processors on one Swallow board.
@@ -79,33 +54,3 @@ const (
 	// SliceOperatingPowerBudgetW is the board's rated envelope (5 W).
 	SliceOperatingPowerBudgetW = 5.0
 )
-
-// SliceCorePower returns the summed core power of one fully loaded slice
-// at frequency f (Eq. 1 x 16).
-func SliceCorePower(fMHz float64) float64 {
-	return CoresPerSlice * CorePowerActive(fMHz)
-}
-
-// ConversionEfficiency is the implied efficiency of the on-board
-// supplies and support logic: 3.1 W of core load presents as ~4.5 W at
-// the wall, i.e. ~18% of wall power is conversion/support overhead
-// (Fig. 2's DC-DC & I/O wedge).
-func ConversionEfficiency() float64 {
-	return SlicePowerMaxW / SliceWallPowerW
-}
-
-// SystemPower returns the wall power of an n-slice machine under load.
-// The paper: a complete 480-core, 30-slice system consumes only 134 W.
-func SystemPower(slices int) float64 {
-	return float64(slices) * SliceWallPowerW
-}
-
-// SystemCores returns the processor count of an n-slice machine.
-func SystemCores(slices int) int { return slices * CoresPerSlice }
-
-// SystemGIPS returns the aggregate instruction throughput in GIPS of an
-// n-slice machine at frequency f with at least four active threads per
-// core (Eq. 2's saturated regime).
-func SystemGIPS(slices int, fMHz float64) float64 {
-	return float64(SystemCores(slices)) * fMHz * 1e6 / 1e9
-}

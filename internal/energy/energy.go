@@ -66,20 +66,6 @@ func CorePowerIdle(fMHz float64) float64 {
 	return StaticPowerW + IdleDynamicPerMHzW*fMHz
 }
 
-// CorePower interpolates between the idle and fully-loaded power models by
-// the number of active threads. The XS1-L pipeline issues at most one
-// instruction per cycle, and issue slots fill linearly up to four threads
-// (Eq. 2), so dynamic power scales with min(4, active)/4.
-func CorePower(fMHz float64, activeThreads int) float64 {
-	if activeThreads < 0 {
-		activeThreads = 0
-	}
-	util := float64(min(4, activeThreads)) / 4
-	idleDyn := IdleDynamicPerMHzW * fMHz
-	activeDyn := DynamicPowerPerMHzW * fMHz
-	return StaticPowerW + idleDyn + (activeDyn-idleDyn)*util
-}
-
 // VMin returns the experimentally determined minimum supply voltage at
 // frequency f MHz, linearly interpolated between the two anchor points
 // and clamped outside them.

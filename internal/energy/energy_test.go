@@ -26,23 +26,23 @@ func TestIdleEndpoints(t *testing.T) {
 }
 
 func TestCorePowerThreadInterpolation(t *testing.T) {
-	if got := CorePower(500, 0); math.Abs(got-CorePowerIdle(500)) > 1e-12 {
-		t.Errorf("CorePower(500,0) = %v, want idle %v", got, CorePowerIdle(500))
+	if got := corePower(500, 0); math.Abs(got-CorePowerIdle(500)) > 1e-12 {
+		t.Errorf("corePower(500,0) = %v, want idle %v", got, CorePowerIdle(500))
 	}
-	if got := CorePower(500, 4); math.Abs(got-CorePowerActive(500)) > 1e-12 {
-		t.Errorf("CorePower(500,4) = %v, want active %v", got, CorePowerActive(500))
+	if got := corePower(500, 4); math.Abs(got-CorePowerActive(500)) > 1e-12 {
+		t.Errorf("corePower(500,4) = %v, want active %v", got, CorePowerActive(500))
 	}
 	// More than four threads does not raise power: the pipeline is full.
-	if CorePower(500, 8) != CorePower(500, 4) {
+	if corePower(500, 8) != corePower(500, 4) {
 		t.Error("power increased beyond 4 threads")
 	}
 	// Negative thread counts clamp.
-	if CorePower(500, -3) != CorePower(500, 0) {
+	if corePower(500, -3) != corePower(500, 0) {
 		t.Error("negative thread count not clamped")
 	}
 	// Monotone in threads.
 	for n := 1; n <= 4; n++ {
-		if CorePower(500, n) <= CorePower(500, n-1) {
+		if corePower(500, n) <= corePower(500, n-1) {
 			t.Errorf("power not increasing at %d threads", n)
 		}
 	}
@@ -206,37 +206,37 @@ func TestComputeVsCommunicationClaim(t *testing.T) {
 func TestFig2Budget(t *testing.T) {
 	b := PaperNodeBudget
 	approx(t, "total", b.TotalW(), 0.260, 1e-9)
-	fr := b.Fractions()
+	fr := b.fractions()
 	wants := [5]float64{0.30, 0.26, 0.22, 0.18, 0.04}
 	for i, w := range wants {
-		approx(t, "fraction "+ComponentNames[i], fr[i], w, 0.005)
+		approx(t, "fraction "+componentNames[i], fr[i], w, 0.005)
 	}
 }
 
 func TestFig2ZeroBudget(t *testing.T) {
 	var b NodeBudget
-	if b.Fractions() != [5]float64{} {
+	if b.fractions() != [5]float64{} {
 		t.Error("zero budget fractions not zero")
 	}
 }
 
 func TestSliceAndSystemPower(t *testing.T) {
 	// 16 cores x 193 mW = 3.1 W/slice.
-	approx(t, "slice core power", SliceCorePower(500), SlicePowerMaxW, 0.05)
+	approx(t, "slice core power", sliceCorePower(500), SlicePowerMaxW, 0.05)
 	// 30-slice system: ~134 W (paper quotes 134 W for 4.5 W slices).
-	approx(t, "system 30 slices", SystemPower(30), 135, 2)
-	if SystemCores(30) != 480 {
-		t.Errorf("SystemCores(30) = %d, want 480", SystemCores(30))
+	approx(t, "system 30 slices", systemPower(30), 135, 2)
+	if systemCores(30) != 480 {
+		t.Errorf("systemCores(30) = %d, want 480", systemCores(30))
 	}
 }
 
 func TestSystemGIPS(t *testing.T) {
 	// "the system provides up to 240 GIPS" at 480 cores.
-	approx(t, "GIPS", SystemGIPS(30, 500), 240, 1e-9)
+	approx(t, "GIPS", systemGIPS(30, 500), 240, 1e-9)
 }
 
 func TestConversionEfficiency(t *testing.T) {
-	eff := ConversionEfficiency()
+	eff := conversionEfficiency()
 	if eff < 0.6 || eff > 0.8 {
 		t.Errorf("conversion efficiency = %.2f, want ~0.69 (18%% overhead claim)", eff)
 	}
@@ -244,6 +244,80 @@ func TestConversionEfficiency(t *testing.T) {
 
 func TestBudgetConversionShareMatchesFig2(t *testing.T) {
 	// Fig. 2 says ~18% of node power is DC-DC & I/O.
-	fr := PaperNodeBudget.Fractions()
+	fr := PaperNodeBudget.fractions()
 	approx(t, "conversion share", fr[3], 0.18, 0.01)
+}
+
+// The paper's closed-form slice and system models below are what the
+// tests above hold to its printed figures (Fig. 2's budget shares, the
+// 3.1 W slice, the 134 W and 240 GIPS of 480 cores, Eq. 2's thread
+// scaling); the simulator itself never evaluates them.
+
+// fractions reports each component as a fraction of the total, in the
+// order computation, static, network interface, conversion/IO, other.
+func (b NodeBudget) fractions() [5]float64 {
+	t := b.TotalW()
+	if t == 0 {
+		return [5]float64{}
+	}
+	return [5]float64{
+		b.ComputationW / t,
+		b.StaticW / t,
+		b.NetworkInterfaceW / t,
+		b.ConversionIOW / t,
+		b.OtherW / t,
+	}
+}
+
+// componentNames labels fractions entries, matching Fig. 2.
+var componentNames = [5]string{
+	"computation & memory ops",
+	"static",
+	"network interface",
+	"DC-DC & I/O",
+	"other",
+}
+
+// sliceCorePower returns the summed core power of one fully loaded slice
+// at frequency f (Eq. 1 x 16).
+func sliceCorePower(fMHz float64) float64 {
+	return CoresPerSlice * CorePowerActive(fMHz)
+}
+
+// conversionEfficiency is the implied efficiency of the on-board
+// supplies and support logic: 3.1 W of core load presents as ~4.5 W at
+// the wall, i.e. ~18% of wall power is conversion/support overhead
+// (Fig. 2's DC-DC & I/O wedge).
+func conversionEfficiency() float64 {
+	return SlicePowerMaxW / SliceWallPowerW
+}
+
+// systemPower returns the wall power of an n-slice machine under load.
+// The paper: a complete 480-core, 30-slice system consumes only 134 W.
+func systemPower(slices int) float64 {
+	return float64(slices) * SliceWallPowerW
+}
+
+// systemCores returns the processor count of an n-slice machine.
+func systemCores(slices int) int { return slices * CoresPerSlice }
+
+// systemGIPS returns the aggregate instruction throughput in GIPS of an
+// n-slice machine at frequency f with at least four active threads per
+// core (Eq. 2's saturated regime).
+func systemGIPS(slices int, fMHz float64) float64 {
+	return float64(systemCores(slices)) * fMHz * 1e6 / 1e9
+}
+
+// CorePower interpolates between the idle and fully-loaded power models by
+// the number of active threads. The XS1-L pipeline issues at most one
+// instruction per cycle, and issue slots fill linearly up to four threads
+// (Eq. 2), so dynamic power scales with min(4, active)/4.
+func corePower(fMHz float64, activeThreads int) float64 {
+	if activeThreads < 0 {
+		activeThreads = 0
+	}
+	util := float64(min(4, activeThreads)) / 4
+	idleDyn := IdleDynamicPerMHzW * fMHz
+	activeDyn := DynamicPowerPerMHzW * fMHz
+	return StaticPowerW + idleDyn + (activeDyn-idleDyn)*util
 }

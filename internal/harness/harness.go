@@ -16,7 +16,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"swallow/internal/core"
@@ -145,27 +144,6 @@ func (a *Artifact) Table(cfg Config) (*report.Table, error) {
 		return nil, err
 	}
 	return a.Render(res), nil
-}
-
-// SortedMetrics returns the artifact's metrics for a result as a
-// name-sorted list, for deterministic reporting order.
-func (a *Artifact) SortedMetrics(res any) []Metric {
-	if a.Metrics == nil {
-		return nil
-	}
-	m := a.Metrics(res)
-	out := make([]Metric, 0, len(m))
-	for name, v := range m {
-		out = append(out, Metric{Name: name, Value: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Metric is one named headline quantity of an artifact run.
-type Metric struct {
-	Name  string
-	Value float64
 }
 
 // Spec is a typed registration. Render is required; Description,

@@ -65,17 +65,16 @@ func TestRegisterLookupAndOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := a.SortedMetrics(res)
-	if len(ms) != 2 || ms[0].Name != "a" || ms[1].Name != "b" {
-		t.Fatalf("SortedMetrics = %v, want name-sorted [a b]", ms)
+	if ms := a.Metrics(res); len(ms) != 2 || ms["a"] != 1 || ms["b"] != 2 {
+		t.Fatalf("Metrics = %v, want map[a:1 b:2]", ms)
 	}
 
 	b := Lookup("test-b")
 	if _, err := b.Table(DefaultConfig()); err == nil {
 		t.Fatal("Table swallowed the run error")
 	}
-	if b.SortedMetrics(nil) != nil {
-		t.Fatal("nil Metrics hook must yield nil metrics")
+	if b.Metrics != nil {
+		t.Fatal("no Metrics hook registered, yet the artifact has one")
 	}
 }
 

@@ -32,27 +32,6 @@ func EC(executionBps, commBps float64) float64 {
 	return executionBps / commBps
 }
 
-// Section V-D's published analysis points for Swallow at 500 MHz.
-type ECAnalysis struct {
-	Name    string
-	EBps    float64
-	CBps    float64
-	Printed float64 // the ratio as printed in the paper
-}
-
-// SwallowECTable regenerates the Section V-D worked examples:
-// a core with >= 4 threads executes 500 MIPS x 32 bit = 16 Gbit/s.
-func SwallowECTable() []ECAnalysis {
-	e := ExecutionBitRate(IPSCore(500e6, 4)) // 16 Gbit/s
-	return []ECAnalysis{
-		{"core-local", e, e, 1},
-		{"package-internal (4 links)", e, 4 * 250e6, 16},
-		{"external links (4 x 62.5M)", e, 4 * 62.5e6, 64},
-		{"one external link, 4 threads", e, 62.5e6, 256},
-		{"slice bisection (8 cores)", 8 * e, 4 * 62.5e6, 512},
-	}
-}
-
 // LinearFit returns the least-squares slope and intercept of y on x,
 // plus the coefficient of determination. It is used to verify that
 // simulated power is linear in frequency (Eq. 1's form).
@@ -87,36 +66,4 @@ func LinearFit(x, y []float64) (slope, intercept, r2 float64, err error) {
 		r2 = 1 - ssRes/ssTot
 	}
 	return slope, intercept, r2, nil
-}
-
-// Summary holds basic statistics of a sample series.
-type Summary struct {
-	N              int
-	Mean, Min, Max float64
-	StdDev         float64
-}
-
-// Summarize computes summary statistics.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	sum := 0.0
-	for _, v := range xs {
-		sum += v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	varSum := 0.0
-	for _, v := range xs {
-		varSum += (v - s.Mean) * (v - s.Mean)
-	}
-	s.StdDev = math.Sqrt(varSum / float64(len(xs)))
-	return s
 }

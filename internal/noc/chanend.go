@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"swallow/internal/sim"
-	"swallow/internal/topo"
 	"swallow/internal/trace"
 )
 
@@ -82,12 +81,6 @@ func newChanEnd(sw *Switch, idx uint8) *ChanEnd {
 func (ce *ChanEnd) ID() ChanEndID {
 	return MakeChanEndID(uint16(ce.sw.node), ce.idx)
 }
-
-// Node reports the owning core.
-func (ce *ChanEnd) Node() topo.NodeID { return ce.sw.node }
-
-// Allocated reports whether GETR has claimed this channel end.
-func (ce *ChanEnd) Allocated() bool { return ce.allocated }
 
 // Claim marks the channel end allocated from the host side (bridges,
 // instrumentation), reporting false if it was already taken.

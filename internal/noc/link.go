@@ -192,12 +192,6 @@ func newLink(k *sim.Kernel, name string, class energy.LinkClass, timing LinkTimi
 	return l
 }
 
-// Class reports the physical class of the link.
-func (l *Link) Class() energy.LinkClass { return l.class }
-
-// Timing reports the link's configured timing.
-func (l *Link) Timing() LinkTiming { return l.timing }
-
 // setTiming installs a link mode and its derived token time. The
 // network sets every link from its class's timing in Cfg, at
 // construction and in Network.Retune, which snapshot restore calls.
@@ -205,9 +199,6 @@ func (l *Link) setTiming(t LinkTiming) {
 	l.timing = t
 	l.tokenTime = t.TokenTime()
 }
-
-// Name identifies the link in diagnostics.
-func (l *Link) Name() string { return l.name }
 
 func (l *Link) String() string {
 	return fmt.Sprintf("link %s (%v)", l.name, l.class)

@@ -115,10 +115,14 @@ func TestRestoreWithSlidFIFOs(t *testing.T) {
 	s.n.Restore(ns0)
 	s.start()
 	var port *inPort
-	for steps := 0; port == nil; steps++ {
-		if steps > 100_000 || !s.k.Step() {
+	// Stop at every event time: no drain stops between two events at one
+	// instant, so this is the finest cut there is.
+	for stops := 0; port == nil; stops++ {
+		at, _, ok := s.k.NextForeign()
+		if stops > 100_000 || !ok {
 			t.Fatal("no moment with a port FIFO and the channel-end buffer both slid to the end")
 		}
+		s.k.RunUntil(at)
 		if !slidToEnd(&s.dst.in) {
 			continue
 		}

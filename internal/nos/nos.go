@@ -104,35 +104,6 @@ func (j *Job) Validate(sys topo.System) error {
 	return nil
 }
 
-// PlaceRoundRobin assigns programs to cores in node-enumeration order:
-// the simplest locality-agnostic placement.
-func PlaceRoundRobin(sys topo.System, progs []*xs1.Program) (*Job, error) {
-	nodes := sys.Nodes()
-	if len(progs) > len(nodes) {
-		return nil, fmt.Errorf("nos: %d programs for %d cores", len(progs), len(nodes))
-	}
-	j := &Job{}
-	for i, p := range progs {
-		j.Add(fmt.Sprintf("task%d", i), nodes[i], p)
-	}
-	return j, nil
-}
-
-// LoadDirect installs every task image through the host debug path
-// (the JTAG-style alternative to network boot), for tests and for
-// establishing baselines without boot traffic.
-func (j *Job) LoadDirect(m *core.Machine) error {
-	if err := j.Validate(m.Sys); err != nil {
-		return err
-	}
-	for _, t := range j.Tasks {
-		if err := m.Load(t.Node, t.Prog); err != nil {
-			return fmt.Errorf("nos: loading %q: %w", t.Name, err)
-		}
-	}
-	return nil
-}
-
 // imageWords frames a program for the boot ROM: word count then image.
 func imageWords(p *xs1.Program) []uint32 {
 	out := make([]uint32, 0, len(p.Words)+1)

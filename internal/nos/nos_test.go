@@ -1,6 +1,7 @@
 package nos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestPlaceRoundRobin(t *testing.T) {
 	for i := range progs {
 		progs[i] = xs1.MustAssemble("tend")
 	}
-	j, err := PlaceRoundRobin(sys, progs)
+	j, err := placeRoundRobin(sys, progs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestPlaceRoundRobin(t *testing.T) {
 		}
 		seen[task.Node] = true
 	}
-	if _, err := PlaceRoundRobin(sys, make([]*xs1.Program, 17)); err == nil {
+	if _, err := placeRoundRobin(sys, make([]*xs1.Program, 17)); err == nil {
 		t.Error("17 programs on 16 cores accepted")
 	}
 }
@@ -71,13 +72,13 @@ func TestLoadDirect(t *testing.T) {
 	var j Job
 	j.Add("hello", topo.MakeNodeID(0, 0, topo.LayerV),
 		xs1.MustAssemble("ldc r0, 7\ndbg r0\ntend"))
-	if err := j.LoadDirect(m); err != nil {
+	if err := j.loadDirect(m); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Run(sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	got := m.CoreAt(0, 0, topo.LayerV).DebugTrace
+	got := m.Core(topo.MakeNodeID(0, 0, topo.LayerV)).DebugTrace
 	if len(got) != 1 || got[0] != 7 {
 		t.Fatalf("trace = %v", got)
 	}
@@ -114,7 +115,7 @@ func TestNetworkBootSingleCore(t *testing.T) {
 	if err := m.Run(100 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	got := m.CoreAt(1, 1, topo.LayerH).DebugTrace
+	got := m.Core(topo.MakeNodeID(1, 1, topo.LayerH)).DebugTrace
 	if len(got) != 2 || got[0] != 123 || got[1] != 456*457/2 {
 		t.Fatalf("booted image trace = %v", got)
 	}
@@ -176,4 +177,33 @@ func TestNetworkBootThenWorkload(t *testing.T) {
 	if len(got) != 1 || got[0] != words*(words-1)/2 {
 		t.Fatalf("stream sum after network boot = %v", got)
 	}
+}
+
+// placeRoundRobin assigns programs to cores in node-enumeration order:
+// the simplest locality-agnostic placement.
+func placeRoundRobin(sys topo.System, progs []*xs1.Program) (*Job, error) {
+	nodes := sys.Nodes()
+	if len(progs) > len(nodes) {
+		return nil, fmt.Errorf("nos: %d programs for %d cores", len(progs), len(nodes))
+	}
+	j := &Job{}
+	for i, p := range progs {
+		j.Add(fmt.Sprintf("task%d", i), nodes[i], p)
+	}
+	return j, nil
+}
+
+// loadDirect installs every task image through the host debug path
+// (the JTAG-style alternative to network boot), a baseline without boot
+// traffic.
+func (j *Job) loadDirect(m *core.Machine) error {
+	if err := j.Validate(m.Sys); err != nil {
+		return err
+	}
+	for _, t := range j.Tasks {
+		if err := m.Load(t.Node, t.Prog); err != nil {
+			return fmt.Errorf("nos: loading %q: %w", t.Name, err)
+		}
+	}
+	return nil
 }

@@ -51,9 +51,6 @@ func NewSupply(name string, outV, inV, efficiency float64) (*Supply, error) {
 // Attach adds a load to the supply output.
 func (s *Supply) Attach(m Meter) { s.loads = append(s.loads, m) }
 
-// Loads reports the attached load count.
-func (s *Supply) Loads() int { return len(s.loads) }
-
 // OutputEnergyJ sums the cumulative energy of all loads.
 func (s *Supply) OutputEnergyJ() float64 {
 	e := 0.0

@@ -40,8 +40,8 @@ func TestSupplyEnergyAggregation(t *testing.T) {
 	if got := s.InputEnergyJ(); math.Abs(got-0.4825) > 1e-9 {
 		t.Errorf("input energy = %v, want 0.4825 (80%% efficiency)", got)
 	}
-	if s.Loads() != 2 {
-		t.Errorf("loads = %d", s.Loads())
+	if len(s.loads) != 2 {
+		t.Errorf("loads = %d", len(s.loads))
 	}
 }
 

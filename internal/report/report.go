@@ -31,15 +31,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddRowv appends a row of values rendered with fmt.Sprint.
-func (t *Table) AddRowv(cells ...any) {
-	parts := make([]string, len(cells))
-	for i, c := range cells {
-		parts[i] = fmt.Sprint(c)
-	}
-	t.AddRow(parts...)
-}
-
 // widths computes per-column display widths.
 func (t *Table) widths() []int {
 	w := make([]int, len(t.Headers))

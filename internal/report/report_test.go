@@ -8,7 +8,7 @@ import (
 func TestTableRender(t *testing.T) {
 	tb := NewTable("Table X", "name", "value")
 	tb.AddRow("alpha", "1")
-	tb.AddRowv("beta-long", 22)
+	tb.AddRow("beta-long", "22")
 	out := tb.String()
 	if !strings.Contains(out, "Table X") {
 		t.Error("missing title")

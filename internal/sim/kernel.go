@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"swallow/internal/trace"
 )
@@ -36,6 +37,8 @@ const (
 	bucketMask   = numBuckets - 1
 	// wheelSpan is the near-tier horizon (~524 ns).
 	wheelSpan = quantum * numBuckets
+	// forever is Run's deadline: no bound on simulated time.
+	forever Time = math.MaxInt64
 )
 
 // slot is one registration in the queue. ev's (armed, seq) pair decides
@@ -88,10 +91,9 @@ func (e *event) fire() {
 //
 // The zero value is not ready to use; call NewKernel.
 type Kernel struct {
-	now    Time
-	seq    uint64
-	fired  uint64
-	halted bool
+	now   Time
+	seq   uint64
+	fired uint64
 
 	// cur is the current bucket, sorted, drained from curHead.
 	cur     []slot
@@ -111,11 +113,11 @@ type Kernel struct {
 	liveNear int
 	liveFar  int
 
-	// deadline is the active RunUntil bound, exposed to batched
-	// executors (Deadline) so a fast path never advances the clock past
-	// the point the driver will observe. Valid only while hasDeadline.
-	deadline    Time
-	hasDeadline bool
+	// deadline is the bound of the drain executing events, exposed to
+	// batched executors (Deadline) so a fast path never advances the
+	// clock past the point the driver will observe. Outside a drain it
+	// is the clock itself: nothing may run ahead of it.
+	deadline Time
 
 	// rec is the attached flight recorder, nil when tracing is off.
 	// Snapshot restore leaves it alone: attachment follows the checkout
@@ -138,7 +140,10 @@ func (k *Kernel) Fired() uint64 { return k.fired }
 // registration's sequence number). Like Fired it is held in lockstep
 // between batched and event-by-event execution: StepTo consumes one
 // seq per synthetic slot, StepN and Count one for each of the slots
-// they cover, exactly as the arms they replace would have.
+// they cover, exactly as the arms they replace would have. Only tests
+// read it: the "Turbo ≡ step-by-step" differentials in xs1, core, noc
+// and workload (TestTurboRandomizedDifferential among them) hold the
+// fast path's kernel accounting to it, which is why it stays exported.
 func (k *Kernel) Seq() uint64 { return k.seq }
 
 // SetRecorder attaches (or, with nil, detaches) the flight recorder.
@@ -266,9 +271,9 @@ func (k *Kernel) rebase() {
 
 // head positions both tiers on their earliest live registration and
 // returns the queue head under the (time, seq) merge without consuming
-// it; far says which tier holds it. Every head primitive — Step,
-// RunUntil, NextForeign, AbsorbNext, the pending-event check of StepTo
-// and StepN — shares this walk.
+// it; far says which tier holds it. Every head primitive — stepDue,
+// NextForeign, AbsorbNext, the pending-event check of StepTo and StepN
+// — shares this walk.
 // A pop leaves curHead on the next slot of the current bucket, so the
 // walk that follows one usually finds the head in view — a live slot
 // there, a live or absent heap top — and answers without stepping the
@@ -308,10 +313,6 @@ func (k *Kernel) pop(s slot, far bool) {
 	s.ev.armed = false
 }
 
-// Halt stops the current Run/RunUntil call after the in-flight event
-// completes. Pending events remain queued.
-func (k *Kernel) Halt() { k.halted = true }
-
 // fireSlot advances the clock to s and runs its callback.
 func (k *Kernel) fireSlot(s slot) {
 	k.now = s.when
@@ -324,23 +325,6 @@ func (k *Kernel) fireSlot(s slot) {
 		r.Emit(int64(s.when), trace.KindKernelEvent, trace.SrcMachine, int64(s.seq), waker)
 	}
 	s.ev.fire()
-}
-
-// Step executes the single next event, advancing the clock to its
-// timestamp. It reports false when the queue is empty.
-//
-// On a machine with turbo cores one event can be a whole batch: a
-// core's issue event runs up to 2^20 issue slots, about 1 ms of host
-// time untraced and 37 ms traced, so Step and Run do not advance such a
-// machine in small steps. Product code runs only RunUntil and RunFor.
-func (k *Kernel) Step() bool {
-	s, far, ok := k.head()
-	if !ok {
-		return false
-	}
-	k.pop(s, far)
-	k.fireSlot(s)
-	return true
 }
 
 // stepDue pops and fires the earliest event if it is due at or before
@@ -378,11 +362,13 @@ func (k *Kernel) NextForeign() (Time, Waker, bool) {
 	return s.when, s.ev.w, true
 }
 
-// Deadline reports the bound of the RunUntil call currently executing
-// events, if any. Batched executors must not advance the clock past
-// it: RunUntil's contract is that the clock lands exactly on the
-// deadline, and every event due at it still fires.
-func (k *Kernel) Deadline() (Time, bool) { return k.deadline, k.hasDeadline }
+// Deadline reports the bound of the drain currently executing events:
+// RunUntil's deadline, or no bound at all under Run. Batched executors
+// must not advance the clock past it: RunUntil's contract is that the
+// clock lands exactly on the deadline, and every event due at it still
+// fires. Outside a drain — after NewKernel, Restore or a drain's return
+// — it is Now, so nothing can run ahead of the clock there.
+func (k *Kernel) Deadline() Time { return k.deadline }
 
 // AbsorbNext consumes the earliest pending registration if it belongs
 // to timer t, advancing the clock to its timestamp and counting the
@@ -419,7 +405,7 @@ func (k *Kernel) AbsorbNext(t *Timer) bool {
 // Stepping past (or onto) a pending event is a contract violation —
 // the pending registration was armed earlier, holds a lower sequence
 // number, and must fire first — as is stepping past the active
-// RunUntil deadline or backwards; all three panic.
+// deadline (Deadline) or backwards; all three panic.
 func (k *Kernel) StepTo(t Time) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: StepTo(%v) behind now %v", t, k.now))
@@ -429,7 +415,7 @@ func (k *Kernel) StepTo(t Time) {
 			panic(fmt.Sprintf("sim: StepTo(%v) would pass pending event at %v", t, s.when))
 		}
 	}
-	if k.hasDeadline && t > k.deadline {
+	if t > k.deadline {
 		panic(fmt.Sprintf("sim: StepTo(%v) beyond deadline %v", t, k.deadline))
 	}
 	k.seq++
@@ -470,7 +456,7 @@ func (k *Kernel) StepN(t Time, n int) {
 // registrations the caller armed for real and has disarmed, whose
 // sequence numbers are spent and whose firing is counted here. What the
 // caller owes is that every counted firing lies within the active
-// RunUntil deadline, so that no boundary sees Seq or Fired (which already
+// deadline (Deadline), so that no boundary sees Seq or Fired (which already
 // promise to include synthetic firings) ahead of the event-by-event run.
 // A negative count panics, as in StepN.
 func (k *Kernel) Count(arms, firings int) {
@@ -481,12 +467,14 @@ func (k *Kernel) Count(arms, firings int) {
 	k.fired += uint64(firings)
 }
 
-// Run executes events until the queue drains or Halt is called. As
-// under Step, one event can be a whole turbo batch.
+// Run executes events until the queue is empty: RunUntil's drain with
+// no bound, leaving the clock on the last event fired. On a machine with
+// turbo cores one event can be a whole batch of up to 2^20 issue slots
+// (about 1 ms of host time untraced, 37 ms traced). Product code runs
+// RunUntil and RunFor; Run is left for a queue known to empty.
 func (k *Kernel) Run() {
-	k.halted = false
-	for !k.halted && k.Step() {
-	}
+	k.drain(forever)
+	k.deadline = k.now
 }
 
 // RunUntil executes events with timestamps <= deadline, then sets the
@@ -494,13 +482,18 @@ func (k *Kernel) Run() {
 // scheduled beyond the deadline stay queued. While the loop runs the
 // deadline is published through Deadline, bounding batched executors.
 func (k *Kernel) RunUntil(deadline Time) {
-	k.halted = false
-	k.deadline, k.hasDeadline = deadline, true
-	for !k.halted && k.stepDue(deadline) {
-	}
-	k.hasDeadline = false
-	if !k.halted && k.now < deadline {
+	k.drain(deadline)
+	if k.now < deadline {
 		k.now = deadline
+	}
+	k.deadline = k.now
+}
+
+// drain fires every event due at or before deadline, publishing the
+// bound through Deadline while it runs.
+func (k *Kernel) drain(deadline Time) {
+	k.deadline = deadline
+	for k.stepDue(deadline) {
 	}
 }
 

@@ -129,7 +129,7 @@ func BenchmarkKernelTimerFanout(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for fired < b.N && k.Step() {
+	for fired < b.N && k.step() {
 	}
 }
 
@@ -169,7 +169,7 @@ func BenchmarkKernelMixedHorizon(b *testing.B) {
 	far.ArmAfter(2 * wheelSpan)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for n < b.N && k.Step() {
+	for n < b.N && k.step() {
 	}
 }
 

@@ -87,11 +87,3 @@ func (c Clock) Period() Time { return c.periodPS }
 
 // Cycles converts a cycle count to kernel time.
 func (c Clock) Cycles(n int64) Time { return Time(n) * c.periodPS }
-
-// CyclesAt reports how many full cycles elapse in duration d.
-func (c Clock) CyclesAt(d Time) int64 {
-	if c.periodPS == 0 {
-		return 0
-	}
-	return int64(d / c.periodPS)
-}

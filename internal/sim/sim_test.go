@@ -2,9 +2,26 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// step fires the single next event, as a drain bounded by that event's
+// own time, and reports false when the queue is empty: the finest cut of
+// the event sequence, for the reference tests. Product code drains to a
+// deadline (RunUntil).
+func (k *Kernel) step() bool {
+	s, far, ok := k.head()
+	if !ok {
+		return false
+	}
+	k.deadline = s.when
+	k.pop(s, far)
+	k.fireSlot(s)
+	k.deadline = k.now
+	return true
+}
 
 func TestKernelOrdering(t *testing.T) {
 	k := NewKernel()
@@ -119,31 +136,62 @@ func TestKernelRunUntil(t *testing.T) {
 	}
 }
 
+// TestDeadlineIsNowOutsideADrain: a drain publishes its bound — the
+// RunUntil deadline, or none under Run — to the events it fires, and
+// everywhere else the deadline is the clock itself: after NewKernel,
+// after either drain returns and after a Restore to an earlier time. So
+// nothing can be stepped, counted or run ahead of the clock outside a
+// drain.
+func TestDeadlineIsNowOutsideADrain(t *testing.T) {
+	k := NewKernel()
+	outside := func(when string) {
+		t.Helper()
+		if d := k.Deadline(); d != k.Now() {
+			t.Errorf("%s: Deadline = %v, want Now %v", when, d, k.Now())
+		}
+	}
+	outside("after NewKernel")
+	var inside []Time
+	probe := k.NewTimer(func() { inside = append(inside, k.Deadline()) })
+	probe.ArmAt(100)
+	k.RunUntil(500)
+	outside("after RunUntil")
+	snap := k.Snapshot()
+	probe.ArmAt(700)
+	k.Run()
+	if k.Now() != 700 {
+		t.Fatalf("Run ended at %v, want the last event's time 700", k.Now())
+	}
+	outside("after Run")
+	k.RunUntil(300) // behind the clock: fires nothing, moves nothing
+	outside("after a RunUntil behind the clock")
+	k.Restore(snap)
+	if k.Now() != 500 {
+		t.Fatalf("Restore landed at %v, want 500", k.Now())
+	}
+	outside("after Restore to an earlier time")
+	if want := []Time{500, forever}; !slices.Equal(inside, want) {
+		t.Errorf("deadlines seen inside the drains = %v, want %v", inside, want)
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if recover() == nil {
+				t.Errorf("%s outside a drain did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("StepTo", func() { k.StepTo(k.Now() + 1) })
+	mustPanic("StepN", func() { k.StepN(k.Now()+1, 2) })
+}
+
 func TestKernelRunForAdvancesClock(t *testing.T) {
 	k := NewKernel()
 	k.RunFor(1234)
 	if k.Now() != 1234 {
 		t.Errorf("empty RunFor: Now = %v, want 1234", k.Now())
-	}
-}
-
-func TestKernelHalt(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		k.NewTimer(func() {
-			count++
-			if count == 3 {
-				k.Halt()
-			}
-		}).ArmAt(Time(i))
-	}
-	k.Run()
-	if count != 3 {
-		t.Errorf("Halt: fired %d, want 3", count)
-	}
-	if k.Pending() != 7 {
-		t.Errorf("Pending after Halt = %d, want 7", k.Pending())
 	}
 }
 
@@ -234,9 +282,6 @@ func TestClockCycles(t *testing.T) {
 	clk := NewClock(500)
 	if got := clk.Cycles(4); got != 8000 {
 		t.Errorf("4 cycles @500MHz = %v, want 8000ps", got)
-	}
-	if got := clk.CyclesAt(10000); got != 5 {
-		t.Errorf("CyclesAt(10000) = %d, want 5", got)
 	}
 }
 

@@ -21,12 +21,6 @@ type KernelSnapshot struct {
 	slots []slot
 }
 
-// Now reports the captured clock.
-func (s *KernelSnapshot) Now() Time { return s.now }
-
-// Pending reports the number of captured registrations.
-func (s *KernelSnapshot) Pending() int { return len(s.slots) }
-
 // Snapshot captures the kernel's current state: clock, counters and
 // every live registration. It must not be called from inside a running
 // event callback.
@@ -66,7 +60,7 @@ func (k *Kernel) Snapshot() *KernelSnapshot {
 func (k *Kernel) Restore(s *KernelSnapshot) {
 	k.drainQueues()
 	k.now, k.seq, k.fired = s.now, s.seq, s.fired
-	k.halted, k.hasDeadline = false, false
+	k.deadline = s.now
 	k.wheel[k.wheelPos] = k.cur
 	k.wheelPos, k.wheelTime = 0, s.now&^(quantum-1)
 	k.cur, k.wheel[0] = k.wheel[0], nil

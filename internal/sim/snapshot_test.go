@@ -63,8 +63,8 @@ func TestKernelSnapshotRestoreExact(t *testing.T) {
 
 	k.RunUntil(10 * wheelSpan)
 	snap := k.Snapshot()
-	if snap.Now() != k.Now() {
-		t.Fatalf("snapshot now %v, kernel now %v", snap.Now(), k.Now())
+	if snap.now != k.Now() {
+		t.Fatalf("snapshot now %v, kernel now %v", snap.now, k.Now())
 	}
 	preSlots := liveSlots(k)
 
@@ -74,9 +74,9 @@ func TestKernelSnapshotRestoreExact(t *testing.T) {
 	wantNow, wantFired, wantSeq := k.Now(), k.fired, k.seq
 
 	k.Restore(snap)
-	if k.Now() != snap.Now() || k.fired != snap.fired || k.seq != snap.seq {
+	if k.Now() != snap.now || k.fired != snap.fired || k.seq != snap.seq {
 		t.Fatalf("restore counters: now=%v fired=%d seq=%d, want %v/%d/%d",
-			k.Now(), k.fired, k.seq, snap.Now(), snap.fired, snap.seq)
+			k.Now(), k.fired, k.seq, snap.now, snap.fired, snap.seq)
 	}
 	postSlots := liveSlots(k)
 	if len(preSlots) != len(postSlots) {
@@ -130,19 +130,19 @@ func TestKernelSnapshotRandomizedBoundaries(t *testing.T) {
 			timers[i].ArmAfter(Time(1 + i))
 		}
 		steps := 0
-		for steps < 500 && k.Step() {
+		for steps < 500 && k.step() {
 			steps++
 		}
 		// Snapshot at a random later event boundary.
 		extra := rng.Intn(200)
-		for i := 0; i < extra && k.Step(); i++ {
+		for i := 0; i < extra && k.step(); i++ {
 		}
 		snap := k.Snapshot()
 		before := liveSlots(k)
 
 		// Drive on from the boundary, recording times.
 		var want []Time
-		for i := 0; i < 300 && k.Step(); i++ {
+		for i := 0; i < 300 && k.step(); i++ {
 			want = append(want, k.Now())
 		}
 
@@ -157,7 +157,7 @@ func TestKernelSnapshotRandomizedBoundaries(t *testing.T) {
 			}
 		}
 		var got []Time
-		for i := 0; i < 300 && k.Step(); i++ {
+		for i := 0; i < 300 && k.step(); i++ {
 			got = append(got, k.Now())
 		}
 		if len(got) != len(want) {
@@ -177,8 +177,8 @@ func TestKernelSnapshotEmpty(t *testing.T) {
 	k.NewTimer(func() {}).ArmAfter(5 * Nanosecond)
 	k.Run()
 	snap := k.Snapshot()
-	if snap.Pending() != 0 {
-		t.Fatalf("empty kernel snapshot holds %d slots", snap.Pending())
+	if len(snap.slots) != 0 {
+		t.Fatalf("empty kernel snapshot holds %d slots", len(snap.slots))
 	}
 	k.NewTimer(func() { t.Fatal("stale event fired after restore") }).ArmAfter(3 * Nanosecond)
 	k.Restore(snap)
@@ -205,7 +205,7 @@ func TestKernelRestoreAfterReset(t *testing.T) {
 	})
 	tick.ArmAfter(Nanosecond)
 	for i := 0; i < 40; i++ {
-		k.Step()
+		k.step()
 	}
 	snap := k.Snapshot()
 	atSnap := count

@@ -201,9 +201,9 @@ func TestTimerSteadyStateZeroAlloc(t *testing.T) {
 	tm.ArmAfter(2 * Nanosecond)
 	// Warm up so bucket capacities reach steady state.
 	for i := 0; i < 4096; i++ {
-		k.Step()
+		k.step()
 	}
-	allocs := testing.AllocsPerRun(4096, func() { k.Step() })
+	allocs := testing.AllocsPerRun(4096, func() { k.step() })
 	if allocs != 0 {
 		t.Errorf("steady-state issue loop allocates %v per event, want 0", allocs)
 	}
@@ -216,9 +216,9 @@ func TestTimerFarRearmZeroAlloc(t *testing.T) {
 	tm = k.NewTimer(func() { tm.ArmAfter(2 * wheelSpan) })
 	tm.ArmAfter(2 * wheelSpan)
 	for i := 0; i < 64; i++ {
-		k.Step()
+		k.step()
 	}
-	allocs := testing.AllocsPerRun(64, func() { k.Step() })
+	allocs := testing.AllocsPerRun(64, func() { k.step() })
 	if allocs != 0 {
 		t.Errorf("far-future re-arm allocates %v per event, want 0", allocs)
 	}
@@ -362,7 +362,7 @@ func kernelMatchesReference(t *testing.T) {
 			// drained buckets and force rebasing; mirror one reference
 			// pop per kernel step.
 			if rng.Intn(8) == 0 {
-				for s := rng.Intn(4); s > 0 && k.Step(); s-- {
+				for s := rng.Intn(4); s > 0 && k.step(); s-- {
 					ref.popOne()
 				}
 			}

@@ -181,29 +181,3 @@ func (s System) VerticalBisectionLinks() []NodeID {
 	}
 	return out
 }
-
-// HorizontalBisectionLinks returns the north-side vertical-layer nodes
-// whose South link crosses the horizontal mid-line.
-func (s System) HorizontalBisectionLinks() []NodeID {
-	cut := s.Height() / 2
-	var out []NodeID
-	for x := 0; x < s.Width(); x++ {
-		out = append(out, MakeNodeID(x, cut-1, LayerV))
-	}
-	return out
-}
-
-// EdgeLinks enumerates the (node, direction) pairs whose compass link
-// would leave the grid - the positions brought to board-edge connectors.
-func (s System) EdgeLinks() []Hop {
-	var out []Hop
-	for x := 0; x < s.Width(); x++ {
-		out = append(out, Hop{From: MakeNodeID(x, 0, LayerV), Dir: DirNorth})
-		out = append(out, Hop{From: MakeNodeID(x, s.Height()-1, LayerV), Dir: DirSouth})
-	}
-	for y := 0; y < s.Height(); y++ {
-		out = append(out, Hop{From: MakeNodeID(0, y, LayerH), Dir: DirWest})
-		out = append(out, Hop{From: MakeNodeID(s.Width()-1, y, LayerH), Dir: DirEast})
-	}
-	return out
-}

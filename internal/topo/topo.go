@@ -96,21 +96,6 @@ func (d Dir) String() string {
 	return fmt.Sprintf("Dir(%d)", int(d))
 }
 
-// Opposite returns the reverse direction for the four compass links.
-func (d Dir) Opposite() Dir {
-	switch d {
-	case DirNorth:
-		return DirSouth
-	case DirSouth:
-		return DirNorth
-	case DirEast:
-		return DirWest
-	case DirWest:
-		return DirEast
-	}
-	return d
-}
-
 // NodeID identifies one core (equivalently, its switch) in the package
 // grid: bit 0 is the layer, bits 1-7 the package-grid x coordinate and
 // bits 8-15 the y coordinate.

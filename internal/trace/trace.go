@@ -203,14 +203,6 @@ func (r *Recorder) Len() int {
 	return int(r.total)
 }
 
-// Total reports every event ever emitted, retained or dropped.
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.total
-}
-
 // Dropped reports events overwritten by ring wrap-around.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {

@@ -19,8 +19,8 @@ func TestRecorderRing(t *testing.T) {
 	for i := 0; i < n; i++ {
 		r.Emit(int64(i), KindKernelEvent, SrcMachine, int64(i), 0)
 	}
-	if r.Total() != n {
-		t.Errorf("Total = %d, want %d", r.Total(), n)
+	if r.total != n {
+		t.Errorf("total = %d, want %d", r.total, n)
 	}
 	if r.Len() != 1024 {
 		t.Errorf("Len = %d, want 1024", r.Len())

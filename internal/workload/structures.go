@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"strings"
 
 	"swallow/internal/noc"
 	"swallow/internal/xs1"
@@ -43,39 +42,6 @@ func RingRelay(next noc.ChanEndID) *xs1.Program {
 		tend
 	`, uint32(next))
 	return xs1.MustAssemble(src)
-}
-
-// AllToAll emits one word (the node's rank) to every peer and absorbs
-// one word from each, logging the sum of received ranks. Peers are the
-// rank-indexed receive channel ends of every participant; selfRank
-// excludes the node's own entry.
-func AllToAll(peers []noc.ChanEndID, selfRank int) *xs1.Program {
-	var b strings.Builder
-	b.WriteString("getr r0, 2\n") // rx (chanend 0)
-	b.WriteString("getr r1, 2\n") // tx (chanend 1)
-	fmt.Fprintf(&b, "ldc r5, %d\n", selfRank)
-	for rank, peer := range peers {
-		if rank == selfRank {
-			continue
-		}
-		fmt.Fprintf(&b, "ldc r2, %d\n", uint32(peer))
-		b.WriteString("setd r1, r2\n")
-		b.WriteString("out r1, r5\n")
-		b.WriteString("outct r1, ct_end\n")
-	}
-	// Collect len(peers)-1 words; packets interleave at the shared
-	// receive channel end.
-	fmt.Fprintf(&b, "ldc r6, %d\nldc r7, 0\n", len(peers)-1)
-	b.WriteString(`collect:
-		in r0, r3
-		chkct r0, ct_end
-		add r7, r7, r3
-		subi r6, r6, 1
-		brt r6, collect
-		dbg r7
-		tend
-	`)
-	return xs1.MustAssemble(b.String())
 }
 
 // BarrierRoot collects one arrival packet (carrying the member's reply

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"swallow/internal/core"
@@ -48,7 +50,7 @@ func TestAllToAllExchange(t *testing.T) {
 		rx[i] = chanID(nd, 0)
 	}
 	for rank, nd := range participants {
-		if err := m.Load(nd, AllToAll(rx, rank)); err != nil {
+		if err := m.Load(nd, allToAll(rx, rank)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,4 +152,37 @@ func itoa(v uint32) string {
 		v /= 10
 	}
 	return string(b)
+}
+
+// allToAll emits one word (the node's rank) to every peer and absorbs
+// one word from each, logging the sum of received ranks. Peers are the
+// rank-indexed receive channel ends of every participant; selfRank
+// excludes the node's own entry.
+func allToAll(peers []noc.ChanEndID, selfRank int) *xs1.Program {
+	var b strings.Builder
+	b.WriteString("getr r0, 2\n") // rx (chanend 0)
+	b.WriteString("getr r1, 2\n") // tx (chanend 1)
+	fmt.Fprintf(&b, "ldc r5, %d\n", selfRank)
+	for rank, peer := range peers {
+		if rank == selfRank {
+			continue
+		}
+		fmt.Fprintf(&b, "ldc r2, %d\n", uint32(peer))
+		b.WriteString("setd r1, r2\n")
+		b.WriteString("out r1, r5\n")
+		b.WriteString("outct r1, ct_end\n")
+	}
+	// Collect len(peers)-1 words; packets interleave at the shared
+	// receive channel end.
+	fmt.Fprintf(&b, "ldc r6, %d\nldc r7, 0\n", len(peers)-1)
+	b.WriteString(`collect:
+		in r0, r3
+		chkct r0, ct_end
+		add r7, r7, r3
+		subi r6, r6, 1
+		brt r6, collect
+		dbg r7
+		tend
+	`)
+	return xs1.MustAssemble(b.String())
 }

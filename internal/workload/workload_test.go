@@ -9,6 +9,7 @@ import (
 	"swallow/internal/noc"
 	"swallow/internal/sim"
 	"swallow/internal/topo"
+	"swallow/internal/xs1"
 )
 
 func node(x, y int, l topo.Layer) topo.NodeID { return topo.MakeNodeID(x, y, l) }
@@ -179,10 +180,10 @@ func TestSharedMemoryEmulation(t *testing.T) {
 	server := node(0, 0, topo.LayerV)
 	client := node(1, 2, topo.LayerH) // several hops away
 	const words = 16
-	if err := m.Load(server, MemServer(2*words)); err != nil {
+	if err := m.Load(server, memServer(2*words)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Load(client, MemClient(chanID(server, 0), words)); err != nil {
+	if err := m.Load(client, memClient(chanID(server, 0), words)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Run(200 * sim.Millisecond); err != nil {
@@ -423,4 +424,87 @@ func TestAggregateGoodput(t *testing.T) {
 	if math.Abs(total-125) > 5 {
 		t.Errorf("aggregate goodput = %.1f Mbit/s, want ~125", total)
 	}
+}
+
+// memServer emulates shared memory over message passing (Section I's
+// "data sharing methods"): it owns a word array and services read
+// (op 0) and write (op 1) requests. Each request packet: reply-id,
+// op, address-index, [value]; replies carry the read value or an ack.
+func memServer(requests int) *xs1.Program {
+	src := fmt.Sprintf(`
+		getr r0, 2
+		getr r1, 2
+		ldc  r6, @store
+		ldc  r5, %d
+	serve:
+		in   r0, r2      ; reply id
+		in   r0, r3      ; op
+		in   r0, r4      ; index
+		brt  r3, dowrite
+		chkct r0, ct_end
+		ldw  r7, r6, r4
+		bru  reply
+	dowrite:
+		in   r0, r8
+		chkct r0, ct_end
+		stw  r8, r6, r4
+		ldc  r7, 1       ; ack
+	reply:
+		setd r1, r2
+		out  r1, r7
+		outct r1, ct_end
+		subi r5, r5, 1
+		brt  r5, serve
+		tend
+	store:
+		.space 64
+	`, requests)
+	return xs1.MustAssemble(src)
+}
+
+// memClient writes then reads back a set of remote words, debug-logging
+// the number of correct read-backs.
+func memClient(server noc.ChanEndID, words int) *xs1.Program {
+	src := fmt.Sprintf(`
+		getr r0, 2
+		getr r1, 2
+		ldc  r2, %d
+		setd r0, r2
+		ldc  r5, 0       ; index
+		ldc  r9, %d      ; limit
+		ldc  r7, 0       ; correct
+	writeloop:
+		out  r0, r1      ; reply id
+		ldc  r3, 1
+		out  r0, r3      ; op = write
+		out  r0, r5      ; index
+		mul  r4, r5, r5
+		addi r4, r4, 7
+		out  r0, r4      ; value = i*i+7
+		outct r0, ct_end
+		in   r1, r3      ; ack
+		chkct r1, ct_end
+		addi r5, r5, 1
+		lss  r3, r5, r9
+		brt  r3, writeloop
+		ldc  r5, 0
+	readloop:
+		out  r0, r1
+		ldc  r3, 0
+		out  r0, r3      ; op = read
+		out  r0, r5
+		outct r0, ct_end
+		in   r1, r4
+		chkct r1, ct_end
+		mul  r8, r5, r5
+		addi r8, r8, 7
+		eq   r8, r8, r4
+		add  r7, r7, r8
+		addi r5, r5, 1
+		lss  r3, r5, r9
+		brt  r3, readloop
+		dbg  r7
+		tend
+	`, uint32(server), words)
+	return xs1.MustAssemble(src)
 }

@@ -61,9 +61,6 @@ type Thread struct {
 	Instrs uint64
 }
 
-// Trap reports the trap reason of a TTrapped thread.
-func (t *Thread) Trap() error { return t.trap }
-
 // BlockedOn reports the channel end a TBlockedChan thread waits for;
 // meaningful only in that state.
 func (t *Thread) BlockedOn() *noc.ChanEnd { return t.blockedOn }
@@ -191,15 +188,14 @@ type Core struct {
 	DebugTrace []uint32
 	Console    []byte
 
-	halted bool
-
 	// log holds the issue slots the core has pre-executed ahead of the
 	// kernel clock and the group loop has not yet replayed (window.go), in
 	// strided runs: runs log[logHead:logTail], filled from zero only when
 	// empty, so logTail != 0 says the core's private state leads the
 	// clock; the head run shrinks from the front as its slots are
 	// replayed, and logAt is the time of the next one. Fixed backing,
-	// never snapshotted: it is empty whenever RunUntil is not executing.
+	// never snapshotted: it is empty whenever no drain (sim.Kernel's
+	// RunUntil or Run) is executing.
 	logHead, logTail int
 	logAt            sim.Time
 	log              [preexecRuns]preRun
@@ -304,9 +300,6 @@ func (c *Core) Retune(cfg Config) error {
 // Node reports the core's position.
 func (c *Core) Node() topo.NodeID { return c.node }
 
-// Switch exposes the core's network switch.
-func (c *Core) Switch() *noc.Switch { return c.sw }
-
 // Config reports the core's operating point.
 func (c *Core) Config() Config { return c.cfg }
 
@@ -341,7 +334,6 @@ func (c *Core) Load(p *Program) error {
 	c.touchAll()
 	c.resetThreads()
 	c.DebugTrace, c.Console = c.DebugTrace[:0], c.Console[:0]
-	c.halted = false
 	c.prog, c.twin = p, 0
 	t0 := &c.threads[0]
 	t0.State = TReady
@@ -370,7 +362,6 @@ func (c *Core) LoadAt(p *Program, byteBase uint32) error {
 	}
 	c.touchRange(byteBase, p.ByteLen())
 	c.resetThreads()
-	c.halted = false
 	c.prog, c.twin = p, 0
 	t0 := &c.threads[0]
 	t0.State = TReady
@@ -417,9 +408,6 @@ func (c *Core) alignUp(t sim.Time) sim.Time {
 // scheduleIssue arranges the next issue attempt at time t (moving any
 // later-scheduled attempt earlier).
 func (c *Core) scheduleIssue(t sim.Time) {
-	if c.halted {
-		return
-	}
 	c.issueTimer.ArmEarliest(t)
 }
 
@@ -635,14 +623,6 @@ func (c *Core) bankEnergy() {
 		int64(math.Float64bits(c.accruedJ+c.dynamicJ)), int64(c.InstrCount))
 }
 
-// Halt freezes the core (used by machine teardown).
-func (c *Core) Halt() {
-	c.settled("Halt")
-	c.leave()
-	c.halted = true
-	c.issueTimer.Disarm()
-}
-
 // --- memory access ---
 
 func (c *Core) loadWord(addr uint32) (uint32, error) {
@@ -659,36 +639,6 @@ func (c *Core) storeWord(addr, v uint32) error {
 	binary.LittleEndian.PutUint32(c.mem[addr:], v)
 	c.touch(addr)
 	return nil
-}
-
-// ReadWord exposes SRAM for host-side inspection (loaders, tests).
-func (c *Core) ReadWord(addr uint32) (uint32, error) { return c.loadWord(addr) }
-
-// WriteWord pokes SRAM from the host side.
-func (c *Core) WriteWord(addr, v uint32) error {
-	c.leave()
-	return c.storeWord(addr, v)
-}
-
-// WriteBytes copies host data into SRAM.
-func (c *Core) WriteBytes(addr uint32, data []byte) error {
-	if int(addr)+len(data) > MemSize {
-		return fmt.Errorf("bad byte store at %#x", addr)
-	}
-	c.leave()
-	copy(c.mem[addr:], data)
-	c.touchRange(addr, len(data))
-	return nil
-}
-
-// ReadBytes copies SRAM into a host buffer.
-func (c *Core) ReadBytes(addr uint32, n int) ([]byte, error) {
-	if int(addr)+n > MemSize {
-		return nil, fmt.Errorf("bad byte load at %#x", addr)
-	}
-	out := make([]byte, n)
-	copy(out, c.mem[addr:])
-	return out, nil
 }
 
 // trapThread stops a thread with a diagnostic.

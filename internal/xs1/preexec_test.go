@@ -646,12 +646,11 @@ func TestFanoutThreshold(t *testing.T) {
 // one short too, must share its fan-out, not each open a window alone.
 func TestRefillEligibility(t *testing.T) {
 	s := emptyRing(t)
-	holds, comm, parked, late, halted, behind := s.cores[3], s.cores[5], s.cores[7], s.cores[9], s.cores[11], s.cores[13]
+	holds, comm, parked, late, behind := s.cores[3], s.cores[5], s.cores[7], s.cores[9], s.cores[13]
 	holds.preexec(s.now, s.now+10*s.period)
 	comm.commMark = comm.InstrCount - preexecJoin + 1
 	behind.commMark = behind.InstrCount - preexecStreak + 1
 	parked.threads[2].State = TBlockedChan
-	halted.halted = true
 	mask := uint(len(s.g.q) - 1)
 	for i := s.g.head; i != s.g.tail; i++ {
 		if s.g.q[i&mask].c == late {
@@ -668,7 +667,7 @@ func TestRefillEligibility(t *testing.T) {
 		switch c {
 		case holds:
 			want = before
-		case comm, parked, late, halted:
+		case comm, parked, late:
 			want = 0
 		}
 		if got := c.logged(); got != want {

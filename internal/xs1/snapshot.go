@@ -74,7 +74,6 @@ type CoreSnapshot struct {
 	lastIssue    sim.Time
 	debugTrace   []uint32
 	console      []byte
-	halted       bool
 	prog         *Program
 	// pages is the SRAM image a page at a time, nil for a page never
 	// written (all zeros).
@@ -102,7 +101,6 @@ func (c *Core) Snapshot() *CoreSnapshot {
 		lastIssue:    c.LastIssue,
 		debugTrace:   append([]uint32(nil), c.DebugTrace...),
 		console:      append([]byte(nil), c.Console...),
-		halted:       c.halted,
 		prog:         c.prog,
 	}
 	written := 0
@@ -126,7 +124,10 @@ func (c *Core) Snapshot() *CoreSnapshot {
 }
 
 // SRAMBytes reports how much SRAM the snapshot holds a copy of: the
-// pages written before it was taken.
+// pages written before it was taken. Only tests read it — this
+// package's and core's TestPristineSnapshotHoldsNoSRAM, which holds a
+// just-built machine's snapshot to zero bytes — and it stays exported
+// for the second.
 func (s *CoreSnapshot) SRAMBytes() int {
 	n := 0
 	for _, page := range s.pages {
@@ -181,7 +182,6 @@ func (c *Core) Restore(s *CoreSnapshot) int {
 	c.LastIssue = s.lastIssue
 	c.DebugTrace = append(c.DebugTrace[:0], s.debugTrace...)
 	c.Console = append(c.Console[:0], s.console...)
-	c.halted = s.halted
 	c.prog, c.twin = s.prog, 0
 	return dirty
 }

@@ -68,12 +68,12 @@ func TestCoreSnapshotDifferential(t *testing.T) {
 
 	// Dirty the core at its own operating point, a high SRAM page too.
 	load(c)
-	if err := c.WriteWord(MemSize-4, 0xdeadbeef); err != nil {
+	if err := c.writeWord(MemSize-4, 0xdeadbeef); err != nil {
 		t.Fatal(err)
 	}
 	finish(r, c)
 	restore()
-	if w, _ := c.ReadWord(MemSize - 4); w != 0 {
+	if w, _ := c.loadWord(MemSize - 4); w != 0 {
 		t.Fatalf("restoring the construction snapshot left %#x in a page it never saw written", w)
 	}
 	load(c)

@@ -86,12 +86,13 @@ type refusal uint8
 
 const (
 	counted refusal = iota
-	// refusedUnbounded: no untraced RunUntil is executing, or the slot
-	// lies beyond its deadline — a boundary, a snapshot or the recorder
-	// could see the kernel's counters ahead of the event-by-event run.
+	// refusedUnbounded: a recorder is attached, or the slot lies beyond
+	// the deadline of the drain executing it — a boundary, a snapshot or
+	// the recorder could see the kernel's counters ahead of the
+	// event-by-event run.
 	refusedUnbounded
-	// refusedBusy: the core is not otherwise inert — halted, slots logged,
-	// or another thread that could issue or be woken from outside.
+	// refusedBusy: the core is not otherwise inert — slots logged, or
+	// another thread that could issue or be woken from outside.
 	refusedBusy
 	// refusedUnread: the blocked instruction is not in the predecode
 	// cache, or is not one that waits on a channel end.
@@ -145,19 +146,20 @@ func (c *Core) stalled(th *Thread) (Shortfall, refusal) {
 }
 
 // held refuses unless th's stall can neither be seen early nor end by
-// probe: an untraced RunUntil is executing and probe is within its
-// deadline, so no boundary, snapshot or recorder finds the kernel's
-// counters ahead of the event-by-event run; the core is inert but for th
-// — not halted, no slot logged, no other thread that could issue or be
+// probe: no recorder is attached and probe is within the deadline of the
+// drain executing it (outside a drain the deadline is the clock, so
+// nothing passes), so no boundary, snapshot or recorder finds the
+// kernel's counters ahead of the event-by-event run; the core is inert
+// but for th — no slot logged, no other thread that could issue or be
 // woken from outside (its issue timer is the callers' to answer for); and
 // the fabric can neither change what th's instruction holds nor wake th
 // up to and including probe (noc.ChanEnd.QuietUntil; reads says the
 // instruction waits on the receive buffer).
 func (c *Core) held(th *Thread, probe sim.Time, reads bool) refusal {
-	if d, ok := c.k.Deadline(); !ok || probe > d || c.k.Recorder() != nil {
+	if probe > c.k.Deadline() || c.k.Recorder() != nil {
 		return refusedUnbounded
 	}
-	if c.halted || c.logTail != 0 {
+	if c.logTail != 0 {
 		return refusedBusy
 	}
 	for i := range c.threads {

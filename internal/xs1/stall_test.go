@@ -71,22 +71,18 @@ func TestCountableRefusals(t *testing.T) {
 		want refusal
 		// deadline places the RunUntil's deadline against the probe.
 		deadline func(probe sim.Time) sim.Time
-		// bare asks outside any RunUntil.
+		// bare asks outside any drain, where the deadline is the clock.
 		bare bool
 		// stage prepares the refusal and returns how to undo it.
 		stage func(s stalledRx) (undo func())
 	}{
 		{name: "nothing in the way", want: counted},
-		{name: "no RunUntil executing", want: refusedUnbounded, bare: true},
+		{name: "outside any drain", want: refusedUnbounded, bare: true},
 		{name: "probe beyond the deadline", want: refusedUnbounded, deadline: func(probe sim.Time) sim.Time { return probe - 1 }},
 		{name: "probe on the deadline", want: counted, deadline: func(probe sim.Time) sim.Time { return probe }},
 		{name: "recorder attached", want: refusedUnbounded, stage: func(s stalledRx) func() {
 			s.r.k.SetRecorder(trace.NewRecorder(1 << 10))
 			return func() { s.r.k.SetRecorder(nil) }
-		}},
-		{name: "core halted", want: refusedBusy, stage: func(s stalledRx) func() {
-			s.c.halted = true
-			return func() { s.c.halted = false }
 		}},
 		{name: "slots logged", want: refusedBusy, stage: func(s stalledRx) func() {
 			s.c.logTail = 1
@@ -340,6 +336,38 @@ func TestCountedStreamMatchesExact(t *testing.T) {
 	}
 	if sum.CountedSlots != 2*sum.CountedWakes+sum.CountedProbes {
 		t.Errorf("%d slots counted for %d wakes and %d probes", sum.CountedSlots, sum.CountedWakes, sum.CountedProbes)
+	}
+}
+
+// TestCountedUnderRunMatchesExact: Run is a drain with no bound, so a
+// stall inside it may be counted — here a sender blocked for good on a
+// channel end nobody reads — and Run still returns where the reference
+// pipeline's does: the fabric's last event lies beyond every counted
+// slot, so the clock, the kernel's counters and the core agree.
+func TestCountedUnderRunMatchesExact(t *testing.T) {
+	const tx = `
+	getr r0, 2
+	ldc  r1, 0
+	setd r0, r1
+loop:
+	out  r0, r1
+	bru  loop
+`
+	run := func(exact bool) (string, uint64) {
+		r := newRig(t)
+		r.exact = exact
+		c := r.core(t, h00(), tx)
+		r.k.Run()
+		return fmt.Sprintf("now=%d seq=%d fired=%d pending=%d deadline=%d %s",
+			r.k.Now(), r.k.Seq(), r.k.Fired(), r.k.Pending(), r.k.Deadline(), archState(c)), c.t.CountedSlots
+	}
+	want, _ := run(true)
+	got, counted := run(false)
+	if counted == 0 {
+		t.Error("no slot was counted under Run; the case is not exercised")
+	}
+	if got != want {
+		t.Errorf("turbo under Run diverges from the exact pipeline\nexact %s\nturbo %s", want, got)
 	}
 }
 

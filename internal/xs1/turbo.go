@@ -2,7 +2,6 @@ package xs1
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -18,8 +17,9 @@ import (
 //
 //  1. A window is (core state, at, limit) → folded log (window.go): a core
 //     on a compute streak runs its own slots ahead of the kernel clock,
-//     only inside an untraced RunUntil, before every pending registration,
-//     never while an outside event could wake it.
+//     only while untraced, within the deadline of the kernel's drain and
+//     before every pending registration, never while an outside event
+//     could wake it.
 //  2. The group owns order (turboGroup.run, replay): the cores sharing a
 //     kernel issue in one loop in global (time, sequence) order, and every
 //     slot, pre-executed or not, is accounted for at its own time, so
@@ -50,7 +50,7 @@ const (
 	ExitComm
 	// ExitTrap: a thread trapped.
 	ExitTrap
-	// ExitDeadline: the next slot lies beyond the RunUntil deadline.
+	// ExitDeadline: the next slot lies beyond the drain's deadline.
 	ExitDeadline
 	// ExitCap: the batch reached turboBatchCap slots.
 	ExitCap
@@ -78,7 +78,7 @@ type TurboStats struct {
 	// PreexecSlots counts issue slots (instructions and idle probes)
 	// cores ran ahead of the kernel clock; ReplayedSlots counts those
 	// the group loop has since accounted for. They are equal whenever
-	// no RunUntil is executing.
+	// no drain (RunUntil or Run) is executing.
 	PreexecSlots  uint64
 	ReplayedSlots uint64
 	// AdoptedSlots counts the pre-executed slots a core adopted from a
@@ -231,9 +231,6 @@ const (
 	// costs, and the ADC artifact's 500-slot sample horizons (8 k slots a
 	// slice) refill in line.
 	fanoutMinSlots = 1 << 15
-
-	// timeMax stands for no bound on simulated time.
-	timeMax sim.Time = math.MaxInt64
 )
 
 // turboGroup batches issue execution across the cores sharing one
@@ -259,17 +256,15 @@ type turboGroup struct {
 	// here rather than in run's frame: every value live in the issue
 	// loop is spilled and reloaded around the calls each slot makes.
 	// start is the batch's first slot time and end the last time it
-	// may run a slot at (the deadline of the RunUntil executing it, if
-	// there is one); untraced says no recorder is attached, whose events
-	// carry the kernel's time, so a lone core may issue its rotation
-	// before the kernel steps over it; mayPreexec says cores may run ahead
-	// in this batch — only untraced and only inside RunUntil, since under
-	// Step and Run every return is a point where the host may look; kw is
+	// may run a slot at (the deadline of the drain executing it);
+	// untraced says no recorder is attached, whose events carry the
+	// kernel's time, so a lone core may issue its rotation before the
+	// kernel steps over it and cores may run ahead in this batch; kw is
 	// the Waker of the kernel's earliest registration as horizon last saw
 	// it.
-	start, end           sim.Time
-	untraced, mayPreexec bool
-	kw                   sim.Waker
+	start, end sim.Time
+	untraced   bool
+	kw         sim.Waker
 
 	// fan is the record of the windows being handed out (refill), and
 	// twins the members that adopt one of them after the join instead of
@@ -576,7 +571,7 @@ func (g *turboGroup) refill(cur *Core, at, limit sim.Time) {
 
 // horizon reports the kernel's earliest registration — its time and its
 // Waker — if this batch has to respect it (one beyond end is left for a
-// later RunUntil), and the latest time at which a slot may run without
+// later drain), and the latest time at which a slot may run without
 // the kernel intervening: strictly before that registration, else end.
 func (g *turboGroup) horizon() (kt sim.Time, kok bool, limit sim.Time) {
 	kt, g.kw, kok = g.k.NextForeign()
@@ -607,10 +602,10 @@ func (g *turboGroup) horizon() (kt sim.Time, kok bool, limit sim.Time) {
 // them, their times never decrease (a popped slot earlier than the one
 // before it panics), and the last of them is now.
 func (g *turboGroup) replay(cur *Core, now sim.Time, slots int, limit sim.Time) (_ *Core, _ sim.Time, _ int, next sim.Time, ok bool) {
-	if !g.mayPreexec && cur.logTail != 0 {
-		// Slots are logged within the deadline of the RunUntil that
-		// pre-executed them and replayed before it returns.
-		panic(fmt.Sprintf("xs1: core %v holds pre-executed slots outside the untraced RunUntil that logged them", cur.node))
+	if !g.untraced && cur.logTail != 0 {
+		// Slots are logged within the deadline of the untraced drain
+		// that pre-executed them and replayed before it returns.
+		panic(fmt.Sprintf("xs1: core %v holds pre-executed slots outside the untraced drain that logged them", cur.node))
 	}
 	entered := slots
 	next = -1
@@ -754,7 +749,7 @@ func (g *turboGroup) rounds(cur *Core, now sim.Time, slots int, limit sim.Time) 
 }
 
 // run executes issue slots in a tight loop from the firing that
-// invoked it until the next foreign kernel event, the RunUntil
+// invoked it until the next foreign kernel event, the drain's
 // deadline, a communication/trap boundary, or the batch cap. Slots
 // across members execute in global (time, sequence) order: a pending
 // sibling registration always precedes a deferred in-batch arm at the
@@ -772,13 +767,8 @@ func (g *turboGroup) run(first *Core) {
 	now := k.Now()
 	g.start = now
 	binstrs := int64(0)
-	g.end = timeMax
-	deadline, hasDeadline := k.Deadline()
-	if hasDeadline {
-		g.end = deadline
-	}
+	g.end = k.Deadline()
 	g.untraced = k.Recorder() == nil
-	g.mayPreexec = hasDeadline && g.untraced
 	kt, kok, limit := g.horizon()
 	cur := first
 	slots := 0
@@ -833,7 +823,7 @@ batch:
 				// A slot that would issue a streak's last instruction asks first,
 				// from now, where its twins behind it stand; a probe never asks.
 				if n := cur.InstrCount + 1; n&(preexecStreak-1) == 0 && n-cur.commMark >= preexecStreak &&
-					g.mayPreexec && g.head != g.tail {
+					g.untraced && g.head != g.tail {
 					if off := cur.rrOff; cur.pickReady(now) != nil {
 						cur.rrOff = off
 						if g.refill(cur, now, limit); cur.logTail != 0 {

@@ -177,7 +177,7 @@ func TestTurboDecodeInvalidation(t *testing.T) {
 	// generation), restart thread 0 at PC 0 without reloading the
 	// image, and re-run: the predecoder must reject its cached entry
 	// and decode the new word.
-	if err := c.WriteWord(uint32(patch*4), progB.Words[patch]); err != nil {
+	if err := c.writeWord(uint32(patch*4), progB.Words[patch]); err != nil {
 		t.Fatal(err)
 	}
 	stale := c.t.DecodeStale
@@ -269,7 +269,6 @@ func TestUnsettledCorePanics(t *testing.T) {
 		"Retune":         func() { _ = c.Retune(DefaultConfig()) },
 		"SetFrequency":   func() { _ = c.SetFrequency(100) },
 		"SetVoltage":     func() { _ = c.SetVoltage(1.0) },
-		"Halt":           func() { c.Halt() },
 		"kickThread":     func() { c.kickThread(&c.threads[0]) },
 		"issueOne":       func() { c.issueOne() },
 	} {
@@ -600,10 +599,12 @@ func TestRoundStepBlocks(t *testing.T) {
 }
 
 // TestPreexecOnlyInsideUntracedRunUntil pins where cores may run ahead
-// of the clock: never under Step or Run, where every return hands the
-// host a kernel whose cores it may inspect, and never with a recorder
-// attached, whose events carry kernel time. The same slice does
-// pre-execute under RunFor, so the zeros mean something.
+// of the clock: only inside an untraced drain — RunUntil, or Run, which
+// is a drain with no bound — and never with a recorder attached, whose
+// events carry kernel time. Every drain replays what its cores ran
+// ahead before it returns, so a slice under Run pre-executes and still
+// ends where the exact pipeline ends, and no slot is left logged at any
+// return.
 func TestPreexecOnlyInsideUntracedRunUntil(t *testing.T) {
 	const finite = `
 	ldc r0, 400
@@ -614,29 +615,33 @@ loop:
 	brt r0, loop
 	tend
 `
-	t.Run("Step", func(t *testing.T) {
-		r := newRig(t)
-		cores := r.group(t, turboLoop)
-		// As far as RunFor goes below: a step may be a whole batch, so
-		// stepping counts time, not steps.
-		for r.k.Now() < 20*sim.Microsecond {
-			if !r.k.Step() {
-				t.Fatal("kernel ran dry")
-			}
-		}
-		if n := preexecSlots(cores); n != 0 {
-			t.Errorf("cores pre-executed %d slots under Step", n)
-		}
-	})
 	t.Run("Run", func(t *testing.T) {
-		r := newRig(t)
-		cores := r.group(t, finite)
-		r.k.Run()
+		run := func(exact bool) (string, []*Core) {
+			r := newRig(t)
+			r.exact = exact
+			cores := r.group(t, finite)
+			r.k.Run()
+			var b strings.Builder
+			fmt.Fprintf(&b, "now=%d seq=%d fired=%d pending=%d deadline=%d",
+				r.k.Now(), r.k.Seq(), r.k.Fired(), r.k.Pending(), r.k.Deadline())
+			for _, c := range cores {
+				b.WriteString("\n" + archState(c))
+				if c.logTail != 0 {
+					t.Errorf("core %v returned from Run with %d slots not replayed", c.node, c.logTail-c.logHead)
+				}
+			}
+			return b.String(), cores
+		}
+		want, _ := run(true)
+		got, cores := run(false)
 		if cores[0].InstrCount < 1600 || !cores[0].Done() {
 			t.Fatalf("program did not finish under Run (%d instructions)", cores[0].InstrCount)
 		}
-		if n := preexecSlots(cores); n != 0 {
-			t.Errorf("cores pre-executed %d slots under Run", n)
+		if preexecSlots(cores) == 0 {
+			t.Error("a slice of finite compute loops never pre-executed under Run")
+		}
+		if got != want {
+			t.Errorf("turbo under Run diverges from the exact pipeline\nexact %s\nturbo %s", want, got)
 		}
 	})
 	t.Run("recorder", func(t *testing.T) {
@@ -774,13 +779,14 @@ loop:
 
 // TestPreexecutedSlotsCannotOutliveRunUntil pins the other half of the
 // first soundness condition: slots are logged within the deadline of
-// the RunUntil that pre-executed them, so a batch that may not run
-// ahead itself — here one driven by Step — never finds any.
+// the untraced drain that pre-executed them, so a batch that may not run
+// ahead itself — here one with a recorder attached — never finds any.
 func TestPreexecutedSlotsCannotOutliveRunUntil(t *testing.T) {
 	r := newRig(t)
 	c := r.core(t, v00(), turboLoop)
 	c.preexec(c.alignUp(r.k.Now()), sim.Millisecond)
-	mustPanic(t, "Step", "outside the untraced RunUntil", func() { r.k.Step() })
+	r.k.SetRecorder(trace.NewRecorder(1 << 10))
+	mustPanic(t, "recorder", "outside the untraced drain", func() { r.k.RunFor(sim.Microsecond) })
 }
 
 // TestPreexecStopsBeforeCommunicationPick runs six threads per core,

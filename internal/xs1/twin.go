@@ -105,11 +105,11 @@ func (g *turboGroup) adoptAll() {
 // sameState reports whether d's state is c's in everything a window reads
 // or writes: the thread file, the rotation from rrOff, SRAM, the counters,
 // the energy to the bit, the operating point, the compute streak, the
-// debug and console output, and whether the core is halted. Page
+// debug and console output. Page
 // generations and the predecode cache are bookkeeping and derived state,
 // and are not compared.
 func (c *Core) sameState(d *Core) bool {
-	if c.cfg != d.cfg || c.halted != d.halted ||
+	if c.cfg != d.cfg ||
 		c.threads != d.threads || c.timerAlloc != d.timerAlloc ||
 		c.InstrCount != d.InstrCount || c.ClassCounts != d.ClassCounts ||
 		c.IdleSlots != d.IdleSlots || c.LastIssue != d.LastIssue || c.commMark != d.commMark ||

@@ -132,15 +132,11 @@ func (c *Core) fetchMiss(th *Thread) *ientry {
 	return e
 }
 
-// quiet reports whether nothing outside the core can re-time it: it is
-// not halted and has no thread blocked on a channel end or on the
-// reference clock — the only states a foreign event wakes (kickThread).
+// quiet reports whether nothing outside the core can re-time it: it has
+// no thread blocked on a channel end or on the reference clock — the only states a foreign event wakes (kickThread).
 // A thread blocked in TJOIN is woken by this core's own TEND, which is
 // a communication instruction and so never pre-executed.
 func (c *Core) quiet() bool {
-	if c.halted {
-		return false
-	}
 	for i := range c.threads {
 		if s := c.threads[i].State; s == TBlockedChan || s == TBlockedTime {
 			return false
