@@ -7,7 +7,7 @@
 // Usage:
 //
 //	swallow-load [-url http://localhost:8080] [-c 4] [-n 100 | -d 10s]
-//	             [-artifacts regexp] [-quick] [-json]
+//	             [-artifacts regexp] [-json]
 //	             [-scenario spec.json[,spec2.json...]]
 //
 // The artifact mix is discovered from GET /artifacts, filtered by
@@ -16,16 +16,18 @@
 // submissions — the ReqBench-style novel-configuration stress: every
 // round fires the same spec, so the first submission simulates and
 // the rest exercise the spec-hash cache path. Every response is
-// checked (status 200, non-empty body) and X-Cache headers are
-// tallied by tier — HIT (memory), HIT-DISK (persistent store),
-// HIT-PEER (filled from a ring peer's store), MISS (simulated) — so
-// the report shows where each answer came from, overall and per
-// worker. cache_hits counts memory hits only; the disk/peer tiers
-// report separately.
+// checked (status 200, a non-empty body whose sha256 is its ETag) and
+// X-Cache headers are tallied by tier — HIT (memory), HIT-DISK
+// (persistent store), HIT-PEER (filled from a ring peer's store), MISS
+// (simulated) — so the report shows where each answer came from,
+// overall and per worker. cache_hits counts memory hits only; the
+// disk/peer tiers report separately.
 package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -115,7 +117,6 @@ func main() {
 	dur := flag.Duration("d", 0, "run duration (0: until -n requests)")
 	only := flag.String("artifacts", "", "regexp selecting the artifact mix (default: all)")
 	scenarios := flag.String("scenario", "", "comma-separated scenario spec files to POST as part of the mix")
-	quick := flag.Bool("quick", false, "request quick (less settled) renders")
 	asJSON := flag.Bool("json", false, "emit the report as JSON")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request timeout")
 	flag.Parse()
@@ -142,13 +143,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := range mix {
-		if *quick {
-			mix[i].URL += "?quick=1"
-		}
-	}
 	if *scenarios != "" {
-		specs, err := loadScenarios(*baseURL, *scenarios, *quick)
+		specs, err := loadScenarios(*baseURL, *scenarios)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -207,7 +203,7 @@ func discover(client *http.Client, base, pattern string) ([]target, error) {
 }
 
 // loadScenarios reads spec files into POST /scenarios mix targets.
-func loadScenarios(base, paths string, quick bool) ([]target, error) {
+func loadScenarios(base, paths string) ([]target, error) {
 	var out []target
 	for _, path := range strings.Split(paths, ",") {
 		path = strings.TrimSpace(path)
@@ -215,21 +211,17 @@ func loadScenarios(base, paths string, quick bool) ([]target, error) {
 		if err != nil {
 			return nil, err
 		}
-		url := base + "/scenarios"
-		if quick {
-			url += "?quick=1"
-		}
 		out = append(out, target{
 			Name: "scenario:" + strings.TrimSuffix(filepath.Base(path), ".json"),
-			URL:  url,
+			URL:  base + "/scenarios",
 			Body: blob,
 		})
 	}
 	return out, nil
 }
 
-// fetch issues one request (GET, or POST for scenario targets) and
-// measures it.
+// fetch issues one request (GET, or POST for scenario targets),
+// measures it and checks the answer.
 func fetch(client *http.Client, t target) sample {
 	start := time.Now()
 	var resp *http.Response
@@ -243,7 +235,8 @@ func fetch(client *http.Client, t target) sample {
 		return sample{latency: time.Since(start), err: err}
 	}
 	defer resp.Body.Close()
-	nbytes, err := io.Copy(io.Discard, resp.Body)
+	sum := sha256.New()
+	nbytes, err := io.Copy(sum, resp.Body)
 	s := sample{
 		latency: time.Since(start),
 		bytes:   nbytes,
@@ -258,6 +251,9 @@ func fetch(client *http.Client, t target) sample {
 	}
 	if s.err == nil && nbytes == 0 {
 		s.err = fmt.Errorf("%s: empty body", t.Name)
+	}
+	if etag := resp.Header.Get("ETag"); s.err == nil && etag != `"`+hex.EncodeToString(sum.Sum(nil))+`"` {
+		s.err = fmt.Errorf("%s: ETag %s is not the body's sha256", t.Name, etag)
 	}
 	return s
 }

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	swallow-router [-addr :9090] [-workers http://h1:8081,http://h2:8082] [-quick]
+//	swallow-router [-addr :9090] [-workers http://h1:8081,http://h2:8082]
 //
 // The ring gives each worker 128 virtual nodes; workers are probed every
 // second and marked down after two failed probes; a forwarded request
@@ -34,9 +34,6 @@
 // re-rendering it. Every named-scenario route (GET /scenarios, PUT/GET
 // /scenarios/{name}) keys on one constant, so the name registry has one
 // home worker. A job ID carries its key, so polls need no job table.
-//
-// -quick must match the workers' -quick flag: the router derives
-// affinity keys from the same default config the workers cache under.
 package main
 
 import (
@@ -60,10 +57,9 @@ func main() {
 	log.SetPrefix("swallow-router: ")
 	addr := flag.String("addr", ":9090", "listen address")
 	workers := flag.String("workers", "", "comma-separated worker base URLs (more may join at runtime)")
-	quick := flag.Bool("quick", false, "workers serve quick configs by default (must match their -quick)")
 	flag.Parse()
 
-	rt := cluster.NewRouter(cluster.RouterOptions{Quick: *quick, Logf: log.Printf})
+	rt := cluster.NewRouter(cluster.RouterOptions{Logf: log.Printf})
 	for _, u := range strings.Split(*workers, ",") {
 		u = strings.TrimSpace(u)
 		if u == "" {

@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	swallow-serve [-addr :8080] [-quick] [-par N]
+//	swallow-serve [-addr :8080] [-par N]
 //	              [-pool-max-mb N] [-workers N] [-queue N]
 //	              [-cache-mb N] [-cache-entries N]
 //	              [-store-dir DIR] [-store-mb N]
@@ -101,7 +101,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("swallow-serve: ")
 	addr := flag.String("addr", ":8080", "listen address")
-	quick := flag.Bool("quick", false, "serve quick (less settled) workloads by default")
 	par := flag.Int("par", runtime.GOMAXPROCS(0), "max goroutines per sweep (output is identical at any setting)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "job queue worker goroutines")
 	queueCap := flag.Int("queue", 64, "job queue capacity (backpressure beyond it)")
@@ -145,7 +144,6 @@ func main() {
 		QueueCapacity: *queueCap,
 		Store:         st,
 		Env:           &core.Env{Pool: core.SharedPool(), Width: *par},
-		Quick:         *quick,
 	}
 	if *accessLog {
 		// Access logs go to stdout; the operational log stays on

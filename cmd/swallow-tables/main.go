@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	swallow-tables [-quick] [-only regexp] [-list] [-json]
+//	swallow-tables [-only regexp] [-list] [-json]
 //	               [-par N] [-cpuprofile f] [-memprofile f]
 //	               [-trace out.json] [-trace-events N]
 //	               [-scenario spec.json[,spec2.json...]]
@@ -62,7 +62,6 @@ type jsonRecord struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("swallow-tables: ")
-	quick := flag.Bool("quick", false, "use shorter workloads (less settled measurements)")
 	only := flag.String("only", "", "regexp of artifact names to regenerate")
 	list := flag.Bool("list", false, "list registered artifact names and descriptions, then exit")
 	asJSON := flag.Bool("json", false, "emit one machine-readable JSON array (render, wall time, metrics)")
@@ -116,9 +115,6 @@ func main() {
 	}
 
 	cfg := harness.DefaultConfig()
-	if *quick {
-		cfg = harness.QuickConfig()
-	}
 	if *par < 1 {
 		log.Fatalf("-par must be >= 1, got %d", *par)
 	}

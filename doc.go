@@ -122,38 +122,38 @@
 //
 // # Execution fast path
 //
-// internal/xs1 removes the steady-state per-instruction cost in five
-// statements. A window is (core state, at, limit) → folded log
-// (window.go): cores share no memory, so a core on a streak of compute
-// instructions runs its own next slots alone on a local clock, up to the
-// next foreign event or the deadline, and logs them in strided runs (n
-// slots a period apart, a gap, repeated). While every thread is ready and
-// due at its turn the slots are the XS1's fixed rotation (Eq. 2): the
-// window issues rr's next thread with no scheduler scan, fetches from a
-// predecode cache validated by the per-4KiB-page generation stamps that
-// drive snapshot dirty tracking, and folds the counters in at the
-// rotation's end; a lone core (fig4, eq2) issues the same rotation in the
-// group loop and steps the kernel once for it (sim.Kernel.StepN). The
-// group owns order (turbo.go): all cores on a kernel co-batch in global
-// (time, sequence) order until the next foreign event, communication
-// instruction, trap, deadline or batch cap, and replay the logged timing
-// when they reach it. A round is a rotation: where every queued core
-// holds the same block the queue only rotates, and whole blocks retire
-// at once. A fan-out is who computes windows: the simulation goroutine
-// and a process-wide pool of parked helpers (GOMAXPROCS - 1 of them)
-// claim them one at a time, and the simulation goroutine joins before it
-// replays a slot — no rollback, no speculation, the same bytes at every
-// GOMAXPROCS. A count is a slot nobody can observe (stall.go): a blocked
-// thread's doomed retry and idle probe are accounted for without a
-// firing. xs1.TurboStats counts all of it. The contract: turbo is
-// step-by-step — batching never changes architectural state at any
-// foreign-event boundary, and a core's private state leads the kernel
-// clock only inside one RunUntil, never past the next foreign event or
-// the deadline, never while an outside event could wake one of its
-// threads, never with a recorder attached; anything reaching into a core
-// that still holds unreplayed slots panics. An exact Env (a test oracle;
-// no flag) falls back to one instruction per kernel event, byte-identical
-// output either way.
+// internal/xs1 removes the steady-state per-instruction cost in the six
+// statements turbo.go lists. A window is (core state, at, limit) → folded
+// log (window.go): cores share no memory, so a core on a compute streak
+// runs its own next slots on a local clock, up to the next foreign event
+// or the deadline, and logs them in strided runs (n slots a period apart,
+// a gap, repeated). While every thread is ready and due at its turn the
+// slots are the XS1's fixed rotation (Eq. 2): no scheduler scan, fetches
+// from a predecode cache validated by the per-4KiB-page generation stamps
+// that drive snapshot dirty tracking, counters folded in at the
+// rotation's end; a lone core (fig4, eq2) steps the kernel once per
+// rotation (sim.Kernel.StepN). The group owns order (turbo.go): all cores
+// on a kernel co-batch in global (time, sequence) order until the next
+// foreign event, communication instruction, trap, deadline or batch cap,
+// and replay the logged timing when they reach it. A round is a
+// rotation: where every queued core holds the same block the queue only
+// rotates, and whole blocks retire at once. A fan-out is who computes
+// windows: the simulation goroutine and a process-wide pool of parked
+// helpers (GOMAXPROCS - 1 of them) claim them one at a time, and the
+// simulation goroutine joins before it replays a slot — no rollback, no
+// speculation, the same bytes at every GOMAXPROCS. A count is a slot
+// nobody can observe (stall.go): a blocked thread's doomed retry and idle
+// probe are accounted for without a firing. A twin adopts a window it
+// would have computed (twin.go): cores in one state, asked for windows
+// from one time, share one. xs1.TurboStats counts all of it. The
+// contract: turbo is step-by-step — batching never changes architectural
+// state at any foreign-event boundary, and a core's private state leads
+// the kernel clock only inside one RunUntil, never past the next foreign
+// event or the deadline, never while an outside event could wake one of
+// its threads, never with a recorder attached; anything reaching into a
+// core that still holds unreplayed slots panics. An exact Env (a test
+// oracle; no flag) falls back to one instruction per kernel event,
+// byte-identical output either way.
 //
 // The communication path — kernel events and tokens rather than
 // instructions — follows the same rules. Nothing on it allocates in

@@ -46,9 +46,8 @@ type Bridge struct {
 	txTimer sim.Timer
 	txFire  bridgeTxFirer
 
-	// Egress (network to host): completed frames, END-delimited.
-	frames  [][]byte
-	current []byte
+	// Egress (network to host): data bytes are counted in BytesIn,
+	// END tokens consumed.
 	nextRx  sim.Time
 	rxTimer sim.Timer
 	rxFire  bridgeRxFirer
@@ -120,7 +119,6 @@ func (b *Bridge) Attach() error {
 	b.sendQ = nil
 	b.inMsg = 0
 	b.nextTx, b.nextRx = 0, 0
-	b.frames, b.current = nil, nil
 	b.BytesIn, b.BytesOut = 0, 0
 	return nil
 }
@@ -215,11 +213,7 @@ func (b *Bridge) pumpRx() {
 	if !ok {
 		return
 	}
-	if tok.IsEnd() {
-		b.frames = append(b.frames, b.current)
-		b.current = nil
-	} else if !tok.Ctrl {
-		b.current = append(b.current, tok.Val)
+	if !tok.Ctrl {
 		b.BytesIn++
 		if rec := b.k.Recorder(); rec != nil {
 			rec.Emit(int64(now), trace.KindBridgeRx, int32(b.node), int64(b.BytesIn), 0)

@@ -101,13 +101,6 @@ func TestBridgeReceiveFromCore(t *testing.T) {
 		src.TryOut(noc.CtrlToken(noc.CtEnd))
 	}).ArmAfter(0)
 	k.RunFor(10 * sim.Millisecond)
-	frames := b.frames
-	if len(frames) != 2 {
-		t.Fatalf("frames = %d, want 2", len(frames))
-	}
-	if !bytes.Equal(frames[0], []byte{0xca, 0xfe}) || !bytes.Equal(frames[1], []byte{0xd0, 0x0d}) {
-		t.Fatalf("frame contents wrong: % x", frames)
-	}
 	if b.BytesIn != 4 {
 		t.Errorf("BytesIn = %d, want 4", b.BytesIn)
 	}

@@ -3,21 +3,16 @@ package bridge
 import "swallow/internal/sim"
 
 // Snapshot is a point-in-time capture of a bridge: its ingress queue,
-// mid-message progress, pacing deadlines, completed and in-progress
-// egress frames, and statistics. Pacing timer registrations are kernel
-// state, captured by the kernel's own snapshot; Restore here copies
-// only plain bridge state.
+// mid-message progress, pacing deadlines and statistics. Pacing timer
+// registrations are kernel state, captured by the kernel's own
+// snapshot; Restore here copies only plain bridge state.
 //
-// Queued payloads and completed frames are immutable once built (Send
-// copies its input; a frame is never appended to after its END token),
-// so the capture shares them and copies only the outer slices and the
-// still-growing current frame.
+// Queued payloads are immutable once built (Send copies its input), so
+// the capture shares them and copies only the outer slice.
 type Snapshot struct {
 	sendQ          []outMsg
 	inMsg          int
 	nextTx, nextRx sim.Time
-	frames         [][]byte
-	current        []byte
 	bytesIn        uint64
 	bytesOut       uint64
 }
@@ -29,8 +24,6 @@ func (b *Bridge) Snapshot() *Snapshot {
 		inMsg:    b.inMsg,
 		nextTx:   b.nextTx,
 		nextRx:   b.nextRx,
-		frames:   append([][]byte(nil), b.frames...),
-		current:  append([]byte(nil), b.current...),
 		bytesIn:  b.BytesIn,
 		bytesOut: b.BytesOut,
 	}
@@ -44,8 +37,5 @@ func (b *Bridge) Restore(s *Snapshot) {
 	b.sendQ = append(b.sendQ[:0], s.sendQ...)
 	b.inMsg = s.inMsg
 	b.nextTx, b.nextRx = s.nextTx, s.nextRx
-	clear(b.frames)
-	b.frames = append(b.frames[:0], s.frames...)
-	b.current = append(b.current[:0], s.current...)
 	b.BytesIn, b.BytesOut = s.bytesIn, s.bytesOut
 }

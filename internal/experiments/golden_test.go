@@ -79,11 +79,16 @@ func eachMode(t *testing.T, modes []mode, fn func(t *testing.T, i int, env core.
 	})
 }
 
-// renderRegistry renders every registered artifact under env at the
-// quick config, by name.
+// quickConfig is the short settling window the registry's
+// byte-for-byte tests render under: a quarter of
+// harness.DefaultConfig's loop count, so each pass takes less time.
+func quickConfig() harness.Config { return harness.Config{Iters: 5000} }
+
+// renderRegistry renders every registered artifact under env at
+// quickConfig, by name.
 func renderRegistry(t *testing.T, env core.Env) map[string]string {
 	t.Helper()
-	cfg := harness.QuickConfig()
+	cfg := quickConfig()
 	cfg.Env = &env
 	out := make(map[string]string)
 	for _, a := range harness.Artifacts() {

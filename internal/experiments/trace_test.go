@@ -50,7 +50,7 @@ func TestTracingNeutralGolden(t *testing.T) {
 // recording's Chrome export must load: valid JSON, known phases only,
 // and every core track it names carrying events.
 func TestTraceDeterministicGolden(t *testing.T) {
-	cfg := harness.QuickConfig()
+	cfg := quickConfig()
 	fig3 := harness.Lookup("fig3")
 	if fig3 == nil {
 		t.Fatal("fig3 artifact not registered")
@@ -77,7 +77,7 @@ func TestTraceDeterministicGolden(t *testing.T) {
 	first := record()
 	checkCoreTracks(t, chrome.Bytes())
 	// In between, leave the shared pool's fig3 machines with a history.
-	if _, err := fig3.Table(harness.QuickConfig()); err != nil {
+	if _, err := fig3.Table(quickConfig()); err != nil {
 		t.Fatal(err)
 	}
 	second := record()

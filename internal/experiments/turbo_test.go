@@ -53,7 +53,7 @@ func TestTurboMatchesSlowPathGolden(t *testing.T) {
 func TestSingleCoreRenderNeverRunsAhead(t *testing.T) {
 	before := xs1.ReadTurboStats()
 	for _, name := range []string{"eq2", "fig4"} {
-		if _, err := harness.Lookup(name).Table(harness.QuickConfig()); err != nil {
+		if _, err := harness.Lookup(name).Table(quickConfig()); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -75,7 +75,7 @@ func TestSingleCoreRenderNeverRunsAhead(t *testing.T) {
 // test.
 func TestFig2TwinsAdopt(t *testing.T) {
 	for _, exact := range []bool{false, true} {
-		cfg := harness.QuickConfig()
+		cfg := quickConfig()
 		cfg.Env = &core.Env{Exact: exact}
 		before := xs1.ReadTurboStats()
 		if _, err := harness.Lookup("fig2").Table(cfg); err != nil {

@@ -23,7 +23,7 @@ func TestWarmStartMatchesColdGolden(t *testing.T) {
 	// parked: with no pool, the warm boot sweep restores its boot prefix
 	// and the cold one restores nothing.
 	restores := func(cold bool) uint64 {
-		cfg := harness.QuickConfig()
+		cfg := quickConfig()
 		cfg.Env = &core.Env{Width: 1, Cold: cold}
 		before := core.ReadSnapshotStats().Restores
 		if _, err := harness.Lookup("boot-sweep").Table(cfg); err != nil {

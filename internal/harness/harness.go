@@ -97,10 +97,6 @@ const MaxIters = 1 << 20
 // golden comparisons use by default.
 func DefaultConfig() Config { return Config{Iters: 20000} }
 
-// QuickConfig trades measurement settling for speed (swallow-tables
-// -quick, smoke tests).
-func QuickConfig() Config { return Config{Iters: 5000} }
-
 // Artifact is one registered table or figure, type-erased. Use
 // Register to build one from a typed Spec.
 type Artifact struct {

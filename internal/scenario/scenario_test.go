@@ -13,6 +13,10 @@ import (
 	"swallow/internal/harness"
 )
 
+// quickConfig is the short settling window the compiled-run tests
+// render under.
+func quickConfig() harness.Config { return harness.Config{Iters: 5000} }
+
 // validTraffic is a minimal correct spec the bad-spec table mutates.
 func validTraffic() Spec {
 	return Spec{
@@ -431,7 +435,7 @@ func TestNovelStructuresRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Run(harness.QuickConfig())
+		res, err := c.Run(quickConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -574,7 +578,7 @@ func TestLinkEnergyNeedsOneClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Run(harness.QuickConfig())
+	_, err = c.Run(quickConfig())
 	if !errors.Is(err, harness.ErrBadConfig) || !strings.Contains(err.Error(), "exactly one link class") {
 		t.Fatalf("two-class flow set: %v, want a spec fault naming the classes", err)
 	}
@@ -603,7 +607,7 @@ func TestCompiledParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := harness.QuickConfig()
+	cfg := quickConfig()
 	cfg.Env = &core.Env{Pool: core.SharedPool(), Width: 1}
 	serial, err := c.Artifact.Table(cfg)
 	if err != nil {

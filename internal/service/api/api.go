@@ -23,11 +23,11 @@
 //
 // Resolve (cluster.Resolver, shared with the router) turns the request
 // — a registered name, a declarative internal/scenario spec, or a job
-// body carrying either, plus config overrides — into a cluster.Target:
-// the artifact to run, the config projected onto the knobs it reads,
-// and the one key everything below files it under. A request that
-// does not resolve is refused here with a field-level message: 400,
-// 404 or 413, never a 500.
+// body carrying either, plus config overrides (iters=N is the settling
+// window) — into a cluster.Target: the artifact to run, the config
+// projected onto the knobs it reads, and the one key everything below
+// files it under. A request that does not resolve is refused here with
+// a field-level message: 400, 404 or 413, never a 500.
 //
 // Server.render then takes the first tier that holds the key: the
 // memory LRU, the disk store, a peer's GET /cache/{key} (peers named
@@ -71,10 +71,6 @@ import (
 
 // Options configures a Server. Zero fields take the stated defaults.
 type Options struct {
-	// Quick makes harness.QuickConfig() the render config when a
-	// request does not override it; false means harness.DefaultConfig().
-	// quick=true requests get QuickConfig either way.
-	Quick bool
 	// CacheBytes / CacheEntries bound the result cache (<= 0: 64 MiB /
 	// 256 entries).
 	CacheBytes   int64
@@ -104,7 +100,7 @@ const peerTimeout = 3 * time.Second
 // Server wires the in-process renderer, cache and queue behind one
 // http.Handler.
 type Server struct {
-	// resolver's base configs carry Options.Env, and through them so
+	// resolver's base config carries Options.Env, and through it so
 	// does every config a request derives.
 	resolver  cluster.Resolver
 	cache     *cache.Cache
@@ -133,8 +129,8 @@ func New(opts Options) *Server {
 	if opts.Store == nil {
 		opts.Store = store.Memory(RegistryVersion())
 	}
-	resolver := cluster.NewResolver(opts.Quick)
-	resolver.Def.Env, resolver.Quick.Env = opts.Env, opts.Env
+	resolver := cluster.NewResolver()
+	resolver.Def.Env = opts.Env
 	s := &Server{
 		resolver:  resolver,
 		cache:     cache.New(opts.CacheBytes, opts.CacheEntries),

@@ -201,11 +201,6 @@ func TestConfigOverridesChangeIdentity(t *testing.T) {
 	if r3.Header.Get("X-Cache") != "HIT" || b3 != b2 {
 		t.Fatalf("equivalent config missed the cache (X-Cache=%s)", r3.Header.Get("X-Cache"))
 	}
-	// quick=1 serves the quick config.
-	_, b4 := get(t, ts.URL+"/artifacts/echo?quick=1")
-	if !strings.Contains(b4, fmt.Sprintf("iters=%d", harness.QuickConfig().Iters)) {
-		t.Fatalf("quick config not applied: %q", b4)
-	}
 }
 
 func TestIrrelevantKnobsShareOneCacheEntry(t *testing.T) {

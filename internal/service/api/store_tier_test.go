@@ -38,7 +38,7 @@ func openStore(t *testing.T, dir string) *store.Store {
 // (no query overrides) under.
 func defaultKey(t *testing.T, name string) string {
 	t.Helper()
-	target, err := cluster.NewResolver(false).Artifact(name, nil)
+	target, err := cluster.NewResolver().Artifact(name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestMemoryStoreNamedScenarios(t *testing.T) {
 // 404, and the next PUT of the spec repairs it: 201 at version 1, then
 // a render byte-identical to the anonymous submission.
 func TestDamagedPinIsRepairedByRePut(t *testing.T) {
-	canonical, err := cluster.NewResolver(false).Scenario([]byte(specJSON), nil)
+	canonical, err := cluster.NewResolver().Scenario([]byte(specJSON), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

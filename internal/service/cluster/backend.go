@@ -5,8 +5,9 @@
 //     becomes one Target: the artifact to run, the projected config,
 //     and the one key the memory cache, the disk store, the peer ask
 //     and the hash ring all file it under. The worker API and the
-//     Router call the same Resolver, so the routing key is the cache
-//     key by construction. Local is resolve + run in this process.
+//     Router call the same Resolver, and every request starts from
+//     harness.DefaultConfig(), so the routing key is the cache key by
+//     construction. Local is resolve + run in this process.
 //
 //   - Ring: a consistent hash ring with replicated virtual nodes over
 //     worker names. Keys are Target.Key, so each worker's LRU cache and

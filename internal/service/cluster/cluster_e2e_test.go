@@ -316,7 +316,7 @@ func TestRouterScenario(t *testing.T) {
 	_, rts := newRouter(t, cluster.RouterOptions{}, w1.URL, w2.URL)
 
 	post := func(url string) (*http.Response, string) {
-		resp, err := http.Post(url+"/scenarios?quick=1", "application/json", strings.NewReader(spec))
+		resp, err := http.Post(url+"/scenarios?iters=5000", "application/json", strings.NewReader(spec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -745,7 +745,7 @@ func TestRouterNamedScenario(t *testing.T) {
 	_, w2 := newWorker(t, api.Options{Store: storeAt(t, t.TempDir())})
 	_, rts := newRouter(t, cluster.RouterOptions{}, w1.URL, w2.URL)
 
-	req, err := http.NewRequest(http.MethodPut, rts.URL+"/scenarios/probe?quick=1", strings.NewReader(spec))
+	req, err := http.NewRequest(http.MethodPut, rts.URL+"/scenarios/probe?iters=5000", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -764,7 +764,7 @@ func TestRouterNamedScenario(t *testing.T) {
 	}
 
 	// Renders by name land on the pinning worker (same routing key).
-	resp, named := get(t, rts.URL+"/scenarios/probe?quick=1")
+	resp, named := get(t, rts.URL+"/scenarios/probe?iters=5000")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("named render: %s: %s", resp.Status, named)
 	}
@@ -776,7 +776,7 @@ func TestRouterNamedScenario(t *testing.T) {
 	}
 
 	// Byte-identical to the anonymous submission of the same spec.
-	ar, err := http.Post(rts.URL+"/scenarios?quick=1", "application/json", strings.NewReader(spec))
+	ar, err := http.Post(rts.URL+"/scenarios?iters=5000", "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -843,7 +843,7 @@ func TestRouterNamesShareOneHome(t *testing.T) {
 		}
 		io.Copy(io.Discard, pin.Body)
 		pin.Body.Close()
-		render, _ := get(t, rts.URL+"/scenarios/"+name+"?quick=1")
+		render, _ := get(t, rts.URL+"/scenarios/"+name+"?iters=5000")
 		versions, _ := get(t, rts.URL+"/scenarios/"+name+"/versions")
 		if pin.StatusCode != http.StatusCreated || render.StatusCode != http.StatusOK || versions.StatusCode != http.StatusOK {
 			t.Fatalf("%s: pin %s, render %s, versions %s", name, pin.Status, render.Status, versions.Status)

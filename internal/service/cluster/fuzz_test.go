@@ -25,7 +25,7 @@ import (
 // registry's own and the examples) under the key table's query rows and
 // as job bodies, and job bodies for every registered name.
 func FuzzResolve(f *testing.F) {
-	queries := []string{"", "quick=1", overrideQuery}
+	queries := []string{"", quickQuery, overrideQuery}
 	var files []string
 	for _, dir := range specDirs {
 		found, _ := filepath.Glob(filepath.Join(dir, "*.json"))
@@ -42,16 +42,16 @@ func FuzzResolve(f *testing.F) {
 		for _, q := range queries {
 			f.Add("", q, blob)
 		}
-		f.Add("", "", []byte(`{"scenario": `+string(blob)+`, "quick": true}`))
+		f.Add("", "", []byte(`{"scenario": `+string(blob)+", "+quickJob+"}"))
 	}
 	for _, name := range harness.Names() {
-		for i, extra := range []string{"", `, "quick": true`, ", " + overrideJob} {
+		for i, extra := range []string{"", ", " + quickJob, ", " + overrideJob} {
 			f.Add(name, queries[i], []byte(fmt.Sprintf(`{"artifact": %q%s}`, name, extra)))
 		}
 	}
 	f.Add(cluster.JobID(parentKeys[0].def), "iters=0", []byte(`{"artifact": "table1", "scenario": {}}`))
 
-	rs := cluster.NewResolver(false)
+	rs := cluster.NewResolver()
 	f.Fuzz(func(t *testing.T, name, query string, body []byte) {
 		q, _ := url.ParseQuery(query)
 		_, artErr := rs.Artifact(name, q)
@@ -76,7 +76,7 @@ func FuzzResolve(f *testing.F) {
 // from, a scenario Target's Hash is the sha256 of its Spec. A pinned
 // name's record is checked against exactly that, so each of them pins.
 func TestSpecHashIsSHA256OfSpec(t *testing.T) {
-	rs := cluster.NewResolver(false)
+	rs := cluster.NewResolver()
 	st := store.Memory("test")
 	for _, dir := range specDirs {
 		files, _ := filepath.Glob(filepath.Join(dir, "*.json"))

@@ -26,19 +26,26 @@ import (
 )
 
 // overrideQuery is the table's one ?iters=&payloads= override, and
-// overrideJob the same thing in a job body's spelling.
+// overrideJob the same thing in a job body's spelling. quickQuery and
+// quickJob are the short settling window, which the parent also
+// accepted as a quick flag.
 const (
 	overrideQuery = "iters=7&payloads=4,64"
 	overrideJob   = `"config": {"iters": 7, "goodput_payloads": [4, 64]}`
+	quickQuery    = "iters=5000"
+	quickJob      = `"config": {"iters": 5000}`
 )
+
+// quickConfig is the short settling window as a config.
+func quickConfig() harness.Config { return harness.Config{Iters: 5000} }
 
 // parentKeys are literal cache keys computed at the parent commit
 // (2dd1d4b) with its own router-side key functions, not regenerated:
-// every registry artifact under the default config, ?quick=1 and
-// overrideQuery, and every spec file in specDirs under the default
-// config and ?quick=1 (over is empty for those). If one of these moves,
-// every cache entry, store file and ring position filed under it is
-// orphaned.
+// every registry artifact under the default config, the parent's quick
+// flag (quickQuery's key) and overrideQuery, and every spec file in
+// specDirs under the default config and the quick flag (over is empty
+// for those). If one of these moves, every cache entry, store file and
+// ring position filed under it is orphaned.
 var parentKeys = []struct{ name, def, quick, over string }{
 	{"ablation-links", "05df7aad7deabcad89c870ff4a6355795bf743419d2dfbc5b1c3a356c5309617", "05df7aad7deabcad89c870ff4a6355795bf743419d2dfbc5b1c3a356c5309617", "05df7aad7deabcad89c870ff4a6355795bf743419d2dfbc5b1c3a356c5309617"},
 	{"ablation-placement", "8898df90efcee9e64b6e2fc1e35e6d2fbc70ff78c1903387d25b78b85cbc185f", "8898df90efcee9e64b6e2fc1e35e6d2fbc70ff78c1903387d25b78b85cbc185f", "8898df90efcee9e64b6e2fc1e35e6d2fbc70ff78c1903387d25b78b85cbc185f"},
@@ -70,8 +77,8 @@ var parentKeys = []struct{ name, def, quick, over string }{
 	{"fig3.json", "8d5b077c83d0801bbc61beed7d2425ccbbd2a6cf346715e7eb955becac652c43", "86250ac14bba3a936d457f264c8db8725557ab629d8772eb48950aa608f44997", ""},
 	// A new pin, not the parent's: this spec uses the link_energy
 	// measure, which the parent commit cannot parse, so its key was
-	// computed when the file was added. It reads no knob, so quick=1
-	// files under the same key.
+	// computed when the file was added. It reads no knob, so
+	// quickQuery files under the same key.
 	{"table1.json", "a868f737cbcccdfe50673b7fd70ef630548063af22522ffd27132cc1f862f6eb", "a868f737cbcccdfe50673b7fd70ef630548063af22522ffd27132cc1f862f6eb", ""},
 	// New pins, not the parent's: the registry's other compiled specs
 	// had no JSON file until the registry's specs became files, so
@@ -118,8 +125,8 @@ func jobBody(t *testing.T, name, query string) string {
 		what = `"scenario": ` + string(readSpec(t, name))
 	}
 	switch query {
-	case "quick=1":
-		what += `, "quick": true`
+	case quickQuery:
+		what += ", " + quickJob
 	case overrideQuery:
 		what += ", " + overrideJob
 	}
@@ -130,11 +137,11 @@ func jobBody(t *testing.T, name, query string) string {
 // parent's for the whole table — and the table covers the whole
 // registry and every spec file.
 func TestKeysDidNotMove(t *testing.T) {
-	rs := cluster.NewResolver(false)
+	rs := cluster.NewResolver()
 	seen := map[string]bool{}
 	for _, row := range parentKeys {
 		seen[row.name] = true
-		for query, want := range map[string]string{"": row.def, "quick=1": row.quick, overrideQuery: row.over} {
+		for query, want := range map[string]string{"": row.def, quickQuery: row.quick, overrideQuery: row.over} {
 			if want == "" {
 				continue
 			}
@@ -238,7 +245,7 @@ func TestRouterAndWorkerCannotDisagree(t *testing.T) {
 	for _, row := range parentKeys {
 		// The default-config cells of the iteration-driven figures cost
 		// seconds each; quick and the override exercise the same code.
-		for query, key := range map[string]string{"quick=1": row.quick, overrideQuery: row.over} {
+		for query, key := range map[string]string{quickQuery: row.quick, overrideQuery: row.over} {
 			if key == "" {
 				continue
 			}
@@ -308,11 +315,11 @@ func TestRoutedRegistryGolden(t *testing.T) {
 			continue
 		}
 		a := harness.Lookup(row.name)
-		want, err := a.Table(a.Project(harness.QuickConfig()))
+		want, err := a.Table(a.Project(quickConfig()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, got := f.do(t, "/artifacts/"+row.name+"?quick=1", "")
+		resp, got := f.do(t, "/artifacts/"+row.name+"?"+quickQuery, "")
 		if c := resp.Header.Get("X-Cache"); resp.StatusCode != http.StatusOK || c != "MISS" || got != want.String() {
 			t.Errorf("%s through the fleet: %s, X-Cache %q\n%s\nwant MISS\n%s", row.name, resp.Status, c, got, want)
 		}
@@ -328,7 +335,7 @@ func TestRoutedRegistryGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	pin.Body.Close()
-	named, namedBody := f.do(t, pinned+"?quick=1", "")
+	named, namedBody := f.do(t, pinned+"?"+quickQuery, "")
 	if pin.StatusCode != http.StatusCreated || named.StatusCode != http.StatusOK {
 		t.Fatalf("pin: %s, then render: %s: %s", pin.Status, named.Status, namedBody)
 	}
@@ -350,10 +357,10 @@ func TestRoutedRegistryGolden(t *testing.T) {
 		}
 	}
 	for name, host := range owner {
-		fromDisk(name, host, "/artifacts/"+name+"?quick=1", bodies[name])
+		fromDisk(name, host, "/artifacts/"+name+"?"+quickQuery, bodies[name])
 	}
 	pinWorker := named.Header.Get("X-Worker")
-	fromDisk("goodput-pinned", pinWorker, pinned+"?quick=1", namedBody)
+	fromDisk("goodput-pinned", pinWorker, pinned+"?"+quickQuery, namedBody)
 	if _, list := get(t, restarted[pinWorker]+"/scenarios"); !strings.Contains(list, `"goodput-pinned"`) {
 		t.Errorf("GET /scenarios after restart does not list the pin: %s", list)
 	}

@@ -78,28 +78,18 @@ func Status(err error) int {
 	return http.StatusInternalServerError
 }
 
-// Resolver turns requests into Targets against a pair of base configs.
-// Workers and the router in front of them must hold equal ones (the
-// same -quick); every method is then a pure function of the request.
-// When a request names something that exists but carries bad
-// overrides, the returned Target still identifies it (Name, Hash)
-// beside the error.
+// Resolver turns requests into Targets against one base config.
+// Workers and the router in front of them hold equal ones; every
+// method is then a pure function of the request. When a request names
+// something that exists but carries bad overrides, the returned Target
+// still identifies it (Name, Hash) beside the error.
 type Resolver struct {
-	// Def is the config a request starts from; Quick the one quick=1
-	// starts from instead.
-	Def, Quick harness.Config
+	// Def is the config every request starts from.
+	Def harness.Config
 }
 
-// NewResolver starts requests from harness.DefaultConfig(), or from
-// harness.QuickConfig() when quick is set; quick=1 requests start from
-// QuickConfig either way.
-func NewResolver(quick bool) Resolver {
-	rs := Resolver{Def: harness.DefaultConfig(), Quick: harness.QuickConfig()}
-	if quick {
-		rs.Def = rs.Quick
-	}
-	return rs
-}
+// NewResolver starts requests from harness.DefaultConfig().
+func NewResolver() Resolver { return Resolver{Def: harness.DefaultConfig()} }
 
 // Artifact resolves GET /artifacts/{name}: a registered name plus the
 // query string's overrides.
@@ -179,12 +169,11 @@ func (t Target) under(cfg harness.Config) Target {
 
 // overrides is what a request carries on top of a base config, decoded
 // from either spelling — a job body's own fields, or the query string
-// — but not yet applied: Quick picks the base, positive Iters and
-// non-empty payload / placement lists replace its fields. err is the
-// decode's own failure, held back until the thing the request names is
-// known to exist (an unknown artifact is a 404 whatever its query says).
+// — but not yet applied: positive Iters and non-empty payload /
+// placement lists replace the base's fields. err is the decode's own
+// failure, held back until the thing the request names is known to
+// exist (an unknown artifact is a 404 whatever its query says).
 type overrides struct {
-	Quick  bool           `json:"quick"`
 	Config harness.Config `json:"config"`
 	err    error
 }
@@ -198,9 +187,6 @@ func (rs Resolver) overlay(t Target, err error, o overrides) (Target, error) {
 		return t, err
 	}
 	cfg := rs.Def
-	if o.Quick {
-		cfg = rs.Quick
-	}
 	if o.Config.Iters < 0 {
 		return t, badRequest("bad config: iters must be positive")
 	}
@@ -224,15 +210,10 @@ func (rs Resolver) overlay(t Target, err error, o overrides) (Target, error) {
 	return t.under(cfg), nil
 }
 
-// fromQuery decodes the query-string spelling: quick=1, iters=N,
-// payloads=a,b, placements=x,y.
+// fromQuery decodes the query-string spelling: iters=N, payloads=a,b,
+// placements=x,y.
 func fromQuery(q url.Values) (o overrides) {
 	var err error
-	if v := q.Get("quick"); v != "" {
-		if o.Quick, err = strconv.ParseBool(v); err != nil {
-			return overrides{err: badRequest("bad quick=%q: %v", v, err)}
-		}
-	}
 	if v := q.Get("iters"); v != "" {
 		if o.Config.Iters, err = strconv.Atoi(v); err != nil || o.Config.Iters <= 0 {
 			return overrides{err: badRequest("bad iters=%q: want a positive integer", v)}

@@ -47,9 +47,6 @@ type worker struct {
 
 // RouterOptions configures a Router.
 type RouterOptions struct {
-	// Quick must equal the fronted workers' api.Options.Quick, so the
-	// router's Resolver derives the key the worker files under.
-	Quick bool
 	// Logf receives operational log lines (nil: log silently
 	// discarded).
 	Logf func(format string, args ...any)
@@ -99,7 +96,7 @@ func NewRouter(opts RouterOptions) *Router {
 		opts.Logf = func(string, ...any) {}
 	}
 	rt := &Router{
-		resolver: NewResolver(opts.Quick),
+		resolver: NewResolver(),
 		opts:     opts,
 		mux:      http.NewServeMux(),
 		workers:  make(map[string]*worker),
