@@ -18,10 +18,8 @@
 // the rest exercise the spec-hash cache path. Every response is
 // checked (status 200, a non-empty body whose sha256 is its ETag) and
 // X-Cache headers are tallied by tier — HIT (memory), HIT-DISK
-// (persistent store), HIT-PEER (filled from a ring peer's store), MISS
-// (simulated) — so the report shows where each answer came from,
-// overall and per worker. cache_hits counts memory hits only; the
-// disk/peer tiers report separately.
+// (persistent store), MISS (simulated) — so the report shows where
+// each answer came from, overall and per worker.
 package main
 
 import (
@@ -60,32 +58,44 @@ type target struct {
 type sample struct {
 	latency  time.Duration
 	bytes    int64
-	cache    string // X-Cache verdict: HIT | HIT-DISK | HIT-PEER | MISS
+	cache    string // X-Cache verdict: HIT | HIT-DISK | MISS
 	worker   string // X-Worker: who rendered (routed deployments)
 	queueUs  int64
 	renderUs int64
 	err      error
 }
 
-// workerStats tallies one worker's share of a routed run, split by
-// cache tier. CacheHits counts memory hits only (the historical
-// meaning); disk and peer fills report separately.
-type workerStats struct {
-	Requests  int64 `json:"requests"`
+// tally counts successful answers by X-Cache tier: memory, disk
+// store, simulated.
+type tally struct {
 	CacheHits int64 `json:"cache_hits"`
-	DiskHits  int64 `json:"disk_hits,omitempty"`
-	PeerHits  int64 `json:"peer_hits,omitempty"`
-	Misses    int64 `json:"misses,omitempty"`
+	DiskHits  int64 `json:"disk_hits"`
+	Misses    int64 `json:"misses"`
+}
+
+// add counts one answer under its X-Cache verdict.
+func (t *tally) add(xcache string) {
+	switch xcache {
+	case "HIT":
+		t.CacheHits++
+	case "HIT-DISK":
+		t.DiskHits++
+	case "MISS":
+		t.Misses++
+	}
+}
+
+// workerStats is one worker's share of a routed run.
+type workerStats struct {
+	Requests int64 `json:"requests"`
+	tally
 }
 
 // stats is the aggregated run report.
 type stats struct {
-	Requests   int64   `json:"requests"`
-	Errors     int64   `json:"errors"`
-	CacheHits  int64   `json:"cache_hits"`
-	DiskHits   int64   `json:"disk_hits"`
-	PeerHits   int64   `json:"peer_hits"`
-	Misses     int64   `json:"misses"`
+	Requests int64 `json:"requests"`
+	Errors   int64 `json:"errors"`
+	tally
 	Bytes      int64   `json:"bytes"`
 	WallS      float64 `json:"wall_s"`
 	Throughput float64 `json:"throughput_rps"`
@@ -313,16 +323,7 @@ func reduce(samples []sample, mix []target, wall time.Duration) stats {
 			log.Printf("error: %v", s.err)
 			continue
 		}
-		switch s.cache {
-		case "HIT":
-			st.CacheHits++
-		case "HIT-DISK":
-			st.DiskHits++
-		case "HIT-PEER":
-			st.PeerHits++
-		case "MISS":
-			st.Misses++
-		}
+		st.add(s.cache)
 		if s.worker != "" {
 			if st.Workers == nil {
 				st.Workers = make(map[string]*workerStats)
@@ -333,16 +334,7 @@ func reduce(samples []sample, mix []target, wall time.Duration) stats {
 				st.Workers[s.worker] = ws
 			}
 			ws.Requests++
-			switch s.cache {
-			case "HIT":
-				ws.CacheHits++
-			case "HIT-DISK":
-				ws.DiskHits++
-			case "HIT-PEER":
-				ws.PeerHits++
-			case "MISS":
-				ws.Misses++
-			}
+			ws.add(s.cache)
 		}
 		st.Bytes += s.bytes
 		lats = append(lats, s.latency)
@@ -381,8 +373,8 @@ func report(st stats) {
 	fmt.Printf("artifacts (%d): %v\n", len(st.Artifacts), st.Artifacts)
 	fmt.Printf("requests: %d   errors: %d   bytes: %d\n",
 		st.Requests, st.Errors, st.Bytes)
-	fmt.Printf("cache: memory %d   disk %d   peer %d   miss %d\n",
-		st.CacheHits, st.DiskHits, st.PeerHits, st.Misses)
+	fmt.Printf("cache: memory %d   disk %d   miss %d\n",
+		st.CacheHits, st.DiskHits, st.Misses)
 	fmt.Printf("wall: %.3fs   throughput: %.1f req/s\n", st.WallS, st.Throughput)
 	fmt.Printf("latency ms: mean %.2f   p50 %.2f   p95 %.2f   p99 %.2f   max %.2f\n",
 		st.MeanMS, st.P50MS, st.P95MS, st.P99MS, st.MaxMS)
@@ -397,8 +389,8 @@ func report(st stats) {
 		fmt.Printf("worker split:")
 		for _, name := range names {
 			ws := st.Workers[name]
-			fmt.Printf("   %s %d req / %d mem / %d disk / %d peer / %d miss",
-				name, ws.Requests, ws.CacheHits, ws.DiskHits, ws.PeerHits, ws.Misses)
+			fmt.Printf("   %s %d req / %d mem / %d disk / %d miss",
+				name, ws.Requests, ws.CacheHits, ws.DiskHits, ws.Misses)
 		}
 		fmt.Println()
 	}

@@ -20,20 +20,17 @@
 // swallow-serve -join flag) and deregister via POST /leave; both keep
 // ring membership sticky so a bouncing worker reclaims its exact
 // keyspace. The router speaks the same API as a worker — /artifacts,
-// /scenarios (inline and named), /jobs, /cache/{key} — plus its own
-// merged /metrics (per-worker up/latency/routed series and ring
-// stats) and fleet /healthz. Every response carries X-Worker naming
-// who rendered, and X-Request-ID propagates end to end.
+// /scenarios (inline and named), /jobs — plus its own merged /metrics
+// (per-worker up/latency/routed series and ring stats) and fleet
+// /healthz. Every response carries X-Worker naming who rendered, and
+// X-Request-ID propagates end to end.
 //
-// Warm handoff: on every routed render the router hands the serving
-// worker an X-Swallow-Peers header naming the key's other ring
-// members. A worker that misses both its memory cache and its
-// persistent store asks those peers (GET /cache/{key}) before
-// simulating, so a failover target reclaims the old owner's stored
-// result — byte-identical by the determinism contract — instead of
-// re-rendering it. Every named-scenario route (GET /scenarios, PUT/GET
-// /scenarios/{name}) keys on one constant, so the name registry has one
-// home worker. A job ID carries its key, so polls need no job table.
+// A failover target renders the keys it inherits once, byte-identical
+// to the old owner's by the determinism contract; a worker restarted
+// over its -store-dir is warm from disk. Every named-scenario route
+// (GET /scenarios, PUT/GET /scenarios/{name}) keys on one constant, so
+// the name registry has one home worker. A job ID carries its key, so
+// polls need no job table.
 package main
 
 import (

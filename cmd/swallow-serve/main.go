@@ -31,10 +31,8 @@
 // same canonical content hash as the memory cache and invalidated
 // only by registry-version changes — determinism makes them valid
 // forever. -store-mb bounds the directory size (LRU eviction). The
-// store also persists named scenarios (PUT /scenarios/{name}) and
-// serves peer cache fills (GET /cache/{key}) to ring neighbors in
-// cluster mode. Without -store-dir everything behaves exactly as
-// before (memory-only).
+// store also persists named scenarios (PUT /scenarios/{name}). Without
+// -store-dir the store is memory-only: nothing outlives the process.
 //
 // Observability: every request gets an X-Request-ID (inbound value
 // propagated, otherwise generated) and -access-log (default on) emits

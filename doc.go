@@ -22,7 +22,7 @@
 //	internal/scenario     declarative scenario specs compiled to artifacts
 //	internal/service      serving layer: result cache, job queue, HTTP API
 //	internal/service/store    disk-backed artifact store: warm restarts,
-//	                      peer cache fills, named scenario pins
+//	                      named scenario pins
 //	internal/service/cluster  request resolver, consistent hash ring,
 //	                      cache-affinity router over worker fleets
 //
@@ -58,7 +58,7 @@
 // # Serving
 //
 // internal/service exposes the registry over HTTP (cmd/swallow-serve)
-// as one pipeline: resolve → memory → disk → peer → run.
+// as one pipeline: resolve → memory → disk → run.
 // service/cluster.Resolver turns a request in any spelling (a name, a
 // spec, a job body, plus config overrides) into the artifact to run
 // and the one key — the canonical (artifact, projected Config) hash —
@@ -68,13 +68,11 @@
 // -store-dir): content-addressed, CRC-guarded, size-bounded, atomic
 // write-through, invalidated wholesale when the registry version
 // changes, so restarts answer their old keyspace as X-Cache HIT-DISK;
-// a worker that misses both asks the ring peers a router named in
-// X-Swallow-Peers (GET /cache/{key}, X-Cache HIT-PEER), so drains hand
-// off a warm keyspace as cheap HTTP copies; only then does the artifact
-// run, in process. Determinism makes every tier byte-identical to a
-// cold run. service/queue runs the same render asynchronously: a
-// bounded job queue with worker pool, per-class round-robin fairness,
-// 429 backpressure and graceful drain. The store also persists named
+// only a key neither tier holds runs the artifact, in process.
+// Determinism makes every tier byte-identical to a cold run.
+// service/queue runs the same render asynchronously: a bounded job
+// queue with worker pool, per-class round-robin fairness, 429
+// backpressure and graceful drain. The store also persists named
 // scenarios — PUT /scenarios/{name} pins a human name to a spec hash
 // with version history, GET /scenarios/{name} re-renders it by name.
 // cmd/swallow-load is the matching open/closed-loop load generator
@@ -88,7 +86,8 @@
 // so every worker's cache and machine pool specialize on a slice of
 // the keyspace. Determinism makes failover safe — any worker renders
 // byte-identical bodies — and workers drain gracefully: healthz flips
-// to 503 draining, the router re-routes, then the listener closes.
+// to 503 draining, the router re-routes, then the listener closes; the
+// drained worker's keys render once on the ring successor.
 //
 // # Machine lifecycle
 //

@@ -12,14 +12,13 @@
 //	PUT  /scenarios/{name}  pin name -> spec (persisted in the store)
 //	GET  /scenarios/{name}  re-render a pinned scenario by name
 //	GET  /scenarios/{name}/versions  pin history (version, hash, time)
-//	GET  /cache/{key}       read one cached/stored result (peer cache fill)
 //	POST /jobs              async render submission (429 when saturated)
 //	GET  /jobs/{id}         job status / result polling
 //	GET  /healthz           liveness probe
 //	GET  /metrics           text metrics (requests, cache, store, queue, latency)
 //
 // Every render endpoint is one pipeline, entered in a different
-// spelling: resolve → memory → disk → peer → run.
+// spelling: resolve → memory → disk → run.
 //
 // Resolve (cluster.Resolver, shared with the router) turns the request
 // — a registered name, a declarative internal/scenario spec, or a job
@@ -30,15 +29,14 @@
 // a field-level message: 400, 404 or 413, never a 500.
 //
 // Server.render then takes the first tier that holds the key: the
-// memory LRU, the disk store, a peer's GET /cache/{key} (peers named
-// by a fronting router's X-Swallow-Peers), and last the simulation,
-// whose result is persisted. X-Cache says which: HIT, HIT-DISK,
-// HIT-PEER or MISS; with no Store configured the disk and peer tiers
-// are inert. Renders are pure functions of the Target, so every tier
-// serves bytes identical to a cold run and the ETag doubles as a
-// content hash; equivalent spellings of one spec share an entry; a
-// burst of identical requests shares one simulation (singleflight); a
-// render that panics fails its own request and nothing else.
+// memory LRU, the disk store, and last the simulation, whose result is
+// persisted. X-Cache says which: HIT, HIT-DISK or MISS; with no Store
+// configured the disk tier is inert. Renders are pure functions of the
+// Target, so every tier serves bytes identical to a cold run and the
+// ETag doubles as a content hash; equivalent spellings of one spec
+// share an entry; a burst of identical requests shares one simulation
+// (singleflight); a render that panics fails its own request and
+// nothing else.
 //
 // Synchronous endpoints run that inline; POST /jobs runs it on the
 // worker pool, 429 + Retry-After when the queue is full, each scenario
@@ -94,9 +92,6 @@ type Options struct {
 // jobRetention is how many finished jobs stay pollable.
 const jobRetention = 64
 
-// peerTimeout bounds one peer cache-fill HTTP ask.
-const peerTimeout = 3 * time.Second
-
 // Server wires the in-process renderer, cache and queue behind one
 // http.Handler.
 type Server struct {
@@ -105,7 +100,6 @@ type Server struct {
 	resolver  cluster.Resolver
 	cache     *cache.Cache
 	store     *store.Store
-	peers     *http.Client
 	queue     *queue.Queue
 	met       *metrics
 	mux       *http.ServeMux
@@ -135,7 +129,6 @@ func New(opts Options) *Server {
 		resolver:  resolver,
 		cache:     cache.New(opts.CacheBytes, opts.CacheEntries),
 		store:     opts.Store,
-		peers:     &http.Client{Timeout: peerTimeout},
 		queue:     queue.New(opts.Workers, opts.QueueCapacity, jobRetention),
 		met:       &metrics{renders: make(map[string]*latHist)},
 		mux:       http.NewServeMux(),
@@ -148,7 +141,6 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("PUT /scenarios/{name}", s.handleScenarioPin)
 	s.mux.HandleFunc("GET /scenarios/{name}", s.handleScenarioNamed)
 	s.mux.HandleFunc("GET /scenarios/{name}/versions", s.handleScenarioVersions)
-	s.mux.HandleFunc("GET /cache/{key}", s.handleCacheGet)
 	s.mux.HandleFunc("POST /jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -205,19 +197,18 @@ func (s *Server) handleArtifacts(w http.ResponseWriter, r *http.Request) {
 }
 
 // render is the one place a resolved request gets its bytes, under the
-// memory cache's singleflight: the fill consults the disk store, then
-// asks the listed peers, and only then runs the target in process,
-// persisting the result. The returned state names the tier that
-// produced the body (singleflight followers and memory hits report
-// HIT); peer- and disk-served bodies are verified (sha256) before use,
-// so every state serves bytes identical to a cold render. renderDur is
-// the simulation time, zero unless this call actually simulated —
-// handlers surface it as X-Render-Micros so clients and the access log
-// can split server time into waiting and simulating. A panic below
-// here is contained: it becomes this request's error (followers of the
-// fill get cache.ErrFillPanicked), the stack goes to the log, and the
-// key stays retryable.
-func (s *Server) render(t cluster.Target, peers []string) (entry cache.Entry, state string, renderDur time.Duration, err error) {
+// memory cache's singleflight: the fill consults the disk store, and
+// only then runs the target in process, persisting the result. The
+// returned state names the tier that produced the body (singleflight
+// followers and memory hits report HIT); disk-served bodies are
+// verified (sha256) before use, so every state serves bytes identical
+// to a cold render. renderDur is the simulation time, zero unless this
+// call actually simulated — handlers surface it as X-Render-Micros so
+// clients and the access log can split server time into waiting and
+// simulating. A panic below here is contained: it becomes this
+// request's error (followers of the fill get cache.ErrFillPanicked),
+// the stack goes to the log, and the key stays retryable.
+func (s *Server) render(t cluster.Target) (entry cache.Entry, state string, renderDur time.Duration, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			log.Printf("render %s (key %s) panicked: %v\n%s", t.Class, t.Key, p, debug.Stack())
@@ -225,18 +216,10 @@ func (s *Server) render(t cluster.Target, peers []string) (entry cache.Entry, st
 		}
 	}()
 	state = cacheMiss
-	meta := store.Meta{Artifact: t.Name, Spec: t.Spec}
 	entry, hit, err := s.cache.GetOrFill(t.Key, func() ([]byte, error) {
 		if ent, ok := s.store.Get(t.Key); ok {
 			state = cacheDisk
 			return ent.Body, nil
-		}
-		if body, ok := s.peerFill(t.Key, peers); ok {
-			state = cachePeer
-			// Adopt the peer's entry locally so the warm handoff
-			// persists across this worker's own restarts.
-			s.store.Put(t.Key, body, meta)
-			return body, nil
 		}
 		// The fill is shared across requests by singleflight, so it
 		// belongs to no one caller.
@@ -246,8 +229,9 @@ func (s *Server) render(t cluster.Target, peers []string) (entry cache.Entry, st
 		}
 		renderDur = time.Duration(res.RenderMicros) * time.Microsecond
 		s.met.observe(t.Label, renderDur)
-		meta.Metrics, meta.RenderMicros = res.Metrics, res.RenderMicros
-		s.store.Put(t.Key, res.Body, meta)
+		s.store.Put(t.Key, res.Body, store.Meta{
+			Artifact: t.Name, Spec: t.Spec, Metrics: res.Metrics, RenderMicros: res.RenderMicros,
+		})
 		return res.Body, nil
 	})
 	if hit {
@@ -266,7 +250,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, t cluster.Target)
 		w.Header().Set("X-Scenario-Hash", t.Hash)
 	}
 	start := time.Now()
-	entry, state, renderDur, err := s.render(t, peerList(r))
+	entry, state, renderDur, err := s.render(t)
 	if err != nil {
 		cluster.WriteError(w, cluster.Status(err), "%s: %v", t.Class, err)
 		return
@@ -283,7 +267,7 @@ func setTimingHeaders(w http.ResponseWriter, start time.Time, renderDur time.Dur
 
 // writeEntry writes one cached or stored body: the content hash as a
 // strong ETag (byte-identical by determinism), the X-Cache state (HIT
-// | HIT-DISK | HIT-PEER | MISS), If-None-Match handling, then the body.
+// | HIT-DISK | MISS), If-None-Match handling, then the body.
 func writeEntry(w http.ResponseWriter, r *http.Request, entry cache.Entry, state string) {
 	etag := `"` + entry.ContentHash + `"`
 	w.Header().Set("ETag", etag)
@@ -362,9 +346,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	id := cluster.JobID(t.Key)
 	err = s.queue.Submit(id, t.Class, func() (any, error) {
-		// Async jobs carry no peer hints (the router header belongs to
-		// the submitting request); the disk tier still applies.
-		entry, _, _, err := s.render(t, nil)
+		entry, _, _, err := s.render(t)
 		return entry, err
 	})
 	switch err {

@@ -42,8 +42,6 @@ type metrics struct {
 	rejected     atomic.Int64 // 429 backpressure responses
 	scenarios    atomic.Int64 // well-formed scenario submissions, sync or async
 	scenarioPins atomic.Int64 // accepted PUT /scenarios/{name}
-	peerFills    atomic.Int64 // misses satisfied from a ring peer's cache
-	peerMisses   atomic.Int64 // misses where every listed peer came up empty
 
 	mu      sync.Mutex // guards renders
 	renders map[string]*latHist
@@ -123,8 +121,6 @@ func (m *metrics) write(w io.Writer, cs cache.Stats, ss store.Stats, queueDepth,
 	fmt.Fprintf(w, "swallow_store_entries %d\n", ss.Entries)
 	fmt.Fprintf(w, "swallow_store_names %d\n", ss.Names)
 	fmt.Fprintf(w, "swallow_scenario_pins_total %d\n", m.scenarioPins.Load())
-	fmt.Fprintf(w, "swallow_peer_fills_total %d\n", m.peerFills.Load())
-	fmt.Fprintf(w, "swallow_peer_fill_misses_total %d\n", m.peerMisses.Load())
 	fmt.Fprintf(w, "swallow_queue_depth %d\n", queueDepth)
 	fmt.Fprintf(w, "swallow_queue_capacity %d\n", queueCap)
 	fmt.Fprintf(w, "swallow_pool_builds_total %d\n", ps.Builds)

@@ -1,8 +1,8 @@
 package api
 
-// The tiers under Server.render — the peer ask and the /cache/{key}
-// endpoint that answers it — plus the named-scenario registry the
-// store persists.
+// The X-Cache states Server.render reports, the registry version the
+// disk tier is bound to, and the named-scenario registry the store
+// persists.
 
 import (
 	"crypto/sha256"
@@ -12,10 +12,8 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
-	"strings"
 
 	"swallow/internal/harness"
-	"swallow/internal/service/cache"
 	"swallow/internal/service/cluster"
 	"swallow/internal/service/store"
 )
@@ -24,15 +22,8 @@ import (
 const (
 	cacheMemory = "HIT"      // memory LRU (or a shared in-flight fill)
 	cacheDisk   = "HIT-DISK" // disk store — restart-warm, zero simulation
-	cachePeer   = "HIT-PEER" // a ring peer's cache — warm handoff, zero simulation
 	cacheMiss   = "MISS"     // rendered here
 )
-
-// maxPeerBody bounds a peer-fill response body.
-const maxPeerBody = 16 << 20
-
-// maxPeerAsks bounds how many peers one miss consults.
-const maxPeerAsks = 3
 
 // RegistryVersion identifies the rendering code + artifact registry
 // this process serves: a hash over the build identity and the sorted
@@ -51,84 +42,6 @@ func RegistryVersion() string {
 		io.WriteString(h, n)
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-// peerList parses the X-Swallow-Peers request header (comma-separated
-// base URLs, set by a fronting router) into the ordered peer-ask
-// list. Requests arriving without the header — direct clients, async
-// jobs — get no peer tier.
-func peerList(r *http.Request) []string {
-	var out []string
-	for _, p := range strings.Split(r.Header.Get("X-Swallow-Peers"), ",") {
-		p = strings.TrimSpace(p)
-		if !strings.HasPrefix(p, "http://") && !strings.HasPrefix(p, "https://") {
-			continue
-		}
-		out = append(out, p)
-		if len(out) == maxPeerAsks {
-			break
-		}
-	}
-	return out
-}
-
-// peerFill asks each peer in order for key via GET /cache/{key},
-// returning the first verified body. A peer answer counts only if it
-// carries this registry version and its body hashes to its ETag —
-// anything else (older build, torn transfer) falls through to the
-// next peer or to a local render.
-func (s *Server) peerFill(key string, peers []string) ([]byte, bool) {
-	for _, peer := range peers {
-		if body, ok := s.askPeer(peer, key); ok {
-			s.met.peerFills.Add(1)
-			return body, true
-		}
-	}
-	if len(peers) > 0 {
-		s.met.peerMisses.Add(1)
-	}
-	return nil, false
-}
-
-// askPeer performs one peer cache read.
-func (s *Server) askPeer(base, key string) ([]byte, bool) {
-	resp, err := s.peers.Get(strings.TrimSuffix(base, "/") + "/cache/" + key)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Store-Version") != s.store.Version() {
-		return nil, false
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody+1))
-	if err != nil || len(body) == 0 || len(body) > maxPeerBody {
-		return nil, false
-	}
-	sum := sha256.Sum256(body)
-	return body, resp.Header.Get("ETag") == `"`+hex.EncodeToString(sum[:])+`"`
-}
-
-// handleCacheGet serves one cached/stored result to a ring peer (or
-// any client holding the content key). It reads the memory cache
-// without disturbing recency or hit accounting, then the disk store.
-// It answers even while draining — handing warm results to the ring
-// successor is precisely what a draining or freshly restarted worker
-// is still good for. X-Store-Version lets the asker reject results
-// from a different registry version.
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !store.ValidKey(key) {
-		cluster.WriteError(w, http.StatusBadRequest, "bad cache key (want 64 hex chars)")
-		return
-	}
-	w.Header().Set("X-Store-Version", s.store.Version())
-	if ent, ok := s.cache.Peek(key); ok {
-		writeEntry(w, r, ent, cacheMemory)
-	} else if ent, ok := s.store.Get(key); ok {
-		writeEntry(w, r, cache.Entry{Body: ent.Body, ContentHash: ent.ContentHash}, cacheDisk)
-	} else {
-		cluster.WriteError(w, http.StatusNotFound, "key not cached on this worker")
-	}
 }
 
 // scenarioPinView is the PUT /scenarios/{name} response body.

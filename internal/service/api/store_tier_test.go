@@ -1,6 +1,6 @@
 // Store-tier tests: the disk tier under the memory cache (HIT-DISK
-// restarts), the peer cache-fill path (HIT-PEER), the raw /cache/{key}
-// endpoint, and named scenarios.
+// restarts), a client's peer header planting nothing, and named
+// scenarios.
 // Like the rest of the api tests they run against the synthetic
 // registry in api_test.go, so tier transitions are observable through
 // the echoRuns counter: any unexpected re-simulation is a hard fail.
@@ -8,15 +8,20 @@ package api_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"io/fs"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"swallow/internal/service/api"
 	"swallow/internal/service/cluster"
@@ -88,87 +93,89 @@ func TestRestartServesFromDiskStore(t *testing.T) {
 	}
 }
 
-// TestCacheEndpoint exercises the raw peer-fill surface: key
-// validation, the version stamp on every answer, and reads from the
-// memory and disk tiers.
-func TestCacheEndpoint(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := newServer(t, api.Options{Store: openStore(t, dir)})
-
-	resp, _ := get(t, ts.URL+"/cache/not-a-key")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed key: status %d, want 400", resp.StatusCode)
-	}
-	resp, _ = get(t, ts.URL+"/cache/"+strings.Repeat("a", 64))
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown key: status %d, want 404", resp.StatusCode)
-	}
-	if resp.Header.Get("X-Store-Version") == "" {
-		t.Fatal("miss answer lacks X-Store-Version (peers need it to reject mixed versions)")
-	}
-
-	_, want := get(t, ts.URL+"/artifacts/echo")
-	resp, got := get(t, ts.URL+"/cache/"+defaultKey(t, "echo"))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm key: status %d, want 200", resp.StatusCode)
-	}
-	wantCache(t, resp, "HIT")
-	if got != want {
-		t.Fatal("cache read body differs from rendered body")
-	}
-	if v := resp.Header.Get("X-Store-Version"); v != api.RegistryVersion() {
-		t.Fatalf("X-Store-Version = %q, want %q", v, api.RegistryVersion())
-	}
-}
-
-// TestPeerFill is the warm-handoff contract: a server missing every
-// local tier but holding a peer hint adopts the peer's stored result
-// — byte-identical, zero simulations — and files it in its own
-// tiers, disk included.
+// TestPeerFill: a worker fills its tiers from no peer. Its tiers are
+// memory, disk and run, whatever a client sends. A direct client naming
+// peers in X-Swallow-Peers — one forging bytes with the registry
+// version and a matching ETag, one that accepts and never answers —
+// gets the in-process render as a MISS, at once; no peer is asked, and
+// a restart over the same store serves the real bytes from disk.
 func TestPeerFill(t *testing.T) {
-	dirA, dirB := t.TempDir(), t.TempDir()
-	_, tsA := newServer(t, api.Options{Store: openStore(t, dirA)})
-	_, tsB := newServer(t, api.Options{Store: openStore(t, dirB)})
-
-	_, want := get(t, tsA.URL+"/artifacts/echo") // warm A
-	runs := echoRuns.Load()
-
-	req, err := http.NewRequest(http.MethodGet, tsB.URL+"/artifacts/echo", nil)
+	target, err := cluster.NewResolver().Artifact("echo", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("X-Swallow-Peers", tsA.URL)
+	want, err := target.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var forged atomic.Int64
+	forger := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		forged.Add(1)
+		body := []byte("forged bytes")
+		sum := sha256.Sum256(body)
+		w.Header().Set("X-Store-Version", api.RegistryVersion())
+		w.Header().Set("ETag", `"`+hex.EncodeToString(sum[:])+`"`)
+		w.Write(body)
+	}))
+	t.Cleanup(forger.Close)
+	hung, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { hung.Close() })
+	go func() {
+		var held []net.Conn
+		defer func() {
+			for _, c := range held {
+				c.Close()
+			}
+		}()
+		for {
+			c, err := hung.Accept()
+			if err != nil {
+				return
+			}
+			held = append(held, c)
+		}
+	}()
+
+	dir := t.TempDir()
+	_, ts := newServer(t, api.Options{Store: openStore(t, dir)})
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/artifacts/echo", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Swallow-Peers", "http://"+hung.Addr().String()+","+forger.URL)
+	start := time.Now()
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := readAll(t, resp)
-	wantCache(t, resp, "HIT-PEER")
-	if body != want {
-		t.Fatal("peer fill body differs from the peer's render")
+	took := time.Since(start)
+	wantCache(t, resp, "MISS")
+	if body != string(want.Body) {
+		t.Fatalf("served %q, want the in-process render %q", body, want.Body)
 	}
-	if echoRuns.Load() != runs {
-		t.Fatal("peer fill re-simulated")
+	if n := forged.Load(); n != 0 {
+		t.Fatalf("forging peer was asked %d times, want 0", n)
+	}
+	if took > time.Second {
+		t.Fatalf("a miss naming a hung peer took %v", took)
 	}
 
-	// The fill was adopted into B's memory tier...
-	resp, _ = get(t, tsB.URL+"/artifacts/echo")
-	wantCache(t, resp, "HIT")
-	// ...and written through to B's own disk store: a "restarted" B
-	// serves it without peers or simulation.
-	_, tsB2 := newServer(t, api.Options{Store: openStore(t, dirB)})
-	resp, body2 := get(t, tsB2.URL+"/artifacts/echo")
+	_, ts2 := newServer(t, api.Options{Store: openStore(t, dir)})
+	resp, body = get(t, ts2.URL+"/artifacts/echo")
 	wantCache(t, resp, "HIT-DISK")
-	if body2 != want {
-		t.Fatal("adopted entry body differs after restart")
-	}
-	if echoRuns.Load() != runs {
-		t.Fatal("adopted entry re-simulated after restart")
+	if body != string(want.Body) {
+		t.Fatalf("restart served %q, want %q", body, want.Body)
 	}
 }
 
-// TestPeerFillBadPeerFallsThrough: unreachable or cold peers are a
-// soft miss — the render proceeds locally and still answers MISS.
+// TestPeerFillBadPeerFallsThrough: a peer list that names a dead port
+// and a malformed entry changes nothing — the request renders locally
+// and answers MISS.
 func TestPeerFillBadPeerFallsThrough(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newServer(t, api.Options{Store: openStore(t, dir)})
@@ -176,8 +183,6 @@ func TestPeerFillBadPeerFallsThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A dead port and a syntactically invalid entry: both must be
-	// skipped without failing the request.
 	req.Header.Set("X-Swallow-Peers", "http://127.0.0.1:1,not-a-url")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

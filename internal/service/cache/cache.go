@@ -101,20 +101,6 @@ func New(maxBytes int64, maxEntries int) *Cache {
 	}
 }
 
-// Peek returns the cached entry for key without touching recency
-// order or the hit/miss counters. It exists for the peer cache-fill
-// endpoint: a sibling worker probing this cache should not distort the
-// eviction order or the /metrics hit ratio the load tests assert on.
-func (c *Cache) Peek(key string) (Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return Entry{}, false
-	}
-	return el.Value.(*entry).val, true
-}
-
 // GetOrFill returns the cached entry for key, or runs fill to produce
 // it. Concurrent callers for the same key share one fill: exactly one
 // runs, the rest block and receive its result. hit reports whether the

@@ -3,9 +3,9 @@
 //   - Resolver (resolve.go): a request in any spelling the API accepts
 //     — name + query string, spec bytes + query string, job JSON body —
 //     becomes one Target: the artifact to run, the projected config,
-//     and the one key the memory cache, the disk store, the peer ask
-//     and the hash ring all file it under. The worker API and the
-//     Router call the same Resolver, and every request starts from
+//     and the one key the memory cache, the disk store and the hash
+//     ring all file it under. The worker API and the Router call the
+//     same Resolver, and every request starts from
 //     harness.DefaultConfig(), so the routing key is the cache key by
 //     construction. Local is resolve + run in this process.
 //
@@ -16,14 +16,11 @@
 //
 //   - Router and Remote: an http.Handler fronting N workers, and its
 //     HTTP client to one of them. Every forwarded endpoint is a key
-//     extractor in front of one forward: ring lookup, failover to the
-//     ring successor when the owner is down or draining, an
-//     X-Swallow-Peers hint (the key's other ring members) so a failover
-//     target fills its cache from the old owner's store instead of
-//     re-simulating. The Router also probes worker health, accepts
-//     registrations (POST /join) and drains (POST /leave), forwards
-//     X-Request-ID, stamps X-Worker, and serves its own /metrics and
-//     /healthz.
+//     extractor in front of one forward: ring lookup, then failover to
+//     the ring successor when the owner is down or draining. The Router
+//     also probes worker health, accepts registrations (POST /join)
+//     and drains (POST /leave), forwards X-Request-ID, stamps
+//     X-Worker, and serves its own /metrics and /healthz.
 //
 // Determinism makes routing purely a cache/pool-affinity
 // optimization: any worker renders byte-identical tables, so a

@@ -16,8 +16,8 @@ import (
 
 // Target is a resolved request: what to run and the key it is filed
 // under. A request resolves once per process it passes through; the
-// worker's cache, store and peer ask and the router's ring all read
-// Key from here, so none of them can disagree about it.
+// worker's cache and store and the router's ring all read Key from
+// here, so none of them can disagree about it.
 type Target struct {
 	// Artifact is what runs: a registered artifact, or the one a
 	// scenario spec compiled to.

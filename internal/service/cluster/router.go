@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,8 +108,7 @@ func NewRouter(opts RouterOptions) *Router {
 	// artifact index keys on a constant. So does everything about a
 	// pinned name: the name registry is worker-local state, and keying
 	// the index, every pin and every render of a name on one constant
-	// gives it one home, which the index then lists whole. A raw cache
-	// read keys on the key itself: its owner most likely holds it.
+	// gives it one home, which the index then lists whole.
 	resolved := func(t Target, err error) (string, error) { return t.Key, err }
 	fixed := func(key string) keyFunc {
 		return func(*http.Request, []byte) (string, error) { return key, nil }
@@ -128,9 +126,6 @@ func NewRouter(opts RouterOptions) *Router {
 		"PUT /scenarios/{name}":          names,
 		"GET /scenarios/{name}":          names,
 		"GET /scenarios/{name}/versions": names,
-		"GET /cache/{key}": func(r *http.Request, _ []byte) (string, error) {
-			return r.PathValue("key"), nil
-		},
 		"POST /jobs": func(_ *http.Request, body []byte) (string, error) {
 			return resolved(rt.resolver.Job(body))
 		},
@@ -242,27 +237,20 @@ func (rt *Router) markDown(wk *worker) {
 	}
 }
 
-// plan reads key's ring sequence once, for two things. cands are the
-// healthy workers in ring order: the owner first, then its failover
-// successors; draining and down workers are never candidates while a
-// healthy one exists — the drain contract the rebalance tests pin.
-// urls are every member's base URL in the same order, the pool peer
-// cache-fill hints are drawn from; there every state qualifies: a
-// draining worker still answers GET /cache/{key}, and a "down" worker
-// may be back up with a warm store before the probe loop notices (the
-// worker's peer ask just times out if not).
-func (rt *Router) plan(key string) (cands []*worker, urls []string) {
+// plan reads key's ring sequence once: the healthy workers in ring
+// order, the owner first, then its failover successors. Draining and
+// down workers are never candidates — the drain contract the
+// rebalance tests pin.
+func (rt *Router) plan(key string) []*worker {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	var cands []*worker
 	for _, name := range rt.ring.Sequence(key) {
-		if wk := rt.workers[name]; wk != nil {
-			urls = append(urls, wk.remote.URL())
-			if wk.state == stateHealthy {
-				cands = append(cands, wk)
-			}
+		if wk := rt.workers[name]; wk != nil && wk.state == stateHealthy {
+			cands = append(cands, wk)
 		}
 	}
-	return cands, urls
+	return cands
 }
 
 // ServeHTTP counts, stamps the request ID, and dispatches.
@@ -279,20 +267,13 @@ var hopByHop = []string{"Connection", "Keep-Alive", "Proxy-Authenticate",
 	"Proxy-Authorization", "Te", "Trailer", "Transfer-Encoding", "Upgrade"}
 
 // forwardHeader clones the inbound headers minus hop-by-hop ones.
-// X-Swallow-Peers is stripped too: it is router-owned routing state
-// (proxy sets it per candidate), never a client input — a forged
-// value would make workers fetch cache fills from arbitrary URLs.
 func forwardHeader(r *http.Request) http.Header {
 	hdr := r.Header.Clone()
 	for _, h := range hopByHop {
 		hdr.Del(h)
 	}
-	hdr.Del("X-Swallow-Peers")
 	return hdr
 }
-
-// maxPeerHints bounds the peer URLs handed to a worker per request.
-const maxPeerHints = 3
 
 // proxy forwards the request to the first candidate that answers and
 // relays the answer, failing over on transport errors (the worker
@@ -302,7 +283,7 @@ const maxPeerHints = 3
 // — are answers and are relayed verbatim. If every candidate was
 // unreachable, an error response is written instead.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, body []byte, key string) {
-	cands, urls := rt.plan(key)
+	cands := rt.plan(key)
 	if len(cands) == 0 {
 		rt.noWorker.Add(1)
 		WriteError(w, http.StatusServiceUnavailable, "no healthy worker")
@@ -310,20 +291,6 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, body []byte, key
 	}
 	hdr := forwardHeader(r)
 	for i, wk := range cands {
-		// Hand the worker its peer cache-fill hints: the other ring
-		// members of this key, previous owner first — so a failover
-		// target reclaims the old owner's warm result instead of
-		// re-simulating.
-		var peers []string
-		for _, u := range urls {
-			if u != wk.remote.URL() && len(peers) < maxPeerHints {
-				peers = append(peers, u)
-			}
-		}
-		hdr.Del("X-Swallow-Peers")
-		if len(peers) > 0 {
-			hdr.Set("X-Swallow-Peers", strings.Join(peers, ","))
-		}
 		start := time.Now()
 		resp, err := wk.remote.Do(r.Context(), r.Method, r.URL.Path, r.URL.Query(), hdr, body)
 		if err == nil {
