@@ -60,7 +60,7 @@
 // internal/service exposes the registry over HTTP (cmd/swallow-serve)
 // as one pipeline: resolve → memory → disk → run.
 // service/cluster.Resolver turns a request in any spelling (a name, a
-// spec, a job body, plus config overrides) into the artifact to run
+// spec, a job body, plus its iters override) into the artifact to run
 // and the one key — the canonical (artifact, projected Config) hash —
 // that every tier below, and the router's hash ring, files it under.
 // service/cache is the memory tier, an LRU with singleflight

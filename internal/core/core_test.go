@@ -137,6 +137,31 @@ func TestRunSurfacesTraps(t *testing.T) {
 	}
 }
 
+// TestRunTrapsOutOfRangeRegister: an operand field names one of 64
+// registers but a thread has NumRegs, so a word naming r40 is a decode
+// fault that traps its thread, on both pipelines, not an index past the
+// register file.
+func TestRunTrapsOutOfRangeRegister(t *testing.T) {
+	word := uint32(xs1.OpADD)<<24 | 40<<18 | 1<<12 | 2<<6 // add r40, r1, r2
+	prog := xs1.MustAssemble(fmt.Sprintf(".word %#x\ntend", word))
+	node := topo.MakeNodeID(0, 0, topo.LayerV)
+	for _, env := range []*Env{{Exact: true}, {}} {
+		m, release, err := env.Checkout(1, 1, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Load(node, prog); err != nil {
+			t.Fatal(err)
+		}
+		err = m.Run(sim.Millisecond)
+		trap := m.Core(node).Trapped()
+		release()
+		if trap == nil || err == nil || !strings.Contains(err.Error(), "decode at") {
+			t.Errorf("exact=%v: Run = %v, trap %v; want a decode trap", env.Exact, err, trap)
+		}
+	}
+}
+
 func TestSliceWallPowerUnderLoad(t *testing.T) {
 	// Section III-A: a fully loaded slice draws ~4.5 W at the wall.
 	m := MustNew(1, 1, Options{})

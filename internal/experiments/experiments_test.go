@@ -257,11 +257,19 @@ func TestLatenciesShape(t *testing.T) {
 }
 
 func TestGoodputSweep87Percent(t *testing.T) {
-	cfg := harness.DefaultConfig()
-	cfg.GoodputPayloads = []int{4, 12, 28, 60}
-	points := served(t, "goodput", cfg)
-	if len(points) != len(cfg.GoodputPayloads) {
-		t.Fatalf("points = %d, want %d", len(points), len(cfg.GoodputPayloads))
+	s := spec("goodput")
+	s.Sweep[0].Ints = []int{4, 12, 28, 60}
+	c, err := scenario.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(harness.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := res.Points
+	if len(points) != len(s.Sweep[0].Ints) {
+		t.Fatalf("points = %d, want %d", len(points), len(s.Sweep[0].Ints))
 	}
 	for _, p := range points {
 		payload, fraction := p.Value("payload"), p.Value("fraction")

@@ -26,7 +26,7 @@ func init() {
 	harness.Register(harness.Spec[SystemScale]{
 		Name:        "fig1",
 		Description: "Fig. 1 / Sec. III-A: assembled system scale, throughput and wall power",
-		Uses:        harness.UsesIters,
+		UsesIters:   true,
 		Run:         func(cfg harness.Config) (SystemScale, error) { return Scale(cfg.Env, cfg.Iters) },
 		Render:      RenderScale,
 		Metrics: func(s SystemScale) map[string]float64 {

@@ -138,24 +138,19 @@ func TestSpecFilesAreTheRegistry(t *testing.T) {
 	}
 }
 
-// TestCompiledKnobs checks the compiled registrations declare the right
-// config knobs.
+// TestCompiledKnobs checks the compiled registrations declare whether
+// they read the iters knob: the settling measures do, nothing else.
 func TestCompiledKnobs(t *testing.T) {
-	if a := harness.Lookup("goodput"); a.Uses&harness.UsesGoodputPayloads == 0 {
-		t.Error("compiled goodput does not declare the payload knob")
-	}
-	if a := harness.Lookup("latency"); a.Uses&harness.UsesLatencyPlacements == 0 {
-		t.Error("compiled latency does not declare the placement knob")
-	}
-	// The instruments fix their own loads: no knob, not even iters.
-	for _, name := range []string{"ec", "placement", "table1", "adc", "bridge", "boot"} {
-		if a := harness.Lookup(name); a.Uses != 0 {
-			t.Errorf("compiled %s claims config knobs it ignores", name)
+	// The instruments fix their own loads and the sweeps their own
+	// grids: not even iters.
+	for _, name := range []string{"ec", "placement", "table1", "adc", "bridge", "boot", "goodput", "latency"} {
+		if harness.Lookup(name).UsesIters {
+			t.Errorf("compiled %s claims the iters knob it ignores", name)
 		}
 	}
 	for _, name := range []string{"fig2", "fig3", "fig4", "eq2"} {
-		if a := harness.Lookup(name); a.Uses != harness.UsesIters {
-			t.Errorf("compiled %s declares knobs %b, want UsesIters alone", name, a.Uses)
+		if !harness.Lookup(name).UsesIters {
+			t.Errorf("compiled %s does not declare the iters knob", name)
 		}
 	}
 }

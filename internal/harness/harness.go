@@ -5,7 +5,7 @@
 // result — and every driver becomes a loop over Artifacts() instead of
 // a hand-maintained list.
 //
-// Runs take a Config (workload-length knob today) and return a typed
+// Runs take a Config (the workload-length knob) and return a typed
 // result; Register erases the type so heterogeneous artifacts share
 // one registry, while the generic Spec keeps each registration
 // type-checked. How a run executes — which machine pool, how wide the
@@ -23,7 +23,8 @@ import (
 )
 
 // ErrBadConfig marks run failures caused by an invalid Config value
-// (e.g. an unknown latency placement name) rather than a simulation
+// or scenario spec (e.g. an iters count above MaxIters, or a workload
+// that cannot finish within its horizon) rather than a simulation
 // fault. Drivers use errors.Is to map these to caller errors (HTTP
 // 400) instead of server faults.
 var ErrBadConfig = errors.New("harness: bad config")
@@ -37,55 +38,19 @@ func MetricName(parts ...string) string {
 	return s
 }
 
-// Config carries the run-size knobs shared by every artifact, plus
-// optional sweep-grid overrides for the artifacts that expose them.
-// The zero value of every override means "canonical grid", so the
-// default configs render byte-identical to the pre-override outputs.
-// Config is JSON-serialisable so network drivers (internal/service)
-// can accept it from API callers.
+// Config carries the run-size knob shared by every artifact. A sweep's
+// grid is no part of it: that is the artifact's own spec. Config is
+// JSON-serialisable so network drivers (internal/service) can accept
+// it from API callers.
 type Config struct {
 	// Iters is the per-thread workload length for the settling
 	// experiments (power and throughput measurements).
 	Iters int `json:"iters"`
-	// GoodputPayloads overrides the Section V-B payload-size grid of
-	// the goodput artifact. Nil or empty means the canonical grid.
-	GoodputPayloads []int `json:"goodput_payloads,omitempty"`
-	// LatencyPlacements filters the Section V-C placement list of the
-	// latency artifact by placement name. Nil or empty means all
-	// canonical placements; an unknown name is a run error.
-	LatencyPlacements []string `json:"latency_placements,omitempty"`
 	// Env is how the run executes (core.Env); nil is production. It is
 	// no part of what the run computes, so it is invisible to JSON and
 	// with it to every cache key, store key and scenario hash.
 	Env *core.Env `json:"-"`
 }
-
-// Canonical returns cfg with empty override slices normalised to nil,
-// so configs that request the canonical grids hash identically however
-// they were spelled (nil vs empty slice). Result caches key on it.
-func (c Config) Canonical() Config {
-	if len(c.GoodputPayloads) == 0 {
-		c.GoodputPayloads = nil
-	}
-	if len(c.LatencyPlacements) == 0 {
-		c.LatencyPlacements = nil
-	}
-	return c
-}
-
-// Knobs is a bitmask of the Config fields an artifact's Run actually
-// reads, declared at registration so drivers can collapse equivalent
-// configs (Project) instead of re-running byte-identical simulations.
-type Knobs uint8
-
-const (
-	// UsesIters marks artifacts whose Run reads Config.Iters.
-	UsesIters Knobs = 1 << iota
-	// UsesGoodputPayloads marks artifacts reading the payload grid.
-	UsesGoodputPayloads
-	// UsesLatencyPlacements marks artifacts reading the placement list.
-	UsesLatencyPlacements
-)
 
 // MaxIters bounds Config.Iters: enough for any settling window (it is
 // the benchmark's own compute load), and far below the 32-bit loop
@@ -105,8 +70,8 @@ type Artifact struct {
 	// Description is a one-line human summary, shown by
 	// swallow-tables -list and the service's artifact index.
 	Description string
-	// Uses declares which Config fields Run reads; see Project.
-	Uses Knobs
+	// UsesIters declares that Run reads Config.Iters; see Project.
+	UsesIters bool
 	// Run regenerates the artifact from simulation.
 	Run func(Config) (any, error)
 	// Render formats a Run result.
@@ -116,21 +81,15 @@ type Artifact struct {
 	Metrics func(any) map[string]float64
 }
 
-// Project reduces cfg to the fields this artifact's Run reads,
-// canonicalised: configs differing only in knobs the artifact ignores
-// project identically, so result caches can serve them from one entry
-// (the runs would be byte-identical anyway).
+// Project reduces cfg to what this artifact's Run reads: configs
+// differing only in an Iters the artifact ignores project identically,
+// so result caches can serve them from one entry (the runs would be
+// byte-identical anyway).
 func (a *Artifact) Project(cfg Config) Config {
-	if a.Uses&UsesIters == 0 {
+	if !a.UsesIters {
 		cfg.Iters = 0
 	}
-	if a.Uses&UsesGoodputPayloads == 0 {
-		cfg.GoodputPayloads = nil
-	}
-	if a.Uses&UsesLatencyPlacements == 0 {
-		cfg.LatencyPlacements = nil
-	}
-	return cfg.Canonical()
+	return cfg
 }
 
 // Table runs the artifact and renders it in one step.
@@ -143,12 +102,12 @@ func (a *Artifact) Table(cfg Config) (*report.Table, error) {
 }
 
 // Spec is a typed registration. Render is required; Description,
-// Uses and Metrics are optional (zero Uses means Run ignores Config
-// entirely).
+// UsesIters and Metrics are optional (UsesIters false means Run
+// ignores Config entirely).
 type Spec[R any] struct {
 	Name        string
 	Description string
-	Uses        Knobs
+	UsesIters   bool
 	Run         func(Config) (R, error)
 	Render      func(R) *report.Table
 	Metrics     func(R) map[string]float64
@@ -166,7 +125,7 @@ func Register[R any](s Spec[R]) {
 	a := &Artifact{
 		Name:        s.Name,
 		Description: s.Description,
-		Uses:        s.Uses,
+		UsesIters:   s.UsesIters,
 		Run:         func(cfg Config) (any, error) { return s.Run(cfg) },
 		Render:      func(res any) *report.Table { return s.Render(res.(R)) },
 	}

@@ -114,31 +114,15 @@ func TestRegisterRejectsDuplicatesAndIncomplete(t *testing.T) {
 	})
 }
 
-func TestConfigCanonical(t *testing.T) {
-	c := Config{Iters: 7, GoodputPayloads: []int{}, LatencyPlacements: []string{}}.Canonical()
-	if c.GoodputPayloads != nil || c.LatencyPlacements != nil {
-		t.Fatalf("empty overrides not normalised: %+v", c)
-	}
-	c = Config{Iters: 7, GoodputPayloads: []int{4}}.Canonical()
-	if len(c.GoodputPayloads) != 1 {
-		t.Fatalf("real override lost: %+v", c)
-	}
-}
-
 func TestProjectDropsUnreadKnobs(t *testing.T) {
-	full := Config{Iters: 9, GoodputPayloads: []int{4}, LatencyPlacements: []string{"x"}}
-	a := &Artifact{Uses: UsesIters}
-	got := a.Project(full)
-	if got.Iters != 9 || got.GoodputPayloads != nil || got.LatencyPlacements != nil {
+	full := Config{Iters: 9}
+	a := &Artifact{UsesIters: true}
+	if got := a.Project(full); got.Iters != 9 {
 		t.Fatalf("Project(UsesIters) = %+v", got)
 	}
 	a = &Artifact{} // reads nothing
-	if got = a.Project(full); got.Iters != 0 || got.GoodputPayloads != nil || got.LatencyPlacements != nil {
+	if got := a.Project(full); got.Iters != 0 {
 		t.Fatalf("Project(none) = %+v", got)
-	}
-	a = &Artifact{Uses: UsesIters | UsesGoodputPayloads | UsesLatencyPlacements}
-	if got = a.Project(full); got.Iters != 9 || len(got.GoodputPayloads) != 1 || len(got.LatencyPlacements) != 1 {
-		t.Fatalf("Project(all) = %+v", got)
 	}
 }
 

@@ -83,22 +83,10 @@ func Compile(s Spec) (*Compiled, error) {
 		return nil, err
 	}
 	c := &Compiled{Spec: s, Hash: s.Hash(), ms: measureTable[s.Measure]}
-	var uses harness.Knobs
-	for _, ax := range s.Sweep {
-		switch ax.FromConfig {
-		case "goodput_payloads":
-			uses |= harness.UsesGoodputPayloads
-		case "latency_placements":
-			uses |= harness.UsesLatencyPlacements
-		}
-	}
-	if c.ms.iters {
-		uses |= harness.UsesIters
-	}
 	c.Artifact = &harness.Artifact{
 		Name:        s.Name,
 		Description: s.Description,
-		Uses:        uses,
+		UsesIters:   c.ms.iters,
 		Run:         func(cfg harness.Config) (any, error) { return c.Run(cfg) },
 		Render:      func(res any) *report.Table { return c.Render(res.(*Result)) },
 	}
@@ -141,51 +129,6 @@ type point struct {
 
 // axis is the point's value of an int axis, 0 when none applies.
 func (p point) axis(param string) int { return int(p.Value(param)) }
-
-// axesFor applies the harness.Config overrides declared by FromConfig
-// axes: goodput_payloads replaces an int grid, latency_placements
-// filters a variants axis by name in canonical order.
-func (c *Compiled) axesFor(cfg harness.Config) ([]Axis, error) {
-	axes := append([]Axis(nil), c.Spec.Sweep...)
-	for i, ax := range axes {
-		switch ax.FromConfig {
-		case "goodput_payloads":
-			if len(cfg.GoodputPayloads) == 0 {
-				continue
-			}
-			b := intAxes[ax.Param]
-			for _, p := range cfg.GoodputPayloads {
-				if p < b.lo || p > b.hi {
-					return nil, badf("%s: payload %d outside %d-%d", ax.Param, p, b.lo, b.hi)
-				}
-			}
-			ax.Ints = cfg.GoodputPayloads
-		case "latency_placements":
-			if len(cfg.LatencyPlacements) == 0 {
-				continue
-			}
-			names := make([]string, len(ax.Variants))
-			for j, v := range ax.Variants {
-				names[j] = v.Name
-			}
-			for _, n := range cfg.LatencyPlacements {
-				if !slices.Contains(names, n) {
-					return nil, badf("unknown %s %q (have %v)", ax.Param, n, names)
-				}
-			}
-			ax.Variants = slices.DeleteFunc(slices.Clone(ax.Variants), func(v Variant) bool {
-				return !slices.Contains(cfg.LatencyPlacements, v.Name)
-			})
-		}
-		axes[i] = ax
-	}
-	// Overrides replace grids wholesale, so the cross product must be
-	// re-bounded: Validate only saw the spec's own grids.
-	if _, err := boundPoints(axes); err != nil {
-		return nil, err
-	}
-	return axes, nil
-}
 
 // enumerate expands the axes' cross product in declaration order.
 func enumerate(axes []Axis) []point {
@@ -284,15 +227,11 @@ func (ws *warmState) drop() {
 // is cold, when every point boots for itself; results are
 // byte-identical either way.
 func (c *Compiled) Run(cfg harness.Config) (*Result, error) {
-	axes, err := c.axesFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if c.Artifact.Uses&harness.UsesIters != 0 && (cfg.Iters < 0 || cfg.Iters > harness.MaxIters) {
+	if c.Artifact.UsesIters && (cfg.Iters < 0 || cfg.Iters > harness.MaxIters) {
 		return nil, badf("iters %d outside 0-%d", cfg.Iters, harness.MaxIters)
 	}
 	env := cfg.Env
-	points, err := sweep.MapWarm(env.SweepWidth(), enumerate(axes),
+	points, err := sweep.MapWarm(env.SweepWidth(), enumerate(c.Spec.Sweep),
 		func() (*warmState, error) {
 			if c.Spec.Workload.Boot && env.WarmStart() {
 				return &warmState{}, nil

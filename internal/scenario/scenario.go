@@ -199,15 +199,10 @@ type Axis struct {
 	// "threads" (load threads per core).
 	// Float axes: "freq_mhz" (core clock). Variant axes: any label
 	// ("placement", "regime", ...), rendered as the row name.
-	Param string `json:"param"`
-	// FromConfig binds the axis grid to a harness.Config override:
-	// "goodput_payloads" replaces an int grid, "latency_placements"
-	// filters a variants axis by name. The compiled artifact declares
-	// the matching harness knob.
-	FromConfig string    `json:"from_config,omitempty"`
-	Ints       []int     `json:"ints,omitempty"`
-	Floats     []float64 `json:"floats,omitempty"`
-	Variants   []Variant `json:"variants,omitempty"`
+	Param    string    `json:"param"`
+	Ints     []int     `json:"ints,omitempty"`
+	Floats   []float64 `json:"floats,omitempty"`
+	Variants []Variant `json:"variants,omitempty"`
 }
 
 // kind reports which value list the axis carries.
@@ -483,18 +478,9 @@ func (s Spec) Validate() error {
 			if ax.Param == "payload" {
 				payloadAxes++
 			}
-			if ax.FromConfig != "" && ax.FromConfig != "goodput_payloads" {
-				return badf("%s: from_config %q does not apply to an int axis", field, ax.FromConfig)
-			}
-			if ax.FromConfig == "goodput_payloads" && ax.Param != "payload" {
-				return badf("%s: from_config goodput_payloads needs the payload param", field)
-			}
 		case "floats":
 			if ax.Param != "freq_mhz" {
 				return badf("%s: unknown float axis param %q (have freq_mhz)", field, ax.Param)
-			}
-			if ax.FromConfig != "" {
-				return badf("%s: from_config %q does not apply to a float axis", field, ax.FromConfig)
 			}
 			for _, v := range ax.Floats {
 				if v < 1 || v > 500 {
@@ -508,9 +494,6 @@ func (s Spec) Validate() error {
 			}
 			if ax.Param == "" {
 				return badf("%s: variants axis needs a param label", field)
-			}
-			if ax.FromConfig != "" && ax.FromConfig != "latency_placements" {
-				return badf("%s: from_config %q does not apply to a variants axis", field, ax.FromConfig)
 			}
 			seen := make(map[string]bool)
 			for j, v := range ax.Variants {

@@ -103,9 +103,6 @@ func TestValidationRejectsBadSpecs(t *testing.T) {
 		{"variant without name", func(s *Spec) {
 			s.Sweep = []Axis{{Param: "v", Variants: []Variant{{}}}}
 		}, "needs a name"},
-		{"from_config on wrong axis", func(s *Spec) {
-			s.Sweep = []Axis{{Param: "links", FromConfig: "latency_placements", Ints: []int{1}}}
-		}, "from_config"},
 		{"bad operating links", func(s *Spec) { s.Operating = &Operating{Links: "turbo"} }, "operating.links"},
 		{"bad operating freq", func(s *Spec) { s.Operating = &Operating{CoreMHz: 9999} }, "core_mhz"},
 		{"negative operating freq", func(s *Spec) { s.Operating = &Operating{CoreMHz: -100} }, "core_mhz"},
@@ -335,29 +332,6 @@ func TestRoundTripHashStable(t *testing.T) {
 	}
 	if validTraffic().Hash() == (Spec{}).Canonical().Hash() {
 		t.Fatal("distinct specs share a hash")
-	}
-}
-
-// TestConfigOverrideReBounded: a harness.Config grid override replaces
-// an axis wholesale, so Run must re-check the point bound the spec's
-// own grid passed at Validate time.
-func TestConfigOverrideReBounded(t *testing.T) {
-	s := validTraffic()
-	s.Workload.Flows[0].Tokens = 0
-	s.Workload.Flows[0].TokensPerUnit = 1
-	s.Workload.Flows[0].PacketFromAxis = true
-	s.Sweep = []Axis{{Param: "payload", FromConfig: "goodput_payloads", Ints: []int{4, 8}}}
-	c, err := Compile(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	huge := make([]int, MaxPoints+1)
-	for i := range huge {
-		huge[i] = 1 + i%64
-	}
-	_, err = c.Run(harness.Config{GoodputPayloads: huge})
-	if err == nil || !errors.Is(err, harness.ErrBadConfig) {
-		t.Fatalf("oversized payload override accepted: %v", err)
 	}
 }
 

@@ -22,11 +22,13 @@
 //
 // Resolve (cluster.Resolver, shared with the router) turns the request
 // — a registered name, a declarative internal/scenario spec, or a job
-// body carrying either, plus config overrides (iters=N is the settling
-// window) — into a cluster.Target: the artifact to run, the config
-// projected onto the knobs it reads, and the one key everything below
-// files it under. A request that does not resolve is refused here with
-// a field-level message: 400, 404 or 413, never a 500.
+// body carrying either, plus its one override, iters=N, the settling
+// window — into a cluster.Target: the artifact to run, the config
+// projected onto what it reads, and the one key everything below files
+// it under. A sweep's grid is its spec's, so a custom grid is a spec
+// POSTed to /scenarios and is final, validated and bounded, here. A
+// request that does not resolve is refused here with a field-level
+// message: 400, 404 or 413, never a 500.
 //
 // Server.render then takes the first tier that holds the key: the
 // memory LRU, the disk store, and last the simulation, whose result is
@@ -229,9 +231,7 @@ func (s *Server) render(t cluster.Target) (entry cache.Entry, state string, rend
 		}
 		renderDur = time.Duration(res.RenderMicros) * time.Microsecond
 		s.met.observe(t.Label, renderDur)
-		s.store.Put(t.Key, res.Body, store.Meta{
-			Artifact: t.Name, Spec: t.Spec, Metrics: res.Metrics, RenderMicros: res.RenderMicros,
-		})
+		s.store.Put(t.Key, res.Body, store.Meta{Artifact: t.Name})
 		return res.Body, nil
 	})
 	if hit {

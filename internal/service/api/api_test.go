@@ -38,12 +38,11 @@ func init() {
 	harness.Register(harness.Spec[string]{
 		Name:        "echo",
 		Description: "test artifact echoing its config",
-		Uses:        harness.UsesIters | harness.UsesGoodputPayloads | harness.UsesLatencyPlacements,
+		UsesIters:   true,
 		Run: func(cfg harness.Config) (string, error) {
 			echoRuns.Add(1)
 			time.Sleep(5 * time.Millisecond) // widen the singleflight window
-			return fmt.Sprintf("iters=%d payloads=%v placements=%v",
-				cfg.Iters, cfg.GoodputPayloads, cfg.LatencyPlacements), nil
+			return fmt.Sprintf("iters=%d", cfg.Iters), nil
 		},
 		Render: func(s string) *report.Table {
 			t := report.NewTable("echo", "value")
@@ -70,9 +69,9 @@ func init() {
 	harness.Register(harness.Spec[int]{
 		Name:        "badcfg",
 		Description: "test artifact rejecting its config",
-		Uses:        harness.UsesLatencyPlacements,
+		UsesIters:   true,
 		Run: func(cfg harness.Config) (int, error) {
-			return 0, fmt.Errorf("%w: no such placement", harness.ErrBadConfig)
+			return 0, fmt.Errorf("%w: iters %d too short to settle", harness.ErrBadConfig, cfg.Iters)
 		},
 		Render: func(int) *report.Table { return report.NewTable("never") },
 	})
@@ -85,7 +84,7 @@ func init() {
 	harness.Register(harness.Spec[int]{
 		Name:        "block",
 		Description: "test artifact gated on a channel",
-		Uses:        harness.UsesIters,
+		UsesIters:   true,
 		Run: func(harness.Config) (int, error) {
 			blockRunning <- struct{}{}
 			<-blockGate
@@ -188,17 +187,17 @@ func TestConfigOverridesChangeIdentity(t *testing.T) {
 	if !strings.Contains(b1, "iters=123") {
 		t.Fatalf("iters override not applied: %q", b1)
 	}
-	r2, b2 := get(t, ts.URL+"/artifacts/echo?payloads=4,8&iters=123")
-	if b1 == b2 || !strings.Contains(b2, "payloads=[4 8]") {
-		t.Fatalf("payload override not applied: %q", b2)
+	r2, b2 := get(t, ts.URL+"/artifacts/echo?iters=124")
+	if b1 == b2 || !strings.Contains(b2, "iters=124") {
+		t.Fatalf("second iters override not applied: %q", b2)
 	}
 	if r2.Header.Get("X-Cache") != "MISS" {
 		t.Fatal("different config must not share a cache entry")
 	}
-	// Same config spelled via an equivalent query ('+' decodes to
-	// space, trimmed during parsing) is a hit.
-	r3, b3 := get(t, ts.URL+"/artifacts/echo?iters=123&payloads=+4+,+8")
-	if r3.Header.Get("X-Cache") != "HIT" || b3 != b2 {
+	// The same config beside a parameter the resolver does not read is
+	// a hit.
+	r3, b3 := get(t, ts.URL+"/artifacts/echo?iters=123&unread=1")
+	if r3.Header.Get("X-Cache") != "HIT" || b3 != b1 {
 		t.Fatalf("equivalent config missed the cache (X-Cache=%s)", r3.Header.Get("X-Cache"))
 	}
 }
@@ -208,7 +207,7 @@ func TestIrrelevantKnobsShareOneCacheEntry(t *testing.T) {
 	// "const" ignores its whole config, so any parameter spelling must
 	// project to the same cache entry.
 	r1, b1 := get(t, ts.URL+"/artifacts/const")
-	r2, b2 := get(t, ts.URL+"/artifacts/const?iters=999&payloads=4,8")
+	r2, b2 := get(t, ts.URL+"/artifacts/const?iters=999")
 	if r1.StatusCode != 200 || r2.StatusCode != 200 || b1 != b2 {
 		t.Fatalf("const renders diverge: %d %q vs %d %q", r1.StatusCode, b1, r2.StatusCode, b2)
 	}
@@ -233,18 +232,12 @@ func TestErrorsSurface(t *testing.T) {
 	if r, view := submitJob(t, ts.URL, `{"artifact":"echo","config":{"iters":5000000000}}`); r.StatusCode != 400 {
 		t.Errorf("job with iters past the bound: %d %v, want 400", r.StatusCode, view)
 	}
-	if r, _ := get(t, ts.URL+"/artifacts/echo?payloads=-1"); r.StatusCode != 400 {
-		t.Errorf("bad payloads: %d, want 400", r.StatusCode)
-	}
 	if r, body := get(t, ts.URL+"/artifacts/fail"); r.StatusCode != 500 || !strings.Contains(body, "deliberate") {
 		t.Errorf("failing artifact: %d %q, want 500 mentioning the cause", r.StatusCode, body)
 	}
-	if r, _ := get(t, ts.URL+"/artifacts/echo?placements=,"); r.StatusCode != 400 {
-		t.Errorf("empty placements list: %d, want 400", r.StatusCode)
-	}
 	// A config the artifact itself rejects is the caller's fault, not a
 	// server fault.
-	if r, body := get(t, ts.URL+"/artifacts/badcfg?placements=nope"); r.StatusCode != 400 || !strings.Contains(body, "placement") {
+	if r, body := get(t, ts.URL+"/artifacts/badcfg?iters=3"); r.StatusCode != 400 || !strings.Contains(body, "iters 3") {
 		t.Errorf("bad-config run error: %d %q, want 400", r.StatusCode, body)
 	}
 	if r, _ := get(t, ts.URL+"/jobs/job-999"); r.StatusCode != 404 {

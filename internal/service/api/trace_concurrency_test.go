@@ -28,7 +28,7 @@ func init() {
 	harness.Register(harness.Spec[[]uint64]{
 		Name:        "sim",
 		Description: "test artifact running a small sweep on real machines",
-		Uses:        harness.UsesIters,
+		UsesIters:   true,
 		Run: func(cfg harness.Config) ([]uint64, error) {
 			return sweep.Map(cfg.Env.SweepWidth(), []int{1, 2, 3}, func(_ int, threads int) (uint64, error) {
 				m, release, err := cfg.Env.Checkout(1, 1, core.Options{})

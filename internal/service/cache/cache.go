@@ -25,13 +25,12 @@ import (
 )
 
 // Key derives the canonical cache key for an artifact rendered under a
-// config. Equivalent configs (nil vs empty override slices) map to the
-// same key; any semantic difference maps to a different one.
+// config: any semantic difference maps to a different key.
 func Key(artifact string, cfg harness.Config) string {
 	blob, err := json.Marshal(struct {
 		Artifact string         `json:"artifact"`
 		Config   harness.Config `json:"config"`
-	}{artifact, cfg.Canonical()})
+	}{artifact, cfg})
 	if err != nil {
 		// harness.Config is plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("cache: key marshal: %v", err))

@@ -14,9 +14,6 @@ import (
 
 func TestKeyCanonicalisation(t *testing.T) {
 	base := harness.Config{Iters: 100}
-	if Key("fig3", base) != Key("fig3", harness.Config{Iters: 100, GoodputPayloads: []int{}}) {
-		t.Error("nil and empty override slices must key identically")
-	}
 	if Key("fig3", base) != Key("fig3", harness.Config{Iters: 100, Env: &core.Env{Exact: true, Width: 3}}) {
 		t.Error("how a render runs (Config.Env) must not reach its key")
 	}
@@ -25,9 +22,6 @@ func TestKeyCanonicalisation(t *testing.T) {
 	}
 	if Key("fig3", base) == Key("fig3", harness.Config{Iters: 101}) {
 		t.Error("different iters must key differently")
-	}
-	if Key("goodput", base) == Key("goodput", harness.Config{Iters: 100, GoodputPayloads: []int{4}}) {
-		t.Error("grid override must key differently")
 	}
 }
 

@@ -2,12 +2,13 @@
 //
 //   - Resolver (resolve.go): a request in any spelling the API accepts
 //     — name + query string, spec bytes + query string, job JSON body —
-//     becomes one Target: the artifact to run, the projected config,
-//     and the one key the memory cache, the disk store and the hash
-//     ring all file it under. The worker API and the Router call the
-//     same Resolver, and every request starts from
-//     harness.DefaultConfig(), so the routing key is the cache key by
-//     construction. Local is resolve + run in this process.
+//     becomes one Target: the artifact to run, the projected config
+//     (iters is the one request knob; a grid is a spec's), and the one
+//     key the memory cache, the disk store and the hash ring all file
+//     it under. The worker API and the Router call the same Resolver,
+//     and every request starts from harness.DefaultConfig(), so the
+//     routing key is the cache key by construction. Local is resolve +
+//     run in this process.
 //
 //   - Ring: a consistent hash ring with replicated virtual nodes over
 //     worker names. Keys are Target.Key, so each worker's LRU cache and
@@ -55,10 +56,6 @@ type Result struct {
 	Body []byte
 	// RenderMicros is the simulation time.
 	RenderMicros int64
-	// Metrics are the artifact's named headline quantities, when the
-	// artifact declares an extractor — the persistent store files them
-	// as provenance next to the body.
-	Metrics map[string]float64
 }
 
 // Health states reported by Healthz.
@@ -110,14 +107,8 @@ func (t Target) Run() (Result, error) {
 		return Result{}, err
 	}
 	dur := time.Since(start)
-	body := []byte(t.Artifact.Render(res).String())
-	var metrics map[string]float64
-	if t.Artifact.Metrics != nil {
-		metrics = t.Artifact.Metrics(res)
-	}
 	return Result{
-		Body:         body,
+		Body:         []byte(t.Artifact.Render(res).String()),
 		RenderMicros: dur.Microseconds(),
-		Metrics:      metrics,
 	}, nil
 }

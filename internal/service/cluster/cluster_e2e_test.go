@@ -30,9 +30,9 @@ func init() {
 	harness.Register(harness.Spec[string]{
 		Name:        "echo",
 		Description: "test artifact echoing its config",
-		Uses:        harness.UsesIters | harness.UsesGoodputPayloads,
+		UsesIters:   true,
 		Run: func(cfg harness.Config) (string, error) {
-			return fmt.Sprintf("iters=%d payloads=%v", cfg.Iters, cfg.GoodputPayloads), nil
+			return fmt.Sprintf("iters=%d", cfg.Iters), nil
 		},
 		Render: func(s string) *report.Table {
 			t := report.NewTable("echo", "value")
@@ -103,7 +103,7 @@ func get(t *testing.T, url string) (*http.Response, string) {
 // exactly what the registry renders directly.
 func TestLocalBackendMatchesDirect(t *testing.T) {
 	local := cluster.NewLocal()
-	cfg := harness.Config{Iters: 123, GoodputPayloads: []int{8, 64}}
+	cfg := harness.Config{Iters: 123}
 	res, err := local.Render(context.Background(), cluster.Request{Artifact: "echo", Config: cfg})
 	if err != nil {
 		t.Fatal(err)

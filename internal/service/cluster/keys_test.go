@@ -14,21 +14,25 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	_ "swallow/internal/experiments" // the real registry
 	"swallow/internal/harness"
+	"swallow/internal/scenario"
 	"swallow/internal/service/api"
 	"swallow/internal/service/cluster"
 	"swallow/internal/service/store"
 )
 
-// overrideQuery is the table's one ?iters=&payloads= override, and
-// overrideJob the same thing in a job body's spelling. quickQuery and
-// quickJob are the short settling window, which the parent also
-// accepted as a quick flag.
+// overrideQuery is the table's one override, and overrideJob the same
+// thing in a job body's spelling. Both are the parent's, payload grid
+// and all: a sweep's grid is now its spec's, so an old client's grid
+// is read as nothing and the request still resolves, to its iters
+// alone. quickQuery and quickJob are the short settling window, which
+// the parent also accepted as a quick flag.
 const (
 	overrideQuery = "iters=7&payloads=4,64"
 	overrideJob   = `"config": {"iters": 7, "goodput_payloads": [4, 64]}`
@@ -61,14 +65,21 @@ var parentKeys = []struct{ name, def, quick, over string }{
 	{"fig2", "179651d999ebbb44c47c49039d7d241d9d304f24a66a5ca29e70f065f2c91d1e", "f6c9df46c1801f706ffbb69a29293830b6f444fd23c959d19f2dbc752283916b", "6215de7deff8b8b9eda04a545e68a27412b7b05829d28a94581947f00caafc31"},
 	{"fig3", "28e434f3b9f347c03204248db9aedc3d348e5b4494c92baaf4b779fc6cfe6ede", "e08dabad18356befbf126e40ce97778d105d357441b74c520a36c8509039f301", "3757707e0d9bad84bff5b10398ee23efb63cead0aad8a118cdf0e5d360f96041"},
 	{"fig4", "5482176131451dbfea2608c226409a94d73ec19c7c168dcf10608dbdd905f73c", "b5562c635980ce7eb6ecb7bbf2a5caf026f69ac7ab08d44fe6483a84255bc287", "800a57de713b1b1afb09f8a16baf02073090282a5b75a129319d0d4df0af7d1e"},
-	{"goodput", "56094b22aeeb2d1d02315a0a3af35a4978d6e400aae92350494eb0d29fbbfaac", "56094b22aeeb2d1d02315a0a3af35a4978d6e400aae92350494eb0d29fbbfaac", "213721702550900a07cee35acb3bf4e4b24e0d4015b57fb40e17bded20141d90"},
+	// Not the parent's over cell (213721702550...): overrideQuery's
+	// payload grid is no longer read, so it files under def.
+	{"goodput", "56094b22aeeb2d1d02315a0a3af35a4978d6e400aae92350494eb0d29fbbfaac", "56094b22aeeb2d1d02315a0a3af35a4978d6e400aae92350494eb0d29fbbfaac", "56094b22aeeb2d1d02315a0a3af35a4978d6e400aae92350494eb0d29fbbfaac"},
 	{"latency", "7574c80621c823b62460e53515aa7955f0d13411ed673460928147458f9eb657", "7574c80621c823b62460e53515aa7955f0d13411ed673460928147458f9eb657", "7574c80621c823b62460e53515aa7955f0d13411ed673460928147458f9eb657"},
 	{"placement", "19a4fe801c1866d16b26fdb7b17debfe617e5e08a783e1d917fea3b1ce173623", "19a4fe801c1866d16b26fdb7b17debfe617e5e08a783e1d917fea3b1ce173623", "19a4fe801c1866d16b26fdb7b17debfe617e5e08a783e1d917fea3b1ce173623"},
 	{"survey-ec", "49181af8eb09589b0ae85f2f772d8db77876b38f26c68ed01f8d363fb0a65fc3", "49181af8eb09589b0ae85f2f772d8db77876b38f26c68ed01f8d363fb0a65fc3", "49181af8eb09589b0ae85f2f772d8db77876b38f26c68ed01f8d363fb0a65fc3"},
 	{"table1", "c5a0f8daa4cb4b26f5689ce53cd05e55ec2add95565bc946a74734f9cfae3dc6", "c5a0f8daa4cb4b26f5689ce53cd05e55ec2add95565bc946a74734f9cfae3dc6", "c5a0f8daa4cb4b26f5689ce53cd05e55ec2add95565bc946a74734f9cfae3dc6"},
 	{"table2", "cdf3027b9b9729fce6bc294fffc4ec88ce6ae8e77d858124f0009ee37e7abd7d", "cdf3027b9b9729fce6bc294fffc4ec88ce6ae8e77d858124f0009ee37e7abd7d", "cdf3027b9b9729fce6bc294fffc4ec88ce6ae8e77d858124f0009ee37e7abd7d"},
 	{"table3", "7178832b38c8e652aad59f66e2ed9e8f3602eed6600a1066ee6dd5e83e47e38b", "7178832b38c8e652aad59f66e2ed9e8f3602eed6600a1066ee6dd5e83e47e38b", "7178832b38c8e652aad59f66e2ed9e8f3602eed6600a1066ee6dd5e83e47e38b"},
-	{"goodput.json", "2cc45f0c9314ab71ae802f612c65b83c80b5fc69158a747691e91b74ed17399e", "2cc45f0c9314ab71ae802f612c65b83c80b5fc69158a747691e91b74ed17399e", ""},
+	// New pins, not the parent's (2cc45f0c9314... and 6bcf2536d8f9...):
+	// these two files no longer bind their sweep axis to a config
+	// field, so their canonical specs and with them their hashes
+	// changed.
+	{"goodput.json", "ebf693ed26e5b7610ec418f4faafb579156449ad3127f17a12e1dcebb5534c0a", "ebf693ed26e5b7610ec418f4faafb579156449ad3127f17a12e1dcebb5534c0a", ""},
+	{"latency.json", "5b5de7dca003d3e926023377a008e13b1e9332a7c4ed15dfe84842a4a485b65c", "5b5de7dca003d3e926023377a008e13b1e9332a7c4ed15dfe84842a4a485b65c", ""},
 	{"pipeline-dvfs.json", "1287750773f82dd059ca183bbb65d9d9907d80b9236a26901c43ffdc715d2732", "1287750773f82dd059ca183bbb65d9d9907d80b9236a26901c43ffdc715d2732", ""},
 	// New pins, not the parent's: these two specs use the load
 	// structure, which the parent commit cannot parse, so their keys
@@ -93,7 +104,6 @@ var parentKeys = []struct{ name, def, quick, over string }{
 	{"ec.json", "7deed95c8c92f7d0513a1c6b5292b1a42b4a77ace12a9f07e226680022eb2bdd", "7deed95c8c92f7d0513a1c6b5292b1a42b4a77ace12a9f07e226680022eb2bdd", ""},
 	{"eq2.json", "4e6289b184bbef40795eb5ab33ddae07b4a405420e289ff1a39c802b632cbf55", "29d1cb44f9381fe425b37212deeeda04e62a95a81568cdd3defda63239582e19", ""},
 	{"fig4.json", "a2e0b233b9af19445fd1b41a6a60af196e53c0ea377c07c1bb45ca5e2beeb8e1", "efb2edd496a000d7251dd3578bb70422a6d9429b6c676ea1fe7c17dcf2835096", ""},
-	{"latency.json", "6bcf2536d8f997e80c4635d536efde4cd19055a44738485b5a89fc8b75a133fa", "6bcf2536d8f997e80c4635d536efde4cd19055a44738485b5a89fc8b75a133fa", ""},
 	{"placement.json", "526a16f1554395da7d38c3256575c21cc14496c6937910c640a7b105117795fa", "526a16f1554395da7d38c3256575c21cc14496c6937910c640a7b105117795fa", ""},
 }
 
@@ -176,6 +186,52 @@ func TestKeysDidNotMove(t *testing.T) {
 			if !seen[filepath.Base(f)] {
 				t.Errorf("%s has no row in parentKeys", f)
 			}
+		}
+	}
+}
+
+// TestRegriddedSpecsRenderParentGrids: a custom grid is the spec file
+// with its axis edited, POSTed to /scenarios. The two re-gridded specs
+// render byte for byte the tables the parent rendered for the same
+// grids requested as overrides of GET /artifacts/goodput (payloads 4,
+// 8, 64) and GET /artifacts/latency (core-local and cross-package word
+// only), recorded at the parent as literals.
+func TestRegriddedSpecsRenderParentGrids(t *testing.T) {
+	const goodput = "Section V-B: packet overhead (goodput / link rate)\n" +
+		"| payload bytes | analytic n/(n+4) | simulated |\n" +
+		"| ------------- | ---------------- | --------- |\n" +
+		"| 4             | 0.500            | 0.500     |\n" +
+		"| 8             | 0.667            | 0.667     |\n" +
+		"| 64            | 0.941            | 0.941     |\n"
+	const latency = "Section V-C: core-to-core word latency\n" +
+		"| placement          | paper ns | paper instrs | sim ns | sim instrs |\n" +
+		"| ------------------ | -------- | ------------ | ------ | ---------- |\n" +
+		"| core-local word    | 50       | 6            | 22     | 3          |\n" +
+		"| cross-package word | 360      | 45           | 282    | 35         |\n"
+	_, w := newWorker(t, api.Options{})
+	for _, c := range []struct {
+		file, want string
+		regrid     func(ax *scenario.Axis)
+	}{
+		{"goodput.json", goodput, func(ax *scenario.Axis) { ax.Ints = []int{4, 8, 64} }},
+		{"latency.json", latency, func(ax *scenario.Axis) {
+			ax.Variants = slices.DeleteFunc(ax.Variants, func(v scenario.Variant) bool {
+				return v.Name != "core-local word" && v.Name != "cross-package word"
+			})
+		}},
+	} {
+		s, err := scenario.Parse(readSpec(t, c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.regrid(&s.Sweep[0])
+		body, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, got := fleet{url: w.URL}.do(t, "/scenarios", string(body))
+		if resp.StatusCode != http.StatusOK || got != c.want {
+			t.Errorf("%s re-gridded: %s\n%s\nwant the parent's\n%s", c.file, resp.Status, got, c.want)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 
 	"swallow/internal/harness"
 	"swallow/internal/scenario"
@@ -28,7 +27,7 @@ type Target struct {
 	Config harness.Config
 	// Key is cache.Key(Name, Config).
 	Key string
-	// Name is the identity the key and the store's provenance record
+	// Name is the identity the key and the store's artifact label
 	// carry: the artifact name, or "scenario:<Hash>". Class is the short
 	// form — "scenario:<12 hex>" — used as the job class (so distinct
 	// scenarios round-robin against artifact jobs in the queue) and the
@@ -36,10 +35,9 @@ type Target struct {
 	// latency under, "scenario" for every spec, so cardinality stays
 	// bounded however many distinct specs clients invent.
 	Name, Class, Label string
-	// Hash is a scenario's canonical content hash and Spec its canonical
-	// JSON, so equivalent spellings of one spec share an entry and a
-	// stored result stays self-describing; both empty for a registered
-	// artifact.
+	// Hash is a scenario's canonical content hash, so equivalent
+	// spellings of one spec share an entry, and Spec its canonical JSON,
+	// what a named pin records; both empty for a registered artifact.
 	Hash string
 	Spec []byte
 }
@@ -169,10 +167,10 @@ func (t Target) under(cfg harness.Config) Target {
 
 // overrides is what a request carries on top of a base config, decoded
 // from either spelling — a job body's own fields, or the query string
-// — but not yet applied: positive Iters and non-empty payload /
-// placement lists replace the base's fields. err is the decode's own
-// failure, held back until the thing the request names is known to
-// exist (an unknown artifact is a 404 whatever its query says).
+// — but not yet applied: a positive Iters replaces the base's. err is
+// the decode's own failure, held back until the thing the request
+// names is known to exist (an unknown artifact is a 404 whatever its
+// query says).
 type overrides struct {
 	Config harness.Config `json:"config"`
 	err    error
@@ -196,46 +194,15 @@ func (rs Resolver) overlay(t Target, err error, o overrides) (Target, error) {
 	if o.Config.Iters > 0 {
 		cfg.Iters = o.Config.Iters
 	}
-	for _, p := range o.Config.GoodputPayloads {
-		if p <= 0 {
-			return t, badRequest("bad config: payloads must be positive")
-		}
-	}
-	if len(o.Config.GoodputPayloads) > 0 {
-		cfg.GoodputPayloads = o.Config.GoodputPayloads
-	}
-	if len(o.Config.LatencyPlacements) > 0 {
-		cfg.LatencyPlacements = o.Config.LatencyPlacements
-	}
 	return t.under(cfg), nil
 }
 
-// fromQuery decodes the query-string spelling: iters=N, payloads=a,b,
-// placements=x,y.
+// fromQuery decodes the query-string spelling: iters=N.
 func fromQuery(q url.Values) (o overrides) {
 	var err error
 	if v := q.Get("iters"); v != "" {
 		if o.Config.Iters, err = strconv.Atoi(v); err != nil || o.Config.Iters <= 0 {
 			return overrides{err: badRequest("bad iters=%q: want a positive integer", v)}
-		}
-	}
-	if v := q.Get("payloads"); v != "" {
-		for _, part := range strings.Split(v, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
-				return overrides{err: badRequest("bad payloads=%q: want comma-separated positive integers", v)}
-			}
-			o.Config.GoodputPayloads = append(o.Config.GoodputPayloads, n)
-		}
-	}
-	if v := q.Get("placements"); v != "" {
-		for _, part := range strings.Split(v, ",") {
-			if part = strings.TrimSpace(part); part != "" {
-				o.Config.LatencyPlacements = append(o.Config.LatencyPlacements, part)
-			}
-		}
-		if len(o.Config.LatencyPlacements) == 0 {
-			return overrides{err: badRequest("bad placements=%q: no names", v)}
 		}
 	}
 	return o

@@ -10,13 +10,12 @@
 // the classic atomic discipline (temp file in the same directory,
 // then rename) so a crash mid-write never leaves a partial entry
 // under a live name. The frame is self-verifying: a magic line, a
-// JSON header carrying provenance (registry version, artifact,
-// canonical spec, metrics, render time) plus the body's length, CRC32
-// and sha256, then the spec and body bytes. Reads re-check all of it;
-// any mismatch — truncation, bit flip, wrong registry version —
-// quarantines the file (moved aside for postmortem, never served)
-// and reports a plain miss, so the caller re-renders and the next
-// Put repairs the entry.
+// JSON header carrying the key, the registry version and the artifact
+// label plus the body's length, CRC32 and sha256, then the body bytes.
+// Reads re-check all of it; any mismatch — truncation, bit flip, wrong
+// registry version — quarantines the file (moved aside for postmortem,
+// never served) and reports a plain miss, so the caller re-renders and
+// the next Put repairs the entry.
 //
 // The store also persists the named-scenario registry: one record per
 // name holding its pinned spec hash, full version history and the
@@ -49,7 +48,7 @@ import (
 )
 
 // magic heads every object file; bump it if the frame layout changes.
-const magic = "swst1\n"
+const magic = "swst2\n"
 
 // Options configures a Store.
 type Options struct {
@@ -73,19 +72,12 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Meta is the provenance a Put records next to the body.
+// Meta is what a Put records next to the body.
 type Meta struct {
 	// Artifact labels what rendered: a registry name or
-	// "scenario:<hash>".
+	// "scenario:<hash>". It is written for a reader of the file; Get
+	// does not return it.
 	Artifact string
-	// Spec is the canonical scenario spec JSON for scenario renders,
-	// nil for named artifacts.
-	Spec []byte
-	// Metrics are the artifact's numeric outputs, when the renderer
-	// computed them.
-	Metrics map[string]float64
-	// RenderMicros is the original cold render time.
-	RenderMicros int64
 }
 
 // Entry is one stored render read back from disk, fully verified.
@@ -95,13 +87,6 @@ type Entry struct {
 	// ContentHash is the hex sha256 of Body (the HTTP ETag value),
 	// re-verified against the bytes on every read.
 	ContentHash string
-	// Artifact / Spec / Metrics / RenderMicros echo the Meta the entry
-	// was written with; CreatedUnix stamps the write.
-	Artifact     string
-	Spec         []byte
-	Metrics      map[string]float64
-	RenderMicros int64
-	CreatedUnix  int64
 }
 
 // Stats is a point-in-time snapshot of store counters. All *_total
@@ -145,18 +130,14 @@ type NameRecord struct {
 	Spec json.RawMessage `json:"spec"`
 }
 
-// header is the JSON line between the magic and the payload.
+// header is the JSON line between the magic and the body.
 type header struct {
-	Key          string             `json:"key"`
-	Version      string             `json:"version"`
-	Artifact     string             `json:"artifact,omitempty"`
-	ContentHash  string             `json:"content_sha256"`
-	BodyLen      int64              `json:"body_len"`
-	BodyCRC      uint32             `json:"body_crc32"`
-	SpecLen      int64              `json:"spec_len,omitempty"`
-	RenderMicros int64              `json:"render_micros,omitempty"`
-	Metrics      map[string]float64 `json:"metrics,omitempty"`
-	CreatedUnix  int64              `json:"created_unix"`
+	Key         string `json:"key"`
+	Version     string `json:"version"`
+	Artifact    string `json:"artifact,omitempty"`
+	ContentHash string `json:"content_sha256"`
+	BodyLen     int64  `json:"body_len"`
+	BodyCRC     uint32 `json:"body_crc32"`
 }
 
 // indexEnt is one object in the in-memory LRU index.
@@ -479,34 +460,29 @@ func (s *Store) Stats() Stats {
 // encodeFrame builds the self-verifying object frame.
 func encodeFrame(key, version string, body []byte, meta Meta) []byte {
 	h := header{
-		Key:          key,
-		Version:      version,
-		Artifact:     meta.Artifact,
-		ContentHash:  hexSHA256(body),
-		BodyLen:      int64(len(body)),
-		BodyCRC:      crc32.ChecksumIEEE(body),
-		SpecLen:      int64(len(meta.Spec)),
-		RenderMicros: meta.RenderMicros,
-		Metrics:      meta.Metrics,
-		CreatedUnix:  time.Now().Unix(),
+		Key:         key,
+		Version:     version,
+		Artifact:    meta.Artifact,
+		ContentHash: hexSHA256(body),
+		BodyLen:     int64(len(body)),
+		BodyCRC:     crc32.ChecksumIEEE(body),
 	}
 	hdr, err := json.Marshal(h)
 	if err != nil {
 		// header is plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("store: header marshal: %v", err))
 	}
-	buf := make([]byte, 0, len(magic)+len(hdr)+1+len(meta.Spec)+len(body))
+	buf := make([]byte, 0, len(magic)+len(hdr)+1+len(body))
 	buf = append(buf, magic...)
 	buf = append(buf, hdr...)
 	buf = append(buf, '\n')
-	buf = append(buf, meta.Spec...)
 	buf = append(buf, body...)
 	return buf
 }
 
 // parseHeader checks a frame's magic and header line — the key it was
 // filed under and the registry version it was written for — and
-// returns the header and the payload after it.
+// returns the header and the body after it.
 func parseHeader(key, version string, blob []byte) (header, []byte, error) {
 	var h header
 	if !bytes.HasPrefix(blob, []byte(magic)) {
@@ -531,34 +507,20 @@ func parseHeader(key, version string, blob []byte) (header, []byte, error) {
 
 // decodeFrame verifies and unpacks one object frame.
 func decodeFrame(key, version string, blob []byte) (Entry, error) {
-	h, payload, err := parseHeader(key, version, blob)
+	h, body, err := parseHeader(key, version, blob)
 	if err != nil {
 		return Entry{}, err
 	}
-	if int64(len(payload)) != h.SpecLen+h.BodyLen || h.SpecLen < 0 || h.BodyLen < 0 {
-		return Entry{}, fmt.Errorf("payload length %d (header says %d+%d)",
-			len(payload), h.SpecLen, h.BodyLen)
+	if int64(len(body)) != h.BodyLen {
+		return Entry{}, fmt.Errorf("body length %d (header says %d)", len(body), h.BodyLen)
 	}
-	spec := payload[:h.SpecLen]
-	body := payload[h.SpecLen:]
 	if crc32.ChecksumIEEE(body) != h.BodyCRC {
 		return Entry{}, fmt.Errorf("body crc mismatch")
 	}
 	if hexSHA256(body) != h.ContentHash {
 		return Entry{}, fmt.Errorf("body sha256 mismatch")
 	}
-	if len(spec) == 0 {
-		spec = nil
-	}
-	return Entry{
-		Body:         body,
-		ContentHash:  h.ContentHash,
-		Artifact:     h.Artifact,
-		Spec:         spec,
-		Metrics:      h.Metrics,
-		RenderMicros: h.RenderMicros,
-		CreatedUnix:  h.CreatedUnix,
-	}, nil
+	return Entry{Body: body, ContentHash: h.ContentHash}, nil
 }
 
 // nameRE is the scenario-name grammar: a letter or digit, then up to

@@ -30,13 +30,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	s := mustOpen(t, Options{Dir: t.TempDir(), Version: "v1"})
 	key := keyFor("k1")
 	body := []byte("table body\nrow 1\n")
-	meta := Meta{
-		Artifact:     "table1",
-		Spec:         []byte(`{"name":"x"}`),
-		Metrics:      map[string]float64{"latency_ns": 42.5},
-		RenderMicros: 1234,
-	}
-	if err := s.Put(key, body, meta); err != nil {
+	if err := s.Put(key, body, Meta{Artifact: "table1"}); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	ent, ok := s.Get(key)
@@ -50,13 +44,26 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if ent.ContentHash != hex.EncodeToString(sum[:]) {
 		t.Fatalf("content hash mismatch: %s", ent.ContentHash)
 	}
-	if ent.Artifact != "table1" || !bytes.Equal(ent.Spec, meta.Spec) ||
-		ent.RenderMicros != 1234 || ent.Metrics["latency_ns"] != 42.5 {
-		t.Fatalf("meta mismatch: %+v", ent)
+	frame, err := os.ReadFile(s.objectPath(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(frame, []byte(magic+`{"key":"`+key+`","version":"v1","artifact":"table1",`)) {
+		t.Fatalf("frame head %.120q does not label its artifact", frame)
 	}
 	st := s.Stats()
 	if st.Hits != 1 || st.Writes != 1 || st.Entries != 1 || st.Corrupt != 0 {
 		t.Fatalf("stats: %+v", st)
+	}
+	// A frame of the previous layout, magic swst1, is a clean miss.
+	if err := os.WriteFile(s.objectPath(key), bytes.Replace(frame, []byte(magic), []byte("swst1\n"), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(key); ok {
+		t.Fatal("swst1 frame served")
+	}
+	if st := s.Stats(); st.Corrupt != 1 {
+		t.Fatalf("swst1 frame not quarantined: %+v", st)
 	}
 }
 

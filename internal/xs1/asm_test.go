@@ -152,7 +152,7 @@ func TestMustAssemblePanics(t *testing.T) {
 func TestEncodeDecodeRoundTripProperty(t *testing.T) {
 	f := func(opRaw, a, b, cc uint8, imm int32) bool {
 		op := Opcode(int(opRaw) % NumOpcodes)
-		in := Instr{Op: op, A: a & 0x3f, B: b & 0x3f, C: cc & 0x3f, Imm: imm}
+		in := Instr{Op: op, A: a % NumRegs, B: b % NumRegs, C: cc % NumRegs, Imm: imm}
 		if !op.hasImm() {
 			in.Imm = 0
 		}
@@ -176,6 +176,10 @@ func TestDecodeErrors(t *testing.T) {
 	// An imm-carrying opcode without the imm flag bit.
 	if _, err := Decode(uint32(OpLDC)<<24, 0); err == nil {
 		t.Error("missing imm flag accepted")
+	}
+	// A register field past the register file: add r1, r40, r2.
+	if _, err := Decode(uint32(OpADD)<<24|1<<18|40<<12|2<<6, 0); err == nil {
+		t.Error("register r40 decoded")
 	}
 }
 

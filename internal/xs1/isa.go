@@ -280,6 +280,11 @@ func Decode(w0, w1 uint32) (Instr, error) {
 		B:  uint8(w0 >> 12 & 0x3f),
 		C:  uint8(w0 >> 6 & 0x3f),
 	}
+	// An operand field has room for 64 registers, a thread holds
+	// NumRegs: a larger index would run off the register file.
+	if r := max(in.A, in.B, in.C); r >= NumRegs {
+		return Instr{}, fmt.Errorf("xs1: %s names register %d of %d", op.Name(), r, NumRegs)
+	}
 	if op.hasImm() {
 		if w0&1 == 0 {
 			return Instr{}, fmt.Errorf("xs1: opcode %s missing immediate flag", op.Name())
